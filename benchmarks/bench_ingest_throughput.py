@@ -4,21 +4,26 @@ The ingest pipeline claim behind ``chain/delta.py``: a block ingested
 into a :class:`~repro.chain.index.ChainIndex` with the *entire* serving
 stack attached — incremental clustering engine (H1 unions + H2 static
 labels + §4.2 watch bookkeeping), balance view, activity view, taint
-view, and the differential cluster-aggregate view — must cost a small
-constant factor over bare chain indexing, because the whole fan-out
-shares one :class:`~repro.chain.delta.BlockDelta` per block (exactly one
-transaction walk) and the aggregate view's rank/overlay maintenance is
-lazily flushed and coalesced.
+view, and the differential cluster-aggregate view — must add only a
+small, bounded cost per block on top of bare chain indexing, because
+the whole fan-out shares one :class:`~repro.chain.delta.BlockDelta` per
+block (emitted by the index's one transaction walk) and the aggregate
+view's rank/overlay maintenance is lazily flushed and coalesced.
 
-Two numbers are pinned:
-
-* ``fanout_overhead_ratio`` — (fan-out ingest + one coalesced
-  catch-up flush) over bare ingest, bounded by
-  ``FANOUT_OVERHEAD_BOUND``.  Before the shared delta, five subscribers
-  each re-walked ``block.transactions`` and re-resolved the per-tx id
-  memos; the bound fails if that ever creeps back.
-* ``blocks_per_second`` for both paths, reported for trend tracking in
-  the published ``BENCH_ingest_throughput.json``.
+What is pinned is the fan-out's *own* cost: (fan-out ingest + one
+coalesced catch-up flush − bare ingest) per block, bounded by
+``FANOUT_ADDED_US_PER_BLOCK_BOUND``.  It used to be the ratio of the two
+ingests (≤4×), which punished a faster denominator: the bare walk got
+~1.6× faster (0.082 s → 0.050 s for these 600 blocks) and the same
+fan-out would have read as a regression.  Measured on the dev
+container, 600-block default world, GC off: bare 0.049–0.055 s, fan-out
+0.106–0.133 s + flush 0.050–0.061 s → 180–230 µs added per block (the
+commit before the fused walk: 0.082 s, 0.20 s + 0.07–0.09 s → 310–350
+µs).  Five subscribers re-walking ``block.transactions`` and
+re-resolving per-tx memos — what the shared delta removed — would add
+well over the bound.  The old ratio and ``blocks_per_second`` for both
+paths are still reported for trend tracking in the published
+``BENCH_ingest_throughput.json``.
 
 GC is disabled inside the timed regions (and re-enabled after): the
 collector otherwise attributes its pauses to whichever phase happens to
@@ -42,10 +47,10 @@ from repro.service import ForensicsService
 from repro.simulation import scenarios
 
 
-FANOUT_OVERHEAD_BOUND = 4.0
-"""Full fan-out ingest may cost at most this factor over bare chain
-ingestion (measured ~2.6× for the fan-out alone, ~3.2–3.5× including
-the coalesced flush)."""
+FANOUT_ADDED_US_PER_BLOCK_BOUND = 500.0
+"""Microseconds per block the full fan-out (including its coalesced
+flush) may add on top of bare chain ingestion: ~2.5× the 180–230 µs
+measured on the dev container, headroom for a slower CI runner."""
 
 
 def _warm_world(world) -> None:
@@ -129,7 +134,7 @@ def ingest_world(request):
     )
 
 
-def test_full_fanout_ingest_within_bound_of_bare_chain(
+def test_full_fanout_adds_bounded_cost_per_block(
     ingest_world, bench_report
 ):
     world = ingest_world
@@ -142,13 +147,14 @@ def test_full_fanout_ingest_within_bound_of_bare_chain(
     bare = _bare_ingest_seconds(world)
     fanout, flush = _fanout_ingest_seconds(world)
     total = fanout + flush
-    ratio = total / bare
+    added_us = (total - bare) / n_blocks * 1e6
     print(
         f"\n{n_blocks} blocks ingested:\n"
         f"  bare chain:    {bare:.3f}s ({n_blocks / bare:,.0f} blocks/s)\n"
         f"  full fan-out:  {fanout:.3f}s + coalesced flush {flush:.3f}s "
         f"({n_blocks / total:,.0f} blocks/s)\n"
-        f"  overhead: ×{ratio:.2f} (bound ×{FANOUT_OVERHEAD_BOUND})"
+        f"  fan-out adds {added_us:.0f} µs/block (bound "
+        f"{FANOUT_ADDED_US_PER_BLOCK_BOUND:.0f}); ×{total / bare:.2f} bare"
     )
     bench_report(
         "ingest_throughput",
@@ -159,11 +165,12 @@ def test_full_fanout_ingest_within_bound_of_bare_chain(
             "fanout_ingest_seconds": fanout,
             "fanout_flush_seconds": flush,
             "fanout_blocks_per_second": n_blocks / total,
-            "fanout_overhead_ratio": ratio,
-            "bound": FANOUT_OVERHEAD_BOUND,
+            "fanout_overhead_ratio": total / bare,
+            "fanout_added_us_per_block": added_us,
+            "bound_us_per_block": FANOUT_ADDED_US_PER_BLOCK_BOUND,
             "stage_seconds": _stage_breakdown(world),
         },
     )
-    # The whole serving stack may not cost more than a small constant
-    # factor over bare indexing — one shared walk, coalesced maintenance.
-    assert total <= bare * FANOUT_OVERHEAD_BOUND
+    # The whole serving stack adds a bounded cost per block on top of
+    # bare indexing — one shared walk, coalesced maintenance.
+    assert added_us <= FANOUT_ADDED_US_PER_BLOCK_BOUND

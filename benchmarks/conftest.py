@@ -4,7 +4,7 @@ Worlds are deterministic and expensive, so each is built once per
 session; the benchmarks time the *analysis* stages (clustering, peel
 tracking, theft classification) against the prebuilt chains, and each
 bench also prints the paper-shaped table it regenerates (run with
-``-s`` to see them, or read EXPERIMENTS.md for a recorded copy).
+``-s`` to see them).
 """
 
 from __future__ import annotations

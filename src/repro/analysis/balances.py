@@ -138,8 +138,8 @@ class BalanceAnalyzer:
                 # Sink-held coins are not "active" (Figure 2's y-axis is
                 # a share of active bitcoins), so they count toward the
                 # sink series and are excluded from category balances.
-                for receive in record.receives:
-                    sink_deltas[receive.height] += receive.value
+                for height, _txid, _vout, value in record.receive_rows:
+                    sink_deltas[height] += value
                 continue
             category = category_cache.get(address, "!miss")
             if category == "!miss":
@@ -147,10 +147,10 @@ class BalanceAnalyzer:
                 category_cache[address] = category
             if category not in deltas:
                 continue
-            for receive in record.receives:
-                deltas[category][receive.height] += receive.value
-            for spend in record.spends:
-                deltas[category][spend.height] -= spend.value
+            for height, _txid, _vout, value in record.receive_rows:
+                deltas[category][height] += value
+            for height, _txid, _vin, value in record.spend_rows:
+                deltas[category][height] -= value
         for block in self.index.blocks:
             for tx in block.transactions:
                 if tx.is_coinbase:

@@ -134,10 +134,10 @@ class PeelingTracker:
         """Follow the chain starting from the (latest unspent-then-spent)
         coin at ``address``: typically the chain head's funding output."""
         record = self.index.address(address)
-        if not record.receives:
+        if not record.receive_rows:
             raise ValueError(f"{address} never received anything")
-        first = record.receives[0]
-        return self.follow(OutPoint(first.txid, first.vout), max_hops=max_hops)
+        _height, txid, vout, _value = record.receive_rows[0]
+        return self.follow(OutPoint(txid, vout), max_hops=max_hops)
 
     def follow(
         self,

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import SerializationError, TruncatedDataError
 from .model import Block
-from .serialize import ByteReader, deserialize_block, serialize_block
+from .serialize import decode_block, serialize_block
 
 MAINNET_MAGIC = b"\xf9\xbe\xb4\xd9"
 """Bitcoin mainnet network magic, little-endian on the wire."""
@@ -227,30 +227,32 @@ class BlockFileReader:
                     height += 1
                 if height < start_height:
                     continue  # every record here was below the resume point
-                reader = ByteReader(fh.read())
-            offset = size - reader.remaining if size else 0
-            while reader.remaining:
-                if reader.remaining < len(self.magic) + 4:
+                base = fh.tell()
+                data = fh.read()
+            # Records are parsed in place: one buffer per file, offsets
+            # into it, no per-record copy.
+            head = len(self.magic) + 4
+            pos, end = 0, len(data)
+            while pos < end:
+                body = pos + head
+                if body > end:
                     if self.tolerate_truncation:
                         break
                     raise TruncatedDataError(f"truncated record header in {path}")
-                got_magic = reader.read(4)
-                if got_magic != self.magic:
+                if data[pos : pos + 4] != self.magic:
                     raise SerializationError(
-                        f"bad network magic {got_magic.hex()} at offset "
-                        f"{offset + reader.pos - 4} in {path}"
+                        f"bad network magic {data[pos : pos + 4].hex()} at offset "
+                        f"{base + pos} in {path}"
                     )
-                (length,) = struct.unpack(_LENGTH_FMT, reader.read(4))
-                if reader.remaining < length:
+                stop = body + struct.unpack_from(_LENGTH_FMT, data, pos + 4)[0]
+                if stop > end:
                     if self.tolerate_truncation:
                         break
                     raise TruncatedDataError(f"truncated block body in {path}")
-                block_reader = ByteReader(reader.read(length))
-                block = deserialize_block(block_reader, height=height)
-                if block_reader.remaining:
+                block, pos = decode_block(data, body, stop, height=height)
+                if pos != stop:
                     raise SerializationError(
-                        f"{block_reader.remaining} stray bytes inside record "
-                        f"in {path}"
+                        f"{stop - pos} stray bytes inside record in {path}"
                     )
                 yield block
                 height += 1

@@ -32,6 +32,9 @@ P2PKH_VERSION = 0x00
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
+_B58_PAIRS = [a + b for a in _B58_ALPHABET for b in _B58_ALPHABET]
+_B58_LIMB = 58**10  # largest power of 58 below 2**63: limbs stay machine words
+_B58_PAIR = 58**2
 
 
 def sha256(data: bytes) -> bytes:
@@ -62,20 +65,28 @@ def hash160(data: bytes) -> bytes:
 
 
 def base58_encode(data: bytes) -> str:
-    """Encode raw bytes in base58 (no checksum)."""
+    """Encode raw bytes in base58 (no checksum).
+
+    Works limb-wise: each big-integer division peels off ten digits
+    (one ``58**10`` limb), which are then split with small-integer
+    arithmetic into five two-character table lookups — about a tenth of
+    the big-integer divisions of the digit-at-a-time loop.  Script →
+    address extraction runs this once per output the index ingests.
+    """
     n = int.from_bytes(data, "big")
-    out = []
-    while n > 0:
-        n, rem = divmod(n, 58)
-        out.append(_B58_ALPHABET[rem])
-    # Preserve leading zero bytes as '1' characters.
-    pad = 0
-    for byte in data:
-        if byte == 0:
-            pad += 1
-        else:
-            break
-    return "1" * pad + "".join(reversed(out))
+    pairs = _B58_PAIRS
+    digits = ""
+    while n:
+        n, limb = divmod(n, _B58_LIMB)
+        limb, e = divmod(limb, _B58_PAIR)
+        limb, d = divmod(limb, _B58_PAIR)
+        limb, c = divmod(limb, _B58_PAIR)
+        a, b = divmod(limb, _B58_PAIR)
+        digits = f"{pairs[a]}{pairs[b]}{pairs[c]}{pairs[d]}{pairs[e]}{digits}"
+    # Leading zero bytes are '1' characters; the top limb's own zero
+    # padding (also '1's) is not part of the number.
+    pad = len(data) - len(data.lstrip(b"\x00"))
+    return "1" * pad + digits.lstrip("1")
 
 
 def base58_decode(text: str) -> bytes:

@@ -1,15 +1,15 @@
 """The shared per-block ingest plan: one transaction walk per block.
 
-Before this module, every streaming subscriber on the
-:meth:`ChainIndex.subscribe <repro.chain.index.ChainIndex.subscribe>`
-fan-out — the incremental clustering engine, the balance/activity/taint
-views, the differential cluster aggregates — independently re-walked
-``block.transactions`` and re-resolved the same per-tx id memos
-(``input_address_ids`` / ``output_address_ids`` / ``input_spends``),
-so a five-consumer service paid five transaction walks per ingested
-block.  :func:`build_block_delta` runs that walk exactly once, inside
-``add_block``, and flattens everything the whole observer fan-out needs
-into one immutable, id-space :class:`BlockDelta`:
+Every streaming subscriber on the :meth:`ChainIndex.subscribe_deltas
+<repro.chain.index.ChainIndex.subscribe_deltas>` fan-out — the
+incremental clustering engine, the balance/activity/taint views, the
+differential cluster aggregates — folds from one immutable, id-space
+:class:`BlockDelta` per block instead of re-walking
+``block.transactions``.  The index emits it from the same pass that
+validates and applies the block (``ChainIndex._walk_block``);
+:func:`build_block_delta` rebuilds the identical delta for an
+already-ingested block (catch-up).  It flattens everything the whole
+observer fan-out needs:
 
 * per-tx sender-id tuples (:attr:`TxDelta.input_ids`) and the aligned
   ``(address id, value)`` spend debits (:attr:`TxDelta.input_spends`);
@@ -167,14 +167,47 @@ class BlockDelta:
     def timestamp(self) -> int:
         return self.block.header.timestamp
 
+    @classmethod
+    def from_columns(
+        cls,
+        block: Block,
+        txs: list[TxDelta],
+        event_ids: list[int],
+        event_values: list[int],
+        involved_flat: list[int],
+        h1_a: list[int],
+        h1_b: list[int],
+        involved: dict[int, None],
+        minted: int,
+    ) -> "BlockDelta":
+        """Seal one block walk's accumulators into the shared delta:
+        tuple views and read-only columns from the same lists."""
+        involved_tuple = tuple(involved)
+        return cls(
+            block=block,
+            txs=tuple(txs),
+            events=tuple(zip(event_ids, event_values)),
+            minted=minted,
+            involved=involved_tuple,
+            max_id=max(involved_tuple, default=-1),
+            event_ids=_as_int64(event_ids),
+            event_values=_as_int64(event_values),
+            involved_ids=_as_int64(involved_tuple),
+            involved_flat=_as_int64(involved_flat),
+            h1_a=_as_int64(h1_a),
+            h1_b=_as_int64(h1_b),
+        )
+
 
 def build_block_delta(index, block: Block) -> BlockDelta:
-    """Flatten one ingested block into a :class:`BlockDelta`.
+    """Rebuild the :class:`BlockDelta` of an already-ingested block.
 
-    ``block`` must already be in ``index`` — the per-tx memos the walk
-    reads are seated at ingestion (and fall back to resolution on a
-    lazily restored index).  This is the *only* transaction walk the
-    streaming pipeline performs per block.
+    Ingestion itself emits each block's delta from its one validating
+    walk (:meth:`ChainIndex.add_block`); this is the catch-up twin
+    behind :meth:`ChainIndex.block_delta` for consumers that attach to
+    an index already holding blocks.  It reads the per-tx memos that
+    walk seated (falling back to resolution on a lazily restored index)
+    and must produce the identical delta.
     """
     txs: list[TxDelta] = []
     event_ids: list[int] = []
@@ -184,7 +217,6 @@ def build_block_delta(index, block: Block) -> BlockDelta:
     h1_b: list[int] = []
     block_involved: dict[int, None] = {}
     minted = 0
-    max_id = -1
     for tx in block.transactions:
         input_ids = index.input_address_ids(tx)
         output_ids = index.output_address_ids(tx)
@@ -199,19 +231,14 @@ def build_block_delta(index, block: Block) -> BlockDelta:
                     event_ids.append(ident)
                     event_values.append(-value)
             if len(input_ids) > 1:
-                first = input_ids[0]
-                for partner in input_ids[1:]:
-                    h1_a.append(first)
-                    h1_b.append(partner)
+                h1_a.extend(input_ids[:1] * (len(input_ids) - 1))
+                h1_b.extend(input_ids[1:])
         involved = dict.fromkeys(input_ids)
         for out, ident in zip(tx.outputs, output_ids):
             if ident >= 0:
                 event_ids.append(ident)
                 event_values.append(out.value)
                 involved[ident] = None
-        for ident in involved:
-            if ident > max_id:
-                max_id = ident
         involved_flat.extend(involved)
         block_involved.update(involved)
         txs.append(
@@ -224,18 +251,7 @@ def build_block_delta(index, block: Block) -> BlockDelta:
                 involved=tuple(involved),
             )
         )
-    involved_tuple = tuple(block_involved)
-    return BlockDelta(
-        block=block,
-        txs=tuple(txs),
-        events=tuple(zip(event_ids, event_values)),
-        minted=minted,
-        involved=involved_tuple,
-        max_id=max_id,
-        event_ids=_as_int64(event_ids),
-        event_values=_as_int64(event_values),
-        involved_ids=_as_int64(involved_tuple),
-        involved_flat=_as_int64(involved_flat),
-        h1_a=_as_int64(h1_a),
-        h1_b=_as_int64(h1_b),
+    return BlockDelta.from_columns(
+        block, txs, event_ids, event_values, involved_flat, h1_a, h1_b,
+        block_involved, minted,
     )

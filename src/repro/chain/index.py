@@ -15,22 +15,22 @@ The index is deliberately append-only: the paper analyses a chain prefix,
 and temporal replay (false-positive estimation) is done by *consulting
 heights*, not by mutating the index.
 
-Observer fan-out runs on a **shared per-block ingest plan**: after each
-``add_block`` the index builds one :class:`~repro.chain.delta.BlockDelta`
-(one transaction walk, id-space, see ``chain/delta.py``) and hands that
-single object to every subscriber.  :meth:`ChainIndex.subscribe_deltas`
-is the native hook; :meth:`ChainIndex.subscribe` remains as a
+Ingestion is **one walk per block**: ``add_block`` validates and
+applies each transaction exactly once, and the same pass emits the
+block's :class:`~repro.chain.delta.BlockDelta` (id-space, see
+``chain/delta.py``) that every subscriber receives — no second walk, no
+per-event objects (address histories are plain rows, transaction
+locations plain ``(height, position)`` pairs, wrapped into
+:class:`Receive` / :class:`Spend` / :class:`TxLocation` on read).  A
+rejected block is reverted whole.  :meth:`ChainIndex.subscribe_deltas`
+is the fan-out hook; :meth:`ChainIndex.subscribe` remains as a
 **compatibility shim** for block-shaped observers (``SnapshotPolicy``,
 external consumers) — it adapts the callback to receive
-``delta.block``.  Deprecation path: the shim stays until every known
-consumer is delta-shaped; new streaming consumers should subscribe to
-deltas directly (folding from the delta's flat arrays is both the fast
-path and the one the equivalence property suites pin), after which
-``subscribe`` will be reduced to a thin alias and eventually warn.
+``delta.block``.
 
 Durability: :meth:`ChainIndex.export_state` flattens the whole index
 into plain picklable data (raw block bytes, tuple-keyed maps, per-record
-tuples) and :meth:`ChainIndex.restore_state` rebuilds from it *lazily* —
+rows) and :meth:`ChainIndex.restore_state` rebuilds from it *lazily* —
 blocks, transactions, and address records stay as flat data until first
 touched.  That laziness is what keeps a snapshot restore bounded by
 O(flat bytes) instead of O(every Python object the chain ever created):
@@ -41,13 +41,13 @@ touch.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Iterator
 
 from ..obs import NULL_LOGGER, NULL_REGISTRY
-from .delta import BlockDelta, build_block_delta
+from .delta import BlockDelta, TxDelta, build_block_delta
 from .errors import (
     DoubleSpendError,
     MissingInputError,
@@ -55,7 +55,15 @@ from .errors import (
     UnknownTransactionError,
 )
 from .intern import AddressInterner
-from .model import Block, OutPoint, Transaction, TxOut
+from .model import (
+    COINBASE_TXID,
+    COINBASE_VOUT,
+    Block,
+    OutPoint,
+    Transaction,
+    TxOut,
+)
+from .serialize import block_from_bytes, serialize_block
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,32 +86,47 @@ class Spend:
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class AddressRecord:
-    """Everything the index knows about one address."""
+    """Everything the index knows about one address.
+
+    Histories are kept as plain ``(height, txid, vout | vin, value)``
+    rows in chain order — the shape the snapshot stores, so a live-built
+    record and a restored one are the same thing, and ingestion builds
+    no object per event.  :attr:`receives` / :attr:`spends` wrap the
+    rows on read; hot paths read the rows directly.
+    """
 
     address: str
     address_id: int = -1
     """Dense interned id (see :class:`~repro.chain.intern.AddressInterner`);
     -1 for records built outside a :class:`ChainIndex`."""
 
-    receives: list[Receive] = field(default_factory=list)
-    spends: list[Spend] = field(default_factory=list)
-    receive_heights: list[int] = field(default_factory=list)
-    """Heights of ``receives`` (kept in sync for binary search)."""
+    receive_rows: list[tuple[int, bytes, int, int]] = field(default_factory=list)
+    spend_rows: list[tuple[int, bytes, int, int]] = field(default_factory=list)
+
+    @property
+    def receives(self) -> list[Receive]:
+        """Every credit, in chain order."""
+        return [Receive(*row) for row in self.receive_rows]
+
+    @property
+    def spends(self) -> list[Spend]:
+        """Every debit, in chain order."""
+        return [Spend(*row) for row in self.spend_rows]
 
     @property
     def first_seen_height(self) -> int:
         """Height of the first appearance (always a receive)."""
-        return self.receives[0].height
+        return self.receive_rows[0][0]
 
     @property
     def total_received(self) -> int:
-        return sum(r.value for r in self.receives)
+        return sum(row[3] for row in self.receive_rows)
 
     @property
     def total_spent(self) -> int:
-        return sum(s.value for s in self.spends)
+        return sum(row[3] for row in self.spend_rows)
 
     @property
     def balance(self) -> int:
@@ -112,19 +135,19 @@ class AddressRecord:
     @property
     def is_sink(self) -> bool:
         """True when the address has never spent anything."""
-        return not self.spends
+        return not self.spend_rows
 
-    def receives_at_or_before(self, height: int) -> list[Receive]:
-        """Receives with ``height <= height`` (ordered)."""
-        return self.receives[: bisect_right(self.receive_heights, height)]
+    # Rows sort by height first and ``(h,)`` sorts before every row at
+    # height ``h``, so a 1-tuple probe bisects on height alone.
 
     def receives_after(self, height: int) -> list[Receive]:
         """Receives strictly after ``height`` (ordered)."""
-        return self.receives[bisect_right(self.receive_heights, height):]
+        rows = self.receive_rows
+        return [Receive(*row) for row in rows[bisect_left(rows, (height + 1,)):]]
 
     def receives_before(self, height: int) -> int:
         """Count of receives strictly before ``height``."""
-        return bisect_left(self.receive_heights, height)
+        return bisect_left(self.receive_rows, (height,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,33 +163,30 @@ class ChainIndex:
     """Indexed view over an ordered sequence of blocks."""
 
     def __init__(self) -> None:
-        self._txs: dict[bytes, Transaction] = {}
-        self._locations: dict[bytes, TxLocation] = {}
+        self._tx_locator: dict[bytes, tuple[int, int]] = {}
+        """txid -> (height, index in block) for every indexed tx; the
+        transaction itself is ``block_at(height).transactions[i]``."""
         # UTXO/spender maps are keyed by plain (txid, vout) tuples, not
         # OutPoint objects: the keys then restore from a snapshot at
         # pickle speed with zero per-entry reconstruction.
         self._utxos: dict[tuple[bytes, int], TxOut] = {}
         self._spent_by: dict[tuple[bytes, int], tuple[bytes, int]] = {}
-        self._addresses: dict[str, AddressRecord] = {}
-        self._records_by_id: list[AddressRecord] = []
         self._interner = AddressInterner()
+        self._records_by_id: list[AddressRecord | None] = []
+        """Aligned with the interner: one record per address id."""
         self._blocks: list[Block] = []
         # Addresses appearing in a tx's outputs whose prevouts include the
         # same address ("self-change" usage, §4.2).
         self._self_change_history: dict[str, list[int]] = {}
-        # Per-tx input address ids (dedup'd, insertion-ordered), memoized:
-        # the heuristics resolve the same transaction's senders many times.
+        # Per-tx memos, seated by the ingest walk while the resolved data
+        # is in hand, so the batch heuristics and `block_delta` catch-up
+        # never re-resolve scripts or prevouts (which, on a snapshot-
+        # restored index, would materialize historic blocks and defeat
+        # the lazy restore): sender ids (dedup'd, insertion-ordered),
+        # output ids (position-aligned, -1 for exotic scripts), and the
+        # (address id, value) of each consumed output.
         self._input_ids: dict[bytes, tuple[int, ...]] = {}
-        # Per-tx output address ids (position-aligned, -1 for exotic
-        # scripts), memoized: every streaming view credits the same
-        # outputs, and script → address extraction is the hot part.
         self._output_ids: dict[bytes, tuple[int, ...]] = {}
-        # Per-tx (address id, value) of each consumed output, aligned
-        # with the non-coinbase inputs.  Populated during ingestion —
-        # `_add_tx` holds every spent TxOut the moment it pops the UTXO
-        # — so observers debiting spends never re-resolve prevouts
-        # (which, on a snapshot-restored index, would materialize
-        # historic blocks and defeat the lazy restore).
         self._input_spends: dict[bytes, tuple[tuple[int, int], ...]] = {}
         self._observers: list[tuple[Callable[[BlockDelta], None], str]] = []
         """``(observer, name)`` pairs in registration order.  Names key
@@ -184,27 +204,26 @@ class ChainIndex:
         :class:`~repro.obs.log.JsonLinesLogger` to record ingest and
         subscriber-failure events; see ``docs/observability.md``."""
         self._timestamps: list[int] = []
-        # Lazy backing for a snapshot-restored index; all None/absent in a
-        # live-built one.  `_blocks` / `_records_by_id` hold None at not-
-        # yet-materialized positions, with the flat data waiting here.
+        # Lazy backing for a snapshot-restored index; None in a live-built
+        # one.  `_blocks` / `_records_by_id` hold None at not-yet-
+        # materialized positions, with the flat data waiting here.
         self._raw_blocks: list[bytes | None] | None = None
-        self._tx_locator: dict[bytes, tuple[int, int]] | None = None
-        """txid -> (height, index in block) for every tx, materialized
-        or not (kept current through tail ingestion)."""
         self._lazy_records: list[tuple | None] | None = None
-        """Per address id: ``(receive_tuples, spend_tuples)`` until the
+        """Per address id: ``(receive_rows, spend_rows)`` until the
         :class:`AddressRecord` is first touched."""
-        self._txids_by_height: dict[int, dict[int, bytes]] | None = None
-        """Inverse of ``_tx_locator`` (height -> position -> txid),
-        built once on the first lazy block materialization so txids are
-        seated, not recomputed."""
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
 
     def add_block(self, block: Block) -> None:
-        """Ingest the next block.  Blocks must arrive in height order."""
+        """Ingest the next block.  Blocks must arrive in height order.
+
+        All or nothing: a block with an invalid transaction raises
+        (:class:`DoubleSpendError` / :class:`MissingInputError`) and
+        leaves the index exactly as it was — no subscriber is notified,
+        and the correct block for that height still ingests.
+        """
         expected = len(self._blocks)
         if block.height != expected:
             raise MissingInputError(
@@ -215,19 +234,19 @@ class ChainIndex:
         timed = metrics.enabled
         if timed:
             start = perf_counter()
-        for i, tx in enumerate(block.transactions):
-            self._add_tx(tx, block, i)
+        emit = bool(self._observers)
+        columns = self._walk_block(block, emit)
         self._blocks.append(block)
         self._timestamps.append(block.header.timestamp)
+        if self._raw_blocks is not None:
+            self._raw_blocks.append(None)  # serialized on demand at export
         if timed:
             now = perf_counter()
             metrics.histogram("ingest.index_seconds").observe(now - start)
-        if self._raw_blocks is not None:
-            self._raw_blocks.append(None)  # serialized on demand at export
-        if self._observers:
+        if emit:
             if timed:
                 start = perf_counter()
-            delta = build_block_delta(self, block)
+            delta = BlockDelta.from_columns(block, *columns)
             if timed:
                 now = perf_counter()
                 metrics.histogram("ingest.delta_build_seconds").observe(
@@ -247,6 +266,193 @@ class ChainIndex:
                 height=block.height,
                 txs=len(block.transactions),
             )
+
+    def _walk_block(self, block: Block, emit: bool) -> tuple:
+        """The one transaction walk of ingestion.
+
+        Validates and applies every transaction (UTXO set, spender map,
+        address histories, interning, per-tx memos) and, in the same
+        pass, emits the block's :class:`BlockDelta` columns — returned
+        as the argument tuple of :meth:`BlockDelta.from_columns` (the
+        per-tx :class:`TxDelta` list only when ``emit``, i.e. someone is
+        subscribed).  :func:`~repro.chain.delta.build_block_delta`
+        derives the identical delta from the memos this walk seats
+        (pinned by ``tests/chain/test_delta.py``).
+
+        A failing transaction reverts everything the block applied so
+        far before the error propagates; the success path pays one
+        journal append per consumed input for that.
+        """
+        height = block.height
+        locator = self._tx_locator
+        utxos = self._utxos
+        utxos_pop = utxos.pop
+        spent_by = self._spent_by
+        records = self._records_by_id
+        lazy = self._lazy_records
+        id_of = self._interner.id_of
+        intern = self._interner.intern
+        self_change = self._self_change_history
+        txds: list[TxDelta] = []
+        event_ids: list[int] = []
+        event_values: list[int] = []
+        involved_flat: list[int] = []
+        h1_a: list[int] = []
+        h1_b: list[int] = []
+        block_involved: dict[int, None] = {}
+        minted = 0
+        consumed: list[tuple[tuple[bytes, int], TxOut]] = []  # undo journal
+        first_new_id = len(records)
+        applied = 0
+        try:
+            for position, tx in enumerate(block.transactions):
+                txid = tx.txid
+                if txid in locator:
+                    raise DoubleSpendError(f"duplicate transaction {tx.txid_hex}")
+                inputs = tx.inputs
+                input_ids: dict[int, None] = {}  # dedup'd, insertion-ordered
+                input_spends: list[tuple[int, int]] = []
+                for vin, txin in enumerate(inputs):
+                    prevout = txin.prevout
+                    prev_txid = prevout.txid
+                    prev_vout = prevout.vout
+                    if prev_vout == COINBASE_VOUT and prev_txid == COINBASE_TXID:
+                        continue
+                    key = (prev_txid, prev_vout)
+                    spent = utxos_pop(key, None)
+                    if spent is None:
+                        outpoint = f"{prev_txid[::-1].hex()}:{prev_vout}"
+                        if key in spent_by:
+                            raise DoubleSpendError(
+                                f"{tx.txid_hex} double-spends {outpoint}"
+                            )
+                        raise MissingInputError(
+                            f"{tx.txid_hex} spends unknown outpoint {outpoint}"
+                        )
+                    consumed.append((key, spent))
+                    spent_by[key] = (txid, vin)
+                    value = spent.value
+                    address = spent.address
+                    if address is None:
+                        input_spends.append((-1, value))
+                        continue
+                    ident = id_of(address)
+                    record = records[ident]
+                    if record is None:
+                        record = self._materialize_record(ident)
+                    record.spend_rows.append((height, txid, vin, value))
+                    input_ids[ident] = None
+                    input_spends.append((ident, value))
+                    event_ids.append(ident)
+                    event_values.append(-value)
+                involved = input_ids.copy()
+                output_ids: list[int] = []
+                for vout, txout in enumerate(tx.outputs):
+                    utxos[(txid, vout)] = txout
+                    address = txout.address
+                    if address is None:
+                        output_ids.append(-1)
+                        continue
+                    value = txout.value
+                    ident = id_of(address)
+                    if ident is None:
+                        ident = intern(address)
+                        records.append(
+                            AddressRecord(
+                                address, ident, [(height, txid, vout, value)], []
+                            )
+                        )
+                        if lazy is not None:
+                            lazy.append(None)
+                    else:
+                        record = records[ident]
+                        if record is None:
+                            record = self._materialize_record(ident)
+                        record.receive_rows.append((height, txid, vout, value))
+                        if ident in input_ids:
+                            self_change.setdefault(address, []).append(height)
+                    output_ids.append(ident)
+                    involved[ident] = None
+                    event_ids.append(ident)
+                    event_values.append(value)
+                sender_ids = tuple(input_ids)
+                if len(sender_ids) > 1:
+                    # H1 pairs (i0, i1) … (i0, ik); see BlockDelta.h1_a.
+                    h1_a.extend(sender_ids[:1] * (len(sender_ids) - 1))
+                    h1_b.extend(sender_ids[1:])
+                is_coinbase = (
+                    len(inputs) == 1
+                    and inputs[0].prevout.vout == COINBASE_VOUT
+                    and inputs[0].prevout.txid == COINBASE_TXID
+                )
+                if is_coinbase:
+                    minted += tx.total_output_value
+                involved_flat.extend(involved)
+                block_involved.update(involved)
+                self._input_ids[txid] = sender_ids
+                self._output_ids[txid] = output_ids = tuple(output_ids)
+                self._input_spends[txid] = input_spends = tuple(input_spends)
+                locator[txid] = (height, position)
+                applied += 1
+                if emit:
+                    txds.append(
+                        TxDelta(
+                            tx, is_coinbase, sender_ids, input_spends,
+                            output_ids, tuple(involved),
+                        )
+                    )
+        except BaseException:
+            self._revert_block(block, applied, consumed, first_new_id)
+            raise
+        return (
+            txds, event_ids, event_values, involved_flat, h1_a, h1_b,
+            block_involved, minted,
+        )
+
+    def _revert_block(
+        self,
+        block: Block,
+        applied: int,
+        consumed: list[tuple[tuple[bytes, int], TxOut]],
+        first_new_id: int,
+    ) -> None:
+        """Undo a partially walked block: its first ``applied``
+        transactions in full, plus the inputs the failing one consumed
+        (a transaction only fails while consuming inputs, before any of
+        its outputs exist)."""
+        height = block.height
+        utxos = self._utxos
+        self_change = self._self_change_history
+        # Inputs first: an output created *and* consumed inside this
+        # block goes back into the UTXO set here and out again below.
+        for key, spent in consumed:
+            del self._spent_by[key]
+            utxos[key] = spent
+            if spent.address is not None:
+                self.address(spent.address).spend_rows.pop()
+        for tx in block.transactions[:applied]:
+            txid = tx.txid
+            for vout, txout in enumerate(tx.outputs):
+                del utxos[(txid, vout)]
+                address = txout.address
+                if address is None:
+                    continue
+                ident = self._interner.id_of(address)
+                if ident < first_new_id:
+                    self._records_by_id[ident].receive_rows.pop()
+                heights = self_change.get(address)
+                if heights and heights[-1] == height:
+                    heights.pop()
+                    if not heights:
+                        del self_change[address]
+            del self._tx_locator[txid]
+            del self._input_ids[txid]
+            del self._output_ids[txid]
+            del self._input_spends[txid]
+        del self._records_by_id[first_new_id:]
+        if self._lazy_records is not None:
+            del self._lazy_records[first_new_id:]
+        self._interner.truncate(first_new_id)
 
     def block_delta(self, height: int) -> BlockDelta:
         """The shared ingest plan for one already-ingested block.
@@ -376,75 +582,6 @@ class ChainIndex:
         for block in blocks:
             self.add_block(block)
 
-    def _add_tx(self, tx: Transaction, block: Block, index_in_block: int) -> None:
-        txid = tx.txid
-        if txid in self:
-            raise DoubleSpendError(f"duplicate transaction {tx.txid_hex}")
-        input_addrs: set[str] = set()
-        input_ids: dict[int, None] = {}  # dedup'd, insertion-ordered
-        input_spends: list[tuple[int, int]] = []
-        # Consume inputs.
-        for vin, txin in enumerate(tx.inputs):
-            if txin.is_coinbase:
-                continue
-            prevout = txin.prevout
-            prevout_key = (prevout.txid, prevout.vout)
-            if prevout_key in self._spent_by:
-                raise DoubleSpendError(
-                    f"{tx.txid_hex} double-spends {prevout.txid[::-1].hex()}:"
-                    f"{prevout.vout}"
-                )
-            spent = self._utxos.pop(prevout_key, None)
-            if spent is None:
-                raise MissingInputError(
-                    f"{tx.txid_hex} spends unknown outpoint "
-                    f"{prevout.txid[::-1].hex()}:{prevout.vout}"
-                )
-            self._spent_by[prevout_key] = (txid, vin)
-            addr = spent.address
-            if addr is None:
-                input_spends.append((-1, spent.value))
-            else:
-                input_addrs.add(addr)
-                record = self.address(addr)
-                record.spends.append(Spend(block.height, txid, vin, spent.value))
-                input_ids.setdefault(record.address_id)
-                input_spends.append((record.address_id, spent.value))
-        # Create outputs.
-        output_ids: list[int] = []
-        for vout, txout in enumerate(tx.outputs):
-            self._utxos[(txid, vout)] = txout
-            addr = txout.address
-            if addr is None:
-                output_ids.append(-1)
-                continue
-            record = self._record_or_none(addr)
-            if record is None:
-                record = AddressRecord(addr, self._interner.intern(addr))
-                self._addresses[addr] = record
-                self._records_by_id.append(record)
-                if self._lazy_records is not None:
-                    self._lazy_records.append(None)
-            output_ids.append(record.address_id)
-            record.receives.append(Receive(block.height, txid, vout, txout.value))
-            record.receive_heights.append(block.height)
-            if addr in input_addrs:
-                self._self_change_history.setdefault(addr, []).append(block.height)
-        # Seat the per-tx memos while the resolved data is in hand: the
-        # streaming observers (H1 unions, balance debits, activity) read
-        # exactly these, so they never re-resolve scripts or prevouts.
-        self._input_ids[txid] = tuple(input_ids)
-        self._output_ids[txid] = tuple(output_ids)
-        self._input_spends[txid] = tuple(input_spends)
-        self._txs[txid] = tx
-        if self._tx_locator is not None:
-            self._tx_locator[txid] = (block.height, index_in_block)
-        self._locations[txid] = TxLocation(
-            height=block.height,
-            timestamp=block.header.timestamp,
-            index_in_block=index_in_block,
-        )
-
     # ------------------------------------------------------------------
     # chain / block access
     # ------------------------------------------------------------------
@@ -471,30 +608,10 @@ class ChainIndex:
         return block
 
     def _materialize_block(self, height: int) -> Block:
-        """Parse a restored block from its raw bytes on first touch and
-        register its transactions in the live maps.
-
-        Txids are seated from the locator instead of recomputed — the
-        double-SHA256 over a re-serialization is the expensive half of
-        materializing a block, and the locator already knows every id.
-        """
-        from .serialize import block_from_bytes
-
-        raw = self._raw_blocks[height]
-        block = block_from_bytes(raw, height=height)
+        """Parse a restored block from its raw bytes on first touch (the
+        decoder seats every txid from its wire slice)."""
+        block = block_from_bytes(self._raw_blocks[height], height=height)
         self._blocks[height] = block
-        if self._txids_by_height is None:
-            by_height: dict[int, dict[int, bytes]] = {}
-            for txid, (tx_height, position) in self._tx_locator.items():
-                by_height.setdefault(tx_height, {})[position] = txid
-            self._txids_by_height = by_height
-        seated = self._txids_by_height.get(height, {})
-        txs = self._txs
-        for position, tx in enumerate(block.transactions):
-            txid = seated.get(position)
-            if txid is not None:
-                tx.__dict__["txid"] = txid  # pre-warm the cached_property
-            txs[tx.txid] = tx
         return block
 
     def timestamp_at(self, height: int) -> int:
@@ -506,35 +623,27 @@ class ChainIndex:
     # ------------------------------------------------------------------
 
     def __contains__(self, txid: bytes) -> bool:
-        if txid in self._txs:
-            return True
-        return self._tx_locator is not None and txid in self._tx_locator
+        return txid in self._tx_locator
+
+    def _locate(self, txid: bytes) -> tuple[int, int]:
+        located = self._tx_locator.get(txid)
+        if located is None:
+            raise UnknownTransactionError(txid[::-1].hex())
+        return located
 
     def tx(self, txid: bytes) -> Transaction:
         """Look up a transaction by internal-order txid."""
-        found = self._txs.get(txid)
-        if found is not None:
-            return found
-        if self._tx_locator is not None:
-            location = self._tx_locator.get(txid)
-            if location is not None:
-                block = self.block_at(location[0])
-                return block.transactions[location[1]]
-        raise UnknownTransactionError(txid[::-1].hex())
+        height, index_in_block = self._locate(txid)
+        return self.block_at(height).transactions[index_in_block]
 
     def location(self, txid: bytes) -> TxLocation:
         """Block height/timestamp/position for a txid."""
-        found = self._locations.get(txid)
-        if found is not None:
-            return found
-        if self._tx_locator is not None:
-            located = self._tx_locator.get(txid)
-            if located is not None:
-                height, index_in_block = located
-                found = TxLocation(height, self._timestamps[height], index_in_block)
-                self._locations[txid] = found
-                return found
-        raise UnknownTransactionError(txid[::-1].hex())
+        height, index_in_block = self._locate(txid)
+        return TxLocation(height, self._timestamps[height], index_in_block)
+
+    def height_of(self, txid: bytes) -> int:
+        """Block height of a txid (:meth:`location` without the object)."""
+        return self._locate(txid)[0]
 
     def iter_transactions(self) -> Iterator[tuple[Transaction, TxLocation]]:
         """All transactions with their locations, in chain order."""
@@ -545,9 +654,7 @@ class ChainIndex:
 
     @property
     def tx_count(self) -> int:
-        if self._tx_locator is not None:
-            return len(self._tx_locator)
-        return len(self._txs)
+        return len(self._tx_locator)
 
     # ------------------------------------------------------------------
     # outputs / UTXO
@@ -587,46 +694,29 @@ class ChainIndex:
         return self._interner
 
     def has_address(self, address: str) -> bool:
-        if address in self._addresses:
-            return True
-        return (
-            self._lazy_records is not None
-            and self._interner.id_of(address) is not None
-        )
-
-    def _record_or_none(self, address: str) -> AddressRecord | None:
-        """The record for ``address`` if it exists (materializing a lazy
-        one), else ``None``."""
-        record = self._addresses.get(address)
-        if record is None and self._lazy_records is not None:
-            ident = self._interner.id_of(address)
-            if ident is not None:
-                record = self._materialize_record(ident)
-        return record
+        return address in self._interner
 
     def _materialize_record(self, address_id: int) -> AddressRecord:
-        """Inflate a restored address record from its flat tuples."""
-        record = self._records_by_id[address_id]
-        if record is not None:
-            return record
+        """Inflate a restored address record: its rows are already in
+        the live shape, so this only takes ownership of them (copies —
+        the restored state's lists are not the index's to append to)."""
         receives, spends = self._lazy_records[address_id]
         record = AddressRecord(
-            self._interner.address_of(address_id), address_id
+            self._interner.address_of(address_id),
+            address_id,
+            list(receives),
+            list(spends),
         )
-        record.receives = [Receive(*entry) for entry in receives]
-        record.spends = [Spend(*entry) for entry in spends]
-        record.receive_heights = [entry[0] for entry in receives]
         self._records_by_id[address_id] = record
-        self._addresses[record.address] = record
         self._lazy_records[address_id] = None
         return record
 
     def address(self, address: str) -> AddressRecord:
         """The :class:`AddressRecord` for ``address``."""
-        record = self._record_or_none(address)
-        if record is None:
+        ident = self._interner.id_of(address)
+        if ident is None:
             raise UnknownAddressError(address)
-        return record
+        return self.address_by_id(ident)
 
     def address_by_id(self, address_id: int) -> AddressRecord:
         """The :class:`AddressRecord` for an interned address id."""
@@ -721,7 +811,7 @@ class ChainIndex:
         """``(address id, value)`` of each consumed output, aligned with
         the transaction's non-coinbase inputs (-1 for exotic scripts).
 
-        Memoized at ingestion (``_add_tx`` holds every spent output as
+        Memoized at ingestion (the block walk holds every spent output as
         it pops the UTXO), so for indexed transactions this never
         resolves a prevout — the property the balance view's spend
         debits and a lazily restored index both rely on.
@@ -761,17 +851,17 @@ class ChainIndex:
 
     def appearances_before(self, address: str, height: int) -> int:
         """How many times ``address`` was paid strictly before ``height``."""
-        record = self._record_or_none(address)
-        if record is None:
+        ident = self._interner.id_of(address)
+        if ident is None:
             return 0
-        return record.receives_before(height)
+        return self.address_by_id(ident).receives_before(height)
 
     def first_seen(self, address: str) -> int | None:
         """Height of the first receive, or ``None`` if never seen."""
-        record = self._record_or_none(address)
-        if record is None or not record.receives:
+        ident = self._interner.id_of(address)
+        if ident is None:
             return None
-        return record.first_seen_height
+        return self.address_by_id(ident).first_seen_height
 
     def self_change_heights(self, address: str) -> list[int]:
         """Heights at which ``address`` was used as a self-change address
@@ -799,38 +889,23 @@ class ChainIndex:
         are exported as their wire bytes (reusing the raw bytes a
         restored index was itself loaded from, where still unparsed).
         """
-        from .serialize import serialize_block
-
         raw_blocks: list[bytes] = []
         for height, block in enumerate(self._blocks):
             raw = self._raw_blocks[height] if self._raw_blocks is not None else None
             if raw is None:
-                raw = serialize_block(self.block_at(height))
+                raw = serialize_block(block)
             raw_blocks.append(raw)
-        if self._tx_locator is not None:
-            tx_locator = dict(self._tx_locator)
-        else:
-            tx_locator = {}
-            for height, block in enumerate(self._blocks):
-                for i, tx in enumerate(block.transactions):
-                    tx_locator[tx.txid] = (height, i)
         records: list[tuple] = []
-        for address_id in range(len(self._records_by_id)):
-            record = self._records_by_id[address_id]
+        for address_id, record in enumerate(self._records_by_id):
             if record is None:
                 records.append(self._lazy_records[address_id])
-                continue
-            records.append(
-                (
-                    [(r.height, r.txid, r.vout, r.value) for r in record.receives],
-                    [(s.height, s.txid, s.vin, s.value) for s in record.spends],
-                )
-            )
+            else:
+                records.append((list(record.receive_rows), list(record.spend_rows)))
         return {
             "version": self.STATE_VERSION,
             "raw_blocks": raw_blocks,
             "timestamps": list(self._timestamps),
-            "tx_locator": tx_locator,
+            "tx_locator": dict(self._tx_locator),
             "utxos": {
                 key: (out.value, out.script_pubkey)
                 for key, out in self._utxos.items()

@@ -19,11 +19,15 @@ from typing import Iterable, Iterator
 class AddressInterner:
     """Bidirectional address-string ⇄ dense-int-id mapping."""
 
-    __slots__ = ("_ids", "_addresses")
+    __slots__ = ("_ids", "_addresses", "id_of")
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self._addresses: list[str] = []
+        self.id_of = self._ids.get
+        """``id_of(address)``: the id if already interned, else ``None``
+        (never allocates).  Bound straight to the dict lookup — the
+        ingest walk calls it once per input and output."""
 
     @classmethod
     def from_addresses(cls, addresses: Iterable[str]) -> "AddressInterner":
@@ -54,9 +58,12 @@ class AddressInterner:
             self._addresses.append(address)
         return ident
 
-    def id_of(self, address: str) -> int | None:
-        """The id for ``address`` if already interned (never allocates)."""
-        return self._ids.get(address)
+    def truncate(self, n: int) -> None:
+        """Forget every id >= ``n`` (the index un-interns the addresses
+        of a block it rejected part-way)."""
+        for address in self._addresses[n:]:
+            del self._ids[address]
+        del self._addresses[n:]
 
     def address_of(self, ident: int) -> str:
         """The address string for an id (raises ``IndexError`` if unknown)."""

@@ -131,7 +131,8 @@ class Transaction:
 
     The ``txid`` property is the double-SHA256 of the wire serialization
     (computed lazily; ``cached_property`` keeps the hot clustering loops
-    from re-serializing).
+    from re-serializing, and the wire decoder pre-seats it from the bytes
+    it parsed).
     """
 
     inputs: tuple[TxIn, ...]

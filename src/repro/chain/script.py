@@ -25,6 +25,8 @@ OP_CHECKSIG = 0xAC
 OP_RETURN = 0x6A
 
 _PUSH_MAX = 0x4B  # direct push opcodes 0x01..0x4b
+_P2PKH_PREFIX = bytes([OP_DUP, OP_HASH160, 20])
+_P2PKH_SUFFIX = bytes([OP_EQUALVERIFY, OP_CHECKSIG])
 
 
 def push_data(data: bytes) -> bytes:
@@ -70,17 +72,18 @@ def coinbase_script(height: int, extra: bytes = b"") -> bytes:
     return push_data(payload[: _PUSH_MAX])
 
 
+def _is_p2pkh(script_pubkey: bytes) -> bool:
+    return (
+        len(script_pubkey) == 25
+        and script_pubkey[:3] == _P2PKH_PREFIX
+        and script_pubkey[23:] == _P2PKH_SUFFIX
+    )
+
+
 def classify(script_pubkey: bytes) -> str:
     """Classify a locking script as ``p2pkh``, ``p2pk``, ``op_return``,
     or ``nonstandard``."""
-    if (
-        len(script_pubkey) == 25
-        and script_pubkey[0] == OP_DUP
-        and script_pubkey[1] == OP_HASH160
-        and script_pubkey[2] == 20
-        and script_pubkey[23] == OP_EQUALVERIFY
-        and script_pubkey[24] == OP_CHECKSIG
-    ):
+    if _is_p2pkh(script_pubkey):
         return "p2pkh"
     if (
         len(script_pubkey) >= 3
@@ -101,12 +104,11 @@ def extract_address(script_pubkey: bytes) -> str | None:
     address of the embedded public key (matching how block explorers and
     the paper's tooling canonicalize early coinbase outputs).
     """
-    kind = classify(script_pubkey)
-    if kind == "p2pkh":
+    # P2PKH first: it is nearly every output the index sees.
+    if _is_p2pkh(script_pubkey):
         return crypto.pubkey_hash_to_address(script_pubkey[3:23])
-    if kind == "p2pk":
-        pubkey = script_pubkey[1:-1]
-        return crypto.pubkey_to_address(pubkey)
+    if classify(script_pubkey) == "p2pk":
+        return crypto.pubkey_to_address(script_pubkey[1:-1])
     return None
 
 

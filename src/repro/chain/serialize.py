@@ -6,15 +6,26 @@ headers, and blocks (little-endian integers, CompactSize varints), so
 by :mod:`repro.chain.blockfile` could in principle be inspected by any
 Bitcoin block parser.
 
-Decoders are defensive: all reads go through a bounds-checked
-:class:`ByteReader` and raise :class:`TruncatedDataError` /
-:class:`SerializationError` on malformed input instead of ``IndexError``.
+Decoding is one offset-based walk over the caller's buffer
+(:func:`decode_block` / :func:`decode_tx` take ``data, pos, end`` and
+return the next offset): fixed-size runs are unpacked with precompiled
+:class:`struct.Struct` objects after one bounds check each, varints take
+a one-byte fast path, and nothing is copied except the scripts and
+hashes the model objects keep.  The walk is defensive — running out of
+bytes raises :class:`TruncatedDataError`, anything else malformed
+(non-canonical varint, negative value, oversized script, implausible
+count) raises :class:`SerializationError`, never ``IndexError`` or
+``struct.error``.  Because canonical varints are enforced, the bytes a
+transaction was decoded from *are* ``serialize_tx(tx)``, so the decoder
+seats ``tx.txid`` from the wire slice instead of leaving every consumer
+to re-serialize what was just parsed.
 """
 
 from __future__ import annotations
 
 import struct
 
+from .crypto import sha256d
 from .errors import SerializationError, TruncatedDataError
 from .model import Block, BlockHeader, OutPoint, Transaction, TxIn, TxOut
 
@@ -22,52 +33,21 @@ _MAX_VARINT = 0xFFFFFFFFFFFFFFFF
 _MAX_SCRIPT_LEN = 10_000
 _MAX_TX_ITEMS = 1_000_000  # sanity bound on input/output counts
 
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+# Each fixed-size run ends in the first byte of the varint that follows
+# it, so the common (< 0xFD) count or script length costs no second read.
+_TX_HEAD = struct.Struct("<iB")  # version | n_in prefix
+_TXIN_HEAD = struct.Struct("<32sIB")  # prevout txid, vout | scriptSig length prefix
+_TXOUT_HEAD = struct.Struct("<qB")  # value | scriptPubKey length prefix
+_BLOCK_HEAD = struct.Struct("<i32s32sIIIB")  # 80-byte header | n_tx prefix
 
-class ByteReader:
-    """A bounds-checked cursor over immutable bytes."""
-
-    __slots__ = ("_data", "_pos")
-
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self._data = data
-        self._pos = pos
-
-    @property
-    def pos(self) -> int:
-        """Current read offset."""
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        """Bytes left to read."""
-        return len(self._data) - self._pos
-
-    def read(self, n: int) -> bytes:
-        """Read exactly ``n`` bytes or raise :class:`TruncatedDataError`."""
-        if n < 0:
-            raise SerializationError(f"negative read length {n}")
-        if self.remaining < n:
-            raise TruncatedDataError(
-                f"wanted {n} bytes at offset {self._pos}, only {self.remaining} left"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def read_u8(self) -> int:
-        return self.read(1)[0]
-
-    def read_u16(self) -> int:
-        return struct.unpack("<H", self.read(2))[0]
-
-    def read_u32(self) -> int:
-        return struct.unpack("<I", self.read(4))[0]
-
-    def read_u64(self) -> int:
-        return struct.unpack("<Q", self.read(8))[0]
-
-    def read_i64(self) -> int:
-        return struct.unpack("<q", self.read(8))[0]
+_WIDE_VARINT = {
+    0xFD: (struct.Struct("<H"), 0xFD),
+    0xFE: (_U32, 0x10000),
+    0xFF: (struct.Struct("<Q"), 0x100000000),
+}
+"""Prefix byte -> (payload layout, smallest value that needs this width)."""
 
 
 def encode_varint(n: int) -> bytes:
@@ -83,34 +63,53 @@ def encode_varint(n: int) -> bytes:
     return b"\xff" + struct.pack("<Q", n)
 
 
-def decode_varint(reader: ByteReader) -> int:
-    """Decode a CompactSize unsigned integer, rejecting non-canonical forms."""
-    prefix = reader.read_u8()
-    if prefix < 0xFD:
-        return prefix
-    if prefix == 0xFD:
-        value = reader.read_u16()
-        minimum = 0xFD
-    elif prefix == 0xFE:
-        value = reader.read_u32()
-        minimum = 0x10000
-    else:
-        value = reader.read_u64()
-        minimum = 0x100000000
+def _truncated(what: str, pos: int, end: int) -> TruncatedDataError:
+    return TruncatedDataError(
+        f"ran out of bytes in {what} at offset {pos} ({end - pos} left)"
+    )
+
+
+def _wide_varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """Finish a varint whose prefix byte ``data[pos - 1]`` is >= 0xFD."""
+    layout, minimum = _WIDE_VARINT[data[pos - 1]]
+    stop = pos + layout.size
+    if stop > end:
+        raise _truncated("varint", pos, end)
+    (value,) = layout.unpack_from(data, pos)
     if value < minimum:
         raise SerializationError(f"non-canonical varint encoding of {value}")
-    return value
+    return value, stop
+
+
+def decode_varint(
+    data: bytes, pos: int = 0, end: int | None = None
+) -> tuple[int, int]:
+    """Decode the CompactSize integer at ``data[pos:end]``, rejecting
+    non-canonical forms.  Returns ``(value, next offset)``."""
+    if end is None:
+        end = len(data)
+    if pos >= end:
+        raise _truncated("varint", pos, end)
+    prefix = data[pos]
+    if prefix < 0xFD:
+        return prefix, pos + 1
+    return _wide_varint(data, pos + 1, end)
+
+
+def _script_span(
+    data: bytes, length: int, pos: int, end: int, what: str
+) -> tuple[int, int]:
+    """Bounds of a script whose length prefix byte was ``length`` and
+    whose body (or wide length) starts at ``pos``: ``(start, stop)``."""
+    if length >= 0xFD:
+        length, pos = _wide_varint(data, pos, end)
+    if length > _MAX_SCRIPT_LEN:
+        raise SerializationError(f"{what} length {length} exceeds {_MAX_SCRIPT_LEN}")
+    return pos, pos + length
 
 
 def _encode_script(script: bytes) -> bytes:
     return encode_varint(len(script)) + script
-
-
-def _decode_script(reader: ByteReader, *, what: str) -> bytes:
-    length = decode_varint(reader)
-    if length > _MAX_SCRIPT_LEN:
-        raise SerializationError(f"{what} length {length} exceeds {_MAX_SCRIPT_LEN}")
-    return reader.read(length)
 
 
 def serialize_txin(txin: TxIn) -> bytes:
@@ -123,29 +122,11 @@ def serialize_txin(txin: TxIn) -> bytes:
     )
 
 
-def deserialize_txin(reader: ByteReader) -> TxIn:
-    """Decode one transaction input."""
-    txid = reader.read(32)
-    vout = reader.read_u32()
-    script_sig = _decode_script(reader, what="scriptSig")
-    sequence = reader.read_u32()
-    return TxIn(prevout=OutPoint(txid, vout), script_sig=script_sig, sequence=sequence)
-
-
 def serialize_txout(txout: TxOut) -> bytes:
     """Serialize one transaction output."""
     if txout.value < 0:
         raise SerializationError(f"negative output value {txout.value}")
     return struct.pack("<q", txout.value) + _encode_script(txout.script_pubkey)
-
-
-def deserialize_txout(reader: ByteReader) -> TxOut:
-    """Decode one transaction output."""
-    value = reader.read_i64()
-    if value < 0:
-        raise SerializationError(f"negative output value {value}")
-    script_pubkey = _decode_script(reader, what="scriptPubKey")
-    return TxOut(value=value, script_pubkey=script_pubkey)
 
 
 def serialize_tx(tx: Transaction) -> bytes:
@@ -158,29 +139,65 @@ def serialize_tx(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_tx(reader: ByteReader) -> Transaction:
-    """Decode a transaction."""
-    version = struct.unpack("<i", reader.read(4))[0]
-    n_in = decode_varint(reader)
+def decode_tx(data: bytes, pos: int, end: int) -> tuple[Transaction, int]:
+    """Decode the transaction starting at ``data[pos]`` (reading no
+    further than ``end``) and seat its txid from the wire slice.
+    Returns ``(transaction, next offset)``."""
+    start = pos
+    pos += _TX_HEAD.size
+    if pos > end:
+        raise _truncated("transaction header", start, end)
+    version, n_in = _TX_HEAD.unpack_from(data, start)
+    if n_in >= 0xFD:
+        n_in, pos = _wide_varint(data, pos, end)
     if n_in == 0 or n_in > _MAX_TX_ITEMS:
         raise SerializationError(f"implausible input count {n_in}")
-    inputs = tuple(deserialize_txin(reader) for _ in range(n_in))
-    n_out = decode_varint(reader)
+    inputs = []
+    for _ in range(n_in):
+        body = pos + _TXIN_HEAD.size
+        if body > end:
+            raise _truncated("transaction input", pos, end)
+        prev_txid, prev_vout, length = _TXIN_HEAD.unpack_from(data, pos)
+        body, pos = _script_span(data, length, body, end, "scriptSig")
+        if pos + 4 > end:
+            raise _truncated("scriptSig", body, end)
+        (sequence,) = _U32.unpack_from(data, pos)
+        inputs.append(TxIn(OutPoint(prev_txid, prev_vout), data[body:pos], sequence))
+        pos += 4
+    n_out, pos = decode_varint(data, pos, end)
     if n_out == 0 or n_out > _MAX_TX_ITEMS:
         raise SerializationError(f"implausible output count {n_out}")
-    outputs = tuple(deserialize_txout(reader) for _ in range(n_out))
-    lock_time = reader.read_u32()
-    return Transaction(
-        inputs=inputs, outputs=outputs, version=version, lock_time=lock_time
-    )
+    outputs = []
+    for _ in range(n_out):
+        body = pos + _TXOUT_HEAD.size
+        if body > end:
+            # A negative value outranks the missing length byte.
+            if pos + 8 <= end and _I64.unpack_from(data, pos)[0] < 0:
+                raise SerializationError("negative output value")
+            raise _truncated("transaction output", pos, end)
+        value, length = _TXOUT_HEAD.unpack_from(data, pos)
+        if value < 0:
+            raise SerializationError(f"negative output value {value}")
+        body, pos = _script_span(data, length, body, end, "scriptPubKey")
+        if pos > end:
+            raise _truncated("scriptPubKey", body, end)
+        outputs.append(TxOut(value, data[body:pos]))
+    if pos + 4 > end:
+        raise _truncated("lock time", pos, end)
+    (lock_time,) = _U32.unpack_from(data, pos)
+    tx = Transaction(tuple(inputs), tuple(outputs), version, lock_time)
+    pos += 4
+    # Canonical varints were enforced above, so data[start:pos] is
+    # byte-for-byte serialize_tx(tx): pre-warm the cached txid from it.
+    tx.__dict__["txid"] = sha256d(data[start:pos])
+    return tx, pos
 
 
 def tx_from_bytes(data: bytes) -> Transaction:
     """Decode a transaction from a standalone byte string."""
-    reader = ByteReader(data)
-    tx = deserialize_tx(reader)
-    if reader.remaining:
-        raise SerializationError(f"{reader.remaining} trailing bytes after transaction")
+    tx, pos = decode_tx(data, 0, len(data))
+    if pos != len(data):
+        raise SerializationError(f"{len(data) - pos} trailing bytes after transaction")
     return tx
 
 
@@ -194,22 +211,6 @@ def serialize_header(header: BlockHeader) -> bytes:
     )
 
 
-def deserialize_header(reader: ByteReader) -> BlockHeader:
-    """Decode an 80-byte block header."""
-    version = struct.unpack("<i", reader.read(4))[0]
-    prev_hash = reader.read(32)
-    merkle_root_ = reader.read(32)
-    timestamp, bits, nonce = struct.unpack("<III", reader.read(12))
-    return BlockHeader(
-        version=version,
-        prev_hash=prev_hash,
-        merkle_root=merkle_root_,
-        timestamp=timestamp,
-        bits=bits,
-        nonce=nonce,
-    )
-
-
 def serialize_block(block: Block) -> bytes:
     """Serialize header + tx count + transactions."""
     parts = [serialize_header(block.header), encode_varint(len(block.transactions))]
@@ -217,21 +218,35 @@ def serialize_block(block: Block) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_block(reader: ByteReader, *, height: int) -> Block:
-    """Decode a block.  ``height`` is supplied by the caller (block files
-    don't embed it; readers track it positionally, as real parsers do)."""
-    header = deserialize_header(reader)
-    n_tx = decode_varint(reader)
+def decode_block(
+    data: bytes, pos: int, end: int, *, height: int
+) -> tuple[Block, int]:
+    """Decode the block starting at ``data[pos]``, reading no further
+    than ``end``.  ``height`` is supplied by the caller (block files
+    don't embed it; readers track it positionally, as real parsers do).
+    Returns ``(block, next offset)``."""
+    start = pos
+    pos += _BLOCK_HEAD.size
+    if pos > end:
+        raise _truncated("block header", start, end)
+    version, prev_hash, merkle_root_, timestamp, bits, nonce, n_tx = (
+        _BLOCK_HEAD.unpack_from(data, start)
+    )
+    if n_tx >= 0xFD:
+        n_tx, pos = _wide_varint(data, pos, end)
     if n_tx == 0 or n_tx > _MAX_TX_ITEMS:
         raise SerializationError(f"implausible transaction count {n_tx}")
-    txs = tuple(deserialize_tx(reader) for _ in range(n_tx))
-    return Block(header=header, transactions=txs, height=height)
+    txs = []
+    for _ in range(n_tx):
+        tx, pos = decode_tx(data, pos, end)
+        txs.append(tx)
+    header = BlockHeader(version, prev_hash, merkle_root_, timestamp, bits, nonce)
+    return Block(header, tuple(txs), height), pos
 
 
 def block_from_bytes(data: bytes, *, height: int) -> Block:
     """Decode a block from a standalone byte string."""
-    reader = ByteReader(data)
-    block = deserialize_block(reader, height=height)
-    if reader.remaining:
-        raise SerializationError(f"{reader.remaining} trailing bytes after block")
+    block, pos = decode_block(data, 0, len(data), height=height)
+    if pos != len(data):
+        raise SerializationError(f"{len(data) - pos} trailing bytes after block")
     return block

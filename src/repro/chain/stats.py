@@ -111,9 +111,9 @@ def compute_statistics(
     stats.blocks = len(seen_heights)
     for record in index.iter_addresses():
         receives = (
-            len(record.receives)
+            len(record.receive_rows)
             if up_to_height is None
-            else len(record.receives_at_or_before(up_to_height))
+            else record.receives_before(up_to_height + 1)
         )
         if receives:
             stats.address_use_histogram[receives] += 1

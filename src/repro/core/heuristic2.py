@@ -133,61 +133,42 @@ def is_dice_spend(
 def find_candidate(
     index: ChainIndex, tx: Transaction, height: int, *, min_outputs: int = 2
 ) -> tuple[int | None, str]:
-    """Apply the four base conditions to one transaction.
+    """Apply the four base conditions to one indexed transaction at its
+    own ``height``.
 
     Returns ``(vout, "ok")`` for an unambiguous candidate, or
     ``(None, reason)`` where reason is one of ``coinbase``,
     ``too_few_outputs``, ``self_change``, ``no_fresh_output``,
-    ``ambiguous``, ``other_output_fresh``.
+    ``ambiguous``.
+
+    Works in id space on the index's per-tx memos and history rows: an
+    output is *fresh* exactly when it is the first receive its address
+    ever had.  Rows are in chain order, so that one comparison covers
+    "never paid before this height" and "not paid earlier in this block
+    (or by an earlier output of this transaction)" at once; every other
+    addressed output has then appeared before, which is condition 4.
     """
     if tx.is_coinbase:
         return None, "coinbase"
     if len(tx.outputs) < min_outputs:
         return None, "too_few_outputs"
-    input_addresses = set(index.input_addresses(tx))
-    output_addresses = [out.address for out in tx.outputs]
-    if any(addr in input_addresses for addr in output_addresses if addr):
+    output_ids = index.output_address_ids(tx)
+    if not set(index.input_address_ids(tx)).isdisjoint(output_ids):
         return None, "self_change"
-    fresh: list[tuple[int, str]] = []
-    seen_before = 0
-    for vout, address in enumerate(output_addresses):
-        if address is None:
+    txid = tx.txid
+    address_by_id = index.address_by_id
+    fresh: int | None = None
+    for vout, ident in enumerate(output_ids):
+        if ident < 0:
             continue
-        # "Appeared in a previous transaction" includes earlier in the
-        # same block: appearances strictly before this tx's receive.
-        prior = index.appearances_before(address, height)
-        if prior == 0 and not _appeared_earlier_in_block(
-            index, address, tx, height, vout
-        ):
-            fresh.append((vout, address))
-        else:
-            seen_before += 1
-    if not fresh:
+        first = address_by_id(ident).receive_rows[0]
+        if first[0] >= height and first[2] == vout and first[1] == txid:
+            if fresh is not None:
+                return None, "ambiguous"
+            fresh = vout
+    if fresh is None:
         return None, "no_fresh_output"
-    if len(fresh) > 1:
-        return None, "ambiguous"
-    if seen_before != sum(1 for a in output_addresses if a) - 1:
-        return None, "other_output_fresh"
-    return fresh[0][0], "ok"
-
-
-def _appeared_earlier_in_block(
-    index: ChainIndex, address: str, tx: Transaction, height: int, vout: int
-) -> bool:
-    """Did ``address`` already appear in an earlier tx of the same block
-    (or an earlier output of this tx)?"""
-    record = index.address(address) if index.has_address(address) else None
-    if record is None:
-        return False
-    this_pos = index.location(tx.txid).index_in_block
-    start = record.receives_before(height)
-    for receive in record.receives[start:]:
-        if receive.height != height:
-            break
-        pos = index.location(receive.txid).index_in_block
-        if pos < this_pos or (receive.txid == tx.txid and receive.vout < vout):
-            return True
-    return False
+    return fresh, "ok"
 
 
 class Heuristic2:
@@ -221,23 +202,16 @@ class Heuristic2:
         """
         if self.config.wait_seconds is None:
             return False, False
-        record = self.index.address(address)
-        later = [
-            r
-            for r in record.receives
-            if r.height > height
-            and (as_of_height is None or r.height <= as_of_height)
-        ]
-        deadline = self.index.timestamp_at(height) + self.config.wait_seconds
-        horizon = (
-            self.index.timestamp_at(as_of_height)
-            if as_of_height is not None
-            else self.index.timestamp_at(self.index.height)
+        index = self.index
+        tip = index.height if as_of_height is None else as_of_height
+        limit = min(
+            index.timestamp_at(height) + self.config.wait_seconds,
+            index.timestamp_at(tip),
         )
         later = [
             r
-            for r in later
-            if self.index.timestamp_at(r.height) <= min(deadline, horizon)
+            for r in index.address(address).receives_after(height)
+            if r.height <= tip and index.timestamp_at(r.height) <= limit
         ]
         if not later:
             return False, False
@@ -266,16 +240,16 @@ class Heuristic2:
         — the same-change-address-used-twice pattern (recency-scoped;
         heavily reused addresses like dice games are exempt, they are
         plainly not one-time change)."""
-        for out in tx.outputs:
-            address = out.address
-            if address is None or address in self.dice_addresses:
+        dice = self.dice_addresses
+        address_by_id = self.index.address_by_id
+        for out, ident in zip(tx.outputs, self.index.output_address_ids(tx)):
+            if ident < 0:
                 continue
-            if not self.index.has_address(address):
-                continue
-            record = self.index.address(address)
-            prior = record.receives_before(height)
-            if prior == 1 and self._within_window(
-                record.receives[0].height, height
+            record = address_by_id(ident)
+            if (
+                record.receives_before(height) == 1
+                and not (dice and out.address in dice)
+                and self._within_window(record.receive_rows[0][0], height)
             ):
                 return True
         return False
@@ -313,7 +287,7 @@ class Heuristic2:
         wait check is then applied forward, as later receives stream
         in); :meth:`identify_change` layers the lookahead on top.
         """
-        height = self.index.location(tx.txid).height
+        height = self.index.height_of(tx.txid)
         vout, reason = find_candidate(
             self.index, tx, height, min_outputs=self.config.min_outputs
         )

@@ -33,6 +33,7 @@ request-id convention :func:`next_request_id` establishes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
@@ -103,16 +104,7 @@ class Histogram:
         self.max: float | None = None
 
     def observe(self, value: float) -> None:
-        counts = self.counts
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        counts[lo] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -242,7 +234,9 @@ class MetricsRegistry:
 
     @staticmethod
     def _key(name: str, labels: dict) -> tuple:
-        return (name, tuple(sorted(labels.items())))
+        # Most instruments carry zero or one label: skip the sort.
+        items = tuple(labels.items())
+        return (name, items if len(items) < 2 else tuple(sorted(items)))
 
     def counter(self, name: str, **labels) -> Counter:
         if not self.enabled:

@@ -959,18 +959,19 @@ class ClusterAggregateView(MaterializedView):
         # stale set stays O(merges + links + changed groups), not
         # O(churn + open labels).
         grouped = self._overlay_of
-        sizes = uf.root_sizes
-        balance = self._balance
-        tx_count = self._tx_count
         prev_ids = {id(group) for group in prev_groups}
-        new_entries: list[tuple[int, int, int, int]] = []
-        for root in touched_roots:
-            if root in grouped:
-                continue
-            new_entries.append(
-                (min_member[root], sizes[root], balance[root],
-                 tx_count[root])
+        standalone = [root for root in touched_roots if root not in grouped]
+        # One gather per column: after a bulk ingest this is every
+        # cluster the queued blocks touched.
+        roots = np.fromiter(standalone, dtype="<i8", count=len(standalone))
+        new_entries: list[tuple[int, int, int, int]] = list(
+            zip(
+                min_member.array[roots].tolist(),
+                uf.root_sizes.array[roots].tolist(),
+                self._balance.array[roots].tolist(),
+                self._tx_count.array[roots].tolist(),
             )
+        )
         for group in self._overlay_groups:
             if id(group) in prev_ids:
                 continue  # reused verbatim: entries already live
@@ -1335,23 +1336,18 @@ class ClusterAggregateView(MaterializedView):
         zero-balance member addresses).
         """
         ranks = self._ranks
-        new_cids = {entry[0] for entry in new_entries}
-        for cid in old_cids - new_cids:
-            for rank_index in ranks.values():
-                rank_index.discard(cid)
-        size_index = ranks["size"]
-        balance_index = ranks["balance"]
-        activity_index = ranks["activity"]
-        for cid, size, balance, tx_count in new_entries:
-            size_index.set(cid, size)
-            if balance > 0:
-                balance_index.set(cid, balance)
-            else:
-                balance_index.discard(cid)
-            if tx_count > 0:
-                activity_index.set(cid, tx_count)
-            else:
-                activity_index.discard(cid)
+        gone = old_cids.difference(entry[0] for entry in new_entries)
+        # RankIndex.apply picks the path: a per-block flush walks the
+        # incremental insorts, the first flush after a bulk ingest
+        # rewrites the value map and re-sorts once.
+        ranks["size"].apply(
+            gone, [(cid, size) for cid, size, _balance, _txs in new_entries]
+        )
+        for name, column in (("balance", 2), ("activity", 3)):
+            ranks[name].apply(
+                gone.union(e[0] for e in new_entries if e[column] <= 0),
+                [(e[0], e[column]) for e in new_entries if e[column] > 0],
+            )
 
     # ------------------------------------------------------------------
     # queries (all at the view's height; each flushes queued blocks)

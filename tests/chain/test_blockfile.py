@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chain.blockfile import BlockFileWriter, read_blocks
-from repro.chain.errors import SerializationError
+from repro.chain.errors import SerializationError, TruncatedDataError
 from repro.chain.model import Block, GENESIS_PREV_HASH
 
 from tests.helpers import addr, coinbase
@@ -72,6 +72,34 @@ class TestRobustness:
         data[0] ^= 0xFF
         file.write_bytes(bytes(data))
         with pytest.raises(SerializationError):
+            list(read_blocks(tmp_path))
+
+    def test_stray_bytes_inside_record_rejected(self, tmp_path):
+        """A frame longer than the block it holds: the reader parses
+        records in place, so it must notice the block ended early."""
+        blocks = _make_chain(2)
+        BlockFileWriter(tmp_path).write_chain(blocks)
+        file = next(tmp_path.glob("blk*.dat"))
+        data = file.read_bytes()
+        first = 8 + int.from_bytes(data[4:8], "little")
+        padded = (
+            data[:4] + (first - 8 + 3).to_bytes(4, "little") + data[8:first]
+            + b"\x00\x00\x00" + data[first:]
+        )
+        file.write_bytes(padded)
+        with pytest.raises(SerializationError, match="stray"):
+            list(read_blocks(tmp_path))
+
+    def test_block_may_not_read_past_its_frame(self, tmp_path):
+        """A frame shorter than its block must not borrow bytes from the
+        next record, even though both sit in one buffer."""
+        blocks = _make_chain(2)
+        BlockFileWriter(tmp_path).write_chain(blocks)
+        file = next(tmp_path.glob("blk*.dat"))
+        data = file.read_bytes()
+        first = 8 + int.from_bytes(data[4:8], "little")
+        file.write_bytes(data[:4] + (first - 8 - 2).to_bytes(4, "little") + data[8:])
+        with pytest.raises(TruncatedDataError):
             list(read_blocks(tmp_path))
 
     def test_bad_magic_length(self, tmp_path):

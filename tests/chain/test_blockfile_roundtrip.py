@@ -2,7 +2,7 @@
 
 The satellite contract behind the durable state store: the ``blk*.dat``
 substrate is the ground truth a snapshot's tail replay re-ingests, so
-``serialize_block``/``deserialize_block`` and
+``serialize_block``/``block_from_bytes`` and
 ``BlockFileWriter``/``BlockFileReader`` must round-trip *arbitrary*
 blocks bit-for-bit — including the two real-world wrinkles recovery
 hits: a truncated final record (unclean shutdown) and a mid-file resume
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.chain.blockfile import BlockFileReader, BlockFileWriter, read_blocks
 from repro.chain.model import Block, BlockHeader, OutPoint, Transaction, TxIn, TxOut
 from repro.chain.serialize import (
-    ByteReader,
     block_from_bytes,
     serialize_block,
     serialize_tx,
@@ -219,4 +218,3 @@ class TestBlockFileRoundtrip:
         assert raw[:4] == b"\xf9\xbe\xb4\xd9"
         assert struct.unpack("<I", raw[4:8])[0] == len(payload)
         assert raw[8:] == payload
-        assert ByteReader(payload).remaining == len(payload)

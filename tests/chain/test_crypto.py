@@ -69,6 +69,31 @@ class TestBase58Check:
     def test_base58_roundtrip_property(self, data):
         assert crypto.base58_decode(crypto.base58_encode(data)) == data
 
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.binary(min_size=0, max_size=64),
+    )
+    def test_limbwise_encoder_equals_digit_at_a_time(self, zeros, tail):
+        """The production encoder peels ten digits per big-int division;
+        the textbook loop peels one.  Same string, including around limb
+        boundaries (lengths that are multiples of ten digits) and any
+        run of leading zero bytes."""
+        data = b"\x00" * zeros + tail
+        n = int.from_bytes(data, "big")
+        digits = []
+        while n:
+            n, rem = divmod(n, 58)
+            digits.append(crypto._B58_ALPHABET[rem])
+        pad = len(data) - len(data.lstrip(b"\x00"))
+        assert crypto.base58_encode(data) == "1" * pad + "".join(reversed(digits))
+
+    def test_known_address_vector(self):
+        # hash160 of the all-zero pubkey hash: the well-known burn address.
+        assert (
+            crypto.pubkey_hash_to_address(b"\x00" * 20)
+            == "1111111111111111111114oLvT2"
+        )
+
     @given(st.binary(min_size=20, max_size=20), st.integers(0, 255))
     def test_base58check_roundtrip_property(self, payload, version):
         encoded = crypto.base58check_encode(payload, version)

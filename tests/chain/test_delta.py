@@ -9,24 +9,52 @@ Two contracts are pinned here:
   <repro.chain.index.ChainIndex.subscribe>` compatibility shim) share
   the fan-out slot and receive ``delta.block``; a raising subscriber is
   isolated and re-raised after the rest are notified.
-* **Delta == transaction walk** — every field of the delta equals an
-  independent recomputation that resolves prevouts and output scripts
-  the long way (a hypothesis property over random simulated scenarios,
-  checked at every height), and the streaming views folded from deltas
-  equal per-address state recomputed from the records/transactions.
+* **Delta == transaction walk** — ``add_block`` emits the delta from
+  its one validating walk; every field of it equals both the
+  ``block_delta(h)`` catch-up rebuild and an independent recomputation
+  that resolves prevouts and output scripts the long way (a hypothesis
+  property over random simulated scenarios, checked at every height),
+  and the streaming views folded from deltas equal per-address state
+  recomputed from the records/transactions.
+* **One record representation** — the address records that walk builds
+  equal the ones a snapshot restore inflates, and the exported state is
+  the one the pre-fusion index exported (golden digest + pickle size).
 """
+
+import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chain.blockfile import BlockFileWriter, read_blocks
 from repro.chain.delta import BlockDelta
 from repro.chain.index import ChainIndex
 from repro.obs import MetricsRegistry
 from repro.service.views import ActivityView, BalanceView
-from repro.simulation import scenarios
+from repro.simulation import large_scale_blocks, scenarios
 
 from tests.helpers import build_chain
+
+_COLUMNS = (
+    "event_ids", "event_values", "involved_ids", "involved_flat", "h1_a", "h1_b",
+)
+
+
+def _assert_same_delta(left: BlockDelta, right: BlockDelta) -> None:
+    """Every field equal: tuple views, per-tx facts and columns."""
+    assert left.block is right.block
+    assert left.events == right.events
+    assert left.minted == right.minted
+    assert left.involved == right.involved
+    assert left.max_id == right.max_id
+    assert left.txs == right.txs
+    for one, other in zip(left.txs, right.txs, strict=True):
+        assert one.tx is other.tx
+    for name in _COLUMNS:
+        assert getattr(left, name).tolist() == getattr(right, name).tolist(), name
+        assert getattr(left, name).dtype == getattr(right, name).dtype, name
 
 
 class TestDeltaFanOut:
@@ -153,18 +181,7 @@ class TestDeltaFanOut:
         for block in world.blocks:
             target.add_block(block)
         for height, live in enumerate(streamed):
-            rebuilt = target.block_delta(height)
-            assert rebuilt.block is live.block
-            assert rebuilt.events == live.events
-            assert rebuilt.minted == live.minted
-            assert rebuilt.involved == live.involved
-            assert rebuilt.max_id == live.max_id
-            for txd_rebuilt, txd_live in zip(rebuilt.txs, live.txs):
-                assert txd_rebuilt.tx is txd_live.tx
-                assert txd_rebuilt.input_ids == txd_live.input_ids
-                assert txd_rebuilt.input_spends == txd_live.input_spends
-                assert txd_rebuilt.output_ids == txd_live.output_ids
-                assert txd_rebuilt.involved == txd_live.involved
+            _assert_same_delta(target.block_delta(height), live)
 
 
 def _walk_block_reference(index, block):
@@ -245,6 +262,7 @@ class TestDeltaEqualsTransactionWalk:
             events, minted, involved, max_id, per_tx = _walk_block_reference(
                 target, block
             )
+            _assert_same_delta(target.block_delta(height), delta)
             assert list(delta.events) == events, height
             assert delta.minted == minted, height
             assert delta.involved == involved, height
@@ -278,6 +296,87 @@ class TestDeltaEqualsTransactionWalk:
                 walk_first[ident],
                 walk_last[ident],
             )
+
+
+def _state_digest(state: dict) -> tuple[str, int]:
+    return (
+        hashlib.sha256(repr(state).encode()).hexdigest()[:16],
+        len(pickle.dumps(state, protocol=4)),
+    )
+
+
+class TestOneRecordRepresentation:
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        n_blocks=st.integers(min_value=4, max_value=24),
+        n_users=st.integers(min_value=3, max_value=8),
+    )
+    def test_live_built_records_equal_restored_records(
+        self, seed, n_blocks, n_users
+    ):
+        world = scenarios.micro_economy(
+            seed=seed, n_blocks=n_blocks, n_users=n_users
+        )
+        live = ChainIndex()
+        for block in world.blocks:
+            live.add_block(block)
+        restored = ChainIndex.restore_state(
+            pickle.loads(pickle.dumps(live.export_state()))
+        )
+        assert restored.address_count == live.address_count
+        heights = (0, n_blocks // 2, n_blocks - 1, n_blocks + 3)
+        for record in live.iter_addresses():
+            twin = restored.address(record.address)
+            assert twin == record
+            assert twin.receives == record.receives
+            assert twin.spends == record.spends
+            assert twin.balance == record.balance
+            for height in heights:
+                assert twin.receives_before(height) == record.receives_before(height)
+                assert twin.receives_after(height) == record.receives_after(height)
+            # the wrapped rows are the rows
+            assert [
+                (r.height, r.txid, r.vout, r.value) for r in record.receives
+            ] == record.receive_rows
+            assert [
+                (s.height, s.txid, s.vin, s.value) for s in record.spends
+            ] == record.spend_rows
+            assert record.receives_before(heights[1]) == sum(
+                1 for r in record.receives if r.height < heights[1]
+            )
+            assert record.receives_after(heights[1]) == [
+                r for r in record.receives if r.height > heights[1]
+            ]
+
+    # ``_state_digest(index.export_state())`` taken at the last commit
+    # before the ingest walk stopped building Receive/Spend/TxLocation
+    # objects (5794177), per chain: (repr digest, pickle size of blocks
+    # straight from the simulator, pickle size of the same blocks decoded
+    # from blk*.dat — decoded prevout txids are distinct bytes objects, so
+    # pickle memoizes fewer of them).  STATE_VERSION is still 1: these
+    # move only if the snapshot format does.
+    GOLDEN = {
+        "scale": ("bf1957f2bd3f266f", 380256, 410083),
+        "micro": ("7ac11fcab2609863", 22567, 24184),
+    }
+
+    @pytest.mark.parametrize("chain", sorted(GOLDEN))
+    def test_exported_state_is_the_pre_fusion_state(self, chain, tmp_path):
+        if chain == "scale":
+            blocks = list(large_scale_blocks(60, seed=11))
+        else:
+            blocks = scenarios.micro_economy(seed=7, n_blocks=30, n_users=5).blocks
+        digest, simulated_size, decoded_size = self.GOLDEN[chain]
+        BlockFileWriter(tmp_path).write_chain(blocks)
+        for source, size in (
+            (blocks, simulated_size), (read_blocks(tmp_path), decoded_size)
+        ):
+            index = ChainIndex()
+            for block in source:
+                index.add_block(block)
+            assert ChainIndex.STATE_VERSION == 1
+            assert _state_digest(index.export_state()) == (digest, size)
 
 
 class TestColumnarMirrors:

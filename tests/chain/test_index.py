@@ -137,6 +137,112 @@ class TestViolations:
             _ingest(cb, orphan)
 
 
+class TestRejectedBlockLeavesNoTrace:
+    """``add_block`` is all-or-nothing: a block whose k-th transaction
+    is invalid must not leave transactions ``0..k-1`` applied (it used
+    to, and the *correct* block at that height then failed as a
+    duplicate)."""
+
+    def _chain(self):
+        """Two good blocks, then per case a bad block 2 and the good
+        block 2 it stands in for.  The good prefix of block 2 touches
+        everything a walk mutates: a fresh address, an old address, a
+        self-change, an in-block spend chain, a multi-input spend."""
+        from repro.chain.model import Block
+
+        cb0, cb1 = coinbase(addr("rb-m0")), coinbase(addr("rb-m1"), height=1)
+        fund = spend([(cb0, 0)], [(addr("rb-a"), 20 * COIN), (addr("rb-b"), 30 * COIN)])
+        index = build_chain([])
+        block0 = Block.assemble(
+            height=0, prev_hash=b"\x00" * 32, timestamp=0, transactions=[cb0]
+        )
+        block1 = Block.assemble(
+            height=1, prev_hash=block0.hash, timestamp=600, transactions=[cb1, fund]
+        )
+        cb2 = coinbase(addr("rb-m2"), height=2)
+        self_change = spend(
+            [(fund, 0)], [(addr("rb-a"), 5 * COIN), (addr("rb-fresh"), 15 * COIN)]
+        )
+        chained = spend([(self_change, 1), (fund, 1)], [(addr("rb-b"), 45 * COIN)])
+        good = [cb2, self_change, chained]
+
+        def block2(*extra):
+            return Block.assemble(
+                height=2, prev_hash=block1.hash, timestamp=1200,
+                transactions=[*good, *extra],
+            )
+
+        return index, [block0, block1], block2, {"fund": fund, "cb1": cb1}
+
+    @staticmethod
+    def _observable(index):
+        return {
+            "height": index.height,
+            "utxo_count": index.utxo_count,
+            "utxo_value": index.utxo_value(),
+            "address_count": index.address_count,
+            "tx_count": index.tx_count,
+            "interned": list(index.interner),
+            "state": index.export_state(),
+        }
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+    @pytest.mark.parametrize(
+        "case,error",
+        [
+            ("missing", MissingInputError),
+            ("double_spend", DoubleSpendError),
+            ("in_block_double_spend", DoubleSpendError),
+            ("duplicate_tx", DoubleSpendError),
+            ("second_input_bad", MissingInputError),
+        ],
+    )
+    def test_rejected_block_then_corrected_block(self, case, error, restored):
+        index, prefix, block2, txs = self._chain()
+        for block in prefix:
+            index.add_block(block)
+        if restored:
+            index = ChainIndex.restore_state(index.export_state())
+        notified = []
+        index.subscribe_deltas(notified.append)
+        bad_tx = {
+            # spends an output no block ever created
+            "missing": lambda: spend([(coinbase(addr("rb-ghost")), 0)], [(addr("rb-x"), COIN)]),
+            # spends an output block 1 already spent
+            "double_spend": lambda: spend(
+                [(next(iter(prefix[0].transactions)), 0)], [(addr("rb-x"), COIN)]
+            ),
+            # spends an output an earlier tx of this very block spent
+            "in_block_double_spend": lambda: spend([(txs["fund"], 0)], [(addr("rb-x"), COIN)]),
+            # the same transaction twice
+            "duplicate_tx": lambda: txs["fund"],
+            # first input fine (and consumed) before the second one fails
+            "second_input_bad": lambda: spend(
+                [(txs["cb1"], 0), (coinbase(addr("rb-ghost")), 0)], [(addr("rb-x"), COIN)]
+            ),
+        }[case]()
+        before = self._observable(index)
+        spent_outpoint = OutPoint(txs["fund"].txid, 0)
+        assert index.spender_of(spent_outpoint) is None
+        with pytest.raises(error):
+            index.add_block(block2(bad_tx))
+        assert self._observable(index) == before
+        assert index.spender_of(spent_outpoint) is None
+        assert not index.has_address(addr("rb-fresh"))
+        assert index.self_change_heights(addr("rb-a")) == []
+        assert notified == []
+        # The corrected block ingests, and the index ends exactly where
+        # one that never saw the bad block does.
+        index.add_block(block2())
+        assert [delta.height for delta in notified] == [2]
+        twin = ChainIndex()
+        for block in (*prefix, block2()):
+            twin.add_block(block)
+        assert index.export_state() == twin.export_state()
+        assert index.self_change_heights(addr("rb-a")) == [2]
+        assert notified[0].events == twin.block_delta(2).events
+
+
 def _ingest(cb, *txs):
     from repro.chain.model import Block, GENESIS_PREV_HASH
 

@@ -28,6 +28,12 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: takes minutes (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture(scope="session")
 def micro_world():
     """A small full-stack world (~150 blocks, trimmed roster)."""

@@ -1,5 +1,8 @@
 """Heuristic 2: the four base conditions and every refinement rung."""
 
+import pytest
+
+from repro.chain.index import ChainIndex
 from repro.chain.model import COIN
 from repro.core.heuristic2 import (
     Heuristic2,
@@ -8,7 +11,15 @@ from repro.core.heuristic2 import (
     find_candidate,
 )
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from repro.simulation import large_scale_blocks, scenarios
+
+from tests.helpers import (
+    addr,
+    build_chain,
+    coinbase,
+    reference_find_candidate,
+    spend,
+)
 
 FEE = 0
 
@@ -31,6 +42,36 @@ def _payment_chain(extra_blocks=()):
     )
     blocks = [[cb, warm, warm2], [warmup], [warmup2], [payment], *extra_blocks]
     return build_chain(blocks), payment
+
+
+class TestCandidateTwin:
+    """The id/row-space ``find_candidate`` decides every transaction
+    exactly as the string/position reference does — on a live-built
+    index and on a lazily restored one."""
+
+    @pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            lambda: scenarios.micro_economy(seed=7, n_blocks=40, n_users=6).blocks,
+            lambda: large_scale_blocks(
+                60, seed=5, outputs_per_tx=2, reuse_probability=0.8
+            ),
+        ],
+        ids=["micro", "scale"],
+    )
+    def test_every_transaction_decided_identically(self, chain, restored):
+        index = ChainIndex()
+        for block in chain():
+            index.add_block(block)
+        if restored:
+            index = ChainIndex.restore_state(index.export_state())
+        reasons = set()
+        for tx, location in index.iter_transactions():
+            decided = find_candidate(index, tx, location.height)
+            assert decided == reference_find_candidate(index, tx, location.height)
+            reasons.add(decided[1])
+        assert len(reasons) >= 3  # the chains exercise more than one branch
 
 
 class TestBaseConditions:
