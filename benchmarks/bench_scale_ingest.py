@@ -8,20 +8,19 @@ synthetic high-volume chain (``simulation/largescale.py``) at two
 scales and publishes, per scale:
 
 * **end-to-end**: blocks/s with the full service fan-out attached
-  (engine + four views + differential aggregates, kernels on) and the
-  process peak RSS after the run;
+  (engine + four views + cluster aggregates) and the process peak RSS
+  after the run;
 * **fold comparison**: the same recorded delta stream replayed through
-  kernelized and scalar instances of every fold consumer, one consumer
-  at a time in a tight loop — ``fold_speedup`` is total scalar fold
-  seconds over total kernel fold seconds.  Replay (rather than timing
-  inside the live ingest callback) keeps each consumer's arrays hot and
-  excludes everything the kernels did not touch: bare chain ingest and
-  delta construction are identical in both paths, and the aggregate
-  view's shared flush machinery (merge replay, overlay rebuild, rank
-  churn) runs untimed — only its per-address churn *stage* (scalar
-  per-block :meth:`_fold_block_churn` vs batched kernel
-  :meth:`_fold_churn`) enters the comparison.  What is timed is
-  exactly the per-element fold path the kernels replaced.
+  kernelized and scalar instances of the balance, activity and H1
+  folds, one consumer at a time in a tight loop — ``fold_speedup`` is
+  total scalar fold seconds over total kernel fold seconds.  Replay
+  (rather than timing inside the live ingest callback) keeps each
+  consumer's arrays hot and excludes everything the kernels did not
+  touch: bare chain ingest and delta construction are identical in both
+  paths.  What is timed is exactly the per-element fold path the
+  kernels replaced.  (The cluster aggregates have one fold and no
+  scalar twin in ``src/``; their reference is the batch oracle in
+  ``tests/helpers.py``.)
 
 Floors pinned at the large scale (≥20k blocks, ≥500k addresses —
 trimmed runs pin softer versions):
@@ -46,7 +45,6 @@ from repro.chain.index import ChainIndex
 from repro.core.incremental import IncrementalClusteringEngine
 from repro.core.union_find import IntUnionFind
 from repro.service import ForensicsService
-from repro.service.aggregates import ClusterAggregateView
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks
 
@@ -68,10 +66,6 @@ call overhead are a bigger share of the total."""
 ASYMPTOTIC_FLOOR = 0.3
 """Large-scale end-to-end blocks/s must stay within this factor of the
 seed scale's — per-block cost may not grow with the address universe."""
-
-FLUSH_EVERY = 1024
-"""Aggregate-view flush cadence in the fold comparison (bulk-ingest
-shaped, like catch-up or tail replay)."""
 
 
 def _peak_rss_bytes() -> int:
@@ -121,13 +115,9 @@ def _replay(deltas, fn) -> float:
 def _fold_comparison(blocks) -> dict:
     """Replay one recorded delta stream through kernel/scalar fold twins.
 
-    The chain is ingested once (with a live engine, so the aggregate
-    twins can read its per-height merge deltas) while the shared
-    :class:`BlockDelta` objects are recorded; each consumer then replays
-    the stream in its own tight loop.  The aggregate twins are timed
-    only on their churn stage — the kernelized per-element fold — via
-    method wrapping; their shared flush machinery runs on both twins
-    untimed.
+    The chain is ingested once while the shared :class:`BlockDelta`
+    objects are recorded; each consumer then replays the stream in its
+    own tight loop.
     """
     index = ChainIndex()
     engine = IncrementalClusteringEngine(index)
@@ -169,59 +159,10 @@ def _fold_comparison(blocks) -> dict:
     seconds["h1_kernel"] = _replay(deltas, h1_kernel)
     seconds["h1_scalar"] = _replay(deltas, h1_scalar)
 
-    def timed_aggregate_view(use_kernels: bool) -> tuple:
-        view = ClusterAggregateView(
-            empty, engine=engine, follow=False, use_kernels=use_kernels
-        )
-        churn_timer = [0.0]
-        if use_kernels:
-            inner_k = view._fold_churn
-
-            def timed_kernel_churn(deferred, touched):
-                start = time.perf_counter()
-                inner_k(deferred, touched)
-                churn_timer[0] += time.perf_counter() - start
-
-            view._fold_churn = timed_kernel_churn
-        else:
-            inner_s = view._fold_block_churn
-
-            def timed_scalar_churn(delta, touched):
-                start = time.perf_counter()
-                inner_s(delta, touched)
-                churn_timer[0] += time.perf_counter() - start
-
-            view._fold_block_churn = timed_scalar_churn
-
-        def feed(delta):
-            view._observe_delta(delta)
-            if (delta.height + 1) % FLUSH_EVERY == 0:
-                view._flush()
-
-        _replay(deltas, feed)
-        # The trailing flush is timed too (its churn fold is), so it
-        # gets the same GC parking as the replay loop — a collection
-        # pause over the recorded delta stream would otherwise land
-        # inside the churn timer.
-        gc.collect()
-        gc.disable()
-        try:
-            view._flush()
-        finally:
-            gc.enable()
-        return view, churn_timer
-
-    agg_k, kernel_churn = timed_aggregate_view(use_kernels=True)
-    agg_s, scalar_churn = timed_aggregate_view(use_kernels=False)
-    seconds["aggregate_churn_kernel"] = kernel_churn[0]
-    seconds["aggregate_churn_scalar"] = scalar_churn[0]
-
     # The kernels must change nothing but speed: spot-check twin state.
     assert balances_k.supply == balances_s.supply
     assert balances_k._balances.tolist() == balances_s._balances.tolist()
     assert activity_k._tx_counts.tolist() == activity_s._tx_counts.tolist()
-    assert agg_k.cluster_count == agg_s.cluster_count
-    assert agg_k.ranking("balance") == agg_s.ranking("balance")
     assert (
         uf_k.component_count
         == uf_s.component_count

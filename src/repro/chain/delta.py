@@ -45,10 +45,10 @@ function of clustering state, not of the raw block, and stays on
 the aggregate view combines both deltas per block.
 
 The delta carries the :class:`~repro.chain.model.Block` itself
-(:attr:`BlockDelta.block`): legacy block-shaped observers are adapted
-through it, and consumers that genuinely need a transaction object
-(H2's static checks, taint propagation) read :attr:`TxDelta.tx` —
-without ever re-walking ``block.transactions`` or re-resolving a memo.
+(:attr:`BlockDelta.block`) for observers that want block-level facts,
+and consumers that genuinely need a transaction object (H2's static
+checks, taint propagation) read :attr:`TxDelta.tx` — without ever
+re-walking ``block.transactions`` or re-resolving a memo.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ def _as_int64(values) -> np.ndarray:
 
     Read-only because one delta object is shared by the whole observer
     fan-out (and may be retained by lazily-flushed consumers), so no
-    subscriber can corrupt another's view of it.  (A local twin of
-    :func:`repro.core.arrays.as_int64` — importing ``core`` from here
-    would close an import cycle through ``core.clustering``.)
+    subscriber can corrupt another's view of it.
     """
     array = np.asarray(values, dtype="<i8")
     array.flags.writeable = False

@@ -93,23 +93,3 @@ class IntVector:
         vector._n = len(vector._data)
         return vector
 
-    @classmethod
-    def from_list(cls, values) -> "IntVector":
-        """Build a vector from any int sequence (legacy state shapes)."""
-        vector = cls.__new__(cls)
-        vector._data = np.asarray(list(values), dtype=_DTYPE)
-        vector._n = len(vector._data)
-        return vector
-
-
-def as_int64(values) -> np.ndarray:
-    """A read-only little-endian int64 array of ``values``.
-
-    The columnar :class:`~repro.chain.delta.BlockDelta` buffers are built
-    through this: read-only because one delta object is shared by the
-    whole observer fan-out (and may be retained by lazily-flushed
-    consumers), so no subscriber can corrupt another's view of it.
-    """
-    array = np.asarray(values, dtype=_DTYPE)
-    array.flags.writeable = False
-    return array

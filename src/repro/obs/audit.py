@@ -14,7 +14,7 @@ pipeline's load-bearing invariants from independent sources:
   aggregate view's base partition, per-root sizes must sum to the
   universe, the unique-root count must equal ``component_count``, and
   every canonical cluster id must be its cluster's minimal member;
-* **differential vs batch** — sampled clusters of the
+* **aggregates vs batch** — sampled clusters of the
   :class:`~repro.service.aggregates.ClusterAggregateView` (random
   members plus a bounded sample of the clusters the view's dirty-root
   cursor reported since the last audit) are compared against a batch
@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
+
+from ..service.aggregates import AggregateSurface
 
 _INT64_MAX = np.iinfo("<i8").max
 
@@ -164,11 +166,7 @@ class InvariantAuditor:
         # sets: every root the naming engine would re-resolve is also a
         # spot-check candidate here, without either drain starving the
         # other (see ClusterAggregateView.naming_cursor).
-        self._naming_cursor = (
-            service.aggregates.naming_cursor()
-            if service.aggregates is not None
-            else None
-        )
+        self._naming_cursor = service.aggregates.naming_cursor()
         self._unsubscribe = service.index.subscribe_deltas(
             self._observe_delta, name="auditor"
         )
@@ -314,17 +312,17 @@ class InvariantAuditor:
         engine_uf = self.service.engine._uf
         problems += self._partition_problems(engine_uf, "engine")
         view = self.service.aggregates
-        if view is not None:
-            view._flush()
-            uf = view._uf
-            n = len(uf)
-            if n:
-                roots = uf.find_many(np.arange(n, dtype="<i8"))
-                counts = np.bincount(roots, minlength=n)
-                problems += self._partition_problems(
-                    uf, "aggregates base", roots=roots, counts=counts
-                )
-                problems += self._min_member_problems(view, roots, counts)
+        view._flush()
+        state = view._tip
+        uf = state.uf
+        n = len(uf)
+        if n:
+            roots = uf.find_many(np.arange(n, dtype="<i8"))
+            counts = np.bincount(roots, minlength=n)
+            problems += self._partition_problems(
+                uf, "aggregates base", roots=roots, counts=counts
+            )
+            problems += self._min_member_problems(state, roots, counts)
         return len(problems), "; ".join(problems)
 
     @staticmethod
@@ -358,11 +356,12 @@ class InvariantAuditor:
         return problems
 
     @staticmethod
-    def _min_member_problems(view, roots, counts) -> list[str]:
-        """Canonical ids must be minimal members — base and overlay.
+    def _min_member_problems(state, roots, counts) -> list[str]:
+        """Canonical ids must be minimal members — base and overlay of
+        the aggregate view's tip state.
 
-        ``roots``/``counts`` are the view-base root gather and bincount
-        the partition check already paid for."""
+        ``roots``/``counts`` are the base root gather and bincount the
+        partition check already paid for."""
         n = len(roots)
         problems: list[str] = []
         ids = np.arange(n, dtype="<i8")
@@ -373,7 +372,7 @@ class InvariantAuditor:
         expected = np.full(n, _INT64_MAX, dtype="<i8")
         expected[roots[::-1]] = ids[::-1]
         root_ids = np.flatnonzero(counts)
-        recorded = view._min_member.array
+        recorded = state.min_member.array
         forged = int(
             np.count_nonzero(recorded[root_ids] != expected[root_ids])
         )
@@ -382,7 +381,7 @@ class InvariantAuditor:
                 f"{forged} base root(s) whose canonical id is not the "
                 f"minimal member"
             )
-        groups = view._overlay_groups
+        groups = state.groups
         if groups:
             lengths = [len(group.roots) for group in groups]
             flat = np.fromiter(
@@ -392,7 +391,7 @@ class InvariantAuditor:
             )
             offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
             mins = np.minimum.reduceat(
-                recorded[view._uf.find_many(flat)], offsets
+                recorded[state.uf.find_many(flat)], offsets
             )
             for group, member_min in zip(groups, mins):
                 if group.cid != int(member_min):
@@ -440,12 +439,13 @@ class InvariantAuditor:
         rollup once and checks every cluster.
         """
         view = self.service.aggregates
-        if view is None:
-            return 0, "differential aggregates disabled"
         view._flush()
         dirty: list[int] = []
         if self._naming_cursor is not None:
             dirty = sorted(view.drain_naming_dirty(self._naming_cursor))
+        # The view's own tip state, read directly (``at()`` refuses a
+        # view that is behind the chain; the audit reports it instead).
+        surface = AggregateSurface(view._tip)
         tip = self._batch_tip()
         n = len(tip)
         if n == 0:
@@ -484,23 +484,23 @@ class InvariantAuditor:
 
         problems: list[str] = []
         for cid, size, balance, batch_tx, first, last in expected:
-            view_cid = view.cluster_id_of(cid)
+            view_cid = surface.cluster_id_of(cid)
             if view_cid != cid:
                 problems.append(
                     f"cluster {cid}: view canonical id {view_cid}"
                 )
                 continue
-            if view.size_of_cluster(cid) != size:
+            if surface.size_of_cluster(cid) != size:
                 problems.append(
-                    f"cluster {cid}: size {view.size_of_cluster(cid)} != "
+                    f"cluster {cid}: size {surface.size_of_cluster(cid)} != "
                     f"batch {size}"
                 )
-            if view.balance_of_cluster(cid) != balance:
+            if surface.balance_of_cluster(cid) != balance:
                 problems.append(
                     f"cluster {cid}: balance "
-                    f"{view.balance_of_cluster(cid)} != batch {balance}"
+                    f"{surface.balance_of_cluster(cid)} != batch {balance}"
                 )
-            view_activity = view.activity_of_cluster(cid)
+            view_activity = surface.activity_of_cluster(cid)
             if batch_tx == 0:
                 if view_activity is not None:
                     problems.append(

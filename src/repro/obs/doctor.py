@@ -6,7 +6,9 @@ and :func:`repro.experiments.warm_service` write it
 
 1. checksum-verifies **every** segment of **every** snapshot (an
    unreadable manifest or a flipped byte anywhere is a reported
-   problem, not just in the snapshot a restore would pick);
+   problem, not just in the snapshot a restore would pick; a snapshot
+   in a layout this build no longer restores is reported as
+   *unrestorable*, with the remedy, not as corrupt);
 2. restores the newest *clean* snapshot and tail-replays the block
    files through the normal observer fan-out;
 3. runs the full :class:`~repro.obs.audit.InvariantAuditor` suite in
@@ -107,7 +109,12 @@ class DoctorReport:
 
 def run_doctor(state_dir, *, log=NULL_LOGGER) -> DoctorReport:
     """Deep-verify one durable state directory (see module docstring)."""
-    from ..storage import StateStore
+    from ..storage import (
+        SnapshotIntegrityError,
+        StateStore,
+        UnsupportedSnapshotError,
+        read_manifest,
+    )
     from .audit import InvariantAuditor
 
     state_dir = Path(state_dir)
@@ -123,7 +130,12 @@ def run_doctor(state_dir, *, log=NULL_LOGGER) -> DoctorReport:
     readable = {manifest.directory for manifest in manifests}
     for path in sorted(snapshots_root.glob("snap-*")):
         if path.is_dir() and path not in readable:
-            problems.append(f"{path.name}: unreadable or missing manifest")
+            try:
+                read_manifest(path)
+            except UnsupportedSnapshotError as exc:
+                problems.append(f"{path.name}: {exc}")
+            except SnapshotIntegrityError:
+                problems.append(f"{path.name}: unreadable or missing manifest")
     if not manifests:
         problems.append(f"no restorable snapshots under {snapshots_root}")
         return report
@@ -142,7 +154,7 @@ def run_doctor(state_dir, *, log=NULL_LOGGER) -> DoctorReport:
         if not segment_problems:
             clean.append(manifest)
     if not clean:
-        problems.append("every snapshot failed integrity verification")
+        problems.append("no snapshot passed verification; nothing to restore")
         return report
 
     newest = clean[-1]

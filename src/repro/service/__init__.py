@@ -9,7 +9,12 @@ for the query catalogue and the ``query``/``serve`` CLI commands for
 the command-line surface.
 """
 
-from .aggregates import ClusterAggregateView, RankIndex
+from .aggregates import (
+    AggregatesBehindError,
+    AggregateSurface,
+    ClusterAggregateView,
+    RankIndex,
+)
 from .cache import QueryCache
 from .queries import (
     ClusterRanking,
@@ -23,6 +28,8 @@ from .views import ActivityView, BalanceView, ClusterActivity, TaintCase, TaintV
 
 __all__ = [
     "ActivityView",
+    "AggregateSurface",
+    "AggregatesBehindError",
     "BalanceView",
     "ClusterActivity",
     "ClusterAggregateView",

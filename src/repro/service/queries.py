@@ -25,41 +25,30 @@ kind                 args                        answer
 The cluster kinds (``cluster_of``, ``cluster_balance``,
 ``top_clusters``, ``cluster_profile``) accept one optional trailing
 ``height`` argument — ``Query("top_clusters", (10, "size", 420))`` asks
-the question *as of block 420*.  Historical horizons are served by
-replaying the aggregate view's per-height delta log forward from the
-nearest materialized checkpoint
-(:meth:`~repro.service.aggregates.ClusterAggregateView.horizon`);
-when the view is absent or its log does not reach back that far, the
-batch ``_agg`` rebuild runs against the partition-as-of-``h``
-(:meth:`~repro.core.incremental.IncrementalClusteringEngine.cluster_as_of`),
-cached under ``(h, _agg:*)`` — history is immutable, so those entries
-never go stale.
+the question *as of block 420*.
 
-:class:`QueryEngine` answers them from the service's warm views.  Every
-answer is memoized in the height-keyed LRU
+:class:`QueryEngine` answers them from the service's warm views.  The
+cluster kinds have one read path: resolve the height (default: the
+tip), take the aggregate view's surface there
+(:meth:`~repro.service.aggregates.ClusterAggregateView.at` — the tip
+state at the tip, a replay of the per-height delta log below it), and
+read the answer off it.  A question about a height the view has not
+folded (it is detached, or a subscriber failed before it) is refused
+with :class:`~repro.service.aggregates.AggregatesBehindError`; there is
+no second way to compute a cluster answer.
+
+Every answer is memoized in the height-keyed LRU
 (:class:`~repro.service.cache.QueryCache`), so repeats against an
 unchanged tip are dictionary hits and a new block invalidates by
-construction.
+construction.  :meth:`QueryEngine.answer_many` additionally groups a
+batch by kind so same-view queries run back to back.
 
 Cluster ids in answers are **canonical**: a cluster is identified by
 its minimum member address id (dense first-sight interned ids, so this
 is the cluster's earliest-seen address).  Canonical ids depend only on
-the partition — not on union order, restores, or which maintenance
-path produced the answer — which keeps ranking tie-breaks stable and
-makes the differential and batch paths byte-comparable.
-
-Cluster-level questions are served, whenever the service's
-:class:`~repro.service.aggregates.ClusterAggregateView` is live at the
-tip, straight from its differentially maintained per-cluster state and
-rank indexes — O(answer) per query, O(block churn + merges) per block.
-When the view is absent or behind the tip (detached, or a historical
-horizon below its live height), the engine falls back to the batch
-rebuild: whole-partition aggregates (cluster balances, activity,
-canonical ids, names) cached under reserved ``_agg:*`` queries, with
-one shared :class:`ClusterRanking` per ``(height, metric)`` under
-``_agg:ranking:*``.  :meth:`QueryEngine.answer_many` additionally
-groups a batch by kind so same-view queries share one round of
-partition/view lookups.
+the partition — not on union order, restores, or which height's state
+produced the answer — which keeps ranking tie-breaks stable and makes
+answers repr-comparable against a batch re-clustering.
 
 Answers are plain data and must be treated as immutable — they are
 shared by every caller that hits the same cache entry.
@@ -200,8 +189,8 @@ class QueryEngine:
         confidence, address]``.  Lazily built; ids are interned once per
         address ever (first-sight, stable), so each name build only
         re-checks entries whose addresses were still unseen.  The order
-        is preserved so confidence sums accumulate exactly like the
-        batch path's ``all_tags`` walk."""
+        is preserved so confidence sums accumulate exactly like an
+        ``all_tags`` walk."""
         self._tag_unresolved = 0
         """Count of entries with a still-``None`` id."""
         self._tag_count = -1
@@ -210,16 +199,12 @@ class QueryEngine:
         can land mid-``all_tags``-order) — entries and the incremental
         naming state are rebuilt from scratch."""
         self._naming_state: dict | None = None
-        """Incremental cluster-name state for the live-view path:
-        per-entry last-resolved base roots and canonical ids, the
-        ``cid -> sorted entry indices`` grouping, and the served name
-        map.  Re-validated per height against the view's dirty-root
-        drain, so a height without cid-moving churn serves the previous
-        map untouched."""
+        """The tip's cluster-name state (:meth:`_name_state`), patched
+        per height by :meth:`_build_cluster_names`."""
         self._naming_cursor = None
         """This engine's :class:`~repro.service.aggregates.DirtyRootCursor`
         on the aggregate view's dirty-root feed.  Registered lazily on
-        the first live name build, so an engine that never names
+        the first tip name build, so an engine that never names
         clusters costs the view nothing — and other consumers (the
         auditor) drain their own cursors without starving this one."""
 
@@ -286,20 +271,17 @@ class QueryEngine:
         having drained yet, and an epoch-free key would keep serving
         the pre-merge name from the cache at an unchanged tip."""
         kind = query.kind
+        service = self.service
         if kind == "trace_taint":
             return (
-                self.service.height,
-                self.service.taint.epoch,
-                self._naming_epoch(),
+                service.height,
+                service.taint.epoch,
+                service.aggregates.naming_epoch,
                 query,
             )
         if kind in ("top_clusters", "cluster_profile"):
-            return (self.service.height, self._naming_epoch(), query)
-        return (self.service.height, query)
-
-    def _naming_epoch(self) -> int:
-        view = self.service.aggregates
-        return view.naming_epoch if view is not None else 0
+            return (service.height, service.aggregates.naming_epoch, query)
+        return (service.height, query)
 
     def answer_many(
         self, queries: list[Query], *, request_id: str | None = None
@@ -307,12 +289,10 @@ class QueryEngine:
         """Answer a batch; answers come back in input order.
 
         Same-view queries are grouped by kind so each kind's shared
-        state (the tip partition, the per-height cluster aggregates) is
-        built exactly once, by the group's first miss, before its
-        siblings run — the amortization itself is the `_agg:*` / engine
-        memoization, so interleaved :meth:`answer` calls converge to
-        the same cost; grouping just makes the build order
-        deterministic.
+        state (the aggregate flush, the height's cluster-name map) is
+        built by the group's first miss before its siblings run —
+        interleaved :meth:`answer` calls converge to the same cost;
+        grouping just makes the build order deterministic.
 
         Every dispatch carries one shared ``request_id`` (minted here
         when the caller passes none) so a batch's flight-recorder spans
@@ -330,70 +310,25 @@ class QueryEngine:
                 )
         return answers
 
-    # -- differential fast path ----------------------------------------
+    # -- the one cluster read path -------------------------------------
 
-    def _live_aggregates(self):
-        """The service's differential cluster-aggregate view, when it is
-        live at the tip — otherwise ``None`` and cluster answers fall
-        back to the batch ``_agg`` rebuild (the only remaining use of
-        that path: views that are detached or behind the tip, i.e.
-        historical horizons below the view's live height)."""
-        view = self.service.aggregates
-        if view is not None and view.height == self.service.height:
-            return view
-        return None
+    def _surface(self, args: tuple, arity: int):
+        """The aggregate surface a cluster query reads: at its optional
+        trailing height (validated: an int in ``0..tip``), else at the
+        tip.  Raises :class:`~repro.service.aggregates.AggregatesBehindError`
+        when the view has not folded that height."""
+        tip = height = self.service.height
+        if len(args) > arity:
+            height = args[arity]
+            if not isinstance(height, int) or isinstance(height, bool):
+                raise ValueError(
+                    f"horizon height must be an int, got {height!r}"
+                )
+            if not 0 <= height <= tip:
+                raise ValueError(f"horizon height {height} outside 0..{tip}")
+        return self.service.aggregates.at(height)
 
-    # -- cached whole-partition aggregates (batch fallback) ------------
-
-    def _aggregate(self, name: str, build):
-        cache = self.service.cache
-        key = (self.service.height, Query(f"_agg:{name}"))
-        found, value = cache.lookup(key)
-        if found:
-            return value
-        value = build()
-        cache.put(key, value)
-        return value
-
-    def _cluster_balances(self) -> dict[int, int]:
-        return self._aggregate(
-            "cluster_balances",
-            lambda: self.service.balances.cluster_balances(
-                self.service.clustering.uf
-            ),
-        )
-
-    def _cluster_activity(self):
-        return self._aggregate(
-            "cluster_activity",
-            lambda: self.service.activity.cluster_activity(
-                self.service.clustering.uf
-            ),
-        )
-
-    def _canonical(self) -> dict[int, int]:
-        """Batch fallback: partition root -> canonical cluster id."""
-        return self._aggregate("canonical", self._build_canonical)
-
-    def _build_canonical(self) -> dict[int, int]:
-        find_root = self.service.clustering.uf.find_root
-        canonical: dict[int, int] = {}
-        for ident in range(len(self.service.clustering.uf)):
-            root = find_root(ident)
-            if root not in canonical:
-                # Ids ascend, so a root's first member is its minimum.
-                canonical[root] = ident
-        return canonical
-
-    def _cluster_names(self) -> dict[int, str] | None:
-        """``canonical id -> name`` at the tip, or ``None`` without tags.
-
-        Same winner rule as :class:`~repro.tagging.naming.ClusterNaming`
-        (both apply :func:`~repro.tagging.naming.ranked_entities`'s
-        ordering — here via its single-winner form
-        :func:`~repro.tagging.naming.top_entity`), keyed by canonical
-        cluster id so both maintenance paths serve identical names."""
-        return self._aggregate("cluster_names", self._build_cluster_names)
+    # -- cluster names -------------------------------------------------
 
     def _resolved_tags(self) -> tuple[list[list], list[int]]:
         """Every tag as ``[address id | None, entity, confidence,
@@ -422,10 +357,12 @@ class QueryEngine:
         return entries, fresh
 
     def _name_of_entries(self, indices: list[int], entries: list[list]) -> str:
-        """Winner entity over one cluster's tag entries.
+        """Winner entity over one cluster's tag entries — the rule of
+        :class:`~repro.tagging.naming.ClusterNaming` in its
+        single-winner form :func:`~repro.tagging.naming.top_entity`.
 
         ``indices`` ascend, so confidence sums accumulate in ``all_tags``
-        order — bit-identical to the batch path's full walk."""
+        order whichever builder grouped them."""
         weights: dict[str, float] = {}
         for position in indices:
             entry = entries[position]
@@ -433,59 +370,69 @@ class QueryEngine:
             weights[entity] = weights.get(entity, 0.0) + entry[2]
         return top_entity(weights)
 
-    def _build_cluster_names(self) -> dict[int, str] | None:
+    def _name_state(self, surface, entries: list[list]) -> dict:
+        """A from-scratch name map over ``surface``: per entry its base
+        root and canonical id there, the ``cid -> ascending entry
+        indices`` grouping, and the ``cid -> name`` map."""
+        roots: list[int | None] = []
+        cids: list[int | None] = []
+        by_cid: dict[int, list[int]] = {}
+        placements = surface.cluster_placements_of(
+            entry[0] for entry in entries
+        )
+        for position, placed in enumerate(placements):
+            root, cid = placed if placed is not None else (None, None)
+            roots.append(root)
+            cids.append(cid)
+            if cid is not None:
+                by_cid.setdefault(cid, []).append(position)
+        names = {
+            cid: self._name_of_entries(indices, entries)
+            for cid, indices in by_cid.items()
+        }
+        return {"roots": roots, "cids": cids, "by_cid": by_cid, "names": names}
+
+    def _cluster_names(self, surface) -> dict[int, str] | None:
+        """``canonical id -> name`` at the surface's height, or ``None``
+        without tags; memoized per height in the query cache.
+
+        Below the tip the map is built from scratch, once: history is
+        immutable, so the entry serves every later tip (its key carries
+        the tag count so tags added later re-enter history).  At the
+        tip the previous height's map is patched
+        (:meth:`_build_cluster_names`)."""
         tags = self.service.tags
         if tags is None:
             return None
-        view = self._live_aggregates()
-        if view is None:
-            canonical = self._canonical()
-            find_root = self.service.clustering.uf.find_root
-            weights: dict[int, dict[str, float]] = {}
-            for tag in tags.all_tags():
-                root = find_root(tag.address)
-                if root is None:
-                    continue
-                cluster_id = canonical[root]
-                entity_weights = weights.setdefault(cluster_id, {})
-                entity_weights[tag.entity] = (
-                    entity_weights.get(tag.entity, 0.0) + tag.confidence
-                )
-            return {
-                cluster_id: top_entity(entity_weights)
-                for cluster_id, entity_weights in weights.items()
-            }
+        at_tip = surface.height == self.service.height
+        name = "cluster_names" if at_tip else f"cluster_names:{len(tags)}"
+        cache = self.service.cache
+        key = (surface.height, Query(f"_agg:{name}"))
+        found, names = cache.lookup(key)
+        if not found:
+            if at_tip:
+                names = self._build_cluster_names(surface)
+            else:
+                names = self._name_state(surface, self._resolved_tags()[0])[
+                    "names"
+                ]
+            cache.put(key, names)
+        return names
 
+    def _build_cluster_names(self, surface) -> dict[int, str]:
+        """The tip's name map, patched from the last height's: only
+        entries whose base root the view's dirty-root drain reported
+        (or whose address was just seen) are re-resolved, so a height
+        without id-moving churn serves the previous map untouched."""
+        view = self.service.aggregates
         entries, fresh = self._resolved_tags()
         if self._naming_cursor is None:
             self._naming_cursor = view.naming_cursor()
         dirty = view.drain_naming_dirty(self._naming_cursor)
         state = self._naming_state
         if state is None:
-            placements = view.cluster_placements_of(
-                entry[0] for entry in entries
-            )
-            roots: list[int | None] = []
-            cids: list[int | None] = []
-            by_cid: dict[int, list[int]] = {}
-            for position, placed in enumerate(placements):
-                if placed is None:
-                    roots.append(None)
-                    cids.append(None)
-                    continue
-                root, cid = placed
-                roots.append(root)
-                cids.append(cid)
-                by_cid.setdefault(cid, []).append(position)
-            names = {
-                cid: self._name_of_entries(indices, entries)
-                for cid, indices in by_cid.items()
-            }
-            self._naming_state = {
-                "roots": roots, "cids": cids, "by_cid": by_cid,
-                "names": names,
-            }
-            return names
+            state = self._naming_state = self._name_state(surface, entries)
+            return state["names"]
 
         roots = state["roots"]
         cids = state["cids"]
@@ -498,7 +445,7 @@ class QueryEngine:
         if not affected:
             return state["names"]
         affected = sorted(set(affected))
-        placements = view.cluster_placements_of(
+        placements = surface.cluster_placements_of(
             entries[position][0] for position in affected
         )
         changed_cids: set[int] = set()
@@ -530,314 +477,23 @@ class QueryEngine:
         state["names"] = names
         return names
 
-    def _ranking(self, by: str) -> ClusterRanking:
-        """The shared per-height sorted index for one metric."""
-        if by not in TOP_CLUSTER_METRICS:
-            raise ValueError(
-                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
-            )
-        return self._aggregate(f"ranking:{by}", lambda: self._build_ranking(by))
-
-    def _build_ranking(self, by: str) -> ClusterRanking:
-        view = self._live_aggregates()
-        if view is not None:
-            return view.ranking(by)
-        canonical = self._canonical()
-        if by == "size":
-            metric = self.service.clustering.component_sizes()
-        elif by == "balance":
-            metric = self._cluster_balances()
-        else:  # activity
-            metric = {
-                root: activity.tx_count
-                for root, activity in self._cluster_activity().items()
-            }
-        order = tuple(
-            sorted(
-                ((canonical[root], value) for root, value in metric.items()),
-                key=lambda kv: (-kv[1], kv[0]),
-            )
-        )
-        rank_of = {cid: rank for rank, (cid, _value) in enumerate(order, 1)}
-        return ClusterRanking(order=order, rank_of=rank_of)
-
-    # -- historical horizons (h < tip) ---------------------------------
-
-    def _historical_height(self, args: tuple, arity: int) -> int | None:
-        """The optional trailing horizon height of ``args``, validated.
-
-        Returns ``None`` for tip questions — both the plain
-        ``arity``-argument form and an explicit ``h == tip`` (the tip
-        fast path serves those).  Raises ``ValueError`` outside
-        ``0..tip``.
-        """
-        if len(args) <= arity:
-            return None
-        height = args[arity]
-        tip = self.service.height
-        if not isinstance(height, int) or isinstance(height, bool):
-            raise ValueError(
-                f"horizon height must be an int, got {height!r}"
-            )
-        if not 0 <= height <= tip:
-            raise ValueError(f"horizon height {height} outside 0..{tip}")
-        return None if height == tip else height
-
-    def _horizon_view(self, height: int):
-        """Replayed aggregate state at ``height``
-        (:class:`~repro.service.aggregates.HorizonAggregates`), or
-        ``None`` when the view is absent or its delta log does not
-        reach back that far — then the batch ``_agg@h`` rebuild runs."""
-        view = self.service.aggregates
-        if view is not None and view.covers(height):
-            return view.horizon(height)
-        return None
-
-    def _aggregate_at(self, height: int, name: str, build):
-        """Like :meth:`_aggregate`, but keyed at the *horizon* height:
-        history is immutable, so an ``_agg@h`` entry built once serves
-        every later tip without invalidation."""
-        cache = self.service.cache
-        key = (height, Query(f"_agg:{name}"))
-        found, value = cache.lookup(key)
-        if found:
-            return value
-        value = build()
-        cache.put(key, value)
-        return value
-
-    def _clustering_at(self, height: int):
-        return self.service.engine.cluster_as_of(height)
-
-    def _canonical_at(self, height: int) -> dict[int, int]:
-        """Batch fallback at ``height``: root -> canonical cluster id."""
-
-        def build() -> dict[int, int]:
-            uf = self._clustering_at(height).uf
-            find_root = uf.find_root
-            canonical: dict[int, int] = {}
-            for ident in range(len(uf)):
-                root = find_root(ident)
-                if root not in canonical:
-                    # Ids ascend, so a root's first member is its minimum.
-                    canonical[root] = ident
-            return canonical
-
-        return self._aggregate_at(height, "canonical", build)
-
-    def _address_balances_at(self, height: int) -> dict[int, int]:
-        """``address id -> balance`` after block ``height`` (nonzero
-        entries only), re-summed from the balance view's event log —
-        the same per-height ``(ids, values)`` records the time-travel
-        replay folds, applied here without aggregate state."""
-
-        def build() -> dict[int, int]:
-            events_at = self.service.balances.events_at
-            balances: dict[int, int] = {}
-            for h in range(height + 1):
-                for ident, change in events_at(h):
-                    total = balances.get(ident, 0) + change
-                    if total:
-                        balances[ident] = total
-                    else:
-                        balances.pop(ident, None)
-            return balances
-
-        return self._aggregate_at(height, "address_balances", build)
-
-    def _cluster_balances_at(self, height: int) -> dict[int, int]:
-        def build() -> dict[int, int]:
-            find_root = self._clustering_at(height).uf.find_root
-            out: dict[int, int] = {}
-            for ident, balance in sorted(
-                self._address_balances_at(height).items()
-            ):
-                root = find_root(ident)
-                if root is None:
-                    continue
-                out[root] = out.get(root, 0) + balance
-            return out
-
-        return self._aggregate_at(height, "cluster_balances", build)
-
-    def _address_activity_at(self, height: int):
-        """Per-address ``(tx counts, first seen, last seen)`` dicts at
-        ``height``, re-walked from the chain's block deltas (the same
-        involvement multiset :class:`~repro.service.views.ActivityView`
-        scatters at the tip)."""
-
-        def build():
-            block_delta = self.service.index.block_delta
-            counts: dict[int, int] = {}
-            first: dict[int, int] = {}
-            last: dict[int, int] = {}
-            for h in range(height + 1):
-                for ident in block_delta(h).involved_flat.tolist():
-                    counts[ident] = counts.get(ident, 0) + 1
-                    if ident not in first:
-                        first[ident] = h
-                    last[ident] = h
-            return counts, first, last
-
-        return self._aggregate_at(height, "address_activity", build)
-
-    def _cluster_activity_at(self, height: int) -> dict[int, ClusterActivity]:
-        def build() -> dict[int, ClusterActivity]:
-            find_root = self._clustering_at(height).uf.find_root
-            counts, first, last = self._address_activity_at(height)
-            agg_counts: dict[int, int] = {}
-            agg_first: dict[int, int] = {}
-            agg_last: dict[int, int] = {}
-            for ident in sorted(counts):
-                root = find_root(ident)
-                if root is None:
-                    continue
-                agg_counts[root] = agg_counts.get(root, 0) + counts[ident]
-                seen_first = first[ident]
-                seen_last = last[ident]
-                if root not in agg_first or seen_first < agg_first[root]:
-                    agg_first[root] = seen_first
-                if root not in agg_last or seen_last > agg_last[root]:
-                    agg_last[root] = seen_last
-            return {
-                root: ClusterActivity(
-                    tx_count=agg_counts[root],
-                    first_seen=agg_first[root],
-                    last_seen=agg_last[root],
-                )
-                for root in agg_counts
-            }
-
-        return self._aggregate_at(height, "cluster_activity", build)
-
-    def _ranking_at(self, height: int, by: str) -> ClusterRanking:
-        if by not in TOP_CLUSTER_METRICS:
-            raise ValueError(
-                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
-            )
-
-        def build() -> ClusterRanking:
-            canonical = self._canonical_at(height)
-            if by == "size":
-                metric = self._clustering_at(height).component_sizes()
-            elif by == "balance":
-                metric = self._cluster_balances_at(height)
-            else:  # activity
-                metric = {
-                    root: activity.tx_count
-                    for root, activity in self._cluster_activity_at(
-                        height
-                    ).items()
-                }
-            order = tuple(
-                sorted(
-                    (
-                        (canonical[root], value)
-                        for root, value in metric.items()
-                    ),
-                    key=lambda kv: (-kv[1], kv[0]),
-                )
-            )
-            rank_of = {
-                cid: rank for rank, (cid, _value) in enumerate(order, 1)
-            }
-            return ClusterRanking(order=order, rank_of=rank_of)
-
-        return self._aggregate_at(height, f"ranking:{by}", build)
-
-    def _cluster_names_at(self, height: int) -> dict[int, str] | None:
-        """``canonical id -> name`` at ``height``, or ``None`` without
-        tags.  With a covering horizon the map is a replay: tag ids go
-        through the horizon's cached ``(root, cid)`` placements instead
-        of an O(tags) partition walk.  The cache key carries the tag
-        count so tags added after the first build re-enter history."""
-        tags = self.service.tags
-        if tags is None:
-            return None
-
-        def build() -> dict[int, str]:
-            entries, _fresh = self._resolved_tags()
-            hz = self._horizon_view(height)
-            if hz is not None:
-                placements = hz.cluster_placements_of(
-                    entry[0] for entry in entries
-                )
-                by_cid: dict[int, list[int]] = {}
-                for position, placed in enumerate(placements):
-                    if placed is not None:
-                        by_cid.setdefault(placed[1], []).append(position)
-                return {
-                    cid: self._name_of_entries(indices, entries)
-                    for cid, indices in by_cid.items()
-                }
-            canonical = self._canonical_at(height)
-            find_root = self._clustering_at(height).uf.find_root
-            weights: dict[int, dict[str, float]] = {}
-            for tag in tags.all_tags():
-                root = find_root(tag.address)
-                if root is None:
-                    continue
-                entity_weights = weights.setdefault(canonical[root], {})
-                entity_weights[tag.entity] = (
-                    entity_weights.get(tag.entity, 0.0) + tag.confidence
-                )
-            return {
-                cid: top_entity(entity_weights)
-                for cid, entity_weights in weights.items()
-            }
-
-        return self._aggregate_at(
-            height, f"cluster_names:{len(tags)}", build
-        )
-
     # -- handlers ------------------------------------------------------
 
     def _answer_cluster_of(self, query: Query):
-        address = query.args[0]
-        height = self._historical_height(query.args, 1)
-        if height is not None:
-            hz = self._horizon_view(height)
-            if hz is not None:
-                ident = self.service.index.interner.id_of(address)
-                return hz.cluster_id_of(ident)
-            root = self._clustering_at(height).uf.find_root(address)
-            return None if root is None else self._canonical_at(height)[root]
-        view = self._live_aggregates()
-        if view is not None:
-            ident = self.service.index.interner.id_of(address)
-            return view.cluster_id_of(ident)
-        root = self.service.clustering.cluster_of(address)
-        return None if root is None else self._canonical()[root]
+        surface = self._surface(query.args, 1)
+        ident = self.service.index.interner.id_of(query.args[0])
+        return surface.cluster_id_of(ident)
 
     def _answer_balance_of(self, query: Query):
         return self.service.balances.balance_of(query.args[0])
 
     def _answer_cluster_balance(self, query: Query):
-        address = query.args[0]
-        height = self._historical_height(query.args, 1)
-        if height is not None:
-            hz = self._horizon_view(height)
-            if hz is not None:
-                ident = self.service.index.interner.id_of(address)
-                cluster_id = hz.cluster_id_of(ident)
-                if cluster_id is None:
-                    return None
-                return hz.balance_of_cluster(cluster_id)
-            root = self._clustering_at(height).uf.find_root(address)
-            if root is None:
-                return None
-            return self._cluster_balances_at(height).get(root, 0)
-        view = self._live_aggregates()
-        if view is not None:
-            ident = self.service.index.interner.id_of(address)
-            cluster_id = view.cluster_id_of(ident)
-            if cluster_id is None:
-                return None
-            return view.balance_of_cluster(cluster_id)
-        root = self.service.clustering.cluster_of(address)
-        if root is None:
+        surface = self._surface(query.args, 1)
+        ident = self.service.index.interner.id_of(query.args[0])
+        cluster_id = surface.cluster_id_of(ident)
+        if cluster_id is None:
             return None
-        return self._cluster_balances().get(root, 0)
+        return surface.balance_of_cluster(cluster_id)
 
     def _answer_trace_taint(self, query: Query):
         if query.args[0] not in self.service.taint.labels:
@@ -856,138 +512,51 @@ class QueryEngine:
 
     def _answer_top_clusters(self, query: Query):
         n, by = query.args[0], query.args[1]
-        height = self._historical_height(query.args, 2)
-        if height is not None:
-            names = self._cluster_names_at(height)
-            hz = self._horizon_view(height)
-            entries = (
-                hz.top(n, by)
-                if hz is not None
-                else self._ranking_at(height, by).top(n)
-            )
-            return tuple(
-                (
-                    cluster_id,
-                    value,
-                    names.get(cluster_id) if names is not None else None,
-                )
-                for cluster_id, value in entries
-            )
-        names = self._cluster_names()
-        view = self._live_aggregates()
-        entries = view.top(n, by) if view is not None else self._ranking(by).top(n)
+        surface = self._surface(query.args, 2)
+        names = self._cluster_names(surface)
         return tuple(
             (
                 cluster_id,
                 value,
                 names.get(cluster_id) if names is not None else None,
             )
-            for cluster_id, value in entries
+            for cluster_id, value in surface.top(n, by)
         )
 
     def _answer_cluster_profile(self, query: Query):
         address = query.args[0]
         service = self.service
+        surface = self._surface(query.args, 1)
         ident = service.index.interner.id_of(address)
-        if ident is None:
+        cluster_id = surface.cluster_id_of(ident)
+        if cluster_id is None:
             return None
-        height = self._historical_height(query.args, 1)
-        if height is not None:
-            return self._profile_at(height, address, ident)
-        view = self._live_aggregates()
-        if view is not None:
-            cluster_id = view.cluster_id_of(ident)
-            if cluster_id is None:
-                return None
-            cluster_size = view.size_of_cluster(cluster_id)
-            cluster_balance = view.balance_of_cluster(cluster_id)
-            cluster_activity = view.activity_of_cluster(cluster_id)
-            cluster_rank = view.rank_of("size", cluster_id)
+        # The address's own fields: the sibling views hold them at the
+        # tip, the replayed state below it.
+        if surface.height == service.height:
+            balances, activity = service.balances, service.activity
         else:
-            clustering = service.clustering
-            root = clustering.uf.find_root(ident)
-            if root is None:
-                return None
-            cluster_id = self._canonical()[root]
-            cluster_size = clustering.uf.size_of(root)
-            cluster_balance = self._cluster_balances().get(root, 0)
-            cluster_activity = self._cluster_activity().get(root)
-            cluster_rank = self._ranking("size").rank_of.get(cluster_id)
-        seen = service.activity.seen_range_of_id(ident)
-        names = self._cluster_names()
+            balances = activity = surface
+        cluster_activity = surface.activity_of_cluster(cluster_id)
+        seen = activity.seen_range_of_id(ident)
+        names = self._cluster_names(surface)
         return {
             "address": address,
             "address_id": ident,
             "cluster": cluster_id,
-            "cluster_size": cluster_size,
-            "balance": service.balances.balance_of_id(ident),
-            "cluster_balance": cluster_balance,
-            "tx_count": service.activity.tx_count_of_id(ident),
+            "cluster_size": surface.size_of_cluster(cluster_id),
+            "balance": balances.balance_of_id(ident),
+            "cluster_balance": surface.balance_of_cluster(cluster_id),
+            "tx_count": activity.tx_count_of_id(ident),
             "first_seen": seen[0] if seen else None,
             "last_seen": seen[1] if seen else None,
             "cluster_tx_count": (
                 cluster_activity.tx_count if cluster_activity else 0
             ),
-            "cluster_rank": cluster_rank,
+            "cluster_rank": surface.rank_of("size", cluster_id),
             "name": (
                 names.get(cluster_id) if names is not None else None
             ),
-        }
-
-    def _profile_at(self, height: int, address: str, ident: int):
-        """The historical ``cluster_profile`` body: same keys as the
-        tip answer, every field as of ``height``."""
-        names = self._cluster_names_at(height)
-        hz = self._horizon_view(height)
-        if hz is not None:
-            cluster_id = hz.cluster_id_of(ident)
-            if cluster_id is None:
-                return None
-            cluster_activity = hz.activity_of_cluster(cluster_id)
-            seen = hz.seen_range_of_id(ident)
-            return {
-                "address": address,
-                "address_id": ident,
-                "cluster": cluster_id,
-                "cluster_size": hz.size_of_cluster(cluster_id),
-                "balance": hz.balance_of_id(ident),
-                "cluster_balance": hz.balance_of_cluster(cluster_id),
-                "tx_count": hz.tx_count_of_id(ident),
-                "first_seen": seen[0] if seen else None,
-                "last_seen": seen[1] if seen else None,
-                "cluster_tx_count": (
-                    cluster_activity.tx_count if cluster_activity else 0
-                ),
-                "cluster_rank": hz.rank_of("size", cluster_id),
-                "name": (
-                    names.get(cluster_id) if names is not None else None
-                ),
-            }
-        clustering = self._clustering_at(height)
-        root = clustering.uf.find_root(ident)
-        if root is None:
-            return None
-        cluster_id = self._canonical_at(height)[root]
-        counts, first, last = self._address_activity_at(height)
-        cluster_activity = self._cluster_activity_at(height).get(root)
-        seen = (first[ident], last[ident]) if ident in first else None
-        return {
-            "address": address,
-            "address_id": ident,
-            "cluster": cluster_id,
-            "cluster_size": clustering.uf.size_of(root),
-            "balance": self._address_balances_at(height).get(ident, 0),
-            "cluster_balance": self._cluster_balances_at(height).get(root, 0),
-            "tx_count": counts.get(ident, 0),
-            "first_seen": seen[0] if seen else None,
-            "last_seen": seen[1] if seen else None,
-            "cluster_tx_count": (
-                cluster_activity.tx_count if cluster_activity else 0
-            ),
-            "cluster_rank": self._ranking_at(height, "size").rank_of.get(
-                cluster_id
-            ),
-            "name": names.get(cluster_id) if names is not None else None,
         }
 
     _HANDLERS = {

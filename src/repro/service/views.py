@@ -49,7 +49,7 @@ from ..analysis.taint import TaintResult, TaintTracker, taint_step
 from ..chain.delta import BlockDelta
 from ..chain.index import ChainIndex
 from ..chain.model import OutPoint
-from ..core.arrays import IntVector, as_int64
+from ..core.arrays import IntVector
 from ..obs import NULL_REGISTRY
 
 
@@ -151,8 +151,8 @@ class BalanceView(MaterializedView):
     iterating every address record and every block per call, the
     analyzer replays this view's compact event log (pass the view via
     ``BalanceAnalyzer(..., view=...)``).  Point queries
-    (:meth:`balance_of`, :meth:`cluster_balances`) read the dense
-    balance array directly.
+    (:meth:`balance_of`, :meth:`balance_of_id`) read the dense balance
+    array directly.
 
     The fold is kernelized by default: one ``np.add.at`` scatter of the
     delta's columnar event buffers into an :class:`IntVector` grown once
@@ -236,31 +236,15 @@ class BalanceView(MaterializedView):
         use_kernels: bool = True,
         metrics=None,
     ) -> "BalanceView":
-        """Rebuild a view from :meth:`export_state` output, no catch-up.
-
-        Accepts both the version-2 bytes shape and the pre-columnar
-        version-1 list shape, so old snapshots stay restorable.
-        """
+        """Rebuild a view from :meth:`export_state` output, no catch-up."""
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
         view._use_kernels = use_kernels
-        if state.get("version", 1) >= 2:
-            view._balances = IntVector.from_bytes(state["balances"])
-            view._events = [
-                (_frombytes(ids), _frombytes(values))
-                for ids, values in zip(
-                    state["events_ids"], state["events_values"]
-                )
-            ]
-        else:
-            view._balances = IntVector.from_list(state["balances"])
-            view._events = [
-                (
-                    as_int64([event[0] for event in events]),
-                    as_int64([event[1] for event in events]),
-                )
-                for events in state["events"]
-            ]
+        view._balances = IntVector.from_bytes(state["balances"])
+        view._events = [
+            (_frombytes(ids), _frombytes(values))
+            for ids, values in zip(state["events_ids"], state["events_values"])
+        ]
         view._coinbase = list(state["coinbase"])
         view._supply = list(state["supply"])
         view._adopt(index, state["height"], follow)
@@ -296,28 +280,6 @@ class BalanceView(MaterializedView):
         """The ``(address id, delta)`` log for one height (Python ints)."""
         ids, values = self._events[height]
         return list(zip(ids.tolist(), values.tolist()))
-
-    def cluster_balances(self, partition) -> dict[int, int]:
-        """``cluster root -> summed member balance`` in one array pass.
-
-        ``partition`` is an
-        :class:`~repro.core.clustering.InternedPartition` (or anything
-        with an id-keyed ``find_root``); addresses the partition has not
-        seen keep their balance out of every cluster.
-        """
-        find_root = partition.find_root
-        out: dict[int, int] = {}
-        balances = self._balances.array
-        nonzero = np.nonzero(balances)[0]
-        for ident, balance in zip(
-            nonzero.tolist(), balances[nonzero].tolist()
-        ):
-            root = find_root(ident)
-            if root is None:
-                continue
-            out[root] = out.get(root, 0) + balance
-        return out
-
 
 @dataclass
 class TaintCase:
@@ -537,9 +499,9 @@ class ActivityView(MaterializedView):
     A transaction *involves* an address when the address appears among
     its resolved input senders or its outputs — the delta's
     pre-deduplicated :attr:`~repro.chain.delta.TxDelta.involved` list,
-    read here without allocating a per-tx set.  Per-cluster rollups
-    (:meth:`cluster_activity`) feed the service's ``top_clusters`` /
-    ``cluster_profile`` queries.
+    read here without allocating a per-tx set.  Per-cluster rollups of
+    the same involvement live in
+    :class:`~repro.service.aggregates.ClusterAggregateView`.
 
     Kernelized by default: incidence is one ``np.add.at`` scatter of
     the delta's flat per-tx involvement multiset, first/last-seen one
@@ -620,22 +582,13 @@ class ActivityView(MaterializedView):
         use_kernels: bool = True,
         metrics=None,
     ) -> "ActivityView":
-        """Rebuild a view from :meth:`export_state` output, no catch-up.
-
-        Accepts both the version-2 bytes shape and the pre-columnar
-        version-1 list shape, so old snapshots stay restorable.
-        """
+        """Rebuild a view from :meth:`export_state` output, no catch-up."""
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
         view._use_kernels = use_kernels
-        if state.get("version", 1) >= 2:
-            view._tx_counts = IntVector.from_bytes(state["tx_counts"])
-            view._first_seen = IntVector.from_bytes(state["first_seen"])
-            view._last_seen = IntVector.from_bytes(state["last_seen"])
-        else:
-            view._tx_counts = IntVector.from_list(state["tx_counts"])
-            view._first_seen = IntVector.from_list(state["first_seen"])
-            view._last_seen = IntVector.from_list(state["last_seen"])
+        view._tx_counts = IntVector.from_bytes(state["tx_counts"])
+        view._first_seen = IntVector.from_bytes(state["first_seen"])
+        view._last_seen = IntVector.from_bytes(state["last_seen"])
         view._adopt(index, state["height"], follow)
         return view
 
@@ -652,36 +605,3 @@ class ActivityView(MaterializedView):
         if 0 <= ident < len(self._first_seen) and self._first_seen[ident] >= 0:
             return self._first_seen[ident], self._last_seen[ident]
         return None
-
-    def cluster_activity(self, partition) -> dict[int, ClusterActivity]:
-        """``cluster root -> ClusterActivity`` in one array pass."""
-        find_root = partition.find_root
-        counts: dict[int, int] = {}
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        count_arr = self._tx_counts.array
-        first_arr = self._first_seen.array
-        last_arr = self._last_seen.array
-        nonzero = np.nonzero(count_arr)[0]
-        for ident, count, seen_first, seen_last in zip(
-            nonzero.tolist(),
-            count_arr[nonzero].tolist(),
-            first_arr[nonzero].tolist(),
-            last_arr[nonzero].tolist(),
-        ):
-            root = find_root(ident)
-            if root is None:
-                continue
-            counts[root] = counts.get(root, 0) + count
-            if root not in first or seen_first < first[root]:
-                first[root] = seen_first
-            if root not in last or seen_last > last[root]:
-                last[root] = seen_last
-        return {
-            root: ClusterActivity(
-                tx_count=counts[root],
-                first_seen=first[root],
-                last_seen=last[root],
-            )
-            for root in counts
-        }

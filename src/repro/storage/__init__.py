@@ -20,12 +20,16 @@ block 0 (``tests/storage/test_restore_equivalence.py`` asserts it at
 every snapshot height).
 """
 
-from .errors import NoSnapshotError, SnapshotIntegrityError, StorageError
+from .errors import (
+    NoSnapshotError,
+    SnapshotIntegrityError,
+    StorageError,
+    UnsupportedSnapshotError,
+)
 from .manifest import SnapshotManifest, read_manifest, write_manifest
 from .segments import read_segment, write_segment
 from .store import (
     COMPONENTS,
-    OPTIONAL_COMPONENTS,
     SnapshotPolicy,
     StateStore,
     WarmStart,
@@ -33,13 +37,13 @@ from .store import (
 
 __all__ = [
     "COMPONENTS",
-    "OPTIONAL_COMPONENTS",
     "NoSnapshotError",
     "SnapshotIntegrityError",
     "SnapshotManifest",
     "SnapshotPolicy",
     "StateStore",
     "StorageError",
+    "UnsupportedSnapshotError",
     "WarmStart",
     "read_manifest",
     "read_segment",

@@ -12,5 +12,12 @@ class SnapshotIntegrityError(StorageError):
     manifest — the snapshot must not be restored."""
 
 
+class UnsupportedSnapshotError(SnapshotIntegrityError):
+    """A snapshot is intact but in a layout this build does not restore
+    (an older manifest version, or no ``timetravel`` segment) — it must
+    not be restored either; re-ingesting from ``blk*.dat`` is the
+    remedy."""
+
+
 class NoSnapshotError(StorageError):
     """A restore was requested but the store holds no usable snapshot."""

@@ -22,25 +22,22 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import SnapshotIntegrityError
+from .errors import SnapshotIntegrityError, UnsupportedSnapshotError
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "repro-state-snapshot"
 MANIFEST_VERSION = 4
-"""Snapshot layout version.  2 added the ``aggregates`` segment (the
-differential cluster-aggregate view) and the engine's settled-label
-field; version-1 snapshots are rejected rather than part-restored.
-3 switched the dense per-id view/engine arrays to raw int64 bytes
-buffers inside the segments — the component ``from_state`` readers
-accept both shapes, so version-2 snapshots stay restorable
-(:data:`SUPPORTED_VERSIONS`).  4 added the *optional* ``timetravel``
-segment (the aggregate view's per-height delta log, horizon base, and
-checkpoint spine anchor); v2/v3 snapshots restore without it — the
-restored service re-seeds its time-travel base at the snapshot height
-instead of recovering the full historical log."""
+"""Snapshot layout version: eight segments (``store.COMPONENTS``), every
+dense per-id array a raw little-endian int64 buffer, and a
+``timetravel`` segment carrying the aggregate view's per-height delta
+log and its base state."""
 
-SUPPORTED_VERSIONS = frozenset({2, 3, MANIFEST_VERSION})
-"""Manifest versions :func:`read_manifest` accepts."""
+SUPPORTED_VERSIONS = frozenset({MANIFEST_VERSION})
+"""Manifest versions :func:`read_manifest` accepts.  Older layouts
+(list-shaped arrays, no delta log) are refused with
+:class:`~repro.storage.errors.UnsupportedSnapshotError`: there is one
+reader per segment, and the remedy for an old snapshot is a re-ingest
+from the block files."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,12 @@ def read_manifest(directory: str | os.PathLike[str]) -> SnapshotManifest:
     if raw.get("format") != MANIFEST_FORMAT:
         raise bad(f"unknown format {raw.get('format')!r}")
     if raw.get("format_version") not in SUPPORTED_VERSIONS:
-        raise bad(f"unsupported format version {raw.get('format_version')!r}")
+        raise UnsupportedSnapshotError(
+            f"manifest {path}: unrestorable — format version "
+            f"{raw.get('format_version')!r} found, this build restores "
+            f"version {MANIFEST_VERSION} only; re-ingest from blk*.dat and "
+            f"snapshot again"
+        )
     try:
         return SnapshotManifest(
             height=int(raw["height"]),

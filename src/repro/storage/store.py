@@ -41,7 +41,12 @@ from ..chain.blockfile import BlockFileReader
 from ..chain.index import ChainIndex
 from ..obs import NULL_LOGGER, NULL_REGISTRY
 from ..service.service import ForensicsService
-from .errors import NoSnapshotError, SnapshotIntegrityError, StorageError
+from .errors import (
+    NoSnapshotError,
+    SnapshotIntegrityError,
+    StorageError,
+    UnsupportedSnapshotError,
+)
 from .manifest import (
     MANIFEST_VERSION,
     SnapshotManifest,
@@ -61,15 +66,26 @@ COMPONENTS = (
     "activity",
     "taint",
     "service",
+    "timetravel",
 )
-"""Segment names, one per durable component of a forensics service."""
+"""Segment names, one per durable component of a forensics service
+(``timetravel`` is the aggregate view's per-height delta log)."""
 
-OPTIONAL_COMPONENTS = ("timetravel",)
-"""Segments a manifest may list but does not have to: ``timetravel``
-(manifest v4) carries the aggregate view's per-height delta log and
-horizon base.  A snapshot without it (v2/v3, or a view built with
-``time_travel=False``) restores fine — historical horizons below the
-snapshot height just fall back to the batch rebuild."""
+
+def _missing_segment(directory: Path, name: str) -> SnapshotIntegrityError:
+    """A manifest without ``name``.  Version-4 snapshots written while
+    the delta log was optional may lack ``timetravel``: intact, but not
+    restorable by this build."""
+    if name == "timetravel":
+        return UnsupportedSnapshotError(
+            f"snapshot {directory}: unrestorable — no 'timetravel' segment "
+            f"found (written without the aggregate delta log), this build "
+            f"restores only snapshots that carry it; re-ingest from "
+            f"blk*.dat and snapshot again"
+        )
+    return SnapshotIntegrityError(
+        f"snapshot {directory} lists no {name!r} segment"
+    )
 
 
 @contextmanager
@@ -127,11 +143,11 @@ class StateStore:
         """``clock`` stamps each manifest's ``created_unix`` — injected
         so tests can pin wall-clock fields; durations are always
         measured with the monotonic ``perf_counter`` regardless.
-        ``metrics`` is an optional
-        :class:`~repro.obs.MetricsRegistry` that receives
-        snapshot/restore timings, byte counts, and integrity failures.
-        ``log`` is an optional :class:`~repro.obs.EventLogger` that
-        records snapshot/restore events and integrity failures.
+        ``metrics`` is an optional :class:`~repro.obs.MetricsRegistry`
+        that receives snapshot/restore timings, byte counts, and
+        integrity failures.  ``log`` is an optional
+        :class:`~repro.obs.EventLogger` that records snapshot/restore
+        events and integrity failures.
         """
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -156,12 +172,6 @@ class StateStore:
         height = service.height
         if height < 0:
             raise StorageError("cannot snapshot a service with no blocks")
-        if service.aggregates is None:
-            raise StorageError(
-                "cannot snapshot a service built with "
-                "differential_aggregates=False; the aggregates segment "
-                "is part of the snapshot format"
-            )
         for name, component_height in (
             ("engine", service.engine.height),
             ("aggregates", service.aggregates.height),
@@ -227,7 +237,7 @@ class StateStore:
 
     @staticmethod
     def _write_segments(scratch: Path, service: ForensicsService) -> dict:
-        segments = {
+        return {
             "chain": write_segment(scratch, "chain", service.index.export_state()),
             "engine": write_segment(scratch, "engine", service.engine.export_state()),
             "aggregates": write_segment(
@@ -241,13 +251,10 @@ class StateStore:
             ),
             "taint": write_segment(scratch, "taint", service.taint.export_state()),
             "service": write_segment(scratch, "service", service.export_state()),
+            "timetravel": write_segment(
+                scratch, "timetravel", service.aggregates.export_time_travel()
+            ),
         }
-        timetravel = service.aggregates.export_time_travel()
-        if timetravel is not None:
-            segments["timetravel"] = write_segment(
-                scratch, "timetravel", timetravel
-            )
-        return segments
 
     # ------------------------------------------------------------------
     # discovery / retention
@@ -323,19 +330,7 @@ class StateStore:
                 for name in COMPONENTS:
                     record = snapshot.segments.get(name)
                     if record is None:
-                        raise SnapshotIntegrityError(
-                            f"snapshot {directory} lists no {name!r} segment"
-                        )
-                    states[name] = read_segment(
-                        directory / record["file"],
-                        expected_name=name,
-                        expected_sha256=record["sha256"],
-                    )
-                    total_bytes += record.get("bytes", 0)
-                for name in OPTIONAL_COMPONENTS:
-                    record = snapshot.segments.get(name)
-                    if record is None:
-                        continue  # pre-v4 snapshot, or time travel off
+                        raise _missing_segment(directory, name)
                     states[name] = read_segment(
                         directory / record["file"],
                         expected_name=name,
@@ -401,12 +396,10 @@ class StateStore:
         """
         directory = snapshot.directory
         problems: list[str] = []
-        for name in COMPONENTS + OPTIONAL_COMPONENTS:
+        for name in COMPONENTS:
             record = snapshot.segments.get(name)
             if record is None:
-                if name in OPTIONAL_COMPONENTS:
-                    continue  # pre-v4 snapshot, or time travel off
-                problems.append(f"manifest lists no {name!r} segment")
+                problems.append(str(_missing_segment(directory, name)))
                 continue
             try:
                 read_segment(
@@ -485,13 +478,15 @@ class SnapshotPolicy:
         if self._unsubscribe is not None:
             raise StorageError("policy is already attached")
 
-        def _on_block(block) -> None:
-            if (block.height + 1) % self.every == 0:
+        def _on_block(delta) -> None:
+            if (delta.height + 1) % self.every == 0:
                 self.store.snapshot(service)
                 self.snapshots_taken += 1
                 self.store.prune(self.retain)
 
-        self._unsubscribe = service.index.subscribe(_on_block)
+        self._unsubscribe = service.index.subscribe_deltas(
+            _on_block, name="snapshot-policy"
+        )
         return self
 
     def detach(self) -> None:

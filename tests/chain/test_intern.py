@@ -84,7 +84,9 @@ class TestObserverHook:
         source = build_chain([[], [], []])
         target = ChainIndex()
         heights: list[int] = []
-        unsubscribe = target.subscribe(lambda block: heights.append(block.height))
+        unsubscribe = target.subscribe_deltas(
+            lambda delta: heights.append(delta.block.height)
+        )
         target.add_block(source.block_at(0))
         target.add_block(source.block_at(1))
         assert heights == [0, 1]
@@ -98,6 +100,6 @@ class TestObserverHook:
         source = build_chain([[]])
         target = ChainIndex()
         counts: list[int] = []
-        target.subscribe(lambda block: counts.append(target.tx_count))
+        target.subscribe_deltas(lambda delta: counts.append(target.tx_count))
         target.add_block(source.block_at(0))
         assert counts == [1]  # the block's coinbase is already queryable

@@ -261,7 +261,7 @@ class TestMonotoneTimestamps:
         index = ChainIndex()
         IncrementalClusteringEngine(index)
         heights = []
-        index.subscribe(lambda block: heights.append(block.height))
+        index.subscribe_deltas(lambda delta: heights.append(delta.height))
         index.add_block(block0)
         with pytest.raises(Exception):
             index.add_block(block1)

@@ -285,3 +285,203 @@ def reference_block_from_bytes(data: bytes, *, height: int) -> Block:
     if reader.remaining:
         raise SerializationError(f"{reader.remaining} trailing bytes after block")
     return Block(header=header, transactions=txs, height=height)
+
+
+# ----------------------------------------------------------------------
+# reference cluster answers (the oracle for the service's cluster kinds)
+# ----------------------------------------------------------------------
+#
+# What ``ForensicsService`` must answer to ``cluster_of`` /
+# ``cluster_balance`` / ``top_clusters`` / ``cluster_profile`` at any
+# height, re-derived the long way: one batch
+# ``ClusteringEngine.cluster(as_of_height=h)`` for the partition, the
+# index's per-address receive/spend rows for every balance and
+# incidence, plain dicts and ``sorted`` for rollups and rankings.  No
+# cache, no shared state with the service, O(chain) per height — slow
+# and obviously right.
+
+REFERENCE_KINDS = ("cluster_of", "cluster_balance", "top_clusters", "cluster_profile")
+
+
+class ReferenceRollup:
+    """Every per-address and per-cluster fact at one height: the state
+    :func:`reference_answer` reads, exposed so state-level tests can
+    compare the aggregate surface cluster by cluster."""
+
+    def __init__(self, index, height, *, tags, h2_config, dice_addresses):
+        from repro.core.clustering import ClusteringEngine
+        from repro.tagging.naming import top_entity
+
+        partition = ClusteringEngine(
+            index, h2_config=h2_config, dice_addresses=dice_addresses
+        ).cluster(as_of_height=height).uf
+        self.index = index
+        self.universe = len(partition)
+        address_of = index.interner.address_of
+        self.balance, self.tx_count, self.seen = [], [], []
+        for ident in range(self.universe):
+            record = index.address(address_of(ident))
+            received = [row for row in record.receive_rows if row[0] <= height]
+            spent = [row for row in record.spend_rows if row[0] <= height]
+            self.balance.append(
+                sum(row[3] for row in received) - sum(row[3] for row in spent)
+            )
+            # One incidence per transaction that pays or spends from it.
+            touching = {(row[0], row[1]) for row in received + spent}
+            heights = [h for h, _txid in touching]
+            self.tx_count.append(len(touching))
+            self.seen.append((min(heights), max(heights)))
+        # Canonical cluster id: the minimum member id.
+        self.cid_of, self.members = {}, {}
+        for ids in partition.int_uf.components().values():
+            cid = min(ids)
+            self.members[cid] = ids
+            for ident in ids:
+                self.cid_of[ident] = cid
+        metrics = {
+            "size": {cid: len(ids) for cid, ids in self.members.items()},
+            "balance": {
+                cid: sum(self.balance[i] for i in ids)
+                for cid, ids in self.members.items()
+            },
+            "activity": {
+                cid: sum(self.tx_count[i] for i in ids)
+                for cid, ids in self.members.items()
+            },
+        }
+        self.metrics = metrics
+        # ``size`` ranks every cluster, the other two only positive totals;
+        # ties break by ascending canonical id.
+        self.rankings = {
+            by: sorted(
+                (
+                    (cid, value)
+                    for cid, value in values.items()
+                    if by == "size" or value > 0
+                ),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            for by, values in metrics.items()
+        }
+        self.names = None
+        if tags is not None:
+            weights = {}
+            for tag in tags.all_tags():
+                ident = index.interner.id_of(tag.address)
+                if ident is None or ident >= self.universe:
+                    continue
+                entity_weights = weights.setdefault(self.cid_of[ident], {})
+                entity_weights[tag.entity] = (
+                    entity_weights.get(tag.entity, 0.0) + tag.confidence
+                )
+            self.names = {
+                cid: top_entity(entity_weights)
+                for cid, entity_weights in weights.items()
+            }
+
+    def name_of(self, cid):
+        return self.names.get(cid) if self.names is not None else None
+
+    def activity_of(self, cid):
+        """``(tx_count, first_seen, last_seen)`` over the cluster's
+        members, or ``None`` for a never-active cluster."""
+        ids = [i for i in self.members[cid] if self.tx_count[i]]
+        if not ids:
+            return None
+        return (
+            sum(self.tx_count[i] for i in ids),
+            min(self.seen[i][0] for i in ids),
+            max(self.seen[i][1] for i in ids),
+        )
+
+    def answer(self, kind, args):
+        if kind == "top_clusters":
+            n, by = args
+            return tuple(
+                (cid, value, self.name_of(cid))
+                for cid, value in self.rankings[by][:n]
+            )
+        (address,) = args
+        ident = self.index.interner.id_of(address)
+        if ident is None or ident >= self.universe:
+            return None
+        cid = self.cid_of[ident]
+        if kind == "cluster_of":
+            return cid
+        if kind == "cluster_balance":
+            return self.metrics["balance"][cid]
+        size_order = [ranked for ranked, _size in self.rankings["size"]]
+        return {
+            "address": address,
+            "address_id": ident,
+            "cluster": cid,
+            "cluster_size": self.metrics["size"][cid],
+            "balance": self.balance[ident],
+            "cluster_balance": self.metrics["balance"][cid],
+            "tx_count": self.tx_count[ident],
+            "first_seen": self.seen[ident][0],
+            "last_seen": self.seen[ident][1],
+            "cluster_tx_count": self.metrics["activity"][cid],
+            "cluster_rank": size_order.index(cid) + 1,
+            "name": self.name_of(cid),
+        }
+
+
+def reference_answers(
+    index, queries, *, tags=None, h2_config=None, dice_addresses=frozenset()
+):
+    """:func:`reference_answer` for a list of queries, in order; queries
+    about the same height share one batch re-clustering."""
+    rollups = {}
+    answers = []
+    for query in queries:
+        if query.kind not in REFERENCE_KINDS:
+            raise ValueError(f"no reference for query kind {query.kind!r}")
+        arity = 2 if query.kind == "top_clusters" else 1
+        args, trailing = query.args[:arity], query.args[arity:]
+        height = trailing[0] if trailing else index.height
+        if height not in rollups:
+            rollups[height] = ReferenceRollup(
+                index, height, tags=tags, h2_config=h2_config,
+                dice_addresses=dice_addresses,
+            )
+        answers.append(rollups[height].answer(query.kind, args))
+    return answers
+
+
+def reference_answer(
+    index, query, *, tags=None, h2_config=None, dice_addresses=frozenset()
+):
+    """The exact answer to one cluster-kind ``query`` (optional trailing
+    height included) over ``index``, from a batch re-clustering and the
+    address rows — what the service's answer is compared against."""
+    return reference_answers(
+        index, [query], tags=tags, h2_config=h2_config,
+        dice_addresses=dice_addresses,
+    )[0]
+
+
+def assert_surface_equals_batch(surface, index, height, **options):
+    """Every cluster's size, balance, activity and rank on an aggregate
+    ``surface`` equals the batch rollup at ``height`` (``options`` are
+    :class:`ReferenceRollup`'s ``h2_config`` / ``dice_addresses``)."""
+    from repro.service import ClusterActivity
+    from repro.service.queries import TOP_CLUSTER_METRICS
+
+    assert surface.height == height
+    options = {"h2_config": None, "dice_addresses": frozenset(), **options}
+    batch = ReferenceRollup(index, height, tags=None, **options)
+    for by in TOP_CLUSTER_METRICS:
+        ranking = surface.ranking(by)
+        assert ranking.order == tuple(batch.rankings[by])
+        assert ranking.rank_of == {
+            cid: rank for rank, (cid, _v) in enumerate(ranking.order, 1)
+        }
+    assert surface.cluster_count == len(batch.members)
+    for cid in batch.members:
+        assert surface.size_of_cluster(cid) == batch.metrics["size"][cid]
+        assert surface.balance_of_cluster(cid) == batch.metrics["balance"][cid]
+        activity = batch.activity_of(cid)
+        assert surface.activity_of_cluster(cid) == (
+            None if activity is None else ClusterActivity(*activity)
+        )

@@ -115,8 +115,8 @@ class TestSeededCorruptionDetected:
         service, auditor = _fresh_service(audit_every=0)
         view = service.aggregates
         view._flush()
-        root = view._uf.find(0)
-        view._min_member[root] = view._min_member[root] + 999
+        root = view._tip.uf.find(0)
+        view._tip.min_member[root] = view._tip.min_member[root] + 999
         report = auditor.audit_now()
         assert not report.ok
         partition = next(
@@ -128,8 +128,8 @@ class TestSeededCorruptionDetected:
         service, auditor = _fresh_service(audit_every=0)
         view = service.aggregates
         view._flush()
-        root = view._uf.find(0)
-        view._balance[root] += 5
+        root = view._tip.uf.find(0)
+        view._tip.roots.balance[root] += 5
         report = auditor.audit_now(full=True)
         assert not report.ok
         aggregates = next(

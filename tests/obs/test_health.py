@@ -41,15 +41,6 @@ class TestComponentGrading:
         assert report.component("chain").status == DEGRADED
         assert report.status == DEGRADED
 
-    def test_batch_fallback_aggregates_degraded(self):
-        world = scenarios.micro_economy(seed=3)
-        service = ForensicsService.from_world(
-            world, differential_aggregates=False
-        )
-        entry = collect_health(service).component("aggregates")
-        assert entry.status == DEGRADED
-        assert "batch fallback" in entry.summary
-
     def test_open_label_backlog_threshold(self):
         service = _service()
         report = collect_health(service, open_label_backlog=0)

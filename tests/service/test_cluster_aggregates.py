@@ -1,10 +1,11 @@
-"""Differential cluster aggregates == batch ``_agg`` rebuild, per height.
+"""The streamed cluster aggregates == a batch re-clustering, per height.
 
 The tentpole property, in the PR 1/PR 2 style: stream a world's chain
 block by block with the :class:`ClusterAggregateView` folding deltas,
-and at *every* height compare its state against the batch full rebuild
-over the tip partition — per-cluster balances, activity, sizes, and the
-complete :class:`ClusterRanking` order for every metric in
+and at *every* height compare the tip surface against the batch oracle
+(``tests/helpers.ReferenceRollup``: one ``ClusteringEngine.cluster`` +
+the index's address rows) — per-cluster balances, activity, sizes, and
+the complete :class:`ClusterRanking` order for every metric in
 ``TOP_CLUSTER_METRICS``.  Cluster identity is canonical (minimum member
 address id), so equality here is exact object equality, not merely
 shape-compatible.
@@ -21,57 +22,51 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.chain.index import ChainIndex
-from repro.service import ClusterAggregateView, ClusterRanking, ForensicsService, Query
+from repro.service import AggregatesBehindError, ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
 
-
-def batch_cluster_aggregates(service):
-    """The batch full-rebuild ground truth at the service's tip, keyed
-    by canonical cluster id: (sizes, balances, activity)."""
-    uf = service.clustering.uf
-    canonical: dict[int, int] = {}
-    for ident in range(len(uf)):
-        canonical.setdefault(uf.find_root(ident), ident)
-    sizes = {
-        canonical[root]: size
-        for root, size in uf.component_sizes().items()
-    }
-    balances = {
-        canonical[root]: balance
-        for root, balance in service.balances.cluster_balances(uf).items()
-    }
-    activity = {
-        canonical[root]: rollup
-        for root, rollup in service.activity.cluster_activity(uf).items()
-    }
-    return sizes, balances, activity
-
-
-def batch_ranking(metric: dict) -> ClusterRanking:
-    order = tuple(sorted(metric.items(), key=lambda kv: (-kv[1], kv[0])))
-    return ClusterRanking(
-        order=order,
-        rank_of={cid: rank for rank, (cid, _v) in enumerate(order, 1)},
-    )
+from tests.helpers import assert_surface_equals_batch, reference_answers
 
 
 def assert_view_equals_batch(service):
     view = service.aggregates
     assert view.height == service.height
-    sizes, balances, activity = batch_cluster_aggregates(service)
-    assert view.ranking("size") == batch_ranking(sizes)
-    assert view.ranking("balance") == batch_ranking(balances)
-    assert view.ranking("activity") == batch_ranking(
-        {cid: rollup.tx_count for cid, rollup in activity.items()}
-    )
-    for cid, size in sizes.items():
-        assert view.size_of_cluster(cid) == size
-        assert view.balance_of_cluster(cid) == balances.get(cid, 0)
-        assert view.activity_of_cluster(cid) == activity.get(cid)
+    assert_surface_equals_batch(view.at(), service.index, service.height)
 
 
-class TestDifferentialEqualsBatchAtEveryHeight:
+def state_fingerprint(state):
+    """Everything a settled ``_AggregateState`` is, as comparable data
+    (partition, root columns at roots, canonical ids, open set, overlay
+    groups, rankings)."""
+    roots = state.uf.root_ids().tolist()
+    return {
+        "height": state.height,
+        "mark": state.mark,
+        "universe": len(state.uf),
+        "partition": state.uf.find_many(range(len(state.uf))).tolist(),
+        "columns": {
+            root: (
+                state.roots.balance[root], state.roots.tx_count[root],
+                state.roots.first[root], state.roots.last[root],
+                state.min_member[root], state.uf.root_sizes[root],
+            )
+            for root in roots
+        },
+        "open": sorted(
+            (live.label.height, live.address_id, live.input_id or -1)
+            for live in state.open
+        ),
+        "groups": sorted(
+            (g.cid, g.roots, g.size, g.balance, g.tx_count, g.first_seen,
+             g.last_seen)
+            for g in state.groups
+        ),
+        "ranks": {by: state.ranks[by].top(10 ** 9) for by in TOP_CLUSTER_METRICS},
+    }
+
+
+class TestStreamedEqualsBatchAtEveryHeight:
     @settings(deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -90,35 +85,84 @@ class TestDifferentialEqualsBatchAtEveryHeight:
 
     def test_default_world_with_tags(self, micro_world):
         """One full-roster streamed pass with naming in play: every
-        cluster-level answer is byte-equal between the differential
-        path and a batch-only service, at every height."""
+        cluster-level answer is repr-equal to the batch oracle's, at
+        every height."""
         attack = micro_world.extras.get("attack")
         tags = attack.tags if attack is not None else None
-        diff_index, batch_index = ChainIndex(), ChainIndex()
-        diff = ForensicsService(diff_index, tags=tags)
-        batch = ForensicsService(
-            batch_index, tags=tags, differential_aggregates=False
-        )
-        assert diff.aggregates is not None
-        assert batch.aggregates is None
+        index = ChainIndex()
+        service = ForensicsService(index, tags=tags)
         for block in micro_world.blocks[:48]:
-            diff_index.add_block(block)
-            batch_index.add_block(block)
-            for by in TOP_CLUSTER_METRICS:
-                query = Query("top_clusters", (20, by))
-                assert repr(diff.answer(query)) == repr(batch.answer(query))
-            interner = diff_index.interner
+            index.add_block(block)
+            queries = [
+                Query("top_clusters", (20, by)) for by in TOP_CLUSTER_METRICS
+            ]
+            interner = index.interner
             for ident in range(0, len(interner), 9):
                 address = interner.address_of(ident)
-                for kind in (
-                    "cluster_of",
-                    "cluster_balance",
-                    "cluster_profile",
-                ):
-                    query = Query(kind, (address,))
-                    assert repr(diff.answer(query)) == repr(
-                        batch.answer(query)
-                    ), (block.height, kind, address)
+                queries += [
+                    Query(kind, (address,))
+                    for kind in ("cluster_of", "cluster_balance", "cluster_profile")
+                ]
+            for query, expected in zip(
+                queries, reference_answers(index, queries, tags=tags)
+            ):
+                assert repr(service.answer(query)) == repr(expected), (
+                    block.height, query,
+                )
+
+
+class TestOneFoldThreeCallers:
+    """The flush run, the per-block flush and the replay all go through
+    ``_AggregateState.advance``: whatever the run boundaries, the state
+    at a height is the same state."""
+
+    def _streamed(self, world, flush_every):
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        for block in world.blocks:
+            index.add_block(block)
+            if (block.height + 1) % flush_every == 0:
+                service.aggregates.at()
+        return service
+
+    def test_one_run_equals_per_block_equals_replay_from_genesis(self):
+        world = scenarios.micro_economy(seed=23, n_blocks=45, n_users=8)
+        per_block = self._streamed(world, 1)
+        one_run = self._streamed(world, 10 ** 9)
+        in_sevens = self._streamed(world, 7)
+        tip = per_block.height
+        expected = state_fingerprint(per_block.aggregates.at()._state)
+        one_run_tip = one_run.aggregates.at()._state  # the single flush
+        # A view with no spine or memo yet: the replay starts at the
+        # delta log's genesis base and crosses every spine boundary.
+        assert not one_run.aggregates._spine
+        replayed = one_run.aggregates._replayed(tip)
+        assert one_run.aggregates._spine
+        for other in (one_run_tip, in_sevens.aggregates.at()._state, replayed):
+            assert state_fingerprint(other) == expected
+        assert replayed.addresses is not None
+        assert one_run_tip.addresses is None
+
+    def test_forced_replay_to_tip_equals_the_tip_surface(self, default_world):
+        """``at(tip)`` serves the incrementally patched tip state without
+        replaying; a replay forced to the same height settles wholesale
+        and must agree with it in every field, so serving the tip state
+        cannot hide a divergence.  The full-roster world reaches the
+        overlay topologies the micro worlds do not (a dissolving group
+        whose members join an older cluster's group)."""
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        view = service.aggregates
+        for block in default_world.blocks:
+            index.add_block(block)
+            live = view.at()  # a per-block flush
+            if block.height % 8 == 7:
+                forced = view._replayed(block.height)
+                assert forced is not live._state
+                assert state_fingerprint(forced) == state_fingerprint(
+                    live._state
+                ), block.height
+        assert_surface_equals_batch(live, index, service.height)
 
 
 class TestIncrementalClusterNames:
@@ -138,11 +182,10 @@ class TestIncrementalClusterNames:
         service = ForensicsService(target, tags=tags)
         for block in micro_world.blocks[:80]:
             target.add_block(block)
-            incremental = service.queries._cluster_names()
-            # Fresh engine: no cached placements, full build.  Runs
-            # after the incremental build so it cannot steal the
-            # single-consumer dirty drain.
-            full = QueryEngine(service)._build_cluster_names()
+            tip = service.aggregates.at()
+            incremental = service.queries._cluster_names(tip)
+            # Fresh engine: no cached placements, full build.
+            full = QueryEngine(service)._build_cluster_names(tip)
             assert incremental == full, block.height
 
     def test_tags_added_after_first_build_are_picked_up(self, micro_world):
@@ -158,13 +201,13 @@ class TestIncrementalClusterNames:
         blocks = micro_world.blocks
         for block in blocks[:30]:
             target.add_block(block)
-        before = service.queries._cluster_names()
+        before = service.queries._cluster_names(service.aggregates.at())
         # Tag an address that already has a cluster but no name yet.
         interner = target.interner
         named_cids = set(before)
         victim = None
         for ident in range(len(interner)):
-            cid = service.aggregates.cluster_id_of(ident)
+            cid = service.aggregates.at().cluster_id_of(ident)
             if cid is not None and cid not in named_cids:
                 victim = interner.address_of(ident)
                 break
@@ -172,13 +215,17 @@ class TestIncrementalClusterNames:
         tags.add(Tag(address=victim, entity="Late Entity", source="user",
                      confidence=1.0))
         target.add_block(blocks[30])
-        after = service.queries._cluster_names()
-        late_cid = service.aggregates.cluster_id_of(interner.id_of(victim))
+        after = service.queries._cluster_names(service.aggregates.at())
+        late_cid = service.aggregates.at().cluster_id_of(
+            interner.id_of(victim)
+        )
         assert after.get(late_cid) == "Late Entity"
         # And the incremental state stays equal to a full rebuild.
         from repro.service.queries import QueryEngine
 
-        assert after == QueryEngine(service)._build_cluster_names()
+        assert after == QueryEngine(service)._build_cluster_names(
+            service.aggregates.at()
+        )
 
 
 class TestMergeHookAndTimeTravel:
@@ -220,45 +267,77 @@ class TestMergeHookAndTimeTravel:
             target.add_block(block)
             view.cluster_count  # flush the queued block
             fed += 1
-            if view._uf.checkpoint() > 0:  # some base merges happened
+            if view._tip.uf.checkpoint() > 0:  # some base merges happened
                 break
-        assert view._uf.checkpoint() > 0
-        view._uf.rollback(0)
+        assert view._tip.uf.checkpoint() > 0
+        view._tip.uf.rollback(0)
         target.add_block(micro_world.index.block_at(fed))
         with pytest.raises(RuntimeError, match="rolled back"):
             view.cluster_count
 
 
-class TestFallbackBelowLiveHeight:
-    def test_detached_view_falls_back_to_batch_rebuild(self, micro_world):
-        """A view frozen below the tip must not serve stale rankings:
-        the query engine falls back to the batch ``_agg`` rebuild and
-        still answers exactly."""
-        source = micro_world.index
+class TestViewBehindTheTip:
+    def test_cluster_kinds_are_refused_not_served_stale(
+        self, micro_world, tmp_path
+    ):
+        """A view frozen below the tip must not serve stale answers and
+        there is no second way to compute them: every cluster kind
+        raises the typed error naming both heights, the refusal is
+        logged as a ``query_error``, and ``balance_of`` (which does not
+        read the view) still answers."""
+        from repro.obs.log import JsonLinesLogger
+
+        log = JsonLinesLogger(tmp_path / "events.jsonl", min_level="error")
         target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        reference = ForensicsService(
-            ChainIndex(), tags=None, differential_aggregates=False
-        )
+        service = ForensicsService(target, tags=None, log=log)
         for block in micro_world.blocks[:20]:
             target.add_block(block)
-            reference.index.add_block(block)
         service.aggregates.detach()
         for block in micro_world.blocks[20:24]:
             target.add_block(block)
-            reference.index.add_block(block)
         assert service.aggregates.height == 19
         assert service.height == 23
-        assert service.queries._live_aggregates() is None
-        for by in TOP_CLUSTER_METRICS:
-            assert service.top_clusters(10, by=by) == reference.top_clusters(
-                10, by=by
+        address = target.interner.address_of(0)
+        for query in (
+            Query("cluster_of", (address,)),
+            Query("cluster_balance", (address,)),
+            Query("cluster_profile", (address,)),
+            Query("top_clusters", (5, "size")),
+            Query("top_clusters", (5, "size", 22)),
+        ):
+            with pytest.raises(AggregatesBehindError) as refused:
+                service.answer(query)
+            assert refused.value.view_height == 19
+            assert refused.value.chain_height == 23
+            assert "19" in str(refused.value) and "23" in str(refused.value)
+        log.close()
+        events = (tmp_path / "events.jsonl").read_text().splitlines()
+        assert len(events) == 5
+        assert all(
+            '"query_error"' in line and "AggregatesBehindError" in line
+            for line in events
+        )
+        assert service.balance_of(address) == target.address(address).balance
+        assert service.health_report().component("aggregates").status == "failing"
+
+    def test_folded_heights_still_answer_exactly(self, micro_world):
+        """The refusal is about heights the view has not folded; what it
+        has folded it still serves, exactly."""
+        target = ChainIndex()
+        service = ForensicsService(target, tags=None)
+        for block in micro_world.blocks[:20]:
+            target.add_block(block)
+        service.aggregates.detach()
+        target.add_block(micro_world.blocks[20])
+        for height in (7, 19):
+            assert_surface_equals_batch(
+                service.aggregates.at(height), target, height
             )
-        # The fallback built the batch aggregates under _agg:* keys.
-        assert (
-            service.height,
-            Query("_agg:ranking:size"),
-        ) in service.cache
+        address = target.interner.address_of(0)
+        query = Query("cluster_profile", (address, 19))
+        assert repr(service.answer(query)) == repr(
+            reference_answers(target, [query])[0]
+        )
 
     def test_stats_report_cluster_count_only_when_live(self, micro_world):
         target = ChainIndex()
@@ -321,18 +400,6 @@ class TestDirtyRootCursors:
         # The other consumer still holds its full backlog.
         assert view.drain_naming_dirty(second) == drained
 
-    def test_cursorless_drain_keeps_working(self, micro_world):
-        """The pre-cursor single-consumer API: drains with no cursor
-        argument share one lazily registered default cursor."""
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        view = service.aggregates
-        for block in micro_world.blocks[:30]:
-            target.add_block(block)
-        drained = view.drain_naming_dirty()
-        assert drained
-        assert view.drain_naming_dirty() == set()
-
     def test_released_cursor_stops_accumulating(self, micro_world):
         target = ChainIndex()
         service = ForensicsService(target, tags=None)
@@ -341,7 +408,8 @@ class TestDirtyRootCursors:
         for block in micro_world.blocks[:8]:
             target.add_block(block)
         view.release_naming_cursor(cursor)
-        view.drain_naming_dirty()  # distributes pending to cursors
+        # Distributes pending roots to the cursors still registered.
+        view.drain_naming_dirty(view.naming_cursor())
         assert cursor.dirty == set()
 
     def test_new_cursor_sees_only_future_churn(self, micro_world):
@@ -350,7 +418,8 @@ class TestDirtyRootCursors:
         view = service.aggregates
         for block in micro_world.blocks[:12]:
             target.add_block(block)
-        view.drain_naming_dirty()  # flush + distribute everything so far
+        # Flush + distribute everything so far.
+        view.drain_naming_dirty(view.naming_cursor())
         late = view.naming_cursor()
         assert view.drain_naming_dirty(late) == set()
 
@@ -369,9 +438,10 @@ class TestDirtyRootCursors:
         auditor = InvariantAuditor(service, audit_every=5, strict=True)
         for block in micro_world.blocks[:40]:
             target.add_block(block)
-            incremental = service.queries._cluster_names()
-            assert incremental == QueryEngine(
-                service
-            )._build_cluster_names(), block.height
+            tip = service.aggregates.at()
+            incremental = service.queries._cluster_names(tip)
+            assert incremental == QueryEngine(service)._build_cluster_names(
+                tip
+            ), block.height
         assert auditor.audits_run == 8
         assert auditor.total_violations == 0

@@ -1,11 +1,12 @@
 """Kernelized folds == scalar reference folds, at every height.
 
 The vectorized fold kernels (``np.add.at`` scatters in the balance and
-activity views, the batched per-flush churn fold in the cluster
-aggregate view) must change *nothing but speed*: each test streams one
-chain into paired kernel/scalar twins and compares their observable
-state — balances, incidence counts, first/last-seen, per-root
-aggregates, rankings — block by block.
+activity views, the batched per-run churn scatter in the cluster
+aggregate view) must change *nothing but speed*: the view tests stream
+one chain into paired kernel/scalar twins and compare their state block
+by block; the aggregate view, whose scalar reference is the batch
+oracle in ``tests/helpers.py``, is compared against that at every
+flush.
 
 Chains come from the large-scale generator (dense co-spends, heavy
 merging, fresh-address churn) with hypothesis-drawn shape parameters,
@@ -17,9 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chain.index import ChainIndex
 from repro.core.incremental import IncrementalClusteringEngine
-from repro.service.aggregates import ClusterAggregateView, TOP_CLUSTER_METRICS
+from repro.service.aggregates import ClusterAggregateView
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks
+
+from tests.helpers import assert_surface_equals_batch
 
 
 def _chain(seed, n_blocks, txs_per_block, reuse):
@@ -63,7 +66,7 @@ class TestViewKernelsMatchScalar:
 
     @settings(max_examples=20, deadline=None)
     @given(**_SHAPES)
-    def test_balance_events_and_queries_agree(
+    def test_balance_events_agree(
         self, seed, n_blocks, txs_per_block, reuse
     ):
         index = ChainIndex()
@@ -75,29 +78,20 @@ class TestViewKernelsMatchScalar:
         for height in range(len(blocks)):
             assert bal_k.events_at(height) == bal_s.events_at(height)
 
-        class _IdentityPartition:
-            find_root = staticmethod(lambda ident: ident)
 
-        identity = _IdentityPartition()
-        assert bal_k.cluster_balances(identity) == bal_s.cluster_balances(
-            identity
-        )
-
-
-class TestAggregateKernelsMatchScalar:
+class TestAggregateKernelMatchesBatch:
     @settings(max_examples=15, deadline=None)
     @given(flush_every=st.integers(1, 9), **_SHAPES)
-    def test_aggregate_twins_agree_at_every_flush(
+    def test_aggregates_equal_batch_at_every_flush(
         self, flush_every, seed, n_blocks, txs_per_block, reuse
     ):
-        """The batched churn fold must land every sum/min/max at the
-        same post-merge root the scalar per-block fold does, across
-        arbitrary flush cadences (batch size = merge-fold interleaving).
+        """The batched churn scatter must land every sum/min/max at the
+        same post-merge root a per-address batch rollup finds, across
+        arbitrary flush cadences (run length = merge-fold interleaving).
         """
         index = ChainIndex()
         engine = IncrementalClusteringEngine(index)
-        agg_k = ClusterAggregateView(index, engine=engine, use_kernels=True)
-        agg_s = ClusterAggregateView(index, engine=engine, use_kernels=False)
+        view = ClusterAggregateView(index, engine=engine)
         blocks = _chain(seed, n_blocks, txs_per_block, reuse)
         for block in blocks:
             index.add_block(block)
@@ -105,18 +99,8 @@ class TestAggregateKernelsMatchScalar:
                 block.height != len(blocks) - 1
             ):
                 continue
-            # Any query flushes the queued blocks in both twins.
-            assert agg_k.cluster_count == agg_s.cluster_count
-            for metric in TOP_CLUSTER_METRICS:
-                assert agg_k.ranking(metric) == agg_s.ranking(metric)
-            roots = agg_k._uf.component_sizes()
-            assert roots == agg_s._uf.component_sizes()
-            for root in roots:
-                assert agg_k._balance[root] == agg_s._balance[root]
-                assert agg_k._tx_count[root] == agg_s._tx_count[root]
-                assert agg_k._first[root] == agg_s._first[root]
-                assert agg_k._last[root] == agg_s._last[root]
-                assert agg_k._min_member[root] == agg_s._min_member[root]
+            # Taking the surface flushes the queued blocks as one run.
+            assert_surface_equals_batch(view.at(), index, block.height)
 
 
 class TestH1PairKernelMatchesScalar:

@@ -9,7 +9,7 @@ from repro.service import ForensicsService, Query, parse_query
 from repro.service.cache import QueryCache
 from repro.simulation import scenarios
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from tests.helpers import addr, build_chain, coinbase, reference_answer, spend
 
 
 @pytest.fixture(scope="module")
@@ -211,63 +211,32 @@ class TestCacheBehaviour:
             QueryCache(maxsize=0)
 
 
-class TestSharedRankingIndex:
-    """top_clusters and cluster_profile share one sorted index per
-    (height, metric) instead of re-ranking per distinct (n, by) pair.
+class TestRankingAnswers:
+    """top_clusters and cluster_profile read one rank index per metric
+    on the aggregate surface, whatever the ``(n, by)`` pair."""
 
-    Pins the *batch fallback* path (``differential_aggregates=False``):
-    with the live aggregate view attached, rankings come from its
-    per-metric indexes and the ``_agg:ranking:*`` entries are never
-    built (tests/service/test_cluster_aggregates.py pins both paths
-    equal)."""
-
-    def test_distinct_n_share_one_ranking(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+    def test_distinct_n_are_prefixes_of_one_order(self, small_world):
+        service = ForensicsService(small_world.index)
         five = service.top_clusters(5, by="size")
-        key = (service.height, Query("_agg:ranking:size"))
-        assert key in service.cache
-        misses_after_build = service.cache.misses
+        misses_after_first = service.cache.misses
         ten = service.top_clusters(10, by="size")
         twenty = service.top_clusters(20, by="size")
-        # Different n answers are prefixes of the same shared order...
         assert ten[:5] == five
         assert twenty[:10] == ten
-        # ...and no second ranking aggregate was ever built: the only
-        # misses after the first build are the new (n, by) answer keys.
-        assert service.cache.misses == misses_after_build + 2
+        # Nothing is rebuilt per n: the only misses after the first
+        # answer are the two new (n, by) answer keys.
+        assert service.cache.misses == misses_after_first + 2
 
-    def test_each_metric_gets_its_own_ranking(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+    def test_ranking_matches_the_batch_oracle(self, small_world):
+        service = ForensicsService(small_world.index)
         for by in ("size", "balance", "activity"):
-            assert service.top_clusters(3, by=by)
-            assert (service.height, Query(f"_agg:ranking:{by}")) in service.cache
+            query = Query("top_clusters", (8, by))
+            assert service.answer(query) == reference_answer(
+                small_world.index, query
+            )
 
-    def test_ranking_matches_direct_sort(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
-        uf = service.clustering.uf
-        canonical: dict[int, int] = {}
-        for ident in range(len(uf)):
-            canonical.setdefault(uf.find_root(ident), ident)
-        sizes = {
-            canonical[root]: size
-            for root, size in service.clustering.component_sizes().items()
-        }
-        expected = sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
-        answered = [
-            (cid, value) for cid, value, _name in service.top_clusters(8)
-        ]
-        assert answered == expected
-
-    def test_profile_rank_reads_shared_index(self, small_world):
-        service = ForensicsService(
-            small_world.index, differential_aggregates=False
-        )
+    def test_profile_rank_agrees_with_top_clusters(self, small_world):
+        service = ForensicsService(small_world.index)
         ranked = service.top_clusters(1, by="size")
         top_cluster = ranked[0][0]
         # The canonical id is itself a member id of the cluster.
@@ -276,13 +245,10 @@ class TestSharedRankingIndex:
         assert profile["cluster_rank"] == 1
         assert profile["cluster"] == top_cluster
 
-    def test_unknown_metric_still_rejected(self, small_world):
-        for differential in (False, True):
-            service = ForensicsService(
-                small_world.index, differential_aggregates=differential
-            )
-            with pytest.raises(ValueError, match="metric"):
-                service.answer(Query("top_clusters", (3, "charisma")))
+    def test_unknown_metric_rejected(self, small_world):
+        service = ForensicsService(small_world.index)
+        with pytest.raises(ValueError, match="metric"):
+            service.answer(Query("top_clusters", (3, "charisma")))
 
 
 class TestParsing:

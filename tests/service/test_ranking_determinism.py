@@ -7,19 +7,19 @@ function of the partition, unlike raw union-find roots (whose identity
 depends on union order, and which the pre-differential ranking used as
 its tie-break — unstable across batch rebuilds vs incremental replay).
 These tests pin the order identical across every way a ranking can be
-produced: the differential view, the batch ``_agg`` rebuild, a repeat
-rebuild, and a snapshot-restored service.
+produced: the streamed tip state, a replayed height, a snapshot-restored
+service, and the batch oracle (``tests/helpers.reference_answer``).
 """
 
 import pytest
 
 from repro.chain.index import ChainIndex
 from repro.chain.model import COIN
-from repro.service import ForensicsService
+from repro.service import ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.storage import StateStore
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from tests.helpers import addr, build_chain, coinbase, reference_answer, spend
 
 
 N_TIED = 6
@@ -71,31 +71,35 @@ def test_ties_rank_by_canonical_id_ascending(tied_world):
         ]
         # The whole ranking (miner singletons included) honors the
         # contract: within every equal-value group, ids ascend.
-        full = service.aggregates.ranking(by).order
+        full = service.aggregates.at().ranking(by).order
         for (id_a, value_a), (id_b, value_b) in zip(full, full[1:]):
             assert value_a > value_b or (value_a == value_b and id_a < id_b)
 
 
 def test_order_identical_across_paths_and_restores(tied_world, tmp_path):
-    differential = ForensicsService(tied_world)
-    batch = ForensicsService(tied_world, differential_aggregates=False)
-    rebuilt = ForensicsService(tied_world, differential_aggregates=False)
+    live = ForensicsService(tied_world)
     store = StateStore(tmp_path / "snapshots")
-    store.snapshot(differential)
+    store.snapshot(live)
     restored = store.restore()
+    tip = tied_world.height
     for by in TOP_CLUSTER_METRICS:
+        query = Query("top_clusters", (N_TIED, by))
         orders = {
-            "differential": _ranked_ids(differential, by),
-            "batch": _ranked_ids(batch, by),
-            "rebuilt": _ranked_ids(rebuilt, by),
+            "live": _ranked_ids(live, by),
+            "batch": [cid for cid, _v, _n in reference_answer(tied_world, query)],
             "restored": _ranked_ids(restored, by),
         }
         assert len(set(map(tuple, orders.values()))) == 1, (by, orders)
-        # Full ranking objects too, not just the top slice.
-        assert differential.aggregates.ranking(
-            by
-        ) == restored.aggregates.ranking(by)
-        assert differential.aggregates.ranking(by) == batch.queries._ranking(by)
+        # Full ranking objects too, not just the top slice — from the
+        # tip state, a restored tip state, and a forced replay.
+        full = live.aggregates.at().ranking(by)
+        assert full == restored.aggregates.at().ranking(by)
+        assert full.order == live.aggregates._replayed(tip).ranks[by].top(10 ** 9)
+        everything = Query("top_clusters", (10 ** 9, by))
+        assert full.order == tuple(
+            (cid, value)
+            for cid, value, _name in reference_answer(tied_world, everything)
+        )
 
 
 def test_order_stable_under_streaming_vs_catchup(tied_world):

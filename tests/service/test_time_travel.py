@@ -1,16 +1,16 @@
-"""Replayed horizons == batch rebuild, for every kind at every height.
+"""Every cluster kind at every height == the batch oracle.
 
-The time-travel contract behind the per-height aggregate delta log:
+The contract behind the per-height aggregate delta log:
 ``top_clusters`` / ``cluster_profile`` / ``cluster_balance`` /
-``cluster_of`` at any ``height <= tip`` must answer byte-equal whether
-they replay a sparse checkpoint forward (``time_travel=True``, the
-default) or fall back to the batch ``_agg@h`` rebuild
-(``time_travel=False``).  The hypothesis case randomizes the scenario,
-so the sweep covers H1-only heights, open-overlay horizons (a §4.2
-window mid-flight at ``h``), voids, expiries, and base merges landing
-between checkpoints; the restore case pins the same equality after a
-manifest-v4 snapshot round trip, whose ``time_travel`` segment seeds
-the replay base from serialized arrays rather than a live fold.
+``cluster_of`` at any ``height <= tip`` — the tip included, both as the
+default and as an explicit height — answer repr-equal to a batch
+re-clustering as of that height (``tests/helpers.reference_answers``).
+The hypothesis case randomizes the scenario, so the sweep covers
+H1-only heights, open-overlay horizons (a §4.2 window mid-flight at
+``h``), voids, expiries, and base merges landing between checkpoints;
+the restore case pins the same equality after a snapshot round trip,
+whose ``timetravel`` segment seeds the replay base from serialized
+arrays rather than a live fold.
 
 A second class pins the naming-epoch cache key (the staleness fix that
 rides along with this log): name-bearing kinds re-key when a
@@ -30,38 +30,48 @@ from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from tests.helpers import addr, build_chain, coinbase, reference_answers, spend
 
 
-def historical_queries(index, height: int) -> list[Query]:
-    """Every historical kind at one height, over a spread of addresses."""
+def queries_at(index, height: int | None) -> list[Query]:
+    """Every cluster kind at one height (``None``: the tip, asked
+    without a height argument), over a spread of addresses."""
+    at = () if height is None else (height,)
     queries = [
-        Query("top_clusters", (8, by, height)) for by in TOP_CLUSTER_METRICS
+        Query("top_clusters", (8, by) + at) for by in TOP_CLUSTER_METRICS
     ]
     interner = index.interner
     step = max(1, len(interner) // 5)
     for ident in range(0, len(interner), step):
         address = interner.address_of(ident)
         for kind in ("cluster_of", "cluster_balance", "cluster_profile"):
-            queries.append(Query(kind, (address, height)))
+            queries.append(Query(kind, (address,) + at))
     return queries
 
 
-def assert_replay_equals_batch(fast, base) -> None:
-    """Exhaustive sweep: both services answer every historical kind at
-    every height, and every answer pair is repr-equal (exact values,
-    exact ranking order, exact names — not merely shape-compatible)."""
-    assert fast.height == base.height
-    assert fast.aggregates.covers(0)
-    for height in range(fast.height + 1):
-        for query in historical_queries(fast.index, height):
-            assert repr(fast.answer(query)) == repr(base.answer(query)), (
-                height,
-                query,
-            )
+def assert_service_equals_batch(service) -> None:
+    """Exhaustive sweep: the service answers every cluster kind at
+    every height, and every answer is repr-equal to the oracle's (exact
+    values, exact ranking order, exact names — not merely
+    shape-compatible)."""
+    index = service.index
+    queries = [
+        query
+        for height in [*range(service.height + 1), None]
+        for query in queries_at(index, height)
+    ]
+    expected = reference_answers(
+        index,
+        queries,
+        tags=service.tags,
+        h2_config=service.engine.h2_config,
+        dice_addresses=service.engine.dice_addresses,
+    )
+    for query, answer in zip(queries, expected):
+        assert repr(service.answer(query)) == repr(answer), query
 
 
-class TestReplayedEqualsBatchAtEveryHeight:
+class TestEveryKindAtEveryHeight:
     @settings(deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -72,38 +82,29 @@ class TestReplayedEqualsBatchAtEveryHeight:
         world = scenarios.micro_economy(
             seed=seed, n_blocks=n_blocks, n_users=n_users
         )
-        fast = ForensicsService.from_world(world)
-        base = ForensicsService.from_world(world, time_travel=False)
-        assert_replay_equals_batch(fast, base)
+        assert_service_equals_batch(ForensicsService.from_world(world))
 
     def test_micro_world_with_tags(self, micro_world):
         """Naming in play: historical top-cluster rows and profiles
-        carry as-of-height cluster names on both paths."""
-        fast = ForensicsService.from_world(micro_world)
-        base = ForensicsService.from_world(micro_world, time_travel=False)
-        assert_replay_equals_batch(fast, base)
+        carry as-of-height cluster names."""
+        assert_service_equals_batch(ForensicsService.from_world(micro_world))
 
 
-class TestReplayedEqualsBatchAfterRestore:
-    def test_every_height_after_v4_round_trip(self, tmp_path):
-        """Snapshot -> restore -> the restored replay path answers every
-        historical kind at every height equal to a batch service that
-        never restarted."""
+class TestEveryKindAtEveryHeightAfterRestore:
+    def test_every_height_after_round_trip(self, tmp_path):
+        """Snapshot -> restore -> the restored service answers every
+        cluster kind at every height equal to the batch oracle."""
         world = scenarios.micro_economy(seed=5, n_blocks=20, n_users=5)
         BlockFileWriter(tmp_path / "blocks").write_chain(world.blocks)
         store = StateStore(tmp_path / "snapshots")
-        fast = ForensicsService.from_world(world)
-        assert fast.aggregates.covers(0)
+        service = ForensicsService.from_world(world)
         # Warm one horizon before the snapshot so the export is taken
         # from a view whose replay machinery has actually run.
-        assert fast.cluster_profile(
-            world.index.interner.address_of(0), height=fast.height // 2
+        assert service.cluster_profile(
+            world.index.interner.address_of(0), height=service.height // 2
         )
-        store.snapshot(fast)
-
-        restored = store.restore(follow=False)
-        base = ForensicsService.from_world(world, time_travel=False)
-        assert_replay_equals_batch(restored, base)
+        store.snapshot(service)
+        assert_service_equals_batch(store.restore(follow=False))
 
 
 class TestNamingEpochCacheKeys:

@@ -163,14 +163,3 @@ class TestViewMechanics:
         view.detach()
         target.add_block(source.block_at(1))
         assert view.height == 0
-
-    def test_cluster_balances_consistent_with_components(self, small_world):
-        analyst = AnalystView.build(small_world)
-        view = BalanceView(small_world.index)
-        partition = analyst.clustering.uf
-        rollup = view.cluster_balances(partition)
-        components = partition.components()
-        index = small_world.index
-        for root, members in components.items():
-            expected = sum(index.address(a).balance for a in members)
-            assert rollup.get(root, 0) == expected

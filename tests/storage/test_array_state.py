@@ -1,17 +1,16 @@
-"""Array-backed durable state: bytes round-trips and legacy shapes.
+"""Array-backed durable state: bytes round-trips and the version gate.
 
-The version-3 snapshot layout stores every dense per-id array as one
-raw little-endian int64 buffer.  Three contracts are pinned here:
+The snapshot layout stores every dense per-id array as one raw
+little-endian int64 buffer.  Two contracts are pinned here:
 
 * **byte-equal round trip** — ``export_state`` → ``from_state`` →
   ``export_state`` reproduces the original payload bit for bit, for
   every array-backed component (union-find, balance/activity views,
-  cluster aggregates);
-* **legacy shapes restore** — the pre-columnar version-1/2 state dicts
-  (plain Python lists, no ``version`` key) are still accepted by every
-  ``from_state``, and restore to the same observable state;
-* **manifest gate** — version-2 manifests stay readable alongside the
-  current version 3; anything else fails closed.
+  cluster aggregates and their delta log);
+* **manifest gate** — only the current manifest version restores;
+  older layouts (list-shaped arrays, no ``timetravel`` segment) fail
+  closed with an error that names what was found and the remedy, and
+  ``repro doctor`` reports them as unrestorable, not as corrupt.
 """
 
 import json
@@ -24,7 +23,7 @@ from repro.core.union_find import IntUnionFind
 from repro.service.aggregates import ClusterAggregateView, TOP_CLUSTER_METRICS
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks
-from repro.storage.errors import SnapshotIntegrityError
+from repro.storage.errors import SnapshotIntegrityError, UnsupportedSnapshotError
 from repro.storage.manifest import (
     MANIFEST_NAME,
     MANIFEST_VERSION,
@@ -56,6 +55,13 @@ class TestByteEqualRoundTrip:
         assert restored.export_state() == state
         assert restored.component_sizes() == engine._uf.component_sizes()
 
+    def test_union_find_rejects_misaligned_arrays(self, streamed):
+        _index, engine, *_ = streamed
+        state = engine._uf.export_state()
+        state["size"] = state["size"][:-8]
+        with pytest.raises(ValueError):
+            IntUnionFind.from_state(state)
+
     def test_balance_view(self, streamed):
         index, _engine, balances, *_ = streamed
         state = balances.export_state()
@@ -74,98 +80,26 @@ class TestByteEqualRoundTrip:
     def test_aggregate_view(self, streamed):
         index, engine, _balances, _activity, aggregates = streamed
         state = aggregates.export_state()
+        history = aggregates.export_time_travel()
         assert isinstance(state["balance"], bytes)
         restored = ClusterAggregateView.from_state(
-            index, state, engine=engine, follow=False
+            index, state, history, engine=engine, follow=False
         )
         assert restored.export_state() == state
+        assert restored.export_time_travel() == history
         for metric in TOP_CLUSTER_METRICS:
-            assert restored.ranking(metric) == aggregates.ranking(metric)
-
-
-class TestLegacyShapesRestore:
-    """Version-1/2 snapshots carried Python lists; they must restore to
-    the same observable state the bytes shape does."""
-
-    def test_union_find_list_state(self, streamed):
-        _index, engine, *_ = streamed
-        uf = engine._uf
-        legacy = {
-            "parent": [uf._parent[i] for i in range(len(uf))],
-            "size": [uf._size[i] for i in range(len(uf))],
-            "components": uf.component_count,
-            "log": [list(entry) for entry in uf.log_prefix(uf.checkpoint())],
-        }
-        restored = IntUnionFind.from_state(legacy)
-        assert restored.component_sizes() == uf.component_sizes()
-        assert restored.export_state() == uf.export_state()
-
-    def test_union_find_rejects_misaligned_lists(self):
-        with pytest.raises(ValueError):
-            IntUnionFind.from_state(
-                {"parent": [0, 1], "size": [1], "components": 2, "log": []}
+            assert restored.at().ranking(metric) == aggregates.at().ranking(
+                metric
             )
-
-    def test_balance_view_v1_state(self, streamed):
-        index, _engine, balances, *_ = streamed
-        v1 = {
-            "height": balances.height,
-            "balances": balances._balances.tolist(),
-            "events": [
-                balances.events_at(h) for h in range(balances.height + 1)
-            ],
-            "coinbase": [
-                balances.coinbase_at(h) for h in range(balances.height + 1)
-            ],
-            "supply": [
-                balances.supply_at(h) for h in range(balances.height + 1)
-            ],
-        }
-        restored = BalanceView.from_state(index, v1, follow=False)
-        assert restored.export_state() == balances.export_state()
-
-    def test_activity_view_v1_state(self, streamed):
-        index, _engine, _balances, activity, _aggregates = streamed
-        v1 = {
-            "height": activity.height,
-            "tx_counts": activity._tx_counts.tolist(),
-            "first_seen": activity._first_seen.tolist(),
-            "last_seen": activity._last_seen.tolist(),
-        }
-        restored = ActivityView.from_state(index, v1, follow=False)
-        assert restored.export_state() == activity.export_state()
-
-    def test_aggregate_view_v1_state(self, streamed):
-        index, engine, _balances, _activity, aggregates = streamed
-        uf = aggregates._uf
-        v1 = {
-            "height": aggregates.height,
-            "uf": {
-                "parent": [uf._parent[i] for i in range(len(uf))],
-                "size": [uf._size[i] for i in range(len(uf))],
-                "components": uf.component_count,
-                "log": [
-                    list(entry) for entry in uf.log_prefix(uf.checkpoint())
-                ],
-            },
-            "balance": aggregates._balance.tolist(),
-            "tx_count": aggregates._tx_count.tolist(),
-            "first_seen": aggregates._first.tolist(),
-            "last_seen": aggregates._last.tolist(),
-            "min_member": aggregates._min_member.tolist(),
-        }
-        restored = ClusterAggregateView.from_state(
-            index, v1, engine=engine, follow=False
-        )
-        assert restored.export_state() == aggregates.export_state()
 
 
 class TestManifestVersionGate:
-    def test_current_and_previous_versions_supported(self):
+    def test_only_the_current_version_is_supported(self):
         assert MANIFEST_VERSION == 4
-        assert SUPPORTED_VERSIONS == {2, 3, 4}
+        assert SUPPORTED_VERSIONS == {4}
 
-    def _snapshot_dir(self, tmp_path):
+    def _state_dir(self, tmp_path):
+        """``<dir>/snapshots/snap-*`` the way ``repro doctor`` expects."""
         from repro.service import ForensicsService
         from repro.storage import StateStore
 
@@ -174,21 +108,65 @@ class TestManifestVersionGate:
         for block in large_scale_blocks(4, seed=1):
             index.add_block(block)
         store = StateStore(tmp_path / "snapshots")
-        return store.snapshot(service)
+        return store, store.snapshot(service)
 
-    def _rewrite_version(self, directory, version):
+    def _rewrite_manifest(self, directory, edit):
         path = directory / MANIFEST_NAME
         raw = json.loads(path.read_text())
-        raw["format_version"] = version
+        edit(raw)
         path.write_text(json.dumps(raw))
 
-    def test_version_2_manifest_still_reads(self, tmp_path):
-        directory = self._snapshot_dir(tmp_path)
-        self._rewrite_version(directory, 2)
-        assert read_manifest(directory).format_version == 2
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_versions_are_refused_with_the_remedy(self, tmp_path, version):
+        store, directory = self._state_dir(tmp_path)
+        self._rewrite_manifest(
+            directory, lambda raw: raw.update(format_version=version)
+        )
+        with pytest.raises(UnsupportedSnapshotError) as refused:
+            read_manifest(directory)
+        message = str(refused.value)
+        assert f"format version {version} found" in message
+        assert "restores version 4 only" in message
+        assert "re-ingest from blk*.dat" in message
+        assert store.latest() is None  # nothing a restore would pick
+
+    def test_v4_without_the_timetravel_segment_is_refused(self, tmp_path):
+        store, directory = self._state_dir(tmp_path)
+        self._rewrite_manifest(
+            directory, lambda raw: raw["segments"].pop("timetravel")
+        )
+        manifest = read_manifest(directory)
+        with pytest.raises(UnsupportedSnapshotError) as refused:
+            store.restore(manifest)
+        message = str(refused.value)
+        assert "no 'timetravel' segment found" in message
+        assert "re-ingest from blk*.dat" in message
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw.update(format_version=2),
+            lambda raw: raw.update(format_version=3),
+            lambda raw: raw["segments"].pop("timetravel"),
+        ],
+        ids=["v2", "v3", "v4-no-timetravel"],
+    )
+    def test_doctor_reports_unrestorable_not_corrupt(self, tmp_path, edit):
+        from repro.obs.doctor import run_doctor
+
+        _store, directory = self._state_dir(tmp_path)
+        self._rewrite_manifest(directory, edit)
+        report = run_doctor(tmp_path)
+        assert not report.ok
+        text = " ".join(report.problems)
+        assert "unrestorable" in text and "re-ingest from blk*.dat" in text
+        assert "checksum" not in text
+        assert "unreadable or missing manifest" not in text
 
     def test_unknown_version_fails_closed(self, tmp_path):
-        directory = self._snapshot_dir(tmp_path)
-        self._rewrite_version(directory, 99)
+        _store, directory = self._state_dir(tmp_path)
+        self._rewrite_manifest(
+            directory, lambda raw: raw.update(format_version=99)
+        )
         with pytest.raises(SnapshotIntegrityError):
             read_manifest(directory)

@@ -1,9 +1,10 @@
 """The restore contract, property-style: snapshot at *every* height h,
 restore + tail-replay to the tip, and demand the result is
 indistinguishable from the never-restarted service — clustering,
-balances, taint, activity, the differential cluster aggregates (their
-segment round-trips and the rankings/profiles they serve are
-byte-equal), and the whole query surface.
+balances, taint, activity, the cluster aggregates *at every height*
+(their two segments round-trip, and the rankings/profiles they serve at
+the tip and at each historical height are byte-equal), and the whole
+query surface.
 
 This is the storage layer's analogue of PR 1's incremental==batch and
 PR 2's view==batch properties: recovery must not be a new code path
@@ -86,21 +87,26 @@ def _assert_equivalent(reference, restored):
         assert reference.taint.result_for(label) == restored.taint.result_for(
             label
         ), label
-    # Differential cluster aggregates: the restored view (base arrays
-    # from the segment + overlay rebuilt off the restored engine's open
-    # labels) must rank identically, and the ranked/profiled answers it
-    # serves must be byte-equal to the never-restarted service's.
+    # Cluster aggregates: the restored view (tip arrays and delta log
+    # from the two segments + overlay rebuilt off the restored engine's
+    # open labels) must rank identically at the tip and at every height
+    # below it, and the ranked/profiled answers it serves must be
+    # byte-equal to the never-restarted service's.
     assert restored.aggregates.height == reference.aggregates.height == height
-    for by in TOP_CLUSTER_METRICS:
-        assert reference.aggregates.ranking(by) == restored.aggregates.ranking(
-            by
-        ), by
-        query = Query("top_clusters", (12, by))
-        assert repr(reference.answer(query)) == repr(restored.answer(query))
     interner = reference.index.interner
-    for ident in range(0, len(interner), 11):
-        query = Query("cluster_profile", (interner.address_of(ident),))
-        assert repr(reference.answer(query)) == repr(restored.answer(query))
+    for h in [*range(height + 1), None]:
+        at = () if h is None else (h,)
+        for by in TOP_CLUSTER_METRICS:
+            assert reference.aggregates.at(h).ranking(
+                by
+            ) == restored.aggregates.at(h).ranking(by), (h, by)
+            query = Query("top_clusters", (12, by) + at)
+            assert repr(reference.answer(query)) == repr(restored.answer(query))
+        for ident in range(0, len(interner), 11 if h is None else 37):
+            query = Query("cluster_profile", (interner.address_of(ident),) + at)
+            assert repr(reference.answer(query)) == repr(
+                restored.answer(query)
+            ), query
     # The full query surface, answered in a mixed batch.
     queries = experiments.generate_query_workload(
         reference, n_queries=60, seed=11

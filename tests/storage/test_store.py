@@ -10,7 +10,6 @@ from repro.service import ForensicsService
 from repro.simulation import scenarios
 from repro.storage import (
     COMPONENTS,
-    OPTIONAL_COMPONENTS,
     NoSnapshotError,
     SnapshotIntegrityError,
     SnapshotPolicy,
@@ -44,7 +43,7 @@ class TestSnapshotCapture:
         path = store.snapshot(served)
         manifest = read_manifest(path)
         assert manifest.height == served.height
-        assert set(manifest.segments) == set(COMPONENTS + OPTIONAL_COMPONENTS)
+        assert set(manifest.segments) == set(COMPONENTS)
         for record in manifest.segments.values():
             assert (path / record["file"]).stat().st_size == record["bytes"]
         assert manifest.chain["tx_count"] == served.index.tx_count
@@ -118,6 +117,56 @@ class TestDiscoveryAndRetention:
         assert policy.snapshots_taken == 5  # heights 9, 19, 29, 39, 49
         assert [m.height for m in store.snapshots()] == [39, 49]
         policy.detach()
+
+    def test_policy_snapshots_only_fully_folded_blocks(
+        self, tmp_path, world, monkeypatch
+    ):
+        """The policy rides the delta fan-out as its last subscriber:
+        when it fires, the engine and every view have folded the block."""
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        store = StateStore(tmp_path)
+        SnapshotPolicy(store, every=5).attach(service)
+        assert [name for _observer, name in index._observers] == [
+            "engine", "aggregates", "balances", "activity", "taint",
+            "snapshot-policy",
+        ]
+        seen = []
+        capture = store.snapshot
+
+        def spying_snapshot(target):
+            seen.append(
+                {
+                    target.height, target.engine.height,
+                    target.aggregates.height, target.balances.height,
+                    target.activity.height, target.taint.height,
+                }
+            )
+            return capture(target)
+
+        monkeypatch.setattr(store, "snapshot", spying_snapshot)
+        for block in world.blocks[:20]:
+            index.add_block(block)
+        assert seen == [{4}, {9}, {14}, {19}]
+
+    def test_policy_failure_is_loud_after_everyone_was_notified(
+        self, tmp_path, world, monkeypatch
+    ):
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        store = StateStore(tmp_path)
+        SnapshotPolicy(store, every=1).attach(service)
+        later = []
+        index.subscribe_deltas(lambda delta: later.append(delta.height))
+
+        def failing_snapshot(_service):
+            raise StorageError("disk full")
+
+        monkeypatch.setattr(store, "snapshot", failing_snapshot)
+        with pytest.raises(StorageError, match="disk full"):
+            index.add_block(world.blocks[0])
+        assert later == [0]
+        assert service.aggregates.height == service.height == 0
 
     def test_policy_attach_twice_rejected(self, tmp_path, world):
         index = ChainIndex()
