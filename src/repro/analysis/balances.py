@@ -151,10 +151,9 @@ class BalanceAnalyzer:
                 deltas[category][height] += value
             for height, _txid, _vin, value in record.spend_rows:
                 deltas[category][height] -= value
-        for block in self.index.blocks:
-            for tx in block.transactions:
-                if tx.is_coinbase:
-                    supply_deltas[block.height] += tx.total_output_value
+        for tx, location in self.index.iter_transactions():
+            if tx.is_coinbase:
+                supply_deltas[location.height] += tx.total_output_value
 
     def _deltas_from_view(self, deltas, sink_deltas, supply_deltas) -> None:
         """The streaming path: replay the warm view's event log.
@@ -165,7 +164,8 @@ class BalanceAnalyzer:
         address record's receive/spend lists.
         """
         view = self.view
-        address_by_id = self.index.address_by_id
+        index = self.index
+        address_of = index.interner.address_of
         category_by_id: dict[int, str | None] = {}
         miss = object()
         for height in range(view.height + 1):
@@ -175,12 +175,11 @@ class BalanceAnalyzer:
             for ident, delta in view.events_at(height):
                 category = category_by_id.get(ident, miss)
                 if category is miss:
-                    record = address_by_id(ident)
-                    if record.is_sink:
+                    if index.is_sink_id(ident):
                         category_by_id[ident] = "!sink"
                         sink_deltas[height] += delta
                         continue
-                    category = self._category_of(record.address)
+                    category = self._category_of(address_of(ident))
                     category_by_id[ident] = category
                 elif category == "!sink":
                     sink_deltas[height] += delta

@@ -35,8 +35,8 @@ the H1 co-spend pair arrays :attr:`BlockDelta.h1_a` /
 consume — one ``np.add.at`` scatter per block instead of a per-element
 Python loop — while the tuple views remain the scalar reference the
 kernels are property-tested against.  The buffers are read-only: one
-delta object is shared by the whole fan-out and may be retained by
-lazily-flushed consumers.
+delta object is shared by the whole fan-out, and consumers may keep the
+buffers (never the delta) past their fold.
 
 Settled/voided H2 label churn is deliberately *not* here: it is a
 function of clustering state, not of the raw block, and stays on
@@ -48,7 +48,10 @@ The delta carries the :class:`~repro.chain.model.Block` itself
 (:attr:`BlockDelta.block`) for observers that want block-level facts,
 and consumers that genuinely need a transaction object (H2's static
 checks, taint propagation) read :attr:`TxDelta.tx` — without ever
-re-walking ``block.transactions`` or re-resolving a memo.
+re-walking ``block.transactions``.  Both are for the duration of the
+fold only: the index keeps a decoded block's wire bytes, not the
+object, so a subscriber that retained the delta, its block or a
+transaction would be the one thing keeping those objects alive.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _as_int64(values) -> np.ndarray:
     """Read-only little-endian int64 column.
 
     Read-only because one delta object is shared by the whole observer
-    fan-out (and may be retained by lazily-flushed consumers), so no
+    fan-out (and consumers keep the columns past their fold), so no
     subscriber can corrupt another's view of it.
     """
     array = np.asarray(values, dtype="<i8")
@@ -203,9 +206,9 @@ def build_block_delta(index, block: Block) -> BlockDelta:
     Ingestion itself emits each block's delta from its one validating
     walk (:meth:`ChainIndex.add_block`); this is the catch-up twin
     behind :meth:`ChainIndex.block_delta` for consumers that attach to
-    an index already holding blocks.  It reads the per-tx memos that
-    walk seated (falling back to resolution on a lazily restored index)
-    and must produce the identical delta.
+    an index already holding blocks.  It reads the transactions' rows
+    of the index's receive and spend logs (what that walk appended, and
+    what a restored index loads) and must produce the identical delta.
     """
     txs: list[TxDelta] = []
     event_ids: list[int] = []
@@ -216,18 +219,21 @@ def build_block_delta(index, block: Block) -> BlockDelta:
     block_involved: dict[int, None] = {}
     minted = 0
     for tx in block.transactions:
-        input_ids = index.input_address_ids(tx)
         output_ids = index.output_address_ids(tx)
         is_coinbase = tx.is_coinbase
+        input_spends: tuple[tuple[int, int], ...] = ()
+        input_ids: tuple[int, ...] = ()
         if is_coinbase:
             minted += tx.total_output_value
-            input_spends: tuple[tuple[int, int], ...] = ()
         else:
             input_spends = index.input_spends(tx)
+            senders: dict[int, None] = {}
             for ident, value in input_spends:
                 if ident >= 0:
+                    senders[ident] = None
                     event_ids.append(ident)
                     event_values.append(-value)
+            input_ids = tuple(senders)
             if len(input_ids) > 1:
                 h1_a.extend(input_ids[:1] * (len(input_ids) - 1))
                 h1_b.extend(input_ids[1:])

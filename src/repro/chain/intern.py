@@ -41,11 +41,9 @@ class AddressInterner:
         """
         interner = cls()
         table = interner._addresses
-        ids = interner._ids
-        for address in addresses:
-            ids[address] = len(table)
-            table.append(address)
-        if len(ids) != len(table):
+        table.extend(addresses)
+        interner._ids.update(zip(table, range(len(table))))
+        if len(interner._ids) != len(table):
             raise ValueError("interner address table contains duplicates")
         return interner
 

@@ -237,6 +237,11 @@ class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
     height: int
+    wire: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    """The record's wire bytes, seated by the decoder (canonical varints
+    are enforced, so they are ``serialize_block(self)``); ``None`` for a
+    block built in memory.  The index keeps these bytes instead of the
+    object."""
 
     def __post_init__(self) -> None:
         if not isinstance(self.transactions, tuple):

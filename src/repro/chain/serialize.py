@@ -222,9 +222,10 @@ def decode_block(
     data: bytes, pos: int, end: int, *, height: int
 ) -> tuple[Block, int]:
     """Decode the block starting at ``data[pos]``, reading no further
-    than ``end``.  ``height`` is supplied by the caller (block files
-    don't embed it; readers track it positionally, as real parsers do).
-    Returns ``(block, next offset)``."""
+    than ``end``, and seat its wire bytes on it (``block.wire``).
+    ``height`` is supplied by the caller (block files don't embed it;
+    readers track it positionally, as real parsers do).  Returns
+    ``(block, next offset)``."""
     start = pos
     pos += _BLOCK_HEAD.size
     if pos > end:
@@ -241,7 +242,11 @@ def decode_block(
         tx, pos = decode_tx(data, pos, end)
         txs.append(tx)
     header = BlockHeader(version, prev_hash, merkle_root_, timestamp, bits, nonce)
-    return Block(header, tuple(txs), height), pos
+    block = Block(header, tuple(txs), height)
+    # As for txids: canonical varints make data[start:pos] the block's
+    # serialization, so the index can keep these bytes, not the objects.
+    object.__setattr__(block, "wire", data[start:pos])
+    return block, pos
 
 
 def block_from_bytes(data: bytes, *, height: int) -> Block:

@@ -131,7 +131,12 @@ def is_dice_spend(
 
 
 def find_candidate(
-    index: ChainIndex, tx: Transaction, height: int, *, min_outputs: int = 2
+    index: ChainIndex,
+    tx: Transaction,
+    height: int,
+    *,
+    min_outputs: int = 2,
+    ids: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> tuple[int | None, str]:
     """Apply the four base conditions to one indexed transaction at its
     own ``height``.
@@ -141,34 +146,33 @@ def find_candidate(
     ``too_few_outputs``, ``self_change``, ``no_fresh_output``,
     ``ambiguous``.
 
-    Works in id space on the index's per-tx memos and history rows: an
-    output is *fresh* exactly when it is the first receive its address
-    ever had.  Rows are in chain order, so that one comparison covers
-    "never paid before this height" and "not paid earlier in this block
-    (or by an earlier output of this transaction)" at once; every other
-    addressed output has then appeared before, which is condition 4.
+    Works in id space on the index's rows: an output is *fresh* exactly
+    when it is the first receive its address ever had
+    (:meth:`ChainIndex.fresh_outputs`).  Rows are in chain order, so
+    that one comparison covers "never paid before this height" and "not
+    paid earlier in this block (or by an earlier output of this
+    transaction)" at once; every other addressed output has then
+    appeared before, which is condition 4.
+
+    ``ids`` is the transaction's ``(input ids, output ids)`` when the
+    caller already holds them (the streaming engine does, from the
+    block's delta); otherwise they are read from the index.
     """
     if tx.is_coinbase:
         return None, "coinbase"
     if len(tx.outputs) < min_outputs:
         return None, "too_few_outputs"
-    output_ids = index.output_address_ids(tx)
-    if not set(index.input_address_ids(tx)).isdisjoint(output_ids):
+    input_ids, output_ids = ids or (
+        index.input_address_ids(tx), index.output_address_ids(tx)
+    )
+    if not set(input_ids).isdisjoint(output_ids):
         return None, "self_change"
-    txid = tx.txid
-    address_by_id = index.address_by_id
-    fresh: int | None = None
-    for vout, ident in enumerate(output_ids):
-        if ident < 0:
-            continue
-        first = address_by_id(ident).receive_rows[0]
-        if first[0] >= height and first[2] == vout and first[1] == txid:
-            if fresh is not None:
-                return None, "ambiguous"
-            fresh = vout
-    if fresh is None:
+    fresh = index.fresh_outputs(tx.txid)
+    if not fresh:
         return None, "no_fresh_output"
-    return fresh, "ok"
+    if len(fresh) > 1:
+        return None, "ambiguous"
+    return fresh[0], "ok"
 
 
 class Heuristic2:
@@ -235,21 +239,26 @@ class Heuristic2:
             <= window
         )
 
-    def _some_output_is_reused_change(self, tx: Transaction, height: int) -> bool:
+    def _some_output_is_reused_change(
+        self, tx: Transaction, height: int, output_ids: tuple[int, ...]
+    ) -> bool:
         """§4.2: 'an output address had already received only one input'
         — the same-change-address-used-twice pattern (recency-scoped;
         heavily reused addresses like dice games are exempt, they are
         plainly not one-time change)."""
         dice = self.dice_addresses
-        address_by_id = self.index.address_by_id
-        for out, ident in zip(tx.outputs, self.index.output_address_ids(tx)):
+        first_receive_heights = self.index.first_receive_heights
+        for out, ident in zip(tx.outputs, output_ids):
             if ident < 0:
                 continue
-            record = address_by_id(ident)
+            # Exactly one receive strictly before ``height``: the first
+            # is, the second (if any) is not.
+            received = first_receive_heights(ident, 2)
             if (
-                record.receives_before(height) == 1
+                received[0] < height
+                and (len(received) == 1 or received[1] >= height)
                 and not (dice and out.address in dice)
-                and self._within_window(record.receive_rows[0][0], height)
+                and self._within_window(received[0], height)
             ):
                 return True
         return False
@@ -276,7 +285,11 @@ class Heuristic2:
     # ------------------------------------------------------------------
 
     def identify_change_static(
-        self, tx: Transaction
+        self,
+        tx: Transaction,
+        *,
+        height: int | None = None,
+        ids: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
     ) -> tuple[ChangeLabel | None, str]:
         """The purely-past part of the label decision.
 
@@ -286,16 +299,21 @@ class Heuristic2:
         what the incremental engine evaluates as a block arrives (the
         wait check is then applied forward, as later receives stream
         in); :meth:`identify_change` layers the lookahead on top.
+
+        ``height`` and ``ids`` (see :func:`find_candidate`) spare the
+        index reads when the caller holds the block's delta.
         """
-        height = self.index.height_of(tx.txid)
+        index = self.index
+        if height is None:
+            height = index.height_of(tx.txid)
         vout, reason = find_candidate(
-            self.index, tx, height, min_outputs=self.config.min_outputs
+            index, tx, height, min_outputs=self.config.min_outputs, ids=ids
         )
         if vout is None:
             return None, reason
         address = tx.outputs[vout].address
         if self.config.reject_reused_change and self._some_output_is_reused_change(
-            tx, height
+            tx, height, ids[1] if ids else index.output_address_ids(tx)
         ):
             return None, "reused_change"
         if self.config.reject_prior_self_change and self._some_output_was_self_change(

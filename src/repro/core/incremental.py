@@ -277,7 +277,9 @@ class IncrementalClusteringEngine:
         #    after the voiding pass so same-height receives never void a
         #    newborn label (the batch rule is strictly-later receives).
         for txd in delta.txs:
-            label, _reason = self._h2.identify_change_static(txd.tx)
+            label, _reason = self._h2.identify_change_static(
+                txd.tx, height=height, ids=(txd.input_ids, txd.output_ids)
+            )
             if label is None:
                 continue
             input_ids = txd.input_ids

@@ -593,10 +593,11 @@ def watch_synthetic_thefts(service: ForensicsService, *, cases: int = 3) -> None
     still exercise ``trace_taint`` — and so a dumped workload replays
     against a freshly built service."""
     index = service.index
-    height = max(0, index.height // 3)
     watched = 0
-    for block in index.blocks[height:]:
-        for tx in block.transactions:
+    # Walk upward block by block and stop at the last case: nothing of
+    # the chain is decoded, let alone held, beyond those few blocks.
+    for height in range(max(0, index.height // 3), index.height + 1):
+        for tx in index.block_at(height).transactions:
             if tx.is_coinbase:
                 continue
             watched += 1

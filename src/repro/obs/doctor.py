@@ -7,8 +7,9 @@ and :func:`repro.experiments.warm_service` write it
 1. checksum-verifies **every** segment of **every** snapshot (an
    unreadable manifest or a flipped byte anywhere is a reported
    problem, not just in the snapshot a restore would pick; a snapshot
-   in a layout this build no longer restores is reported as
-   *unrestorable*, with the remedy, not as corrupt);
+   in a layout this build no longer restores — manifest or chain state
+   version — is reported as *unrestorable*, with the remedy, not as
+   corrupt);
 2. restores the newest *clean* snapshot and tail-replays the block
    files through the normal observer fan-out;
 3. runs the full :class:`~repro.obs.audit.InvariantAuditor` suite in

@@ -878,9 +878,12 @@ class ClusterAggregateView(MaterializedView):
         self._tip = tip
         self._cursor = tip.uf.merge_cursor()
         """Detects a rollback of the base partition between flushes."""
-        self._pending: list[BlockDelta] = []
+        self._pending: list[tuple] = []
         """Blocks observed but not yet folded (drained by :meth:`_flush`
-        on the first read or export at the new tip)."""
+        on the first read or export at the new tip): per block the five
+        delta fields the flush reads — ``(height, max_id, event_ids,
+        event_values, involved_flat)`` — never the delta, which would
+        keep the block's transactions alive until the first read."""
         self._naming_dirty: set[int] = set()
         """Base roots whose *canonical id mapping* may have changed
         since the last :meth:`drain_naming_dirty` — merge endpoints and
@@ -918,7 +921,12 @@ class ClusterAggregateView(MaterializedView):
                 f"non-monotonic block, or view-before-engine "
                 f"subscription order all leave the merge deltas missing)"
             )
-        self._pending.append(delta)
+        self._pending.append(
+            (
+                delta.height, delta.max_id, delta.event_ids,
+                delta.event_values, delta.involved_flat,
+            )
+        )
 
     @property
     def pending_blocks(self) -> int:
@@ -944,8 +952,8 @@ class ClusterAggregateView(MaterializedView):
             ).observe(len(pending))
             metrics.counter("aggregates.churn_rows").inc(
                 sum(
-                    len(delta.event_ids) + len(delta.involved_flat)
-                    for delta in pending
+                    len(event_ids) + len(involved_flat)
+                    for _h, _max_id, event_ids, _values, involved_flat in pending
                 )
             )
         # Apply each block's unions to the base — H1 merges replayed off
@@ -955,25 +963,25 @@ class ClusterAggregateView(MaterializedView):
         # exactly the block's effective merges.
         uf = self._tip.uf
         records = []
-        for delta in pending:
-            churn = self.engine.cluster_delta(delta.height)
-            uf.ensure(delta.max_id + 1)
+        for height, max_id, event_ids, event_values, involved_flat in pending:
+            churn = self.engine.cluster_delta(height)
+            uf.ensure(max_id + 1)
             for absorbed, kept in churn.merges:
                 uf.union(absorbed, kept)
             for live in churn.settled:
                 if live.input_id is not None:
                     uf.union(live.address_id, live.input_id)
-            record = self._records[delta.height] = _HeightRecord(
-                height=delta.height,
-                max_id=delta.max_id,
+            record = self._records[height] = _HeightRecord(
+                height=height,
+                max_id=max_id,
                 mark=uf.checkpoint(),
                 born_open=tuple(
                     live for live in churn.born if live.deadline is not None
                 ),
                 closed=churn.voided + churn.settled,
-                event_ids=delta.event_ids,
-                event_values=delta.event_values,
-                involved_flat=delta.involved_flat,
+                event_ids=event_ids,
+                event_values=event_values,
+                involved_flat=involved_flat,
             )
             records.append(record)
         retracted, span = uf.drain_merges(self._cursor)

@@ -18,8 +18,8 @@ written as a single self-validating file::
 The payload is pickle because exported states are *plain data by
 contract* (primitives, bytes, tuples, lists, dicts — see each
 component's ``export_state``), which pickle round-trips at C speed; the
-restore path's cost is bounded by the flat bytes, not by the object
-graph the live component will lazily rebuild.  Snapshots are local
+restore path's cost is bounded by the flat bytes, not by an object
+graph (the components hold their state as those same columns).  Snapshots are local
 operator state in the same trust domain as the code and block files
 themselves — the checksum defends against corruption and truncation,
 not against an adversary who can already write to the data directory.

@@ -28,11 +28,9 @@ newest.
 
 from __future__ import annotations
 
-import gc
 import os
 import shutil
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -88,31 +86,18 @@ def _missing_segment(directory: Path, name: str) -> SnapshotIntegrityError:
     )
 
 
-@contextmanager
-def _bulk_allocation():
-    """Pause the cyclic GC across a bulk (de)serialization.
-
-    Exported states are acyclic plain data, but allocating hundreds of
-    thousands of containers in one burst trips repeated generation-2
-    collections — each of which walks every live object in the process
-    (the whole chain, in a serving process).  Pausing the collector for
-    the burst routinely cuts snapshot/restore wall time several-fold;
-    nothing allocated here is cyclic garbage, so nothing is lost.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        # Promote the burst's survivors out of the young generations
-        # before re-enabling: a young collect walks only the new plain
-        # data (cheap), so re-enabling doesn't schedule an imminent
-        # full collection whose old-heap walk would land on whatever
-        # the caller times next.
-        gc.collect(1)
-        gc.enable()
+def _stale_chain_state(directory: Path, state) -> UnsupportedSnapshotError | None:
+    """A chain segment in a state layout this build does not restore
+    (intact — its checksum verified — but not restorable), else ``None``."""
+    found = state.get("version")
+    if found == ChainIndex.STATE_VERSION:
+        return None
+    return UnsupportedSnapshotError(
+        f"snapshot {directory}: unrestorable — chain state version "
+        f"{found!r} found, this build restores version "
+        f"{ChainIndex.STATE_VERSION} only (wire blocks and flat history "
+        f"columns); re-ingest from blk*.dat and snapshot again"
+    )
 
 
 @dataclass(frozen=True)
@@ -193,8 +178,7 @@ class StateStore:
         start = perf_counter()
         try:
             index = service.index
-            with _bulk_allocation():
-                segments = self._write_segments(scratch, service)
+            segments = self._write_segments(scratch, service)
             manifest = SnapshotManifest(
                 height=height,
                 chain={
@@ -326,18 +310,20 @@ class StateStore:
         try:
             states = {}
             total_bytes = 0
-            with _bulk_allocation():
-                for name in COMPONENTS:
-                    record = snapshot.segments.get(name)
-                    if record is None:
-                        raise _missing_segment(directory, name)
-                    states[name] = read_segment(
-                        directory / record["file"],
-                        expected_name=name,
-                        expected_sha256=record["sha256"],
-                    )
-                    total_bytes += record.get("bytes", 0)
-                index = ChainIndex.restore_state(states["chain"])
+            for name in COMPONENTS:
+                record = snapshot.segments.get(name)
+                if record is None:
+                    raise _missing_segment(directory, name)
+                states[name] = read_segment(
+                    directory / record["file"],
+                    expected_name=name,
+                    expected_sha256=record["sha256"],
+                )
+                total_bytes += record.get("bytes", 0)
+            stale = _stale_chain_state(directory, states["chain"])
+            if stale is not None:
+                raise stale
+            index = ChainIndex.restore_state(states["chain"])
             if index.height != snapshot.height:
                 raise SnapshotIntegrityError(
                     f"snapshot {directory} manifest says height "
@@ -402,13 +388,18 @@ class StateStore:
                 problems.append(str(_missing_segment(directory, name)))
                 continue
             try:
-                read_segment(
+                state = read_segment(
                     directory / record["file"],
                     expected_name=name,
                     expected_sha256=record["sha256"],
                 )
             except (SnapshotIntegrityError, OSError) as exc:
                 problems.append(f"segment {name!r}: {exc}")
+                continue
+            if name == "chain":
+                stale = _stale_chain_state(directory, state)
+                if stale is not None:
+                    problems.append(str(stale))
         if problems:
             self.metrics.counter("store.integrity_failures").inc(
                 len(problems)

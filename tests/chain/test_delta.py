@@ -16,9 +16,9 @@ Two contracts are pinned here:
   property over random simulated scenarios, checked at every height),
   and the streaming views folded from deltas equal per-address state
   recomputed from the records/transactions.
-* **One record representation** — the address records that walk builds
-  equal the ones a snapshot restore inflates, and the exported state is
-  the one the pre-fusion index exported (golden digest + pickle size).
+* **One record representation** — the address records a live-built
+  index reads equal the ones a restored index reads, and the exported
+  state is pinned (golden digest, pickle size, bytes per component).
 """
 
 import hashlib
@@ -345,34 +345,65 @@ class TestOneRecordRepresentation:
                 r for r in record.receives if r.height > heights[1]
             ]
 
-    # ``_state_digest(index.export_state())`` taken at the last commit
-    # before the ingest walk stopped building Receive/Spend/TxLocation
-    # objects (5794177), per chain: (repr digest, pickle size of blocks
-    # straight from the simulator, pickle size of the same blocks decoded
-    # from blk*.dat — decoded prevout txids are distinct bytes objects, so
-    # pickle memoizes fewer of them).  STATE_VERSION is still 1: these
-    # move only if the snapshot format does.
+    # ``_state_digest(index.export_state())`` per chain — state version
+    # 2: wire blocks, the txid table and every column as raw bytes — and
+    # next to it the bytes each component takes.  The same from blocks
+    # straight from the simulator and from the same blocks decoded from
+    # blk*.dat (the index holds neither as objects in its state).  These
+    # move only if the snapshot format does.  Version 1 pickled the same
+    # two chains to 380,256 / 410,083 B ("scale") and 22,567 / 24,184 B
+    # ("micro"), at 27.5 B per history row and 53 B per unspent output.
     GOLDEN = {
-        "scale": ("bf1957f2bd3f266f", 380256, 410083),
-        "micro": ("7ac11fcab2609863", 22567, 24184),
+        "scale": (
+            "8481c1be725b5569", 302927,
+            {"blocks": 136440, "tx_table": 22888, "receive_log": 58080,
+             "spend_log": 14720, "addresses": 69363},
+        ),
+        "micro": (
+            "3b43a60d820d5053", 21111,
+            {"blocks": 12810, "tx_table": 2164, "receive_log": 2136,
+             "spend_log": 784, "addresses": 2307},
+        ),
     }
 
+    @staticmethod
+    def _component_bytes(state: dict) -> dict:
+        from repro.chain import index as layout
+
+        def columns(group) -> int:
+            return sum(len(state[name[1:]]) for name, _typecode in group)
+
+        return {
+            "blocks": sum(map(len, state["blocks"])),
+            "tx_table": len(state["txids"])
+            + columns(layout._PER_TX + layout._TX_ROW_STARTS),
+            "receive_log": columns(layout._RECEIVE_LOG),
+            "spend_log": columns(layout._SPEND_LOG),
+            "addresses": len(pickle.dumps(state["addresses"], protocol=4)),
+        }
+
     @pytest.mark.parametrize("chain", sorted(GOLDEN))
-    def test_exported_state_is_the_pre_fusion_state(self, chain, tmp_path):
+    def test_exported_state_is_pinned(self, chain, tmp_path):
         if chain == "scale":
             blocks = list(large_scale_blocks(60, seed=11))
         else:
             blocks = scenarios.micro_economy(seed=7, n_blocks=30, n_users=5).blocks
-        digest, simulated_size, decoded_size = self.GOLDEN[chain]
+        digest, size, components = self.GOLDEN[chain]
         BlockFileWriter(tmp_path).write_chain(blocks)
-        for source, size in (
-            (blocks, simulated_size), (read_blocks(tmp_path), decoded_size)
-        ):
+        for source in (blocks, read_blocks(tmp_path)):
             index = ChainIndex()
             for block in source:
                 index.add_block(block)
-            assert ChainIndex.STATE_VERSION == 1
-            assert _state_digest(index.export_state()) == (digest, size)
+            assert ChainIndex.STATE_VERSION == 2
+            state = index.export_state()
+            assert _state_digest(state) == (digest, size)
+            assert self._component_bytes(state) == components
+            # Version 1's costs are the ceiling: per history row (both
+            # logs; the UTXO set and the spender map are one column of
+            # the receive log) and per unspent output.
+            history = components["receive_log"] + components["spend_log"]
+            assert history / index.history_rows <= 27.5
+            assert len(state["recv_spender"]) / index.utxo_count <= 53
 
 
 class TestColumnarMirrors:

@@ -55,7 +55,8 @@ class TestIndexInterning:
         seen = set()
         for record in index.iter_addresses():
             assert record.address_id == index.interner.id_of(record.address)
-            assert index.address_by_id(record.address_id) is record
+            # A record is a value built on read: equal, not identical.
+            assert index.address_by_id(record.address_id) == record
             seen.add(record.address_id)
         assert seen == set(range(index.address_count))
 
@@ -64,8 +65,8 @@ class TestIndexInterning:
         ids = index.input_address_ids(joint)
         assert index.interner.addresses_of(ids) == index.input_addresses(joint)
         assert index.input_addresses(joint) == [addr("ia"), addr("ib")]
-        # Memoized per txid.
-        assert index.input_address_ids(joint) is ids
+        # Read from the transaction's spend rows: the same every time.
+        assert index.input_address_ids(joint) == ids
 
     def test_ids_are_first_sight_ordered(self):
         index, _joint = self._index()

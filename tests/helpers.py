@@ -485,3 +485,88 @@ def assert_surface_equals_batch(surface, index, height, **options):
         assert surface.activity_of_cluster(cid) == (
             None if activity is None else ClusterActivity(*activity)
         )
+
+
+# ----------------------------------------------------------------------
+# reference address histories (the oracle for the index's row logs)
+# ----------------------------------------------------------------------
+
+
+class HistoryTwin:
+    """Per-address receive and spend rows rebuilt by an independent walk
+    over the blocks themselves — a plain ``(txid, vout) -> (address,
+    value)`` map for the unspent outputs, one row list per address and
+    direction, nothing shared with :class:`ChainIndex`'s columns.
+    :meth:`assert_matches` holds every :class:`AddressRecord` read of an
+    index to it."""
+
+    def __init__(self) -> None:
+        self.height = -1
+        self.unspent: dict[tuple[bytes, int], tuple[str | None, int]] = {}
+        self.spenders: dict[tuple[bytes, int], tuple[bytes, int]] = {}
+        self.receives: dict[str, list[tuple[int, bytes, int, int]]] = {}
+        self.spends: dict[str, list[tuple[int, bytes, int, int]]] = {}
+
+    def apply(self, block: Block) -> None:
+        self.height = height = block.height
+        for tx in block.transactions:
+            for vin, txin in enumerate(tx.inputs):
+                if txin.is_coinbase:
+                    continue
+                consumed = (txin.prevout.txid, txin.prevout.vout)
+                address, value = self.unspent.pop(consumed)
+                self.spenders[consumed] = (tx.txid, vin)
+                if address is not None:
+                    self.spends.setdefault(address, []).append(
+                        (height, tx.txid, vin, value)
+                    )
+            for vout, out in enumerate(tx.outputs):
+                self.unspent[(tx.txid, vout)] = (out.address, out.value)
+                if out.address is not None:
+                    self.receives.setdefault(out.address, []).append(
+                        (height, tx.txid, vout, out.value)
+                    )
+
+    def assert_matches(self, index: ChainIndex) -> None:
+        """Every address the twin knows, read through ``index.address``
+        (and, by id, ``address_by_id``): rows, the two bisecting reads at
+        every height, first-seen height, balance, sink-ness — and the
+        index knows no address the twin does not."""
+        assert index.height == self.height
+        assert sorted(index.interner) == sorted(self.receives)
+        assert sorted(index.sink_addresses()) == sorted(
+            address for address in self.receives if address not in self.spends
+        )
+        assert index.utxo_count == len(self.unspent)
+        assert index.utxo_value() == sum(v for _a, v in self.unspent.values())
+        for address, receives in self.receives.items():
+            spends = self.spends.get(address, [])
+            record = index.address(address)
+            assert record == index.address_by_id(record.address_id)
+            assert record.address == address
+            assert record.receive_rows == receives, address
+            assert record.spend_rows == spends, address
+            assert record.first_seen_height == receives[0][0]
+            assert index.first_seen(address) == receives[0][0]
+            assert record.balance == sum(r[3] for r in receives) - sum(
+                s[3] for s in spends
+            )
+            assert record.is_sink == (not spends)
+            assert index.is_sink_id(record.address_id) == (not spends)
+            for height in range(self.height + 2):
+                assert record.receives_before(height) == sum(
+                    1 for r in receives if r[0] < height
+                )
+                assert [
+                    (r.height, r.txid, r.vout, r.value)
+                    for r in record.receives_after(height)
+                ] == [r for r in receives if r[0] > height]
+            assert index.first_receive_heights(record.address_id, 2) == [
+                r[0] for r in receives[:2]
+            ]
+        for txid, vout in self.unspent:
+            assert index.is_unspent(OutPoint(txid, vout))
+            assert index.spender_of(OutPoint(txid, vout)) is None
+        for (txid, vout), spender in self.spenders.items():
+            assert not index.is_unspent(OutPoint(txid, vout))
+            assert index.spender_of(OutPoint(txid, vout)) == spender

@@ -10,7 +10,10 @@ little-endian int64 buffer.  Two contracts are pinned here:
 * **manifest gate** — only the current manifest version restores;
   older layouts (list-shaped arrays, no ``timetravel`` segment) fail
   closed with an error that names what was found and the remedy, and
-  ``repro doctor`` reports them as unrestorable, not as corrupt.
+  ``repro doctor`` reports them as unrestorable, not as corrupt;
+* **chain state gate** — the same rule one level down: a version-1
+  chain segment (pickled per-address row lists and UTXO objects) inside
+  a current manifest is intact but unrestorable.
 """
 
 import json
@@ -162,6 +165,43 @@ class TestManifestVersionGate:
         assert "unrestorable" in text and "re-ingest from blk*.dat" in text
         assert "checksum" not in text
         assert "unreadable or missing manifest" not in text
+
+    def _downgrade_chain_segment(self, directory):
+        """Rewrite the chain segment as a version-1 state would look to
+        the gate (checksums and manifest kept consistent: the snapshot
+        is intact, just old)."""
+        from repro.storage.segments import write_segment
+
+        record = write_segment(directory, "chain", {"version": 1, "records": []})
+        self._rewrite_manifest(
+            directory, lambda raw: raw["segments"].update(chain=record)
+        )
+
+    def test_version_1_chain_state_is_refused_with_the_remedy(self, tmp_path):
+        assert ChainIndex.STATE_VERSION == 2
+        store, directory = self._state_dir(tmp_path)
+        self._downgrade_chain_segment(directory)
+        manifest = read_manifest(directory)
+        with pytest.raises(UnsupportedSnapshotError) as refused:
+            store.restore(manifest)
+        message = str(refused.value)
+        assert "chain state version 1 found" in message
+        assert "restores version 2 only" in message
+        assert "re-ingest from blk*.dat" in message
+        with pytest.raises(ValueError, match="chain state version 1"):
+            ChainIndex.restore_state({"version": 1})
+
+    def test_doctor_reports_version_1_chain_state_as_unrestorable(self, tmp_path):
+        from repro.obs.doctor import run_doctor
+
+        _store, directory = self._state_dir(tmp_path)
+        self._downgrade_chain_segment(directory)
+        report = run_doctor(tmp_path)
+        assert not report.ok
+        text = " ".join(report.problems)
+        assert "unrestorable" in text and "re-ingest from blk*.dat" in text
+        assert "chain state version 1 found" in text
+        assert "checksum" not in text and "corrupt" not in text
 
     def test_unknown_version_fails_closed(self, tmp_path):
         _store, directory = self._state_dir(tmp_path)

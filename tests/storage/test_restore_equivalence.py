@@ -23,6 +23,8 @@ from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
+from tests.helpers import HistoryTwin
+
 
 N_BLOCKS = 36
 
@@ -56,6 +58,9 @@ def reference_and_store(world, tmp_path_factory):
 def _assert_equivalent(reference, restored):
     height = reference.height
     assert restored.height == height
+    # Chain index: one representation — what a restored-then-followed
+    # index holds is, byte for byte, what the never-restarted one holds.
+    assert restored.index.export_state() == reference.index.export_state()
     # Engine: identical accounting at every horizon, identical partition.
     for h in range(height + 1):
         assert reference.engine.snapshot(h) == restored.engine.snapshot(h), h
@@ -129,6 +134,25 @@ def test_restore_and_tail_replay_equals_cold_service_at_every_height(
             # the PR 2 view property), which this equivalence then pins.
             experiments.watch_synthetic_thefts(warm.service)
         _assert_equivalent(reference, warm.service)
+
+
+def test_restored_histories_equal_an_independent_walk(
+    reference_and_store, world
+):
+    """Snapshot → restore → tail: every address record the restored
+    index reads equals rows rebuilt from the blocks, at the snapshot
+    height and after each tail block."""
+    _reference, store, blocks_dir = reference_and_store
+    histories = HistoryTwin()
+    manifest = store.snapshots()[len(world.blocks) // 3]
+    for block in world.blocks[: manifest.height + 1]:
+        histories.apply(block)
+    restored = store.restore(manifest).index
+    histories.assert_matches(restored)
+    for block in world.blocks[manifest.height + 1 :]:
+        restored.add_block(block)
+        histories.apply(block)
+        histories.assert_matches(restored)
 
 
 def test_restored_service_streams_like_cold_from_any_height(
