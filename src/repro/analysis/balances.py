@@ -8,16 +8,8 @@ sink addresses that have never spent).
 :class:`BalanceAnalyzer` computes the same series from a chain index and
 an address→entity naming function plus an entity→category map.  Run it
 with ground truth for an oracle view, or with the analyst's cluster
-naming for the paper's view; the bench does the latter.
-
-Two data paths produce identical series (property-tested):
-
-* the batch chain re-walk (every address record + every block), the
-  only option without a serving layer;
-* the streaming path — pass a warm
-  :class:`~repro.service.views.BalanceView` as ``view`` and the series
-  is replayed from its compact per-height ``(address id, delta)`` event
-  log plus its issuance ledger, touching no transaction or record.
+naming for the paper's view; the bench does the latter.  The series is
+one walk over every address record plus every block's coinbase.
 """
 
 from __future__ import annotations
@@ -79,17 +71,11 @@ class BalanceAnalyzer:
         name_of_address,
         category_of_entity,
         categories: tuple[str, ...],
-        view=None,
     ) -> None:
-        """``view`` is an optional warm
-        :class:`~repro.service.views.BalanceView` over the same index;
-        when given (and level with the tip), :meth:`series` streams off
-        its event log instead of re-walking the chain."""
         self.index = index
         self.name_of_address = name_of_address
         self.category_of_entity = category_of_entity
         self.categories = categories
-        self.view = view
 
     def _category_of(self, address: str) -> str | None:
         entity = self.name_of_address(address)
@@ -112,10 +98,7 @@ class BalanceAnalyzer:
         }
         sink_deltas: defaultdict[int, int] = defaultdict(int)
         supply_deltas: defaultdict[int, int] = defaultdict(int)
-        if self.view is not None and self.view.height == tip:
-            self._deltas_from_view(deltas, sink_deltas, supply_deltas)
-        else:
-            self._deltas_from_chain_walk(deltas, sink_deltas, supply_deltas)
+        self._deltas_from_chain_walk(deltas, sink_deltas, supply_deltas)
         series = BalanceSeries(
             heights=sample_heights,
             timestamps=[self.index.timestamp_at(h) for h in sample_heights],
@@ -129,7 +112,7 @@ class BalanceAnalyzer:
         return series
 
     def _deltas_from_chain_walk(self, deltas, sink_deltas, supply_deltas) -> None:
-        """The batch path: every address record plus every block."""
+        """Every address record plus every block's coinbase."""
         category_cache: dict[str, str | None] = {}
         for record in self.index.iter_addresses():
             address = record.address
@@ -154,38 +137,6 @@ class BalanceAnalyzer:
         for tx, location in self.index.iter_transactions():
             if tx.is_coinbase:
                 supply_deltas[location.height] += tx.total_output_value
-
-    def _deltas_from_view(self, deltas, sink_deltas, supply_deltas) -> None:
-        """The streaming path: replay the warm view's event log.
-
-        Emits exactly the chain walk's deltas — a sink address only
-        ever has positive events (it never spends), categories resolve
-        identically per address — without touching a transaction or an
-        address record's receive/spend lists.
-        """
-        view = self.view
-        index = self.index
-        address_of = index.interner.address_of
-        category_by_id: dict[int, str | None] = {}
-        miss = object()
-        for height in range(view.height + 1):
-            minted = view.coinbase_at(height)
-            if minted:
-                supply_deltas[height] += minted
-            for ident, delta in view.events_at(height):
-                category = category_by_id.get(ident, miss)
-                if category is miss:
-                    if index.is_sink_id(ident):
-                        category_by_id[ident] = "!sink"
-                        sink_deltas[height] += delta
-                        continue
-                    category = self._category_of(address_of(ident))
-                    category_by_id[ident] = category
-                elif category == "!sink":
-                    sink_deltas[height] += delta
-                    continue
-                if category in deltas:
-                    deltas[category][height] += delta
 
 
 def _cumulative_at(deltas: dict[int, int], sample_heights: list[int]) -> np.ndarray:

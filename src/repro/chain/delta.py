@@ -8,35 +8,33 @@ differential cluster aggregates — folds from one immutable, id-space
 ``block.transactions``.  The index emits it from the same pass that
 validates and applies the block (``ChainIndex._walk_block``);
 :func:`build_block_delta` rebuilds the identical delta for an
-already-ingested block (catch-up).  It flattens everything the whole
-observer fan-out needs:
+already-ingested block (catch-up).
 
-* per-tx sender-id tuples (:attr:`TxDelta.input_ids`) and the aligned
-  ``(address id, value)`` spend debits (:attr:`TxDelta.input_spends`);
-* per-tx output-address ids aligned with ``tx.outputs``
-  (:attr:`TxDelta.output_ids`, -1 for exotic scripts) — the engine's
-  §4.2 voiding pass reads these instead of re-extracting scripts;
-* per-tx *deduplicated* involved-address lists (:attr:`TxDelta.involved`)
-  so incidence consumers never build a throwaway ``set`` per tx;
-* the block's flat balance event log (:attr:`BlockDelta.events`,
-  ``(address id, signed delta)`` in fold order: per tx, spend debits
-  then output credits) plus coinbase issuance (:attr:`BlockDelta.minted`);
-* the block-level deduplicated involved set
-  (:attr:`BlockDelta.involved`) and its maximum address id
-  (:attr:`BlockDelta.max_id`) so consumers grow their dense arrays once
-  per block instead of once per address.
+Each fact is stored once.  Per transaction (:class:`TxDelta`) that is
+the sender-id tuple (:attr:`TxDelta.input_ids`) and the output-address
+ids aligned with ``tx.outputs`` (:attr:`TxDelta.output_ids`, -1 for
+exotic scripts) — what H2's static checks and the engine's §4.2 voiding
+pass read per transaction.  Per block it is coinbase issuance
+(:attr:`BlockDelta.minted`), the largest address id involved
+(:attr:`BlockDelta.max_id`, so dense consumers grow their arrays once
+per block) and six typed, contiguous int64 columns built once per
+block: the flat balance event log in fold order — per transaction,
+spend debits then output credits — (:attr:`BlockDelta.event_ids` /
+:attr:`BlockDelta.event_values`), the block's deduplicated involved ids
+(:attr:`BlockDelta.involved_ids`), the per-tx involvement multiset
+(:attr:`BlockDelta.involved_flat`) and the H1 co-spend pairs
+(:attr:`BlockDelta.h1_a` / :attr:`BlockDelta.h1_b`).  The columns are
+what every fold consumes — one ``np.add.at`` scatter per block instead
+of a per-element Python loop.  They are read-only: one delta object is
+shared by the whole fan-out, and consumers may keep the columns (never
+the delta) past their fold.
 
-Alongside those tuple views the delta carries the same facts
-*columnar*: typed, contiguous int64 buffers built once per block
-(:attr:`BlockDelta.event_ids` / :attr:`BlockDelta.event_values`,
-:attr:`BlockDelta.involved_ids`, :attr:`BlockDelta.involved_flat`, and
-the H1 co-spend pair arrays :attr:`BlockDelta.h1_a` /
-:attr:`BlockDelta.h1_b`).  These are what the vectorized fold kernels
-consume — one ``np.add.at`` scatter per block instead of a per-element
-Python loop — while the tuple views remain the scalar reference the
-kernels are property-tested against.  The buffers are read-only: one
-delta object is shared by the whole fan-out, and consumers may keep the
-buffers (never the delta) past their fold.
+The tuple-shaped readings of the same facts —
+:attr:`BlockDelta.events`, :attr:`BlockDelta.involved`,
+:attr:`TxDelta.involved` — are properties derived on access, for the
+scalar reference folds in ``tests/helpers.py``, the auditor's shadow
+fold and anything else that wants to iterate pairs; nothing on the
+ingest path builds them.
 
 Settled/voided H2 label churn is deliberately *not* here: it is a
 function of clustering state, not of the raw block, and stays on
@@ -89,21 +87,22 @@ class TxDelta:
     """Interned sender ids (deduplicated, insertion-ordered); empty for
     coinbases.  Mirrors :meth:`ChainIndex.input_address_ids`."""
 
-    input_spends: tuple[tuple[int, int], ...]
-    """``(address id, value)`` per consumed output, aligned with the
-    non-coinbase inputs (-1 for exotic scripts).  Mirrors
-    :meth:`ChainIndex.input_spends`."""
-
     output_ids: tuple[int, ...]
     """Output address ids aligned with ``tx.outputs`` (-1 where no
     address is extractable).  Mirrors
     :meth:`ChainIndex.output_address_ids`."""
 
-    involved: tuple[int, ...]
-    """Deduplicated ids appearing among the senders or the outputs
-    (insertion-ordered: senders first).  The pre-built form of the
-    per-tx ``set`` the activity and aggregate consumers used to
-    allocate."""
+    @property
+    def involved(self) -> tuple[int, ...]:
+        """Deduplicated ids appearing among the senders or the outputs
+        (insertion-ordered: senders first), derived from the two id
+        tuples.  :attr:`BlockDelta.involved_flat` is the column folds
+        read."""
+        return tuple(
+            dict.fromkeys(
+                self.input_ids + tuple(i for i in self.output_ids if i >= 0)
+            )
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,35 +112,29 @@ class BlockDelta:
     block: Block
     txs: tuple[TxDelta, ...]
 
-    events: tuple[tuple[int, int], ...]
-    """Flat balance event log: ``(address id, signed satoshi delta)`` in
-    fold order — per transaction, spend debits then output credits.
-    Exactly the entries :class:`~repro.service.views.BalanceView` logs
-    per height, so the view appends ``list(events)`` verbatim."""
-
     minted: int
     """Coinbase satoshis issued by the block."""
-
-    involved: tuple[int, ...]
-    """Deduplicated ids involved anywhere in the block (union of the
-    per-tx ``involved`` lists, insertion-ordered)."""
 
     max_id: int
     """Largest address id involved in the block (-1 when none): dense
     consumers grow their arrays to ``max_id + 1`` once per block."""
 
     event_ids: np.ndarray
-    """Columnar :attr:`events`: the address-id column as a read-only
-    int64 array, aligned with :attr:`event_values`."""
+    """The flat balance event log, address-id column (read-only int64):
+    one entry per debit or credit in fold order — per transaction,
+    spend debits then output credits.  Exactly the entries
+    :class:`~repro.service.views.BalanceView` keeps per height, so the
+    view retains this column and :attr:`event_values` by reference."""
 
     event_values: np.ndarray
-    """Columnar :attr:`events`: the signed satoshi-delta column."""
+    """The signed satoshi-delta column, aligned with :attr:`event_ids`."""
 
     involved_ids: np.ndarray
-    """Columnar :attr:`involved` (block-level deduplicated ids)."""
+    """Deduplicated ids involved anywhere in the block (union of the
+    per-tx involved sets, insertion-ordered)."""
 
     involved_flat: np.ndarray
-    """Per-tx ``involved`` lists concatenated in tx order (duplicates
+    """Per-tx involved sets concatenated in tx order (duplicates
     across txs retained): an address involved in k of the block's txs
     appears k times — exactly the incidence multiset activity and
     aggregate folds count, scatterable in one ``np.add.at``."""
@@ -168,6 +161,22 @@ class BlockDelta:
     def timestamp(self) -> int:
         return self.block.header.timestamp
 
+    @property
+    def events(self) -> tuple[tuple[int, int], ...]:
+        """The balance event log as ``(address id, signed satoshi
+        delta)`` pairs, derived from the two event columns."""
+        return tuple(zip(self.event_ids.tolist(), self.event_values.tolist()))
+
+    @property
+    def involved(self) -> tuple[int, ...]:
+        """Deduplicated ids involved anywhere in the block, derived from
+        the per-tx id tuples — not from :attr:`involved_ids`, so
+        comparing the two (the auditor does) checks the column against
+        the transactions' own facts."""
+        return tuple(
+            dict.fromkeys(ident for txd in self.txs for ident in txd.involved)
+        )
+
     @classmethod
     def from_columns(
         cls,
@@ -181,19 +190,15 @@ class BlockDelta:
         involved: dict[int, None],
         minted: int,
     ) -> "BlockDelta":
-        """Seal one block walk's accumulators into the shared delta:
-        tuple views and read-only columns from the same lists."""
-        involved_tuple = tuple(involved)
+        """Seal one block walk's accumulators into the shared delta."""
         return cls(
             block=block,
             txs=tuple(txs),
-            events=tuple(zip(event_ids, event_values)),
             minted=minted,
-            involved=involved_tuple,
-            max_id=max(involved_tuple, default=-1),
+            max_id=max(involved, default=-1),
             event_ids=_as_int64(event_ids),
             event_values=_as_int64(event_values),
-            involved_ids=_as_int64(involved_tuple),
+            involved_ids=_as_int64(list(involved)),
             involved_flat=_as_int64(involved_flat),
             h1_a=_as_int64(h1_a),
             h1_b=_as_int64(h1_b),
@@ -221,14 +226,12 @@ def build_block_delta(index, block: Block) -> BlockDelta:
     for tx in block.transactions:
         output_ids = index.output_address_ids(tx)
         is_coinbase = tx.is_coinbase
-        input_spends: tuple[tuple[int, int], ...] = ()
         input_ids: tuple[int, ...] = ()
         if is_coinbase:
             minted += tx.total_output_value
         else:
-            input_spends = index.input_spends(tx)
             senders: dict[int, None] = {}
-            for ident, value in input_spends:
+            for ident, value in index.input_spends(tx):
                 if ident >= 0:
                     senders[ident] = None
                     event_ids.append(ident)
@@ -245,16 +248,7 @@ def build_block_delta(index, block: Block) -> BlockDelta:
                 involved[ident] = None
         involved_flat.extend(involved)
         block_involved.update(involved)
-        txs.append(
-            TxDelta(
-                tx=tx,
-                is_coinbase=is_coinbase,
-                input_ids=input_ids,
-                input_spends=input_spends,
-                output_ids=output_ids,
-                involved=tuple(involved),
-            )
-        )
+        txs.append(TxDelta(tx, is_coinbase, input_ids, output_ids))
     return BlockDelta.from_columns(
         block, txs, event_ids, event_values, involved_flat, h1_a, h1_b,
         block_involved, minted,

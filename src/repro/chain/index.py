@@ -168,6 +168,29 @@ class AddressRecord:
         """Count of receives strictly before ``height``."""
         return bisect_left(self.receive_rows, (height,))
 
+    def as_of(self, height: int) -> tuple[int, int, int | None, int | None]:
+        """``(balance, transaction count, first seen, last seen)`` over
+        the rows at heights up to and including ``height``.
+
+        The count is of *distinct* transactions among the receive and
+        spend rows — one that pays the address twice, or spends from it
+        and pays it change, involves it once — which is what
+        :class:`~repro.service.views.ActivityView` counts per block.
+        ``(0, 0, None, None)`` when nothing had paid the address yet.
+        """
+        receives = self.receive_rows[:self.receives_before(height + 1)]
+        if not receives:
+            return 0, 0, None, None
+        spends = self.spend_rows[:bisect_left(self.spend_rows, (height + 1,))]
+        txids = {row[1] for row in receives}
+        txids.update(row[1] for row in spends)
+        return (
+            sum(row[3] for row in receives) - sum(row[3] for row in spends),
+            len(txids),
+            receives[0][0],
+            max(receives[-1][0], spends[-1][0]) if spends else receives[-1][0],
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class TxLocation:
@@ -432,7 +455,6 @@ class ChainIndex:
                     raise DoubleSpendError(f"duplicate transaction {tx.txid_hex}")
                 inputs = tx.inputs
                 input_ids: dict[int, None] = {}  # dedup'd, insertion-ordered
-                input_spends: list[tuple[int, int]] = []
                 for vin, txin in enumerate(inputs):
                     prevout = txin.prevout
                     prev_txid = prevout.txid
@@ -462,8 +484,6 @@ class ChainIndex:
                     spend_next.append(-1)
                     recv_spender[spent] = row
                     ident = recv_addr[spent]
-                    value = recv_value[spent]
-                    input_spends.append((ident, value))
                     if ident < 0:
                         continue
                     previous = last_spend[ident]
@@ -474,7 +494,7 @@ class ChainIndex:
                     last_spend[ident] = row
                     input_ids[ident] = None
                     event_ids.append(ident)
-                    event_values.append(-value)
+                    event_values.append(-recv_value[spent])
                 involved = input_ids.copy()
                 output_ids: list[int] = []
                 output_value = 0
@@ -532,10 +552,7 @@ class ChainIndex:
                 ordinal += 1
                 if emit:
                     txds.append(
-                        TxDelta(
-                            tx, is_coinbase, sender_ids, tuple(input_spends),
-                            tuple(output_ids), tuple(involved),
-                        )
+                        TxDelta(tx, is_coinbase, sender_ids, tuple(output_ids))
                     )
         except BaseException:
             self._revert_block(marks, self_changed)

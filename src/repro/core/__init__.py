@@ -32,7 +32,7 @@ from .supercluster import (
     SuperClusterReport,
     diagnose_superclusters,
 )
-from .union_find import IntUnionFind, UnionFind
+from .union_find import IntUnionFind
 
 __all__ = [
     "ChangeLabel",
@@ -52,7 +52,6 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SECONDS_PER_WEEK",
     "SuperClusterReport",
-    "UnionFind",
     "cluster_h1",
     "cluster_h1_ids",
     "diagnose_superclusters",

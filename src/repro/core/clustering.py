@@ -21,14 +21,15 @@ from ..chain.index import ChainIndex
 from ..chain.intern import AddressInterner
 from .heuristic1 import cluster_h1_ids
 from .heuristic2 import Heuristic2, Heuristic2Config, Heuristic2Result
-from .union_find import IntUnionFind, UnionFind
+from .union_find import IntUnionFind
 
 
 class InternedPartition:
     """Address-string view over an id-keyed :class:`IntUnionFind`.
 
-    Exposes the same read API as :class:`UnionFind` keyed by address
-    strings (cluster roots are dense int ids — opaque to consumers), so
+    Exposes a partition read API keyed by address strings
+    (``find_root`` / ``connected`` / ``size_of`` / ``components`` …;
+    cluster roots are dense int ids — opaque to consumers), so
     naming, super-cluster diagnosis, metrics, and exports run unchanged
     on top of the interned hot path.  The view's universe is the ids the
     underlying structure holds, which may be a prefix of the interner
@@ -120,7 +121,7 @@ class InternedPartition:
 class Clustering:
     """A partition of addresses into inferred users."""
 
-    uf: "InternedPartition | UnionFind"
+    uf: InternedPartition
     heuristics: str
     h2_result: Heuristic2Result | None = None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..chain.index import ChainIndex
-from .union_find import IntUnionFind, UnionFind
+from .union_find import IntUnionFind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .clustering import InternedPartition
@@ -87,12 +87,13 @@ class H1Statistics:
 
 
 def h1_statistics(
-    index: ChainIndex, uf: "UnionFind | InternedPartition | None" = None
+    index: ChainIndex, uf: "InternedPartition | None" = None
 ) -> H1Statistics:
     """Compute the §4.1 cluster counts for a chain.
 
-    ``uf`` may be any address-keyed partition (a generic
-    :class:`UnionFind` or an :class:`~repro.core.clustering.InternedPartition`).
+    ``uf`` is an address-keyed partition (an
+    :class:`~repro.core.clustering.InternedPartition`, or anything with
+    its read API); default: :func:`cluster_h1` of the chain.
     """
     uf = uf if uf is not None else cluster_h1(index)
     sinks = set(index.sink_addresses())

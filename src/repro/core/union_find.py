@@ -1,140 +1,22 @@
-"""Disjoint-set forests: a generic one and an array-backed int one.
+"""The array-backed disjoint-set forest the clustering runs on.
 
-:class:`UnionFind` works over arbitrary hashable items (tags, test
-fixtures, miscellaneous groupings).  The clustering hot path instead
-runs on :class:`IntUnionFind`, which is backed by flat int64 arrays
-indexed by the dense address ids the chain layer interns, and which
-keeps an undo log so unions can be checkpointed and rolled back — the
-mechanism behind the incremental engine's time-travel snapshots.  The
-array backing is what makes :meth:`IntUnionFind.find_many` possible:
-batch root resolution as a handful of whole-array gathers instead of
-one pointer-chase loop per id.
+:class:`IntUnionFind` is backed by flat int64 arrays indexed by the
+dense address ids the chain layer interns, and keeps an undo log so
+unions can be checkpointed and rolled back — the mechanism behind the
+incremental engine's time-travel snapshots.  The array backing is what
+makes :meth:`IntUnionFind.find_many` possible: batch root resolution as
+a handful of whole-array gathers instead of one pointer-chase loop per
+id.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Hashable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .arrays import IntVector
-
-
-class UnionFind:
-    """Disjoint sets with union-by-size and path compression."""
-
-    def __init__(self, items: Iterable[Hashable] = ()) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-        self._size: dict[Hashable, int] = {}
-        self._components = 0
-        for item in items:
-            self.add(item)
-
-    def add(self, item: Hashable) -> None:
-        """Ensure ``item`` exists (as its own singleton set)."""
-        if item not in self._parent:
-            self._parent[item] = item
-            self._size[item] = 1
-            self._components += 1
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._parent
-
-    def __len__(self) -> int:
-        """Number of items tracked."""
-        return len(self._parent)
-
-    @property
-    def component_count(self) -> int:
-        """Number of disjoint sets."""
-        return self._components
-
-    def find(self, item: Hashable) -> Hashable:
-        """Canonical representative of ``item``'s set (adds if missing)."""
-        if item not in self._parent:
-            self.add(item)
-            return item
-        # Iterative find with path compression.
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def find_root(self, item: Hashable) -> Hashable | None:
-        """Representative of ``item``'s set, or ``None`` if untracked.
-
-        The read-only counterpart of :meth:`find`: querying an unknown
-        item never adds it (so lookups cannot inflate the item count).
-        """
-        if item not in self._parent:
-            return None
-        return self.find(item)
-
-    def union(self, a: Hashable, b: Hashable) -> Hashable:
-        """Merge the sets containing ``a`` and ``b``; returns the root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self._components -= 1
-        return ra
-
-    def union_all(self, items: Iterable[Hashable]) -> Hashable | None:
-        """Merge every item in ``items`` into one set; returns its root."""
-        iterator = iter(items)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            return None
-        root = self.find(first)
-        for item in iterator:
-            root = self.union(root, item)
-        return root
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        """True when ``a`` and ``b`` share a set."""
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self.find(a) == self.find(b)
-
-    def size_of(self, item: Hashable) -> int:
-        """Size of the set containing ``item``."""
-        return self._size[self.find(item)]
-
-    def component_sizes(self) -> dict[Hashable, int]:
-        """``root -> component size`` without materializing member lists.
-
-        Roots are exactly the self-parented items, so this is a single
-        scan of the parent map reading the maintained ``_size`` entries.
-        """
-        parent = self._parent
-        size = self._size
-        return {item: size[item] for item, p in parent.items() if p == item}
-
-    def components(self) -> dict[Hashable, list[Hashable]]:
-        """Materialize all sets as ``root -> members``."""
-        out: dict[Hashable, list[Hashable]] = defaultdict(list)
-        for item in self._parent:
-            out[self.find(item)].append(item)
-        return dict(out)
-
-    def iter_items(self) -> Iterator[Hashable]:
-        """All tracked items."""
-        return iter(self._parent)
-
-    def copy(self) -> "UnionFind":
-        """An independent copy (used to layer H2 on top of H1)."""
-        clone = UnionFind()
-        clone._parent = dict(self._parent)
-        clone._size = dict(self._size)
-        clone._components = self._components
-        return clone
 
 
 class MergeCursor:

@@ -21,10 +21,13 @@ pipeline's load-bearing invariants from independent sources:
   rebuild of the tip clustering — the H1 merge log re-applied to a copy
   plus the active change links, with size/balance/activity rolled up by
   one grouped numpy pass;
-* **shadow scalar-twin folds** — sampled blocks' shared
-  :class:`~repro.chain.delta.BlockDelta` columnar buffers are refolded
-  both ways (``np.add.at`` kernel vs the scalar per-event reference
-  loop) and must agree with the tuple-form event log.
+* **shadow folds** — sampled blocks' :class:`~repro.chain.delta.BlockDelta`
+  is rebuilt from the index's rows and read three independent ways: the
+  event columns refolded by the ``np.add.at`` kernel and by a scalar
+  per-event loop must agree, the involvement columns must equal the
+  per-transaction id tuples, and the event columns must equal the ones
+  the :class:`~repro.service.views.BalanceView` retained when the block
+  streamed.
 
 Every check reports through ``audit.checks_total``,
 ``audit.violations_total{check=}``, and ``audit.seconds{check=}`` plus
@@ -467,9 +470,7 @@ class InvariantAuditor:
         last_seen = sized(activity._last_seen.array)
 
         if full:
-            expected = self._batch_rollup_all(
-                roots, balances, tx_counts, first_seen, last_seen
-            )
+            chosen = None
         else:
             budget = min(self.sample_clusters, n)
             chosen = {int(roots[i]) for i in rng.sample(range(n), budget)}
@@ -478,9 +479,9 @@ class InvariantAuditor:
             # Dirty roots are *view-base* roots; their members resolve
             # to tip roots through the tip partition.
             chosen |= {int(roots[root]) for root in dirty if 0 <= root < n}
-            expected = self._rollups_of_roots(
-                chosen, roots, balances, tx_counts, first_seen, last_seen
-            )
+        expected = self._rollups_of_roots(
+            chosen, roots, balances, tx_counts, first_seen, last_seen
+        )
 
         problems: list[str] = []
         for cid, size, balance, batch_tx, first, last in expected:
@@ -525,19 +526,22 @@ class InvariantAuditor:
         chosen, roots, balances, tx_counts, first_seen, last_seen
     ) -> list[tuple]:
         """Batch truth ``(cid, size, balance, tx_count, first_seen,
-        last_seen)`` for every root in ``chosen``, in one grouped pass:
-        a lookup-table gather tags each member with its group, a stable
-        argsort over the (member-count-sized) selection groups members
-        contiguously in ascending id order, and each aggregate rolls up
-        as an exact int64 ``reduceat`` — no per-cluster full-universe
-        masks."""
-        if not chosen:
+        last_seen)`` for every root in ``chosen`` (``None``: every root
+        there is), in one grouped pass: a lookup-table gather tags each
+        member with its group, a stable argsort over the
+        (member-count-sized) selection groups members contiguously in
+        ascending id order, and each aggregate rolls up as an exact
+        int64 ``reduceat`` — no per-cluster full-universe masks, no
+        float bincount weights, no ~1µs-per-element ``ufunc.at``."""
+        if chosen is None:
+            gid = roots
+        elif not chosen:
             return []
-        n = len(roots)
-        sel = np.fromiter(chosen, dtype="<i8", count=len(chosen))
-        lookup = np.full(n, -1, dtype="<i8")
-        lookup[sel] = np.arange(len(sel), dtype="<i8")
-        gid = lookup[roots]
+        else:
+            sel = np.fromiter(chosen, dtype="<i8", count=len(chosen))
+            lookup = np.full(len(roots), -1, dtype="<i8")
+            lookup[sel] = np.arange(len(sel), dtype="<i8")
+            gid = lookup[roots]
         members = np.flatnonzero(gid >= 0)
         order = members[np.argsort(gid[members], kind="stable")]
         sorted_gid = gid[order]
@@ -564,45 +568,12 @@ class InvariantAuditor:
             for k in range(len(starts))
         ]
 
-    @staticmethod
-    def _batch_rollup_all(
-        roots, balances, tx_counts, first_seen, last_seen
-    ) -> list[tuple]:
-        """Every cluster's batch truth in one pass: a stable argsort
-        groups the universe into contiguous per-root runs, and each
-        rollup is an exact int64 ``reduceat`` (no float bincount
-        weights, no ~1µs-per-element ``ufunc.at`` scatter)."""
-        n = len(roots)
-        order = np.argsort(roots, kind="stable")
-        sorted_roots = roots[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_roots[1:] != sorted_roots[:-1]]
-        )
-        cids = order[starts]
-        sizes = np.diff(np.r_[starts, n])
-        sums = np.add.reduceat(balances[order], starts)
-        txs = np.add.reduceat(tx_counts[order], starts)
-        active = tx_counts > 0
-        firsts = np.minimum.reduceat(
-            np.where(active, first_seen, _INT64_MAX)[order], starts
-        )
-        lasts = np.maximum.reduceat(
-            np.where(active, last_seen, -1)[order], starts
-        )
-        return [
-            (
-                int(cids[k]),
-                int(sizes[k]),
-                int(sums[k]),
-                int(txs[k]),
-                int(firsts[k]) if txs[k] else None,
-                int(lasts[k]) if txs[k] else None,
-            )
-            for k in range(len(starts))
-        ]
-
     def _check_shadow_folds(self, rng, *, full: bool) -> tuple[int, str]:
-        """Kernel scatter == scalar reference fold on sampled blocks."""
+        """Sampled blocks' deltas, rebuilt from the index's rows, read
+        three independent ways: kernel scatter == scalar loop over the
+        event columns, involvement columns == the per-tx id tuples, and
+        event columns == the ones the balance view retained when the
+        block streamed."""
         index = self.service.index
         height = index.height
         if height < 0:
@@ -612,6 +583,7 @@ class InvariantAuditor:
         else:
             budget = min(self.sample_blocks, height + 1)
             heights = sorted(rng.sample(range(height + 1), budget))
+        retained = self.service.balances._events
         problems: list[str] = []
         for h in heights:
             delta = index.block_delta(h)
@@ -621,9 +593,7 @@ class InvariantAuditor:
             scalar = np.zeros(size, dtype="<i8")
             for ident, change in delta.events:
                 scalar[ident] += change
-            if int(np.count_nonzero(kernel != scalar)) or len(
-                delta.event_ids
-            ) != len(delta.events):
+            if np.count_nonzero(kernel != scalar):
                 problems.append(f"height {h}: balance fold twins disagree")
             flat = [
                 ident for txd in delta.txs for ident in txd.involved
@@ -636,6 +606,18 @@ class InvariantAuditor:
                 problems.append(
                     f"height {h}: involved-id columns disagree"
                 )
+            # A balance view that is behind the chain is the balance
+            # check's to report; compare what it does hold.
+            if h < len(retained):
+                ids, values = retained[h]
+                if not (
+                    np.array_equal(ids, delta.event_ids)
+                    and np.array_equal(values, delta.event_values)
+                ):
+                    problems.append(
+                        f"height {h}: retained event columns differ from "
+                        f"the rows"
+                    )
         detail = (
             "; ".join(problems)
             if problems

@@ -22,7 +22,6 @@ from .core.clustering import Clustering, ClusteringEngine
 from .core.fp_estimation import FalsePositiveEstimator
 from .core.heuristic2 import Heuristic2Config, dice_addresses_from_tags
 from .core.incremental import IncrementalClusteringEngine
-from .service.service import ForensicsService
 from .simulation.economy import World
 from .simulation.params import DICE_GAMES, FIGURE2_CATEGORIES
 from .tagging.naming import ClusterNaming
@@ -82,20 +81,6 @@ class AnalystView:
         at every height, ``cluster_as_of``/``snapshot`` time travel."""
         return IncrementalClusteringEngine(
             self.world.index,
-            h2_config=self.h2_config,
-            dice_addresses=self.dice_addresses,
-        )
-
-    @cached_property
-    def service(self) -> ForensicsService:
-        """The serving layer over this world's chain: incremental engine
-        + materialized views + cached query API, pre-wired with the
-        analyst's tags (thefts in the world's script are watched by
-        :meth:`ForensicsService.from_world`; build directly when you
-        need that)."""
-        return ForensicsService(
-            self.world.index,
-            tags=self.tags,
             h2_config=self.h2_config,
             dice_addresses=self.dice_addresses,
         )
@@ -194,15 +179,8 @@ class AnalystView:
             ground_truth=self.world.ground_truth if with_ground_truth else None,
         )
 
-    def balance_series(
-        self, *, samples: int = 60, streaming: bool = False
-    ) -> BalanceSeries:
-        """Figure 2's category balance series, from the analyst's view.
-
-        ``streaming=True`` replays the serving layer's warm
-        :class:`~repro.service.views.BalanceView` event log instead of
-        re-walking the chain (identical output, property-tested).
-        """
+    def balance_series(self, *, samples: int = 60) -> BalanceSeries:
+        """Figure 2's category balance series, from the analyst's view."""
         categories = {
             entity: self.world.ground_truth.category_of(entity)
             for entity in self.known_service_names
@@ -212,7 +190,6 @@ class AnalystView:
             name_of_address=self.naming.name_of_address,
             category_of_entity=lambda entity: categories.get(entity),
             categories=FIGURE2_CATEGORIES,
-            view=self.service.balances if streaming else None,
         )
         return analyzer.series(samples=samples)
 

@@ -13,10 +13,11 @@ keeps them materialized as blocks stream in and serves them at any
   and the minimum member id per base root, the open-window H2 labels,
   and the state derived from those — the overlay groups the open links
   join and one :class:`RankIndex` per metric.  The view owns one state
-  at the tip; a replayed height is another instance of the same class
-  (which also carries the per-address columns a historical
-  ``cluster_profile`` needs — at the tip the service's sibling views
-  hold those).
+  at the tip; a replayed height is another instance of the same class,
+  with the same slots.  Nothing per address lives here: an address's
+  own balance and activity are the sibling views' at the tip and the
+  index's rows (:meth:`AddressRecord.as_of
+  <repro.chain.index.AddressRecord.as_of>`) below it.
 * **One fold.**  :meth:`_AggregateState.advance` moves a state across a
   run of consecutive heights: grow the universe, apply the heights'
   open-label transitions, fold the run's base merges into the columns
@@ -297,8 +298,8 @@ class _HeightRecord:
 
 
 class _Columns(NamedTuple):
-    """Balance, incidence count and first/last-seen height per slot of
-    one id space: per base root (junk at non-roots) or per address."""
+    """Balance, incidence count and first/last-seen height per base
+    root (junk at non-roots)."""
 
     balance: IntVector
     tx_count: IntVector
@@ -381,20 +382,17 @@ def _link_components(pairs) -> list[tuple[int, ...]]:
 class _AggregateState:
     """The cluster aggregates at one height (see the module docstring).
 
-    The view's tip state carries no per-address columns (``addresses``
-    is ``None``: the service's balance and activity views hold them);
-    every other state — the delta log's base, spine checkpoints,
-    replayed heights — does, so a historical ``cluster_profile`` reads
-    as-of-height address fields.  Checkpoints are never mutated: replay
-    always advances a :meth:`clone`.
+    The tip, the delta log's base, spine checkpoints and replayed
+    heights are all this one shape.  Checkpoints are never mutated:
+    replay always advances a :meth:`clone`.
     """
 
     __slots__ = (
-        "height", "mark", "uf", "roots", "min_member", "addresses",
+        "height", "mark", "uf", "roots", "min_member",
         "open", "groups", "group_of", "ranks", "derived_dirty",
     )
 
-    def __init__(self, *, per_address: bool) -> None:
+    def __init__(self) -> None:
         self.height = -1
         self.mark = 0
         """Base merge-log position this state has folded up to."""
@@ -405,7 +403,6 @@ class _AggregateState:
         and their seen range."""
         self.min_member = IntVector()
         """Per base root: minimum member id — the canonical cluster id."""
-        self.addresses = _Columns.empty() if per_address else None
         self.open: set = set()
         """Open-window (still voidable) live labels."""
         self._reset_derived()
@@ -432,7 +429,6 @@ class _AggregateState:
         clone.uf = self.uf.copy()
         clone.roots = self.roots.copy()
         clone.min_member = self.min_member.copy()
-        clone.addresses = self.addresses.copy()
         clone.open = set(self.open)
         clone._reset_derived()
         return clone
@@ -442,7 +438,7 @@ class _AggregateState:
     def export_arrays(self) -> dict:
         """The base partition and columns as plain data (raw int64
         bytes per array); key order is part of the snapshot format."""
-        out = {
+        return {
             "uf": self.uf.export_state(),
             "balance": self.roots.balance.tobytes(),
             "tx_count": self.roots.tx_count.tobytes(),
@@ -450,18 +446,14 @@ class _AggregateState:
             "last_seen": self.roots.last.tobytes(),
             "min_member": self.min_member.tobytes(),
         }
-        if self.addresses is not None:
-            out["a_balance"] = self.addresses.balance.tobytes()
-            out["a_tx_count"] = self.addresses.tx_count.tobytes()
-            out["a_first"] = self.addresses.first.tobytes()
-            out["a_last"] = self.addresses.last.tobytes()
-        return out
 
     @classmethod
     def from_arrays(cls, data: dict, open_labels) -> "_AggregateState":
         """Rebuild a state from :meth:`export_arrays` output plus its
         ``height`` (and ``mark``, when it is not the end of the log);
-        derived state is left to :meth:`settle`."""
+        derived state is left to :meth:`settle`.  Keys it does not name
+        are ignored (a ``timetravel`` base written before this shape
+        carried four per-address ``a_*`` arrays)."""
         state = cls.__new__(cls)
         state.height = data["height"]
         state.uf = IntUnionFind.from_state(data["uf"])
@@ -473,16 +465,6 @@ class _AggregateState:
             )
         )
         state.min_member = IntVector.from_bytes(data["min_member"])
-        state.addresses = (
-            _Columns(
-                *(
-                    IntVector.from_bytes(data[key])
-                    for key in ("a_balance", "a_tx_count", "a_first", "a_last")
-                )
-            )
-            if "a_balance" in data
-            else None
-        )
         state.open = set(open_labels)
         state._reset_derived()
         return state
@@ -515,8 +497,6 @@ class _AggregateState:
             self.min_member.array[grown_from:] = np.arange(
                 grown_from, n, dtype="<i8"
             )
-            if self.addresses is not None:
-                self.addresses.grow_to(n)
 
         # 2. Open-label transitions, in height order.
         open_set = self.open
@@ -546,12 +526,12 @@ class _AggregateState:
             if min_member[absorbed] < min_member[kept]:
                 min_member[kept] = min_member[absorbed]
 
-        # 4. The run's per-address churn, one batched scatter: into the
-        #    root columns at post-span roots, and into the per-address
-        #    columns (when this state carries them) at the ids.
-        involved = np.concatenate([record.involved_flat for record in records])
-        involved_roots = self.uf.find_many(involved)
-        if len(involved):
+        # 4. The run's per-address churn, one batched scatter into the
+        #    root columns at post-span roots.
+        involved_roots = self.uf.find_many(
+            np.concatenate([record.involved_flat for record in records])
+        )
+        if len(involved_roots):
             heights = np.repeat(
                 np.array([record.height for record in records], dtype="<i8"),
                 [len(record.involved_flat) for record in records],
@@ -564,8 +544,6 @@ class _AggregateState:
                 self.uf.find_many(event_ids), event_values,
                 involved_roots, heights,
             )
-            if self.addresses is not None:
-                self.addresses.scatter(event_ids, event_values, involved, heights)
 
         self.mark = records[-1].mark
         self.height = records[-1].height
@@ -671,9 +649,7 @@ class AggregateSurface:
     :meth:`ClusterAggregateView.at` returns for every height.
 
     A surface over the tip reads live state: take a fresh one per
-    question rather than holding it across ``add_block``.  The
-    per-address reads (``*_of_id``) exist below the tip only; at the
-    tip the service's balance and activity views answer them.
+    question rather than holding it across ``add_block``.
     """
 
     __slots__ = ("_state",)
@@ -782,22 +758,6 @@ class AggregateSurface:
         """Clusters at this height (the size ranking covers them all)."""
         return len(self._state.ranks["size"])
 
-    # -- per-address reads (below the tip) -----------------------------
-
-    def balance_of_id(self, ident: int) -> int:
-        balances = self._state.addresses.balance
-        return balances[ident] if 0 <= ident < len(balances) else 0
-
-    def tx_count_of_id(self, ident: int) -> int:
-        counts = self._state.addresses.tx_count
-        return counts[ident] if 0 <= ident < len(counts) else 0
-
-    def seen_range_of_id(self, ident: int) -> tuple[int, int] | None:
-        first = self._state.addresses.first
-        if 0 <= ident < len(first) and first[ident] >= 0:
-            return first[ident], self._state.addresses.last[ident]
-        return None
-
 
 class DirtyRootCursor:
     """One consumer's registration for dirty-root naming churn.
@@ -862,11 +822,7 @@ class ClusterAggregateView(MaterializedView):
         metrics=None,
     ) -> None:
         self.engine = engine
-        self._install(
-            _AggregateState(per_address=False),
-            _AggregateState(per_address=True),
-            {},
-        )
+        self._install(_AggregateState(), _AggregateState(), {})
         super().__init__(index, follow=follow, metrics=metrics)
 
     def _install(

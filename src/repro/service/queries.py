@@ -532,24 +532,28 @@ class QueryEngine:
         if cluster_id is None:
             return None
         # The address's own fields: the sibling views hold them at the
-        # tip, the replayed state below it.
+        # tip in O(1); below it they are read off the address's rows.
         if surface.height == service.height:
-            balances, activity = service.balances, service.activity
+            activity = service.activity
+            balance = service.balances.balance_of_id(ident)
+            tx_count = activity.tx_count_of_id(ident)
+            first, last = activity.seen_range_of_id(ident) or (None, None)
         else:
-            balances = activity = surface
+            balance, tx_count, first, last = service.index.address_by_id(
+                ident
+            ).as_of(surface.height)
         cluster_activity = surface.activity_of_cluster(cluster_id)
-        seen = activity.seen_range_of_id(ident)
         names = self._cluster_names(surface)
         return {
             "address": address,
             "address_id": ident,
             "cluster": cluster_id,
             "cluster_size": surface.size_of_cluster(cluster_id),
-            "balance": balances.balance_of_id(ident),
+            "balance": balance,
             "cluster_balance": surface.balance_of_cluster(cluster_id),
-            "tx_count": activity.tx_count_of_id(ident),
-            "first_seen": seen[0] if seen else None,
-            "last_seen": seen[1] if seen else None,
+            "tx_count": tx_count,
+            "first_seen": first,
+            "last_seen": last,
             "cluster_tx_count": (
                 cluster_activity.tx_count if cluster_activity else 0
             ),

@@ -10,9 +10,9 @@ into warm state the moment it is ingested, so the
 lookups:
 
 * :class:`BalanceView` — per-address balances (dense arrays keyed by
-  interned id), per-height coinbase issuance, and the compact
-  ``(address id, delta)`` event log that Figure 2's category series is
-  rebuilt from without touching a single transaction again.
+  interned id), per-height coinbase issuance, and the per-height
+  event columns the balance array can be replayed from (the auditor
+  does) without touching a single transaction again.
 * :class:`TaintView` — live haircut-taint frontiers for any number of
   watched theft cases, advanced per block by the *same*
   :func:`~repro.analysis.taint.taint_step` the batch
@@ -27,7 +27,10 @@ Every view folds from the block's shared
 index walks each block's transactions exactly once at ingestion and the
 whole observer fan-out — engine, these views, the differential
 aggregates — reads the one flat plan, so no view ever touches a
-transaction list or re-resolves an id memo on the hot path.
+transaction list or re-resolves an id memo on the hot path.  Each fold
+has one implementation, a numpy scatter over the delta's columns; the
+scalar loops it must equal are the reference folds in
+``tests/helpers.py`` (``tests/service/test_fold_kernels.py``).
 
 Every view follows the incremental engine's contract: construction
 catches up on blocks the index already holds, then streams; ``detach``
@@ -146,19 +149,15 @@ class MaterializedView:
 class BalanceView(MaterializedView):
     """Per-address balances + the per-height delta log, streamed.
 
-    Replaces the chain re-walk in
-    :meth:`~repro.analysis.balances.BalanceAnalyzer.series`: instead of
-    iterating every address record and every block per call, the
-    analyzer replays this view's compact event log (pass the view via
-    ``BalanceAnalyzer(..., view=...)``).  Point queries
-    (:meth:`balance_of`, :meth:`balance_of_id`) read the dense balance
-    array directly.
+    Point queries (:meth:`balance_of`, :meth:`balance_of_id`) read the
+    dense balance array directly; the per-height event log is what the
+    auditor replays the array from.
 
-    The fold is kernelized by default: one ``np.add.at`` scatter of the
-    delta's columnar event buffers into an :class:`IntVector` grown once
-    per block from ``max_id``.  ``use_kernels=False`` selects the scalar
-    per-event reference loop (same state, same answers — pinned by
-    ``tests/service/test_fold_kernels.py``).
+    The fold is one ``np.add.at`` scatter of the delta's event columns
+    into an :class:`IntVector` grown once per block from ``max_id``
+    (the scalar per-event loop it must equal lives in
+    ``tests/helpers.py``; ``tests/service/test_fold_kernels.py`` holds
+    the two together at every height).
     """
 
     OBSERVER_NAME = "balances"
@@ -168,10 +167,8 @@ class BalanceView(MaterializedView):
         index: ChainIndex,
         *,
         follow: bool = True,
-        use_kernels: bool = True,
         metrics=None,
     ) -> None:
-        self._use_kernels = use_kernels
         self._balances = IntVector()
         """Current balance per interned address id."""
         self._events: list[tuple[np.ndarray, np.ndarray]] = []
@@ -194,11 +191,7 @@ class BalanceView(MaterializedView):
                     "view.grown_slots", view=self.OBSERVER_NAME
                 ).inc(delta.max_id + 1 - len(balances))
             balances.grow_to(delta.max_id + 1)
-        if self._use_kernels:
-            np.add.at(balances.array, delta.event_ids, delta.event_values)
-        else:
-            for ident, change in delta.events:
-                balances[ident] += change
+        np.add.at(balances.array, delta.event_ids, delta.event_values)
         self._events.append((delta.event_ids, delta.event_values))
         self._coinbase.append(delta.minted)
         self._supply.append(
@@ -233,13 +226,11 @@ class BalanceView(MaterializedView):
         state: dict,
         *,
         follow: bool = True,
-        use_kernels: bool = True,
         metrics=None,
     ) -> "BalanceView":
         """Rebuild a view from :meth:`export_state` output, no catch-up."""
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
-        view._use_kernels = use_kernels
         view._balances = IntVector.from_bytes(state["balances"])
         view._events = [
             (_frombytes(ids), _frombytes(values))
@@ -497,16 +488,14 @@ class ActivityView(MaterializedView):
     """Per-address tx incidence counts and first/last-seen heights.
 
     A transaction *involves* an address when the address appears among
-    its resolved input senders or its outputs — the delta's
-    pre-deduplicated :attr:`~repro.chain.delta.TxDelta.involved` list,
-    read here without allocating a per-tx set.  Per-cluster rollups of
+    its resolved input senders or its outputs.  Per-cluster rollups of
     the same involvement live in
     :class:`~repro.service.aggregates.ClusterAggregateView`.
 
-    Kernelized by default: incidence is one ``np.add.at`` scatter of
-    the delta's flat per-tx involvement multiset, first/last-seen one
-    masked assignment over the block's deduplicated ids.
-    ``use_kernels=False`` selects the scalar per-id reference loop.
+    Incidence is one ``np.add.at`` scatter of the delta's flat per-tx
+    involvement multiset, first/last-seen one masked assignment over
+    the block's deduplicated ids (the scalar per-id loop they must
+    equal lives in ``tests/helpers.py``).
     """
 
     OBSERVER_NAME = "activity"
@@ -516,10 +505,8 @@ class ActivityView(MaterializedView):
         index: ChainIndex,
         *,
         follow: bool = True,
-        use_kernels: bool = True,
         metrics=None,
     ) -> None:
-        self._use_kernels = use_kernels
         self._tx_counts = IntVector()
         self._first_seen = IntVector()
         self._last_seen = IntVector()
@@ -539,23 +526,15 @@ class ActivityView(MaterializedView):
             counts.grow_to(n)
             first.grow_to(n, fill=-1)
             last.grow_to(n, fill=-1)
-        if self._use_kernels:
-            # involved_flat repeats an id once per involving tx — the
-            # incidence multiset — while first/last touch each involved
-            # id once off the deduplicated column.
-            np.add.at(counts.array, delta.involved_flat, 1)
-            ids = delta.involved_ids
-            first_arr = first.array
-            seen = first_arr[ids]
-            first_arr[ids] = np.where(seen < 0, height, seen)
-            last.array[ids] = height
-        else:
-            for txd in delta.txs:
-                for ident in txd.involved:
-                    counts[ident] += 1
-                    if first[ident] < 0:
-                        first[ident] = height
-                    last[ident] = height
+        # involved_flat repeats an id once per involving tx — the
+        # incidence multiset — while first/last touch each involved id
+        # once off the deduplicated column.
+        np.add.at(counts.array, delta.involved_flat, 1)
+        ids = delta.involved_ids
+        first_arr = first.array
+        seen = first_arr[ids]
+        first_arr[ids] = np.where(seen < 0, height, seen)
+        last.array[ids] = height
 
     # -- durable state -------------------------------------------------
 
@@ -579,13 +558,11 @@ class ActivityView(MaterializedView):
         state: dict,
         *,
         follow: bool = True,
-        use_kernels: bool = True,
         metrics=None,
     ) -> "ActivityView":
         """Rebuild a view from :meth:`export_state` output, no catch-up."""
         view = cls.__new__(cls)
         view.metrics = metrics if metrics is not None else NULL_REGISTRY
-        view._use_kernels = use_kernels
         view._tx_counts = IntVector.from_bytes(state["tx_counts"])
         view._first_seen = IntVector.from_bytes(state["first_seen"])
         view._last_seen = IntVector.from_bytes(state["last_seen"])

@@ -17,8 +17,8 @@ so the restored engine and views stream the tail through the exact
 observer fan-out a never-restarted service used — which is why the
 equivalence property test can demand bit-for-bit identical answers.
 Recovery time is bounded by the snapshot size plus the tail length, not
-the chain length (``benchmarks/bench_snapshot_restore.py`` pins the
-payoff at ≥10× over cold replay).
+the chain length (``snapshot_s`` / ``restore_s`` of the ``restart``
+workload in ``benchmarks/e2e`` are the measured numbers).
 
 :class:`SnapshotPolicy` automates capture: attached *after* the service
 (so the fan-out order guarantees every component has folded the block

@@ -10,7 +10,8 @@ Two contracts are pinned here:
   the fan-out slot and receive ``delta.block``; a raising subscriber is
   isolated and re-raised after the rest are notified.
 * **Delta == transaction walk** — ``add_block`` emits the delta from
-  its one validating walk; every field of it equals both the
+  its one validating walk; every field of it — the six columns and the
+  pair views derived from them alike — equals both the
   ``block_delta(h)`` catch-up rebuild and an independent recomputation
   that resolves prevouts and output scripts the long way (a hypothesis
   property over random simulated scenarios, checked at every height),
@@ -43,11 +44,9 @@ _COLUMNS = (
 
 
 def _assert_same_delta(left: BlockDelta, right: BlockDelta) -> None:
-    """Every field equal: tuple views, per-tx facts and columns."""
+    """Every field equal: per-tx facts, scalars and columns."""
     assert left.block is right.block
-    assert left.events == right.events
     assert left.minted == right.minted
-    assert left.involved == right.involved
     assert left.max_id == right.max_id
     assert left.txs == right.txs
     for one, other in zip(left.txs, right.txs, strict=True):
@@ -259,16 +258,38 @@ class TestDeltaEqualsTransactionWalk:
                 target, block
             )
             _assert_same_delta(target.block_delta(height), delta)
+            # Columns and the pair views derived from them, each against
+            # the walk (never against each other).
+            assert (
+                list(zip(delta.event_ids.tolist(), delta.event_values.tolist()))
+                == events
+            ), height
             assert list(delta.events) == events, height
             assert delta.minted == minted, height
+            assert delta.involved_ids.tolist() == list(involved), height
             assert delta.involved == involved, height
             assert delta.max_id == max_id, height
+            # Flat involvement multiset == the per-tx concatenation.
+            assert delta.involved_flat.tolist() == [
+                ident for *_ids, tx_involved in per_tx for ident in tx_involved
+            ], height
+            # Co-spend pair columns == one (first, k-th) pair per extra
+            # input id of every non-coinbase transaction, in tx order.
+            assert list(zip(delta.h1_a.tolist(), delta.h1_b.tolist())) == [
+                (input_ids[0], other)
+                for input_ids, *_rest in per_tx
+                for other in input_ids[1:]
+            ], height
+            # The columns are shared read-only across the fan-out.
+            for name in _COLUMNS:
+                assert not getattr(delta, name).flags.writeable, name
             assert len(delta.txs) == len(block.transactions)
             for txd, (input_ids, spends, output_ids, tx_involved) in zip(
                 delta.txs, per_tx
             ):
+                assert txd.is_coinbase == txd.tx.is_coinbase, height
                 assert txd.input_ids == input_ids, height
-                assert txd.input_spends == spends, height
+                assert target.input_spends(txd.tx) == spends, height
                 assert txd.output_ids == output_ids, height
                 assert txd.involved == tx_involved, height
             supply += minted
@@ -404,68 +425,6 @@ class TestOneRecordRepresentation:
             history = components["receive_log"] + components["spend_log"]
             assert history / index.history_rows <= 27.5
             assert len(state["recv_spender"]) / index.utxo_count <= 53
-
-
-class TestColumnarMirrors:
-    """The delta's typed int64 columns are exact mirrors of its tuple
-    views — the kernels scatter from the columns, the scalar reference
-    paths iterate the tuples, and both must see the same facts."""
-
-    @settings(deadline=None, max_examples=25)
-    @given(
-        seed=st.integers(min_value=0, max_value=10 ** 6),
-        n_blocks=st.integers(min_value=4, max_value=20),
-        n_users=st.integers(min_value=3, max_value=8),
-    )
-    def test_columns_mirror_tuple_views(self, seed, n_blocks, n_users):
-        world = scenarios.micro_economy(
-            seed=seed, n_blocks=n_blocks, n_users=n_users
-        )
-        target = ChainIndex()
-        deltas = []
-        target.subscribe_deltas(deltas.append)
-        for block in world.blocks:
-            target.add_block(block)
-        for delta in deltas:
-            # Event columns zip back to the tuple event log.
-            assert (
-                list(
-                    zip(
-                        delta.event_ids.tolist(),
-                        delta.event_values.tolist(),
-                    )
-                )
-                == list(delta.events)
-            )
-            # Block-level dedup column == the involved tuple.
-            assert tuple(delta.involved_ids.tolist()) == delta.involved
-            # Flat involvement multiset == the per-tx concatenation.
-            flat = [
-                ident for txd in delta.txs for ident in txd.involved
-            ]
-            assert delta.involved_flat.tolist() == flat
-            # Co-spend pair columns == one (first, k-th) pair per extra
-            # input id of every non-coinbase transaction, in tx order.
-            pairs = []
-            for txd in delta.txs:
-                if not txd.is_coinbase and len(txd.input_ids) > 1:
-                    anchor = txd.input_ids[0]
-                    pairs.extend(
-                        (anchor, other) for other in txd.input_ids[1:]
-                    )
-            assert (
-                list(zip(delta.h1_a.tolist(), delta.h1_b.tolist())) == pairs
-            )
-            # The columns are shared read-only across the fan-out.
-            for column in (
-                delta.event_ids,
-                delta.event_values,
-                delta.involved_ids,
-                delta.involved_flat,
-                delta.h1_a,
-                delta.h1_b,
-            ):
-                assert not column.flags.writeable
 
 
 SUBSCRIBER_MODULES = [

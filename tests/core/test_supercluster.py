@@ -2,11 +2,12 @@
 
 from repro.core.clustering import Clustering
 from repro.core.supercluster import diagnose_superclusters
-from repro.core.union_find import UnionFind
+
+from tests.helpers import ReferenceUnionFind
 
 
 def _clustering(unions, items=()):
-    uf = UnionFind(items)
+    uf = ReferenceUnionFind(items)
     for a, b in unions:
         uf.union(a, b)
     return Clustering(uf=uf, heuristics="test")

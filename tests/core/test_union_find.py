@@ -1,78 +1,82 @@
-"""Union-find unit + property tests (generic and array-backed)."""
+"""Union-find unit + property tests: the array-backed production
+structure and the generic oracle it is held to
+(``tests/helpers.ReferenceUnionFind``)."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.core.union_find import IntUnionFind, UnionFind
+from repro.core.union_find import IntUnionFind
+
+from tests.helpers import ReferenceUnionFind
 
 
 class TestBasics:
     def test_singletons(self):
-        uf = UnionFind(["a", "b", "c"])
+        uf = ReferenceUnionFind(["a", "b", "c"])
         assert len(uf) == 3
         assert uf.component_count == 3
         assert not uf.connected("a", "b")
 
     def test_union_merges(self):
-        uf = UnionFind()
+        uf = ReferenceUnionFind()
         uf.union("a", "b")
         assert uf.connected("a", "b")
         assert uf.component_count == 1
         assert uf.size_of("a") == 2
 
     def test_union_idempotent(self):
-        uf = UnionFind()
+        uf = ReferenceUnionFind()
         uf.union("a", "b")
         uf.union("a", "b")
         assert uf.component_count == 1
         assert uf.size_of("b") == 2
 
     def test_transitivity(self):
-        uf = UnionFind()
+        uf = ReferenceUnionFind()
         uf.union("a", "b")
         uf.union("b", "c")
         assert uf.connected("a", "c")
         assert uf.size_of("c") == 3
 
     def test_union_all(self):
-        uf = UnionFind()
+        uf = ReferenceUnionFind()
         root = uf.union_all(["w", "x", "y", "z"])
         assert uf.size_of(root) == 4
         assert uf.union_all([]) is None
         assert uf.union_all(["solo"]) == uf.find("solo")
 
     def test_find_adds_missing(self):
-        uf = UnionFind()
+        uf = ReferenceUnionFind()
         assert uf.find("new") == "new"
         assert "new" in uf
 
     def test_connected_with_unknown_items(self):
-        uf = UnionFind(["a"])
+        uf = ReferenceUnionFind(["a"])
         assert not uf.connected("a", "ghost")
 
     def test_components(self):
-        uf = UnionFind(["a", "b", "c", "d"])
+        uf = ReferenceUnionFind(["a", "b", "c", "d"])
         uf.union("a", "b")
         components = uf.components()
         sizes = sorted(len(m) for m in components.values())
         assert sizes == [1, 1, 2]
 
     def test_copy_is_independent(self):
-        uf = UnionFind(["a", "b"])
+        uf = ReferenceUnionFind(["a", "b"])
         clone = uf.copy()
         clone.union("a", "b")
         assert not uf.connected("a", "b")
         assert clone.connected("a", "b")
 
     def test_find_root_never_adds(self):
-        uf = UnionFind(["a"])
+        uf = ReferenceUnionFind(["a"])
         assert uf.find_root("ghost") is None
         assert len(uf) == 1
         uf.union("a", "b")
         assert uf.find_root("b") == uf.find("a")
 
     def test_component_sizes_matches_components(self):
-        uf = UnionFind(["a", "b", "c", "d"])
+        uf = ReferenceUnionFind(["a", "b", "c", "d"])
         uf.union("a", "b")
         uf.union("b", "c")
         sizes = uf.component_sizes()
@@ -88,7 +92,7 @@ class TestProperties:
         )
     )
     def test_invariants(self, unions):
-        uf = UnionFind(range(31))
+        uf = ReferenceUnionFind(range(31))
         for a, b in unions:
             uf.union(a, b)
         components = uf.components()
@@ -110,7 +114,7 @@ class TestProperties:
         """connected() is exactly the transitive closure of the unions."""
         import networkx as nx
 
-        uf = UnionFind(range(21))
+        uf = ReferenceUnionFind(range(21))
         graph = nx.Graph()
         graph.add_nodes_from(range(21))
         for a, b in unions:
@@ -211,7 +215,7 @@ class TestIntProperties:
     def test_matches_generic_union_find(self, unions):
         """The array-backed structure is the generic one, observably."""
         int_uf = IntUnionFind(31)
-        generic = UnionFind(range(31))
+        generic = ReferenceUnionFind(range(31))
         for a, b in unions:
             int_uf.union(a, b)
             generic.union(a, b)

@@ -10,6 +10,8 @@ fixtures compact.
 from __future__ import annotations
 
 import struct
+from collections import defaultdict
+from typing import Hashable, Iterable, Iterator
 
 from repro.chain import script
 from repro.chain.crypto import KeyPair
@@ -529,8 +531,8 @@ class HistoryTwin:
 
     def assert_matches(self, index: ChainIndex) -> None:
         """Every address the twin knows, read through ``index.address``
-        (and, by id, ``address_by_id``): rows, the two bisecting reads at
-        every height, first-seen height, balance, sink-ness — and the
+        (and, by id, ``address_by_id``): rows, the three bisecting reads
+        at every height, first-seen height, balance, sink-ness — and the
         index knows no address the twin does not."""
         assert index.height == self.height
         assert sorted(index.interner) == sorted(self.receives)
@@ -561,6 +563,14 @@ class HistoryTwin:
                     (r.height, r.txid, r.vout, r.value)
                     for r in record.receives_after(height)
                 ] == [r for r in receives if r[0] > height]
+                rows = [r for r in receives + spends if r[0] <= height]
+                assert record.as_of(height) == (
+                    sum(r[3] for r in receives if r[0] <= height)
+                    - sum(s[3] for s in spends if s[0] <= height),
+                    len({txid for _h, txid, _n, _v in rows}),
+                    min((r[0] for r in rows), default=None),
+                    max((r[0] for r in rows), default=None),
+                )
             assert index.first_receive_heights(record.address_id, 2) == [
                 r[0] for r in receives[:2]
             ]
@@ -570,3 +580,170 @@ class HistoryTwin:
         for (txid, vout), spender in self.spenders.items():
             assert not index.is_unspent(OutPoint(txid, vout))
             assert index.spender_of(OutPoint(txid, vout)) == spender
+
+
+# ----------------------------------------------------------------------
+# reference folds (the oracles for the views' numpy scatters)
+# ----------------------------------------------------------------------
+#
+# What ``BalanceView`` and ``ActivityView`` must hold after a block, one
+# Python statement per event: they read the delta's derived pair views
+# (``events``, per-tx ``involved``), the views read its columns.
+
+
+class ReferenceBalanceFold:
+    """Per-address balances and the per-height event log, folded one
+    ``(address id, signed delta)`` pair at a time."""
+
+    def __init__(self) -> None:
+        self.balances: dict[int, int] = {}
+        self.events: list[list[tuple[int, int]]] = []
+        self.supply = 0
+
+    def apply(self, delta) -> None:
+        events = list(delta.events)
+        for ident, change in events:
+            self.balances[ident] = self.balances.get(ident, 0) + change
+        self.events.append(events)
+        self.supply += delta.minted
+
+
+class ReferenceActivityFold:
+    """Per-address incidence counts and first/last-seen heights, folded
+    one involvement at a time."""
+
+    def __init__(self) -> None:
+        self.tx_counts: dict[int, int] = {}
+        self.first_seen: dict[int, int] = {}
+        self.last_seen: dict[int, int] = {}
+
+    def apply(self, delta) -> None:
+        for txd in delta.txs:
+            for ident in txd.involved:
+                self.tx_counts[ident] = self.tx_counts.get(ident, 0) + 1
+                self.first_seen.setdefault(ident, delta.height)
+                self.last_seen[ident] = delta.height
+
+
+# ----------------------------------------------------------------------
+# reference union-find (the oracle for repro.core.union_find.IntUnionFind)
+# ----------------------------------------------------------------------
+
+
+class ReferenceUnionFind:
+    """Disjoint sets over arbitrary hashable items, union-by-size with
+    path compression: the oracle ``IntUnionFind`` is property-tested
+    against, and the string-keyed partition fixture of the naming,
+    evaluation and super-cluster tests."""
+
+    def __init__(self, items: Iterable[Hashable] = ()) -> None:
+        self._parent: dict[Hashable, Hashable] = {}
+        self._size: dict[Hashable, int] = {}
+        self._components = 0
+        for item in items:
+            self.add(item)
+
+    def add(self, item: Hashable) -> None:
+        """Ensure ``item`` exists (as its own singleton set)."""
+        if item not in self._parent:
+            self._parent[item] = item
+            self._size[item] = 1
+            self._components += 1
+
+    def __contains__(self, item: Hashable) -> bool:
+        return item in self._parent
+
+    def __len__(self) -> int:
+        """Number of items tracked."""
+        return len(self._parent)
+
+    @property
+    def component_count(self) -> int:
+        """Number of disjoint sets."""
+        return self._components
+
+    def find(self, item: Hashable) -> Hashable:
+        """Canonical representative of ``item``'s set (adds if missing)."""
+        if item not in self._parent:
+            self.add(item)
+            return item
+        # Iterative find with path compression.
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def find_root(self, item: Hashable) -> Hashable | None:
+        """Representative of ``item``'s set, or ``None`` if untracked.
+
+        The read-only counterpart of :meth:`find`: querying an unknown
+        item never adds it (so lookups cannot inflate the item count).
+        """
+        if item not in self._parent:
+            return None
+        return self.find(item)
+
+    def union(self, a: Hashable, b: Hashable) -> Hashable:
+        """Merge the sets containing ``a`` and ``b``; returns the root."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+        self._components -= 1
+        return ra
+
+    def union_all(self, items: Iterable[Hashable]) -> Hashable | None:
+        """Merge every item in ``items`` into one set; returns its root."""
+        iterator = iter(items)
+        try:
+            first = next(iterator)
+        except StopIteration:
+            return None
+        root = self.find(first)
+        for item in iterator:
+            root = self.union(root, item)
+        return root
+
+    def connected(self, a: Hashable, b: Hashable) -> bool:
+        """True when ``a`` and ``b`` share a set."""
+        if a not in self._parent or b not in self._parent:
+            return False
+        return self.find(a) == self.find(b)
+
+    def size_of(self, item: Hashable) -> int:
+        """Size of the set containing ``item``."""
+        return self._size[self.find(item)]
+
+    def component_sizes(self) -> dict[Hashable, int]:
+        """``root -> component size`` without materializing member lists.
+
+        Roots are exactly the self-parented items, so this is a single
+        scan of the parent map reading the maintained ``_size`` entries.
+        """
+        parent = self._parent
+        size = self._size
+        return {item: size[item] for item, p in parent.items() if p == item}
+
+    def components(self) -> dict[Hashable, list[Hashable]]:
+        """Materialize all sets as ``root -> members``."""
+        out: dict[Hashable, list[Hashable]] = defaultdict(list)
+        for item in self._parent:
+            out[self.find(item)].append(item)
+        return dict(out)
+
+    def iter_items(self) -> Iterator[Hashable]:
+        """All tracked items."""
+        return iter(self._parent)
+
+    def copy(self) -> "ReferenceUnionFind":
+        """An independent copy."""
+        clone = ReferenceUnionFind()
+        clone._parent = dict(self._parent)
+        clone._size = dict(self._size)
+        clone._components = self._components
+        return clone

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.clustering import Clustering
-from repro.core.union_find import UnionFind
 from repro.metrics.evaluation import (
     cluster_purity,
     compare_clusterings,
@@ -11,6 +10,8 @@ from repro.metrics.evaluation import (
     pairwise_scores,
 )
 from repro.simulation.ground_truth import GroundTruth
+
+from tests.helpers import ReferenceUnionFind
 
 
 def _gt():
@@ -25,7 +26,7 @@ def _gt():
 
 
 def _clustering(groups, extra=()):
-    uf = UnionFind(extra)
+    uf = ReferenceUnionFind(extra)
     for group in groups:
         uf.union_all(group)
     return Clustering(uf=uf, heuristics="test")

@@ -6,7 +6,8 @@ auditor attached at a randomized cadence — any invariant violation
 anywhere in the run raises out of ``add_block``, so a pass certifies
 zero violations at every audit point.  The corruption cases then mutate
 one slot of real component state (a balance, a canonical id, an
-aggregate) and assert the next audit reports exactly that check.
+aggregate, a retained event) and assert the next audit reports exactly
+that check.
 """
 
 import pytest
@@ -136,6 +137,27 @@ class TestSeededCorruptionDetected:
             check for check in report.checks if check.name == "aggregates"
         )
         assert aggregates.violations
+
+    def test_replaced_retained_event_value(self):
+        """The shadow fold holds the event columns the balance view
+        retained to the ones rebuilt from the index's rows: one changed
+        value in one block's column is one violation."""
+        service, auditor = _fresh_service(audit_every=0, strict=True)
+        retained = service.balances._events
+        height = next(h for h, (ids, _v) in enumerate(retained) if len(ids))
+        ids, values = retained[height]
+        forged = values.copy()
+        forged[0] += 1
+        retained[height] = (ids, forged)
+        with pytest.raises(AuditViolationError) as excinfo:
+            auditor.audit_now(full=True)
+        shadow = next(
+            check
+            for check in excinfo.value.report.checks
+            if check.name == "shadow_fold"
+        )
+        assert shadow.violations == 1
+        assert f"height {height}: retained event columns" in shadow.detail
 
     def test_strict_mode_raises_and_still_records(self):
         service, auditor = _fresh_service(audit_every=0, strict=True)

@@ -140,8 +140,12 @@ class TestOneFoldThreeCallers:
         assert one_run.aggregates._spine
         for other in (one_run_tip, in_sevens.aggregates.at()._state, replayed):
             assert state_fingerprint(other) == expected
-        assert replayed.addresses is not None
-        assert one_run_tip.addresses is None
+        # One state shape: a replayed state and the tip state hold the
+        # same slots, each the same kind of thing.
+        for slot in type(replayed).__slots__:
+            assert type(getattr(replayed, slot)) is type(
+                getattr(one_run_tip, slot)
+            ), slot
 
     def test_forced_replay_to_tip_equals_the_tip_surface(self, default_world):
         """``at(tip)`` serves the incrementally patched tip state without

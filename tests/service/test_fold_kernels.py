@@ -2,11 +2,13 @@
 
 The vectorized fold kernels (``np.add.at`` scatters in the balance and
 activity views, the batched per-run churn scatter in the cluster
-aggregate view) must change *nothing but speed*: the view tests stream
-one chain into paired kernel/scalar twins and compare their state block
-by block; the aggregate view, whose scalar reference is the batch
-oracle in ``tests/helpers.py``, is compared against that at every
-flush.
+aggregate view) must equal the obvious per-event loop: the view tests
+stream one chain into each view and its reference fold
+(``tests/helpers.ReferenceBalanceFold`` / ``ReferenceActivityFold``,
+which read the delta's derived pair views while the views read its
+columns) and compare their state block by block; the aggregate view,
+whose scalar reference is the batch oracle in ``tests/helpers.py``, is
+compared against that at every flush.
 
 Chains come from the large-scale generator (dense co-spends, heavy
 merging, fresh-address churn) with hypothesis-drawn shape parameters,
@@ -22,7 +24,11 @@ from repro.service.aggregates import ClusterAggregateView
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks
 
-from tests.helpers import assert_surface_equals_batch
+from tests.helpers import (
+    ReferenceActivityFold,
+    ReferenceBalanceFold,
+    assert_surface_equals_batch,
+)
 
 
 def _chain(seed, n_blocks, txs_per_block, reuse):
@@ -45,6 +51,11 @@ _SHAPES = {
 }
 
 
+def _dense(sparse: dict[int, int], size: int, fill: int = 0) -> list[int]:
+    """A reference fold's per-id dict as the view's dense list."""
+    return [sparse.get(ident, fill) for ident in range(size)]
+
+
 class TestViewKernelsMatchScalar:
     @settings(max_examples=20, deadline=None)
     @given(**_SHAPES)
@@ -52,17 +63,24 @@ class TestViewKernelsMatchScalar:
         self, seed, n_blocks, txs_per_block, reuse
     ):
         index = ChainIndex()
-        bal_k = BalanceView(index, use_kernels=True)
-        bal_s = BalanceView(index, use_kernels=False)
-        act_k = ActivityView(index, use_kernels=True)
-        act_s = ActivityView(index, use_kernels=False)
+        balances = BalanceView(index)
+        activity = ActivityView(index)
+        balance_fold = ReferenceBalanceFold()
+        activity_fold = ReferenceActivityFold()
+        index.subscribe_deltas(balance_fold.apply)
+        index.subscribe_deltas(activity_fold.apply)
         for block in _chain(seed, n_blocks, txs_per_block, reuse):
             index.add_block(block)
-            assert bal_k.supply == bal_s.supply
-            assert bal_k._balances.tolist() == bal_s._balances.tolist()
-            assert act_k._tx_counts.tolist() == act_s._tx_counts.tolist()
-            assert act_k._first_seen.tolist() == act_s._first_seen.tolist()
-            assert act_k._last_seen.tolist() == act_s._last_seen.tolist()
+            n = index.address_count
+            assert balances.supply == balance_fold.supply
+            assert balances._balances.tolist() == _dense(balance_fold.balances, n)
+            assert activity._tx_counts.tolist() == _dense(activity_fold.tx_counts, n)
+            assert activity._first_seen.tolist() == _dense(
+                activity_fold.first_seen, n, -1
+            )
+            assert activity._last_seen.tolist() == _dense(
+                activity_fold.last_seen, n, -1
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(**_SHAPES)
@@ -70,13 +88,14 @@ class TestViewKernelsMatchScalar:
         self, seed, n_blocks, txs_per_block, reuse
     ):
         index = ChainIndex()
-        bal_k = BalanceView(index, use_kernels=True)
-        bal_s = BalanceView(index, use_kernels=False)
+        balances = BalanceView(index)
+        balance_fold = ReferenceBalanceFold()
+        index.subscribe_deltas(balance_fold.apply)
         blocks = _chain(seed, n_blocks, txs_per_block, reuse)
         for block in blocks:
             index.add_block(block)
         for height in range(len(blocks)):
-            assert bal_k.events_at(height) == bal_s.events_at(height)
+            assert balances.events_at(height) == balance_fold.events[height]
 
 
 class TestAggregateKernelMatchesBatch:

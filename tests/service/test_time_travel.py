@@ -107,6 +107,64 @@ class TestEveryKindAtEveryHeightAfterRestore:
         assert_service_equals_batch(store.restore(follow=False))
 
 
+class TestAddressFieldsFromTheRows:
+    """Below the tip a profile's own-address fields are read off the
+    address's receive and spend rows.  The count is of distinct
+    transactions, which only a chain that pays one address several
+    times over can tell from a count of rows."""
+
+    def test_self_change_double_pay_and_later_spend(self):
+        busy = addr("rows/busy")
+        cb_busy = coinbase(busy, height=100)
+        cb_other = coinbase(addr("rows/other"), height=101)
+        # Input and output of one transaction: one incidence.
+        self_change = spend(
+            [(cb_busy, 0)], [(busy, 10 * COIN), (addr("rows/y"), 40 * COIN)]
+        )
+        # Paid twice by one transaction, and by a second one in the
+        # same block: two incidences, three receive rows.
+        pays_twice = spend(
+            [(self_change, 1)],
+            [(busy, 5 * COIN), (busy, 6 * COIN), (addr("rows/z"), 29 * COIN)],
+        )
+        same_block = spend(
+            [(cb_other, 0)], [(busy, 20 * COIN), (addr("rows/w"), 30 * COIN)]
+        )
+        # Two of its outputs spent by one later transaction.
+        later = spend(
+            [(self_change, 0), (pays_twice, 0)], [(addr("rows/q"), 15 * COIN)]
+        )
+        source = build_chain(
+            [[cb_busy, cb_other], [self_change], [pays_twice, same_block], [],
+             [later], []]
+        )
+        target = ChainIndex()
+        service = ForensicsService(target)
+        for height in range(source.height + 1):
+            target.add_block(source.block_at(height))
+
+        own = [
+            (profile["balance"] // COIN, profile["tx_count"],
+             profile["first_seen"], profile["last_seen"])
+            for profile in (
+                service.cluster_profile(busy, height=height)
+                for height in range(service.height + 1)
+            )
+        ]
+        assert own == [
+            (50, 1, 0, 0), (10, 2, 0, 1), (41, 4, 0, 2), (41, 4, 0, 2),
+            (26, 5, 0, 4), (26, 5, 0, 4),
+        ]
+        queries = [
+            Query("cluster_profile", (address, height))
+            for height in range(service.height + 1)
+            for address in target.interner
+            if target.first_seen(address) <= height
+        ]
+        for query, expected in zip(queries, reference_answers(target, queries)):
+            assert repr(service.answer(query)) == repr(expected), query
+
+
 class TestNamingEpochCacheKeys:
     """The staleness regression: name-bearing kinds must re-key when the
     aggregate view's naming epoch moves, even at an unchanged tip."""

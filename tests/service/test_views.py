@@ -8,17 +8,14 @@ activity against a full transaction walk, taint against a fresh batch
 propagation.
 """
 
-import numpy as np
 import pytest
 
-from repro.analysis.balances import BalanceAnalyzer
 from repro.analysis.taint import TaintTracker
 from repro.chain.index import ChainIndex
 from repro.chain.model import COIN, OutPoint
 from repro.pipeline import AnalystView
 from repro.service.views import ActivityView, BalanceView, TaintView
 from repro.simulation import scenarios
-from repro.simulation.params import FIGURE2_CATEGORIES
 
 from tests.helpers import addr, build_chain, coinbase, spend
 
@@ -111,18 +108,6 @@ class TestViewEqualsBatchAtEveryHeight:
                 batch.taint_at_entities
             ), height
         assert watched
-
-    def test_figure2_series_streams_identically(self, small_world):
-        analyst = AnalystView.build(small_world)
-        batch = analyst.balance_series(samples=48)
-        streamed = analyst.balance_series(samples=48, streaming=True)
-        assert batch.heights == streamed.heights
-        assert np.array_equal(batch.supply, streamed.supply)
-        assert np.array_equal(batch.sink_balance, streamed.sink_balance)
-        for category in FIGURE2_CATEGORIES:
-            assert np.array_equal(
-                batch.by_category[category], streamed.by_category[category]
-            ), category
 
 
 class TestViewMechanics:

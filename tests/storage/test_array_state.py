@@ -1,12 +1,14 @@
 """Array-backed durable state: bytes round-trips and the version gate.
 
 The snapshot layout stores every dense per-id array as one raw
-little-endian int64 buffer.  Two contracts are pinned here:
+little-endian int64 buffer.  The contracts pinned here:
 
 * **byte-equal round trip** — ``export_state`` → ``from_state`` →
   ``export_state`` reproduces the original payload bit for bit, for
   every array-backed component (union-find, balance/activity views,
   cluster aggregates and their delta log);
+* **extra base keys** — a ``timetravel`` base written while the state
+  still carried four per-address arrays restores; the keys are ignored;
 * **manifest gate** — only the current manifest version restores;
   older layouts (list-shaped arrays, no ``timetravel`` segment) fail
   closed with an error that names what was found and the remedy, and
@@ -94,6 +96,54 @@ class TestByteEqualRoundTrip:
             assert restored.at().ranking(metric) == aggregates.at().ranking(
                 metric
             )
+
+
+class TestTimeTravelBaseWrittenWithPerAddressColumns:
+    def test_the_four_extra_base_keys_are_ignored(self, tmp_path):
+        """Before address history moved to the index's rows, the
+        ``timetravel`` base state carried four per-address arrays
+        (``a_balance`` / ``a_tx_count`` / ``a_first`` / ``a_last``).  A
+        snapshot written that way restores, answers every historical
+        cluster query as the service that wrote it does, and snapshots
+        again without them."""
+        from repro.service import ForensicsService, Query
+        from repro.storage import StateStore
+        from repro.storage.segments import read_segment, write_segment
+
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        for block in large_scale_blocks(12, seed=3):
+            index.add_block(block)
+        store = StateStore(tmp_path / "snapshots")
+        directory = store.snapshot(service)
+        path = directory / "timetravel.seg"
+        written = read_segment(path, expected_name="timetravel")
+        assert not any(key.startswith("a_") for key in written["base"])
+        old_base = {
+            **written["base"],
+            **dict.fromkeys(("a_balance", "a_tx_count", "a_first", "a_last"), b""),
+        }
+        record = write_segment(
+            directory, "timetravel", {**written, "base": old_base}
+        )
+        manifest_path = directory / MANIFEST_NAME
+        raw = json.loads(manifest_path.read_text())
+        raw["segments"]["timetravel"] = record
+        manifest_path.write_text(json.dumps(raw))
+
+        restored = store.restore(follow=False)
+        assert restored.aggregates.export_time_travel() == written
+        interner = index.interner
+        for height in range(service.height + 1):
+            queries = [Query("top_clusters", (8, "activity", height))]
+            for ident in range(0, len(interner), 3):
+                address = interner.address_of(ident)
+                queries += [
+                    Query(kind, (address, height))
+                    for kind in ("cluster_of", "cluster_balance", "cluster_profile")
+                ]
+            for query in queries:
+                assert restored.answer(query) == service.answer(query), query
 
 
 class TestManifestVersionGate:

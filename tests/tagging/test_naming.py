@@ -1,13 +1,14 @@
 """Cluster naming: propagation, conflicts, coverage accounting."""
 
 from repro.core.clustering import Clustering
-from repro.core.union_find import UnionFind
 from repro.tagging.naming import ClusterNaming
 from repro.tagging.tags import SOURCE_OWN, SOURCE_PUBLIC, TagStore, make_tag
 
+from tests.helpers import ReferenceUnionFind
+
 
 def _clustering(groups):
-    uf = UnionFind()
+    uf = ReferenceUnionFind()
     for group in groups:
         uf.union_all(group)
     return Clustering(uf=uf, heuristics="test")
