@@ -3,29 +3,28 @@
 The auditor's contract (``src/repro/obs/audit.py``): an attached
 :class:`~repro.obs.InvariantAuditor` with ``audit_every=0`` costs one
 modulo check per block, and a production cadence (``audit_every=16``)
-keeps full-fan-out ingest within a small factor of unaudited ingest —
-the per-cycle work is an *incremental* balance replay (only the events
-since the previous audit), one numpy union-find copy for the batch-tip
-cross-check, and sampled view/fold comparisons, never a from-genesis
-rebuild.  Two ratios are pinned against the same full-fan-out ingest
-(service attached, NULL metrics so the ratio isolates audit cost, GC
-off, best-of-``REPEATS``):
+pays a bounded cost per audit cycle — an *incremental* balance replay
+(only the events since the previous audit), one copy of the engine's
+H1 union-find for the batch-tip cross-check, and sampled view/fold
+comparisons, never a from-genesis rebuild.  Two costs are pinned
+against the same full-fan-out ingest (service attached, NULL metrics so
+the numbers isolate audit cost, GC off, ``REPEATS`` paired rounds):
 
 * ``disabled_ratio`` — auditor attached with ``audit_every=0`` over no
   auditor at all, bounded by ``DISABLED_OVERHEAD_BOUND`` (≤1.01×).
-* ``audited_ratio`` — ``audit_every=16`` in strict mode over no
-  auditor, bounded by ``AUDITED_OVERHEAD_BOUND`` (≤1.15×).
+* ``audit_cycle_ms`` — (audited − unaudited) / audits run, bounded by
+  ``AUDIT_CYCLE_MS_BOUND``.  An absolute number, not a ratio over
+  ingest: the ×1.15 it used to be pinned at lost its headroom each time
+  an ingest PR made the denominator faster, with the audit untouched.
 
-Both ratios are estimated from *paired* rounds: each round times the
-three configurations back-to-back, so every arm's clock shares the
-round's machine conditions, and the ratio is taken within the round.
-The audited bound uses the median paired ratio (robust to a few noisy
-rounds in either direction).  The disabled bound is a 1% claim on a
-machine whose round-to-round noise exceeds 1%, so it uses the *minimum*
-paired ratio: scheduler noise only ever adds time to whichever single
-round it hits, while a disabled path that really did work per block
-would inflate every round — the minimum strips the former and still
-catches the latter.
+Both are estimated from *paired* rounds: each round times the three
+configurations back-to-back, so every arm's clock shares the round's
+machine conditions.  Scheduler noise only ever adds time to whichever
+single round it hits, while real per-block or per-audit work inflates
+every round, so both take minimums: the cycle cost is the best audited
+round minus the best unaudited one, and the disabled bound — a 1% claim
+on a machine whose round-to-round noise exceeds 1% — uses the minimum
+paired ratio.
 
 Strict mode doubles as a correctness gate: a single violation anywhere
 in the run aborts the benchmark loudly.
@@ -43,7 +42,12 @@ from repro.service import ForensicsService
 
 
 DISABLED_OVERHEAD_BOUND = 1.01
-AUDITED_OVERHEAD_BOUND = 1.15
+AUDIT_CYCLE_MS_BOUND = 2.75
+"""One audit cycle at 600 blocks / cadence 16 reads 0.9–2.2 ms on a
+shared 2-vCPU Xeon container (the high end under neighbour load), and
+the slowest host it has run on read 2.0 ms; 2.75 ms is the allowance.
+A 2 ms stall added to every audit reads 3.4–4.5 ms on the same
+container and fails."""
 AUDIT_EVERY = 16
 REPEATS = 8
 
@@ -127,14 +131,12 @@ def test_audit_overhead_within_bounds(bench_default_world, bench_report):
     audited = statistics.median(rounds["audited"])
     audits_run = audits["audited"]
 
-    disabled_pairs = [
+    disabled_ratio = min(
         d / b for d, b in zip(rounds["disabled"], rounds["baseline"])
-    ]
-    audited_pairs = [
-        a / b for a, b in zip(rounds["audited"], rounds["baseline"])
-    ]
-    disabled_ratio = min(disabled_pairs)
-    audited_ratio = statistics.median(audited_pairs)
+    )
+    audit_cycle_ms = (
+        (min(rounds["audited"]) - min(rounds["baseline"])) / audits_run * 1e3
+    )
 
     print(
         f"\n{n_blocks} blocks, {REPEATS} paired rounds:\n"
@@ -143,8 +145,8 @@ def test_audit_overhead_within_bounds(bench_default_world, bench_report):
         f"(min paired ×{disabled_ratio:.3f}, "
         f"bound ×{DISABLED_OVERHEAD_BOUND})\n"
         f"  audit_every={AUDIT_EVERY} strict: {audited:.3f}s "
-        f"(median paired ×{audited_ratio:.3f}, "
-        f"bound ×{AUDITED_OVERHEAD_BOUND}, {audits_run} audits)"
+        f"({audits_run} audits, {audit_cycle_ms:.2f} ms per cycle best "
+        f"against best, bound {AUDIT_CYCLE_MS_BOUND} ms)"
     )
     bench_report(
         "audit_overhead",
@@ -157,9 +159,9 @@ def test_audit_overhead_within_bounds(bench_default_world, bench_report):
             "disabled_seconds": disabled,
             "audited_seconds": audited,
             "disabled_ratio": disabled_ratio,
-            "audited_ratio": audited_ratio,
+            "audit_cycle_ms": audit_cycle_ms,
             "disabled_bound": DISABLED_OVERHEAD_BOUND,
-            "audited_bound": AUDITED_OVERHEAD_BOUND,
+            "audit_cycle_ms_bound": AUDIT_CYCLE_MS_BOUND,
         },
     )
     assert disabled_ratio <= DISABLED_OVERHEAD_BOUND, (
@@ -167,8 +169,8 @@ def test_audit_overhead_within_bounds(bench_default_world, bench_report):
         f"×{DISABLED_OVERHEAD_BOUND}: the cadence check is doing work "
         f"beyond one modulo per block"
     )
-    assert audited_ratio <= AUDITED_OVERHEAD_BOUND, (
-        f"audit_every={AUDIT_EVERY} ingest ×{audited_ratio:.3f} exceeds "
-        f"×{AUDITED_OVERHEAD_BOUND}: an audit check lost its "
+    assert audit_cycle_ms <= AUDIT_CYCLE_MS_BOUND, (
+        f"one audit cycle costs {audit_cycle_ms:.2f} ms, over the "
+        f"{AUDIT_CYCLE_MS_BOUND} ms bound: an audit check lost its "
         f"incremental/sampled cost model"
     )

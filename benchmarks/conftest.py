@@ -5,6 +5,11 @@ session; the benchmarks time the *analysis* stages (clustering, peel
 tracking, theft classification) against the prebuilt chains, and each
 bench also prints the paper-shaped table it regenerates (run with
 ``-s`` to see them).
+
+The rule for a timing bound: a bench asserts an absolute number with a
+stated host allowance, or a ratio whose both sides are production code.
+A ratio over a baseline chosen for the bench (a cold rebuild, a bare
+index) loses its headroom every time someone makes the baseline faster.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from repro.simulation import scenarios
 
 @pytest.fixture(scope="session")
 def bench_report():
-    """Write a ``BENCH_<name>.json`` machine-readable result next to the
-    run (or under ``$BENCH_OUT_DIR``); CI uploads these as artifacts so
-    benchmark numbers are inspectable per commit without re-running."""
+    """Write a ``BENCH_<name>.json`` machine-readable result under
+    ``$BENCH_OUT_DIR`` (default ``bench-results/``); CI uploads these as
+    artifacts so benchmark numbers are inspectable per commit without
+    re-running."""
 
     def write(name: str, payload: dict) -> Path:
-        out_dir = Path(os.environ.get("BENCH_OUT_DIR", "."))
+        out_dir = Path(os.environ.get("BENCH_OUT_DIR", "bench-results"))
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"BENCH_{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -13,9 +13,9 @@ chain arrives* — folding the
 than re-walking the block's transaction list — so one pass yields every
 height:
 
-* **H1** co-spend unions are applied eagerly to an undo-logged
+* **H1** co-spend unions are applied eagerly to an append-only
   :class:`~repro.core.union_find.IntUnionFind`, with a checkpoint per
-  block — the H1 state at any height is a rollback away.
+  block — the H1 state at any height is a replay of a log prefix.
 * **H2** labels are decided with the purely-past checks the moment their
   transaction arrives, then *watched*: a later input to the candidate
   within the waiting window voids the label (the §4.2 wait rule), which
@@ -23,11 +23,11 @@ height:
   the clustering at horizon ``h`` iff it was born by ``h`` and not yet
   voided at ``h`` — exactly the batch engine's ``as_of_height``
   semantics.
-* :meth:`snapshot` / :meth:`cluster_as_of` combine the two: roll the H1
-  log to the height's checkpoint, overlay the then-active change links,
-  read off the partition, and restore.  :meth:`cluster_count_series`
-  sweeps all heights forward in O(unions + heights × active labels) —
-  no per-height re-clustering.
+* :meth:`cluster_as_of` combines the two: replay the H1 log up to the
+  height's checkpoint onto a fresh structure, then union the then-active
+  change links.  :meth:`cluster_count_series` sweeps all heights
+  forward, counting each height's links with
+  :func:`~repro.core.union_find.link_components`; nothing undoes a union.
 
 Equivalence contract (tested property-style): for every height ``h``,
 ``cluster_as_of(h)`` induces the same partition and the same label set
@@ -49,6 +49,8 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..chain.delta import BlockDelta, TxDelta
 from ..chain.errors import NonMonotonicTimestampError
 from ..chain.index import ChainIndex
@@ -61,7 +63,7 @@ from .heuristic2 import (
     Heuristic2Result,
     is_dice_spend,
 )
-from .union_find import IntUnionFind
+from .union_find import IntUnionFind, link_components
 
 
 @dataclass(eq=False)
@@ -120,8 +122,8 @@ class ClusterBlockDelta:
 
 @dataclass(frozen=True)
 class ClusterSnapshot:
-    """Per-height clustering accounting (one :meth:`snapshot` /
-    one point of :meth:`cluster_count_series`)."""
+    """Per-height clustering accounting (one point of
+    :meth:`IncrementalClusteringEngine.cluster_count_series`)."""
 
     height: int
     address_count: int
@@ -157,7 +159,7 @@ class IncrementalClusteringEngine:
         self._h2 = Heuristic2(index, self.h2_config, dice_addresses=dice_addresses)
         self._uf = IntUnionFind()
         """H1-only unions, eagerly applied; H2 links are overlaid per
-        snapshot so voided labels never need un-unioning."""
+        query so voided labels never need un-unioning."""
         self._marks: list[int] = []
         """Merge-log position at the end of each height."""
         self._seen: list[int] = []
@@ -391,11 +393,9 @@ class IncrementalClusteringEngine:
 
         The H1 entries are the engine union-find's own
         :meth:`~repro.core.union_find.IntUnionFind.log_span` between the
-        height's checkpoints — safe to read at any block boundary
-        because the engine's time-travel brackets
-        (:meth:`snapshot` / :meth:`cluster_as_of`) always restore the
-        log exactly (every rollback is balanced by an exact replay), so
-        a height's span never changes once the height is clustered.
+        height's checkpoints — safe to read at any time because the log
+        is append-only and time travel replays onto fresh structures,
+        so a height's span never changes once the height is clustered.
         Labels are the live objects (identity-shared with the engine's
         watch state); consumers read, never mutate.
         """
@@ -607,47 +607,6 @@ class IncrementalClusteringEngine:
             )
         return height
 
-    def _active_labels(self, height: int) -> list[_LiveLabel]:
-        return [live for live in self._labels if live.active_at(height)]
-
-    def snapshot(self, height: int | None = None) -> ClusterSnapshot:
-        """Per-height accounting via rollback on the live structure.
-
-        Rolls the H1 log back to the height's checkpoint, overlays the
-        then-active change links, reads the counts, and restores the
-        tip state exactly — O(log suffix + total labels born), no chain
-        re-scan.  For *every* height at once use
-        :meth:`cluster_count_series`, which amortizes the label
-        bookkeeping across the sweep.
-        """
-        height = self._check_height(height)
-        if height is None:
-            return ClusterSnapshot(
-                height=-1, address_count=0, h1_clusters=0, clusters=0,
-                active_labels=0,
-            )
-        uf = self._uf
-        suffix = uf.rollback(self._marks[height])
-        overlay = uf.checkpoint()
-        active = self._active_labels(height)
-        for live in active:
-            if live.input_id is not None:
-                uf.union(live.address_id, live.input_id)
-        # Ids first seen after `height` sit in the structure as rolled-
-        # back singletons; discount them to match the prefix universe.
-        unseen = len(uf) - self._seen[height]
-        clusters = uf.component_count - unseen
-        uf.rollback(overlay)
-        h1_clusters = uf.component_count - unseen
-        uf.replay(suffix)
-        return ClusterSnapshot(
-            height=height,
-            address_count=self._seen[height],
-            h1_clusters=h1_clusters,
-            clusters=clusters,
-            active_labels=len(active),
-        )
-
     def cluster_as_of(self, height: int | None = None) -> Clustering:
         """A materialized :class:`Clustering` equal to the batch engine's
         ``cluster(as_of_height=height)`` — without re-running heuristics.
@@ -672,11 +631,13 @@ class IncrementalClusteringEngine:
             return cached
         uf = IntUnionFind(self._seen[height])
         uf.replay(self._uf.log_prefix(self._marks[height]))
-        active = self._active_labels(height)
+        active = [live for live in self._labels if live.active_at(height)]
         result = Heuristic2Result(labels=[live.label for live in active])
-        for live in active:
-            if live.input_id is not None:
-                uf.union(live.address_id, live.input_id)
+        links = [live for live in active if live.input_id is not None]
+        uf.union_many(
+            [live.address_id for live in links],
+            [live.input_id for live in links],
+        )
         clustering = Clustering(
             uf=InternedPartition(uf, self.index.interner),
             heuristics="h1+h2",
@@ -726,44 +687,49 @@ class IncrementalClusteringEngine:
     def cluster_count_series(self) -> list[ClusterSnapshot]:
         """Cluster counts at *every* height, in one forward sweep.
 
-        Replays the recorded H1 merge log height by height (O(1) per
-        union, no finds) and overlays each height's active change links
-        inside a checkpoint/rollback bracket.  Total cost is
-        O(unions + Σ active labels) — versus the naive loop's
-        O(chain × heights) of full re-clustering.
+        Replays the H1 merge log height by height onto a fresh structure
+        (O(1) per union, no finds).  Birth, void, owner and partner
+        columns over every label are built once; each height masks its
+        active links, resolves their endpoints with two ``find_many``
+        calls and counts what they merge with
+        :func:`~repro.core.union_find.link_components`:
+        ``clusters = h1_clusters - (merged roots - groups)``.  The
+        replayed structure only ever moves forward.
         """
+        never = len(self._marks)
+        born, voided, owners, partners = np.array(
+            [
+                (
+                    live.label.height,
+                    never if live.voided_at is None else live.voided_at,
+                    live.address_id,
+                    -1 if live.input_id is None else live.input_id,
+                )
+                for live in self._labels
+            ],
+            dtype="<i8",
+        ).reshape(-1, 4).T
+        linked = partners >= 0
         uf = IntUnionFind()
         log = self._uf.log_prefix(self._marks[-1]) if self._marks else []
-        born: dict[int, list[_LiveLabel]] = {}
-        voids: dict[int, list[_LiveLabel]] = {}
-        for live in self._labels:
-            born.setdefault(live.label.height, []).append(live)
-            if live.voided_at is not None:
-                voids.setdefault(live.voided_at, []).append(live)
-        active: set[_LiveLabel] = set()
         points: list[ClusterSnapshot] = []
         position = 0
-        for height in range(self.height + 1):
-            uf.ensure(self._seen[height])
-            mark = self._marks[height]
+        for height, (mark, seen) in enumerate(zip(self._marks, self._seen)):
+            uf.ensure(seen)
             uf.replay(log[position:mark])
             position = mark
-            active.update(born.get(height, ()))
-            active.difference_update(voids.get(height, ()))
-            h1_clusters = uf.component_count
-            overlay = uf.checkpoint()
-            for live in active:
-                if live.input_id is not None:
-                    uf.union(live.address_id, live.input_id)
-            clusters = uf.component_count
-            uf.rollback(overlay)
+            active = (born <= height) & (voided > height)
+            links = active & linked
+            members, starts = link_components(
+                uf.find_many(owners[links]), uf.find_many(partners[links])
+            )
             points.append(
                 ClusterSnapshot(
                     height=height,
-                    address_count=self._seen[height],
-                    h1_clusters=h1_clusters,
-                    clusters=clusters,
-                    active_labels=len(active),
+                    address_count=seen,
+                    h1_clusters=uf.component_count,
+                    clusters=uf.component_count - len(members) + len(starts),
+                    active_labels=int(np.count_nonzero(active)),
                 )
             )
         return points

@@ -1,12 +1,13 @@
 """The array-backed disjoint-set forest the clustering runs on.
 
 :class:`IntUnionFind` is backed by flat int64 arrays indexed by the
-dense address ids the chain layer interns, and keeps an undo log so
-unions can be checkpointed and rolled back — the mechanism behind the
-incremental engine's time-travel snapshots.  The array backing is what
-makes :meth:`IntUnionFind.find_many` possible: batch root resolution as
-a handful of whole-array gathers instead of one pointer-chase loop per
-id.
+dense address ids the chain layer interns, and only moves forward:
+each effective union is appended to a merge log, and the partition at an
+earlier log position is rebuilt by replaying a prefix onto a fresh
+structure, never by undoing the live one.  The arrays make
+:meth:`IntUnionFind.find_many` a few whole-array gathers instead of one
+pointer-chase loop per id.  :func:`link_components` is the one kernel for
+the open-link overlay (still-voidable H2 change links over base roots).
 """
 
 from __future__ import annotations
@@ -19,48 +20,29 @@ import numpy as np
 from .arrays import IntVector
 
 
-class MergeCursor:
-    """A consumer's position in an :class:`IntUnionFind` merge log.
-
-    Created by :meth:`IntUnionFind.merge_cursor`; advanced by
-    :meth:`IntUnionFind.drain_merges`.  ``retracted`` counts merges the
-    cursor had already delivered that a later :meth:`IntUnionFind.rollback`
-    undid — the next drain reports it so the consumer can reconcile
-    (see ``drain_merges`` for the contract).
-    """
-
-    __slots__ = ("position", "retracted")
-
-    def __init__(self, position: int) -> None:
-        self.position = position
-        self.retracted = 0
-
-
 class IntUnionFind:
-    """Array-backed disjoint sets over dense ids ``0..n-1`` with undo.
+    """Array-backed, append-only disjoint sets over dense ids ``0..n-1``.
 
-    Union-by-size **without path compression**: the structure is then a
-    pure function of its union log, so any merge can be undone by
-    resetting one parent pointer — which is what makes
-    :meth:`checkpoint` / :meth:`rollback` / :meth:`replay` exact.  Finds
-    are O(log n) worst case (union-by-size bounds tree depth), which the
-    flat-array backing more than pays back against the dict-of-strings
-    structure on the clustering hot path.  Parents and sizes live in
-    :class:`~repro.core.arrays.IntVector` buffers; scalar methods bind
-    the raw backing array (``_data``) in their loops — safe because a
-    live id's parent is always a live id, so walks never enter the
-    capacity tail — and :meth:`find_many` resolves whole id batches by
-    iterated gather.
+    Union-by-size **without path compression**, because :meth:`replay`,
+    :meth:`log_prefix` and a read-only :meth:`find_many` rely on it: the
+    forest is a pure function of its merge log, so a replayed prefix is
+    exactly the forest its :meth:`checkpoint` saw.  Finds are O(log n)
+    worst case (union-by-size bounds tree depth), which the flat-array
+    backing more than pays back on the clustering hot path.  Parents and
+    sizes live in :class:`~repro.core.arrays.IntVector` buffers; scalar
+    methods bind the raw backing array (``_data``) in their loops — safe
+    because a live id's parent is always a live id, so walks never enter
+    the capacity tail — and :meth:`find_many` resolves whole id batches
+    by iterated gather.
 
     Consumers that maintain *derived* per-cluster state (the service's
-    differential cluster aggregates) subscribe to the merge log with
-    :meth:`merge_cursor` / :meth:`drain_merges` instead of re-scanning
-    members: each drained ``(absorbed_root, kept_root)`` entry is the
-    exact fold order for merging the smaller cluster's aggregate into
-    the larger's.
+    differential cluster aggregates) read the merge log between two
+    checkpoints with :meth:`log_span` instead of re-scanning members:
+    each ``(absorbed_root, kept_root)`` entry is the exact fold order
+    for merging the smaller cluster's aggregate into the larger's.
     """
 
-    __slots__ = ("_parent", "_size", "_components", "_log", "_cursors")
+    __slots__ = ("_parent", "_size", "_components", "_log")
 
     def __init__(self, n: int = 0) -> None:
         self._parent = IntVector()
@@ -68,8 +50,6 @@ class IntUnionFind:
         self._components = 0
         self._log: list[tuple[int, int]] = []
         """Merge log: ``(absorbed_root, kept_root)`` per effective union."""
-        self._cursors: list[MergeCursor] = []
-        """Registered merge-log consumers (see :meth:`merge_cursor`)."""
         if n:
             self.ensure(n)
 
@@ -108,10 +88,10 @@ class IntUnionFind:
         Iterated whole-batch gather: each pass replaces every id with
         its parent, so the loop runs max-tree-depth times — O(log n)
         passes of C-speed indexing instead of a Python pointer chase per
-        id.  Read-only (no compression, like :meth:`find`), so it is
-        safe between :meth:`checkpoint` and :meth:`rollback`.  The win
-        is batch size: at tens of thousands of ids this is ~8× faster
-        than a :meth:`find` loop; for a handful of ids prefer the loop.
+        id.  Read-only (no compression, like :meth:`find`), so the
+        forest stays a pure function of the merge log.  The win is
+        batch size: at tens of thousands of ids this is ~8× faster than
+        a :meth:`find` loop; for a handful of ids prefer the loop.
         """
         roots = np.asarray(ids, dtype="<i8")
         parent = self._parent._data
@@ -122,7 +102,7 @@ class IntUnionFind:
             roots = above
 
     def union(self, a: int, b: int) -> int:
-        """Merge the sets of ``a`` and ``b``; logs the merge for undo."""
+        """Merge the sets of ``a`` and ``b``; appends the merge to the log."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
@@ -136,14 +116,14 @@ class IntUnionFind:
         return ra
 
     def union_many(self, items, partners=None) -> int | None:
-        """Chain or bulk-pair unions, undo-log contract preserved.
+        """Chain or bulk-pair unions, merge-log contract preserved.
 
         * ``union_many(items)`` — merge every id in ``items`` into one
           set; returns its root (the original chain form).
         * ``union_many(ids_a, ids_b)`` — the bulk batch entry point:
           union ``(ids_a[k], ids_b[k])`` for every k, in order, exactly
           as a sequential :meth:`union` loop would — identical merge
-          log, so :meth:`checkpoint` / :meth:`rollback` / merge cursors
+          log, so :meth:`checkpoint` / :meth:`log_span` / :meth:`replay`
           observe nothing different.  Accepts any aligned int sequences
           (numpy int64 arrays are converted once, at C speed); the loop
           binds the parent/size/log structures to locals, walks with
@@ -246,40 +226,18 @@ class IntUnionFind:
         return dict(out)
 
     # ------------------------------------------------------------------
-    # checkpoint / rollback / replay
+    # checkpoint / replay
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> int:
         """A token marking the current position in the merge log."""
         return len(self._log)
 
-    def rollback(self, token: int) -> list[tuple[int, int]]:
-        """Undo every union after ``token``; ids added by :meth:`ensure`
-        stay (as singletons).  Returns the undone log entries in
-        chronological order, suitable for :meth:`replay`.
-
-        Merge cursors past ``token`` are pulled back to it and their
-        ``retracted`` count bumped, so a drain-based consumer can never
-        silently miss that merges it already folded were undone."""
-        undone = self._log[token:]
-        parent = self._parent._data
-        size = self._size._data
-        for absorbed, kept in reversed(undone):
-            parent[absorbed] = absorbed
-            size[kept] -= size[absorbed]
-        self._components += len(undone)
-        del self._log[token:]
-        for cursor in self._cursors:
-            if cursor.position > token:
-                cursor.retracted += cursor.position - token
-                cursor.position = token
-        return undone
-
     def replay(self, entries: Iterable[tuple[int, int]]) -> None:
         """Re-apply previously recorded merges (chronological order).
 
-        Entries must come from this structure's own log (via
-        :meth:`rollback` or :meth:`log_prefix`) and be applied onto the
+        Entries must come from a structure's own log (via
+        :meth:`log_prefix` or :meth:`log_span`) and be applied onto the
         exact state they were recorded against — each ``absorbed`` must
         currently be a root.  No finds are needed, so replay is O(1) per
         entry.
@@ -303,52 +261,8 @@ class IntUnionFind:
         """Merge-log entries between two checkpoint tokens (chronological)."""
         return self._log[start:stop]
 
-    # ------------------------------------------------------------------
-    # merge subscription (differential consumers)
-    # ------------------------------------------------------------------
-
-    def merge_cursor(self) -> MergeCursor:
-        """Register a merge-log consumer at the current log position.
-
-        The cursor sees only merges applied *after* registration; use
-        :meth:`drain_merges` to collect them.  Cursors are not part of
-        the durable state (:meth:`export_state` ignores them) and are
-        not carried over by :meth:`copy` — a consumer re-registers
-        against the structure it actually follows.
-        """
-        cursor = MergeCursor(len(self._log))
-        self._cursors.append(cursor)
-        return cursor
-
-    def drain_merges(self, cursor: MergeCursor) -> tuple[int, list[tuple[int, int]]]:
-        """Merges since the cursor's last drain, advancing the cursor.
-
-        Returns ``(retracted, entries)``: ``entries`` are the
-        ``(absorbed_root, kept_root)`` merges now in the log past the
-        cursor, in fold order; ``retracted`` counts previously drained
-        merges that a :meth:`rollback` undid since — the consumer must
-        un-apply its last ``retracted`` folds before applying
-        ``entries``.  A consumer that only drains at points where every
-        interleaved rollback was balanced by an exact :meth:`replay`
-        (the incremental engine's block boundaries) will observe the
-        retracted merges re-delivered verbatim at the head of
-        ``entries``, so fold-then-refold reconciliation is exact.
-        """
-        retracted = cursor.retracted
-        entries = self._log[cursor.position:]
-        cursor.position = len(self._log)
-        cursor.retracted = 0
-        return retracted, entries
-
-    def release_cursor(self, cursor: MergeCursor) -> None:
-        """Deregister a cursor (rollbacks stop adjusting it)."""
-        try:
-            self._cursors.remove(cursor)
-        except ValueError:
-            pass
-
     def copy(self) -> "IntUnionFind":
-        """An independent copy (log included; merge cursors are not)."""
+        """An independent copy, merge log included."""
         clone = IntUnionFind()
         clone._parent = self._parent.copy()
         clone._size = self._size.copy()
@@ -399,3 +313,32 @@ class IntUnionFind:
         if len(uf._parent) != len(uf._size):
             raise ValueError("union-find state parents/sizes misaligned")
         return uf
+
+
+def link_components(roots_a, roots_b) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the graph with one edge per ``(roots_a[k],
+    roots_b[k])``: self-links dropped, endpoints compacted by one
+    ``np.unique``, merged by one pair-mode :meth:`IntUnionFind.union_many`,
+    grouped by :meth:`IntUnionFind.find_many` plus one stable argsort.
+
+    Returns ``(members, starts)``: the linked endpoints grouped by
+    component (ascending within a group) and each group's offset (the
+    ``reduceat`` layout).  Every group has at least two members, so the
+    links merge ``len(members) - len(starts)`` clusters into others —
+    countable without building a tuple per group.
+    """
+    a, b = np.asarray(roots_a, dtype="<i8"), np.asarray(roots_b, dtype="<i8")
+    linked = a != b
+    if not linked.any():
+        return np.empty(0, dtype="<i8"), np.empty(0, dtype="<i8")
+    nodes, compact = np.unique(
+        np.concatenate((a[linked], b[linked])), return_inverse=True
+    )
+    forest = IntUnionFind(len(nodes))
+    forest.union_many(*compact.reshape(2, -1))
+    labels = forest.find_many(np.arange(len(nodes), dtype="<i8"))
+    # ``nodes`` is ascending, so a stable sort keeps each group ascending.
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
+    new_group = np.concatenate(([True], labels[1:] != labels[:-1]))
+    return nodes[order], np.flatnonzero(new_group)

@@ -78,7 +78,8 @@ class AnalystView:
     @cached_property
     def incremental(self) -> IncrementalClusteringEngine:
         """Streaming engine over the world's chain: one pass, checkpoints
-        at every height, ``cluster_as_of``/``snapshot`` time travel."""
+        at every height, ``cluster_as_of``/``cluster_count_series`` time
+        travel."""
         return IncrementalClusteringEngine(
             self.world.index,
             h2_config=self.h2_config,

@@ -73,7 +73,7 @@ from ..chain.delta import BlockDelta
 from ..chain.index import ChainIndex
 from ..core.arrays import IntVector
 from ..core.incremental import IncrementalClusteringEngine
-from ..core.union_find import IntUnionFind
+from ..core.union_find import IntUnionFind, link_components
 from ..obs import COUNT_BUCKETS, NULL_REGISTRY
 from .queries import ClusterRanking, TOP_CLUSTER_METRICS
 from .views import ClusterActivity, MaterializedView
@@ -342,43 +342,6 @@ class _Columns(NamedTuple):
         np.maximum.at(self.last.array, involved_slots, involved_heights)
 
 
-def _link_components(pairs) -> list[tuple[int, ...]]:
-    """Connected components of the open-link graph over base roots, each
-    as an ascending root tuple.  The graph is tiny (one edge per open
-    label), so a dict-backed union-find with path compression does;
-    every component spans at least two roots (self-links are skipped).
-    """
-    parent: dict[int, int] = {}
-    get = parent.get
-
-    def gfind(item: int) -> int:
-        root = item
-        while True:
-            above = get(root, root)
-            if above == root:
-                break
-            root = above
-        while item != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    for ra, rb in pairs:
-        if ra == rb:
-            continue
-        if ra not in parent:
-            parent[ra] = ra
-        if rb not in parent:
-            parent[rb] = rb
-        fa = gfind(ra)
-        fb = gfind(rb)
-        if fa != fb:
-            parent[fb] = fa
-    members: dict[int, list[int]] = {}
-    for item in parent:
-        members.setdefault(gfind(item), []).append(item)
-    return [tuple(sorted(roots)) for roots in members.values()]
-
-
 class _AggregateState:
     """The cluster aggregates at one height (see the module docstring).
 
@@ -552,17 +515,27 @@ class _AggregateState:
 
     # -- derived state, wholesale --------------------------------------
 
-    def overlay_groups(self, components) -> list[_OverlayGroup]:
-        """One :class:`_OverlayGroup` per component (an ascending tuple
-        of base roots): every per-group quantity is a ``reduceat`` over
-        one gather of the members' root columns."""
-        if not components:
-            return []
-        lengths = [len(roots) for roots in components]
-        members = np.fromiter(
-            chain.from_iterable(components), dtype="<i8", count=sum(lengths)
+    def open_link_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Base roots of both endpoints of every open change link — two
+        ``find_many`` calls, in :func:`link_components` argument order."""
+        links = [live for live in self.open if live.input_id is not None]
+        count = len(links)
+        return (
+            self.uf.find_many(
+                np.fromiter((live.address_id for live in links), "<i8", count)
+            ),
+            self.uf.find_many(
+                np.fromiter((live.input_id for live in links), "<i8", count)
+            ),
         )
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+    def overlay_groups(self, members, starts) -> list[_OverlayGroup]:
+        """One :class:`_OverlayGroup` per component in the
+        :func:`link_components` layout (ascending base roots ``members``,
+        group offsets ``starts``): every per-group quantity is a
+        ``reduceat`` over one gather of the members' root columns."""
+        if not len(starts):
+            return []
         firsts = self.roots.first.array[members]
         firsts[firsts < 0] = _UNSEEN
         firsts = np.minimum.reduceat(firsts, starts)
@@ -575,10 +548,16 @@ class _AggregateState:
             firsts,
             np.maximum.reduceat(self.roots.last.array[members], starts),
         )
+        flat = members.tolist()
+        bounds = [*starts.tolist(), len(flat)]
         return [
-            _OverlayGroup(cid, roots, size, balance, tx_count, first, last)
-            for roots, (cid, size, balance, tx_count, first, last) in zip(
-                components, zip(*(column.tolist() for column in columns))
+            _OverlayGroup(
+                cid, tuple(flat[lo:hi]), size, balance, tx_count, first, last
+            )
+            for lo, hi, (cid, size, balance, tx_count, first, last) in zip(
+                bounds,
+                bounds[1:],
+                zip(*(column.tolist() for column in columns)),
             )
         ]
 
@@ -590,33 +569,15 @@ class _AggregateState:
         if not self.derived_dirty:
             return
         uf = self.uf
-        open_links = [live for live in self.open if live.input_id is not None]
-        components: list[tuple[int, ...]] = []
-        if open_links:
-            count = len(open_links)
-            owners = uf.find_many(
-                np.fromiter(
-                    (live.address_id for live in open_links), "<i8", count
-                )
-            )
-            spenders = uf.find_many(
-                np.fromiter(
-                    (live.input_id for live in open_links), "<i8", count
-                )
-            )
-            components = _link_components(
-                zip(owners.tolist(), spenders.tolist())
-            )
-        groups = self.groups = self.overlay_groups(components)
+        members, starts = link_components(*self.open_link_roots())
+        groups = self.groups = self.overlay_groups(members, starts)
         self.group_of = {
             root: group for group in groups for root in group.roots
         }
         roots = uf.root_ids()
         if groups:
             ungrouped = np.ones(len(uf), dtype=bool)
-            ungrouped[
-                np.fromiter(self.group_of, "<i8", len(self.group_of))
-            ] = False
+            ungrouped[members] = False
             roots = roots[ungrouped[roots]]
         cids = self.min_member.array[roots]
         sizes = uf.root_sizes.array[roots]
@@ -762,9 +723,9 @@ class AggregateSurface:
 class DirtyRootCursor:
     """One consumer's registration for dirty-root naming churn.
 
-    Mirrors :class:`~repro.core.union_find.MergeCursor`: each consumer
-    holds its own cursor, and :meth:`ClusterAggregateView.drain_naming_dirty`
-    returns (and clears) only *that cursor's* accumulated set — so the
+    Each consumer holds its own cursor, and
+    :meth:`ClusterAggregateView.drain_naming_dirty` returns (and
+    clears) only *that cursor's* accumulated set — so the
     query engine's incremental cluster-name map and the invariant
     auditor can both follow naming churn without starving each other.
     Pending roots are distributed into every registered cursor at drain
@@ -792,11 +753,10 @@ class ClusterAggregateView(MaterializedView):
     never change once a height is clustered, and the open-label fields
     the overlay reads (``address_id``/``input_id``) are immutable.
 
-    The base partition is never rolled back — base folds are
+    The base partition only moves forward — base folds are
     irreversible, which is exactly why voidable links never enter it —
-    and the engine's own checkpoint/rollback brackets never leak in
-    (they restore its merge log exactly); a flush refuses a retraction
-    loudly.
+    and no method of the union-find could move it back, so a flush
+    reads the run's merges as one log span past the tip state's mark.
 
     Alongside the tip state the view keeps the per-height delta log
     (:class:`_HeightRecord`), the log's base state, a sparse spine of
@@ -832,8 +792,6 @@ class ClusterAggregateView(MaterializedView):
         records: dict[int, _HeightRecord],
     ) -> None:
         self._tip = tip
-        self._cursor = tip.uf.merge_cursor()
-        """Detects a rollback of the base partition between flushes."""
         self._pending: list[tuple] = []
         """Blocks observed but not yet folded (drained by :meth:`_flush`
         on the first read or export at the new tip): per block the five
@@ -940,12 +898,7 @@ class ClusterAggregateView(MaterializedView):
                 involved_flat=involved_flat,
             )
             records.append(record)
-        retracted, span = uf.drain_merges(self._cursor)
-        if retracted:
-            raise RuntimeError(
-                "cluster aggregate base was rolled back; folded "
-                "aggregates cannot be retracted"
-            )
+        span = uf.log_span(self._tip.mark, uf.checkpoint())
         stale_cids, involved_roots = self._tip.advance(records, span)
         self._patch_tip(span, stale_cids, involved_roots)
         if timed:
@@ -979,7 +932,6 @@ class ClusterAggregateView(MaterializedView):
         """
         tip = self._tip
         uf = tip.uf
-        find = uf.find
         min_member = tip.min_member
         prev_groups = tip.groups
         prev_of = tip.group_of
@@ -993,23 +945,23 @@ class ClusterAggregateView(MaterializedView):
         )
         naming_dirty.update(merged.tolist())
 
-        pairs: list[tuple[int, int]] = []
-        for live in tip.open:
-            if live.input_id is None:
-                continue
-            pair = (find(live.address_id), find(live.input_id))
-            pairs.append(pair)
-            for root in pair:
-                if root not in prev_of:
-                    stale_cids.add(min_member[root])
-                    touched_roots.add(root)
+        owners, partners = tip.open_link_roots()
+        for root in set(np.concatenate((owners, partners)).tolist()):
+            if root not in prev_of:
+                stale_cids.add(min_member[root])
+                touched_roots.add(root)
 
         # A component whose root set matches a pre-flush group exactly
         # and touches no changed root keeps that group object: every
         # aggregate (and the cid) is provably unchanged.
+        members, starts = link_components(owners, partners)
+        flat = members.tolist()
+        bounds = [*starts.tolist(), len(flat)]
         groups: list[_OverlayGroup] = []
-        rebuilt: list[tuple[int, ...]] = []
-        for roots_key in _link_components(pairs):
+        rebuilt: list[int] = []
+        rebuilt_starts: list[int] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            roots_key = tuple(flat[lo:hi])
             prev = prev_of.get(roots_key[0])
             if (
                 prev is not None
@@ -1018,12 +970,16 @@ class ClusterAggregateView(MaterializedView):
             ):
                 groups.append(prev)
             else:
-                rebuilt.append(roots_key)
+                rebuilt_starts.append(len(rebuilt))
+                rebuilt += roots_key
         if groups and self.metrics.enabled:
             self.metrics.counter("aggregates.overlay_reuse_hits").inc(
                 len(groups)
             )
-        fresh = tip.overlay_groups(rebuilt)
+        fresh = tip.overlay_groups(
+            np.array(rebuilt, dtype="<i8"),
+            np.array(rebuilt_starts, dtype="<i8"),
+        )
         for group in fresh:
             prev = prev_of.get(group.roots[0])
             if prev is None or prev.cid != group.cid or prev.roots != group.roots:
@@ -1046,7 +1002,7 @@ class ClusterAggregateView(MaterializedView):
             if id(group) not in reused:
                 stale_cids.add(group.cid)
                 for root in group.roots:
-                    touched_roots.add(find(root))
+                    touched_roots.add(uf.find(root))
                     if root not in group_of:
                         naming_dirty.add(root)
 

@@ -28,6 +28,8 @@ def _assert_equivalent_at_every_height(index, *, h2_config=None, dice=frozenset(
     incremental = IncrementalClusteringEngine(
         index, h2_config=h2_config, dice_addresses=dice
     )
+    series = incremental.cluster_count_series()
+    assert [point.height for point in series] == list(range(index.height + 1))
     for height in range(index.height + 1):
         expected = batch.cluster(as_of_height=height)
         actual = incremental.cluster_as_of(height)
@@ -35,9 +37,18 @@ def _assert_equivalent_at_every_height(index, *, h2_config=None, dice=frozenset(
         assert actual.cluster_count == expected.cluster_count, height
         assert actual.h2_result.labels == expected.h2_result.labels, height
         assert _partition(actual) == _partition(expected), height
-        snap = incremental.snapshot(height)
-        assert snap.clusters == expected.cluster_count, height
-        assert snap.active_labels == len(expected.h2_result.labels), height
+        point = series[height]
+        assert (
+            point.clusters, point.active_labels, point.address_count
+        ) == (
+            expected.cluster_count,
+            len(expected.h2_result.labels),
+            expected.address_count,
+        ), height
+        assert (
+            point.h1_clusters
+            == batch.cluster_h1_only(as_of_height=height).cluster_count
+        ), height
 
 
 def _change_world():
@@ -114,29 +125,38 @@ class TestSimulatedEquivalence:
         _assert_equivalent_at_every_height(small_world.index)
 
     def test_series_agrees_with_snapshots(self, small_world):
+        """Every series point equals the counts of the materialized
+        partitions at its height."""
         incremental = IncrementalClusteringEngine(small_world.index)
         series = incremental.cluster_count_series()
         assert len(series) == small_world.index.height + 1
         for point in series:
-            snap = incremental.snapshot(point.height)
+            full = incremental.cluster_as_of(point.height)
             assert (
                 point.clusters,
                 point.h1_clusters,
                 point.address_count,
                 point.active_labels,
             ) == (
-                snap.clusters,
-                snap.h1_clusters,
-                snap.address_count,
-                snap.active_labels,
+                full.cluster_count,
+                incremental.cluster_h1_as_of(point.height).cluster_count,
+                full.address_count,
+                len(full.h2_result.labels),
             )
 
-    def test_snapshot_restores_tip_state(self, small_world):
+    def test_time_travel_never_mutates_live_engine(self, small_world):
+        """Time travel builds fresh structures: the live H1 union-find's
+        parents, sizes and merge log are untouched by every reader."""
         incremental = IncrementalClusteringEngine(small_world.index)
-        before = incremental.cluster_as_of().clusters()
-        incremental.snapshot(0)
-        incremental.snapshot(small_world.index.height // 2)
-        assert incremental.cluster_as_of().clusters() == before
+        live = incremental._uf
+        before = live.export_state()
+        tip = small_world.index.height
+        for height in (0, tip // 3, tip // 2, tip - 1, tip):
+            incremental.cluster_as_of(height)
+            incremental.cluster_h1_as_of(height)
+        incremental.cluster_count_series()
+        assert incremental._uf is live
+        assert live.export_state() == before
 
 
 class TestStreaming:
@@ -182,7 +202,7 @@ class TestStreaming:
         batch = ClusteringEngine(index).cluster()
         assert empty.address_count == batch.address_count == 0
         assert empty.cluster_count == batch.cluster_count == 0
-        assert engine.snapshot().clusters == 0
+        assert engine.cluster_count_series() == []
         with pytest.raises(IndexError):
             engine.cluster_as_of(0)  # explicit heights still range-checked
 
@@ -190,7 +210,7 @@ class TestStreaming:
         index = build_chain(_change_world())
         engine = IncrementalClusteringEngine(index)
         with pytest.raises(IndexError):
-            engine.snapshot(index.height + 1)
+            engine.cluster_h1_as_of(index.height + 1)
         with pytest.raises(IndexError):
             engine.cluster_as_of(-1)
 

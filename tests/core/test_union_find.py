@@ -5,7 +5,7 @@ structure and the generic oracle it is held to
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.core.union_find import IntUnionFind
+from repro.core.union_find import IntUnionFind, link_components
 
 from tests.helpers import ReferenceUnionFind
 
@@ -163,33 +163,6 @@ class TestIntUnionFind:
         assert sizes == {r: len(m) for r, m in components.items()}
         assert sum(sizes.values()) == 6
 
-    def test_checkpoint_rollback_restores_state(self):
-        uf = IntUnionFind(6)
-        uf.union(0, 1)
-        token = uf.checkpoint()
-        uf.union(2, 3)
-        uf.union(0, 3)
-        assert uf.connected(1, 2)
-        undone = uf.rollback(token)
-        assert len(undone) == 2
-        assert uf.connected(0, 1)
-        assert not uf.connected(2, 3)
-        assert not uf.connected(1, 2)
-        assert uf.component_count == 5
-        assert uf.size_of(0) == 2
-
-    def test_replay_redoes_rolled_back_unions(self):
-        uf = IntUnionFind(6)
-        uf.union(0, 1)
-        token = uf.checkpoint()
-        uf.union(2, 3)
-        uf.union(0, 3)
-        before = uf.component_sizes()
-        undone = uf.rollback(token)
-        uf.replay(undone)
-        assert uf.component_sizes() == before
-        assert uf.connected(1, 2)
-
     def test_log_prefix_rebuilds_structure(self):
         uf = IntUnionFind(8)
         for a, b in [(0, 1), (2, 3), (1, 3), (5, 6)]:
@@ -227,34 +200,11 @@ class TestIntProperties:
         }
         assert as_sets(int_uf.components()) == as_sets(generic.components())
 
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=12
-            ),
-            max_size=6,
-        )
-    )
-    def test_rollback_is_exact_inverse(self, phases):
-        """Checkpoint before each phase; rolling all phases back in LIFO
-        order restores every intermediate observable state."""
-        uf = IntUnionFind(21)
-        snapshots = []
-        tokens = []
-        for phase in phases:
-            snapshots.append(uf.component_sizes())
-            tokens.append(uf.checkpoint())
-            for a, b in phase:
-                uf.union(a, b)
-        for token, expected in zip(reversed(tokens), reversed(snapshots)):
-            uf.rollback(token)
-            assert uf.component_sizes() == expected
-
 
 class TestBulkKernels:
     """Pair-mode ``union_many`` and ``find_many``: the batch entry
     points must be observably identical to their scalar loops —
-    including the merge log, which downstream fold consumers drain."""
+    including the merge log, whose spans downstream fold consumers read."""
 
     @given(
         st.lists(
@@ -277,29 +227,6 @@ class TestBulkKernels:
         assert bulk.component_sizes() == sequential.component_sizes()
         for i in range(26):
             assert bulk.find(i) == sequential.find(i)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=30
-        ),
-        st.lists(
-            st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=30
-        ),
-    )
-    def test_pair_mode_rollback_is_exact(self, prefix, batch):
-        uf = IntUnionFind(21)
-        for a, b in prefix:
-            uf.union(a, b)
-        before = uf.component_sizes()
-        log_before = uf.log_prefix(uf.checkpoint())
-        token = uf.checkpoint()
-        uf.union_many(
-            np.asarray([a for a, _ in batch], dtype="<i8"),
-            np.asarray([b for _, b in batch], dtype="<i8"),
-        )
-        uf.rollback(token)
-        assert uf.component_sizes() == before
-        assert uf.log_prefix(uf.checkpoint()) == log_before
 
     def test_pair_mode_rejects_misaligned_columns(self):
         uf = IntUnionFind(4)
@@ -347,91 +274,42 @@ class TestBulkKernels:
         assert uf.find(0) == 0
 
 
-class TestMergeCursors:
-    """The merge-subscriber hook differential consumers fold from."""
-
-    def test_drain_sees_only_merges_after_registration(self):
-        uf = IntUnionFind(6)
-        uf.union(0, 1)
-        cursor = uf.merge_cursor()
-        retracted, entries = uf.drain_merges(cursor)
-        assert (retracted, entries) == (0, [])
-        kept = uf.union(2, 3)
-        absorbed = 3 if kept == 2 else 2
-        uf.union(4, 4)  # no-op unions never reach the log
-        retracted, entries = uf.drain_merges(cursor)
-        assert retracted == 0
-        assert entries == [(absorbed, kept)]
-        assert uf.drain_merges(cursor) == (0, [])
-
-    def test_rollback_reports_retractions(self):
-        uf = IntUnionFind(6)
-        cursor = uf.merge_cursor()
-        token = uf.checkpoint()
-        uf.union(0, 1)
-        uf.union(2, 3)
-        _, drained = uf.drain_merges(cursor)
-        assert len(drained) == 2
-        uf.rollback(token)
-        retracted, entries = uf.drain_merges(cursor)
-        assert retracted == 2
-        assert entries == []
-        # A rollback that never crossed the cursor reports nothing.
-        uf.union(0, 1)
-        uf.drain_merges(cursor)
-        uf.rollback(uf.checkpoint())
-        assert uf.drain_merges(cursor) == (0, [])
-
-    def test_balanced_bracket_redelivers_verbatim(self):
-        """rollback + exact replay (the engine's time-travel bracket):
-        the retracted merges come back verbatim at the head of the next
-        drain, so fold-then-refold reconciliation is exact."""
-        uf = IntUnionFind(8)
-        cursor = uf.merge_cursor()
-        token = uf.checkpoint()
-        uf.union(0, 1)
-        uf.union(1, 2)
-        _, first = uf.drain_merges(cursor)
-        suffix = uf.rollback(token)
-        uf.replay(suffix)
-        retracted, entries = uf.drain_merges(cursor)
-        assert retracted == len(first) == 2
-        assert entries == first
-
-    def test_release_and_copy_isolation(self):
-        uf = IntUnionFind(4)
-        cursor = uf.merge_cursor()
-        clone = uf.copy()
-        clone.union(0, 1)  # clones carry no cursors
-        assert uf.drain_merges(cursor) == (0, [])
-        uf.release_cursor(cursor)
-        token = uf.checkpoint()
-        uf.union(0, 1)
-        uf.rollback(token)
-        assert cursor.retracted == 0  # released: rollbacks ignore it
-
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(st.integers(0, 15), st.integers(0, 15)),
-                st.just("drain"),
-            ),
-            max_size=40,
-        )
+@st.composite
+def _link_pairs(draw):
+    """Random pairs plus duplicates, self-links and a long path whose
+    node labels and edge order are both shuffled."""
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=60)
     )
-    def test_drains_concatenate_to_the_log(self, steps):
-        """Without rollbacks, the concatenation of all drains plus the
-        final pending tail is exactly the merge log since registration."""
-        uf = IntUnionFind(16)
-        cursor = uf.merge_cursor()
-        collected = []
-        for step in steps:
-            if step == "drain":
-                retracted, entries = uf.drain_merges(cursor)
-                assert retracted == 0
-                collected.extend(entries)
-            else:
-                uf.union(*step)
-        _, tail = uf.drain_merges(cursor)
-        collected.extend(tail)
-        assert collected == uf.log_prefix(uf.checkpoint())
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    pairs += [(x, x) for x in draw(st.lists(st.integers(0, 60), max_size=5))]
+    nodes = draw(st.permutations(range(100, 100 + draw(st.integers(0, 300)))))
+    pairs += list(zip(nodes, nodes[1:]))
+    return draw(st.permutations(pairs))
+
+
+class TestLinkComponents:
+    """The open-link overlay kernel against the generic union-find."""
+
+    @given(_link_pairs())
+    def test_matches_reference_components(self, pairs):
+        members, starts = link_components(
+            np.asarray([a for a, _ in pairs], dtype="<i8"),
+            np.asarray([b for _, b in pairs], dtype="<i8"),
+        )
+        split = np.split(members, starts[1:]) if len(starts) else []
+        groups = [group.tolist() for group in split]
+        for group in groups:
+            assert len(group) >= 2
+            assert group == sorted(set(group))
+        reference = ReferenceUnionFind()
+        for a, b in pairs:
+            reference.union(a, b)
+        expected = {
+            frozenset(component)
+            for component in reference.components().values()
+            if len(component) >= 2
+        }
+        assert len(groups) == len(expected)
+        assert {frozenset(group) for group in groups} == expected

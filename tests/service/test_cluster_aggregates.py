@@ -234,17 +234,16 @@ class TestIncrementalClusterNames:
 
 class TestMergeHookAndTimeTravel:
     def test_view_survives_interleaved_time_travel(self, micro_world):
-        """The engine's snapshot()/cluster_as_of() brackets roll its
-        merge log back and forth between blocks; the view's per-height
-        deltas must be immune (the brackets restore the log exactly)."""
+        """Engine time travel between blocks — historical partitions
+        and the every-height series — must leave the merge log the
+        view folds from untouched."""
         target = ChainIndex()
         service = ForensicsService(target, tags=None)
         for block in micro_world.blocks[:36]:
             target.add_block(block)
             height = block.height
-            # Exercise rollback/replay across the whole clustered range.
-            service.engine.snapshot(height // 2)
             service.engine.cluster_as_of(max(0, height - 3))
+            service.engine.cluster_count_series()
             service.top_clusters(5, by="balance")
         assert_view_equals_batch(service)
 
@@ -257,27 +256,6 @@ class TestMergeHookAndTimeTravel:
         service.engine.detach()
         with pytest.raises(ValueError, match="attach ClusterAggregateView"):
             target.add_block(source.block_at(0))
-
-    def test_fold_retraction_refused(self, micro_world):
-        """The view's base partition is never rolled back; a retraction
-        surfacing at its merge cursor is a bug, not a silent unfold.
-        Folding is lazily flushed, so the refusal surfaces on the first
-        query after the rollback, not inside ``add_block``."""
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        view = service.aggregates
-        fed = 0
-        for block in micro_world.blocks:
-            target.add_block(block)
-            view.cluster_count  # flush the queued block
-            fed += 1
-            if view._tip.uf.checkpoint() > 0:  # some base merges happened
-                break
-        assert view._tip.uf.checkpoint() > 0
-        view._tip.uf.rollback(0)
-        target.add_block(micro_world.index.block_at(fed))
-        with pytest.raises(RuntimeError, match="rolled back"):
-            view.cluster_count
 
 
 class TestViewBehindTheTip:
