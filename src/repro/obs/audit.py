@@ -27,7 +27,11 @@ pipeline's load-bearing invariants from independent sources:
   per-event loop must agree, the involvement columns must equal the
   per-transaction id tuples, and the event columns must equal the ones
   the :class:`~repro.service.views.BalanceView` retained when the block
-  streamed.
+  streamed;
+* **tip derived state** (``full`` audits only) — the aggregate view's
+  incrementally patched overlay groups, the open links each holds, and
+  all three rankings in full order must equal a wholesale ``settle()``
+  of a clone of the tip's base.
 
 Every check reports through ``audit.checks_total``,
 ``audit.violations_total{check=}``, and ``audit.seconds{check=}`` plus
@@ -136,7 +140,9 @@ class InvariantAuditor:
 
     ``full=True`` on :meth:`audit_now` (the ``repro doctor`` mode)
     cross-checks *every* cluster against the batch rebuild instead of a
-    seeded sample.
+    seeded sample, and adds the ``tip_derived`` check: the tip's
+    incrementally patched overlay groups and rankings against a
+    wholesale settle of the same base.
     """
 
     def __init__(
@@ -215,6 +221,8 @@ class InvariantAuditor:
                 lambda: self._check_shadow_folds(rng, full=full),
             ),
         ]
+        if full:
+            checks.append(self._timed("tip_derived", self._check_tip_derived))
         report = AuditReport(height=height, checks=tuple(checks))
         self.last_report = report
         self.audits_run += 1
@@ -520,6 +528,48 @@ class InvariantAuditor:
         if not problems:
             detail = f"{len(expected)} cluster(s) cross-checked"
         return len(problems), detail
+
+    def _check_tip_derived(self) -> tuple[int, str]:
+        """The tip's incrementally patched overlay groups (aggregates and
+        the open links each holds) and all three rankings, in full
+        order, vs a wholesale ``settle()`` of a clone of the tip."""
+        view = self.service.aggregates
+        view._flush()
+        tip = view._tip
+        settled = tip.clone()
+        settled.settle()
+        problems: list[str] = []
+
+        def groups(state) -> list[tuple]:
+            return sorted(
+                (g.cid, g.roots, g.size, g.balance, g.tx_count,
+                 g.first_seen, g.last_seen)
+                for g in state.groups
+            )
+
+        if groups(tip) != groups(settled):
+            problems.append("overlay groups differ from a settled clone")
+        held = sorted(
+            (id(live), group.cid) for group in tip.groups for live in group.links
+        )
+        expected = []
+        for live in settled.open:
+            if live.input_id is None:
+                continue
+            owner = settled.uf.find(live.address_id)
+            if owner != settled.uf.find(live.input_id):
+                expected.append((id(live), settled.group_of[owner].cid))
+        if held != sorted(expected):
+            problems.append("overlay link sets differ from the open links")
+        for by, ranking in tip.ranks.items():
+            if ranking.top(len(ranking)) != settled.ranks[by].top(
+                len(settled.ranks[by])
+            ):
+                problems.append(f"{by} ranking differs from a settled clone")
+        return len(problems), "; ".join(problems) or (
+            f"{len(tip.groups)} overlay group(s) and "
+            f"{len(tip.ranks)} ranking(s) match a settled clone"
+        )
 
     @staticmethod
     def _rollups_of_roots(

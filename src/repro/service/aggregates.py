@@ -21,11 +21,11 @@ keeps them materialized as blocks stream in and serves them at any
 * **One fold.**  :meth:`_AggregateState.advance` moves a state across a
   run of consecutive heights: grow the universe, apply the heights'
   open-label transitions, fold the run's base merges into the columns
-  in log order (O(1) per merge, never a member scan), then scatter the
-  run's per-address churn at the post-merge roots in one batch.  The
-  lazy flush runs it on the tip state over the queued blocks; a replay
-  runs it on a clone of the nearest checkpoint, one run per spine
-  segment.
+  in one batch (each absorbed root's columns scattered at its post-span
+  root, never a member scan), then scatter the run's per-address churn
+  at the post-span roots.  The lazy flush runs it on the tip state over
+  the queued blocks; a replay runs it on a clone of the nearest
+  checkpoint, one run per spine segment.
 * **One read surface.**  :class:`AggregateSurface` answers every read
   from a state, whichever height it is at.
 
@@ -35,12 +35,12 @@ inverse, so their change links join base clusters only in the derived
 overlay and enter the base the block their window closes.
 
 Derived state has two builders, chosen by whether the state is the
-live tip.  The tip is patched incrementally per flush — overlay groups
-with unchanged topology and members are reused verbatim and rank
-entries move by churn — because a per-block wholesale rebuild costs
-about twice the whole flush.  A replayed height is only ever read
-once it is reached, so replay advances the base alone and
-:meth:`_AggregateState.settle` builds its derived state wholesale.
+live tip.  The tip is patched per flush in O(what the run touched):
+each overlay group keeps the open links that form it, only the groups
+the run touched are re-linked, and rank entries move by churn.  A
+replayed height is read only once reached, so replay advances the base
+alone and :meth:`_AggregateState.settle` builds its derived state
+wholesale.
 
 Folding is *lazily flushed*: ingest only queues the block's shared
 :class:`~repro.chain.delta.BlockDelta`, and the first read at the new
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from time import perf_counter
 from typing import NamedTuple
@@ -263,6 +263,9 @@ class _OverlayGroup:
     tx_count: int
     first_seen: int
     last_seen: int
+    links: list = field(default_factory=list, compare=False, repr=False)
+    """The open change links that form the group: kept on the tip, which
+    re-links a group from them; empty on a settled replayed state."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,45 +470,46 @@ class _AggregateState:
             open_set.update(record.born_open)
             open_set.difference_update(record.closed)
 
-        # 3. Merge folds, sequentially: an entry's ``kept`` may be
-        #    absorbed by a later entry.  Both endpoints are roots at the
-        #    entry's application point, so the ids a merge can retire
-        #    read straight off ``min_member`` with no finds.
-        balance, tx_count, first, last = self.roots
-        min_member = self.min_member
-        stale_cids: set[int] = set()
-        for absorbed, kept in span:
-            stale_cids.add(min_member[absorbed])
-            stale_cids.add(min_member[kept])
-            balance[kept] += balance[absorbed]
-            tx_count[kept] += tx_count[absorbed]
-            first_absorbed = first[absorbed]
-            if first_absorbed >= 0 and (
-                first[kept] < 0 or first_absorbed < first[kept]
-            ):
-                first[kept] = first_absorbed
-            if last[absorbed] > last[kept]:
-                last[kept] = last[absorbed]
-            if min_member[absorbed] < min_member[kept]:
-                min_member[kept] = min_member[absorbed]
+        # One find over every id the fold places: the span's absorbed
+        # roots, the run's involvements and its balance events.
+        ends = np.array(span, dtype="<i8").reshape(-1, 2)
+        involved = np.concatenate([record.involved_flat for record in records])
+        event_ids = np.concatenate([record.event_ids for record in records])
+        into, involved_roots, event_roots = np.split(
+            self.uf.find_many(np.concatenate((ends[:, 0], involved, event_ids))),
+            [len(ends), len(ends) + len(involved)],
+        )
+
+        # 3. Merge folds, one batch: each absorbed root was a root before
+        #    the span and is absorbed once, so its pre-span columns land
+        #    whole at its post-span root (sums add, min/max commute).
+        #    Every endpoint was a root when its entry applied, so the ids
+        #    the span may retire are the endpoints' pre-span minimums.
+        min_member = self.min_member.array
+        stale_cids = set(min_member[ends.ravel()].tolist())
+        if len(into):
+            absorbed = ends[:, 0]
+            balance, tx_count, first, last = (c.array for c in self.roots)
+            np.add.at(balance, into, balance[absorbed])
+            np.add.at(tx_count, into, tx_count[absorbed])
+            np.maximum.at(last, into, last[absorbed])
+            np.minimum.at(min_member, into, min_member[absorbed])
+            firsts = first[absorbed]
+            seen = firsts >= 0
+            into, firsts = into[seen], firsts[seen]
+            first[into[first[into] < 0]] = _UNSEEN
+            np.minimum.at(first, into, firsts)
 
         # 4. The run's per-address churn, one batched scatter into the
         #    root columns at post-span roots.
-        involved_roots = self.uf.find_many(
-            np.concatenate([record.involved_flat for record in records])
-        )
         if len(involved_roots):
             heights = np.repeat(
                 np.array([record.height for record in records], dtype="<i8"),
                 [len(record.involved_flat) for record in records],
             )
-            event_ids = np.concatenate([record.event_ids for record in records])
-            event_values = np.concatenate(
-                [record.event_values for record in records]
-            )
+            event_values = np.concatenate([r.event_values for r in records])
             self.roots.scatter(
-                self.uf.find_many(event_ids), event_values,
-                involved_roots, heights,
+                event_roots, event_values, involved_roots, heights
             )
 
         self.mark = records[-1].mark
@@ -515,19 +519,26 @@ class _AggregateState:
 
     # -- derived state, wholesale --------------------------------------
 
-    def open_link_roots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Base roots of both endpoints of every open change link — two
-        ``find_many`` calls, in :func:`link_components` argument order."""
-        links = [live for live in self.open if live.input_id is not None]
-        count = len(links)
-        return (
-            self.uf.find_many(
-                np.fromiter((live.address_id for live in links), "<i8", count)
-            ),
-            self.uf.find_many(
-                np.fromiter((live.input_id for live in links), "<i8", count)
-            ),
+    def link_roots(self, labels) -> tuple[list, np.ndarray, np.ndarray]:
+        """The change links among ``labels`` (those with an input
+        partner) and the base roots of both endpoints of each — one
+        ``find_many``, in :func:`link_components` argument order."""
+        links = [live for live in labels if live.input_id is not None]
+        ends = np.array(
+            [(live.address_id, live.input_id) for live in links], dtype="<i8"
         )
+        roots = self.uf.find_many(ends.ravel()).reshape(-1, 2)
+        return links, roots[:, 0], roots[:, 1]
+
+    @staticmethod
+    def attach_links(group_of, links, owners, partners) -> None:
+        """Hand each link to the group its endpoint roots belong to (a
+        link inside one base cluster joins nothing, now or later)."""
+        for live, owner, partner in zip(
+            links, owners.tolist(), partners.tolist()
+        ):
+            if owner != partner:
+                group_of[owner].links.append(live)
 
     def overlay_groups(self, members, starts) -> list[_OverlayGroup]:
         """One :class:`_OverlayGroup` per component in the
@@ -569,7 +580,7 @@ class _AggregateState:
         if not self.derived_dirty:
             return
         uf = self.uf
-        members, starts = link_components(*self.open_link_roots())
+        members, starts = link_components(*self.link_roots(self.open)[1:])
         groups = self.groups = self.overlay_groups(members, starts)
         self.group_of = {
             root: group for group in groups for root in group.roots
@@ -880,11 +891,13 @@ class ClusterAggregateView(MaterializedView):
         for height, max_id, event_ids, event_values, involved_flat in pending:
             churn = self.engine.cluster_delta(height)
             uf.ensure(max_id + 1)
-            for absorbed, kept in churn.merges:
-                uf.union(absorbed, kept)
-            for live in churn.settled:
-                if live.input_id is not None:
-                    uf.union(live.address_id, live.input_id)
+            pairs = [*churn.merges] + [
+                (live.address_id, live.input_id)
+                for live in churn.settled
+                if live.input_id is not None
+            ]
+            if pairs:
+                uf.union_many(*zip(*pairs))
             record = self._records[height] = _HeightRecord(
                 height=height,
                 max_id=max_id,
@@ -900,41 +913,42 @@ class ClusterAggregateView(MaterializedView):
             records.append(record)
         span = uf.log_span(self._tip.mark, uf.checkpoint())
         stale_cids, involved_roots = self._tip.advance(records, span)
-        self._patch_tip(span, stale_cids, involved_roots)
+        self._patch_tip(
+            span, stale_cids, involved_roots,
+            [live for record in records for live in record.born_open],
+            [live for record in records for live in record.closed],
+        )
         if timed:
             seconds = perf_counter() - flush_start
             metrics.histogram("aggregates.flush_seconds").observe(seconds)
             metrics.flight.record(
-                "flush",
-                height=self._height,
-                blocks=len(pending),
+                "flush", height=self._height, blocks=len(pending),
                 seconds=seconds,
             )
         log = self.index.log
         if log.enabled:
             log.debug(
-                "aggregate_flush",
-                height=self._height,
-                blocks=len(pending),
+                "aggregate_flush", height=self._height, blocks=len(pending)
             )
 
-    def _patch_tip(self, span, stale_cids: set[int], involved_roots) -> None:
-        """The tip's incremental derived-state builder: rebuild only the
-        overlay groups the flush touched and move only the rank entries
-        of touched clusters (:meth:`_AggregateState.settle` is the
-        wholesale twin replayed heights use).
+    def _patch_tip(
+        self, span, stale_cids: set[int], involved_roots, born, closed
+    ) -> None:
+        """The tip's incremental derived-state builder (the wholesale
+        twin replayed heights use is :meth:`_AggregateState.settle`).
 
-        A root *newly* absorbed by a group loses its standalone rank
-        entry; roots grouped before the flush never had one.  Groups
-        whose topology and member aggregates are untouched are reused
-        verbatim — their rank entries are already correct, so they
-        contribute neither stale ids nor new entries.
+        Only the overlay groups the run touched are re-linked — those
+        holding a span-merge endpoint, a churned root, or the post-span
+        root of an endpoint of a link ``born`` or ``closed`` in the run
+        — from their still-open links plus the born ones, so a flush
+        costs O(components touched), not O(open links).  Every other
+        group keeps its object, ``group_of`` entries and rank entries.
+        A root *newly* absorbed by a group loses its standalone entry.
         """
         tip = self._tip
         uf = tip.uf
         min_member = tip.min_member
-        prev_groups = tip.groups
-        prev_of = tip.group_of
+        group_of = tip.group_of
         naming_dirty = self._naming_dirty
 
         # Every cluster the run changed, as post-span base roots.  A
@@ -945,66 +959,53 @@ class ClusterAggregateView(MaterializedView):
         )
         naming_dirty.update(merged.tolist())
 
-        owners, partners = tip.open_link_roots()
-        for root in set(np.concatenate((owners, partners)).tolist()):
-            if root not in prev_of:
+        # The touched groups.  An untouched group holds no merge
+        # endpoint, so its roots are still roots and a post-span root
+        # finds it directly; an endpoint finds its pre-span group.
+        _ended, owners, partners = tip.link_roots(chain(born, closed))
+        dirty = touched_roots.union(
+            merged.tolist(), owners.tolist(), partners.tolist()
+        )
+        hit = {id(g): g for g in map(group_of.get, dirty) if g is not None}
+        relink = [live for group in hit.values() for live in group.links]
+        links, owners, partners = tip.link_roots(
+            live for live in chain(relink, born) if live in tip.open
+        )
+        members, starts = link_components(owners, partners)
+        fresh = tip.overlay_groups(members, starts)
+        fresh_of = {root: group for group in fresh for root in group.roots}
+        tip.attach_links(fresh_of, links, owners, partners)
+        if self.metrics.enabled:
+            counter = self.metrics.counter
+            counter("aggregates.overlay_links_relinked").inc(len(links))
+            counter("aggregates.overlay_reuse_hits").inc(
+                len(tip.groups) - len(hit)
+            )
+
+        for root in fresh_of:
+            if root not in group_of:
                 stale_cids.add(min_member[root])
                 touched_roots.add(root)
-
-        # A component whose root set matches a pre-flush group exactly
-        # and touches no changed root keeps that group object: every
-        # aggregate (and the cid) is provably unchanged.
-        members, starts = link_components(owners, partners)
-        flat = members.tolist()
-        bounds = [*starts.tolist(), len(flat)]
-        groups: list[_OverlayGroup] = []
-        rebuilt: list[int] = []
-        rebuilt_starts: list[int] = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            roots_key = tuple(flat[lo:hi])
-            prev = prev_of.get(roots_key[0])
-            if (
-                prev is not None
-                and prev.roots == roots_key
-                and touched_roots.isdisjoint(roots_key)
-            ):
-                groups.append(prev)
-            else:
-                rebuilt_starts.append(len(rebuilt))
-                rebuilt += roots_key
-        if groups and self.metrics.enabled:
-            self.metrics.counter("aggregates.overlay_reuse_hits").inc(
-                len(groups)
-            )
-        fresh = tip.overlay_groups(
-            np.array(rebuilt, dtype="<i8"),
-            np.array(rebuilt_starts, dtype="<i8"),
-        )
         for group in fresh:
-            prev = prev_of.get(group.roots[0])
+            prev = group_of.get(group.roots[0])
             if prev is None or prev.cid != group.cid or prev.roots != group.roots:
                 # Structural change: member roots' canonical-id mapping
                 # shifted (an aggregates-only rebuild keeps every id).
                 naming_dirty.update(group.roots)
                 if prev is not None:
                     naming_dirty.update(prev.roots)
-        groups += fresh
-        tip.groups = groups
-        group_of = tip.group_of = {
-            root: group for group in groups for root in group.roots
-        }
-
-        # Pre-flush groups that did not survive verbatim dissolve: their
-        # ids may vanish and their member roots may stand alone again
-        # (re-resolving to their own canonical ids).
-        reused = {id(group) for group in groups}
-        for group in prev_groups:
-            if id(group) not in reused:
-                stale_cids.add(group.cid)
-                for root in group.roots:
-                    touched_roots.add(uf.find(root))
-                    if root not in group_of:
-                        naming_dirty.add(root)
+        # Touched groups dissolve: their ids may vanish and their member
+        # roots may stand alone again (re-resolving to their own
+        # canonical ids).
+        for group in hit.values():
+            stale_cids.add(group.cid)
+            for root in group.roots:
+                del group_of[root]
+                touched_roots.add(uf.find(root))
+                if root not in fresh_of:
+                    naming_dirty.add(root)
+        group_of.update(fresh_of)
+        tip.groups = [g for g in tip.groups if id(g) not in hit] + fresh
 
         # Rank churn, once per touched cluster: stale ids out, live
         # entries in.  Plain churn never changes a cluster's id — those
@@ -1135,10 +1136,7 @@ class ClusterAggregateView(MaterializedView):
             ).observe(depth)
             metrics.histogram("timetravel.replay_seconds").observe(seconds)
             metrics.flight.record(
-                "timetravel",
-                height=height,
-                tip=self._height,
-                depth=depth,
+                "timetravel", height=height, tip=self._height, depth=depth,
                 seconds=seconds,
             )
         return state
@@ -1287,6 +1285,7 @@ class ClusterAggregateView(MaterializedView):
         labels = engine._labels
         tip = _AggregateState.from_arrays(state, engine.open_labels())
         tip.settle()
+        tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
         base_state = delta_log["base"]
         base = _AggregateState.from_arrays(
             base_state, (labels[position] for position in base_state["open"])

@@ -83,6 +83,10 @@ class TestCleanPipelinesAuditClean:
         )
         n_clusters = service.aggregates.cluster_count
         assert f"{n_clusters} cluster(s) cross-checked" in aggregates.detail
+        derived = next(
+            check for check in report.checks if check.name == "tip_derived"
+        )
+        assert "3 ranking(s) match a settled clone" in derived.detail
 
     def test_zero_cadence_never_fires(self):
         _service, auditor = _fresh_service(audit_every=0)
@@ -137,6 +141,29 @@ class TestSeededCorruptionDetected:
             check for check in report.checks if check.name == "aggregates"
         )
         assert aggregates.violations
+
+    def test_stale_rank_entry(self):
+        """A ranking that still lists a cluster id a merge retired.
+        Routine audits do not read the rankings; the full audit's
+        ``tip_derived`` check names the damaged one."""
+        service, auditor = _fresh_service(audit_every=0)
+        view = service.aggregates
+        view._flush()
+        tip = view._tip
+        retired = next(
+            ident
+            for ident in range(len(tip.uf))
+            if tip.min_member[tip.uf.find(ident)] != ident
+        )
+        tip.ranks["size"].set(retired, 1)
+        assert auditor.audit_now().ok
+        report = auditor.audit_now(full=True)
+        assert not report.ok
+        derived = next(
+            check for check in report.checks if check.name == "tip_derived"
+        )
+        assert derived.violations == 1
+        assert derived.detail == "size ranking differs from a settled clone"
 
     def test_replaced_retained_event_value(self):
         """The shadow fold holds the event columns the balance view

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.chain.index import ChainIndex
+from repro.obs import MetricsRegistry
 from repro.service import AggregatesBehindError, ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
@@ -64,6 +65,35 @@ def state_fingerprint(state):
         ),
         "ranks": {by: state.ranks[by].top(10 ** 9) for by in TOP_CLUSTER_METRICS},
     }
+
+
+def _link_key(live):
+    return (live.label.height, live.address_id, live.input_id)
+
+
+def held_links(state):
+    """Canonical id -> the open links each overlay group holds."""
+    return {g.cid: sorted(map(_link_key, g.links)) for g in state.groups}
+
+
+def derived_links(state):
+    """Canonical id -> the open links whose endpoints fall in each
+    overlay group, derived from the open set and the base partition."""
+    out = {g.cid: [] for g in state.groups}
+    for live in state.open:
+        if live.input_id is None:
+            continue
+        owner = state.uf.find(live.address_id)
+        if owner != state.uf.find(live.input_id):
+            out[state.group_of[owner].cid].append(_link_key(live))
+    return {cid: sorted(keys) for cid, keys in out.items()}
+
+
+def assert_tip_equals_settled_clone(state):
+    settled = state.clone()
+    settled.settle()
+    assert state_fingerprint(state) == state_fingerprint(settled)
+    assert held_links(state) == derived_links(settled)
 
 
 class TestStreamedEqualsBatchAtEveryHeight:
@@ -160,13 +190,57 @@ class TestOneFoldThreeCallers:
         for block in default_world.blocks:
             index.add_block(block)
             live = view.at()  # a per-block flush
-            if block.height % 8 == 7:
-                forced = view._replayed(block.height)
-                assert forced is not live._state
-                assert state_fingerprint(forced) == state_fingerprint(
-                    live._state
-                ), block.height
+            forced = view._replayed(block.height)
+            assert forced is not live._state
+            assert state_fingerprint(forced) == state_fingerprint(
+                live._state
+            ), block.height
         assert_surface_equals_batch(live, index, service.height)
+
+
+class TestPatchedTipEqualsSettledClone:
+    """The tip re-links only the overlay groups a flush touched; after
+    every flush it must equal a wholesale ``settle()`` of its own base,
+    groups, rankings and the links each group holds included."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        n_blocks=st.integers(min_value=6, max_value=30),
+        n_users=st.integers(min_value=3, max_value=8),
+        cadence=st.sampled_from([1, 3, None]),  # None: one flush at the end
+    )
+    def test_after_every_flush(self, seed, n_blocks, n_users, cadence):
+        world = scenarios.micro_economy(
+            seed=seed, n_blocks=n_blocks, n_users=n_users
+        )
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        blocks = world.blocks
+        for count, block in enumerate(blocks, 1):
+            index.add_block(block)
+            if count == len(blocks) or (cadence and count % cadence == 0):
+                assert_tip_equals_settled_clone(service.aggregates.at()._state)
+
+    def test_per_block_follow_relinks_a_small_share_of_open_links(
+        self, default_world
+    ):
+        """A block touches a few overlay groups; the flush re-links those
+        groups' links, not every open link."""
+        metrics = MetricsRegistry()
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None, metrics=metrics)
+        open_links = 0
+        for block in default_world.blocks:
+            index.add_block(block)
+            tip = service.aggregates.at()._state
+            open_links += sum(live.input_id is not None for live in tip.open)
+        assert_tip_equals_settled_clone(tip)
+        counters = metrics.snapshot()["counters"]
+        relinked = counters["aggregates.overlay_links_relinked"]
+        assert open_links > 1000
+        assert relinked <= 0.10 * open_links, (relinked, open_links)
+        assert counters["aggregates.overlay_reuse_hits"] > 0
 
 
 class TestIncrementalClusterNames:
