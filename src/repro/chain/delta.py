@@ -122,9 +122,9 @@ class BlockDelta:
     event_ids: np.ndarray
     """The flat balance event log, address-id column (read-only int64):
     one entry per debit or credit in fold order — per transaction,
-    spend debits then output credits.  Exactly the entries
-    :class:`~repro.service.views.BalanceView` keeps per height, so the
-    view retains this column and :attr:`event_values` by reference."""
+    spend debits then output credits.  The cluster aggregate view's
+    per-height delta log retains this column and :attr:`event_values`
+    by reference."""
 
     event_values: np.ndarray
     """The signed satoshi-delta column, aligned with :attr:`event_ids`."""

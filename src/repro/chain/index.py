@@ -61,13 +61,14 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from ..obs import NULL_LOGGER, NULL_REGISTRY
 from .delta import BlockDelta, TxDelta, build_block_delta
 from .errors import (
+    BlockStructureError,
     DoubleSpendError,
     MissingInputError,
     UnknownAddressError,
@@ -199,6 +200,27 @@ class TxLocation:
     height: int
     timestamp: int
     index_in_block: int
+
+
+class HistoryColumns(NamedTuple):
+    """int64 copies of the rows of blocks ``0..height``
+    (:meth:`ChainIndex.history_columns`): per transaction ordinal its
+    height and spend-row count (0 exactly for a coinbase); the receive
+    and spend rows past the ``since`` marks, a spend row with the
+    address id and value of the receive row it consumed and a receive
+    row's spender -1 while unspent at ``height``; and the row ``ends``,
+    the ``since`` of a later call."""
+
+    tx_heights: np.ndarray
+    tx_spends: np.ndarray
+    recv_addr: np.ndarray
+    recv_tx: np.ndarray
+    recv_value: np.ndarray
+    recv_spender: np.ndarray
+    spend_tx: np.ndarray
+    spend_addr: np.ndarray
+    spend_value: np.ndarray
+    ends: tuple[int, int]
 
 
 _PER_BLOCK = (("_timestamps", "q"), ("_block_first_tx", "I"))
@@ -345,8 +367,9 @@ class ChainIndex:
     def add_block(self, block: Block) -> None:
         """Ingest the next block.  Blocks must arrive in height order.
 
-        All or nothing: a block with an invalid transaction raises
-        (:class:`DoubleSpendError` / :class:`MissingInputError`) and
+        All or nothing: a block at the wrong height or with an invalid
+        transaction raises (:class:`BlockStructureError` /
+        :class:`DoubleSpendError` / :class:`MissingInputError`) and
         leaves the index exactly as it was — no subscriber is notified,
         and the correct block for that height still ingests.
 
@@ -355,7 +378,7 @@ class ChainIndex:
         """
         expected = len(self._blocks)
         if block.height != expected:
-            raise MissingInputError(
+            raise BlockStructureError(
                 f"blocks must be added in order: expected height {expected}, "
                 f"got {block.height}"
             )
@@ -542,6 +565,8 @@ class ChainIndex:
                 )
                 if is_coinbase:
                     minted += output_value
+                elif spend_row == spend_start[-1]:  # coinbase ⇔ no spend rows
+                    raise BlockStructureError(f"{tx.txid_hex} spends nothing")
                 involved_flat.extend(involved)
                 block_involved.update(involved)
                 txids.append(txid)
@@ -781,6 +806,39 @@ class ChainIndex:
         """Rows in the receive and spend logs together."""
         return len(self._recv_addr) + len(self._spend_tx)
 
+    def history_columns(
+        self, height: int, since: tuple[int, int] = (0, 0)
+    ) -> HistoryColumns:
+        """The rows of blocks ``0..height`` (:class:`HistoryColumns`),
+        copied out of the columns — never viewed, which would pin them."""
+        n_tx = (
+            self._block_first_tx[height + 1]
+            if height + 1 < len(self._blocks)
+            else len(self._txids)
+        )
+        recv_end = self._recv_start[n_tx]
+        spend_end = self._spend_start[n_tx]
+
+        def column(name: str, start: int, stop: int) -> np.ndarray:
+            values = getattr(self, name)[start:stop]
+            return np.frombuffer(values, dtype=values.typecode).astype(np.int64)
+
+        recv, spend = (since[0], recv_end), (since[1], spend_end)
+        consumed = column("_spend_src", *spend)
+        spender = column("_recv_spender", *recv)
+        spender[spender >= spend_end] = -1
+        return HistoryColumns(
+            column("_tx_heights", 0, n_tx),
+            np.diff(column("_spend_start", 0, n_tx + 1)),
+            *(column(name, *recv) for name in ("_recv_addr", "_recv_tx")),
+            column("_recv_value", *recv),
+            spender,
+            column("_spend_tx", *spend),
+            column("_recv_addr", 0, recv_end)[consumed],
+            column("_recv_value", 0, recv_end)[consumed],
+            (recv_end, spend_end),
+        )
+
     # ------------------------------------------------------------------
     # transaction access
     # ------------------------------------------------------------------
@@ -939,10 +997,6 @@ class ChainIndex:
             for ident, row in enumerate(self._first_spend)
             if row < 0
         ]
-
-    def is_sink_id(self, address_id: int) -> bool:
-        """True when the address has never spent anything (O(1))."""
-        return self._first_spend[address_id] < 0
 
     def _consumed_rows(self, tx: Transaction):
         """The receive rows a transaction's non-coinbase inputs consume,

@@ -7,9 +7,10 @@ fully folded block) and, at a configurable cadence, re-derives the
 pipeline's load-bearing invariants from independent sources:
 
 * **balance conservation** — the :class:`~repro.service.views.BalanceView`
-  dense array must equal a scatter replay of its own per-height event
-  log, hold no negative balances, and sum to at most the cumulative
-  issuance (Σ balances == Σ minted − Σ spent-to-nowhere);
+  dense array must equal a scatter replay of the index's receive and
+  spend rows up to the view's height, hold no negative balances, and
+  sum to at most its issuance, which must equal the coinbase receive
+  rows (Σ balances == Σ minted − Σ spent-to-nowhere);
 * **partition invariants** — in both the engine's H1 structure and the
   aggregate view's base partition, per-root sizes must sum to the
   universe, the unique-root count must equal ``component_count``, and
@@ -25,9 +26,9 @@ pipeline's load-bearing invariants from independent sources:
   is rebuilt from the index's rows and read three independent ways: the
   event columns refolded by the ``np.add.at`` kernel and by a scalar
   per-event loop must agree, the involvement columns must equal the
-  per-transaction id tuples, and the event columns must equal the ones
-  the :class:`~repro.service.views.BalanceView` retained when the block
-  streamed;
+  per-transaction id tuples, and the event and involvement columns
+  must equal the ones the aggregate view's per-height delta log
+  retained when the block streamed;
 * **tip derived state** (``full`` audits only) — the aggregate view's
   incrementally patched overlay groups, the open links each holds, and
   all three rankings in full order must equal a wholesale ``settle()``
@@ -42,7 +43,7 @@ to metrics/logs.  The auditor deliberately reads component internals
 privileged consumer whose whole purpose is an independent
 recomputation path, not a serving API.
 
-Cost model: the balance replay is incremental (only events since the
+Cost model: the balance replay is incremental (only rows since the
 last audit are scattered), the batch tip partition is one numpy copy of
 the engine's H1 structure plus the active-label overlay, and everything
 else is sampled — ``benchmarks/bench_audit_overhead.py`` pins full
@@ -166,11 +167,12 @@ class InvariantAuditor:
         self.last_report: AuditReport | None = None
         self.audits_run = 0
         self.total_violations = 0
-        # Incremental event-log replay for the balance-conservation
-        # check: only events past _replay_height are scattered per
-        # audit, so cadence audits stay O(new events + compare).
+        # Incremental row replay for the balance-conservation check:
+        # only the receive and spend rows past _row_marks are scattered
+        # per audit, so cadence audits stay O(new rows + compare).
         self._replay = np.zeros(0, dtype="<i8")
-        self._replay_height = -1
+        self._row_marks = (0, 0)
+        self._issued = 0
         # Second consumer of the aggregate view's per-cursor dirty-root
         # sets: every root the naming engine would re-resolve is also a
         # spot-check candidate here, without either drain starving the
@@ -279,30 +281,33 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
 
     def _check_balances(self) -> tuple[int, str]:
-        """View array == event-log replay; no negatives; Σ ≤ issuance."""
+        """View array == row replay; no negatives; Σ ≤ issuance ==
+        Σ coinbase receive rows."""
         view = self.service.balances
-        height = view.height
-        problems: list[str] = []
-        if len(view._events) != height + 1:
-            problems.append(
-                f"event log holds {len(view._events)} heights at "
-                f"height {height}"
-            )
+        index = self.service.index
+        rows = index.history_columns(view.height, since=self._row_marks)
+        self._row_marks = rows.ends
         arr = view._balances.array
         n = len(arr)
-        replay = self._replay
-        if len(replay) < n:
-            grown = np.zeros(n, dtype="<i8")
-            grown[: len(replay)] = replay
-            replay = self._replay = grown
-        for ids, values in view._events[self._replay_height + 1 : height + 1]:
-            np.add.at(replay, ids, values)
-        self._replay_height = height
-        mismatched = int(np.count_nonzero(replay[:n] != arr))
+        grow = max(n, index.address_count) - len(self._replay)
+        replay = self._replay = np.pad(self._replay, (0, grow))
+        credited = rows.recv_addr >= 0
+        np.add.at(replay, rows.recv_addr[credited], rows.recv_value[credited])
+        debited = rows.spend_addr >= 0
+        np.subtract.at(
+            replay, rows.spend_addr[debited], rows.spend_value[debited]
+        )
+        self._issued += int(
+            rows.recv_value[rows.tx_spends[rows.recv_tx] == 0].sum()
+        )
+        problems: list[str] = []
+        mismatched = int(
+            np.count_nonzero(replay[:n] != arr)
+            + np.count_nonzero(replay[n:])
+        )
         if mismatched:
             problems.append(
-                f"{mismatched} balance slot(s) differ from the event-log "
-                f"replay"
+                f"{mismatched} balance slot(s) differ from the row replay"
             )
         negative = int(np.count_nonzero(arr < 0))
         if negative:
@@ -313,8 +318,10 @@ class InvariantAuditor:
             problems.append(
                 f"balances sum to {total}, outside [0, issuance {supply}]"
             )
-        if view._supply and view._supply[-1] != sum(view._coinbase):
-            problems.append("cumulative supply disagrees with coinbase log")
+        if supply != self._issued:
+            problems.append(
+                f"issuance {supply} != coinbase receive rows {self._issued}"
+            )
         return len(problems), "; ".join(problems)
 
     def _check_partition(self) -> tuple[int, str]:
@@ -622,8 +629,8 @@ class InvariantAuditor:
         """Sampled blocks' deltas, rebuilt from the index's rows, read
         three independent ways: kernel scatter == scalar loop over the
         event columns, involvement columns == the per-tx id tuples, and
-        event columns == the ones the balance view retained when the
-        block streamed."""
+        event and involvement columns == the ones the aggregate view's
+        delta log retained when the block streamed."""
         index = self.service.index
         height = index.height
         if height < 0:
@@ -633,7 +640,9 @@ class InvariantAuditor:
         else:
             budget = min(self.sample_blocks, height + 1)
             heights = sorted(rng.sample(range(height + 1), budget))
-        retained = self.service.balances._events
+        aggregates = self.service.aggregates
+        aggregates._flush()
+        retained = aggregates._records
         problems: list[str] = []
         for h in heights:
             delta = index.block_delta(h)
@@ -656,18 +665,17 @@ class InvariantAuditor:
                 problems.append(
                     f"height {h}: involved-id columns disagree"
                 )
-            # A balance view that is behind the chain is the balance
-            # check's to report; compare what it does hold.
-            if h < len(retained):
-                ids, values = retained[h]
-                if not (
-                    np.array_equal(ids, delta.event_ids)
-                    and np.array_equal(values, delta.event_values)
-                ):
-                    problems.append(
-                        f"height {h}: retained event columns differ from "
-                        f"the rows"
-                    )
+            # An aggregate view that is behind the chain is the
+            # aggregates check's to report; compare what it does hold.
+            record = retained.get(h)
+            if record is not None and not (
+                np.array_equal(record.event_ids, delta.event_ids)
+                and np.array_equal(record.event_values, delta.event_values)
+                and np.array_equal(record.involved_flat, delta.involved_flat)
+            ):
+                problems.append(
+                    f"height {h}: retained delta columns differ from the rows"
+                )
         detail = (
             "; ".join(problems)
             if problems

@@ -277,8 +277,8 @@ class _HeightRecord:
     ``mark`` is the tip union-find's log position after the height's
     unions, so the merge span is read off that (append-only) log.
     Columnar churn buffers are the block delta's arrays, retained by
-    reference like :class:`~repro.service.views.BalanceView` retains its
-    event columns.  Label transitions reference the engine's live label
+    reference (the auditor's shadow fold holds them to the columns
+    rebuilt from the index's rows).  Label transitions reference the engine's live label
     objects (identity-shared; folds read only the immutable
     ``address_id``/``input_id`` fields).
     """

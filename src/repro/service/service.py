@@ -227,12 +227,14 @@ class ForensicsService:
         """Reassemble a service from restored component states.
 
         ``states`` maps component names (``service``, ``engine``,
-        ``aggregates``, ``timetravel``, ``balances``, ``activity``,
-        ``taint``) to their exported state dicts; ``index`` must be the
-        restored chain at the snapshot
-        height.  Components subscribe to the index in the same order as
-        :meth:`__init__`, so a restored service streams tail blocks
-        exactly like the one that was snapshotted.
+        ``aggregates``, ``timetravel``, ``taint``) to their exported
+        state dicts; ``index`` must be the restored chain at the
+        snapshot height.  The balance and activity views have no state
+        of their own to restore: they are built from the index's rows,
+        as :meth:`__init__` builds them.  Components subscribe to the
+        index in the same order as :meth:`__init__`, so a restored
+        service streams tail blocks exactly like the one that was
+        snapshotted.
         """
         service_state = states["service"]
         version = service_state.get("version")
@@ -270,11 +272,11 @@ class ForensicsService:
             follow=follow,
             metrics=service.metrics,
         )
-        service.balances = BalanceView.from_state(
-            index, states["balances"], follow=follow, metrics=service.metrics
+        service.balances = BalanceView(
+            index, follow=follow, metrics=service.metrics
         )
-        service.activity = ActivityView.from_state(
-            index, states["activity"], follow=follow, metrics=service.metrics
+        service.activity = ActivityView(
+            index, follow=follow, metrics=service.metrics
         )
         tag_map = tags.as_mapping() if tags is not None else {}
         service.taint = TaintView.from_state(

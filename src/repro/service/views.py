@@ -10,9 +10,7 @@ into warm state the moment it is ingested, so the
 lookups:
 
 * :class:`BalanceView` — per-address balances (dense arrays keyed by
-  interned id), per-height coinbase issuance, and the per-height
-  event columns the balance array can be replayed from (the auditor
-  does) without touching a single transaction again.
+  interned id) and the coins issued so far.
 * :class:`TaintView` — live haircut-taint frontiers for any number of
   watched theft cases, advanced per block by the *same*
   :func:`~repro.analysis.taint.taint_step` the batch
@@ -34,8 +32,12 @@ scalar loops it must equal are the reference folds in
 
 Every view follows the incremental engine's contract: construction
 catches up on blocks the index already holds, then streams; ``detach``
-stops following.  The equivalence property (view state at height ``h``
-== batch recomputation over the ``h``-prefix) is pinned by
+stops following.  Balances and activity are functions of the index's
+rows, so those two catch up — and restore, having no snapshot segment —
+with a few numpy passes over :meth:`ChainIndex.history_columns
+<repro.chain.index.ChainIndex.history_columns>`.  The equivalence
+property (view state at height ``h`` == batch recomputation over the
+``h``-prefix) is pinned by
 ``tests/service/test_views.py`` in the same style as the PR 1
 incremental==batch clustering test, and the delta-vs-transaction-walk
 property by ``tests/chain/test_delta.py``.
@@ -56,18 +58,15 @@ from ..core.arrays import IntVector
 from ..obs import NULL_REGISTRY
 
 
-def _frombytes(buffer: bytes) -> np.ndarray:
-    """Read-only int64 array over snapshot bytes (zero copy)."""
-    return np.frombuffer(buffer, dtype="<i8")
-
-
 class MaterializedView:
     """Base class: catch-up, ordered streaming, detach.
 
     Subclasses implement :meth:`_apply_delta`; the base class guarantees
     it sees every block's delta exactly once, in height order
     (out-of-order delivery raises, mirroring the incremental clustering
-    engine).
+    engine).  A subclass whose state the index's rows determine
+    overrides :meth:`_catch_up` to build the blocks the index already
+    holds in one pass instead of one delta each.
 
     Folds report per-view telemetry when a ``metrics`` registry is
     given: ``view.fold_seconds{view=…}`` times each :meth:`_apply_delta`
@@ -89,8 +88,7 @@ class MaterializedView:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._height = -1
         self._unsubscribe = None
-        for height in range(index.height + 1):
-            self._observe_delta(index.block_delta(height))
+        self._catch_up()
         if follow:
             self._unsubscribe = index.subscribe_deltas(
                 self._observe_delta, name=self.OBSERVER_NAME
@@ -113,6 +111,11 @@ class MaterializedView:
             if follow
             else None
         )
+
+    def _catch_up(self) -> None:
+        """Bring the view level with the index: one delta per height."""
+        for height in range(self.index.height + 1):
+            self._observe_delta(self.index.block_delta(height))
 
     @property
     def height(self) -> int:
@@ -147,17 +150,17 @@ class MaterializedView:
 
 
 class BalanceView(MaterializedView):
-    """Per-address balances + the per-height delta log, streamed.
+    """Per-address balances and the coins issued, streamed.
 
     Point queries (:meth:`balance_of`, :meth:`balance_of_id`) read the
-    dense balance array directly; the per-height event log is what the
-    auditor replays the array from.
+    dense balance array directly.
 
     The fold is one ``np.add.at`` scatter of the delta's event columns
     into an :class:`IntVector` grown once per block from ``max_id``
     (the scalar per-event loop it must equal lives in
     ``tests/helpers.py``; ``tests/service/test_fold_kernels.py`` holds
-    the two together at every height).
+    the two together at every height).  Catch-up reads the rows: a
+    balance is the sum of its address's unspent receive values.
     """
 
     OBSERVER_NAME = "balances"
@@ -171,19 +174,23 @@ class BalanceView(MaterializedView):
     ) -> None:
         self._balances = IntVector()
         """Current balance per interned address id."""
-        self._events: list[tuple[np.ndarray, np.ndarray]] = []
-        """Per height: the delta's columnar ``(ids, signed deltas)``
-        event buffers, retained by reference — no per-block copy."""
-        self._coinbase: list[int] = []
-        """Coins issued at each height."""
-        self._supply: list[int] = []
-        """Cumulative issuance by each height."""
+        self.supply = 0
+        """Total coins issued by the view's height."""
         super().__init__(index, follow=follow, metrics=metrics)
 
+    def _catch_up(self) -> None:
+        index = self.index
+        rows = index.history_columns(index.height)
+        self._balances.grow_to(index.address_count)
+        unspent = (rows.recv_spender < 0) & (rows.recv_addr >= 0)
+        values = rows.recv_value
+        np.add.at(self._balances.array, rows.recv_addr[unspent], values[unspent])
+        self.supply = int(values[rows.tx_spends[rows.recv_tx] == 0].sum())
+        self._height = index.height
+
     def _apply_delta(self, delta: BlockDelta) -> None:
-        # The delta pre-flattened the block's debits and credits into
-        # the exact per-height event log this view keeps.  Every event
-        # id is ≤ max_id, so one grow per block covers the whole fold.
+        # Every event id is ≤ max_id, so one grow per block covers the
+        # whole fold.
         balances = self._balances
         if delta.max_id >= len(balances):
             if self.metrics.enabled:
@@ -192,54 +199,7 @@ class BalanceView(MaterializedView):
                 ).inc(delta.max_id + 1 - len(balances))
             balances.grow_to(delta.max_id + 1)
         np.add.at(balances.array, delta.event_ids, delta.event_values)
-        self._events.append((delta.event_ids, delta.event_values))
-        self._coinbase.append(delta.minted)
-        self._supply.append(
-            (self._supply[-1] if self._supply else 0) + delta.minted
-        )
-
-    # -- durable state -------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Plain-data state: balances, the event log, and issuance.
-
-        Version 2: the balance array and the per-height event columns
-        export as raw int64 bytes — one buffer copy each, instead of the
-        old O(events) Python list-of-lists rebuild per snapshot.
-        """
-        return {
-            "version": 2,
-            "height": self._height,
-            "balances": self._balances.tobytes(),
-            "events_ids": [ids.tobytes() for ids, _values in self._events],
-            "events_values": [
-                values.tobytes() for _ids, values in self._events
-            ],
-            "coinbase": list(self._coinbase),
-            "supply": list(self._supply),
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        index: ChainIndex,
-        state: dict,
-        *,
-        follow: bool = True,
-        metrics=None,
-    ) -> "BalanceView":
-        """Rebuild a view from :meth:`export_state` output, no catch-up."""
-        view = cls.__new__(cls)
-        view.metrics = metrics if metrics is not None else NULL_REGISTRY
-        view._balances = IntVector.from_bytes(state["balances"])
-        view._events = [
-            (_frombytes(ids), _frombytes(values))
-            for ids, values in zip(state["events_ids"], state["events_values"])
-        ]
-        view._coinbase = list(state["coinbase"])
-        view._supply = list(state["supply"])
-        view._adopt(index, state["height"], follow)
-        return view
+        self.supply += delta.minted
 
     # -- point queries -------------------------------------------------
 
@@ -254,23 +214,6 @@ class BalanceView(MaterializedView):
         ident = self.index.interner.id_of(address)
         return 0 if ident is None else self.balance_of_id(ident)
 
-    @property
-    def supply(self) -> int:
-        """Total coins issued by the view's height."""
-        return self._supply[-1] if self._supply else 0
-
-    def supply_at(self, height: int) -> int:
-        """Cumulative issuance by ``height``."""
-        return self._supply[height]
-
-    def coinbase_at(self, height: int) -> int:
-        """Coins issued at exactly ``height``."""
-        return self._coinbase[height]
-
-    def events_at(self, height: int) -> list[tuple[int, int]]:
-        """The ``(address id, delta)`` log for one height (Python ints)."""
-        ids, values = self._events[height]
-        return list(zip(ids.tolist(), values.tolist()))
 
 @dataclass
 class TaintCase:
@@ -495,7 +438,10 @@ class ActivityView(MaterializedView):
     Incidence is one ``np.add.at`` scatter of the delta's flat per-tx
     involvement multiset, first/last-seen one masked assignment over
     the block's deduplicated ids (the scalar per-id loop they must
-    equal lives in ``tests/helpers.py``).
+    equal lives in ``tests/helpers.py``).  Catch-up reads the rows: one
+    sort of the distinct ``(address id, tx ordinal)`` pairs of every
+    receive row and every spend's consumed row, whose runs are the
+    per-address counts and first/last heights.
     """
 
     OBSERVER_NAME = "activity"
@@ -511,6 +457,33 @@ class ActivityView(MaterializedView):
         self._first_seen = IntVector()
         self._last_seen = IntVector()
         super().__init__(index, follow=follow, metrics=metrics)
+
+    def _catch_up(self) -> None:
+        index = self.index
+        rows = index.history_columns(index.height)
+        received = rows.recv_addr >= 0
+        spent = rows.spend_addr >= 0
+        # Ids are below 2**31 and ordinals below 2**32: one int64 key
+        # per pair, ordered by id and then by ordinal (= by height), and
+        # deduplicated (``np.unique`` would import ``numpy.ma`` first).
+        pairs = (
+            rows.recv_addr[received] << 32 | rows.recv_tx[received],
+            rows.spend_addr[spent] << 32 | rows.spend_tx[spent],
+        )
+        keys = np.sort(np.concatenate(pairs))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        ids = keys >> 32
+        heights = rows.tx_heights[keys & 0xFFFFFFFF]
+        first = np.flatnonzero(np.diff(ids, prepend=-1))  # run starts
+        last = np.flatnonzero(np.diff(ids, append=-1))  # run ends
+        n = index.address_count
+        self._tx_counts.grow_to(n)
+        self._first_seen.grow_to(n, fill=-1)
+        self._last_seen.grow_to(n, fill=-1)
+        self._tx_counts.array[:] = np.bincount(ids, minlength=n)
+        self._first_seen.array[ids[first]] = heights[first]
+        self._last_seen.array[ids[last]] = heights[last]
+        self._height = index.height
 
     def _apply_delta(self, delta: BlockDelta) -> None:
         height = delta.height
@@ -535,39 +508,6 @@ class ActivityView(MaterializedView):
         seen = first_arr[ids]
         first_arr[ids] = np.where(seen < 0, height, seen)
         last.array[ids] = height
-
-    # -- durable state -------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Plain-data state: the three dense per-id arrays.
-
-        Version 2: raw int64 bytes per array (one buffer copy each).
-        """
-        return {
-            "version": 2,
-            "height": self._height,
-            "tx_counts": self._tx_counts.tobytes(),
-            "first_seen": self._first_seen.tobytes(),
-            "last_seen": self._last_seen.tobytes(),
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        index: ChainIndex,
-        state: dict,
-        *,
-        follow: bool = True,
-        metrics=None,
-    ) -> "ActivityView":
-        """Rebuild a view from :meth:`export_state` output, no catch-up."""
-        view = cls.__new__(cls)
-        view.metrics = metrics if metrics is not None else NULL_REGISTRY
-        view._tx_counts = IntVector.from_bytes(state["tx_counts"])
-        view._first_seen = IntVector.from_bytes(state["first_seen"])
-        view._last_seen = IntVector.from_bytes(state["last_seen"])
-        view._adopt(index, state["height"], follow)
-        return view
 
     # -- queries -------------------------------------------------------
 

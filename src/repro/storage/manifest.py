@@ -27,10 +27,12 @@ from .errors import SnapshotIntegrityError, UnsupportedSnapshotError
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "repro-state-snapshot"
 MANIFEST_VERSION = 4
-"""Snapshot layout version: eight segments (``store.COMPONENTS``), every
-dense per-id array a raw little-endian int64 buffer, and a
+"""Snapshot layout version: one segment per ``store.COMPONENTS`` entry
+(six), every dense per-id array a raw little-endian int64 buffer, and a
 ``timetravel`` segment carrying the aggregate view's per-height delta
-log and its base state."""
+log and its base state.  Snapshots that also carry the ``balances`` and
+``activity`` segments of earlier builds are the same version: restore
+ignores the two, ``repro doctor`` still checksums them."""
 
 SUPPORTED_VERSIONS = frozenset({MANIFEST_VERSION})
 """Manifest versions :func:`read_manifest` accepts.  Older layouts

@@ -60,14 +60,14 @@ COMPONENTS = (
     "chain",
     "engine",
     "aggregates",
-    "balances",
-    "activity",
     "taint",
     "service",
     "timetravel",
 )
 """Segment names, one per durable component of a forensics service
-(``timetravel`` is the aggregate view's per-height delta log)."""
+(``timetravel`` is the aggregate view's per-height delta log).  The
+balance and activity views have none: a restore builds them from the
+``chain`` segment's rows."""
 
 
 def _missing_segment(directory: Path, name: str) -> SnapshotIntegrityError:
@@ -160,8 +160,6 @@ class StateStore:
         for name, component_height in (
             ("engine", service.engine.height),
             ("aggregates", service.aggregates.height),
-            ("balances", service.balances.height),
-            ("activity", service.activity.height),
             ("taint", service.taint.height),
         ):
             if component_height != height:
@@ -226,12 +224,6 @@ class StateStore:
             "engine": write_segment(scratch, "engine", service.engine.export_state()),
             "aggregates": write_segment(
                 scratch, "aggregates", service.aggregates.export_state()
-            ),
-            "balances": write_segment(
-                scratch, "balances", service.balances.export_state()
-            ),
-            "activity": write_segment(
-                scratch, "activity", service.activity.export_state()
             ),
             "taint": write_segment(scratch, "taint", service.taint.export_state()),
             "service": write_segment(scratch, "service", service.export_state()),
@@ -373,7 +365,8 @@ class StateStore:
         return service
 
     def verify_snapshot(self, snapshot: SnapshotManifest) -> list[str]:
-        """Checksum-verify every segment of one snapshot, without
+        """Checksum-verify every segment the manifest lists — restored
+        or not — and report every component it lacks, without
         deserializing into a service.
 
         Returns a list of human-readable problems (empty when the
@@ -381,12 +374,12 @@ class StateStore:
         snapshot on disk independently of whether it will be restored.
         """
         directory = snapshot.directory
-        problems: list[str] = []
-        for name in COMPONENTS:
-            record = snapshot.segments.get(name)
-            if record is None:
-                problems.append(str(_missing_segment(directory, name)))
-                continue
+        problems = [
+            str(_missing_segment(directory, name))
+            for name in COMPONENTS
+            if name not in snapshot.segments
+        ]
+        for name, record in snapshot.segments.items():
             try:
                 state = read_segment(
                     directory / record["file"],

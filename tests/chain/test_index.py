@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain.errors import (
+    BlockStructureError,
     DoubleSpendError,
     MissingInputError,
     UnknownAddressError,
@@ -35,8 +36,9 @@ class TestIngestion:
             timestamp=0,
             transactions=[coinbase(addr("x"))],
         )
-        with pytest.raises(MissingInputError):
+        with pytest.raises(BlockStructureError, match="expected height 1"):
             index.add_block(block)
+        assert index.height == 0
 
 
 def _indexed_payment():
@@ -195,6 +197,7 @@ class TestRejectedBlockLeavesNoTrace:
             ("in_block_double_spend", DoubleSpendError),
             ("duplicate_tx", DoubleSpendError),
             ("second_input_bad", MissingInputError),
+            ("spends_nothing", BlockStructureError),
         ],
     )
     def test_rejected_block_then_corrected_block(self, case, error, restored):
@@ -222,6 +225,8 @@ class TestRejectedBlockLeavesNoTrace:
             "second_input_bad": lambda: spend(
                 [(txs["cb1"], 0), (coinbase(addr("rb-ghost")), 0)], [(addr("rb-x"), COIN)]
             ),
+            # no inputs, yet no coinbase: coins out of nothing
+            "spends_nothing": lambda: spend([], [(addr("rb-x"), COIN)]),
         }[case]()
         before = self._observable(index)
         spent_outpoint = OutPoint(txs["fund"].txid, 0)

@@ -10,6 +10,8 @@ aggregate, a retained event) and assert the next audit reports exactly
 that check.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,7 +116,7 @@ class TestSeededCorruptionDetected:
             if check.name == "balance_conservation"
         )
         assert balance.violations
-        assert "differ from the event-log replay" in balance.detail
+        assert "differ from the row replay" in balance.detail
 
     def test_forged_canonical_id(self):
         service, auditor = _fresh_service(audit_every=0)
@@ -166,16 +168,21 @@ class TestSeededCorruptionDetected:
         assert derived.detail == "size ranking differs from a settled clone"
 
     def test_replaced_retained_event_value(self):
-        """The shadow fold holds the event columns the balance view
-        retained to the ones rebuilt from the index's rows: one changed
-        value in one block's column is one violation."""
+        """The shadow fold holds the event columns the aggregate view's
+        delta log retained to the ones rebuilt from the index's rows:
+        one changed value in one height's record is one violation."""
         service, auditor = _fresh_service(audit_every=0, strict=True)
-        retained = service.balances._events
-        height = next(h for h, (ids, _v) in enumerate(retained) if len(ids))
-        ids, values = retained[height]
-        forged = values.copy()
+        view = service.aggregates
+        view._flush()
+        records = view._records
+        height = next(
+            h for h in sorted(records) if len(records[h].event_values)
+        )
+        forged = records[height].event_values.copy()
         forged[0] += 1
-        retained[height] = (ids, forged)
+        records[height] = dataclasses.replace(
+            records[height], event_values=forged
+        )
         with pytest.raises(AuditViolationError) as excinfo:
             auditor.audit_now(full=True)
         shadow = next(
@@ -184,7 +191,7 @@ class TestSeededCorruptionDetected:
             if check.name == "shadow_fold"
         )
         assert shadow.violations == 1
-        assert f"height {height}: retained event columns" in shadow.detail
+        assert f"height {height}: retained delta columns" in shadow.detail
 
     def test_strict_mode_raises_and_still_records(self):
         service, auditor = _fresh_service(audit_every=0, strict=True)

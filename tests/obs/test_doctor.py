@@ -60,26 +60,48 @@ class TestCorruptionDetected:
         assert any("checksum" in problem for problem in report.problems)
         assert "PROBLEM" in report.render()
 
+    def test_flipped_byte_in_an_unrestored_segment_fails(self, state_dir):
+        """A snapshot written while the balance and activity views still
+        had segments restores without reading them, but doctor
+        checksums every segment the manifest lists."""
+        from repro.storage import StateStore
+
+        from tests.helpers import add_view_segments
+
+        store = StateStore(state_dir / "snapshots")
+        directory = store.latest().directory
+        add_view_segments(directory, store.restore(follow=False))
+        assert run_doctor(state_dir).exit_code == 0
+        _flip_one_byte(directory / "balances.seg")
+        report = run_doctor(state_dir)
+        assert report.exit_code == 1
+        assert any(
+            "'balances'" in problem and "checksum" in problem
+            for problem in report.problems
+        ), report.problems
+
     def test_corrupted_snapshot_state_fails_full_audit(self, state_dir):
-        """Checksums intact but state inconsistent: rewrite one
-        snapshot segment with forged balances (and a recomputed
-        checksum) — the doctor's full audit catches what integrity
-        verification cannot."""
+        """Checksums intact but state inconsistent: rewrite the
+        ``aggregates`` segment with one forged cluster balance (and a
+        recomputed checksum) — the doctor's full audit catches what
+        integrity verification cannot."""
         import numpy as np
 
+        from repro.core.union_find import IntUnionFind
         from repro.storage.segments import read_segment, write_segment
 
         store_root = state_dir / "snapshots"
         manifest_path = sorted(store_root.glob("snap-*/MANIFEST.json"))[0]
         manifest = json.loads(manifest_path.read_text())
-        record = manifest["segments"]["balances"]
+        record = manifest["segments"]["aggregates"]
         segment_path = manifest_path.parent / record["file"]
-        state = read_segment(segment_path, expected_name="balances")
-        forged = np.frombuffer(state["balances"], dtype="<i8").copy()
-        forged[0] += 7
-        state["balances"] = forged.tobytes()
-        manifest["segments"]["balances"] = write_segment(
-            manifest_path.parent, "balances", state
+        state = read_segment(segment_path, expected_name="aggregates")
+        root = IntUnionFind.from_state(state["uf"]).find(0)
+        forged = np.frombuffer(state["balance"], dtype="<i8").copy()
+        forged[root] += 7
+        state["balance"] = forged.tobytes()
+        manifest["segments"]["aggregates"] = write_segment(
+            manifest_path.parent, "aggregates", state
         )
         manifest_path.write_text(json.dumps(manifest, indent=2))
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis.taint import TaintTracker
 from repro.chain.index import ChainIndex
-from repro.chain.model import COIN, OutPoint
+from repro.chain import script
+from repro.chain.model import COIN, OutPoint, Transaction, TxOut
 from repro.pipeline import AnalystView
 from repro.service.views import ActivityView, BalanceView, TaintView
 from repro.simulation import scenarios
@@ -63,7 +64,7 @@ class TestViewEqualsBatchAtEveryHeight:
                 for tx in block.transactions
                 if tx.is_coinbase
             )
-            assert balances.supply == balances.supply_at(height) == supply
+            assert balances.supply == supply
             # Activity: counts and seen-ranges match a full tx walk.
             counts, first, last = _batch_activity(target)
             for ident, count in counts.items():
@@ -120,16 +121,51 @@ class TestViewMechanics:
         return build_chain([[cb], [pay], []])
 
     def test_catch_up_equals_streaming(self):
-        source = self._chain()
-        caught_up = BalanceView(source)
+        """Views built from a finished index's rows == views streamed
+        block by block, whole arrays, on a chain whose last block holds
+        every case the rows build dedups or masks: one address twice
+        among a tx's inputs, an address that pays itself change, an
+        exotic output, and a coinbase paying a reused address."""
+        a, b, c = addr("view/a"), addr("view/b"), addr("view/c")
+        cb0 = coinbase(a, height=0)
+        cb1 = coinbase(a, height=1)
+        twice = Transaction(
+            inputs=spend([(cb0, 0), (cb1, 0)], []).inputs,
+            outputs=(
+                *spend([], [(a, 60 * COIN), (b, 35 * COIN)]).outputs,
+                TxOut(value=5 * COIN, script_pubkey=bytes([script.OP_RETURN])),
+            ),
+        )
+        change = spend([(twice, 1)], [(c, 20 * COIN), (b, 15 * COIN)])
+        source = build_chain(
+            [[cb0], [cb1], [coinbase(a, height=2), twice, change]]
+        )
+        ids = [source.interner.id_of(x) for x in (a, b, c)]
+        assert source.input_address_ids(twice) == (ids[0],)
+        built_balances = BalanceView(source)
+        built_activity = ActivityView(source)
         target = ChainIndex()
-        streamed = BalanceView(target)
+        balances = BalanceView(target)
+        activity = ActivityView(target)
         for height in range(source.height + 1):
             target.add_block(source.block_at(height))
-        assert caught_up.balance_of(addr("view/b")) == 30 * COIN
-        assert streamed.balance_of(addr("view/b")) == 30 * COIN
-        assert streamed.balance_of(addr("view/a")) == 0
-        assert streamed.height == caught_up.height == source.height
+        assert built_balances.height == balances.height == source.height
+        assert built_activity.height == activity.height == source.height
+        # build_chain adds a miner coinbase to each block.
+        assert built_balances.supply == balances.supply == 6 * 50 * COIN
+        assert built_balances._balances.tolist() == balances._balances.tolist()
+        for name in ("_tx_counts", "_first_seen", "_last_seen"):
+            assert (
+                getattr(built_activity, name).tolist()
+                == getattr(activity, name).tolist()
+            ), name
+        assert [balances.balance_of_id(i) for i in ids] == [
+            110 * COIN, 15 * COIN, 20 * COIN,
+        ]
+        assert [activity.tx_count_of_id(i) for i in ids] == [4, 2, 1]
+        assert [activity.seen_range_of_id(i) for i in ids] == [
+            (0, 2), (2, 2), (2, 2),
+        ]
 
     def test_out_of_order_stream_rejected(self):
         source = self._chain()

@@ -5,10 +5,13 @@ little-endian int64 buffer.  The contracts pinned here:
 
 * **byte-equal round trip** — ``export_state`` → ``from_state`` →
   ``export_state`` reproduces the original payload bit for bit, for
-  every array-backed component (union-find, balance/activity views,
-  cluster aggregates and their delta log);
+  every array-backed component (union-find, cluster aggregates and
+  their delta log);
 * **extra base keys** — a ``timetravel`` base written while the state
   still carried four per-address arrays restores; the keys are ignored;
+* **extra segments** — a snapshot that still carries the ``balances``
+  and ``activity`` segments restores to the same service as one
+  without them;
 * **manifest gate** — only the current manifest version restores;
   older layouts (list-shaped arrays, no ``timetravel`` segment) fail
   closed with an error that names what was found and the remedy, and
@@ -26,7 +29,6 @@ from repro.chain.index import ChainIndex
 from repro.core.incremental import IncrementalClusteringEngine
 from repro.core.union_find import IntUnionFind
 from repro.service.aggregates import ClusterAggregateView, TOP_CLUSTER_METRICS
-from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks
 from repro.storage.errors import SnapshotIntegrityError, UnsupportedSnapshotError
 from repro.storage.manifest import (
@@ -39,16 +41,14 @@ from repro.storage.manifest import (
 
 @pytest.fixture(scope="module")
 def streamed():
-    """One small high-merge chain streamed into every fold consumer."""
+    """One small high-merge chain streamed into every exported fold."""
     index = ChainIndex()
     engine = IncrementalClusteringEngine(index)
-    balances = BalanceView(index)
-    activity = ActivityView(index)
     aggregates = ClusterAggregateView(index, engine=engine)
     for block in large_scale_blocks(30, seed=7):
         index.add_block(block)
     assert aggregates.cluster_count > 0  # force the flush
-    return index, engine, balances, activity, aggregates
+    return index, engine, aggregates
 
 
 class TestByteEqualRoundTrip:
@@ -67,23 +67,8 @@ class TestByteEqualRoundTrip:
         with pytest.raises(ValueError):
             IntUnionFind.from_state(state)
 
-    def test_balance_view(self, streamed):
-        index, _engine, balances, *_ = streamed
-        state = balances.export_state()
-        assert state["version"] == 2
-        assert isinstance(state["balances"], bytes)
-        restored = BalanceView.from_state(index, state, follow=False)
-        assert restored.export_state() == state
-
-    def test_activity_view(self, streamed):
-        index, _engine, _balances, activity, _aggregates = streamed
-        state = activity.export_state()
-        assert isinstance(state["tx_counts"], bytes)
-        restored = ActivityView.from_state(index, state, follow=False)
-        assert restored.export_state() == state
-
     def test_aggregate_view(self, streamed):
-        index, engine, _balances, _activity, aggregates = streamed
+        index, engine, aggregates = streamed
         state = aggregates.export_state()
         history = aggregates.export_time_travel()
         assert isinstance(state["balance"], bytes)
@@ -144,6 +129,50 @@ class TestTimeTravelBaseWrittenWithPerAddressColumns:
                 ]
             for query in queries:
                 assert restored.answer(query) == service.answer(query), query
+
+
+class TestSnapshotWithTheBalanceAndActivitySegments:
+    def test_restores_equal_to_the_six_segment_snapshot(self, tmp_path):
+        """Snapshots written before the balance and activity views were
+        built from the chain's rows carry two more segments.  Same
+        manifest version: restore ignores them (``repro doctor`` still
+        verifies them, ``tests/obs/test_doctor.py``)."""
+        from repro.experiments import generate_query_workload
+        from repro.service import ForensicsService
+        from repro.storage import COMPONENTS, StateStore
+
+        from tests.helpers import add_view_segments
+
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        for block in large_scale_blocks(12, seed=5):
+            index.add_block(block)
+        store = StateStore(tmp_path / "snapshots")
+        directory = store.snapshot(service)
+        assert set(read_manifest(directory).segments) == set(COMPONENTS)
+        assert len(COMPONENTS) == 6
+        six = store.restore(follow=False)
+        add_view_segments(directory, service)
+        assert len(read_manifest(directory).segments) == 8
+        eight = store.restore(follow=False)
+        for restored in (six, eight):
+            assert restored.balances.supply == service.balances.supply
+            assert (
+                restored.balances._balances.tolist()
+                == service.balances._balances.tolist()
+            )
+            for name in ("_tx_counts", "_first_seen", "_last_seen"):
+                assert (
+                    getattr(restored.activity, name).tolist()
+                    == getattr(service.activity, name).tolist()
+                ), name
+            assert (
+                restored.aggregates.export_state()
+                == service.aggregates.export_state()
+            )
+        queries = generate_query_workload(service, n_queries=40, seed=2)
+        assert eight.answer_many(queries) == six.answer_many(queries)
+        assert eight.answer_many(queries) == service.answer_many(queries)
 
 
 class TestManifestVersionGate:

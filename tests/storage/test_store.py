@@ -58,9 +58,9 @@ class TestSnapshotCapture:
         service = ForensicsService(index, tags=None)
         for block in world.blocks[:5]:
             index.add_block(block)
-        service.balances.detach()
+        service.taint.detach()
         index.add_block(world.blocks[5])
-        with pytest.raises(StorageError, match="balances"):
+        with pytest.raises(StorageError, match="taint"):
             StateStore(tmp_path).snapshot(service)
 
     def test_re_snapshot_same_height_replaces(self, tmp_path, served):
@@ -203,7 +203,7 @@ class TestRecovery:
     def test_restore_corrupt_segment_fails_closed(self, tmp_path, served):
         store = StateStore(tmp_path)
         path = store.snapshot(served)
-        target = path / "balances.seg"
+        target = path / "taint.seg"
         raw = bytearray(target.read_bytes())
         raw[len(raw) // 2] ^= 0x10
         target.write_bytes(bytes(raw))
