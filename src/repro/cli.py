@@ -37,6 +37,8 @@ serving layer over the incremental engine + materialized views):
   the way out, so watched taint cases and chain growth survive
   restarts.  A restarted service answers every query identically to a
   cold-built one (the storage test suite proves it per height).
+  ``--blocks-only`` restores from ``DIR`` alone and builds no world; a
+  state dir that cannot serve is one ``error:`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .obs import (
 )
 from .service import ForensicsService, format_answer, parse_query
 from .simulation import scenarios
+from .storage import StorageError
 
 _SCENARIOS = {
     "default": scenarios.default_economy,
@@ -98,19 +101,18 @@ def _build_parser() -> argparse.ArgumentParser:
     series.add_argument("--scenario", choices=sorted(_SCENARIOS), default="default")
     series.add_argument("--seed", type=int, default=0)
 
-    query = sub.add_parser(
-        "query",
-        help="one-shot forensics query against the serving layer",
-    )
-    query.add_argument("--scenario", choices=sorted(_SCENARIOS), default="default")
-    query.add_argument("--seed", type=int, default=0)
-    query.add_argument(
+    # The options query and serve share: which world, which state dir,
+    # and what telemetry to keep.
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--scenario", choices=sorted(_SCENARIOS), default="default")
+    serving.add_argument("--seed", type=int, default=0)
+    serving.add_argument(
         "--state-dir",
         type=Path,
         default=None,
         help="durable state directory: warm-start from its newest snapshot",
     )
-    query.add_argument(
+    serving.add_argument(
         "--blocks-only",
         action="store_true",
         help=(
@@ -119,16 +121,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "from a previous full run)"
         ),
     )
-    query.add_argument(
+    serving.add_argument(
         "--metrics-dump",
         type=Path,
         default=None,
         help=(
-            "record pipeline telemetry and write it as JSON "
-            "(metric catalogue: docs/metrics.md)"
+            "record per-stage ingest/query telemetry (a service built "
+            "from the world re-ingests the chain through an instrumented "
+            "index) and write it as JSON (metric catalogue: "
+            "docs/metrics.md)"
         ),
     )
-    query.add_argument(
+    serving.add_argument(
         "--log-json",
         type=Path,
         default=None,
@@ -137,6 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "append structured JSON-lines pipeline events to PATH "
             "(schema: docs/observability.md)"
         ),
+    )
+
+    query = sub.add_parser(
+        "query",
+        parents=[serving],
+        help="one-shot forensics query against the serving layer",
     )
     query.add_argument(
         "tokens",
@@ -147,24 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[serving],
         help="replay a query workload from warm materialized views",
-    )
-    serve.add_argument("--scenario", choices=sorted(_SCENARIOS), default="default")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--state-dir",
-        type=Path,
-        default=None,
-        help="durable state directory: warm-start from its newest snapshot",
-    )
-    serve.add_argument(
-        "--blocks-only",
-        action="store_true",
-        help=(
-            "trust the state dir's blocks/blk*.dat outright and skip the "
-            "world build entirely (requires --state-dir with a snapshot "
-            "from a previous full run)"
-        ),
     )
     serve.add_argument(
         "--script",
@@ -190,26 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="write the executed workload as a replayable script",
-    )
-    serve.add_argument(
-        "--metrics-dump",
-        type=Path,
-        default=None,
-        help=(
-            "record per-stage ingest/query telemetry (the chain is "
-            "re-ingested through an instrumented index) and write it as "
-            "JSON (metric catalogue: docs/metrics.md)"
-        ),
-    )
-    serve.add_argument(
-        "--log-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "append structured JSON-lines pipeline events to PATH "
-            "(schema: docs/observability.md)"
-        ),
     )
 
     metrics_cmd = sub.add_parser(
@@ -338,45 +312,31 @@ def _open_logger(args):
     return JsonLinesLogger(path, min_level="debug")
 
 
-def _service_for(args, world, log=None):
-    """The serving-layer service for ``query``/``serve``: a plain warm
-    build, a durable warm start when ``--state-dir`` is given, or a
-    restore that trusts the on-disk block files (``world`` unused and
-    may be ``None``) with ``--blocks-only``.
+def _service_for(args, log=None):
+    """The serving-layer service for ``query``/``serve``: built from the
+    scenario's world, or stood up against ``--state-dir`` (from its
+    block files alone with ``--blocks-only``, which builds no world).
 
     Returns ``(service, checkpoint, metrics)``: ``checkpoint``
     re-snapshots the (possibly mutated: new taint cases, tail growth)
     state on the way out — a no-op without ``--state-dir`` — and
     ``metrics`` is the enabled registry when ``--metrics-dump`` asked
-    for one (``None`` otherwise).  With a registry and no state dir the
-    chain is re-ingested block by block through an instrumented index,
-    so the dump carries real per-stage ingest timings, not just query
-    latencies.
+    for one (``None`` otherwise).  A state dir that cannot serve exits
+    with one ``error:`` line.
     """
-    metrics = (
-        MetricsRegistry()
-        if getattr(args, "metrics_dump", None) is not None
-        else None
-    )
-    if getattr(args, "blocks_only", False):
-        if args.state_dir is None:
-            raise SystemExit("error: --blocks-only requires --state-dir")
-        warm = experiments.warm_service_blocks_only(
-            args.state_dir, metrics=metrics, log=log
-        )
-        print(f"[state-dir {args.state_dir}: {warm.report}]")
-        return warm.service, warm.checkpoint, metrics
+    metrics = MetricsRegistry() if args.metrics_dump is not None else None
+    if args.blocks_only and args.state_dir is None:
+        raise SystemExit("error: --blocks-only requires --state-dir")
+    world = None if args.blocks_only else _SCENARIOS[args.scenario](seed=args.seed)
     if args.state_dir is None:
-        if metrics is not None:
-            service = experiments.instrumented_service(
-                world, metrics=metrics, log=log
-            )
-        else:
-            service = ForensicsService.from_world(world, log=log)
+        service = ForensicsService.from_world(world, metrics=metrics, log=log)
         return service, lambda: None, metrics
-    warm = experiments.warm_service(
-        world, args.state_dir, metrics=metrics, log=log
-    )
+    try:
+        warm = experiments.warm_service(
+            world, args.state_dir, metrics=metrics, log=log
+        )
+    except StorageError as exc:
+        raise SystemExit(f"error: {exc}") from None
     print(f"[state-dir {args.state_dir}: {warm.report}]")
     return warm.service, warm.checkpoint, metrics
 
@@ -399,6 +359,62 @@ def _write_metrics_dump(path: Path | None, metrics, service=None) -> None:
     print(f"[metrics written to {path}; render with 'repro metrics {path}']")
 
 
+def _answer_one(args, service) -> None:
+    """``repro query``: answer one query, labelled with its source."""
+    query = parse_query(args.tokens)
+    start = time.perf_counter()
+    answer = service.answer(query)
+    elapsed = time.perf_counter() - start
+    print(format_answer(query, answer))
+    source = (
+        f"state-dir {args.state_dir}" if args.blocks_only else args.scenario
+    )
+    print(
+        f"[{source} @ height {service.height}, "
+        f"answered warm in {elapsed * 1e3:.2f}ms]"
+    )
+
+
+def _serve_workload(args, service) -> None:
+    """``repro serve``: replay a script or a generated workload."""
+    if args.script is not None:
+        queries = _load_workload_script(args.script)
+        if not service.taint.labels and any(
+            q.kind == "trace_taint" for q in queries
+        ):
+            # Scripts dumped from generated workloads reference the
+            # deterministic case-N labels; re-watch them.
+            experiments.watch_synthetic_thefts(service)
+        start = time.perf_counter()
+        service.answer_many(queries)
+        first = time.perf_counter() - start
+        start = time.perf_counter()
+        for _ in range(max(1, args.repeat)):
+            service.answer_many(queries)
+        repeat = (time.perf_counter() - start) / max(1, args.repeat)
+        print(
+            f"replayed {len(queries)} queries from {args.script}: "
+            f"{first:.4f}s cold memo, {repeat:.4f}s memoized "
+            f"(hit rate {service.cache.hit_rate:.1%})"
+        )
+    else:
+        result = experiments.run_query_workload(
+            seed=args.seed,
+            n_queries=args.generate,
+            repeats=max(1, args.repeat),
+            service=service,
+        )
+        queries = result.queries
+        print(result.report)
+    if args.dump is not None:
+        lines = [
+            " ".join(str(part) for part in (query.kind, *query.args))
+            for query in queries
+        ]
+        args.dump.write_text("\n".join(lines) + "\n")
+        print(f"workload written to {args.dump}")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -419,76 +435,19 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "timeseries":
         world = _SCENARIOS[args.scenario](seed=args.seed)
         print(experiments.run_cluster_timeseries(world).report)
-    elif args.command == "query":
-        # --blocks-only serves straight from the state dir: the whole
-        # point is never paying the world simulation on a warm restart.
-        world = (
-            None if args.blocks_only else _SCENARIOS[args.scenario](seed=args.seed)
-        )
+    elif args.command in ("query", "serve"):
         log = _open_logger(args)
         try:
-            service, checkpoint, metrics = _service_for(args, world, log=log)
-            query = parse_query(args.tokens)
-            start = time.perf_counter()
-            answer = service.answer(query)
-            elapsed = time.perf_counter() - start
-            print(format_answer(query, answer))
-            print(
-                f"[{args.scenario} @ height {service.height}, "
-                f"answered warm in {elapsed * 1e3:.2f}ms]"
-            )
+            service, checkpoint, metrics = _service_for(args, log=log)
+            if args.command == "query":
+                _answer_one(args, service)
+            else:
+                _serve_workload(args, service)
             checkpoint()
             _write_metrics_dump(args.metrics_dump, metrics, service=service)
         finally:
             if log is not None:
                 log.close()
-    elif args.command == "serve":
-        world = (
-            None if args.blocks_only else _SCENARIOS[args.scenario](seed=args.seed)
-        )
-        log = _open_logger(args)
-        service, checkpoint, metrics = _service_for(args, world, log=log)
-        if args.script is not None:
-            queries = _load_workload_script(args.script)
-            if not service.taint.labels and any(
-                q.kind == "trace_taint" for q in queries
-            ):
-                # Scripts dumped from generated workloads reference the
-                # deterministic case-N labels; re-watch them.
-                experiments.watch_synthetic_thefts(service)
-            start = time.perf_counter()
-            service.answer_many(queries)
-            first = time.perf_counter() - start
-            start = time.perf_counter()
-            for _ in range(max(1, args.repeat)):
-                service.answer_many(queries)
-            repeat = (time.perf_counter() - start) / max(1, args.repeat)
-            print(
-                f"replayed {len(queries)} queries from {args.script}: "
-                f"{first:.4f}s cold memo, {repeat:.4f}s memoized "
-                f"(hit rate {service.cache.hit_rate:.1%})"
-            )
-        else:
-            result = experiments.run_query_workload(
-                world,
-                seed=args.seed,
-                n_queries=args.generate,
-                repeats=max(1, args.repeat),
-                service=service,
-            )
-            queries = result.queries
-            print(result.report)
-        if args.dump is not None:
-            lines = [
-                " ".join(str(part) for part in (query.kind, *query.args))
-                for query in queries
-            ]
-            args.dump.write_text("\n".join(lines) + "\n")
-            print(f"workload written to {args.dump}")
-        checkpoint()
-        _write_metrics_dump(args.metrics_dump, metrics, service=service)
-        if log is not None:
-            log.close()
     elif args.command == "metrics":
         payload = _read_dump(args.dump)
         if payload is None:

@@ -392,63 +392,29 @@ class WarmServiceResult:
         self.store.snapshot(self.service)
 
 
-def instrumented_service(
-    world: World,
-    *,
-    metrics,
-    include_public_tags: bool = True,
-    crawl_seed: int = 0,
-    **kwargs,
-) -> ForensicsService:
-    """Build a service by *streaming* the world's blocks through a fresh
-    index with ``metrics`` attached from block zero.
-
-    :meth:`ForensicsService.from_world` attaches to the world's already
-    built index, so its catch-up replay happens before any registry can
-    observe it; this path rebuilds the chain through the instrumented
-    ``add_block`` fan-out instead — every delta build, fold, and flush
-    lands in the registry, and the end-to-end ingest wall clock is
-    recorded as the ``ingest.wall_seconds`` gauge.  This is the engine
-    behind ``repro serve --metrics-dump`` without ``--state-dir``.
-    """
-    from .chain.index import ChainIndex
-    from .core.heuristic2 import dice_addresses_from_tags
-    from .simulation.params import DICE_GAMES
-    from .tagging.sources import PublicTagCrawl
-    from .tagging.tags import TagStore
-
-    attack = world.extras.get("attack")
-    tags = attack.tags if attack is not None else TagStore()
-    if include_public_tags:
-        tags = tags.merged_with(PublicTagCrawl(world, seed=crawl_seed).crawl())
-    kwargs.setdefault(
-        "dice_addresses", dice_addresses_from_tags(tags, DICE_GAMES)
-    )
-    index = ChainIndex()
-    service = ForensicsService(index, tags=tags, metrics=metrics, **kwargs)
-    start = time.perf_counter()
-    for block in world.blocks:
-        index.add_block(block)
-    metrics.gauge("ingest.wall_seconds").set(time.perf_counter() - start)
-    metrics.gauge("ingest.blocks").set(len(world.blocks))
-    for theft in world.extras.get("thefts", ()):
-        service.watch_theft(theft.record.spec.name, theft.record.theft_txids)
-    return service
-
-
-def warm_service_blocks_only(
-    state_dir, *, retain: int = 3, metrics=None, log=None
+def warm_service(
+    world: World | None, state_dir, *, retain: int = 3, metrics=None, log=None
 ) -> WarmServiceResult:
-    """Warm-start a service from a state directory alone — no world.
+    """Stand a service up against a durable state directory.
 
-    ``warm_service`` re-simulates the whole scenario on every restart
-    just to validate the block files and extend them if the world grew;
-    on a pure serving restart that build dwarfs the restore it guards.
-    This path trusts ``<state_dir>/blocks/blk*.dat`` outright: restore
-    the newest snapshot, tail-replay the on-disk blocks past it, done.
-    It therefore *requires* a prior full run — a state directory with no
-    snapshot fails closed instead of silently standing up an untagged
-    service (tags, taint cases, and views all live in the snapshot).
+    Layout: ``<state_dir>/blocks/blk*.dat`` (the chain substrate) and
+    ``<state_dir>/snapshots/snap-*`` (the
+    :class:`~repro.storage.store.StateStore`).  A run restores the
+    newest snapshot and tail-replays only the blocks past it — the
+    transparent warm start behind ``repro serve --state-dir``.
+
+    With a ``world`` the block files are written from it on the first
+    run and extended if it has grown since; a state directory built from
+    a *different* chain fails closed, before anything is written.  The
+    first run (no snapshot) builds the service with
+    :meth:`ForensicsService.from_world` and captures a baseline
+    snapshot.
+
+    With ``world=None`` (``--blocks-only``) the block files are trusted
+    outright and no world is built: that path can only restore, so a
+    directory without block files or without a snapshot fails closed
+    instead of standing up an untagged service (tags, taint cases and
+    views all live in the snapshot).
     """
     from pathlib import Path
 
@@ -456,71 +422,85 @@ def warm_service_blocks_only(
 
     state_dir = Path(state_dir)
     blocks_dir = state_dir / "blocks"
-    if not blocks_dir.is_dir():
+    if world is None and not blocks_dir.is_dir():
         raise StorageError(
             f"no block files under {blocks_dir}; --blocks-only needs a "
             f"state directory written by a previous full run"
         )
     store = StateStore(state_dir / "snapshots", metrics=metrics, log=log)
     start = time.perf_counter()
+    if world is not None:
+        _extend_block_files(world, blocks_dir)
     if store.latest() is None:
-        raise StorageError(
-            f"no snapshot under {state_dir}; --blocks-only can only "
-            f"restore, not build — run once without it to write the "
-            f"baseline snapshot"
+        if world is None:
+            raise StorageError(
+                f"no snapshot under {state_dir}; --blocks-only can only "
+                f"restore, not build — run once without it to write the "
+                f"baseline snapshot"
+            )
+        service = ForensicsService.from_world(world, metrics=metrics, log=log)
+        store.snapshot(service)
+        seconds = time.perf_counter() - start
+        return WarmServiceResult(
+            service=service,
+            store=store,
+            cold=True,
+            snapshot_height=None,
+            tail_blocks=0,
+            seconds=seconds,
+            report=(
+                f"cold start: built height {service.height} from the world "
+                f"and wrote a baseline snapshot ({seconds:.2f}s)"
+            ),
         )
     warm = store.warm_start(blocks_dir)
+    service = warm.service
+    if world is not None:
+        guard_height = min(warm.snapshot_height, len(world.blocks) - 1)
+        if (
+            guard_height >= 0
+            and service.index.block_at(guard_height).header
+            != world.blocks[guard_height].header
+        ):
+            raise StorageError(
+                f"snapshot under {state_dir} was captured from a different "
+                f"chain than this scenario/seed produces; point --state-dir "
+                f"at a fresh directory"
+            )
     store.prune(retain)
     seconds = time.perf_counter() - start
+    kind = "warm start" if world is not None else "blocks-only warm start"
+    skipped = "" if world is not None else ", world build skipped"
     return WarmServiceResult(
-        service=warm.service,
+        service=service,
         store=store,
         cold=False,
         snapshot_height=warm.snapshot_height,
         tail_blocks=warm.tail_blocks,
         seconds=seconds,
         report=(
-            f"blocks-only warm start: restored snapshot at height "
-            f"{warm.snapshot_height} + {warm.tail_blocks} tail blocks -> "
-            f"height {warm.service.height} ({seconds:.2f}s, world build "
-            f"skipped)"
+            f"{kind}: restored snapshot at height {warm.snapshot_height}"
+            f" + {warm.tail_blocks} tail blocks -> height {service.height} "
+            f"({seconds:.2f}s{skipped})"
         ),
     )
 
 
-def warm_service(
-    world: World, state_dir, *, retain: int = 3, metrics=None, log=None
-) -> WarmServiceResult:
-    """Stand a service up against a durable state directory.
+def _extend_block_files(world: World, blocks_dir) -> None:
+    """Append the world's blocks past those already under ``blocks_dir``.
 
-    Layout: ``<state_dir>/blocks/blk*.dat`` (the chain substrate —
-    written from the world on first run, extended if the world has grown
-    since) and ``<state_dir>/snapshots/snap-*`` (the
-    :class:`~repro.storage.store.StateStore`).
-
-    First run (no snapshot): builds the service cold from the world and
-    captures a baseline snapshot.  Every later run restores the newest
-    snapshot and tail-replays only the blocks past it — the transparent
-    warm start behind ``repro serve --state-dir``.  A snapshot taken
-    against a *different* chain than the current world fails closed.
+    Guards before writing anything: appending this world's blocks to a
+    directory built from a different scenario/seed would corrupt the
+    substrate for both.  Headers chain by prev_hash, so one match at the
+    last common height pins the whole prefix.
     """
-    from pathlib import Path
-
     from .chain.blockfile import BlockFileReader, BlockFileWriter
-    from .storage import StateStore, StorageError
+    from .storage import StorageError
 
-    state_dir = Path(state_dir)
-    blocks_dir = state_dir / "blocks"
-    store = StateStore(state_dir / "snapshots", metrics=metrics, log=log)
-    start = time.perf_counter()
     on_disk = (
         BlockFileReader(blocks_dir).count_blocks() if blocks_dir.is_dir() else 0
     )
     if on_disk:
-        # Guard BEFORE writing anything: appending this world's blocks
-        # to a directory built from a different scenario/seed would
-        # corrupt the substrate for both.  Headers chain by prev_hash,
-        # so one match at the last common height pins the whole prefix.
         probe = min(on_disk, len(world.blocks)) - 1
         probed = next(
             iter(BlockFileReader(blocks_dir).iter_blocks(start_height=probe)),
@@ -536,55 +516,6 @@ def warm_service(
         writer = BlockFileWriter(blocks_dir, resume=True)
         for block in world.blocks[on_disk:]:
             writer.write_block(block)
-    snapshot = store.latest()
-    if snapshot is None:
-        if metrics is not None and metrics.enabled:
-            service = instrumented_service(world, metrics=metrics, log=log)
-        else:
-            service = ForensicsService.from_world(world, log=log)
-        store.snapshot(service)
-        seconds = time.perf_counter() - start
-        result = WarmServiceResult(
-            service=service,
-            store=store,
-            cold=True,
-            snapshot_height=None,
-            tail_blocks=0,
-            seconds=seconds,
-            report=(
-                f"cold start: built height {service.height} from the world "
-                f"and wrote a baseline snapshot ({seconds:.2f}s)"
-            ),
-        )
-        return result
-    warm = store.warm_start(blocks_dir)
-    service = warm.service
-    guard_height = min(warm.snapshot_height, len(world.blocks) - 1)
-    if (
-        guard_height >= 0
-        and service.index.block_at(guard_height).header
-        != world.blocks[guard_height].header
-    ):
-        raise StorageError(
-            f"snapshot under {state_dir} was captured from a different "
-            f"chain than this scenario/seed produces; point --state-dir "
-            f"at a fresh directory"
-        )
-    store.prune(retain)
-    seconds = time.perf_counter() - start
-    return WarmServiceResult(
-        service=service,
-        store=store,
-        cold=False,
-        snapshot_height=warm.snapshot_height,
-        tail_blocks=warm.tail_blocks,
-        seconds=seconds,
-        report=(
-            f"warm start: restored snapshot at height {warm.snapshot_height}"
-            f" + {warm.tail_blocks} tail blocks -> height {service.height} "
-            f"({seconds:.2f}s)"
-        ),
-    )
 
 
 def watch_synthetic_thefts(service: ForensicsService, *, cases: int = 3) -> None:

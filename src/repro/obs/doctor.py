@@ -1,8 +1,10 @@
 """Offline deep diagnostics: the engine behind ``repro doctor``.
 
-:func:`run_doctor` points at a ``--state-dir`` laid out the way the CLI
-and :func:`repro.experiments.warm_service` write it
-(``<dir>/blocks/blk*.dat`` + ``<dir>/snapshots/snap-*``) and:
+:func:`run_doctor` points at a ``--state-dir`` laid out the way
+:func:`repro.experiments.warm_service` (the CLI's ``--state-dir``)
+writes it (``<dir>/blocks/blk*.dat`` + ``<dir>/snapshots/snap-*``) and
+stands a service up from it the way ``warm_service`` does without a
+world (``--blocks-only``), but from the newest *clean* snapshot:
 
 1. checksum-verifies **every** segment of **every** snapshot (an
    unreadable manifest or a flipped byte anywhere is a reported

@@ -25,7 +25,7 @@ from .core.incremental import IncrementalClusteringEngine
 from .simulation.economy import World
 from .simulation.params import DICE_GAMES, FIGURE2_CATEGORIES
 from .tagging.naming import ClusterNaming
-from .tagging.sources import PublicTagCrawl
+from .tagging.sources import analyst_tags
 from .tagging.tags import TagStore
 
 
@@ -39,21 +39,13 @@ class AnalystView:
 
     @classmethod
     def build(
-        cls,
-        world: World,
-        *,
-        h2_config: Heuristic2Config | None = None,
-        include_public_tags: bool = True,
-        crawl_seed: int = 0,
+        cls, world: World, *, h2_config: Heuristic2Config | None = None
     ) -> "AnalystView":
-        """Assemble the view from a world's attack tags (+ public crawl)."""
-        attack = world.extras.get("attack")
-        tags = attack.tags if attack is not None else TagStore()
-        if include_public_tags:
-            tags = tags.merged_with(PublicTagCrawl(world, seed=crawl_seed).crawl())
+        """Assemble the view from a world's analyst tags (attack + public
+        crawl)."""
         return cls(
             world=world,
-            tags=tags,
+            tags=analyst_tags(world),
             h2_config=h2_config or Heuristic2Config.refined(),
         )
 

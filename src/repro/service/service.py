@@ -26,10 +26,18 @@ Construction catches up on whatever the index already holds, so the
 service can be stood up against a fully ingested chain or attached at
 genesis and fed block by block — both end in identical state (the
 view == batch property tests stream exactly this way).
+
+There is one wiring, :meth:`ForensicsService.__init__`, and two doors
+onto it that differ only in where blocks, tags and component state come
+from: :meth:`~ForensicsService.from_world` takes a simulated world's
+blocks and analyst tags, and :meth:`~ForensicsService.from_snapshot`
+takes restored component states.  A durable ``--state-dir`` chooses
+between them in :func:`repro.experiments.warm_service`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict
 
 from ..chain.index import ChainIndex
@@ -59,6 +67,7 @@ class ForensicsService:
         cache_size: int = 4096,
         metrics=None,
         log=None,
+        states: dict | None = None,
     ) -> None:
         """``tags`` drives cluster naming (profiles, top-cluster labels)
         and, unless ``name_of_address`` overrides it, the taint stop
@@ -77,6 +86,10 @@ class ForensicsService:
         it is attached to the index, so ingest, subscriber failures,
         flushes, and query errors all land in one JSON-lines stream
         (see ``docs/observability.md``).
+
+        ``states`` holds exported component states at the index's
+        height (see :meth:`from_snapshot`): the engine, the aggregate
+        view and the taint view then adopt them instead of catching up.
         """
         self.index = index
         self.tags = tags
@@ -90,26 +103,37 @@ class ForensicsService:
         """The attached :class:`~repro.obs.InvariantAuditor`, when one
         was constructed over this service (it registers itself)."""
         self._custom_namer = name_of_address is not None
-        self.engine = IncrementalClusteringEngine(
-            index,
+
+        def component(kind, *segments, **kwargs):
+            kwargs["metrics"] = self.metrics
+            if states is None:
+                return kind(index, **kwargs)
+            return kind.from_state(
+                index, *(states[name] for name in segments), **kwargs
+            )
+
+        self.engine = component(
+            IncrementalClusteringEngine,
+            "engine",
             h2_config=h2_config,
             dice_addresses=dice_addresses,
-            metrics=self.metrics,
         )
         # The aggregate view folds each block's merge deltas, so it must
         # observe blocks after the engine (subscription order is
         # registration order).
-        self.aggregates = ClusterAggregateView(
-            index, engine=self.engine, metrics=self.metrics
+        self.aggregates = component(
+            ClusterAggregateView, "aggregates", "timetravel", engine=self.engine
         )
+        # Balances and activity are functions of the index's rows: built
+        # from them on a restore too, so they have no state of their own.
         self.balances = BalanceView(index, metrics=self.metrics)
         self.activity = ActivityView(index, metrics=self.metrics)
         tag_map = tags.as_mapping() if tags is not None else {}
-        self.taint = TaintView(
-            index,
+        self.taint = component(
+            TaintView,
+            "taint",
             name_of_address=name_of_address or tag_map.get,
             min_taint=min_taint,
-            metrics=self.metrics,
         )
         self.cache = QueryCache(cache_size)
         self._wire_cache_metrics()
@@ -129,30 +153,38 @@ class ForensicsService:
         metrics.gauge_fn("cache.hit_rate", lambda: cache.hit_rate)
 
     @classmethod
-    def from_world(
-        cls,
-        world,
-        *,
-        include_public_tags: bool = True,
-        crawl_seed: int = 0,
-        **kwargs,
-    ) -> "ForensicsService":
+    def from_world(cls, world, **kwargs) -> "ForensicsService":
         """Stand the service up the way an analyst would against a
-        simulated :class:`~repro.simulation.economy.World`: attack tags
-        (+ optional public crawl) for naming and the dice exception, and
-        a watched taint case per scripted theft.
+        simulated :class:`~repro.simulation.economy.World`: the analyst
+        tags (attack + public crawl) for naming and the dice exception,
+        and a watched taint case per scripted theft.  ``kwargs`` go to
+        :meth:`__init__`.
+
+        Where the blocks come from follows ``metrics``.  Without an
+        enabled registry the service attaches to ``world.index`` and
+        catches up on it.  With one, ``world.blocks`` stream through a
+        fresh index, so every delta build, fold and flush lands in the
+        registry, and the ingest wall clock and block count are set as
+        the ``ingest.wall_seconds`` / ``ingest.blocks`` gauges.
         """
         from ..simulation.params import DICE_GAMES
-        from ..tagging.sources import PublicTagCrawl
+        from ..tagging.sources import analyst_tags
 
-        attack = world.extras.get("attack")
-        tags = attack.tags if attack is not None else TagStore()
-        if include_public_tags:
-            tags = tags.merged_with(PublicTagCrawl(world, seed=crawl_seed).crawl())
+        tags = analyst_tags(world)
         kwargs.setdefault(
             "dice_addresses", dice_addresses_from_tags(tags, DICE_GAMES)
         )
-        service = cls(world.index, tags=tags, **kwargs)
+        metrics = kwargs.get("metrics")
+        if metrics is None or not metrics.enabled:
+            service = cls(world.index, tags=tags, **kwargs)
+        else:
+            index = ChainIndex()
+            service = cls(index, tags=tags, **kwargs)
+            start = time.perf_counter()
+            for block in world.blocks:
+                index.add_block(block)
+            metrics.gauge("ingest.wall_seconds").set(time.perf_counter() - start)
+            metrics.gauge("ingest.blocks").set(len(world.blocks))
         for theft in world.extras.get("thefts", ()):
             service.watch_theft(
                 theft.record.spec.name, theft.record.theft_txids
@@ -220,7 +252,6 @@ class ForensicsService:
         index: ChainIndex,
         states: dict,
         *,
-        follow: bool = True,
         metrics=None,
         log=None,
     ) -> "ForensicsService":
@@ -229,12 +260,10 @@ class ForensicsService:
         ``states`` maps component names (``service``, ``engine``,
         ``aggregates``, ``timetravel``, ``taint``) to their exported
         state dicts; ``index`` must be the restored chain at the
-        snapshot height.  The balance and activity views have no state
-        of their own to restore: they are built from the index's rows,
-        as :meth:`__init__` builds them.  Components subscribe to the
-        index in the same order as :meth:`__init__`, so a restored
-        service streams tail blocks exactly like the one that was
-        snapshotted.
+        snapshot height.  The ``service`` state is decoded here; the
+        rest goes through :meth:`__init__`'s wiring, so a restored
+        service subscribes in the same order and streams tail blocks
+        exactly like the one that was snapshotted.
         """
         service_state = states["service"]
         version = service_state.get("version")
@@ -244,53 +273,17 @@ class ForensicsService:
                 f"(expected {cls.STATE_VERSION})"
             )
         tags_state = service_state["tags"]
-        tags = None if tags_state is None else TagStore.from_state(tags_state)
-        service = cls.__new__(cls)
-        service.index = index
-        service.tags = tags
-        service.metrics = metrics if metrics is not None else NULL_REGISTRY
-        if service.metrics.enabled:
-            index.metrics = service.metrics
-        service.log = log if log is not None else NULL_LOGGER
-        if service.log.enabled:
-            index.log = service.log
-        service.auditor = None
-        service._custom_namer = False
-        service.engine = IncrementalClusteringEngine.from_state(
+        return cls(
             index,
-            states["engine"],
+            tags=None if tags_state is None else TagStore.from_state(tags_state),
             h2_config=Heuristic2Config(**service_state["h2_config"]),
             dice_addresses=frozenset(service_state["dice_addresses"]),
-            follow=follow,
-            metrics=service.metrics,
-        )
-        service.aggregates = ClusterAggregateView.from_state(
-            index,
-            states["aggregates"],
-            states["timetravel"],
-            engine=service.engine,
-            follow=follow,
-            metrics=service.metrics,
-        )
-        service.balances = BalanceView(
-            index, follow=follow, metrics=service.metrics
-        )
-        service.activity = ActivityView(
-            index, follow=follow, metrics=service.metrics
-        )
-        tag_map = tags.as_mapping() if tags is not None else {}
-        service.taint = TaintView.from_state(
-            index,
-            states["taint"],
-            name_of_address=tag_map.get,
             min_taint=service_state["min_taint"],
-            follow=follow,
-            metrics=service.metrics,
+            cache_size=service_state["cache_size"],
+            metrics=metrics,
+            log=log,
+            states=states,
         )
-        service.cache = QueryCache(service_state["cache_size"])
-        service._wire_cache_metrics()
-        service.queries = QueryEngine(service)
-        return service
 
     # ------------------------------------------------------------------
     # the query API (see service/queries.py for answer shapes)

@@ -331,10 +331,11 @@ class StateStore:
             service = ForensicsService.from_snapshot(
                 index,
                 states,
-                follow=follow,
                 metrics=metrics if metrics.enabled else None,
                 log=self.log if self.log.enabled else None,
             )
+            if not follow:
+                service.detach()
         except SnapshotIntegrityError as exc:
             metrics.counter("store.integrity_failures").inc()
             if self.log.enabled:

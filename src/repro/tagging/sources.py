@@ -62,6 +62,14 @@ class PublicTagCrawl:
         return store
 
 
+def analyst_tags(world: World) -> TagStore:
+    """The analyst's §3 tags for a world: the re-identification
+    attack's own tags merged with the public crawl (seed 0)."""
+    attack = world.extras.get("attack")
+    tags = attack.tags if attack is not None else TagStore()
+    return tags.merged_with(PublicTagCrawl(world, seed=0).crawl())
+
+
 def manual_theft_tags(world: World) -> TagStore:
     """Tags for theft loot addresses, as curated from forum theft threads
     (the paper's bitcointalk.org theft list, §3.2/§5)."""

@@ -235,11 +235,10 @@ class TestSeededCorruptionDetected:
 class TestAuditTelemetry:
     def test_metrics_and_flight_span_recorded(self):
         world = scenarios.micro_economy(seed=3, n_blocks=12)
-        from repro.experiments import instrumented_service
         from repro.obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-        service = instrumented_service(world, metrics=metrics)
+        service = ForensicsService.from_world(world, metrics=metrics)
         auditor = InvariantAuditor(service)
         report = auditor.audit_now()
         assert report.ok

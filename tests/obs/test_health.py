@@ -138,10 +138,8 @@ class TestSurfacing:
 
     def test_enabled_registry_gets_health_gauges(self):
         world = scenarios.micro_economy(seed=3, n_blocks=12)
-        from repro.experiments import instrumented_service
-
         metrics = MetricsRegistry()
-        service = instrumented_service(world, metrics=metrics)
+        service = ForensicsService.from_world(world, metrics=metrics)
         collect_health(service)
         gauges = metrics.snapshot()["gauges"]
         assert gauges["health.overall"] == 0

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import instrumented_service
 from repro.obs import InvariantAuditor, MetricsRegistry
 from repro.obs.health import collect_health
-from repro.service import Query
+from repro.service import ForensicsService, Query
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
@@ -42,7 +41,7 @@ def emitted(tmp_path_factory):
     """Metric names + flight kinds from one instrumented everything-run."""
     world = scenarios.micro_economy(seed=3)
     metrics = MetricsRegistry()
-    service = instrumented_service(world, metrics=metrics)
+    service = ForensicsService.from_world(world, metrics=metrics)
     interner = service.index.interner
     horizon = max(0, service.height // 2)
     service.answer_many(

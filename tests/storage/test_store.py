@@ -193,6 +193,36 @@ class TestRecovery:
         )
         assert served.answer_many(queries) == restored.answer_many(queries)
 
+    def test_restore_builds_each_component_once_without_catch_up(
+        self, tmp_path, served, monkeypatch
+    ):
+        """The engine, aggregate view and taint view adopt their
+        segments: none is constructed (so none catches up), no block
+        delta is rebuilt, and the row-built views are built once."""
+        from repro.core.incremental import IncrementalClusteringEngine
+        from repro.service.aggregates import ClusterAggregateView
+        from repro.service.views import ActivityView, BalanceView, TaintView
+
+        store = StateStore(tmp_path)
+        store.snapshot(served)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a restore caught up")
+
+        for kind in (IncrementalClusteringEngine, ClusterAggregateView, TaintView):
+            monkeypatch.setattr(kind, "__init__", refuse)
+        monkeypatch.setattr(ChainIndex, "block_delta", refuse)
+        built = []
+        for kind in (BalanceView, ActivityView):
+            def counted(self, *args, _init=kind.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(kind, "__init__", counted)
+        restored = store.restore()
+        assert sorted(built) == ["ActivityView", "BalanceView"]
+        assert restored.height == served.height
+
     def test_restore_missing_segment_fails_closed(self, tmp_path, served):
         store = StateStore(tmp_path)
         path = store.snapshot(served)

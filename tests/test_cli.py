@@ -1,5 +1,11 @@
 """CLI dispatch (fast paths only; experiments have their own tests)."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -88,6 +94,109 @@ class TestStateDirWarmStart:
         # The restored service already has the watched cases and serves
         # the same generated workload with the same mix.
         assert "taint cases: 3" in second
+
+
+class TestBlocksOnly:
+    """`--blocks-only` restores from the state dir alone: no world build,
+    the same answer and height as the full run, labelled by its source."""
+
+    @pytest.fixture()
+    def served(self, tmp_path, capsys):
+        """A state dir written by a full `serve --state-dir` run."""
+        assert main(
+            ["serve", "--scenario", "micro", "--seed", "3",
+             "--state-dir", str(tmp_path), "--generate", "10"]
+        ) == 0
+        capsys.readouterr()
+        return tmp_path
+
+    def _query(self, capsys, *argv):
+        assert main(["query", *argv, "top-clusters", "5", "balance"]) == 0
+        return capsys.readouterr().out
+
+    def test_answers_like_the_full_run(self, served, capsys):
+        full = self._query(
+            capsys, "--scenario", "micro", "--seed", "3",
+            "--state-dir", str(served),
+        )
+        blocks_only = self._query(
+            capsys, "--blocks-only", "--state-dir", str(served)
+        )
+        assert "world build skipped" in blocks_only
+
+        def answer_and_height(out):
+            lines = out.splitlines()
+            answer = [line for line in lines if not line.startswith("[")]
+            heights = re.findall(r"@ height (\d+)", out)
+            assert len(heights) == 1
+            return answer, int(heights[0])
+
+        assert answer_and_height(blocks_only) == answer_and_height(full)
+
+    def test_labelled_with_the_state_dir(self, served, capsys):
+        """Not with the `--scenario` default it never built."""
+        out = self._query(capsys, "--blocks-only", "--state-dir", str(served))
+        assert f"[state-dir {served} @ height" in out
+        assert "[default @" not in out
+
+
+class TestStorageErrors:
+    """A state dir that cannot serve is one `error: ...` line and exit
+    status 1, never a traceback."""
+
+    def _fails(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+        return message
+
+    def test_blocks_only_without_block_files(self, tmp_path):
+        message = self._fails(
+            ["query", "--blocks-only", "--state-dir", str(tmp_path),
+             "top-clusters", "3"]
+        )
+        assert "no block files" in message
+
+    def test_blocks_only_without_snapshot(self, tmp_path):
+        from repro.chain.blockfile import BlockFileWriter
+        from repro.simulation import scenarios
+
+        world = scenarios.micro_economy(seed=3, n_blocks=8)
+        BlockFileWriter(tmp_path / "blocks").write_chain(world.blocks)
+        message = self._fails(
+            ["serve", "--blocks-only", "--state-dir", str(tmp_path),
+             "--generate", "5"]
+        )
+        assert "no snapshot" in message
+
+    def test_state_dir_from_a_different_chain(self, tmp_path, capsys):
+        assert main(
+            ["serve", "--scenario", "micro", "--seed", "3",
+             "--state-dir", str(tmp_path), "--generate", "5"]
+        ) == 0
+        capsys.readouterr()
+        message = self._fails(
+            ["serve", "--scenario", "micro", "--seed", "4",
+             "--state-dir", str(tmp_path), "--generate", "5"]
+        )
+        assert "different chain" in message
+
+    def test_process_exits_one_without_traceback(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "query", "--blocks-only",
+             "--state-dir", str(tmp_path), "top-clusters", "3"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.strip().splitlines()) == 1
 
 
 class TestMetricsAndHealthRendering:
