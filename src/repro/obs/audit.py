@@ -59,6 +59,7 @@ from time import perf_counter
 import numpy as np
 
 from ..service.aggregates import AggregateSurface
+from ..service.queries import TOP_CLUSTER_METRICS
 
 _INT64_MAX = np.iinfo("<i8").max
 
@@ -568,14 +569,15 @@ class InvariantAuditor:
                 expected.append((id(live), settled.group_of[owner].cid))
         if held != sorted(expected):
             problems.append("overlay link sets differ from the open links")
-        for by, ranking in tip.ranks.items():
-            if ranking.top(len(ranking)) != settled.ranks[by].top(
-                len(settled.ranks[by])
-            ):
+        # Every metric by name: rankings are built on first read, so the
+        # tip's dict alone could hold fewer than all of them.
+        for by in TOP_CLUSTER_METRICS:
+            ranking, truth = tip.ranks[by], settled.ranks[by]
+            if ranking.top(len(ranking)) != truth.top(len(truth)):
                 problems.append(f"{by} ranking differs from a settled clone")
         return len(problems), "; ".join(problems) or (
             f"{len(tip.groups)} overlay group(s) and "
-            f"{len(tip.ranks)} ranking(s) match a settled clone"
+            f"{len(TOP_CLUSTER_METRICS)} ranking(s) match a settled clone"
         )
 
     @staticmethod

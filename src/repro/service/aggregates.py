@@ -12,12 +12,13 @@ keeps them materialized as blocks stream in and serves them at any
   unions plus permanently settled H2 change links), four fold columns
   and the minimum member id per base root, the open-window H2 labels,
   and the state derived from those — the overlay groups the open links
-  join and one :class:`RankIndex` per metric.  The view owns one state
-  at the tip; a replayed height is another instance of the same class,
-  with the same slots.  Nothing per address lives here: an address's
-  own balance and activity are the sibling views' at the tip and the
-  index's rows (:meth:`AddressRecord.as_of
-  <repro.chain.index.AddressRecord.as_of>`) below it.
+  join and a :class:`RankIndex` per metric, built the first time that
+  metric is read.  The view owns one state at the tip; a replayed
+  height is another instance of the same class, with the same slots.
+  Nothing per address lives here: an address's own balance and
+  activity are the sibling views' at the tip and the index's rows
+  (:meth:`AddressRecord.as_of <repro.chain.index.AddressRecord.as_of>`)
+  below it.
 * **One fold.**  :meth:`_AggregateState.advance` moves a state across a
   run of consecutive heights: grow the universe, apply the heights'
   open-label transitions, fold the run's base merges into the columns
@@ -39,8 +40,8 @@ live tip.  The tip is patched per flush in O(what the run touched):
 each overlay group keeps the open links that form it, only the groups
 the run touched are re-linked, and rank entries move by churn.  A
 replayed height is read only once reached, so replay advances the base
-alone and :meth:`_AggregateState.settle` builds its derived state
-wholesale.
+alone and :meth:`_AggregateState.settle` builds its overlay wholesale;
+a past height's rankings are built only when its question reads one.
 
 Folding is *lazily flushed*: ingest only queues the block's shared
 :class:`~repro.chain.delta.BlockDelta`, and the first read at the new
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
 from typing import NamedTuple
@@ -107,23 +108,29 @@ class RankIndex:
     C-level ``memmove``; reads are slices (:meth:`top`) or a bisect
     (:meth:`rank_of`) — no per-block re-sort anywhere.
 
-    Two backings share this interface.  The tip state's indexes are
-    patched every flush, so they carry the key list and value map.  A
-    settled replayed state serves only a ``top(n)`` slice or a single-id
-    ``rank_of``, so :meth:`from_columns` keeps just the two lexsorted
-    numpy columns (``_neg``, ``_cid``) and never pays the
-    list-of-tuples / dict materialization; a point lookup is one
-    C-level equality scan.  Mutators materialize the list backing on
-    first touch, so the distinction never leaks.
+    Every index is built on first read of its metric (see
+    :class:`_Rankings`) by :meth:`from_columns`, which keeps just the
+    two lexsorted numpy columns (``_neg``, ``_cid``): a replayed state
+    serves only a ``top(n)`` slice or a single-id ``rank_of`` (one
+    C-level equality scan) and never pays the list-of-tuples / dict
+    materialization.  The tip's indexes are patched every flush, so
+    their first mutation materializes the key list and value map;
+    the distinction never leaks.
     """
 
     __slots__ = ("_keys", "_values", "_neg", "_cid")
 
-    def __init__(self) -> None:
-        self._keys: list[tuple[int, int]] = []
-        self._values: dict[int, int] = {}
-        self._neg: np.ndarray | None = None
-        self._cid: np.ndarray | None = None
+    @classmethod
+    def from_columns(cls, cluster_ids, values) -> "RankIndex":
+        """Build from parallel id/value numpy columns (ids unique): one
+        lexsort, stored as the array backing."""
+        index = cls.__new__(cls)
+        negs = np.negative(np.asarray(values, dtype="<i8"))
+        cids = np.asarray(cluster_ids, dtype="<i8")
+        order = np.lexsort((cids, negs))
+        index._keys, index._values = [], {}
+        index._neg, index._cid = negs[order], cids[order]
+        return index
 
     def _materialize(self) -> None:
         """Switch an array-backed index to the mutable list backing."""
@@ -134,14 +141,6 @@ class RankIndex:
         self._values = dict(zip(cids.tolist(), np.negative(negs).tolist()))
         self._neg = None
         self._cid = None
-
-    def _position_of(self, cluster_id: int) -> int:
-        """Array backing: 0-based rank of ``cluster_id``, or -1.
-
-        Ids are unique, so one vectorized equality scan finds the
-        cluster's (single) slot — no value map needed."""
-        hits = np.nonzero(self._cid == cluster_id)[0]
-        return int(hits[0]) if len(hits) else -1
 
     def __len__(self) -> int:
         if self._neg is not None:
@@ -201,18 +200,16 @@ class RankIndex:
         """The best ``n`` entries as ``(cluster id, value)`` pairs."""
         if self._neg is not None:
             return tuple(
-                zip(
-                    self._cid[:n].tolist(),
-                    np.negative(self._neg[:n]).tolist(),
-                )
+                zip(self._cid[:n].tolist(), np.negative(self._neg[:n]).tolist())
             )
         return tuple((cid, -neg) for neg, cid in self._keys[:n])
 
     def rank_of(self, cluster_id: int) -> int | None:
         """1-based rank of one cluster, or ``None`` if not ranked."""
         if self._neg is not None:
-            position = self._position_of(cluster_id)
-            return position + 1 if position >= 0 else None
+            # Ids are unique: one vectorized scan finds the single slot.
+            hits = np.flatnonzero(self._cid == cluster_id)
+            return int(hits[0]) + 1 if len(hits) else None
         value = self._values.get(cluster_id)
         if value is None:
             return None
@@ -231,41 +228,63 @@ class RankIndex:
             rank_of={cid: rank for rank, (cid, _value) in enumerate(order, 1)},
         )
 
-    @classmethod
-    def from_columns(cls, cluster_ids, values) -> "RankIndex":
-        """Build wholesale from parallel id/value numpy columns — one
-        lexsort, stored as the array backing (the wholesale settle path;
-        ids must be unique)."""
-        index = cls.__new__(cls)
-        vals = np.asarray(values, dtype="<i8")
-        cids = np.asarray(cluster_ids, dtype="<i8")
-        negs = np.negative(vals)
-        order = np.lexsort((cids, negs))
-        index._keys = []
-        index._values = {}
-        index._neg = negs[order]
-        index._cid = cids[order]
+
+class _Rankings(dict):
+    """One state's ``metric -> RankIndex``, each built on first read.
+
+    ``self[by]`` on a metric not built yet runs one
+    :meth:`RankIndex.from_columns` lexsort over ``columns`` — per
+    cluster at the state's last settle: canonical id, then one value
+    column per metric in :data:`TOP_CLUSTER_METRICS` order (size,
+    balance, tx count) — so a question that reads no ranking pays for
+    none.  The tip's flush patch reads all three, keeping them current.
+    An unknown metric raises ``ValueError``.  ``built`` lists the
+    metrics built so far (a ``timetravel`` span holds that very list).
+    """
+
+    __slots__ = ("columns", "built", "metrics")
+
+    def __init__(self, columns=(np.empty(0, dtype="<i8"),) * 4) -> None:
+        super().__init__()
+        self.columns = columns
+        self.built: list[str] = []
+        self.metrics = NULL_REGISTRY
+
+    def __missing__(self, by: str) -> RankIndex:
+        if by not in TOP_CLUSTER_METRICS:
+            raise ValueError(
+                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
+            )
+        cids, *values = self.columns
+        column = values[TOP_CLUSTER_METRICS.index(by)]
+        # ``balance`` and ``activity`` rank clusters with a positive
+        # total; every size is positive, so ``size`` ranks them all.
+        ranked = column > 0
+        index = self[by] = RankIndex.from_columns(cids[ranked], column[ranked])
+        self.built.append(by)
+        if len(self) == len(TOP_CLUSTER_METRICS):
+            self.columns = ()  # all built: nothing reads them again
+        if self.metrics.enabled:
+            self.metrics.counter("timetravel.rankings_built", by=by).inc()
         return index
 
 
-@dataclass(frozen=True)
 class _OverlayGroup:
     """Base clusters joined only by still-voidable H2 change links."""
 
-    cid: int
-    """Canonical id of the combined cluster (min over member minimums)."""
+    __slots__ = (
+        "cid", "roots", "size", "balance", "tx_count", "first_seen",
+        "last_seen", "links",
+    )
 
-    roots: tuple[int, ...]
-    """The base-partition roots the open links connect, ascending."""
-
-    size: int
-    balance: int
-    tx_count: int
-    first_seen: int
-    last_seen: int
-    links: list = field(default_factory=list, compare=False, repr=False)
-    """The open change links that form the group: kept on the tip, which
-    re-links a group from them; empty on a settled replayed state."""
+    def __init__(self, cid, roots, size, balance, tx_count, first_seen, last_seen):
+        self.cid = cid  # canonical id: min over member minimums
+        self.roots = roots  # the base roots the open links join, ascending
+        self.size, self.balance, self.tx_count = size, balance, tx_count
+        self.first_seen, self.last_seen = first_seen, last_seen
+        # The open change links that form the group: kept on the tip,
+        # which re-links a group from them; empty on a replayed state.
+        self.links = []
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,10 +327,6 @@ class _Columns(NamedTuple):
     tx_count: IntVector
     first: IntVector
     last: IntVector
-
-    @classmethod
-    def empty(cls) -> "_Columns":
-        return cls(IntVector(), IntVector(), IntVector(), IntVector())
 
     def copy(self) -> "_Columns":
         return _Columns(*(column.copy() for column in self))
@@ -364,7 +379,7 @@ class _AggregateState:
         """Base merge-log position this state has folded up to."""
         self.uf = IntUnionFind()
         """Base partition: H1 merges + settled change links."""
-        self.roots = _Columns.empty()
+        self.roots = _Columns(IntVector(), IntVector(), IntVector(), IntVector())
         """Per base root: its members' summed balance and incidences
         and their seen range."""
         self.min_member = IntVector()
@@ -378,9 +393,7 @@ class _AggregateState:
         self.groups: list[_OverlayGroup] = []
         self.group_of: dict[int, _OverlayGroup] = {}
         """base root -> the overlay group currently absorbing it."""
-        self.ranks: dict[str, RankIndex] = {
-            metric: RankIndex() for metric in TOP_CLUSTER_METRICS
-        }
+        self.ranks = _Rankings()
         self.derived_dirty = True
         """True while ``groups``/``group_of``/``ranks`` lag the base."""
 
@@ -540,13 +553,14 @@ class _AggregateState:
             if owner != partner:
                 group_of[owner].links.append(live)
 
-    def overlay_groups(self, members, starts) -> list[_OverlayGroup]:
+    def overlay_groups(self, members, starts) -> tuple[list, tuple]:
         """One :class:`_OverlayGroup` per component in the
         :func:`link_components` layout (ascending base roots ``members``,
-        group offsets ``starts``): every per-group quantity is a
+        group offsets ``starts``), plus the groups' canonical id, size,
+        balance and tx count columns: every per-group quantity is a
         ``reduceat`` over one gather of the members' root columns."""
         if not len(starts):
-            return []
+            return [], (np.empty(0, dtype="<i8"),) * 4
         firsts = self.roots.first.array[members]
         firsts[firsts < 0] = _UNSEEN
         firsts = np.minimum.reduceat(firsts, starts)
@@ -570,48 +584,37 @@ class _AggregateState:
                 bounds[1:],
                 zip(*(column.tolist() for column in columns)),
             )
-        ]
+        ], columns[:4]
 
     def settle(self) -> None:
-        """(Re)build overlay groups and rank indexes wholesale from the
-        base: one vectorized pass gathers every component's columns and
-        one lexsort per metric builds its (array-backed) rank index.
+        """(Re)build the overlay groups wholesale from the base and
+        gather every cluster's canonical id, size, balance and tx count
+        into one set of columns — a vectorized pass, no sort.  Rankings
+        are built from those columns on first read (:class:`_Rankings`).
         Idempotent; a clean state returns immediately."""
         if not self.derived_dirty:
             return
         uf = self.uf
         members, starts = link_components(*self.link_roots(self.open)[1:])
-        groups = self.groups = self.overlay_groups(members, starts)
+        self.groups, grouped = self.overlay_groups(members, starts)
         self.group_of = {
-            root: group for group in groups for root in group.roots
+            root: group for group in self.groups for root in group.roots
         }
         roots = uf.root_ids()
-        if groups:
+        if len(members):
             ungrouped = np.ones(len(uf), dtype=bool)
             ungrouped[members] = False
             roots = roots[ungrouped[roots]]
-        cids = self.min_member.array[roots]
-        sizes = uf.root_sizes.array[roots]
-        balances = self.roots.balance.array[roots]
-        tx_counts = self.roots.tx_count.array[roots]
-        if groups:
-            cids = np.concatenate((cids, [group.cid for group in groups]))
-            sizes = np.concatenate((sizes, [group.size for group in groups]))
-            balances = np.concatenate(
-                (balances, [group.balance for group in groups])
+        base = (
+            self.min_member.array, uf.root_sizes.array,
+            self.roots.balance.array, self.roots.tx_count.array,
+        )
+        self.ranks = _Rankings(
+            tuple(
+                np.concatenate((column[roots], extra))
+                for column, extra in zip(base, grouped)
             )
-            tx_counts = np.concatenate(
-                (tx_counts, [group.tx_count for group in groups])
-            )
-        # ``size`` ranks every cluster; ``balance`` and ``activity`` only
-        # clusters with a positive total.
-        funded = balances > 0
-        active = tx_counts > 0
-        self.ranks = {
-            "size": RankIndex.from_columns(cids, sizes),
-            "balance": RankIndex.from_columns(cids[funded], balances[funded]),
-            "activity": RankIndex.from_columns(cids[active], tx_counts[active]),
-        }
+        )
         self.derived_dirty = False
 
 
@@ -705,30 +708,24 @@ class AggregateSurface:
             tx_count=tx_count, first_seen=first, last_seen=last
         )
 
-    def _rank_index(self, by: str) -> RankIndex:
-        rank_index = self._state.ranks.get(by)
-        if rank_index is None:
-            raise ValueError(
-                f"ranking metric must be one of {TOP_CLUSTER_METRICS}"
-            )
-        return rank_index
-
     def top(self, n: int, by: str) -> tuple[tuple[int, int], ...]:
         """The best ``n`` clusters by one metric: ``(id, value)`` pairs."""
-        return self._rank_index(by).top(n)
+        return self._state.ranks[by].top(n)
 
     def rank_of(self, by: str, cluster_id: int) -> int | None:
         """1-based standing of one cluster under one metric."""
-        return self._rank_index(by).rank_of(cluster_id)
+        return self._state.ranks[by].rank_of(cluster_id)
 
     def ranking(self, by: str) -> ClusterRanking:
         """Materialize one metric's full ranking object."""
-        return self._rank_index(by).as_ranking()
+        return self._state.ranks[by].as_ranking()
 
     @property
     def cluster_count(self) -> int:
-        """Clusters at this height (the size ranking covers them all)."""
-        return len(self._state.ranks["size"])
+        """Clusters at this height, without building a ranking: base
+        components, less the roots groups absorb, plus one per group."""
+        state = self._state
+        return state.uf.component_count - len(state.group_of) + len(state.groups)
 
 
 class DirtyRootCursor:
@@ -774,6 +771,8 @@ class ClusterAggregateView(MaterializedView):
     checkpoints at :attr:`_SPINE_INTERVAL` multiples (materialized the
     first time a replay crosses them) and a small exact-height memo, so
     a warm view reaches any height in at most one interval of records.
+    A replayed height builds a metric's ranking only when a question
+    first reads it; the tip's are built on a flush and patched by each.
     """
 
     OBSERVER_NAME = "aggregates"
@@ -972,7 +971,7 @@ class ClusterAggregateView(MaterializedView):
             live for live in chain(relink, born) if live in tip.open
         )
         members, starts = link_components(owners, partners)
-        fresh = tip.overlay_groups(members, starts)
+        fresh, _columns = tip.overlay_groups(members, starts)
         fresh_of = {root: group for group in fresh for root in group.roots}
         tip.attach_links(fresh_of, links, owners, partners)
         if self.metrics.enabled:
@@ -1028,8 +1027,8 @@ class ClusterAggregateView(MaterializedView):
         gone = stale_cids.difference(entry[0] for entry in entries)
         # RankIndex.apply picks the path: a per-block flush walks the
         # incremental insorts, the first flush after a bulk ingest
-        # rewrites the value map and re-sorts once.  Inclusion as in
-        # :meth:`_AggregateState.settle`.
+        # rewrites the value map and re-sorts once.  An unbuilt metric is
+        # built first (:meth:`_Rankings.__missing__`, inclusion as there).
         ranks = tip.ranks
         ranks["size"].apply(
             gone, [(cid, size) for cid, size, _balance, _txs in entries]
@@ -1130,6 +1129,7 @@ class ClusterAggregateView(MaterializedView):
         # checkpoints stay unsettled until served themselves.
         state.settle()
         if timed:
+            state.ranks.metrics = metrics
             seconds = perf_counter() - start
             metrics.histogram(
                 "timetravel.replay_heights", buckets=COUNT_BUCKETS
@@ -1137,7 +1137,7 @@ class ClusterAggregateView(MaterializedView):
             metrics.histogram("timetravel.replay_seconds").observe(seconds)
             metrics.flight.record(
                 "timetravel", height=height, tip=self._height, depth=depth,
-                seconds=seconds,
+                seconds=seconds, ranked=state.ranks.built,
             )
         return state
 

@@ -223,6 +223,13 @@ class QueryEngine:
             raise ValueError(
                 f"unknown query kind {query.kind!r} (kinds: {QUERY_KINDS})"
             )
+        if query.kind == "top_clusters":
+            # Before the cache: ``True == 1`` and ``2.0 == 2`` as keys.
+            n = query.args[0]
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValueError(
+                    f"top_clusters count must be an int >= 0, got {n!r}"
+                )
         metrics = self.service.metrics
         timed = metrics.enabled
         if timed:

@@ -20,6 +20,7 @@ from repro.chain.index import ChainIndex
 from repro.obs import AuditViolationError, InvariantAuditor
 from repro.service import ForensicsService
 from repro.simulation import scenarios
+from repro.storage import StateStore
 
 
 def _fresh_service(seed=3, n_blocks=None, **auditor_kwargs):
@@ -166,6 +167,41 @@ class TestSeededCorruptionDetected:
         )
         assert derived.violations == 1
         assert derived.detail == "size ranking differs from a settled clone"
+
+    def test_stale_activity_rank_entry(self):
+        """The same damage in the ``activity`` ranking is named too:
+        every metric is checked, not only the ones the tip happens to
+        hold."""
+        service, auditor = _fresh_service(audit_every=0)
+        view = service.aggregates
+        view._flush()
+        tip = view._tip
+        retired = next(
+            ident
+            for ident in range(len(tip.uf))
+            if tip.min_member[tip.uf.find(ident)] != ident
+        )
+        tip.ranks["activity"].set(retired, 1)
+        report = auditor.audit_now(full=True)
+        derived = next(
+            check for check in report.checks if check.name == "tip_derived"
+        )
+        assert derived.violations == 1
+        assert derived.detail == "activity ranking differs from a settled clone"
+
+    def test_restored_tip_checks_rankings_it_has_not_built(self, tmp_path):
+        """A restored tip builds no ranking until one is read; the full
+        audit still checks all three."""
+        service, _auditor = _fresh_service(audit_every=0)
+        StateStore(tmp_path).snapshot(service)
+        restored = StateStore(tmp_path).restore(follow=False)
+        assert not restored.aggregates._tip.ranks
+        report = InvariantAuditor(restored).audit_now(full=True)
+        derived = next(
+            check for check in report.checks if check.name == "tip_derived"
+        )
+        assert report.ok
+        assert derived.detail.endswith("3 ranking(s) match a settled clone")
 
     def test_replaced_retained_event_value(self):
         """The shadow fold holds the event columns the aggregate view's

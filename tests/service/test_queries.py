@@ -251,6 +251,41 @@ class TestRankingAnswers:
             service.answer(Query("top_clusters", (3, "charisma")))
 
 
+class TestTopClustersCount:
+    """``n`` is a non-negative int, at the tip and at a past height: a
+    negative count no longer slices off the last cluster, a bool is not
+    a count, and a float is refused before it reaches a slice."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        world = scenarios.micro_economy(seed=3, n_blocks=40, n_users=8)
+        return ForensicsService.from_world(world)
+
+    @pytest.mark.parametrize("height", [(), (20,)])
+    def test_negative_count_rejected(self, service, height):
+        with pytest.raises(ValueError, match="count"):
+            service.answer(Query("top_clusters", (-1, "size") + height))
+
+    @pytest.mark.parametrize("height", [(), (20,)])
+    def test_bool_count_rejected_even_after_its_int_is_cached(
+        self, service, height
+    ):
+        assert len(service.answer(Query("top_clusters", (1, "size") + height))) == 1
+        with pytest.raises(ValueError, match="count"):
+            service.answer(Query("top_clusters", (True, "size") + height))
+
+    @pytest.mark.parametrize("height", [(), (20,)])
+    def test_float_count_rejected(self, service, height):
+        service.answer(Query("top_clusters", (2, "size") + height))
+        for n in (2.5, 2.0):
+            with pytest.raises(ValueError, match="count"):
+                service.answer(Query("top_clusters", (n, "size") + height))
+
+    @pytest.mark.parametrize("height", [(), (20,)])
+    def test_zero_is_an_empty_answer(self, service, height):
+        assert service.answer(Query("top_clusters", (0, "size") + height)) == ()
+
+
 class TestParsing:
     def test_parse_address_queries(self):
         assert parse_query(["cluster-of", "1abc"]) == Query(

@@ -21,10 +21,12 @@ query cache.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.chain.blockfile import BlockFileWriter
 from repro.chain.index import ChainIndex
 from repro.chain.model import COIN
+from repro.obs import MetricsRegistry
 from repro.service import ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
@@ -217,3 +219,75 @@ class TestNamingEpochCacheKeys:
         service.aggregates.naming_epoch += 1
         assert service.answer(query) == first
         assert service.cache.misses == misses + 1
+
+
+class TestPastHeightBuildsWhatItReads:
+    """A replayed height builds a metric's ranking only when its
+    question reads that metric: the point kinds read none, a profile
+    reads ``size``, ``top_clusters`` reads its ``by``.  Each case asks
+    at its own height, so every state it inspects is freshly replayed
+    (no spine multiple, no memoized height)."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        world = scenarios.micro_economy(seed=3, n_blocks=40, n_users=8)
+        return ForensicsService.from_world(world, metrics=MetricsRegistry())
+
+    @staticmethod
+    def built(service, height) -> list[str]:
+        view = service.aggregates
+        assert height in view._memo
+        return list(view._replayed(height).ranks)
+
+    def test_point_kinds_build_no_ranking(self, service):
+        address = service.index.interner.address_of(0)
+        service.answer(Query("cluster_of", (address, 5)))
+        service.answer(Query("cluster_balance", (address, 5)))
+        assert self.built(service, 5) == []
+
+    def test_profile_builds_only_size(self, service):
+        address = service.index.interner.address_of(0)
+        assert service.answer(Query("cluster_profile", (address, 7)))
+        assert self.built(service, 7) == ["size"]
+
+    @pytest.mark.parametrize(
+        "by, height", zip(TOP_CLUSTER_METRICS, (9, 11, 13))
+    )
+    def test_top_clusters_builds_exactly_its_metric(self, service, by, height):
+        assert service.answer(Query("top_clusters", (3, by, height)))
+        assert self.built(service, height) == [by]
+
+    def test_counting_clusters_builds_none(self, service):
+        surface = service.aggregates.at(19)
+        assert surface.cluster_count == len(surface.ranking("size").order)
+        assert self.built(service, 19) == ["size"]  # the check's own read
+        count = service.aggregates.at(21).cluster_count
+        service.stats()
+        assert count > 0
+        assert self.built(service, 21) == []
+
+    def test_unknown_metric_raises_value_error_at_a_past_height(self, service):
+        with pytest.raises(ValueError, match="metric"):
+            service.answer(Query("top_clusters", (3, "charisma", 23)))
+        with pytest.raises(ValueError, match="metric"):
+            service.aggregates.at(23).rank_of("charisma", 0)
+        assert self.built(service, 23) == []
+
+    def test_counter_and_span_say_what_a_horizon_built(self, service):
+        def counts():
+            counters = service.metrics.snapshot()["counters"]
+            return [
+                counters.get(f"timetravel.rankings_built{{by={by}}}", 0)
+                for by in TOP_CLUSTER_METRICS
+            ]
+
+        before = counts()
+        service.answer(Query("top_clusters", (3, "balance", 25)))
+        service.answer(Query("top_clusters", (3, "activity", 25)))
+        service.answer(Query("top_clusters", (5, "activity", 25)))
+        assert [a - b for a, b in zip(counts(), before)] == [0, 1, 1]
+        span = [
+            span for span in service.metrics.flight.dump()
+            if span["kind"] == "timetravel" and span["height"] == 25
+        ][-1]
+        assert span["ranked"] == ["balance", "activity"]
