@@ -59,6 +59,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -336,6 +337,8 @@ class ChainIndex:
         self._observers: list[tuple[Callable[[BlockDelta], None], str]] = []
         """``(observer, name)`` pairs in registration order.  Names key
         the per-subscriber fan-out metrics."""
+        self._catch_ups: list[tuple[Callable, int]] | None = None
+        """:meth:`catching_up`'s queued ``(observer, height)`` requests."""
         self._metrics = NULL_REGISTRY
         self.log = NULL_LOGGER
         """Structured event sink (:class:`~repro.obs.log.EventLogger`).
@@ -638,14 +641,45 @@ class ChainIndex:
                 del self_change[address]
 
     def block_delta(self, height: int) -> BlockDelta:
-        """The shared ingest plan for one already-ingested block.
-
-        Streaming fan-out builds each block's delta exactly once inside
-        :meth:`add_block`; this rebuilds the identical plan on demand —
-        the catch-up path consumers use to fold blocks the index held
-        before they attached.
-        """
+        """Rebuild the delta :meth:`add_block` emitted for one held block
+        — for :meth:`catch_up`, the one loop over blocks already held."""
         return build_block_delta(self, self.block_at(height))
+
+    def catch_up(self, observer: Callable, height: int) -> None:
+        """Replay ``block_delta(h)`` into ``observer`` for each ``h`` in
+        ``(height, tip]``, before it subscribes: queued inside
+        :meth:`catching_up`, a scope of its own outside one."""
+        if self._catch_ups is None:
+            with self.catching_up():
+                self.catch_up(observer, height)
+        elif height < self.height:
+            self._catch_ups.append((observer, height))
+
+    @contextmanager
+    def catching_up(self):
+        """On exit, serve every :meth:`catch_up` made in the scope with one
+        pass: each height's delta is built **once** and handed to every
+        queued observer still behind it, in request order (the live
+        fan-out's).  A nested scope joins the outer one.  If the scope
+        raises, every subscriber registered in it is unsubscribed."""
+        if self._catch_ups is not None:
+            yield
+            return
+        requests = self._catch_ups = []
+        before = list(self._observers)
+        try:
+            yield
+            start = min((behind for _, behind in requests), default=self.height)
+            for height in range(start + 1, self.height + 1):
+                delta = self.block_delta(height)
+                for observer, behind in requests:
+                    if behind < height:
+                        observer(delta)
+        except BaseException:
+            self._observers[:] = [e for e in self._observers if e in before]
+            raise
+        finally:
+            self._catch_ups = None
 
     def _notify_observers(self, delta: BlockDelta) -> None:
         """Fan one block's shared :class:`BlockDelta` out to every
@@ -719,7 +753,8 @@ class ChainIndex:
         incremental clustering engine and the service layer's
         materialized views stream from; see :meth:`_notify_observers`
         for the fan-out contract under mid-callback (un)subscription and
-        observer exceptions.
+        observer exceptions.  Blocks already held reach an observer
+        only through :meth:`catch_up`.
 
         An observer may read ``delta.block`` and each ``TxDelta.tx``
         while it folds, and must not keep them (or the delta) afterwards:

@@ -135,8 +135,9 @@ class ClusterSnapshot:
 class IncrementalClusteringEngine:
     """Streams H1+H2 clustering from a :class:`ChainIndex`, per block.
 
-    Construction catches up on blocks the index already holds, then
-    subscribes to the index's observer hook so every future
+    Construction catches up on blocks the index already holds (through
+    :meth:`ChainIndex.catch_up <repro.chain.index.ChainIndex.catch_up>`),
+    then subscribes to the index's observer hook so every future
     ``add_block`` is clustered on arrival.  Call :meth:`detach` to stop
     following the index.
     """
@@ -147,7 +148,6 @@ class IncrementalClusteringEngine:
         *,
         h2_config: Heuristic2Config | None = None,
         dice_addresses: frozenset[str] = frozenset(),
-        follow: bool = True,
         metrics=None,
     ) -> None:
         self.index = index
@@ -202,13 +202,7 @@ class IncrementalClusteringEngine:
         """Recently materialized ``cluster_h1_as_of`` answers.  Kept
         separate from ``_as_of_cache`` so co-spend-only callers (peel
         recipient naming) never evict full-heuristic horizons."""
-        self._unsubscribe = None
-        for height in range(index.height + 1):
-            self._observe_delta(index.block_delta(height))
-        if follow:
-            self._unsubscribe = index.subscribe_deltas(
-                self._observe_delta, name="engine"
-            )
+        self._attach()
 
     # ------------------------------------------------------------------
     # streaming ingestion
@@ -219,11 +213,15 @@ class IncrementalClusteringEngine:
         """Last height clustered (-1 before any block)."""
         return len(self._marks) - 1
 
+    def _attach(self) -> None:
+        self.index.catch_up(self._observe_delta, self.height)
+        self._unsubscribe = self.index.subscribe_deltas(
+            self._observe_delta, name="engine"
+        )
+
     def detach(self) -> None:
         """Stop observing the index (already-clustered state remains)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        self._unsubscribe()
 
     def _observe_delta(self, delta: BlockDelta) -> None:
         height = delta.height
@@ -496,7 +494,6 @@ class IncrementalClusteringEngine:
         *,
         h2_config: Heuristic2Config | None = None,
         dice_addresses: frozenset[str] = frozenset(),
-        follow: bool = True,
         metrics=None,
     ) -> "IncrementalClusteringEngine":
         """Rebuild an engine from :meth:`export_state` output.
@@ -578,16 +575,12 @@ class IncrementalClusteringEngine:
         ]
         engine._as_of_cache = OrderedDict()
         engine._h1_as_of_cache = OrderedDict()
-        engine._unsubscribe = None
         if len(engine._marks) != index.height + 1:
             raise ValueError(
                 f"engine state is at height {len(engine._marks) - 1} but the "
                 f"index is at {index.height}"
             )
-        if follow:
-            engine._unsubscribe = index.subscribe_deltas(
-                engine._observe_delta, name="engine"
-            )
+        engine._attach()
         return engine
 
     # ------------------------------------------------------------------

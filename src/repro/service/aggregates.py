@@ -788,12 +788,11 @@ class ClusterAggregateView(MaterializedView):
         index: ChainIndex,
         *,
         engine: IncrementalClusteringEngine,
-        follow: bool = True,
         metrics=None,
     ) -> None:
         self.engine = engine
         self._install(_AggregateState(), _AggregateState(), {})
-        super().__init__(index, follow=follow, metrics=metrics)
+        super().__init__(index, metrics=metrics)
 
     def _install(
         self,
@@ -1262,7 +1261,6 @@ class ClusterAggregateView(MaterializedView):
         delta_log: dict,
         *,
         engine: IncrementalClusteringEngine,
-        follow: bool = True,
         metrics=None,
     ) -> "ClusterAggregateView":
         """Rebuild a view from :meth:`export_state` and
@@ -1280,7 +1278,7 @@ class ClusterAggregateView(MaterializedView):
                 f"engine is at {engine.height}"
             )
         view = cls.__new__(cls)
-        view.metrics = metrics if metrics is not None else NULL_REGISTRY
+        view._height = state["height"]
         view.engine = engine
         labels = engine._labels
         tip = _AggregateState.from_arrays(state, engine.open_labels())
@@ -1305,5 +1303,5 @@ class ClusterAggregateView(MaterializedView):
             event_ids, event_values, involved_flat in delta_log["records"]
         }
         view._install(tip, base, records)
-        view._adopt(index, state["height"], follow)
+        MaterializedView.__init__(view, index, metrics=metrics)
         return view

@@ -75,6 +75,14 @@ QUERY_KINDS = (
 
 TOP_CLUSTER_METRICS = ("size", "balance", "activity")
 
+_HORIZON_AT = {
+    "cluster_of": 1,
+    "cluster_balance": 1,
+    "cluster_profile": 1,
+    "top_clusters": 2,
+}
+"""Cluster kind -> position of its optional trailing height argument."""
+
 
 @dataclass(frozen=True)
 class Query:
@@ -223,13 +231,22 @@ class QueryEngine:
             raise ValueError(
                 f"unknown query kind {query.kind!r} (kinds: {QUERY_KINDS})"
             )
+        # Before the cache: ``True == 1`` and ``2.0 == 2`` as keys.
         if query.kind == "top_clusters":
-            # Before the cache: ``True == 1`` and ``2.0 == 2`` as keys.
             n = query.args[0]
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise ValueError(
                     f"top_clusters count must be an int >= 0, got {n!r}"
                 )
+        arity = _HORIZON_AT.get(query.kind)
+        if arity is not None and len(query.args) > arity:
+            height, tip = query.args[arity], self.service.height
+            if not isinstance(height, int) or isinstance(height, bool):
+                raise ValueError(
+                    f"horizon height must be an int, got {height!r}"
+                )
+            if not 0 <= height <= tip:
+                raise ValueError(f"horizon height {height} outside 0..{tip}")
         metrics = self.service.metrics
         timed = metrics.enabled
         if timed:
@@ -319,20 +336,13 @@ class QueryEngine:
 
     # -- the one cluster read path -------------------------------------
 
-    def _surface(self, args: tuple, arity: int):
+    def _surface(self, query: Query):
         """The aggregate surface a cluster query reads: at its optional
-        trailing height (validated: an int in ``0..tip``), else at the
-        tip.  Raises :class:`~repro.service.aggregates.AggregatesBehindError`
+        trailing height (validated by :meth:`answer`), else at the tip.
+        Raises :class:`~repro.service.aggregates.AggregatesBehindError`
         when the view has not folded that height."""
-        tip = height = self.service.height
-        if len(args) > arity:
-            height = args[arity]
-            if not isinstance(height, int) or isinstance(height, bool):
-                raise ValueError(
-                    f"horizon height must be an int, got {height!r}"
-                )
-            if not 0 <= height <= tip:
-                raise ValueError(f"horizon height {height} outside 0..{tip}")
+        args, arity = query.args, _HORIZON_AT[query.kind]
+        height = args[arity] if len(args) > arity else self.service.height
         return self.service.aggregates.at(height)
 
     # -- cluster names -------------------------------------------------
@@ -487,7 +497,7 @@ class QueryEngine:
     # -- handlers ------------------------------------------------------
 
     def _answer_cluster_of(self, query: Query):
-        surface = self._surface(query.args, 1)
+        surface = self._surface(query)
         ident = self.service.index.interner.id_of(query.args[0])
         return surface.cluster_id_of(ident)
 
@@ -495,7 +505,7 @@ class QueryEngine:
         return self.service.balances.balance_of(query.args[0])
 
     def _answer_cluster_balance(self, query: Query):
-        surface = self._surface(query.args, 1)
+        surface = self._surface(query)
         ident = self.service.index.interner.id_of(query.args[0])
         cluster_id = surface.cluster_id_of(ident)
         if cluster_id is None:
@@ -519,7 +529,7 @@ class QueryEngine:
 
     def _answer_top_clusters(self, query: Query):
         n, by = query.args[0], query.args[1]
-        surface = self._surface(query.args, 2)
+        surface = self._surface(query)
         names = self._cluster_names(surface)
         return tuple(
             (
@@ -533,7 +543,7 @@ class QueryEngine:
     def _answer_cluster_profile(self, query: Query):
         address = query.args[0]
         service = self.service
-        surface = self._surface(query.args, 1)
+        surface = self._surface(query)
         ident = service.index.interner.id_of(address)
         cluster_id = surface.cluster_id_of(ident)
         if cluster_id is None:

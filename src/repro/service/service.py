@@ -25,7 +25,9 @@ recomputations by well over an order of magnitude.
 Construction catches up on whatever the index already holds, so the
 service can be stood up against a fully ingested chain or attached at
 genesis and fed block by block — both end in identical state (the
-view == batch property tests stream exactly this way).
+view == batch property tests stream exactly this way).  One
+:meth:`ChainIndex.catching_up <repro.chain.index.ChainIndex.catching_up>`
+scope replays each held block once for every component.
 
 There is one wiring, :meth:`ForensicsService.__init__`, and two doors
 onto it that differ only in where blocks, tags and component state come
@@ -112,29 +114,26 @@ class ForensicsService:
                 index, *(states[name] for name in segments), **kwargs
             )
 
-        self.engine = component(
-            IncrementalClusteringEngine,
-            "engine",
-            h2_config=h2_config,
-            dice_addresses=dice_addresses,
-        )
-        # The aggregate view folds each block's merge deltas, so it must
-        # observe blocks after the engine (subscription order is
-        # registration order).
-        self.aggregates = component(
-            ClusterAggregateView, "aggregates", "timetravel", engine=self.engine
-        )
-        # Balances and activity are functions of the index's rows: built
-        # from them on a restore too, so they have no state of their own.
-        self.balances = BalanceView(index, metrics=self.metrics)
-        self.activity = ActivityView(index, metrics=self.metrics)
-        tag_map = tags.as_mapping() if tags is not None else {}
-        self.taint = component(
-            TaintView,
-            "taint",
-            name_of_address=name_of_address or tag_map.get,
-            min_taint=min_taint,
-        )
+        with index.catching_up():
+            self.engine = component(
+                IncrementalClusteringEngine, "engine",
+                h2_config=h2_config, dice_addresses=dice_addresses,
+            )
+            # The aggregate view reads the engine's merge deltas, so it
+            # requests catch-up and subscribes after the engine.
+            self.aggregates = component(
+                ClusterAggregateView, "aggregates", "timetravel",
+                engine=self.engine,
+            )
+            # Balances and activity are functions of the index's rows,
+            # so they have no state of their own.
+            self.balances = BalanceView(index, metrics=self.metrics)
+            self.activity = ActivityView(index, metrics=self.metrics)
+            tag_map = tags.as_mapping() if tags is not None else {}
+            self.taint = component(
+                TaintView, "taint", min_taint=min_taint,
+                name_of_address=name_of_address or tag_map.get,
+            )
         self.cache = QueryCache(cache_size)
         self._wire_cache_metrics()
         self.queries = QueryEngine(self)

@@ -31,16 +31,18 @@ scalar loops it must equal are the reference folds in
 ``tests/helpers.py`` (``tests/service/test_fold_kernels.py``).
 
 Every view follows the incremental engine's contract: construction
-catches up on blocks the index already holds, then streams; ``detach``
-stops following.  Balances and activity are functions of the index's
-rows, so those two catch up — and restore, having no snapshot segment —
-with a few numpy passes over :meth:`ChainIndex.history_columns
+catches up on blocks the index already holds through the index's one
+loop, :meth:`ChainIndex.catch_up <repro.chain.index.ChainIndex.catch_up>`,
+then streams; ``detach`` stops following.  A new taint view watches no
+case, so it has nothing to catch up, and balances and activity are
+functions of the index's rows, so those two catch up — and restore,
+having no snapshot segment — with a few numpy passes over
+:meth:`ChainIndex.history_columns
 <repro.chain.index.ChainIndex.history_columns>`.  The equivalence
 property (view state at height ``h`` == batch recomputation over the
-``h``-prefix) is pinned by
-``tests/service/test_views.py`` in the same style as the PR 1
-incremental==batch clustering test, and the delta-vs-transaction-walk
-property by ``tests/chain/test_delta.py``.
+``h``-prefix) is pinned by ``tests/service/test_views.py`` in the same
+style as the PR 1 incremental==batch clustering test, and the
+delta-vs-transaction-walk property by ``tests/chain/test_delta.py``.
 """
 
 from __future__ import annotations
@@ -64,9 +66,12 @@ class MaterializedView:
     Subclasses implement :meth:`_apply_delta`; the base class guarantees
     it sees every block's delta exactly once, in height order
     (out-of-order delivery raises, mirroring the incremental clustering
-    engine).  A subclass whose state the index's rows determine
-    overrides :meth:`_catch_up` to build the blocks the index already
-    holds in one pass instead of one delta each.
+    engine).  Construction catches up from :attr:`height` (a restored
+    view sets it first) through :meth:`ChainIndex.catch_up
+    <repro.chain.index.ChainIndex.catch_up>`, then subscribes.  A
+    subclass whose state the index's rows determine overrides
+    :meth:`_catch_up` to build the blocks the index already holds in one
+    pass instead of one delta each.
 
     Folds report per-view telemetry when a ``metrics`` registry is
     given: ``view.fold_seconds{view=…}`` times each :meth:`_apply_delta`
@@ -77,45 +82,23 @@ class MaterializedView:
     OBSERVER_NAME = "view"
     """Subscriber label in fan-out and fold metrics (per subclass)."""
 
-    def __init__(
-        self,
-        index: ChainIndex,
-        *,
-        follow: bool = True,
-        metrics=None,
-    ) -> None:
+    _height = -1
+
+    def __init__(self, index: ChainIndex, *, metrics=None) -> None:
+        if self._height not in (-1, index.height):  # a restored view
+            raise ValueError(
+                f"view state is at height {self._height} but the index is "
+                f"at {index.height}"
+            )
         self.index = index
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._height = -1
-        self._unsubscribe = None
         self._catch_up()
-        if follow:
-            self._unsubscribe = index.subscribe_deltas(
-                self._observe_delta, name=self.OBSERVER_NAME
-            )
-
-    def _adopt(self, index: ChainIndex, height: int, follow: bool) -> None:
-        """Attach a snapshot-restored view to ``index`` at ``height``
-        without replaying the catch-up (its state is already warm)."""
-        if height != index.height:
-            raise ValueError(
-                f"view state is at height {height} but the index is at "
-                f"{index.height}"
-            )
-        self.index = index
-        if not hasattr(self, "metrics"):
-            self.metrics = NULL_REGISTRY
-        self._height = height
-        self._unsubscribe = (
-            index.subscribe_deltas(self._observe_delta, name=self.OBSERVER_NAME)
-            if follow
-            else None
+        self._unsubscribe = index.subscribe_deltas(
+            self._observe_delta, name=self.OBSERVER_NAME
         )
 
     def _catch_up(self) -> None:
-        """Bring the view level with the index: one delta per height."""
-        for height in range(self.index.height + 1):
-            self._observe_delta(self.index.block_delta(height))
+        self.index.catch_up(self._observe_delta, self._height)
 
     @property
     def height(self) -> int:
@@ -124,9 +107,7 @@ class MaterializedView:
 
     def detach(self) -> None:
         """Stop observing the index (materialized state remains)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
+        self._unsubscribe()
 
     def _observe_delta(self, delta: BlockDelta) -> None:
         if delta.height != self._height + 1:
@@ -165,18 +146,12 @@ class BalanceView(MaterializedView):
 
     OBSERVER_NAME = "balances"
 
-    def __init__(
-        self,
-        index: ChainIndex,
-        *,
-        follow: bool = True,
-        metrics=None,
-    ) -> None:
+    def __init__(self, index: ChainIndex, *, metrics=None) -> None:
         self._balances = IntVector()
         """Current balance per interned address id."""
         self.supply = 0
         """Total coins issued by the view's height."""
-        super().__init__(index, follow=follow, metrics=metrics)
+        super().__init__(index, metrics=metrics)
 
     def _catch_up(self) -> None:
         index = self.index
@@ -258,7 +233,6 @@ class TaintView(MaterializedView):
         *,
         name_of_address=None,
         min_taint: float = 1.0,
-        follow: bool = True,
         metrics=None,
     ) -> None:
         self.name_of_address = name_of_address or (lambda _a: None)
@@ -269,11 +243,13 @@ class TaintView(MaterializedView):
         watch set as well as the chain height, so caches key on
         ``(height, epoch)`` — (re)watching at an unchanged tip must not
         serve pre-watch answers."""
-        super().__init__(index, follow=follow, metrics=metrics)
+        super().__init__(index, metrics=metrics)
+
+    def _catch_up(self) -> None:
+        # No case is watched yet; :meth:`watch` catches each one up.
+        self._height = self.index.height
 
     def _apply_delta(self, delta: BlockDelta) -> None:
-        if not self._cases:
-            return
         index = self.index
         for case in self._cases.values():
             if not case.taint:
@@ -329,7 +305,6 @@ class TaintView(MaterializedView):
         *,
         name_of_address=None,
         min_taint: float = 1.0,
-        follow: bool = True,
         metrics=None,
     ) -> "TaintView":
         """Rebuild a view from :meth:`export_state` output, no catch-up.
@@ -339,7 +314,7 @@ class TaintView(MaterializedView):
         state store exists for.
         """
         view = cls.__new__(cls)
-        view.metrics = metrics if metrics is not None else NULL_REGISTRY
+        view._height = state["height"]
         view.name_of_address = name_of_address or (lambda _a: None)
         view.min_taint = min_taint
         view._cases = {}
@@ -356,7 +331,7 @@ class TaintView(MaterializedView):
                 at_entities=dict(at_entities),
                 txs_processed=processed,
             )
-        view._adopt(index, state["height"], follow)
+        MaterializedView.__init__(view, index, metrics=metrics)
         return view
 
     # -- case management ----------------------------------------------
@@ -446,17 +421,11 @@ class ActivityView(MaterializedView):
 
     OBSERVER_NAME = "activity"
 
-    def __init__(
-        self,
-        index: ChainIndex,
-        *,
-        follow: bool = True,
-        metrics=None,
-    ) -> None:
+    def __init__(self, index: ChainIndex, *, metrics=None) -> None:
         self._tx_counts = IntVector()
         self._first_seen = IntVector()
         self._last_seen = IntVector()
-        super().__init__(index, follow=follow, metrics=metrics)
+        super().__init__(index, metrics=metrics)
 
     def _catch_up(self) -> None:
         index = self.index

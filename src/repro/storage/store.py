@@ -279,18 +279,15 @@ class StateStore:
     # ------------------------------------------------------------------
 
     def restore(
-        self,
-        snapshot: SnapshotManifest | None = None,
-        *,
-        follow: bool = True,
+        self, snapshot: SnapshotManifest | None = None
     ) -> ForensicsService:
         """Rebuild a live service from a snapshot (default: the newest).
 
         Every segment is checksum-verified against the manifest before
         a byte of it is deserialized; the restored components are
         height-checked against each other.  The returned service is
-        immediately queryable at the snapshot height and, with
-        ``follow``, resumes streaming from the next ``add_block``.
+        immediately queryable at the snapshot height and resumes
+        streaming from the next ``add_block`` (``detach()`` freezes it).
         """
         if snapshot is None:
             snapshot = self.latest()
@@ -334,8 +331,6 @@ class StateStore:
                 metrics=metrics if metrics.enabled else None,
                 log=self.log if self.log.enabled else None,
             )
-            if not follow:
-                service.detach()
         except SnapshotIntegrityError as exc:
             metrics.counter("store.integrity_failures").inc()
             if self.log.enabled:

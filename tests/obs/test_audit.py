@@ -194,7 +194,8 @@ class TestSeededCorruptionDetected:
         audit still checks all three."""
         service, _auditor = _fresh_service(audit_every=0)
         StateStore(tmp_path).snapshot(service)
-        restored = StateStore(tmp_path).restore(follow=False)
+        restored = StateStore(tmp_path).restore()
+        restored.detach()
         assert not restored.aggregates._tip.ranks
         report = InvariantAuditor(restored).audit_now(full=True)
         derived = next(

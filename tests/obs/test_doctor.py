@@ -70,7 +70,9 @@ class TestCorruptionDetected:
 
         store = StateStore(state_dir / "snapshots")
         directory = store.latest().directory
-        add_view_segments(directory, store.restore(follow=False))
+        restored = store.restore()
+        restored.detach()
+        add_view_segments(directory, restored)
         assert run_doctor(state_dir).exit_code == 0
         _flip_one_byte(directory / "balances.seg")
         report = run_doctor(state_dir)

@@ -84,8 +84,10 @@ class TestViewKernelsMatchScalar:
                 activity_fold.last_seen, n, -1
             )
         # The rows build (attach-late and restore) == the streamed folds.
-        built_balances = BalanceView(index, follow=False)
-        built_activity = ActivityView(index, follow=False)
+        built_balances = BalanceView(index)
+        built_activity = ActivityView(index)
+        built_balances.detach()
+        built_activity.detach()
         assert built_balances.height == built_activity.height == index.height
         assert built_balances.supply == balances.supply
         assert built_balances._balances.tolist() == balances._balances.tolist()

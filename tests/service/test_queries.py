@@ -286,6 +286,36 @@ class TestTopClustersCount:
         assert service.answer(Query("top_clusters", (0, "size") + height)) == ()
 
 
+class TestHorizonHeight:
+    """A cluster query's trailing height is an int in ``0..tip``, checked
+    before the cache: ``True == 1`` and ``2.0 == 2`` as keys, so a check
+    behind the lookup let an answered int height serve its twins."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        world = scenarios.micro_economy(seed=3, n_blocks=40, n_users=8)
+        return ForensicsService.from_world(world)
+
+    @pytest.mark.parametrize(
+        "kind", ["cluster_of", "cluster_balance", "cluster_profile", "top_clusters"]
+    )
+    def test_non_int_height_rejected_even_after_its_int_is_answered(
+        self, service, kind
+    ):
+        if kind == "top_clusters":
+            head = (3, "size")
+        else:
+            head = (service.index.interner.address_of(0),)
+        for height, twin in ((1, True), (2, 2.0)):
+            with pytest.raises(ValueError, match="horizon height"):
+                service.answer(Query(kind, head + (twin,)))
+            service.answer(Query(kind, head + (height,)))
+            with pytest.raises(ValueError, match="horizon height"):
+                service.answer(Query(kind, head + (twin,)))
+        with pytest.raises(ValueError, match="outside"):
+            service.answer(Query(kind, head + (service.height + 1,)))
+
+
 class TestParsing:
     def test_parse_address_queries(self):
         assert parse_query(["cluster-of", "1abc"]) == Query(

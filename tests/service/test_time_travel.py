@@ -106,7 +106,9 @@ class TestEveryKindAtEveryHeightAfterRestore:
             world.index.interner.address_of(0), height=service.height // 2
         )
         store.snapshot(service)
-        assert_service_equals_batch(store.restore(follow=False))
+        restored = store.restore()
+        restored.detach()
+        assert_service_equals_batch(restored)
 
 
 class TestAddressFieldsFromTheRows:

@@ -73,8 +73,9 @@ class TestByteEqualRoundTrip:
         history = aggregates.export_time_travel()
         assert isinstance(state["balance"], bytes)
         restored = ClusterAggregateView.from_state(
-            index, state, history, engine=engine, follow=False
+            index, state, history, engine=engine
         )
+        restored.detach()
         assert restored.export_state() == state
         assert restored.export_time_travel() == history
         for metric in TOP_CLUSTER_METRICS:
@@ -116,7 +117,8 @@ class TestTimeTravelBaseWrittenWithPerAddressColumns:
         raw["segments"]["timetravel"] = record
         manifest_path.write_text(json.dumps(raw))
 
-        restored = store.restore(follow=False)
+        restored = store.restore()
+        restored.detach()
         assert restored.aggregates.export_time_travel() == written
         interner = index.interner
         for height in range(service.height + 1):
@@ -151,10 +153,12 @@ class TestSnapshotWithTheBalanceAndActivitySegments:
         directory = store.snapshot(service)
         assert set(read_manifest(directory).segments) == set(COMPONENTS)
         assert len(COMPONENTS) == 6
-        six = store.restore(follow=False)
+        six = store.restore()
+        six.detach()
         add_view_segments(directory, service)
         assert len(read_manifest(directory).segments) == 8
-        eight = store.restore(follow=False)
+        eight = store.restore()
+        eight.detach()
         for restored in (six, eight):
             assert restored.balances.supply == service.balances.supply
             assert (
