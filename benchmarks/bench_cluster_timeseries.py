@@ -13,14 +13,16 @@ import gc
 import time
 
 from repro import experiments
+from repro.core.clustering import ClusteringEngine
 from repro.core.incremental import IncrementalClusteringEngine
 from repro.pipeline import AnalystView
 
 
 SERIES_SHARE_BOUND = 1 / 125
 """Series seconds per height over batch seconds per height.  Both sides
-are production code doing the same job (a cluster count as of ``h``), so
-the ratio does not move with the host.  On the 600-block default world
+do the same job (a cluster count as of ``h``), the series in the
+production engine and the batch in the reference engine, so the ratio
+does not move with the host.  On the 600-block default world
 (2-vCPU Xeon container) the series reads 1/144–1/186 of a batch height
 (0.36–0.42 ms against 54–75 ms); restoring a scalar ``union`` loop
 over each height's open links reads 1/106–1/115, which this bound
@@ -48,6 +50,15 @@ def _min_seconds(run, rounds) -> float:
     return best
 
 
+def _batch_engine(view) -> ClusteringEngine:
+    """The batch reference engine, configured like the analyst's view."""
+    return ClusteringEngine(
+        view.world.index,
+        h2_config=view.h2_config,
+        dice_addresses=view.dice_addresses,
+    )
+
+
 def test_cluster_timeseries_single_pass(benchmark, bench_default_world):
     result = benchmark.pedantic(
         experiments.run_cluster_timeseries,
@@ -65,8 +76,9 @@ def test_cluster_timeseries_single_pass(benchmark, bench_default_world):
     assert all(p.clusters <= p.h1_clusters for p in result.points)
     # The tip of the series is the batch engine's full-chain answer.
     view = AnalystView.build(bench_default_world)
-    assert result.final_clusters == view.clustering.cluster_count
-    assert result.final_h1_clusters == view.clustering_h1.cluster_count
+    batch = _batch_engine(view)
+    assert result.final_clusters == batch.cluster().cluster_count
+    assert result.final_h1_clusters == batch.cluster_h1_only().cluster_count
 
 
 def test_incremental_beats_naive_per_height_loop(bench_default_world):
@@ -78,9 +90,10 @@ def test_incremental_beats_naive_per_height_loop(bench_default_world):
         index, h2_config=view.h2_config, dice_addresses=view.dice_addresses
     )
     series = engine.cluster_count_series()
+    batch_engine = _batch_engine(view)
     sample_heights = list(range(0, index.height + 1, max(1, index.height // 4)))
     for height in sample_heights:
-        batch = view.engine.cluster(as_of_height=height)
+        batch = batch_engine.cluster(as_of_height=height)
         assert batch.cluster_count == series[height].clusters, height
         assert batch.address_count == series[height].address_count, height
 
@@ -89,7 +102,7 @@ def test_incremental_beats_naive_per_height_loop(bench_default_world):
     ) / len(series)
     batch_per_height = _min_seconds(
         lambda: [
-            view.engine.cluster(as_of_height=height)
+            batch_engine.cluster(as_of_height=height)
             for height in sample_heights
         ],
         BATCH_ROUNDS,

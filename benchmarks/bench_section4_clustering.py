@@ -10,7 +10,7 @@ multiple named clusters.
 """
 
 from repro import experiments
-from repro.core.clustering import ClusteringEngine
+from repro.core.incremental import IncrementalClusteringEngine
 
 
 def test_section4_accounting(benchmark, bench_default_world):
@@ -32,15 +32,34 @@ def test_section4_accounting(benchmark, bench_default_world):
     assert result.h2_scores.precision > 0.95
 
 
+def _fresh_engine_answer(index, method: str):
+    """The path §4 runs: a fresh engine over the whole chain, one tip
+    answer, then detach.  A new engine per call, so no round is served
+    from an earlier round's per-height memo."""
+    engine = IncrementalClusteringEngine(index)
+    try:
+        return getattr(engine, method)()
+    finally:
+        engine.detach()
+
+
 def test_heuristic1_clustering_speed(benchmark, bench_default_world):
-    """Raw H1 union-find pass over the whole chain."""
-    engine = ClusteringEngine(bench_default_world.index)
-    clustering = benchmark(engine.cluster_h1_only)
+    """Whole-chain clustering, read as the H1-only partition."""
+    clustering = benchmark.pedantic(
+        _fresh_engine_answer,
+        args=(bench_default_world.index, "cluster_h1_as_of"),
+        rounds=3,
+        iterations=1,
+    )
     assert clustering.cluster_count > 0
 
 
 def test_combined_clustering_speed(benchmark, bench_default_world):
-    """H1 + refined H2 over the whole chain."""
-    engine = ClusteringEngine(bench_default_world.index)
-    clustering = benchmark.pedantic(engine.cluster, rounds=3, iterations=1)
+    """Whole-chain clustering, read as H1 + refined H2."""
+    clustering = benchmark.pedantic(
+        _fresh_engine_answer,
+        args=(bench_default_world.index, "cluster_as_of"),
+        rounds=3,
+        iterations=1,
+    )
     assert clustering.h2_result is not None

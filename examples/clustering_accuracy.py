@@ -11,7 +11,7 @@ Run:  python examples/clustering_accuracy.py   (takes ~30s)
 
 from dataclasses import replace
 
-from repro.core.clustering import ClusteringEngine
+from repro.core.incremental import IncrementalClusteringEngine
 from repro.experiments import run_ablation, run_fp_ladder
 from repro.metrics.evaluation import pairwise_scores
 from repro.simulation import scenarios
@@ -49,7 +49,7 @@ def main() -> None:
         drift_world = scenarios.default_economy(
             seed=13, params=params, with_attack=False
         )
-        clustering = ClusteringEngine(drift_world.index).cluster()
+        clustering = IncrementalClusteringEngine(drift_world.index).cluster_as_of()
         scores = pairwise_scores(clustering, drift_world.ground_truth)
         labels = len(clustering.h2_result.labels)
         print(f"{name:38s} {labels:7d} {scores.precision:10.3f} "

@@ -8,15 +8,45 @@ Heuristic 2, name the peel recipients, and write the chains to JSON.
 Run:  python examples/track_silkroad.py
 """
 
+import json
 from pathlib import Path
 
 from repro.chain.model import format_btc
-from repro.io.export import export_peel_chain_json
-from repro.analysis.peeling import summarize_peels_by_entity
+from repro.analysis.peeling import PeelChain, summarize_peels_by_entity
 from repro.pipeline import AnalystView
 from repro.simulation import scenarios
 
 OUT_DIR = Path("out/silkroad")
+
+
+def write_chain_json(chain: PeelChain, path: Path, name_of_address) -> None:
+    """Write one followed peel chain as a JSON document."""
+    doc = {
+        "start_address": chain.start_address,
+        "hop_count": chain.hop_count,
+        "terminated": chain.terminated,
+        "total_peeled_btc": format_btc(chain.total_peeled()),
+        "hops": [
+            {
+                "hop": hop.hop,
+                "txid": hop.txid[::-1].hex(),
+                "height": hop.height,
+                "kind": hop.kind,
+                "change_address": hop.change_address,
+                "remaining_btc": format_btc(hop.remaining_value),
+                "peels": [
+                    {
+                        "address": peel.address,
+                        "btc": format_btc(peel.value),
+                        "entity": name_of_address(peel.address),
+                    }
+                    for peel in hop.peels
+                ],
+            }
+            for hop in chain.hops
+        ],
+    }
+    path.write_text(json.dumps(doc, indent=2))
 
 
 def main() -> None:
@@ -58,7 +88,7 @@ def main() -> None:
             )
             grand_totals[name] = grand_totals.get(name, 0) + entry.peel_count
         path = OUT_DIR / f"chain{i}.json"
-        export_peel_chain_json(chain, path, name_of_address=view.naming.name_of_address)
+        write_chain_json(chain, path, view.naming.name_of_address)
         print(f"   wrote {path}")
 
     exchanges = view.entities_in_category("exchanges")

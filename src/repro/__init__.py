@@ -7,18 +7,18 @@ the flow analyses (peeling chains, theft tracking, category balances).
 
 Quickstart::
 
+    from repro import AnalystView
     from repro.simulation import scenarios
-    from repro.core import ClusteringEngine
 
     world = scenarios.default_economy(seed=7)
-    clustering = ClusteringEngine(world.index).cluster()
-    print(clustering.cluster_count)
+    view = AnalystView.build(world)
+    print(view.clustering.cluster_count)
 """
 
 __version__ = "1.0.0"
 
 from .chain import COIN, ChainIndex, btc, format_btc
-from .core import ClusteringEngine, Heuristic2Config
+from .core import Heuristic2Config
 from .pipeline import AnalystView
 from .tagging import ClusterNaming, TagStore
 
@@ -27,7 +27,6 @@ __all__ = [
     "COIN",
     "ChainIndex",
     "ClusterNaming",
-    "ClusteringEngine",
     "Heuristic2Config",
     "TagStore",
     "btc",

@@ -4,18 +4,21 @@
   prior work);
 * :mod:`~repro.core.heuristic2` — one-time change identification with
   the §4.2 refinement ladder (the paper's novel heuristic);
-* :mod:`~repro.core.clustering` — the combined engine;
-* :mod:`~repro.core.incremental` — streaming per-block clustering with
-  checkpointed time-travel (one chain pass, every height);
+* :mod:`~repro.core.incremental` — the clustering engine: streaming
+  per-block H1 + H2 with checkpointed time-travel (one chain pass,
+  every height);
+* :mod:`~repro.core.clustering` — the :class:`Clustering` result type,
+  and the batch reference engine the equivalence tests and the
+  benchmark oracle compare the incremental engine against;
 * :mod:`~repro.core.fp_estimation` — temporal-replay false-positive
   estimation (13% → 1% → 0.28% → 0.17% in the paper);
 * :mod:`~repro.core.supercluster` — detection of wrongly merged service
   clusters (the Mt.Gox/Instawallet/BitPay/Silk Road giant).
 """
 
-from .clustering import Clustering, ClusteringEngine, InternedPartition
+from .clustering import Clustering, InternedPartition
 from .fp_estimation import FalsePositiveEstimator, FPEstimate
-from .heuristic1 import H1Statistics, cluster_h1, cluster_h1_ids, h1_statistics
+from .heuristic1 import H1Statistics, cluster_h1_ids, h1_statistics
 from .incremental import ClusterSnapshot, IncrementalClusteringEngine
 from .heuristic2 import (
     SECONDS_PER_DAY,
@@ -38,7 +41,6 @@ __all__ = [
     "ChangeLabel",
     "ClusterSnapshot",
     "Clustering",
-    "ClusteringEngine",
     "FPEstimate",
     "FalsePositiveEstimator",
     "H1Statistics",
@@ -52,7 +54,6 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SECONDS_PER_WEEK",
     "SuperClusterReport",
-    "cluster_h1",
     "cluster_h1_ids",
     "diagnose_superclusters",
     "dice_addresses_from_tags",

@@ -1,15 +1,22 @@
-"""Combined clustering: Heuristic 1 + Heuristic 2 over a chain index.
+"""Clustering results, and the batch reference engine.
 
-:class:`ClusteringEngine` runs the heuristics and produces a
-:class:`Clustering` — the partition of all addresses into users.  The
-paper's headline pipeline is ``H1`` for the co-spend backbone plus the
-refined ``H2`` change links layered on top (§4.2 uses "Heuristic 2
-exclusively" for the analysis sections, meaning H1+refined-H2).
+:class:`Clustering` is the partition of all addresses into users that
+every analysis reads; :class:`InternedPartition` is its string-facing
+view over dense interned address ids on an array-backed
+:class:`~repro.core.union_find.IntUnionFind`, so address strings only
+reappear at the reporting edge.  The paper's headline pipeline is ``H1``
+for the co-spend backbone plus the refined ``H2`` change links layered
+on top (§4.2 uses "Heuristic 2 exclusively" for the analysis sections,
+meaning H1+refined-H2).
 
-Internally the heuristics run over dense interned address ids on an
-array-backed :class:`~repro.core.union_find.IntUnionFind`;
-:class:`InternedPartition` is the string-facing view consumers read, so
-address strings only reappear at the reporting edge.
+Production clustering — the paper's reports and the service alike —
+comes from :class:`~repro.core.incremental.IncrementalClusteringEngine`.
+:class:`ClusteringEngine` is the batch reference: it re-runs H1, then
+walks every transaction through
+:meth:`~repro.core.heuristic2.Heuristic2.identify_change`, with no state
+shared with the incremental engine.  The end-to-end benchmark's oracle
+and the streaming-vs-batch equality tests compare against it; no
+production path constructs it.
 """
 
 from __future__ import annotations
@@ -177,7 +184,7 @@ class Clustering:
 
 
 class ClusteringEngine:
-    """Runs the heuristics against one chain index."""
+    """Batch reference: runs the heuristics from block 0 per call."""
 
     def __init__(
         self,

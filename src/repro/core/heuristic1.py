@@ -30,7 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def cluster_h1_ids(
     index: ChainIndex, *, as_of_height: int | None = None
 ) -> IntUnionFind:
-    """Run Heuristic 1 over interned address ids (the hot path).
+    """Run Heuristic 1 over interned address ids in one batch pass (the
+    H1 half of the reference :class:`~repro.core.clustering.ClusteringEngine`).
 
     Every address that has appeared by the cutoff exists in the
     structure (ids are dense and first-sight ordered, so the universe is
@@ -57,17 +58,6 @@ def cluster_h1_ids(
     return uf
 
 
-def cluster_h1(
-    index: ChainIndex, *, as_of_height: int | None = None
-) -> "InternedPartition":
-    """Heuristic 1 as an address-string-facing partition view."""
-    from .clustering import InternedPartition
-
-    return InternedPartition(
-        cluster_h1_ids(index, as_of_height=as_of_height), index.interner
-    )
-
-
 @dataclass(frozen=True)
 class H1Statistics:
     """The §4.1 accounting for a Heuristic 1 run."""
@@ -86,16 +76,13 @@ class H1Statistics:
     largest_cluster_size: int
 
 
-def h1_statistics(
-    index: ChainIndex, uf: "InternedPartition | None" = None
-) -> H1Statistics:
+def h1_statistics(index: ChainIndex, uf: "InternedPartition") -> H1Statistics:
     """Compute the §4.1 cluster counts for a chain.
 
-    ``uf`` is an address-keyed partition (an
-    :class:`~repro.core.clustering.InternedPartition`, or anything with
-    its read API); default: :func:`cluster_h1` of the chain.
+    ``uf`` is the chain's co-spend partition as an address-keyed view
+    (an :class:`~repro.core.clustering.InternedPartition`, or anything
+    with its read API).
     """
-    uf = uf if uf is not None else cluster_h1(index)
     sinks = set(index.sink_addresses())
     spender_roots = set()
     largest = 0

@@ -36,7 +36,6 @@ sweep them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 from ..chain.index import ChainIndex
 from ..chain.model import Transaction
@@ -99,19 +98,9 @@ class ChangeLabel:
 
 @dataclass
 class Heuristic2Result:
-    """All change labels plus bookkeeping about skipped transactions."""
+    """The change labels a clustering applied."""
 
     labels: list[ChangeLabel] = field(default_factory=list)
-    ambiguous: int = 0
-    skipped_self_change: int = 0
-    skipped_reused_change: int = 0
-    skipped_prior_self_change: int = 0
-    skipped_wait: int = 0
-    skipped_dice_voided: int = 0
-
-    @property
-    def change_addresses(self) -> set[str]:
-        return {label.address for label in self.labels}
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -343,41 +332,6 @@ class Heuristic2:
         if voided:
             return None, "wait_voided"
         return label, "ok"
-
-    def run(self, *, as_of_height: int | None = None) -> Heuristic2Result:
-        """Label change addresses across the whole chain (or a prefix)."""
-        result = Heuristic2Result()
-        for tx, location in self.index.iter_transactions():
-            if as_of_height is not None and location.height > as_of_height:
-                break
-            label, reason = self.identify_change(tx, as_of_height=as_of_height)
-            if label is not None:
-                result.labels.append(label)
-            elif reason == "ambiguous":
-                result.ambiguous += 1
-            elif reason == "self_change":
-                result.skipped_self_change += 1
-            elif reason == "reused_change":
-                result.skipped_reused_change += 1
-            elif reason == "prior_self_change":
-                result.skipped_prior_self_change += 1
-            elif reason == "wait_voided":
-                result.skipped_wait += 1
-        return result
-
-    def iter_change_links(
-        self, *, as_of_height: int | None = None
-    ) -> Iterator[tuple[str, list[str]]]:
-        """Yield ``(change_address, input_addresses)`` pairs for unioning."""
-        for tx, location in self.index.iter_transactions():
-            if as_of_height is not None and location.height > as_of_height:
-                break
-            label, _reason = self.identify_change(tx, as_of_height=as_of_height)
-            if label is None:
-                continue
-            inputs = self.index.input_addresses(tx)
-            if inputs:
-                yield label.address, inputs
 
 
 def dice_addresses_from_tags(tag_store, dice_services: tuple[str, ...]) -> frozenset[str]:

@@ -1,9 +1,12 @@
 """Incremental streaming clustering with checkpointed time-travel (§4).
 
-The paper's temporal analyses — the false-positive ladder, super-cluster
-formation, Figure 2's series — all ask "what did the clustering look
-like *as of height h*?".  Batch :class:`~repro.core.clustering.ClusteringEngine`
-answers by re-running H1+H2 from block 0 per cutoff, making every
+The clustering engine: every paper report (through
+:class:`~repro.pipeline.AnalystView`) and the forensics service read
+their partitions from it.  The paper's temporal analyses — the
+false-positive ladder, super-cluster formation, Figure 2's series — all
+ask "what did the clustering look like *as of height h*?".  Re-running
+H1+H2 from block 0 per cutoff, as the batch reference
+:class:`~repro.core.clustering.ClusteringEngine` does, makes every
 time-series experiment O(chain × heights).  This engine instead
 subscribes to the index's shared per-block delta fan-out
 (:meth:`ChainIndex.subscribe_deltas
@@ -29,9 +32,10 @@ height:
   forward, counting each height's links with
   :func:`~repro.core.union_find.link_components`; nothing undoes a union.
 
-Equivalence contract (tested property-style): for every height ``h``,
-``cluster_as_of(h)`` induces the same partition and the same label set
-as ``ClusteringEngine.cluster(as_of_height=h)``.  The contract assumes
+Equivalence contract (tested property-style against the batch
+reference): for every height ``h``, ``cluster_as_of(h)`` induces the
+same partition and the same label set as
+``ClusteringEngine.cluster(as_of_height=h)``.  The contract assumes
 non-decreasing block timestamps (true of all simulated worlds): with
 time running backwards a receive could fall outside one horizon's
 wait-window clamp while being inside a later one.  When the wait rule

@@ -5,6 +5,12 @@ investigator would run it: collect tags (§3), cluster addresses (§4),
 name clusters, and expose the flow-analysis tools (§5) pre-wired.  Every
 example, bench, and integration test builds one of these.
 
+Every partition the view hands out — the tip clustering behind §4's
+accounting and the tables' naming, and the per-height co-spend
+partitions behind peel naming — is read off one
+:class:`~repro.core.incremental.IncrementalClusteringEngine`, the engine
+the forensics service runs.
+
 The view is strictly *analyst-side*: it reads only the chain and the
 tags; ground truth is used by callers for scoring, never by the view.
 """
@@ -18,7 +24,7 @@ from .analysis.balances import BalanceAnalyzer, BalanceSeries
 from .analysis.peeling import PeelingTracker
 from .analysis.thefts import TheftTracker
 from .analysis.user_graph import build_user_graph
-from .core.clustering import Clustering, ClusteringEngine
+from .core.clustering import Clustering
 from .core.fp_estimation import FalsePositiveEstimator
 from .core.heuristic2 import Heuristic2Config, dice_addresses_from_tags
 from .core.incremental import IncrementalClusteringEngine
@@ -60,14 +66,6 @@ class AnalystView:
         return dice_addresses_from_tags(self.tags, DICE_GAMES)
 
     @cached_property
-    def engine(self) -> ClusteringEngine:
-        return ClusteringEngine(
-            self.world.index,
-            h2_config=self.h2_config,
-            dice_addresses=self.dice_addresses,
-        )
-
-    @cached_property
     def incremental(self) -> IncrementalClusteringEngine:
         """Streaming engine over the world's chain: one pass, checkpoints
         at every height, ``cluster_as_of``/``cluster_count_series`` time
@@ -81,12 +79,12 @@ class AnalystView:
     @cached_property
     def clustering(self) -> Clustering:
         """H1 + configured H2 clustering of the whole chain."""
-        return self.engine.cluster()
+        return self.incremental.cluster_as_of()
 
     @cached_property
     def clustering_h1(self) -> Clustering:
         """The Heuristic 1-only baseline."""
-        return self.engine.cluster_h1_only()
+        return self.incremental.cluster_h1_as_of()
 
     @cached_property
     def naming(self) -> ClusterNaming:

@@ -1,9 +1,15 @@
 """Heuristic 1 (multi-input clustering) on hand-crafted chains."""
 
 from repro.chain.model import COIN
-from repro.core.heuristic1 import cluster_h1, h1_statistics
+from repro.core.clustering import ClusteringEngine
+from repro.core.heuristic1 import h1_statistics
 
 from tests.helpers import addr, build_chain, coinbase, spend
+
+
+def cluster_h1(index, *, as_of_height=None):
+    """The reference engine's co-spend partition (address-keyed view)."""
+    return ClusteringEngine(index).cluster_h1_only(as_of_height=as_of_height).uf
 
 
 class TestCoSpend:
@@ -55,7 +61,7 @@ class TestStatistics:
             [(cb, 0)], [(addr("sink1"), 25 * COIN), (addr("sink2"), 25 * COIN)]
         )
         index = build_chain([[cb], [pay]])
-        stats = h1_statistics(index)
+        stats = h1_statistics(index, cluster_h1(index))
         # spender spent; sink1/sink2 plus two helper coinbases never did.
         assert stats.spender_clusters == 1
         assert stats.sink_addresses == 4
@@ -66,11 +72,11 @@ class TestStatistics:
         cbs = [coinbase(addr(f"big{i}")) for i in range(4)]
         joint = spend([(cb, 0) for cb in cbs], [(addr("out"), 199 * COIN)])
         index = build_chain([[cb] for cb in cbs] + [[joint]])
-        stats = h1_statistics(index)
+        stats = h1_statistics(index, cluster_h1(index))
         assert stats.largest_cluster_size == 4
 
     def test_simulated_world_counts(self, micro_world):
-        stats = h1_statistics(micro_world.index)
+        stats = h1_statistics(micro_world.index, cluster_h1(micro_world.index))
         assert stats.total_addresses == micro_world.index.address_count
         assert (
             stats.max_users_upper_bound

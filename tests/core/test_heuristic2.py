@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain.index import ChainIndex
 from repro.chain.model import COIN
+from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic2 import (
     Heuristic2,
     Heuristic2Config,
@@ -278,21 +279,25 @@ class TestRefinements:
 class TestRun:
     def test_run_counts_reasons(self):
         index, _payment = _payment_chain()
-        result = Heuristic2(index, Heuristic2Config.refined()).run()
-        assert len(result.labels) == 1
-        assert result.labels[0].address == addr("change")
+        engine = ClusteringEngine(index, h2_config=Heuristic2Config.refined())
+        result = engine.cluster()
+        assert len(result.h2_result.labels) == 1
+        assert result.h2_result.labels[0].address == addr("change")
 
     def test_change_links_feed_clustering(self):
         index, payment = _payment_chain()
-        h2 = Heuristic2(index, Heuristic2Config.refined())
-        links = list(h2.iter_change_links())
-        assert links == [(addr("change"), [addr("payer")])]
+        engine = ClusteringEngine(index, h2_config=Heuristic2Config.refined())
+        clustering = engine.cluster()
+        assert [label.address for label in clustering.h2_result.labels] == [
+            addr("change")
+        ]
+        assert clustering.same_cluster(addr("change"), addr("payer"))
 
     def test_as_of_height_hides_future(self):
         index, payment = _payment_chain()
-        h2 = Heuristic2(index, Heuristic2Config.refined())
-        result = h2.run(as_of_height=1)
-        assert len(result.labels) == 0
+        engine = ClusteringEngine(index, h2_config=Heuristic2Config.refined())
+        result = engine.cluster(as_of_height=1)
+        assert len(result.h2_result.labels) == 0
 
 
 class TestConfig:

@@ -1,13 +1,31 @@
 """End-to-end integration: simulate → serialize → reparse → cluster →
 name → analyze, with ground-truth scoring at each stage."""
 
+from functools import cached_property
+
 import pytest
 
+from repro import experiments
 from repro.chain.blockfile import BlockFileWriter, read_blocks
 from repro.chain.index import ChainIndex
 from repro.chain.validation import validate_chain
+from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic2 import Heuristic2Config
 from repro.pipeline import AnalystView
+
+
+def _batch_engine(view):
+    """The batch reference engine, configured like ``view``."""
+    return ClusteringEngine(
+        view.world.index,
+        h2_config=view.h2_config,
+        dice_addresses=view.dice_addresses,
+    )
+
+
+def _members(clustering):
+    """Canonical form of a partition: its member sets, not its root ids."""
+    return {frozenset(members) for members in clustering.clusters().values()}
 
 
 class TestSerializeReparse:
@@ -26,8 +44,6 @@ class TestSerializeReparse:
         assert report.ok, report.problems[:3]
 
     def test_clustering_identical_after_reparse(self, micro_world, tmp_path):
-        from repro.core.clustering import ClusteringEngine
-
         BlockFileWriter(tmp_path).write_chain(micro_world.blocks)
         reparsed = ChainIndex()
         reparsed.add_chain(read_blocks(tmp_path))
@@ -142,3 +158,38 @@ class TestExperiments:
         result = run_figure2(silkroad_world)
         assert result.peaks["exchanges"] > 0
         assert "Figure 2" in result.report
+
+
+class TestOneEngine:
+    """The view's partitions come from the incremental engine; the paper
+    reports read them and must equal the batch reference's."""
+
+    def test_tip_partitions_match_batch(self, default_view):
+        batch = _batch_engine(default_view)
+        full = batch.cluster()
+        assert _members(default_view.clustering) == _members(full)
+        assert _members(default_view.clustering_h1) == _members(
+            batch.cluster_h1_only()
+        )
+        label_keys = lambda c: {  # noqa: E731 - tiny local projection
+            (label.txid, label.address) for label in c.h2_result.labels
+        }
+        assert label_keys(default_view.clustering) == label_keys(full)
+
+    @pytest.mark.parametrize("world_fixture", ["micro_world", "default_world"])
+    @pytest.mark.parametrize(
+        "run", ["run_section4", "run_fp_ladder", "run_ablation"]
+    )
+    def test_reports_match_batch_backed_view(
+        self, world_fixture, run, request, monkeypatch
+    ):
+        world = request.getfixturevalue(world_fixture)
+        report = getattr(experiments, run)(world).report
+        for name, read in (
+            ("clustering", lambda view: _batch_engine(view).cluster()),
+            ("clustering_h1", lambda view: _batch_engine(view).cluster_h1_only()),
+        ):
+            prop = cached_property(read)
+            prop.__set_name__(AnalystView, name)
+            monkeypatch.setattr(AnalystView, name, prop)
+        assert getattr(experiments, run)(world).report == report

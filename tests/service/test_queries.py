@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain.index import ChainIndex
 from repro.chain.model import COIN
+from repro.core.clustering import ClusteringEngine
 from repro.pipeline import AnalystView
 from repro.service import ForensicsService, Query, parse_query
 from repro.service.cache import QueryCache
@@ -39,7 +40,11 @@ def _sample_addresses(index, n=40):
 
 class TestAnswersAgainstBatch:
     def test_cluster_of_induces_batch_partition(self, service, analyst):
-        batch = analyst.clustering
+        batch = ClusteringEngine(
+            service.index,
+            h2_config=analyst.h2_config,
+            dice_addresses=analyst.dice_addresses,
+        ).cluster()
         addresses = _sample_addresses(service.index)
         for a in addresses:
             for b in addresses:

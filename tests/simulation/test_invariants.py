@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chain.model import block_subsidy
 from repro.chain.validation import validate_chain
+from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic1 import h1_statistics
 from repro.simulation import scenarios
 
@@ -76,7 +77,9 @@ def test_wallet_balances_match_index(seed):
 @given(seed=st.integers(0, 10_000))
 def test_h1_cluster_count_bounded_by_entities_and_addresses(seed):
     world = scenarios.micro_economy(seed=seed, n_blocks=60, n_users=6)
-    stats = h1_statistics(world.index)
+    stats = h1_statistics(
+        world.index, ClusteringEngine(world.index).cluster_h1_only().uf
+    )
     # Never fewer clusters than true entities with spends (H1 cannot
     # merge distinct users absent shared inputs), never more than
     # addresses.
