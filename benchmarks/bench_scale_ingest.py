@@ -21,6 +21,16 @@ holding the chain (one catch-up pass rebuilds each block's delta once)
 may take no longer than streaming the same chain with every subscriber
 attached (``ATTACH_CEILING``).
 
+And it pins history at the large scale: after the ingest and its first
+query, ``HISTORY_QUESTIONS`` mixed historical questions (``top_clusters``
+and ``cluster_profile`` at ``tip - 5``, ``tip - 37``, ``tip // 2``, then
+at random heights) may raise the resident set by at most
+``HISTORY_RSS_CEILING`` (current RSS, sampled after each question), and
+the first of them may cost at most ``FIRST_QUESTION_CEILING`` times the
+median one, each question's seconds taken per address seen by its height:
+a past height is built from columns in time linear in its universe, so
+this compares like with like and still shows a cold first question.
+
 Scale is env-tunable: ``SCALE_BENCH_BLOCKS`` (default 20000) for the
 large scale, ``SCALE_BENCH_SEED_BLOCKS`` (default 600) for the small
 one — the bench-smoke CI job runs trimmed, the nightly job runs full.
@@ -28,11 +38,14 @@ one — the bench-smoke CI job runs trimmed, the nightly job runs full.
 
 import gc
 import os
+import random
 import resource
+import statistics
 import time
+from bisect import bisect_right
 
 from repro.chain.index import ChainIndex
-from repro.service import ForensicsService
+from repro.service import ForensicsService, Query
 from repro.simulation import large_scale_blocks
 
 
@@ -52,14 +65,34 @@ catching up on a held chain may cost no more than streaming it."""
 
 REPEATS = 3
 
+HISTORY_QUESTIONS = 50
+
+HISTORY_RSS_CEILING = 1.25
+"""Resident set across the historical questions over the one before them."""
+
+FIRST_QUESTION_CEILING = 2.0
+"""The first historical question's seconds per address over the median
+question's."""
+
 
 def _peak_rss_bytes() -> int:
     """Process high-water RSS (Linux ru_maxrss is in KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
+def _rss_bytes() -> int:
+    """Current resident set, not the high-water mark."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
 def _end_to_end(blocks) -> dict:
     """Full-service ingest of a prebuilt chain: seconds and blocks/s."""
+    return _ingest(blocks)[1]
+
+
+def _ingest(blocks) -> tuple[ForensicsService, dict]:
+    """:func:`_end_to_end` that also hands back the service."""
     index = ChainIndex()
     service = ForensicsService(index, tags=None)
     gc.collect()
@@ -74,13 +107,56 @@ def _end_to_end(blocks) -> dict:
         gc.enable()
     assert clusters > 0
     assert service.engine.height == index.height
-    return {
+    return service, {
         "blocks": len(blocks),
         "addresses": index.address_count,
         "clusters": clusters,
         "seconds": seconds,
         "blocks_per_second": len(blocks) / seconds,
         "peak_rss_bytes": _peak_rss_bytes(),
+    }
+
+
+def _history(service) -> dict:
+    """Ask the historical questions; their RSS and per-address cost."""
+    index = service.index
+    tip = service.height
+    rng = random.Random(0)
+    heights = [tip - 5, tip - 37, tip // 2] + [
+        rng.randrange(tip) for _ in range(HISTORY_QUESTIONS - 3)
+    ]
+    before = peak = _rss_bytes()
+    seconds, per_address = [], []
+    for number, height in enumerate(heights):
+        # Ids are first-sight ordered: the addresses seen by ``height``.
+        seen = bisect_right(
+            range(index.address_count), height,
+            key=lambda ident: index.address_by_id(ident).first_seen_height,
+        )
+        if number % 2:
+            address = index.interner.address_of(rng.randrange(seen))
+            query = Query("cluster_profile", (address, height))
+        else:
+            by = ("size", "balance", "activity")[number // 2 % 3]
+            query = Query("top_clusters", (10, by, height))
+        start = time.perf_counter()
+        service.answer(query)
+        seconds.append(time.perf_counter() - start)
+        per_address.append(seconds[-1] / seen)
+        peak = max(peak, _rss_bytes())
+    return {
+        "questions": len(heights),
+        "rss_before_bytes": before,
+        "rss_peak_bytes": peak,
+        "rss_ratio": peak / before,
+        "rss_ceiling": HISTORY_RSS_CEILING,
+        "first_seconds": seconds[0],
+        "median_seconds": statistics.median(seconds),
+        "first_over_median": seconds[0] / statistics.median(seconds),
+        "first_over_median_per_address": (
+            per_address[0] / statistics.median(per_address)
+        ),
+        "first_ceiling": FIRST_QUESTION_CEILING,
     }
 
 
@@ -113,7 +189,10 @@ def test_per_block_cost_stays_flat_as_the_universe_grows(bench_report):
     results = {}
     for label, n_blocks in (("seed", SEED_BLOCKS), ("large", LARGE_BLOCKS)):
         blocks = list(large_scale_blocks(n_blocks, seed=0))
-        scale = _end_to_end(blocks)
+        service, scale = _ingest(blocks)
+        if label == "large":
+            history = _history(service)
+        del service
         results[label] = scale
         print(
             f"\n[{label}] {scale['blocks']} blocks, "
@@ -134,6 +213,14 @@ def test_per_block_cost_stays_flat_as_the_universe_grows(bench_report):
         f"\n[attach-late] {len(blocks)} blocks: attach {attached:.3f} s, "
         f"streamed {streamed:.3f} s ({attach_ratio:.2f}x)"
     )
+    print(
+        f"\n[history] {history['questions']} questions: RSS "
+        f"{history['rss_ratio']:.2f}x, first "
+        f"{history['first_seconds'] * 1e3:.1f} ms vs median "
+        f"{history['median_seconds'] * 1e3:.1f} ms "
+        f"({history['first_over_median']:.2f}x, "
+        f"{history['first_over_median_per_address']:.2f}x per address)"
+    )
 
     full_scale = LARGE_BLOCKS >= FULL_SCALE_BLOCKS
     bench_report(
@@ -149,6 +236,7 @@ def test_per_block_cost_stays_flat_as_the_universe_grows(bench_report):
                 "ratio": attach_ratio,
                 "ceiling": ATTACH_CEILING,
             },
+            "history": history,
         },
     )
 
@@ -163,3 +251,6 @@ def test_per_block_cost_stays_flat_as_the_universe_grows(bench_report):
     )
     # One catch-up pass: attaching late costs no more than streaming.
     assert attach_ratio <= ATTACH_CEILING
+    # History: no state per question kept, no cold first question.
+    assert history["rss_ratio"] <= HISTORY_RSS_CEILING
+    assert history["first_over_median_per_address"] <= FIRST_QUESTION_CEILING

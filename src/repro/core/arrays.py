@@ -70,6 +70,28 @@ class IntVector:
         self._data[self._n : n] = fill
         self._n = n
 
+    def append(self, value: int) -> None:
+        """Append one value after the live prefix."""
+        n = self._n
+        if n == len(self._data):
+            self.grow_to(n + 1)
+        self._n = n + 1
+        self._data[n] = value
+
+    def extend(self, values) -> None:
+        """Append ``values`` after the live prefix."""
+        n = self._n
+        end = n + len(values)
+        if end > len(self._data):
+            self.grow_to(end)
+        self._n = end
+        self._data[n:end] = values
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the backing store holds, capacity tail included."""
+        return self._data.nbytes
+
     def copy(self) -> "IntVector":
         """An independent vector with the same live prefix."""
         vector = IntVector.__new__(IntVector)
@@ -84,6 +106,15 @@ class IntVector:
     def tobytes(self) -> bytes:
         """The live prefix as raw little-endian int64 bytes."""
         return self._data[: self._n].tobytes()
+
+    @classmethod
+    def wrap(cls, array: np.ndarray) -> "IntVector":
+        """A vector over ``array`` itself (int64, no copy): the caller
+        hands the array over."""
+        vector = cls.__new__(cls)
+        vector._data = np.asarray(array, dtype=_DTYPE)
+        vector._n = len(vector._data)
+        return vector
 
     @classmethod
     def from_bytes(cls, buffer: bytes) -> "IntVector":

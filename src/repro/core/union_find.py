@@ -204,6 +204,27 @@ class IntUnionFind:
         not mutate it."""
         return self._size
 
+    @property
+    def parents(self) -> IntVector:
+        """The per-id parent vector, read-only like :attr:`root_sizes`.
+        Without path compression an id's parent changes once, when its
+        root is absorbed, so this column plus the height of each
+        absorption is the forest at every earlier point."""
+        return self._parent
+
+    @classmethod
+    def from_parents(cls, parent: np.ndarray) -> tuple["IntUnionFind", np.ndarray]:
+        """The forest whose parent column is ``parent`` (each id's
+        parent an id, a root its own), with an empty merge log, and
+        every id's root.  Sizes are the roots' member counts."""
+        uf = cls()
+        uf._parent = IntVector.wrap(parent)
+        roots = uf.find_many(np.arange(len(parent), dtype="<i8"))
+        sizes = np.bincount(roots, minlength=len(parent))
+        uf._size = IntVector.wrap(sizes)
+        uf._components = int(np.count_nonzero(sizes))
+        return uf, roots
+
     def root_ids(self) -> np.ndarray:
         """All component roots (self-parented ids), ascending — one
         vectorized scan, no per-id Python work."""

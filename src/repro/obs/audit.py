@@ -30,9 +30,10 @@ pipeline's load-bearing invariants from independent sources:
   must equal the ones the aggregate view's per-height delta log
   retained when the block streamed;
 * **tip derived state** (``full`` audits only) — the aggregate view's
-  incrementally patched overlay groups, the open links each holds, and
-  all three rankings in full order must equal a wholesale ``settle()``
-  of a clone of the tip's base.
+  tip must equal the state its delta log builds at the tip height,
+  settled wholesale: base columns and partition, the incrementally
+  patched overlay groups and the open links each holds, and all three
+  rankings in full order.
 
 Every check reports through ``audit.checks_total``,
 ``audit.violations_total{check=}``, and ``audit.seconds{check=}`` plus
@@ -142,9 +143,9 @@ class InvariantAuditor:
 
     ``full=True`` on :meth:`audit_now` (the ``repro doctor`` mode)
     cross-checks *every* cluster against the batch rebuild instead of a
-    seeded sample, and adds the ``tip_derived`` check: the tip's
-    incrementally patched overlay groups and rankings against a
-    wholesale settle of the same base.
+    seeded sample, and adds the ``tip_derived`` check: the tip's base
+    columns, incrementally patched overlay groups and rankings against
+    the state the delta log builds at the tip height.
     """
 
     def __init__(
@@ -538,15 +539,37 @@ class InvariantAuditor:
         return len(problems), detail
 
     def _check_tip_derived(self) -> tuple[int, str]:
-        """The tip's incrementally patched overlay groups (aggregates and
-        the open links each holds) and all three rankings, in full
-        order, vs a wholesale ``settle()`` of a clone of the tip."""
+        """The tip — its base columns and partition, its incrementally
+        patched overlay groups (aggregates and the open links each
+        holds) and all three rankings, in full order — vs the state
+        built from the delta log's columns at the tip height and
+        settled wholesale."""
         view = self.service.aggregates
         view._flush()
         tip = view._tip
-        settled = tip.clone()
-        settled.settle()
+        built = view._log.state_at(view.height, tip.uf.parents.array)
+        built.settle()
         problems: list[str] = []
+
+        def base(state) -> list[list]:
+            roots = state.uf.root_ids()
+            return [
+                roots.tolist(),
+                *(
+                    vector.array[roots].tolist()
+                    for vector in (
+                        state.uf.root_sizes, state.min_member, *state.roots
+                    )
+                ),
+            ]
+
+        if len(tip.uf) != len(built.uf) or base(tip) != base(built):
+            problems.append("base columns differ from the column build")
+        elif not np.array_equal(
+            tip.uf.find_many(np.arange(len(tip.uf))),
+            built.uf.find_many(np.arange(len(built.uf))),
+        ):
+            problems.append("partition differs from the column build")
 
         def groups(state) -> list[tuple]:
             return sorted(
@@ -555,29 +578,29 @@ class InvariantAuditor:
                 for g in state.groups
             )
 
-        if groups(tip) != groups(settled):
-            problems.append("overlay groups differ from a settled clone")
+        if groups(tip) != groups(built):
+            problems.append("overlay groups differ from the column build")
         held = sorted(
             (id(live), group.cid) for group in tip.groups for live in group.links
         )
         expected = []
-        for live in settled.open:
+        for live in built.open:
             if live.input_id is None:
                 continue
-            owner = settled.uf.find(live.address_id)
-            if owner != settled.uf.find(live.input_id):
-                expected.append((id(live), settled.group_of[owner].cid))
+            owner = built.uf.find(live.address_id)
+            if owner != built.uf.find(live.input_id):
+                expected.append((id(live), built.group_of[owner].cid))
         if held != sorted(expected):
             problems.append("overlay link sets differ from the open links")
         # Every metric by name: rankings are built on first read, so the
         # tip's dict alone could hold fewer than all of them.
         for by in TOP_CLUSTER_METRICS:
-            ranking, truth = tip.ranks[by], settled.ranks[by]
+            ranking, truth = tip.ranks[by], built.ranks[by]
             if ranking.top(len(ranking)) != truth.top(len(truth)):
-                problems.append(f"{by} ranking differs from a settled clone")
+                problems.append(f"{by} ranking differs from the column build")
         return len(problems), "; ".join(problems) or (
             f"{len(tip.groups)} overlay group(s) and "
-            f"{len(TOP_CLUSTER_METRICS)} ranking(s) match a settled clone"
+            f"{len(TOP_CLUSTER_METRICS)} ranking(s) match the column build"
         )
 
     @staticmethod
@@ -644,7 +667,7 @@ class InvariantAuditor:
             heights = sorted(rng.sample(range(height + 1), budget))
         aggregates = self.service.aggregates
         aggregates._flush()
-        retained = aggregates._records
+        log = aggregates._log
         problems: list[str] = []
         for h in heights:
             delta = index.block_delta(h)
@@ -669,11 +692,12 @@ class InvariantAuditor:
                 )
             # An aggregate view that is behind the chain is the
             # aggregates check's to report; compare what it does hold.
-            record = retained.get(h)
-            if record is not None and not (
-                np.array_equal(record.event_ids, delta.event_ids)
-                and np.array_equal(record.event_values, delta.event_values)
-                and np.array_equal(record.involved_flat, delta.involved_flat)
+            if h <= log.height and not all(
+                np.array_equal(retained, rebuilt)
+                for retained, rebuilt in zip(
+                    log.churn(h, h),
+                    (delta.event_ids, delta.event_values, delta.involved_flat),
+                )
             ):
                 problems.append(
                     f"height {h}: retained delta columns differ from the rows"

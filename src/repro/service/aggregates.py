@@ -1,4 +1,4 @@
-"""Per-cluster aggregates at every height: one state, one fold, one surface.
+"""Per-cluster aggregates at every height: one state, one log, one surface.
 
 Every ranked or rolled-up forensics answer — ``top_clusters``,
 ``cluster_profile``, ``cluster_balance``, ``cluster_of`` — reads
@@ -13,20 +13,19 @@ keeps them materialized as blocks stream in and serves them at any
   and the minimum member id per base root, the open-window H2 labels,
   and the state derived from those — the overlay groups the open links
   join and a :class:`RankIndex` per metric, built the first time that
-  metric is read.  The view owns one state at the tip; a replayed
-  height is another instance of the same class, with the same slots.
+  metric is read.  The tip and every past height are this one class.
   Nothing per address lives here: an address's own balance and
   activity are the sibling views' at the tip and the index's rows
   (:meth:`AddressRecord.as_of <repro.chain.index.AddressRecord.as_of>`)
   below it.
-* **One fold.**  :meth:`_AggregateState.advance` moves a state across a
-  run of consecutive heights: grow the universe, apply the heights'
-  open-label transitions, fold the run's base merges into the columns
-  in one batch (each absorbed root's columns scattered at its post-span
-  root, never a member scan), then scatter the run's per-address churn
-  at the post-span roots.  The lazy flush runs it on the tip state over
-  the queued blocks; a replay runs it on a clone of the nearest
-  checkpoint, one run per spine segment.
+* **One log.**  :class:`_DeltaLog` holds what every height changed, in
+  contiguous columns.  The lazy flush appends to it and moves the tip
+  across the queued heights with :meth:`_AggregateState.advance` (the
+  run's merges folded into the columns in one batch, then its churn
+  scattered at the post-span roots).  A past height is a few
+  whole-array passes over the tip's partition and the log
+  (:meth:`_DeltaLog.state_at`): nothing is cloned or replayed, and an
+  exact-height memo of four states is the only cache.
 * **One read surface.**  :class:`AggregateSurface` answers every read
   from a state, whichever height it is at.
 
@@ -38,16 +37,14 @@ overlay and enter the base the block their window closes.
 Derived state has two builders, chosen by whether the state is the
 live tip.  The tip is patched per flush in O(what the run touched):
 each overlay group keeps the open links that form it, only the groups
-the run touched are re-linked, and rank entries move by churn.  A
-replayed height is read only once reached, so replay advances the base
-alone and :meth:`_AggregateState.settle` builds its overlay wholesale;
-a past height's rankings are built only when its question reads one.
+the run touched are re-linked, and rank entries move by churn.  A past
+height is settled wholesale (:meth:`_AggregateState.settle`), and its
+rankings are built only when its question reads one.
 
-Folding is *lazily flushed*: ingest only queues the block's shared
-:class:`~repro.chain.delta.BlockDelta`, and the first read at the new
-tip folds every queued block in one run — interleaved traffic pays the
-same as eager per-block maintenance, bulk ingest (catch-up, tail
-replay) coalesces it.
+Folding is *lazily flushed*: ingest only queues the block's delta
+columns, and the first read at the new tip folds every queued block in
+one run — interleaved traffic pays the same as eager per-block
+maintenance, bulk ingest (catch-up, tail replay) coalesces it.
 
 Cluster identity is *canonical*: a cluster's public id is its minimum
 member address id (ids are dense and first-sight ordered, so this is
@@ -63,7 +60,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import chain
 from time import perf_counter
 from typing import NamedTuple
@@ -100,51 +96,54 @@ class AggregatesBehindError(RuntimeError):
 
 
 class RankIndex:
-    """One metric's live ranking: a sorted key list maintained by churn.
+    """One metric's ranking: best value first, ties broken by the
+    smallest canonical cluster id.  Only a positive value is ranked, so
+    ``size`` ranks every cluster and ``balance`` / ``activity`` the
+    clusters with a positive total.
 
-    Keys are ``(-value, cluster id)`` so ascending list order is the
-    serving order: best value first, ties broken by the smallest
-    canonical cluster id.  Updates cost O(log n) to locate plus a
-    C-level ``memmove``; reads are slices (:meth:`top`) or a bisect
-    (:meth:`rank_of`) — no per-block re-sort anywhere.
-
-    Every index is built on first read of its metric (see
-    :class:`_Rankings`) by :meth:`from_columns`, which keeps just the
-    two lexsorted numpy columns (``_neg``, ``_cid``): a replayed state
-    serves only a ``top(n)`` slice or a single-id ``rank_of`` (one
-    C-level equality scan) and never pays the list-of-tuples / dict
-    materialization.  The tip's indexes are patched every flush, so
-    their first mutation materializes the key list and value map;
-    the distinction never leaks.
+    Two backings, one behaviour.  :meth:`from_columns` keeps the id and
+    value columns it is handed, unsorted and uncopied: ``top(n)`` is one
+    ``np.partition`` plus a sort of the candidates at or above the n-th
+    value (ties included), ``rank_of`` one vectorized count.  The tip's
+    indexes are patched every flush: their first mutation sorts once into
+    a ``(-value, cluster id)`` key list plus a value map, and an update
+    then costs a bisect plus a C-level ``memmove``.
     """
 
-    __slots__ = ("_keys", "_values", "_neg", "_cid")
+    __slots__ = ("_keys", "_values", "_cid", "_value")
 
     @classmethod
     def from_columns(cls, cluster_ids, values) -> "RankIndex":
-        """Build from parallel id/value numpy columns (ids unique): one
-        lexsort, stored as the array backing."""
+        """An array-backed index over parallel id/value columns (ids
+        unique), kept as they are."""
         index = cls.__new__(cls)
-        negs = np.negative(np.asarray(values, dtype="<i8"))
-        cids = np.asarray(cluster_ids, dtype="<i8")
-        order = np.lexsort((cids, negs))
         index._keys, index._values = [], {}
-        index._neg, index._cid = negs[order], cids[order]
+        index._cid = np.asarray(cluster_ids, dtype="<i8")
+        index._value = np.asarray(values, dtype="<i8")
         return index
+
+    def _sorted(self, pick=None) -> tuple[np.ndarray, np.ndarray]:
+        """The ranked entries among the ``pick`` positions (default: all
+        of them) in serving order, as ``(ids, values)`` columns."""
+        if pick is None:
+            pick = np.flatnonzero(self._value > 0)
+        cids, values = self._cid[pick], self._value[pick]
+        order = np.lexsort((cids, np.negative(values)))
+        return cids[order], values[order]
 
     def _materialize(self) -> None:
         """Switch an array-backed index to the mutable list backing."""
-        if self._neg is None:
+        if self._cid is None:
             return
-        negs, cids = self._neg, self._cid
-        self._keys = list(zip(negs.tolist(), cids.tolist()))
-        self._values = dict(zip(cids.tolist(), np.negative(negs).tolist()))
-        self._neg = None
+        cids, values = self._sorted()
+        self._keys = list(zip(np.negative(values).tolist(), cids.tolist()))
+        self._values = dict(zip(cids.tolist(), values.tolist()))
         self._cid = None
+        self._value = None
 
     def __len__(self) -> int:
-        if self._neg is not None:
-            return len(self._neg)
+        if self._cid is not None:
+            return int(np.count_nonzero(self._value > 0))
         return len(self._keys)
 
     def set(self, cluster_id: int, value: int) -> None:
@@ -185,44 +184,51 @@ class RankIndex:
         for cluster_id in discards:
             values.pop(cluster_id, None)
         values.update(updates)
-        if not values:
-            self._keys = []
-            return
         cids = np.fromiter(values.keys(), dtype="<i8", count=len(values))
         negs = np.fromiter(values.values(), dtype="<i8", count=len(values))
         np.negative(negs, out=negs)
         order = np.lexsort((cids, negs))
-        self._keys = list(
-            zip(negs[order].tolist(), cids[order].tolist())
-        )
+        self._keys = list(zip(negs[order].tolist(), cids[order].tolist()))
 
     def top(self, n: int) -> tuple[tuple[int, int], ...]:
         """The best ``n`` entries as ``(cluster id, value)`` pairs."""
-        if self._neg is not None:
-            return tuple(
-                zip(self._cid[:n].tolist(), np.negative(self._neg[:n]).tolist())
-            )
-        return tuple((cid, -neg) for neg, cid in self._keys[:n])
+        if self._cid is None:
+            return tuple((cid, -neg) for neg, cid in self._keys[:n])
+        values = self._value
+        pick = None
+        if 0 < n < len(self):
+            # The n-th best value is positive; every entry at or above
+            # it is a candidate, ties included.
+            nth = np.partition(values, len(values) - n)[len(values) - n]
+            pick = np.flatnonzero(values >= nth)
+        cids, values = self._sorted(pick)
+        return tuple(zip(cids[:n].tolist(), values[:n].tolist()))
 
     def rank_of(self, cluster_id: int) -> int | None:
         """1-based rank of one cluster, or ``None`` if not ranked."""
-        if self._neg is not None:
-            # Ids are unique: one vectorized scan finds the single slot.
-            hits = np.flatnonzero(self._cid == cluster_id)
-            return int(hits[0]) + 1 if len(hits) else None
-        value = self._values.get(cluster_id)
-        if value is None:
+        if self._cid is None:
+            value = self._values.get(cluster_id)
+            if value is None:
+                return None
+            return bisect_left(self._keys, (-value, cluster_id)) + 1
+        # Ids are unique: one vectorized scan finds the single slot, one
+        # count of the entries served before it gives the rank.
+        cids, values = self._cid, self._value
+        hits = np.flatnonzero(cids == cluster_id)
+        if not len(hits) or values[hits[0]] <= 0:
             return None
-        return bisect_left(self._keys, (-value, cluster_id)) + 1
+        value = values[hits[0]]
+        ahead = np.count_nonzero(values > value) + np.count_nonzero(
+            (values == value) & (cids < cluster_id)
+        )
+        return int(ahead) + 1
 
     def as_ranking(self) -> ClusterRanking:
         """Materialize the full, immutable per-height ranking object."""
-        if self._neg is not None:
-            order = tuple(
-                zip(self._cid.tolist(), np.negative(self._neg).tolist())
-            )
-        else:
+        if self._cid is None:
             order = tuple((cid, -neg) for neg, cid in self._keys)
+        else:
+            order = tuple(zip(*(column.tolist() for column in self._sorted())))
         return ClusterRanking(
             order=order,
             rank_of={cid: rank for rank, (cid, _value) in enumerate(order, 1)},
@@ -232,13 +238,12 @@ class RankIndex:
 class _Rankings(dict):
     """One state's ``metric -> RankIndex``, each built on first read.
 
-    ``self[by]`` on a metric not built yet runs one
-    :meth:`RankIndex.from_columns` lexsort over ``columns`` — per
-    cluster at the state's last settle: canonical id, then one value
-    column per metric in :data:`TOP_CLUSTER_METRICS` order (size,
-    balance, tx count) — so a question that reads no ranking pays for
-    none.  The tip's flush patch reads all three, keeping them current.
-    An unknown metric raises ``ValueError``.  ``built`` lists the
+    ``columns`` are, per cluster at the state's last settle, the
+    canonical id and one value column per metric in
+    :data:`TOP_CLUSTER_METRICS` order (size, balance, tx count);
+    ``self[by]`` on a metric not built yet wraps its column in
+    :meth:`RankIndex.from_columns`.  The tip's flush patch reads all
+    three.  An unknown metric raises ``ValueError``.  ``built`` lists the
     metrics built so far (a ``timetravel`` span holds that very list).
     """
 
@@ -257,13 +262,8 @@ class _Rankings(dict):
             )
         cids, *values = self.columns
         column = values[TOP_CLUSTER_METRICS.index(by)]
-        # ``balance`` and ``activity`` rank clusters with a positive
-        # total; every size is positive, so ``size`` ranks them all.
-        ranked = column > 0
-        index = self[by] = RankIndex.from_columns(cids[ranked], column[ranked])
+        index = self[by] = RankIndex.from_columns(cids, column)
         self.built.append(by)
-        if len(self) == len(TOP_CLUSTER_METRICS):
-            self.columns = ()  # all built: nothing reads them again
         if self.metrics.enabled:
             self.metrics.counter("timetravel.rankings_built", by=by).inc()
         return index
@@ -283,40 +283,8 @@ class _OverlayGroup:
         self.size, self.balance, self.tx_count = size, balance, tx_count
         self.first_seen, self.last_seen = first_seen, last_seen
         # The open change links that form the group: kept on the tip,
-        # which re-links a group from them; empty on a replayed state.
+        # which re-links a group from them; empty on a past height.
         self.links = []
-
-
-@dataclass(frozen=True, slots=True)
-class _HeightRecord:
-    """One folded height's entry in the aggregate delta log.
-
-    Everything :meth:`_AggregateState.advance` needs to cross the height
-    without re-reading the chain.  Base merges are *not* stored here —
-    ``mark`` is the tip union-find's log position after the height's
-    unions, so the merge span is read off that (append-only) log.
-    Columnar churn buffers are the block delta's arrays, retained by
-    reference (the auditor's shadow fold holds them to the columns
-    rebuilt from the index's rows).  Label transitions reference the engine's live label
-    objects (identity-shared; folds read only the immutable
-    ``address_id``/``input_id`` fields).
-    """
-
-    height: int
-    max_id: int
-    """Largest address id the block touched (ids are dense, so the
-    universe after the block spans at least ``max_id + 1``)."""
-    mark: int
-    """Base merge-log position after this height's unions."""
-    born_open: tuple
-    """Labels born at this height whose §4.2 window is open (overlay
-    entries until voided or settled)."""
-    closed: tuple
-    """Labels voided or settled at this height (they leave the open
-    overlay set; a settle's permanent link is inside the merge span)."""
-    event_ids: np.ndarray
-    event_values: np.ndarray
-    involved_flat: np.ndarray
 
 
 class _Columns(NamedTuple):
@@ -327,9 +295,6 @@ class _Columns(NamedTuple):
     tx_count: IntVector
     first: IntVector
     last: IntVector
-
-    def copy(self) -> "_Columns":
-        return _Columns(*(column.copy() for column in self))
 
     def grow_to(self, n: int) -> None:
         self.balance.grow_to(n)
@@ -345,12 +310,9 @@ class _Columns(NamedTuple):
         involved_heights: np.ndarray,
     ) -> None:
         """Fold a run of blocks' churn in one batch: balance events sum,
-        each involvement counts once and widens its slot's seen range.
-
-        ``np.minimum.at`` needs no height ordering; the ``-1`` sentinel
-        is swapped for +inf at the touched slots first, and every
-        touched slot receives at least one real height, so none
-        survives."""
+        each involvement counts once and widens its slot's seen range
+        (the ``-1`` sentinel is swapped for +inf at the touched slots
+        before the minimum, and every touched slot gets a real height)."""
         if len(event_slots):
             np.add.at(self.balance.array, event_slots, event_values)
         np.add.at(self.tx_count.array, involved_slots, 1)
@@ -360,12 +322,204 @@ class _Columns(NamedTuple):
         np.maximum.at(self.last.array, involved_slots, involved_heights)
 
 
+class _DeltaLog:
+    """The aggregate delta log: what every height changed, from genesis.
+
+    * Per height ``h`` (slot ``h``): the block's ``max_id`` and the base
+      merge-log ``mark`` after its unions.  Its rows in each flat column
+      below are ``offsets[h]:offsets[h + 1]``.
+    * Flat, in height order: the block deltas' balance events
+      (``event_ids``, ``event_values``) and per-tx involvements
+      (``involved``); the labels born with an open §4.2 window
+      (``born``) and the labels voided or settled (``closed``).
+    * Per address id: ``merged_at``, the height whose unions absorbed it
+      as a base root (int64 max while it is one).  Without path
+      compression an id's tip parent is the one it got when absorbed,
+      so the tip's parents and these heights are every past forest.
+    * Per ``born`` label: ``closed_at`` (int64 max while open).
+    """
+
+    _VECTORS = (
+        "max_id", "mark", "event_offsets", "involved_offsets", "born_offsets",
+        "closed_offsets", "event_ids", "event_values", "involved", "merged_at",
+        "closed_at",
+    )
+    __slots__ = (*_VECTORS, "born", "closed", "_open_slots")
+
+    def __init__(self) -> None:
+        for name in self._VECTORS:
+            setattr(self, name, IntVector())
+        for offsets in (
+            self.event_offsets, self.involved_offsets,
+            self.born_offsets, self.closed_offsets,
+        ):
+            offsets.append(0)  # height 0's rows start at row 0
+        self.born: list = []
+        self.closed: list = []
+        self._open_slots: dict = {}
+        """Born label -> its ``born`` slot, until it closes."""
+
+    @property
+    def height(self) -> int:
+        return len(self.mark) - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the columns hold, plus one pointer per label entry."""
+        columns = sum(getattr(self, name).nbytes for name in self._VECTORS)
+        return columns + 8 * (len(self.born) + len(self.closed))
+
+    def append_rows(self, max_id, event_ids, event_values, involved) -> None:
+        """Log a block's delta columns (the view does, as it arrives)."""
+        self.max_id.append(max_id)
+        self.event_ids.extend(event_ids)
+        self.event_values.extend(event_values)
+        self.event_offsets.append(len(self.event_ids))
+        self.involved.extend(involved)
+        self.involved_offsets.append(len(self.involved))
+
+    def append_labels(self, born, closed) -> None:
+        """Log the next height's label churn (the flush does, with the
+        height's ``mark``)."""
+        height = len(self.born_offsets) - 1
+        slots = self._open_slots
+        for live in born:
+            slots[live] = len(self.born)
+            self.born.append(live)
+        self.born_offsets.append(len(self.born))
+        if born:
+            self.closed_at.grow_to(len(self.born), fill=_UNSEEN)
+        for live in closed:
+            slot = slots.pop(live, None)
+            if slot is not None:  # a label with no window never opened
+                self.closed_at[slot] = height
+        self.closed.extend(closed)
+        self.closed_offsets.append(len(self.closed))
+
+    def record_merges(self, ends: np.ndarray, first: int, n: int) -> None:
+        """Stamp each root absorbed by ``ends`` — the ``(absorbed, kept)``
+        base log entries of heights ``first..height`` — with the height
+        whose unions applied it; ``n`` is the universe."""
+        self.merged_at.grow_to(n, fill=_UNSEEN)
+        if not len(ends):
+            return
+        marks = self.mark.array
+        bounds = marks[first - 1 :] if first else np.concatenate(([0], marks))
+        self.merged_at.array[ends[:, 0]] = np.repeat(
+            np.arange(first, len(marks), dtype="<i8"), np.diff(bounds)
+        )
+
+    def churn(self, first: int, last: int) -> tuple[np.ndarray, ...]:
+        """Heights ``first..last``'s event ids, event values,
+        involvements and each involvement's height: views into the log,
+        except the heights."""
+        events = slice(self.event_offsets[first], self.event_offsets[last + 1])
+        offsets = self.involved_offsets.array[first : last + 2]
+        rows = slice(offsets[0], offsets[-1])
+        return (
+            self.event_ids.array[events],
+            self.event_values.array[events],
+            self.involved.array[rows],
+            np.repeat(np.arange(first, last + 1, dtype="<i8"), np.diff(offsets)),
+        )
+
+    def state_at(self, height: int, parents: np.ndarray) -> "_AggregateState":
+        """The base aggregates at ``height`` (derived state left to
+        :meth:`_AggregateState.settle`), from ``parents`` — the tip's
+        parent column — and the log, in a few whole-array passes."""
+        seen = np.maximum.accumulate(self.max_id.array[: height + 1]) + 1
+        n = int(seen[-1])
+        ids = np.arange(n, dtype="<i8")
+        uf, roots = IntUnionFind.from_parents(
+            np.where(self.merged_at.array[:n] <= height, parents[:n], ids)
+        )
+        min_member = ids.copy()
+        np.minimum.at(min_member, roots, ids)
+        event_ids, event_values, involved, heights = self.churn(0, height)
+        balance = np.zeros(n, dtype="<i8")
+        np.add.at(balance, roots[event_ids], event_values)
+        involved_roots = roots[involved]
+        tx_count = np.bincount(involved_roots, minlength=n)
+        last = np.full(n, -1, dtype="<i8")
+        np.maximum.at(last, involved_roots, heights)
+        # Ids are dense and first-sight ordered, and an address is
+        # involved the block it is first seen: a cluster's first-seen
+        # height is its minimum member's.
+        sight = np.repeat(
+            np.arange(height + 1, dtype="<i8"), np.diff(seen, prepend=0)
+        )
+        columns = _Columns(
+            *map(IntVector.wrap, (balance, tx_count, sight[min_member], last))
+        )
+        closed_at = self.closed_at.array[: self.born_offsets[height + 1]]
+        born = self.born
+        return _AggregateState(
+            height, self.mark[height], uf, columns, IntVector.wrap(min_member),
+            [born[slot] for slot in np.flatnonzero(closed_at > height).tolist()],
+        )
+
+    def export(self, label_index: dict) -> list[tuple]:
+        """Per height the ``timetravel`` record: height, max id, mark,
+        born and closed labels as ``label_index`` positions, row bytes."""
+        ids, values, involved = (
+            column.tobytes()
+            for column in (self.event_ids, self.event_values, self.involved)
+        )
+        events, rows = (
+            [8 * row for row in offsets.tolist()]  # byte offsets
+            for offsets in (self.event_offsets, self.involved_offsets)
+        )
+        born, closed = (o.tolist() for o in (self.born_offsets, self.closed_offsets))
+        return [
+            (
+                height, max_id, mark,
+                [label_index[id(live)] for live in self.born[b0:b1]],
+                [label_index[id(live)] for live in self.closed[c0:c1]],
+                ids[e0:e1], values[e0:e1], involved[r0:r1],
+            )
+            for height, (max_id, mark, e0, e1, r0, r1, b0, b1, c0, c1) in enumerate(
+                zip(
+                    self.max_id.tolist(), self.mark.tolist(), events, events[1:],
+                    rows, rows[1:], born, born[1:], closed, closed[1:],
+                )
+            )
+        ]
+
+    @classmethod
+    def from_records(cls, records, labels, merges, n: int) -> "_DeltaLog":
+        """Rebuild the log from :meth:`export` tuples, label positions
+        bound to ``labels``, ``merged_at`` stamped from ``merges`` (the
+        tip's whole merge log) over a universe of ``n``."""
+        log = cls()
+        _heights, max_ids, marks, born, closed, *columns = (
+            list(zip(*records)) or [()] * 8
+        )
+        log.max_id, log.mark = (
+            IntVector.wrap(np.array(column, dtype="<i8"))
+            for column in (max_ids, marks)
+        )
+        log.event_ids, log.event_values, log.involved = (
+            IntVector.from_bytes(b"".join(chunks)) for chunks in columns
+        )
+        log.event_offsets, log.involved_offsets = (
+            IntVector.wrap(np.cumsum([0, *map(len, chunks)], dtype="<i8") // 8)
+            for chunks in (columns[0], columns[2])
+        )
+        for opened, ended in zip(born, closed):
+            log.append_labels(
+                [labels[position] for position in opened],
+                [labels[position] for position in ended],
+            )
+        log.record_merges(merges.reshape(-1, 2), 0, n)
+        return log
+
+
 class _AggregateState:
     """The cluster aggregates at one height (see the module docstring).
 
-    The tip, the delta log's base, spine checkpoints and replayed
-    heights are all this one shape.  Checkpoints are never mutated:
-    replay always advances a :meth:`clone`.
+    The tip and every past height are this one shape: the tip is built
+    by :meth:`advance` and patched in place, a past height by
+    :meth:`_DeltaLog.state_at` and never changed after.
     """
 
     __slots__ = (
@@ -373,44 +527,34 @@ class _AggregateState:
         "open", "groups", "group_of", "ranks", "derived_dirty",
     )
 
-    def __init__(self) -> None:
-        self.height = -1
-        self.mark = 0
-        """Base merge-log position this state has folded up to."""
-        self.uf = IntUnionFind()
+    def __init__(
+        self, height=-1, mark=0, uf=None, roots=None, min_member=None,
+        open_labels=(),
+    ) -> None:
+        self.height = height
+        self.mark = mark  # base merge-log position folded up to
+        self.uf = uf if uf is not None else IntUnionFind()
         """Base partition: H1 merges + settled change links."""
-        self.roots = _Columns(IntVector(), IntVector(), IntVector(), IntVector())
-        """Per base root: its members' summed balance and incidences
-        and their seen range."""
-        self.min_member = IntVector()
+        self.roots = roots or _Columns(*(IntVector() for _ in range(4)))
+        self.min_member = min_member if min_member is not None else IntVector()
         """Per base root: minimum member id — the canonical cluster id."""
-        self.open: set = set()
-        """Open-window (still voidable) live labels."""
-        self._reset_derived()
-        self.derived_dirty = False  # an empty state is trivially settled
-
-    def _reset_derived(self) -> None:
+        self.open: set = set(open_labels)  # open-window (voidable) labels
         self.groups: list[_OverlayGroup] = []
         self.group_of: dict[int, _OverlayGroup] = {}
         """base root -> the overlay group currently absorbing it."""
         self.ranks = _Rankings()
-        self.derived_dirty = True
-        """True while ``groups``/``group_of``/``ranks`` lag the base."""
+        self.derived_dirty = bool(self.open) or len(self.uf) > 0
+        """True while ``groups``/``group_of``/``ranks`` lag the base (an
+        empty state is trivially settled)."""
 
-    def clone(self) -> "_AggregateState":
-        """An independent copy of the *base* state — array memcpys plus
-        container copies, never a per-id Python loop.  The derived
-        structures are not copied: every clone exists to be advanced,
-        which invalidates them anyway."""
-        clone = _AggregateState.__new__(_AggregateState)
-        clone.height = self.height
-        clone.mark = self.mark
-        clone.uf = self.uf.copy()
-        clone.roots = self.roots.copy()
-        clone.min_member = self.min_member.copy()
-        clone.open = set(self.open)
-        clone._reset_derived()
-        return clone
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the seven universe-sized arrays plus the per-cluster
+        columns the rankings read."""
+        vectors = (self.uf.parents, self.uf.root_sizes, *self.roots, self.min_member)
+        return sum(vector.nbytes for vector in vectors) + sum(
+            column.nbytes for column in self.ranks.columns
+        )
 
     # -- durable shape -------------------------------------------------
 
@@ -429,43 +573,28 @@ class _AggregateState:
     @classmethod
     def from_arrays(cls, data: dict, open_labels) -> "_AggregateState":
         """Rebuild a state from :meth:`export_arrays` output plus its
-        ``height`` (and ``mark``, when it is not the end of the log);
-        derived state is left to :meth:`settle`.  Keys it does not name
-        are ignored (a ``timetravel`` base written before this shape
-        carried four per-address ``a_*`` arrays)."""
-        state = cls.__new__(cls)
-        state.height = data["height"]
-        state.uf = IntUnionFind.from_state(data["uf"])
-        state.mark = data.get("mark", state.uf.checkpoint())
-        state.roots = _Columns(
-            *(
-                IntVector.from_bytes(data[key])
-                for key in ("balance", "tx_count", "first_seen", "last_seen")
-            )
-        )
-        state.min_member = IntVector.from_bytes(data["min_member"])
-        state.open = set(open_labels)
-        state._reset_derived()
-        return state
+        ``height``; derived state is left to :meth:`settle`."""
+        uf = IntUnionFind.from_state(data["uf"])
+        keys = ("balance", "tx_count", "first_seen", "last_seen")
+        columns = _Columns(*(IntVector.from_bytes(data[key]) for key in keys))
+        minimums = IntVector.from_bytes(data["min_member"])
+        height, mark = data["height"], uf.checkpoint()
+        return cls(height, mark, uf, columns, minimums, open_labels)
 
     # -- the fold ------------------------------------------------------
 
-    def advance(self, records: list[_HeightRecord], span) -> tuple[set[int], np.ndarray]:
-        """Move this state across ``records`` — a run of consecutive
-        heights starting at ``height + 1`` — whose base merges are
-        ``span``: the tip union-find's log entries ``(mark,
-        records[-1].mark]``, which the caller has already applied to
-        (tip) or replayed onto (clone) ``uf``, after growing it to the
-        run's universe.
-
-        Returns what the tip's incremental derived-state patch needs:
-        the canonical ids the span's merges may have retired, and the
-        post-span base root of every involvement in the run.
-
-        Churn is scattered after the whole span is folded, not block by
-        block: balance and incidence are sums, first/last are min/max,
-        and all four commute with the merge folds, so every
-        contribution lands identically at its final root.
+    def advance(
+        self, log: _DeltaLog, first: int, ends: np.ndarray, born, closed
+    ) -> tuple[set[int], np.ndarray]:
+        """Move the tip across the log's heights ``first..log.height``:
+        base merges ``ends`` (``(absorbed, kept)`` rows already applied
+        to ``uf``, grown to the run's universe) and open-window labels
+        ``born`` and ``closed``.
+        Returns what :meth:`ClusterAggregateView._patch_tip` needs: the
+        canonical ids the merges may have retired, and the post-span
+        root of every involvement in the run.  Churn is scattered after
+        the whole span is folded: sums and min/max commute with the
+        merge folds, so each contribution lands at its final root.
         """
         # 1. Universe growth: new ids start as singleton clusters.
         n = len(self.uf)
@@ -477,17 +606,13 @@ class _AggregateState:
                 grown_from, n, dtype="<i8"
             )
 
-        # 2. Open-label transitions, in height order.
-        open_set = self.open
-        for record in records:
-            open_set.update(record.born_open)
-            open_set.difference_update(record.closed)
+        # 2. Open-label transitions: a label closes after its birth.
+        self.open.update(born)
+        self.open.difference_update(closed)
 
         # One find over every id the fold places: the span's absorbed
         # roots, the run's involvements and its balance events.
-        ends = np.array(span, dtype="<i8").reshape(-1, 2)
-        involved = np.concatenate([record.involved_flat for record in records])
-        event_ids = np.concatenate([record.event_ids for record in records])
+        event_ids, event_values, involved, heights = log.churn(first, log.height)
         into, involved_roots, event_roots = np.split(
             self.uf.find_many(np.concatenate((ends[:, 0], involved, event_ids))),
             [len(ends), len(ends) + len(involved)],
@@ -502,31 +627,26 @@ class _AggregateState:
         stale_cids = set(min_member[ends.ravel()].tolist())
         if len(into):
             absorbed = ends[:, 0]
-            balance, tx_count, first, last = (c.array for c in self.roots)
+            balance, tx_count, first_seen, last_seen = (
+                c.array for c in self.roots
+            )
             np.add.at(balance, into, balance[absorbed])
             np.add.at(tx_count, into, tx_count[absorbed])
-            np.maximum.at(last, into, last[absorbed])
+            np.maximum.at(last_seen, into, last_seen[absorbed])
             np.minimum.at(min_member, into, min_member[absorbed])
-            firsts = first[absorbed]
+            firsts = first_seen[absorbed]
             seen = firsts >= 0
             into, firsts = into[seen], firsts[seen]
-            first[into[first[into] < 0]] = _UNSEEN
-            np.minimum.at(first, into, firsts)
+            first_seen[into[first_seen[into] < 0]] = _UNSEEN
+            np.minimum.at(first_seen, into, firsts)
 
         # 4. The run's per-address churn, one batched scatter into the
         #    root columns at post-span roots.
         if len(involved_roots):
-            heights = np.repeat(
-                np.array([record.height for record in records], dtype="<i8"),
-                [len(record.involved_flat) for record in records],
-            )
-            event_values = np.concatenate([r.event_values for r in records])
-            self.roots.scatter(
-                event_roots, event_values, involved_roots, heights
-            )
+            self.roots.scatter(event_roots, event_values, involved_roots, heights)
 
-        self.mark = records[-1].mark
-        self.height = records[-1].height
+        self.mark = log.mark[log.height]
+        self.height = log.height
         self.derived_dirty = True
         return stale_cids, involved_roots
 
@@ -555,10 +675,9 @@ class _AggregateState:
 
     def overlay_groups(self, members, starts) -> tuple[list, tuple]:
         """One :class:`_OverlayGroup` per component in the
-        :func:`link_components` layout (ascending base roots ``members``,
-        group offsets ``starts``), plus the groups' canonical id, size,
-        balance and tx count columns: every per-group quantity is a
-        ``reduceat`` over one gather of the members' root columns."""
+        :func:`link_components` layout, plus the groups' canonical id,
+        size, balance and tx count columns (each a ``reduceat`` over a
+        gather of the members' root columns)."""
         if not len(starts):
             return [], (np.empty(0, dtype="<i8"),) * 4
         firsts = self.roots.first.array[members]
@@ -589,9 +708,7 @@ class _AggregateState:
     def settle(self) -> None:
         """(Re)build the overlay groups wholesale from the base and
         gather every cluster's canonical id, size, balance and tx count
-        into one set of columns — a vectorized pass, no sort.  Rankings
-        are built from those columns on first read (:class:`_Rankings`).
-        Idempotent; a clean state returns immediately."""
+        into the columns :class:`_Rankings` reads — no sort.  Idempotent."""
         if not self.derived_dirty:
             return
         uf = self.uf
@@ -620,12 +737,8 @@ class _AggregateState:
 
 class AggregateSurface:
     """Read-only cluster-aggregate answers from one
-    :class:`_AggregateState` — the surface
-    :meth:`ClusterAggregateView.at` returns for every height.
-
-    A surface over the tip reads live state: take a fresh one per
-    question rather than holding it across ``add_block``.
-    """
+    :class:`_AggregateState`, whatever its height.  A surface over the
+    tip reads live state: take a fresh one per question."""
 
     __slots__ = ("_state",)
 
@@ -647,11 +760,9 @@ class AggregateSurface:
         return group.cid if group is not None else state.min_member[root]
 
     def cluster_placements_of(self, idents) -> list[tuple[int, int] | None]:
-        """``(base root, canonical id)`` per input id (``None`` for ids
-        outside the universe).  The cluster-name maps resolve tagged
-        addresses in bulk through this, and the tip's incremental one
-        keeps the returned root to know when a resolution goes stale
-        (see :meth:`ClusterAggregateView.drain_naming_dirty`)."""
+        """``(base root, canonical id)`` per input id (``None`` outside
+        the universe): the name maps resolve tags in bulk through this,
+        and the tip's keeps the root to know when a name goes stale."""
         state = self._state
         universe = len(state.uf)
         find = state.uf.find
@@ -729,17 +840,10 @@ class AggregateSurface:
 
 
 class DirtyRootCursor:
-    """One consumer's registration for dirty-root naming churn.
-
-    Each consumer holds its own cursor, and
-    :meth:`ClusterAggregateView.drain_naming_dirty` returns (and
-    clears) only *that cursor's* accumulated set — so the
-    query engine's incremental cluster-name map and the invariant
-    auditor can both follow naming churn without starving each other.
-    Pending roots are distributed into every registered cursor at drain
-    time, so an idle consumer's backlog is a deduplicated set of base
-    roots (bounded by the universe), never an unbounded log.
-    """
+    """One consumer's registration for dirty-root naming churn: a drain
+    returns (and clears) only its own set, so the query engine's name
+    map and the auditor follow churn without starving each other, and
+    an idle consumer's backlog is a set of base roots, never a log."""
 
     __slots__ = ("dirty",)
 
@@ -755,30 +859,18 @@ class ClusterAggregateView(MaterializedView):
     service constructor and snapshot-restore path both do): a flush
     pulls the engine's
     :meth:`~repro.core.incremental.IncrementalClusteringEngine.cluster_delta`
-    for every queued height, so the engine must already have clustered
-    them.  Deferring the fold is safe because everything it reads is
-    stable history: the engine's per-height merge spans and label churn
-    never change once a height is clustered, and the open-label fields
-    the overlay reads (``address_id``/``input_id``) are immutable.
+    for every queued height.  Deferring the fold is safe because what
+    it reads is stable history: a clustered height's merge span and
+    label churn never change, and the label fields the overlay reads
+    (``address_id``/``input_id``) are immutable.  The base partition
+    only moves forward, so a flush reads the run's merges as one log
+    span past the tip state's mark.
 
-    The base partition only moves forward — base folds are
-    irreversible, which is exactly why voidable links never enter it —
-    and no method of the union-find could move it back, so a flush
-    reads the run's merges as one log span past the tip state's mark.
-
-    Alongside the tip state the view keeps the per-height delta log
-    (:class:`_HeightRecord`), the log's base state, a sparse spine of
-    checkpoints at :attr:`_SPINE_INTERVAL` multiples (materialized the
-    first time a replay crosses them) and a small exact-height memo, so
-    a warm view reaches any height in at most one interval of records.
-    A replayed height builds a metric's ranking only when a question
-    first reads it; the tip's are built on a flush and patched by each.
+    Alongside the tip state the view keeps the columnar delta log
+    (:class:`_DeltaLog`) and an exact-height memo of past states.
     """
 
     OBSERVER_NAME = "aggregates"
-
-    _SPINE_INTERVAL = 16
-    """Checkpoint spacing: trades checkpoint memory for replay depth."""
 
     _MEMO_SIZE = 4
     """Exact-height LRU depth (mirrors the engine's as-of memo)."""
@@ -791,44 +883,34 @@ class ClusterAggregateView(MaterializedView):
         metrics=None,
     ) -> None:
         self.engine = engine
-        self._install(_AggregateState(), _AggregateState(), {})
-        super().__init__(index, metrics=metrics)
+        self._install(_AggregateState(), _DeltaLog())
+        self._follow(index, metrics)
 
-    def _install(
-        self,
-        tip: _AggregateState,
-        base: _AggregateState,
-        records: dict[int, _HeightRecord],
-    ) -> None:
+    def _follow(self, index: ChainIndex, metrics) -> None:
+        MaterializedView.__init__(self, index, metrics=metrics)
+        if self.metrics.enabled:
+            self.metrics.gauge_fn(
+                "timetravel.resident_bytes", self.resident_bytes
+            )
+
+    def _install(self, tip: _AggregateState, log: _DeltaLog) -> None:
         self._tip = tip
-        self._pending: list[tuple] = []
-        """Blocks observed but not yet folded (drained by :meth:`_flush`
-        on the first read or export at the new tip): per block the five
-        delta fields the flush reads — ``(height, max_id, event_ids,
-        event_values, involved_flat)`` — never the delta, which would
-        keep the block's transactions alive until the first read."""
+        self._log = log
         self._naming_dirty: set[int] = set()
-        """Base roots whose *canonical id mapping* may have changed
-        since the last :meth:`drain_naming_dirty` — merge endpoints and
-        structurally changed overlay groups, never plain churn (balance
-        or activity updates cannot move a cluster's id).  This is the
-        *pending* set: drains distribute it into every registered
-        :class:`DirtyRootCursor` before returning the caller's own."""
+        """Base roots whose canonical-id mapping may have changed since
+        the last drain (merge endpoints and structurally changed overlay
+        groups, never plain churn): drains distribute it into every
+        registered :class:`DirtyRootCursor`."""
         self._naming_cursors: list[DirtyRootCursor] = []
         self.naming_epoch = 0
-        """Bumped once per drain that observed structural dirty roots:
-        name-bearing query answers depend on the canonical-id mapping as
-        well as the height, so caches key on ``(height, naming_epoch)``
-        for those kinds (see :meth:`QueryEngine._cache_key
-        <repro.service.queries.QueryEngine._cache_key>`)."""
-        self._records = records
-        """The per-height aggregate delta log, keyed by height."""
-        self._base = base
-        """The state the delta log starts from (genesis for a view that
-        has followed the chain from the start)."""
-        self._spine: dict[int, _AggregateState] = {}
+        """Bumped per drain that saw dirty roots: name-bearing answers
+        are cached on ``(height, naming_epoch)``."""
         self._memo: OrderedDict[int, _AggregateState] = OrderedDict()
-        """Exact-height LRU of recently replayed states."""
+        """Exact-height LRU of recently built past states."""
+        # For the ``query`` flight span: how the last :meth:`at` was
+        # served, and the flush seconds summed while metrics are enabled.
+        self.last_path = "tip"
+        self.flush_seconds = 0.0
 
     # ------------------------------------------------------------------
     # streaming maintenance
@@ -844,51 +926,45 @@ class ClusterAggregateView(MaterializedView):
                 f"non-monotonic block, or view-before-engine "
                 f"subscription order all leave the merge deltas missing)"
             )
-        self._pending.append(
-            (
-                delta.height, delta.max_id, delta.event_ids,
-                delta.event_values, delta.involved_flat,
-            )
+        # The log is the queue: a block's columns now, its unions at the
+        # first read at the new tip (never the delta itself, which would
+        # keep the block's transactions alive until then).
+        self._log.append_rows(
+            delta.max_id, delta.event_ids, delta.event_values,
+            delta.involved_flat,
         )
 
     @property
     def pending_blocks(self) -> int:
         """Blocks queued but not yet folded (the flush-queue depth the
         health model reports)."""
-        return len(self._pending)
+        return self._height - self._tip.height
 
     def _flush(self) -> None:
         """Fold every queued block into the tip state as one run, then
         patch the tip's overlay and rankings once over the union of
         what the run touched — the coalescing that makes bulk ingest
         cheap."""
-        pending = self._pending
-        if not pending:
+        tip, log = self._tip, self._log
+        if tip.height == self._height:
             return
-        self._pending = []
+        first, blocks = tip.height + 1, self._height - tip.height
         metrics = self.metrics
         timed = metrics.enabled
         if timed:
             flush_start = perf_counter()
             metrics.histogram(
                 "aggregates.queued_blocks", buckets=COUNT_BUCKETS
-            ).observe(len(pending))
-            metrics.counter("aggregates.churn_rows").inc(
-                sum(
-                    len(event_ids) + len(involved_flat)
-                    for _h, _max_id, event_ids, _values, involved_flat in pending
-                )
-            )
+            ).observe(blocks)
         # Apply each block's unions to the base — H1 merges replayed off
-        # the engine's log plus change links that settled this block —
-        # and log the height.  The mark is taken after the unions, so
-        # ``(previous mark, mark]`` on the append-only base log is
-        # exactly the block's effective merges.
-        uf = self._tip.uf
-        records = []
-        for height, max_id, event_ids, event_values, involved_flat in pending:
+        # the engine's log plus change links that settled this block.
+        # The mark is taken after the unions, so ``(previous mark, mark]``
+        # on the append-only base log is exactly the block's merges.
+        uf = tip.uf
+        born, closed = [], []
+        for height in range(first, first + blocks):
             churn = self.engine.cluster_delta(height)
-            uf.ensure(max_id + 1)
+            uf.ensure(log.max_id[height] + 1)
             pairs = [*churn.merges] + [
                 (live.address_id, live.input_id)
                 for live in churn.settled
@@ -896,44 +972,39 @@ class ClusterAggregateView(MaterializedView):
             ]
             if pairs:
                 uf.union_many(*zip(*pairs))
-            record = self._records[height] = _HeightRecord(
-                height=height,
-                max_id=max_id,
-                mark=uf.checkpoint(),
-                born_open=tuple(
-                    live for live in churn.born if live.deadline is not None
-                ),
-                closed=churn.voided + churn.settled,
-                event_ids=event_ids,
-                event_values=event_values,
-                involved_flat=involved_flat,
-            )
-            records.append(record)
-        span = uf.log_span(self._tip.mark, uf.checkpoint())
-        stale_cids, involved_roots = self._tip.advance(records, span)
-        self._patch_tip(
-            span, stale_cids, involved_roots,
-            [live for record in records for live in record.born_open],
-            [live for record in records for live in record.closed],
-        )
+            opened = [live for live in churn.born if live.deadline is not None]
+            ended = churn.voided + churn.settled
+            log.mark.append(uf.checkpoint())
+            log.append_labels(opened, ended)
+            born += opened
+            closed += ended
+        ends = np.array(
+            uf.log_span(tip.mark, uf.checkpoint()), dtype="<i8"
+        ).reshape(-1, 2)
+        log.record_merges(ends, first, len(uf))
+        stale_cids, involved_roots = tip.advance(log, first, ends, born, closed)
+        self._patch_tip(ends, stale_cids, involved_roots, born, closed)
         if timed:
             seconds = perf_counter() - flush_start
+            self.flush_seconds += seconds
+            event_ids, _values, involved, _heights = log.churn(first, log.height)
+            metrics.counter("aggregates.churn_rows").inc(
+                len(event_ids) + len(involved)
+            )
             metrics.histogram("aggregates.flush_seconds").observe(seconds)
             metrics.flight.record(
-                "flush", height=self._height, blocks=len(pending),
-                seconds=seconds,
+                "flush", height=self._height, blocks=blocks, seconds=seconds
             )
-        log = self.index.log
-        if log.enabled:
-            log.debug(
-                "aggregate_flush", height=self._height, blocks=len(pending)
+        if self.index.log.enabled:
+            self.index.log.debug(
+                "aggregate_flush", height=self._height, blocks=blocks
             )
 
     def _patch_tip(
-        self, span, stale_cids: set[int], involved_roots, born, closed
+        self, ends, stale_cids: set[int], involved_roots, born, closed
     ) -> None:
         """The tip's incremental derived-state builder (the wholesale
-        twin replayed heights use is :meth:`_AggregateState.settle`).
+        twin past heights use is :meth:`_AggregateState.settle`).
 
         Only the overlay groups the run touched are re-linked — those
         holding a span-merge endpoint, a churned root, or the post-span
@@ -951,7 +1022,7 @@ class ClusterAggregateView(MaterializedView):
 
         # Every cluster the run changed, as post-span base roots.  A
         # merge's ``kept`` may itself have been absorbed later.
-        merged = np.fromiter(chain.from_iterable(span), "<i8", 2 * len(span))
+        merged = ends.ravel()
         touched_roots = set(
             uf.find_many(np.concatenate((involved_roots, merged))).tolist()
         )
@@ -1037,6 +1108,7 @@ class ClusterAggregateView(MaterializedView):
                 gone.union(e[0] for e in entries if e[column] <= 0),
                 [(e[0], e[column]) for e in entries if e[column] > 0],
             )
+        ranks.columns = ()  # all three are list-backed now
         tip.derived_dirty = False
 
     # ------------------------------------------------------------------
@@ -1044,15 +1116,9 @@ class ClusterAggregateView(MaterializedView):
     # ------------------------------------------------------------------
 
     def at(self, height: int | None = None) -> AggregateSurface:
-        """The aggregate surface at ``height`` (default: the chain tip).
-
-        The chain tip is served from the tip state; anything below it
-        replays the delta log forward from the nearest materialized
-        state.  A height above what the view has folded (detached view,
-        or a failed subscriber before it) raises
-        :class:`AggregatesBehindError` — cluster answers are exact or
-        refused.
-        """
+        """The aggregate surface at ``height`` (default: the chain tip):
+        the tip state, or a past one (:meth:`_replayed`).  A height the
+        view has not folded raises :class:`AggregatesBehindError`."""
         self._flush()
         tip = self.index.height
         if height is None:
@@ -1060,6 +1126,7 @@ class ClusterAggregateView(MaterializedView):
         if height > self._height:
             raise AggregatesBehindError(height, self._height, tip)
         if height == tip:
+            self.last_path = "tip"
             return AggregateSurface(self._tip)
         return AggregateSurface(self._replayed(height))
 
@@ -1071,16 +1138,20 @@ class ClusterAggregateView(MaterializedView):
         """Clusters at the tip."""
         return self.at().cluster_count
 
+    def resident_bytes(self) -> int:
+        """The delta log's bytes plus the memoized states' (the
+        ``timetravel.resident_bytes`` gauge)."""
+        return self._log.nbytes + sum(
+            state.nbytes for state in self._memo.values()
+        )
+
     def _replayed(self, height: int) -> _AggregateState:
-        """A settled state at ``height``, replayed from the nearest
-        materialized one — the base, a spine checkpoint, or a memoized
-        exact height — one :meth:`_AggregateState.advance` run per
-        spine segment crossed."""
-        base = self._base
-        if not base.height <= height <= self._height:
+        """A settled state at ``height``: memoized, or built from the
+        tip's partition and the log (nothing cloned or replayed)."""
+        if not 0 <= height <= self._height:
             raise ValueError(
                 f"height {height} outside the aggregate delta log "
-                f"({base.height}..{self._height})"
+                f"(0..{self._height})"
             )
         metrics = self.metrics
         timed = metrics.enabled
@@ -1088,55 +1159,25 @@ class ClusterAggregateView(MaterializedView):
         state = memo.get(height)
         if state is not None:
             memo.move_to_end(height)
+            self.last_path = "memo"
             if timed:
                 metrics.counter("timetravel.memo_hits").inc()
             return state
         if timed:
             start = perf_counter()
-        best = base
-        for materialized in (self._spine, memo):
-            for at_height, candidate in materialized.items():
-                if best.height < at_height <= height:
-                    best = candidate
-        depth = height - best.height
-        if timed and best is not base:
-            metrics.counter("timetravel.checkpoint_hits").inc()
-        state = best
-        if depth:
-            state = best.clone()
-            spine = self._spine
-            records = self._records
-            interval = self._SPINE_INTERVAL
-            log = self._tip.uf
-            while state.height < height:
-                stop = min(height, (state.height // interval + 1) * interval)
-                run = [records[h] for h in range(state.height + 1, stop + 1)]
-                span = log.log_span(state.mark, run[-1].mark)
-                state.uf.ensure(max(record.max_id for record in run) + 1)
-                state.uf.replay(span)
-                state.advance(run, span)
-                if stop < height and stop % interval == 0 and stop not in spine:
-                    spine[stop] = state.clone()
-                    if timed:
-                        metrics.counter(
-                            "timetravel.checkpoints_materialized"
-                        ).inc()
-            memo[height] = state
-            while len(memo) > self._MEMO_SIZE:
-                memo.popitem(last=False)
-        # Only a height that is served pays for derived state; spine
-        # checkpoints stay unsettled until served themselves.
+        state = self._log.state_at(height, self._tip.uf.parents.array)
         state.settle()
+        memo[height] = state
+        while len(memo) > self._MEMO_SIZE:
+            memo.popitem(last=False)
+        self.last_path = "built"
         if timed:
             state.ranks.metrics = metrics
             seconds = perf_counter() - start
-            metrics.histogram(
-                "timetravel.replay_heights", buckets=COUNT_BUCKETS
-            ).observe(depth)
-            metrics.histogram("timetravel.replay_seconds").observe(seconds)
+            metrics.histogram("timetravel.build_seconds").observe(seconds)
             metrics.flight.record(
-                "timetravel", height=height, tip=self._height, depth=depth,
-                seconds=seconds, ranked=state.ranks.built,
+                "timetravel", height=height, tip=self._height,
+                seconds=seconds, bytes=state.nbytes, ranked=state.ranks.built,
             )
         return state
 
@@ -1146,15 +1187,8 @@ class ClusterAggregateView(MaterializedView):
 
     def naming_cursor(self) -> DirtyRootCursor:
         """Register a dirty-root consumer (see :class:`DirtyRootCursor`).
-
-        The cursor sees only roots marked dirty *after* registration —
-        a new consumer does a full build first (ids resolved through
-        :meth:`AggregateSurface.cluster_placements_of` carry their base
-        root for exactly this), then follows churn through
-        :meth:`drain_naming_dirty`.  Cursors are not durable state: a
-        restored view starts with none registered, and consumers
-        re-register against the view they actually follow.
-        """
+        It sees only roots marked dirty after registration, so a new
+        consumer builds in full first.  Cursors are not durable state."""
         cursor = DirtyRootCursor()
         self._naming_cursors.append(cursor)
         return cursor
@@ -1168,16 +1202,10 @@ class ClusterAggregateView(MaterializedView):
 
     def drain_naming_dirty(self, cursor: DirtyRootCursor) -> set[int]:
         """Return (and clear) the base roots whose canonical-id mapping
-        may have changed since ``cursor`` last drained.
-
-        Every registered cursor observes every dirty root exactly once:
-        the pending set is distributed into each cursor's own set here,
-        then the caller's set is handed over and replaced.  An id
-        resolved through :meth:`AggregateSurface.cluster_placements_of`
-        at the tip stays valid until a drain reports its root — merge
-        endpoints and structural overlay changes are reported, plain
-        churn (which cannot move a cluster's id) is not.
-        """
+        may have changed since ``cursor`` last drained; every registered
+        cursor observes every dirty root exactly once.  An id resolved
+        through :meth:`AggregateSurface.cluster_placements_of` at the
+        tip stays valid until a drain reports its root."""
         self._flush()
         pending = self._naming_dirty
         if pending:
@@ -1196,13 +1224,8 @@ class ClusterAggregateView(MaterializedView):
 
     def export_state(self) -> dict:
         """The tip's base partition and root columns (the ``aggregates``
-        snapshot segment).
-
-        The overlay, open-label set, and rank indexes are *derived*
-        (from the engine's open labels and the base) and are rebuilt on
-        restore — exporting them would only create a second source of
-        truth to keep consistent.  Queued blocks are flushed first, so
-        an export always reflects the view's full height.
+        snapshot segment), queued blocks flushed first.  The overlay,
+        open-label set and rankings are derived, and rebuilt on restore.
         """
         self._flush()
         return {
@@ -1212,45 +1235,27 @@ class ClusterAggregateView(MaterializedView):
         }
 
     def export_time_travel(self) -> dict:
-        """The delta log and its base state as plain data (the
-        ``timetravel`` snapshot segment).
-
-        Label references serialize as indices into the engine's
-        birth-ordered label list (the same convention the engine's own
-        export uses), so a restore re-binds them to the restored
-        engine's live label objects.  The spine and memo are replay
-        caches, rebuilt on demand — never exported.
+        """The delta log as plain data (the ``timetravel`` snapshot
+        segment): one record tuple per height after an empty genesis
+        base, the layout every writer has produced.  Labels serialize as
+        indices into the engine's birth-ordered label list, which a
+        restore re-binds to the restored engine's objects.
         """
         self._flush()
         label_index = {
             id(live): position
             for position, live in enumerate(self.engine._labels)
         }
-        base = self._base
         return {
             "version": 1,
             "height": self._height,
             "base": {
-                "height": base.height,
-                "mark": base.mark,
-                **base.export_arrays(),
-                "open": [label_index[id(live)] for live in base.open],
+                "height": -1,
+                "mark": 0,
+                **_AggregateState().export_arrays(),
+                "open": [],
             },
-            "records": [
-                (
-                    record.height,
-                    record.max_id,
-                    record.mark,
-                    [label_index[id(live)] for live in record.born_open],
-                    [label_index[id(live)] for live in record.closed],
-                    record.event_ids.tobytes(),
-                    record.event_values.tobytes(),
-                    record.involved_flat.tobytes(),
-                )
-                for record in sorted(
-                    self._records.values(), key=lambda r: r.height
-                )
-            ],
+            "records": self._log.export(label_index),
         }
 
     @classmethod
@@ -1264,44 +1269,38 @@ class ClusterAggregateView(MaterializedView):
         metrics=None,
     ) -> "ClusterAggregateView":
         """Rebuild a view from :meth:`export_state` and
-        :meth:`export_time_travel` output, no catch-up.
-
-        ``engine`` must be the restored engine at the same height: the
-        tip's open-label set is its live label state (so restored
-        rankings are identical to the exporting view's), and the delta
-        log's label references are indices into its birth-ordered label
-        list.
+        :meth:`export_time_travel` output, no catch-up.  ``engine`` must
+        be the restored engine at the same height: its open labels are
+        the tip's, its label list what the log's indices name.  A delta
+        log that does not start at genesis is refused.
         """
         if engine.height != state["height"]:
             raise ValueError(
                 f"aggregate state is at height {state['height']} but the "
                 f"engine is at {engine.height}"
             )
+        start = delta_log["base"]["height"]
+        if start != -1:
+            # Imported here: the storage package imports the service.
+            from ..storage.errors import UnsupportedSnapshotError
+
+            raise UnsupportedSnapshotError(
+                f"the 'timetravel' delta log starts after height {start}; "
+                f"this build restores only a log that starts at genesis — "
+                f"re-ingest from blk*.dat and snapshot again"
+            )
         view = cls.__new__(cls)
         view._height = state["height"]
         view.engine = engine
-        labels = engine._labels
         tip = _AggregateState.from_arrays(state, engine.open_labels())
         tip.settle()
         tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
-        base_state = delta_log["base"]
-        base = _AggregateState.from_arrays(
-            base_state, (labels[position] for position in base_state["open"])
+        view._install(
+            tip,
+            _DeltaLog.from_records(
+                delta_log["records"], engine._labels,
+                np.frombuffer(state["uf"]["log"], dtype="<i8"), len(tip.uf),
+            ),
         )
-        records = {
-            height: _HeightRecord(
-                height=height,
-                max_id=max_id,
-                mark=mark,
-                born_open=tuple(labels[position] for position in born),
-                closed=tuple(labels[position] for position in closed),
-                event_ids=np.frombuffer(event_ids, dtype="<i8"),
-                event_values=np.frombuffer(event_values, dtype="<i8"),
-                involved_flat=np.frombuffer(involved_flat, dtype="<i8"),
-            )
-            for height, max_id, mark, born, closed,
-            event_ids, event_values, involved_flat in delta_log["records"]
-        }
-        view._install(tip, base, records)
-        MaterializedView.__init__(view, index, metrics=metrics)
+        view._follow(index, metrics)
         return view

@@ -31,7 +31,7 @@ the question *as of block 420*.
 cluster kinds have one read path: resolve the height (default: the
 tip), take the aggregate view's surface there
 (:meth:`~repro.service.aggregates.ClusterAggregateView.at` — the tip
-state at the tip, a replay of the per-height delta log below it), and
+state at the tip, a state built from the delta log below it), and
 read the answer off it.  A question about a height the view has not
 folded (it is detached, or a subscriber failed before it) is refused
 with :class:`~repro.service.aggregates.AggregatesBehindError`; there is
@@ -251,6 +251,9 @@ class QueryEngine:
         timed = metrics.enabled
         if timed:
             start = perf_counter()
+            view = self.service.aggregates
+            flushed = view.flush_seconds
+            view.last_path = "tip"  # unless the handler reads the past
         cache = self.service.cache
         key = self._cache_key(query)
         found, value = cache.lookup(key)
@@ -278,6 +281,8 @@ class QueryEngine:
                 "hit": found,
                 "height": self.service.height,
                 "seconds": seconds,
+                "path": "cache" if found else view.last_path,
+                "flush_paid_seconds": view.flush_seconds - flushed,
             }
             if request_id is not None:
                 span["request_id"] = request_id

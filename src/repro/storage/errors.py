@@ -14,9 +14,10 @@ class SnapshotIntegrityError(StorageError):
 
 class UnsupportedSnapshotError(SnapshotIntegrityError):
     """A snapshot is intact but in a layout this build does not restore
-    (an older manifest version, no ``timetravel`` segment, or an older
-    chain state version) — it must not be restored either; re-ingesting
-    from ``blk*.dat`` is the remedy."""
+    (an older manifest version, no ``timetravel`` segment, a delta log
+    that does not start at genesis, or an older chain state version) —
+    it must not be restored either; re-ingesting from ``blk*.dat`` is
+    the remedy."""
 
 
 class NoSnapshotError(StorageError):

@@ -10,8 +10,6 @@ aggregate, a retained event) and assert the next audit reports exactly
 that check.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,7 +87,7 @@ class TestCleanPipelinesAuditClean:
         derived = next(
             check for check in report.checks if check.name == "tip_derived"
         )
-        assert "3 ranking(s) match a settled clone" in derived.detail
+        assert "3 ranking(s) match the column build" in derived.detail
 
     def test_zero_cadence_never_fires(self):
         _service, auditor = _fresh_service(audit_every=0)
@@ -145,6 +143,22 @@ class TestSeededCorruptionDetected:
         )
         assert aggregates.violations
 
+    def test_tip_root_balance_is_checked_against_the_column_build(self):
+        """The full audit's ``tip_derived`` check builds the tip height
+        from the delta log, so a corrupted tip column cannot also be
+        its own reference."""
+        service, auditor = _fresh_service(audit_every=0)
+        view = service.aggregates
+        view._flush()
+        root = view._tip.uf.find(0)
+        view._tip.roots.balance[root] += 1
+        report = auditor.audit_now(full=True)
+        derived = next(
+            check for check in report.checks if check.name == "tip_derived"
+        )
+        assert derived.violations
+        assert "base columns differ from the column build" in derived.detail
+
     def test_stale_rank_entry(self):
         """A ranking that still lists a cluster id a merge retired.
         Routine audits do not read the rankings; the full audit's
@@ -166,7 +180,7 @@ class TestSeededCorruptionDetected:
             check for check in report.checks if check.name == "tip_derived"
         )
         assert derived.violations == 1
-        assert derived.detail == "size ranking differs from a settled clone"
+        assert derived.detail == "size ranking differs from the column build"
 
     def test_stale_activity_rank_entry(self):
         """The same damage in the ``activity`` ranking is named too:
@@ -187,7 +201,7 @@ class TestSeededCorruptionDetected:
             check for check in report.checks if check.name == "tip_derived"
         )
         assert derived.violations == 1
-        assert derived.detail == "activity ranking differs from a settled clone"
+        assert derived.detail == "activity ranking differs from the column build"
 
     def test_restored_tip_checks_rankings_it_has_not_built(self, tmp_path):
         """A restored tip builds no ranking until one is read; the full
@@ -202,7 +216,7 @@ class TestSeededCorruptionDetected:
             check for check in report.checks if check.name == "tip_derived"
         )
         assert report.ok
-        assert derived.detail.endswith("3 ranking(s) match a settled clone")
+        assert derived.detail.endswith("3 ranking(s) match the column build")
 
     def test_replaced_retained_event_value(self):
         """The shadow fold holds the event columns the aggregate view's
@@ -211,15 +225,12 @@ class TestSeededCorruptionDetected:
         service, auditor = _fresh_service(audit_every=0, strict=True)
         view = service.aggregates
         view._flush()
-        records = view._records
+        log = view._log
         height = next(
-            h for h in sorted(records) if len(records[h].event_values)
+            h for h in range(log.height + 1) if len(log.churn(h, h)[1])
         )
-        forged = records[height].event_values.copy()
-        forged[0] += 1
-        records[height] = dataclasses.replace(
-            records[height], event_values=forged
-        )
+        _event_ids, event_values, _involved, _heights = log.churn(height, height)
+        event_values[0] += 1  # a view into the log's column
         with pytest.raises(AuditViolationError) as excinfo:
             auditor.audit_now(full=True)
         shadow = next(

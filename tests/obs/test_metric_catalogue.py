@@ -49,9 +49,10 @@ def emitted(tmp_path_factory):
             Query("top_clusters", (5, "balance")),
             Query("cluster_of", (interner.address_of(0),)),
             Query("balance_of", (interner.address_of(1),)),
-            # Historical horizon twice: the first replays the delta log
-            # (timetravel.replay_* + the `timetravel` flight span), the
-            # second hits the horizon memo (timetravel.memo_hits).
+            # Historical horizon twice: the first builds from the delta
+            # log (timetravel.build_seconds + the `timetravel` flight
+            # span), the second hits the horizon memo
+            # (timetravel.memo_hits).
             Query("top_clusters", (5, "size", horizon)),
             Query("cluster_profile", (interner.address_of(0), horizon)),
         ]

@@ -25,7 +25,7 @@ from repro.chain.index import ChainIndex
 from repro.obs import MetricsRegistry
 from repro.service import AggregatesBehindError, ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
-from repro.simulation import scenarios
+from repro.simulation import large_scale_blocks, scenarios
 
 from tests.helpers import assert_surface_equals_batch, reference_answers
 
@@ -89,9 +89,17 @@ def derived_links(state):
     return {cid: sorted(keys) for cid, keys in out.items()}
 
 
-def assert_tip_equals_settled_clone(state):
-    settled = state.clone()
+def column_built(view):
+    """The view's state at its tip height, built from the delta log's
+    columns and settled wholesale (never the tip's own derived state)."""
+    settled = view._log.state_at(view.height, view._tip.uf.parents.array)
     settled.settle()
+    return settled
+
+
+def assert_tip_equals_column_build(view):
+    state = view.at()._state
+    settled = column_built(view)
     assert state_fingerprint(state) == state_fingerprint(settled)
     assert held_links(state) == derived_links(settled)
 
@@ -142,9 +150,10 @@ class TestStreamedEqualsBatchAtEveryHeight:
 
 
 class TestOneFoldThreeCallers:
-    """The flush run, the per-block flush and the replay all go through
-    ``_AggregateState.advance``: whatever the run boundaries, the state
-    at a height is the same state."""
+    """The one-run flush and the per-block flushes go through
+    ``_AggregateState.advance``, a past height through the delta log's
+    column build: whatever the path or the run boundaries, the state at
+    a height is the same state."""
 
     def _streamed(self, world, flush_every):
         index = ChainIndex()
@@ -163,11 +172,9 @@ class TestOneFoldThreeCallers:
         tip = per_block.height
         expected = state_fingerprint(per_block.aggregates.at()._state)
         one_run_tip = one_run.aggregates.at()._state  # the single flush
-        # A view with no spine or memo yet: the replay starts at the
-        # delta log's genesis base and crosses every spine boundary.
-        assert not one_run.aggregates._spine
+        # A view with an empty memo: the state is built from the delta
+        # log's columns and the tip's partition.
         replayed = one_run.aggregates._replayed(tip)
-        assert one_run.aggregates._spine
         for other in (one_run_tip, in_sevens.aggregates.at()._state, replayed):
             assert state_fingerprint(other) == expected
         # One state shape: a replayed state and the tip state hold the
@@ -200,8 +207,9 @@ class TestOneFoldThreeCallers:
 
 class TestPatchedTipEqualsSettledClone:
     """The tip re-links only the overlay groups a flush touched; after
-    every flush it must equal a wholesale ``settle()`` of its own base,
-    groups, rankings and the links each group holds included."""
+    every flush it must equal the state built from the delta log at the
+    same height and settled wholesale, groups, rankings and the links
+    each group holds included."""
 
     @settings(deadline=None)
     @given(
@@ -220,7 +228,7 @@ class TestPatchedTipEqualsSettledClone:
         for count, block in enumerate(blocks, 1):
             index.add_block(block)
             if count == len(blocks) or (cadence and count % cadence == 0):
-                assert_tip_equals_settled_clone(service.aggregates.at()._state)
+                assert_tip_equals_column_build(service.aggregates)
 
     def test_per_block_follow_relinks_a_small_share_of_open_links(
         self, default_world
@@ -235,7 +243,7 @@ class TestPatchedTipEqualsSettledClone:
             index.add_block(block)
             tip = service.aggregates.at()._state
             open_links += sum(live.input_id is not None for live in tip.open)
-        assert_tip_equals_settled_clone(tip)
+        assert_tip_equals_column_build(service.aggregates)
         counters = metrics.snapshot()["counters"]
         relinked = counters["aggregates.overlay_links_relinked"]
         assert open_links > 1000
@@ -501,3 +509,30 @@ class TestDirtyRootCursors:
             ), block.height
         assert auditor.audits_run == 8
         assert auditor.total_violations == 0
+
+
+class TestTimeTravelMemory:
+    def test_resident_bytes_are_the_log_plus_the_memo(self):
+        """A question at every past height keeps nothing per height: the
+        ``timetravel.resident_bytes`` gauge reads the delta log plus at
+        most ``_MEMO_SIZE`` states, each no larger than the state the log
+        builds at the tip height."""
+        metrics = MetricsRegistry()
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None, metrics=metrics)
+        for block in large_scale_blocks(300, seed=0):
+            index.add_block(block)
+        view = service.aggregates
+        address = index.interner.address_of(0)
+        for height in range(service.height):
+            if height % 2:
+                service.answer(Query("cluster_profile", (address, height)))
+            else:
+                by = TOP_CLUSTER_METRICS[height // 2 % 3]
+                service.answer(Query("top_clusters", (5, by, height)))
+        gauge = metrics.snapshot()["gauges"]["timetravel.resident_bytes"]
+        tip_sized = view._log.state_at(view.height, view._tip.uf.parents.array)
+        tip_sized.settle()
+        assert len(view._memo) == view._MEMO_SIZE
+        assert view._log.nbytes < gauge
+        assert gauge <= view._log.nbytes + view._MEMO_SIZE * tip_sized.nbytes

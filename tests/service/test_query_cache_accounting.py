@@ -169,3 +169,33 @@ class TestRequestIdPropagation:
             if span["kind"] == "query"
         ]
         assert "request_id" not in span
+
+class TestQueryAttribution:
+    def test_each_span_names_its_path_and_the_flush_it_paid(self, source):
+        """``path`` says how a dispatch was served and
+        ``flush_paid_seconds`` what coalesced flush it paid: the first
+        read after a block pays one, a cache hit and a past height built
+        after it pay none."""
+        metrics = MetricsRegistry()
+        target = ChainIndex()
+        service = ForensicsService(target, metrics=metrics)
+        for height in range(3):
+            target.add_block(source.block_at(height))
+        ask = [
+            Query("cluster_balance", (addr("acct/b"),)),  # tip, flushes
+            Query("cluster_balance", (addr("acct/b"),)),  # cache
+            Query("cluster_balance", (addr("acct/b"), 1)),  # built
+            Query("cluster_of", (addr("acct/b"), 1)),  # memo
+            Query("balance_of", (addr("acct/b"),)),  # no cluster read
+        ]
+        for query in ask:
+            service.answer(query)
+        spans = [
+            span for span in metrics.flight.dump() if span["kind"] == "query"
+        ]
+        assert [span["path"] for span in spans] == [
+            "tip", "cache", "built", "memo", "tip",
+        ]
+        paid = [span["flush_paid_seconds"] for span in spans]
+        assert paid[0] > 0
+        assert paid[1:] == [0.0] * 4

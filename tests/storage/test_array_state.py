@@ -9,6 +9,7 @@ little-endian int64 buffer.  The contracts pinned here:
   their delta log);
 * **extra base keys** — a ``timetravel`` base written while the state
   still carried four per-address arrays restores; the keys are ignored;
+  a base at any height but genesis is refused;
 * **extra segments** — a snapshot that still carries the ``balances``
   and ``activity`` segments restores to the same service as one
   without them;
@@ -81,6 +82,18 @@ class TestByteEqualRoundTrip:
         for metric in TOP_CLUSTER_METRICS:
             assert restored.at().ranking(metric) == aggregates.at().ranking(
                 metric
+            )
+
+
+    def test_a_delta_log_after_genesis_is_refused(self, streamed):
+        """Past heights are built from a log that starts at genesis: a
+        log whose base is a later height is intact but unrestorable."""
+        index, engine, aggregates = streamed
+        history = aggregates.export_time_travel()
+        late = {**history, "base": {**history["base"], "height": 3}}
+        with pytest.raises(UnsupportedSnapshotError, match="genesis"):
+            ClusterAggregateView.from_state(
+                index, aggregates.export_state(), late, engine=engine
             )
 
 
