@@ -18,7 +18,8 @@ height:
 
 * **H1** co-spend unions are applied eagerly to an append-only
   :class:`~repro.core.union_find.IntUnionFind`, with a checkpoint per
-  block — the H1 state at any height is a replay of a log prefix.
+  block — the H1 forest at any height is the live one read as of the
+  height's checkpoint (:meth:`~repro.core.union_find.IntUnionFind.forest_at`).
 * **H2** labels are decided with the purely-past checks the moment their
   transaction arrives, then *watched*: a later input to the candidate
   within the waiting window voids the label (the §4.2 wait rule), which
@@ -26,11 +27,11 @@ height:
   the clustering at horizon ``h`` iff it was born by ``h`` and not yet
   voided at ``h`` — exactly the batch engine's ``as_of_height``
   semantics.
-* :meth:`cluster_as_of` combines the two: replay the H1 log up to the
-  height's checkpoint onto a fresh structure, then union the then-active
-  change links.  :meth:`cluster_count_series` sweeps all heights
-  forward, counting each height's links with
-  :func:`~repro.core.union_find.link_components`; nothing undoes a union.
+* :meth:`cluster_as_of` combines the two: the H1 forest at the height,
+  then one union pass over the then-active change links.
+  :meth:`cluster_count_series` builds no forest, counting each height's
+  links with :func:`~repro.core.union_find.link_components`; nothing
+  replays or undoes a union.
 
 Equivalence contract (tested property-style against the batch
 reference): for every height ``h``, ``cluster_as_of(h)`` induces the
@@ -108,7 +109,7 @@ class ClusterBlockDelta:
 
     Everything a per-cluster materialized view needs to fold a block
     without re-reading the partition: the H1 merges the block applied
-    (in fold order, as ``(absorbed_root, kept_root)`` entries off the
+    (in fold order, as ``(absorbed_root, kept_root)`` rows off the
     engine's merge log), the labels born at the height, the labels a
     later receive *voided* at the height, and the labels whose wait
     window closed unvoided at the height (now permanent).  Every born
@@ -118,7 +119,7 @@ class ClusterBlockDelta:
     """
 
     height: int
-    merges: tuple[tuple[int, int], ...]
+    merges: np.ndarray
     born: tuple[_LiveLabel, ...]
     voided: tuple[_LiveLabel, ...]
     settled: tuple[_LiveLabel, ...]
@@ -195,17 +196,14 @@ class IncrementalClusteringEngine:
         the engine is permanently behind the index from that point, so
         every later block is refused with a diagnosis instead of a
         misleading out-of-order error."""
-        self._as_of_cache: OrderedDict[int, Clustering] = OrderedDict()
-        """Recently materialized ``cluster_as_of`` answers, keyed by
-        height.  Sound because a height's answer is immutable once the
-        height has been clustered: later blocks only append, and a
-        wait-rule void recorded at ``v`` never changes ``active_at(h)``
-        for ``h < v``.  This is what lets a serving layer ask for the
-        tip clustering per query without re-materializing."""
-        self._h1_as_of_cache: OrderedDict[int, Clustering] = OrderedDict()
-        """Recently materialized ``cluster_h1_as_of`` answers.  Kept
-        separate from ``_as_of_cache`` so co-spend-only callers (peel
-        recipient naming) never evict full-heuristic horizons."""
+        self._as_of_cache: OrderedDict[tuple, Clustering] = OrderedDict()
+        """Recently materialized ``cluster_as_of`` / ``cluster_h1_as_of``
+        answers, keyed by ``(heuristics, height)``.  Sound because a
+        height's answer is immutable once the height has been clustered:
+        later blocks only append, and a wait-rule void recorded at ``v``
+        never changes ``active_at(h)`` for ``h < v``.  This is what lets
+        a serving layer ask for the tip clustering per query without
+        re-materializing."""
         self._attach()
 
     # ------------------------------------------------------------------
@@ -396,8 +394,8 @@ class IncrementalClusteringEngine:
         The H1 entries are the engine union-find's own
         :meth:`~repro.core.union_find.IntUnionFind.log_span` between the
         height's checkpoints — safe to read at any time because the log
-        is append-only and time travel replays onto fresh structures,
-        so a height's span never changes once the height is clustered.
+        is append-only and time travel only reads it, so a height's span
+        never changes once the height is clustered.
         Labels are the live objects (identity-shared with the engine's
         watch state); consumers read, never mutate.
         """
@@ -409,7 +407,7 @@ class IncrementalClusteringEngine:
         label_start = self._label_marks[height - 1] if height else 0
         return ClusterBlockDelta(
             height=height,
-            merges=tuple(self._uf.log_span(merge_start, self._marks[height])),
+            merges=self._uf.log_span(merge_start, self._marks[height]),
             born=tuple(self._labels[label_start:self._label_marks[height]]),
             voided=tuple(self._voids_at.get(height, ())),
             settled=tuple(self._settles_at.get(height, ())),
@@ -435,11 +433,7 @@ class IncrementalClusteringEngine:
         The health model reads this as the engine's backlog: every open
         label is overlay work for differential consumers, so a count
         that keeps growing means change outputs are not settling."""
-        return sum(
-            1
-            for live in self._labels
-            if live.voided_at is None and live.settled_at is None
-        )
+        return len(self.open_labels())
 
     # ------------------------------------------------------------------
     # durable state (snapshot / restore)
@@ -578,7 +572,6 @@ class IncrementalClusteringEngine:
             for deadline, seq, i in state["watch_heap"]
         ]
         engine._as_of_cache = OrderedDict()
-        engine._h1_as_of_cache = OrderedDict()
         if len(engine._marks) != index.height + 1:
             raise ValueError(
                 f"engine state is at height {len(engine._marks) - 1} but the "
@@ -604,55 +597,65 @@ class IncrementalClusteringEngine:
             )
         return height
 
-    def cluster_as_of(self, height: int | None = None) -> Clustering:
-        """A materialized :class:`Clustering` equal to the batch engine's
-        ``cluster(as_of_height=height)`` — without re-running heuristics.
-
-        Replays the H1 merge log up to the height's checkpoint onto a
-        fresh structure over the prefix universe, then applies the
-        change links active at that horizon.  The last few materialized
-        answers are memoized per height (immutable once clustered, so
-        reuse is exact); heavy query traffic against a fixed tip pays
-        the materialization once.
-        """
+    def _memoized(self, heuristics: str, height: int | None, build) -> Clustering:
+        """``build(height)`` at a resolved horizon, memoized (an empty
+        chain's empty answer is not kept)."""
         height = self._check_height(height)
         if height is None:
-            return Clustering(
-                uf=InternedPartition(IntUnionFind(), self.index.interner),
-                heuristics="h1+h2",
-                h2_result=Heuristic2Result(),
-            )
-        cached = self._as_of_cache.get(height)
-        if cached is not None:
-            self._as_of_cache.move_to_end(height)
-            return cached
-        uf = IntUnionFind(self._seen[height])
-        uf.replay(self._uf.log_prefix(self._marks[height]))
-        active = [live for live in self._labels if live.active_at(height)]
-        result = Heuristic2Result(labels=[live.label for live in active])
-        links = [live for live in active if live.input_id is not None]
-        uf.union_many(
-            [live.address_id for live in links],
-            [live.input_id for live in links],
-        )
-        clustering = Clustering(
-            uf=InternedPartition(uf, self.index.interner),
-            heuristics="h1+h2",
-            h2_result=result,
-        )
-        self._as_of_cache[height] = clustering
-        while len(self._as_of_cache) > self._AS_OF_CACHE_SIZE:
-            self._as_of_cache.popitem(last=False)
+            return build(None)
+        cache, key = self._as_of_cache, (heuristics, height)
+        clustering = cache.get(key)
+        if clustering is None:
+            clustering = cache[key] = build(height)
+            while len(cache) > self._AS_OF_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
         return clustering
 
     _AS_OF_CACHE_SIZE = 4
     """Materialized horizons kept around; each holds an O(addresses)
     structure, so the memo is deliberately tiny."""
 
+    def _h1_forest(self, height: int | None) -> IntUnionFind:
+        """A fresh structure holding the H1 forest as of ``height``,
+        over the ids seen by then (empty for ``None``)."""
+        if height is None:
+            return IntUnionFind()
+        parents = self._uf.forest_at(self._marks[height])[: self._seen[height]]
+        return IntUnionFind.from_parents(parents)[0]
+
+    def cluster_as_of(self, height: int | None = None) -> Clustering:
+        """A materialized :class:`Clustering` equal to the batch engine's
+        ``cluster(as_of_height=height)`` — without re-running heuristics.
+
+        The H1 forest as of the height (one masked pass over the live
+        parent column), then one union pass over the change links
+        active at that horizon.  The last few answers are memoized per
+        height, so heavy query traffic against a fixed tip pays the
+        materialization once.
+        """
+        return self._memoized("h1+h2", height, self._full_at)
+
+    def _full_at(self, height: int | None) -> Clustering:
+        uf = self._h1_forest(height)
+        # An empty chain (height ``None``) has no labels to ask.
+        active = [live for live in self._labels if live.active_at(height)]
+        links = [live for live in active if live.input_id is not None]
+        uf.union_many(
+            [live.address_id for live in links],
+            [live.input_id for live in links],
+        )
+        return Clustering(
+            uf=InternedPartition(uf, self.index.interner),
+            heuristics="h1+h2",
+            h2_result=Heuristic2Result(labels=[live.label for live in active]),
+        )
+
     def cluster_h1_as_of(self, height: int | None = None) -> Clustering:
         """The co-spend-only (Heuristic 1) partition as of ``height``.
 
-        Same checkpoint replay as :meth:`cluster_as_of` but without the
+        The same H1 forest as :meth:`cluster_as_of` but without the
         change-link overlay: only unions witnessed by actual co-spends.
         This is the partition of record for naming *counterparties* —
         a peel recipient's output is by construction not the spender's
@@ -660,38 +663,36 @@ class IncrementalClusteringEngine:
         classification, and settled cross-party change links are exactly
         what drag recipients into the wrong cluster.
         """
+        return self._memoized(
+            "h1",
+            height,
+            lambda height: Clustering(
+                uf=InternedPartition(self._h1_forest(height), self.index.interner),
+                heuristics="h1",
+            ),
+        )
+
+    def h1_roots_at(self, ids, height: int | None = None) -> np.ndarray:
+        """The co-spend-only roots of ``ids`` as of ``height`` (default:
+        the tip), read off the live forest with no partition built.  An
+        id not yet seen at ``height`` (or negative) maps to -1."""
+        ids = np.asarray(ids, dtype="<i8")
+        roots = np.full(len(ids), -1, dtype="<i8")
         height = self._check_height(height)
         if height is None:
-            return Clustering(
-                uf=InternedPartition(IntUnionFind(), self.index.interner),
-                heuristics="h1",
-            )
-        cached = self._h1_as_of_cache.get(height)
-        if cached is not None:
-            self._h1_as_of_cache.move_to_end(height)
-            return cached
-        uf = IntUnionFind(self._seen[height])
-        uf.replay(self._uf.log_prefix(self._marks[height]))
-        clustering = Clustering(
-            uf=InternedPartition(uf, self.index.interner),
-            heuristics="h1",
-        )
-        self._h1_as_of_cache[height] = clustering
-        while len(self._h1_as_of_cache) > self._AS_OF_CACHE_SIZE:
-            self._h1_as_of_cache.popitem(last=False)
-        return clustering
+            return roots
+        seen = (ids >= 0) & (ids < self._seen[height])
+        roots[seen] = self._uf.find_at(ids[seen], self._marks[height])
+        return roots
 
     def cluster_count_series(self) -> list[ClusterSnapshot]:
-        """Cluster counts at *every* height, in one forward sweep.
+        """Cluster counts at *every* height, with no forest built.
 
-        Replays the H1 merge log height by height onto a fresh structure
-        (O(1) per union, no finds).  Birth, void, owner and partner
-        columns over every label are built once; each height masks its
-        active links, resolves their endpoints with two ``find_many``
-        calls and counts what they merge with
-        :func:`~repro.core.union_find.link_components`:
-        ``clusters = h1_clusters - (merged roots - groups)``.  The
-        replayed structure only ever moves forward.
+        A height's H1 cluster count is its universe minus its merges.
+        Label columns are built once; each height resolves its active
+        links' endpoints with two ``find_at`` calls and counts what they
+        merge with :func:`~repro.core.union_find.link_components`:
+        ``clusters = h1_clusters - (merged roots - groups)``.
         """
         never = len(self._marks)
         born, voided, owners, partners = np.array(
@@ -707,25 +708,21 @@ class IncrementalClusteringEngine:
             dtype="<i8",
         ).reshape(-1, 4).T
         linked = partners >= 0
-        uf = IntUnionFind()
-        log = self._uf.log_prefix(self._marks[-1]) if self._marks else []
+        find_at = self._uf.find_at
         points: list[ClusterSnapshot] = []
-        position = 0
         for height, (mark, seen) in enumerate(zip(self._marks, self._seen)):
-            uf.ensure(seen)
-            uf.replay(log[position:mark])
-            position = mark
             active = (born <= height) & (voided > height)
             links = active & linked
             members, starts = link_components(
-                uf.find_many(owners[links]), uf.find_many(partners[links])
+                find_at(owners[links], mark), find_at(partners[links], mark)
             )
+            h1_clusters = seen - mark
             points.append(
                 ClusterSnapshot(
                     height=height,
                     address_count=seen,
-                    h1_clusters=uf.component_count,
-                    clusters=uf.component_count - len(members) + len(starts),
+                    h1_clusters=h1_clusters,
+                    clusters=h1_clusters - len(members) + len(starts),
                     active_labels=int(np.count_nonzero(active)),
                 )
             )

@@ -2,31 +2,33 @@
 
 :class:`IntUnionFind` is backed by flat int64 arrays indexed by the
 dense address ids the chain layer interns, and only moves forward:
-each effective union is appended to a merge log, and the partition at an
-earlier log position is rebuilt by replaying a prefix onto a fresh
-structure, never by undoing the live one.  The arrays make
-:meth:`IntUnionFind.find_many` a few whole-array gathers instead of one
-pointer-chase loop per id.  :func:`link_components` is the one kernel for
-the open-link overlay (still-voidable H2 change links over base roots).
+each effective union appends the root it absorbed to a merge-log column,
+and the forest at an earlier position is the live parent column masked to
+the ids absorbed before it (:meth:`IntUnionFind.forest_at`), never a replay
+or an undo.  The arrays make :meth:`IntUnionFind.find_many` a few gathers,
+not a pointer-chase loop per id.  :func:`link_components` is the one kernel
+for the open-link overlay (still-voidable H2 change links over base roots).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
 
 import numpy as np
 
 from .arrays import IntVector
 
+_ROOT = np.iinfo(np.int64).max
+"""Merge-log position of an id nothing has absorbed (yet)."""
+
 
 class IntUnionFind:
     """Array-backed, append-only disjoint sets over dense ids ``0..n-1``.
 
-    Union-by-size **without path compression**, because :meth:`replay`,
-    :meth:`log_prefix` and a read-only :meth:`find_many` rely on it: the
-    forest is a pure function of its merge log, so a replayed prefix is
-    exactly the forest its :meth:`checkpoint` saw.  Finds are O(log n)
+    Union-by-size **without path compression**, because the as-of
+    readers (:meth:`forest_at`, :meth:`find_at`) and a read-only
+    :meth:`find_many` rely on it: an id's parent is set once, when it
+    is absorbed, so the live forest is its own history.  Finds are O(log n)
     worst case (union-by-size bounds tree depth), which the flat-array
     backing more than pays back on the clustering hot path.  Parents and
     sizes live in :class:`~repro.core.arrays.IntVector` buffers; scalar
@@ -38,18 +40,20 @@ class IntUnionFind:
     Consumers that maintain *derived* per-cluster state (the service's
     differential cluster aggregates) read the merge log between two
     checkpoints with :meth:`log_span` instead of re-scanning members:
-    each ``(absorbed_root, kept_root)`` entry is the exact fold order
+    each ``(absorbed_root, kept_root)`` row is the exact fold order
     for merging the smaller cluster's aggregate into the larger's.
     """
 
-    __slots__ = ("_parent", "_size", "_components", "_log")
+    __slots__ = ("_parent", "_size", "_components", "_absorbed", "_absorbed_at")
 
     def __init__(self, n: int = 0) -> None:
         self._parent = IntVector()
         self._size = IntVector()
         self._components = 0
-        self._log: list[tuple[int, int]] = []
-        """Merge log: ``(absorbed_root, kept_root)`` per effective union."""
+        self._absorbed = IntVector()
+        """Merge log: the root each union absorbed (its parent kept it)."""
+        self._absorbed_at = IntVector()
+        """Per id: its position in ``_absorbed`` (int64 max while a root)."""
         if n:
             self.ensure(n)
 
@@ -61,6 +65,7 @@ class IntUnionFind:
         self._parent.grow_to(n)
         self._parent.array[current:] = np.arange(current, n, dtype="<i8")
         self._size.grow_to(n, fill=1)
+        self._absorbed_at.grow_to(n, fill=_ROOT)
         self._components += n - current
 
     def __len__(self) -> int:
@@ -112,7 +117,8 @@ class IntUnionFind:
         self._parent._data[rb] = ra
         size[ra] += size[rb]
         self._components -= 1
-        self._log.append((rb, ra))
+        self._absorbed_at._data[rb] = len(self._absorbed)
+        self._absorbed.append(rb)
         return ra
 
     def union_many(self, items, partners=None) -> int | None:
@@ -123,10 +129,11 @@ class IntUnionFind:
         * ``union_many(ids_a, ids_b)`` — the bulk batch entry point:
           union ``(ids_a[k], ids_b[k])`` for every k, in order, exactly
           as a sequential :meth:`union` loop would — identical merge
-          log, so :meth:`checkpoint` / :meth:`log_span` / :meth:`replay`
-          observe nothing different.  Accepts any aligned int sequences
-          (numpy int64 arrays are converted once, at C speed); the loop
-          binds the parent/size/log structures to locals, walks with
+          log, so :meth:`log_span` / :meth:`forest_at` observe nothing
+          different.  Accepts any aligned int sequences (numpy int64
+          arrays are converted once, at C speed); the loop binds the
+          parent/size arrays to locals (the log column is extended once
+          per call), walks with
           ``ndarray.item`` (plain Python ints, no numpy scalar churn),
           and memoizes the anchor's root across consecutive pairs that
           share it (the co-spend columns emit one anchor per tx), so
@@ -153,8 +160,8 @@ class IntUnionFind:
         size = self._size._data
         step = parent.item
         weight = size.item
-        append = self._log.append
-        merged = 0
+        absorbed: list[int] = []
+        append = absorbed.append
         anchor = anchor_root = -1
         for a, b in zip(ids_a, ids_b):
             if a == anchor:
@@ -183,10 +190,15 @@ class IntUnionFind:
                 sa, sb = sb, sa
             parent[b] = a
             size[a] = sa + sb
-            merged += 1
-            append((b, a))
+            append(b)
             anchor_root = a
-        self._components -= merged
+        if absorbed:
+            start = len(self._absorbed)
+            self._absorbed.extend(absorbed)
+            self._absorbed_at._data[self._absorbed.array[start:]] = np.arange(
+                start, len(self._absorbed), dtype="<i8"
+            )
+            self._components -= len(absorbed)
         return None
 
     def connected(self, a: int, b: int) -> bool:
@@ -205,12 +217,10 @@ class IntUnionFind:
         return self._size
 
     @property
-    def parents(self) -> IntVector:
-        """The per-id parent vector, read-only like :attr:`root_sizes`.
-        Without path compression an id's parent changes once, when its
-        root is absorbed, so this column plus the height of each
-        absorption is the forest at every earlier point."""
-        return self._parent
+    def nbytes(self) -> int:
+        """Bytes the parent, size and merge-log columns hold."""
+        vectors = (self._parent, self._size, self._absorbed, self._absorbed_at)
+        return sum(vector.nbytes for vector in vectors)
 
     @classmethod
     def from_parents(cls, parent: np.ndarray) -> tuple["IntUnionFind", np.ndarray]:
@@ -219,7 +229,8 @@ class IntUnionFind:
         every id's root.  Sizes are the roots' member counts."""
         uf = cls()
         uf._parent = IntVector.wrap(parent)
-        roots = uf.find_many(np.arange(len(parent), dtype="<i8"))
+        uf._absorbed_at = IntVector(len(parent), fill=_ROOT)
+        roots = uf.find_many(parent)  # an id's root is its parent's
         sizes = np.bincount(roots, minlength=len(parent))
         uf._size = IntVector.wrap(sizes)
         uf._components = int(np.count_nonzero(sizes))
@@ -247,40 +258,38 @@ class IntUnionFind:
         return dict(out)
 
     # ------------------------------------------------------------------
-    # checkpoint / replay
+    # checkpoints and the forest as of one
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> int:
         """A token marking the current position in the merge log."""
-        return len(self._log)
+        return len(self._absorbed)
 
-    def replay(self, entries: Iterable[tuple[int, int]]) -> None:
-        """Re-apply previously recorded merges (chronological order).
+    def log_span(self, start: int, stop: int) -> np.ndarray:
+        """Merge-log entries between two checkpoint tokens, in merge
+        order, as ``(k, 2)`` int64 ``(absorbed, kept)`` rows."""
+        absorbed = self._absorbed.array[start:stop]
+        return np.array((absorbed, self._parent.array[absorbed])).T
 
-        Entries must come from a structure's own log (via
-        :meth:`log_prefix` or :meth:`log_span`) and be applied onto the
-        exact state they were recorded against — each ``absorbed`` must
-        currently be a root.  No finds are needed, so replay is O(1) per
-        entry.
-        """
+    def forest_at(self, mark: int) -> np.ndarray:
+        """The parent column as of checkpoint ``mark`` (a fresh array):
+        an id absorbed at or after ``mark`` is its own root again."""
+        parent = self._parent.array
+        ids = np.arange(len(parent), dtype="<i8")
+        return np.where(self._absorbed_at.array < mark, parent, ids)
+
+    def find_at(self, ids, mark: int) -> np.ndarray:
+        """Roots of ``ids`` in the forest as of checkpoint ``mark``:
+        :meth:`find_many`'s iterated gather, each step masked to the
+        merges before ``mark``, with no forest materialised."""
+        roots = np.asarray(ids, dtype="<i8")
         parent = self._parent._data
-        size = self._size._data
-        log = self._log
-        n = 0
-        for absorbed, kept in entries:
-            parent[absorbed] = kept
-            size[kept] += size[absorbed]
-            log.append((absorbed, kept))
-            n += 1
-        self._components -= n
-
-    def log_prefix(self, token: int) -> list[tuple[int, int]]:
-        """The first ``token`` merge-log entries (chronological)."""
-        return self._log[:token]
-
-    def log_span(self, start: int, stop: int) -> list[tuple[int, int]]:
-        """Merge-log entries between two checkpoint tokens (chronological)."""
-        return self._log[start:stop]
+        absorbed_at = self._absorbed_at._data
+        while True:
+            above = np.where(absorbed_at[roots] < mark, parent[roots], roots)
+            if np.array_equal(above, roots):
+                return above
+            roots = above
 
     def copy(self) -> "IntUnionFind":
         """An independent copy, merge log included."""
@@ -288,7 +297,8 @@ class IntUnionFind:
         clone._parent = self._parent.copy()
         clone._size = self._size.copy()
         clone._components = self._components
-        clone._log = list(self._log)
+        clone._absorbed = self._absorbed.copy()
+        clone._absorbed_at = self._absorbed_at.copy()
         return clone
 
     # ------------------------------------------------------------------
@@ -296,43 +306,56 @@ class IntUnionFind:
     # ------------------------------------------------------------------
 
     def export_state(self) -> dict:
-        """Plain-data state: parents, sizes, and the full merge log.
+        """Plain-data state: parents, sizes, and the full merge log,
+        which dates every merge for the historical horizons.
 
-        The log is part of the state on purpose — the incremental
-        engine's time travel replays log prefixes, so a restored
-        structure must be able to answer every historical horizon the
-        live one could.
-
-        Arrays are exported as raw little-endian int64 bytes (the log
-        as an ``(n, 2)`` row-major buffer): at a million addresses the
-        parent/size/log columns dominate the engine and aggregate
-        segments, and a flat-bytes export keeps snapshot cost one
-        ``memcpy`` per column instead of a Python-object copy per id.
+        Arrays are exported as raw little-endian int64 bytes (the log as
+        the ``(n, 2)`` row-major :meth:`log_span` rows): at a million
+        addresses the parent/size/log columns dominate the engine and
+        aggregate segments, and a flat-bytes export keeps snapshot cost
+        one ``memcpy`` per column instead of a Python-object copy per id.
         """
         return {
             "parent": self._parent.tobytes(),
             "size": self._size.tobytes(),
             "components": self._components,
-            "log": np.asarray(
-                self._log if self._log else np.empty((0, 2)), dtype="<i8"
-            ).tobytes(),
+            "log": self.log_span(0, self.checkpoint()).tobytes(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "IntUnionFind":
-        """Rebuild a structure from :meth:`export_state` output."""
+        """Rebuild a structure from :meth:`export_state` output.  A log
+        that disagrees with its forest raises ``ValueError`` naming the
+        first bad entry: each absorbed id in range and absorbed once,
+        each ``kept`` its parent, one entry per merged-away component."""
         uf = cls()
         uf._parent = IntVector.from_bytes(state["parent"])
         uf._size = IntVector.from_bytes(state["size"])
-        uf._log = [
-            (absorbed, kept)
-            for absorbed, kept in np.frombuffer(state["log"], dtype="<i8")
-            .reshape(-1, 2)
-            .tolist()
-        ]
         uf._components = state["components"]
-        if len(uf._parent) != len(uf._size):
+        n = len(uf._parent)
+        if n != len(uf._size):
             raise ValueError("union-find state parents/sizes misaligned")
+        log = np.frombuffer(state["log"], dtype="<i8").reshape(-1, 2)
+        absorbed, kept = log[:, 0], log[:, 1]
+        order = np.arange(len(log), dtype="<i8")
+
+        def refuse(bad: np.ndarray, what: str) -> None:
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"union-find merge log entry {k} {log[k]} {what}")
+
+        refuse((absorbed < 0) | (absorbed >= n), f"is outside 0..{n - 1}")
+        absorbed_at = np.full(n, _ROOT, dtype="<i8")
+        absorbed_at[absorbed] = order  # a repeated id keeps its last slot
+        refuse(absorbed_at[absorbed] != order, "absorbs an id twice")
+        refuse(uf._parent.array[absorbed] != kept, "disagrees with the parents")
+        if len(log) != n - uf._components:
+            raise ValueError(
+                f"union-find merge log holds {len(log)} entries; "
+                f"{uf._components} components of {n} ids need {n - uf._components}"
+            )
+        uf._absorbed = IntVector.wrap(absorbed.copy())
+        uf._absorbed_at = IntVector.wrap(absorbed_at)
         return uf
 
 

@@ -423,9 +423,9 @@ class InvariantAuditor:
 
     def _batch_tip(self):
         """The batch-truth tip partition: the engine's H1 structure
-        copied (its live state *is* the full merge log at a block
-        boundary) plus every still-active change link — exactly what
-        ``cluster_as_of`` materializes, without the O(merges) replay."""
+        copied (its live forest *is* the H1 forest at a block boundary)
+        plus every still-active change link — exactly what
+        ``cluster_as_of`` materializes at the tip."""
         engine = self.service.engine
         tip = engine._uf.copy()
         height = engine.height
@@ -547,7 +547,7 @@ class InvariantAuditor:
         view = self.service.aggregates
         view._flush()
         tip = view._tip
-        built = view._log.state_at(view.height, tip.uf.parents.array)
+        built = view._log.state_at(view.height, tip.uf)
         built.settle()
         problems: list[str] = []
 

@@ -5,9 +5,9 @@ investigator would run it: collect tags (§3), cluster addresses (§4),
 name clusters, and expose the flow-analysis tools (§5) pre-wired.  Every
 example, bench, and integration test builds one of these.
 
-Every partition the view hands out — the tip clustering behind §4's
-accounting and the tables' naming, and the per-height co-spend
-partitions behind peel naming — is read off one
+Every partition the view reads — the tip clustering behind §4's
+accounting and the tables' naming, and the per-height co-spend roots
+behind peel naming — comes off one
 :class:`~repro.core.incremental.IncrementalClusteringEngine`, the engine
 the forensics service runs.
 
@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .analysis.balances import BalanceAnalyzer, BalanceSeries
 from .analysis.peeling import PeelingTracker
 from .analysis.thefts import TheftTracker
@@ -30,7 +32,7 @@ from .core.heuristic2 import Heuristic2Config, dice_addresses_from_tags
 from .core.incremental import IncrementalClusteringEngine
 from .simulation.economy import World
 from .simulation.params import DICE_GAMES, FIGURE2_CATEGORIES
-from .tagging.naming import ClusterNaming
+from .tagging.naming import ClusterNaming, top_entity
 from .tagging.sources import analyst_tags
 from .tagging.tags import TagStore
 
@@ -97,47 +99,48 @@ class AnalystView:
         return self.tags.entities()
 
     @cached_property
-    def _peel_naming_by_height(self) -> dict:
-        """Memoized co-spend-only namings, keyed by horizon height."""
-        return {}
-
-    def peel_naming_as_of(self, height: int | None = None) -> ClusterNaming:
-        """Tags propagated over the co-spend-only partition as of
-        ``height`` (``None`` means the chain tip).
-
-        Recipient naming deliberately excludes Heuristic 2: a peel
-        output is, by the tracker's own classification, *not* the
-        spender's change, so a change label claiming it (or bridging its
-        owner's wallet into the spender's cluster) is contradictory
-        evidence.  Every known peel mislabel traced back to exactly such
-        a settled cross-party change link; co-spend unions cannot cross
-        owners.  The horizon replays from the incremental engine's
-        per-height checkpoints, so asking at many heights is cheap.
-        """
-        key = self.world.index.height if height is None else height
-        naming = self._peel_naming_by_height.get(key)
-        if naming is None:
-            naming = ClusterNaming(
-                self.incremental.cluster_h1_as_of(key), self.tags
-            )
-            self._peel_naming_by_height[key] = naming
-        return naming
+    def _tag_columns(self) -> tuple[np.ndarray, list[str], list[float]]:
+        """The interned tags' address ids, entities and confidences, as
+        columns in :meth:`TagStore.all_tags` order (a tag on an address
+        the chain never saw is in no partition, and is dropped)."""
+        id_of = self.world.index.interner.id_of
+        tags = [tag for tag in self.tags.all_tags() if id_of(tag.address) is not None]
+        return (
+            np.array([id_of(tag.address) for tag in tags], dtype="<i8"),
+            [tag.entity for tag in tags],
+            [tag.confidence for tag in tags],
+        )
 
     def name_of_peel(self, peel) -> str | None:
         """Entity name for a peel recipient, or ``None`` when unnamed.
 
-        Named from the co-spend partition as of the height the recipient
-        spent the peel (the first on-chain evidence of ownership: the
-        sweep co-spends it with the recipient's other deposits) —
-        falling back to the analysis tip for still-unspent outputs.
-        Naming from the tip *full* partition instead mislabeled ~15% of
-        named peels: later change-heuristic false positives retroactively
-        renamed past peels (see :meth:`peel_naming_as_of`).
+        Named from the co-spend-only partition as of the height the
+        recipient spent the peel (the first on-chain evidence of
+        ownership: the sweep co-spends it with the recipient's other
+        deposits) — falling back to the analysis tip for still-unspent
+        outputs.  Heuristic 2 is left out: a peel output is, by the
+        tracker's own classification, *not* the spender's change, and
+        naming from the tip *full* partition mislabeled ~15% of named
+        peels through settled cross-party change links.
+
+        The winner is :class:`ClusterNaming`'s without building one: one
+        ``h1_roots_at`` call resolves the peel and every tagged id, and
+        the tags sharing the peel's root are summed in tag order.
         """
-        naming = self.peel_naming_as_of(peel.spent_height)
-        if peel.address_id >= 0:
-            return naming.name_of_address_id(peel.address_id)
-        return naming.name_of_address(peel.address)
+        ident = peel.address_id
+        if ident < 0:  # a peel recorded without its id
+            ident = self.world.index.interner.id_of(peel.address)
+        ids, entities, confidences = self._tag_columns
+        roots = self.incremental.h1_roots_at(
+            np.concatenate(([-1 if ident is None else ident], ids)),
+            peel.spent_height,
+        )
+        if roots[0] < 0:
+            return None
+        weights: dict[str, float] = {}
+        for k in np.flatnonzero(roots[1:] == roots[0]).tolist():
+            weights[entities[k]] = weights.get(entities[k], 0.0) + confidences[k]
+        return top_entity(weights) if weights else None
 
     # ------------------------------------------------------------------
     # analysis tools, pre-wired

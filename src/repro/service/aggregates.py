@@ -23,9 +23,9 @@ keeps them materialized as blocks stream in and serves them at any
   across the queued heights with :meth:`_AggregateState.advance` (the
   run's merges folded into the columns in one batch, then its churn
   scattered at the post-span roots).  A past height is a few
-  whole-array passes over the tip's partition and the log
-  (:meth:`_DeltaLog.state_at`): nothing is cloned or replayed, and an
-  exact-height memo of four states is the only cache.
+  whole-array passes over the tip's partition as of the height and the
+  log (:meth:`_DeltaLog.state_at`): nothing is cloned or replayed, and
+  an exact-height memo of four states is the only cache.
 * **One read surface.**  :class:`AggregateSurface` answers every read
   from a state, whichever height it is at.
 
@@ -326,23 +326,19 @@ class _DeltaLog:
     """The aggregate delta log: what every height changed, from genesis.
 
     * Per height ``h`` (slot ``h``): the block's ``max_id`` and the base
-      merge-log ``mark`` after its unions.  Its rows in each flat column
-      below are ``offsets[h]:offsets[h + 1]``.
+      merge-log ``mark`` after its unions (the tip's forest at ``h`` is
+      its forest as of ``mark``).  Its rows in each flat column below
+      are ``offsets[h]:offsets[h + 1]``.
     * Flat, in height order: the block deltas' balance events
       (``event_ids``, ``event_values``) and per-tx involvements
       (``involved``); the labels born with an open §4.2 window
       (``born``) and the labels voided or settled (``closed``).
-    * Per address id: ``merged_at``, the height whose unions absorbed it
-      as a base root (int64 max while it is one).  Without path
-      compression an id's tip parent is the one it got when absorbed,
-      so the tip's parents and these heights are every past forest.
     * Per ``born`` label: ``closed_at`` (int64 max while open).
     """
 
     _VECTORS = (
         "max_id", "mark", "event_offsets", "involved_offsets", "born_offsets",
-        "closed_offsets", "event_ids", "event_values", "involved", "merged_at",
-        "closed_at",
+        "closed_offsets", "event_ids", "event_values", "involved", "closed_at",
     )
     __slots__ = (*_VECTORS, "born", "closed", "_open_slots")
 
@@ -396,19 +392,6 @@ class _DeltaLog:
         self.closed.extend(closed)
         self.closed_offsets.append(len(self.closed))
 
-    def record_merges(self, ends: np.ndarray, first: int, n: int) -> None:
-        """Stamp each root absorbed by ``ends`` — the ``(absorbed, kept)``
-        base log entries of heights ``first..height`` — with the height
-        whose unions applied it; ``n`` is the universe."""
-        self.merged_at.grow_to(n, fill=_UNSEEN)
-        if not len(ends):
-            return
-        marks = self.mark.array
-        bounds = marks[first - 1 :] if first else np.concatenate(([0], marks))
-        self.merged_at.array[ends[:, 0]] = np.repeat(
-            np.arange(first, len(marks), dtype="<i8"), np.diff(bounds)
-        )
-
     def churn(self, first: int, last: int) -> tuple[np.ndarray, ...]:
         """Heights ``first..last``'s event ids, event values,
         involvements and each involvement's height: views into the log,
@@ -423,16 +406,14 @@ class _DeltaLog:
             np.repeat(np.arange(first, last + 1, dtype="<i8"), np.diff(offsets)),
         )
 
-    def state_at(self, height: int, parents: np.ndarray) -> "_AggregateState":
+    def state_at(self, height: int, uf: IntUnionFind) -> "_AggregateState":
         """The base aggregates at ``height`` (derived state left to
-        :meth:`_AggregateState.settle`), from ``parents`` — the tip's
-        parent column — and the log, in a few whole-array passes."""
+        :meth:`_AggregateState.settle`), from the tip's base forest ``uf``
+        and the log, in a few whole-array passes."""
         seen = np.maximum.accumulate(self.max_id.array[: height + 1]) + 1
         n = int(seen[-1])
         ids = np.arange(n, dtype="<i8")
-        uf, roots = IntUnionFind.from_parents(
-            np.where(self.merged_at.array[:n] <= height, parents[:n], ids)
-        )
+        past, roots = IntUnionFind.from_parents(uf.forest_at(self.mark[height])[:n])
         min_member = ids.copy()
         np.minimum.at(min_member, roots, ids)
         event_ids, event_values, involved, heights = self.churn(0, height)
@@ -454,7 +435,7 @@ class _DeltaLog:
         closed_at = self.closed_at.array[: self.born_offsets[height + 1]]
         born = self.born
         return _AggregateState(
-            height, self.mark[height], uf, columns, IntVector.wrap(min_member),
+            height, self.mark[height], past, columns, IntVector.wrap(min_member),
             [born[slot] for slot in np.flatnonzero(closed_at > height).tolist()],
         )
 
@@ -486,10 +467,9 @@ class _DeltaLog:
         ]
 
     @classmethod
-    def from_records(cls, records, labels, merges, n: int) -> "_DeltaLog":
+    def from_records(cls, records, labels) -> "_DeltaLog":
         """Rebuild the log from :meth:`export` tuples, label positions
-        bound to ``labels``, ``merged_at`` stamped from ``merges`` (the
-        tip's whole merge log) over a universe of ``n``."""
+        bound to ``labels``."""
         log = cls()
         _heights, max_ids, marks, born, closed, *columns = (
             list(zip(*records)) or [()] * 8
@@ -510,7 +490,6 @@ class _DeltaLog:
                 [labels[position] for position in opened],
                 [labels[position] for position in ended],
             )
-        log.record_merges(merges.reshape(-1, 2), 0, n)
         return log
 
 
@@ -549,12 +528,10 @@ class _AggregateState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the seven universe-sized arrays plus the per-cluster
-        columns the rankings read."""
-        vectors = (self.uf.parents, self.uf.root_sizes, *self.roots, self.min_member)
-        return sum(vector.nbytes for vector in vectors) + sum(
-            column.nbytes for column in self.ranks.columns
-        )
+        """Bytes of the base forest's columns, the five per-root arrays
+        and the per-cluster columns the rankings read."""
+        vectors = (*self.roots, self.min_member, *self.ranks.columns)
+        return self.uf.nbytes + sum(vector.nbytes for vector in vectors)
 
     # -- durable shape -------------------------------------------------
 
@@ -956,32 +933,32 @@ class ClusterAggregateView(MaterializedView):
             metrics.histogram(
                 "aggregates.queued_blocks", buckets=COUNT_BUCKETS
             ).observe(blocks)
-        # Apply each block's unions to the base — H1 merges replayed off
-        # the engine's log plus change links that settled this block.
+        # Apply each block's unions to the base — H1 merges read off the
+        # engine's log plus change links that settled this block.
         # The mark is taken after the unions, so ``(previous mark, mark]``
         # on the append-only base log is exactly the block's merges.
         uf = tip.uf
+        uf.ensure(int(log.max_id.array[first:].max()) + 1)
         born, closed = [], []
         for height in range(first, first + blocks):
             churn = self.engine.cluster_delta(height)
-            uf.ensure(log.max_id[height] + 1)
-            pairs = [*churn.merges] + [
+            pairs = churn.merges
+            settled = [
                 (live.address_id, live.input_id)
                 for live in churn.settled
                 if live.input_id is not None
             ]
-            if pairs:
-                uf.union_many(*zip(*pairs))
+            if settled:
+                pairs = np.concatenate((pairs, np.array(settled, dtype="<i8")))
+            if len(pairs):
+                uf.union_many(pairs[:, 0], pairs[:, 1])
             opened = [live for live in churn.born if live.deadline is not None]
             ended = churn.voided + churn.settled
             log.mark.append(uf.checkpoint())
             log.append_labels(opened, ended)
             born += opened
             closed += ended
-        ends = np.array(
-            uf.log_span(tip.mark, uf.checkpoint()), dtype="<i8"
-        ).reshape(-1, 2)
-        log.record_merges(ends, first, len(uf))
+        ends = uf.log_span(tip.mark, uf.checkpoint())
         stale_cids, involved_roots = tip.advance(log, first, ends, born, closed)
         self._patch_tip(ends, stale_cids, involved_roots, born, closed)
         if timed:
@@ -1165,7 +1142,7 @@ class ClusterAggregateView(MaterializedView):
             return state
         if timed:
             start = perf_counter()
-        state = self._log.state_at(height, self._tip.uf.parents.array)
+        state = self._log.state_at(height, self._tip.uf)
         state.settle()
         memo[height] = state
         while len(memo) > self._MEMO_SIZE:
@@ -1297,10 +1274,7 @@ class ClusterAggregateView(MaterializedView):
         tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
         view._install(
             tip,
-            _DeltaLog.from_records(
-                delta_log["records"], engine._labels,
-                np.frombuffer(state["uf"]["log"], dtype="<i8"), len(tip.uf),
-            ),
+            _DeltaLog.from_records(delta_log["records"], engine._labels),
         )
         view._follow(index, metrics)
         return view

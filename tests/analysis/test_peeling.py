@@ -1,5 +1,7 @@
 """Peeling-chain tracking on synthetic chains and the silkroad world."""
 
+from dataclasses import replace
+
 from repro.analysis.peeling import (
     PeelingTracker,
     TERMINATED_MAX_HOPS,
@@ -7,6 +9,7 @@ from repro.analysis.peeling import (
     summarize_peels_by_entity,
 )
 from repro.chain.model import COIN
+from repro.tagging.naming import ClusterNaming
 
 from tests.helpers import addr, build_chain, coinbase, spend
 
@@ -143,3 +146,40 @@ class TestOnSilkroadWorld:
         # mislabeled peel recipient occurs when a buyer's reused change
         # welds a service sale address into their cluster.
         assert wrong <= named * 0.10
+
+    def test_peel_names_equal_tag_propagation_at_the_spend_height(
+        self, silkroad_view
+    ):
+        """``name_of_peel`` reads roots off the engine's forest instead of
+        building a naming per height; its answer must be a full
+        :class:`ClusterNaming` over the co-spend partition at the height
+        the peel was spent (the tip for unspent ones), with or without
+        the peel's interned id."""
+        hoard = silkroad_view.world.extras["hoard"]
+        tracker = silkroad_view.peeling_tracker()
+        peels = [
+            peel
+            for head in hoard.state.chain_start_addresses
+            for peel in tracker.follow_address(head, max_hops=60).peels
+        ]
+        by_height = {}
+        for peel in peels:
+            by_height.setdefault(peel.spent_height, []).append(peel)
+        heights = sorted(by_height, key=lambda h: (h is None, h or 0))
+        named = 0
+        for height in heights[:: max(1, len(heights) // 12)]:
+            naming = ClusterNaming(
+                silkroad_view.incremental.cluster_h1_as_of(height),
+                silkroad_view.tags,
+            )
+            for peel in by_height[height]:
+                expected = naming.name_of_address_id(peel.address_id)
+                named += expected is not None
+                assert silkroad_view.name_of_peel(peel) == expected
+                assert (
+                    silkroad_view.name_of_peel(replace(peel, address_id=-1))
+                    == expected
+                )
+        assert named > 5
+        unseen = replace(peels[0], address="1NeverSeenOnChain", address_id=-1)
+        assert silkroad_view.name_of_peel(unseen) is None

@@ -32,7 +32,9 @@ from hypothesis import strategies as st
 from repro.chain.blockfile import BlockFileWriter, read_blocks
 from repro.chain.delta import BlockDelta
 from repro.chain.index import ChainIndex
+from repro.core.incremental import IncrementalClusteringEngine
 from repro.obs import MetricsRegistry
+from repro.service.aggregates import ClusterAggregateView
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks, scenarios
 
@@ -425,6 +427,46 @@ class TestOneRecordRepresentation:
             history = components["receive_log"] + components["spend_log"]
             assert history / index.history_rows <= 27.5
             assert len(state["recv_spender"]) / index.utxo_count <= 53
+
+    # sha256 (16 hex digits) of the exported union-find's ``parent``,
+    # ``size`` and ``log`` bytes, in that order, for the engine and the
+    # aggregate view on the same two chains, with the component count
+    # and the log's bytes.  The log is the ``(absorbed, kept)`` rows in
+    # merge order, so these move only if a merge's order, its kept root
+    # or the export layout does.
+    UF_GOLDEN = {
+        "scale": {
+            "engine": ("c42c327c8d81ad78", 1861, 7344),
+            "aggregates": ("7ae9bd41ccb4d0af", 1861, 7344),
+        },
+        "micro": {
+            "engine": ("0b5f910f8d48ffaa", 45, 272),
+            "aggregates": ("b2c45cbb7fc839b2", 45, 272),
+        },
+    }
+
+    @pytest.mark.parametrize("chain", sorted(UF_GOLDEN))
+    def test_exported_union_find_is_pinned(self, chain):
+        if chain == "scale":
+            blocks = list(large_scale_blocks(60, seed=11))
+        else:
+            blocks = scenarios.micro_economy(seed=7, n_blocks=30, n_users=5).blocks
+        index = ChainIndex()
+        engine = IncrementalClusteringEngine(index)
+        view = ClusterAggregateView(index, engine=engine)
+        for block in blocks:
+            index.add_block(block)
+
+        def pinned(state: dict) -> tuple[str, int, int]:
+            digest = hashlib.sha256()
+            for key in ("parent", "size", "log"):
+                digest.update(state[key])
+            return digest.hexdigest()[:16], state["components"], len(state["log"])
+
+        assert {
+            "engine": pinned(engine._uf.export_state()),
+            "aggregates": pinned(view.export_state()["uf"]),
+        } == self.UF_GOLDEN[chain]
 
 
 SUBSCRIBER_MODULES = [

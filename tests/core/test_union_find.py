@@ -7,7 +7,11 @@ from hypothesis import given, strategies as st
 
 from repro.core.union_find import IntUnionFind, link_components
 
-from tests.helpers import ReferenceUnionFind
+from tests.helpers import (
+    ReferenceUnionFind,
+    reference_forest_at,
+    reference_merge_log,
+)
 
 
 class TestBasics:
@@ -163,13 +167,19 @@ class TestIntUnionFind:
         assert sizes == {r: len(m) for r, m in components.items()}
         assert sum(sizes.values()) == 6
 
-    def test_log_prefix_rebuilds_structure(self):
+    def test_forest_at_rebuilds_structure(self):
         uf = IntUnionFind(8)
         for a, b in [(0, 1), (2, 3), (1, 3), (5, 6)]:
             uf.union(a, b)
-        rebuilt = IntUnionFind(8)
-        rebuilt.replay(uf.log_prefix(uf.checkpoint()))
+        log = uf.log_span(0, uf.checkpoint()).tolist()
+        assert uf.forest_at(uf.checkpoint()).tolist() == reference_forest_at(
+            log, len(log), 8
+        )
+        rebuilt, _roots = IntUnionFind.from_parents(uf.forest_at(uf.checkpoint()))
         assert rebuilt.component_sizes() == uf.component_sizes()
+        # Two merges in: the third and fourth unions are undone.
+        earlier, _roots = IntUnionFind.from_parents(uf.forest_at(2))
+        assert earlier.component_sizes() == {0: 2, 2: 2, 4: 1, 5: 1, 6: 1, 7: 1}
 
     def test_copy_is_independent(self):
         uf = IntUnionFind(3)
@@ -219,14 +229,16 @@ class TestBulkKernels:
         ids_a = np.asarray([a for a, _ in pairs], dtype="<i8")
         ids_b = np.asarray([b for _, b in pairs], dtype="<i8")
         assert bulk.union_many(ids_a, ids_b) is None
-        token = sequential.checkpoint()
-        assert bulk.log_prefix(bulk.checkpoint()) == sequential.log_prefix(
-            token
+        assert np.array_equal(
+            bulk.log_span(0, bulk.checkpoint()),
+            sequential.log_span(0, sequential.checkpoint()),
         )
         assert bulk.component_count == sequential.component_count
         assert bulk.component_sizes() == sequential.component_sizes()
         for i in range(26):
             assert bulk.find(i) == sequential.find(i)
+        # Roots are plain ints (they become dict keys in fold consumers).
+        assert type(bulk.find(0)) is int
 
     def test_pair_mode_rejects_misaligned_columns(self):
         uf = IntUnionFind(4)
@@ -236,18 +248,6 @@ class TestBulkKernels:
             assert "misaligned" in str(err)
         else:
             raise AssertionError("misaligned pair columns were accepted")
-
-    def test_pair_mode_log_entries_are_plain_ints(self):
-        """np.int64 must never leak into the merge log: entries become
-        dict keys and query outputs in fold consumers."""
-        uf = IntUnionFind(6)
-        uf.union_many(
-            np.asarray([0, 2, 0], dtype="<i8"),
-            np.asarray([1, 3, 3], dtype="<i8"),
-        )
-        for absorbed, kept in uf.log_prefix(uf.checkpoint()):
-            assert type(absorbed) is int and type(kept) is int
-        assert type(uf.find(0)) is int
 
     @given(
         st.lists(
@@ -313,3 +313,48 @@ class TestLinkComponents:
         }
         assert len(groups) == len(expected)
         assert {frozenset(group) for group in groups} == expected
+
+
+class TestForestAtCheckpoint:
+    """The one as-of rule: without path compression the live forest is
+    its own history, so the parent column masked to the merges before a
+    checkpoint is the forest a replay of the log prefix builds."""
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 25), st.integers(0, 25)), max_size=60
+        ),
+        pair_mode=st.booleans(),
+        split=st.integers(0, 60),
+    )
+    def test_every_mark_matches_the_replayed_prefix(self, pairs, pair_mode, split):
+        n = 26
+        uf = IntUnionFind(n)
+        if pair_mode:
+            # Two pair-mode calls: the log column is extended per call.
+            for chunk in (pairs[:split], pairs[split:]):
+                uf.union_many(
+                    np.asarray([a for a, _ in chunk], dtype="<i8"),
+                    np.asarray([b for _, b in chunk], dtype="<i8"),
+                )
+        else:
+            for a, b in pairs:
+                uf.union(a, b)
+        log = reference_merge_log(pairs, n)
+        top = uf.checkpoint()
+        assert top == len(log) == n - uf.component_count
+        every_id = np.arange(n, dtype="<i8")
+        for mark in range(top + 1):
+            parent = reference_forest_at(log, mark, n)
+            assert uf.forest_at(mark).tolist() == parent
+            roots = []
+            for ident in range(n):
+                while parent[ident] != ident:
+                    ident = parent[ident]
+                roots.append(ident)
+            assert uf.find_at(every_id, mark).tolist() == roots
+            assert uf.find_at(every_id[::-3], mark).tolist() == roots[::-3]
+            assert [tuple(row) for row in uf.log_span(mark, top).tolist()] == (
+                log[mark:]
+            )
+        assert uf.find_at(every_id, top).tolist() == uf.find_many(every_id).tolist()

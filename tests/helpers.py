@@ -661,6 +661,32 @@ class ReferenceActivityFold:
 # ----------------------------------------------------------------------
 
 
+def reference_forest_at(pairs, mark: int, n: int) -> list[int]:
+    """The parent column a replay of the first ``mark`` merge-log
+    ``(absorbed, kept)`` pairs builds on ``n`` fresh singletons: the
+    oracle for ``IntUnionFind.forest_at`` and ``find_at``."""
+    parent = list(range(n))
+    for absorbed, kept in list(pairs)[:mark]:
+        assert parent[absorbed] == absorbed, f"{absorbed} absorbed twice"
+        parent[absorbed] = kept
+    return parent
+
+
+def reference_merge_log(pairs, n: int) -> list[tuple[int, int]]:
+    """The ``(absorbed, kept)`` roots of every effective union in a
+    sequential :class:`ReferenceUnionFind` loop over ``pairs`` on ids
+    ``0..n-1`` (same union-by-size tie rule as ``IntUnionFind``)."""
+    uf = ReferenceUnionFind(range(n))
+    log = []
+    for a, b in pairs:
+        ra, rb = uf.find(a), uf.find(b)
+        if ra != rb:
+            kept = uf.union(a, b)
+            log.append((rb if kept == ra else ra, kept))
+    return log
+
+
+
 class ReferenceUnionFind:
     """Disjoint sets over arbitrary hashable items, union-by-size with
     path compression: the oracle ``IntUnionFind`` is property-tested

@@ -92,7 +92,7 @@ def derived_links(state):
 def column_built(view):
     """The view's state at its tip height, built from the delta log's
     columns and settled wholesale (never the tip's own derived state)."""
-    settled = view._log.state_at(view.height, view._tip.uf.parents.array)
+    settled = view._log.state_at(view.height, view._tip.uf)
     settled.settle()
     return settled
 
@@ -531,7 +531,7 @@ class TestTimeTravelMemory:
                 by = TOP_CLUSTER_METRICS[height // 2 % 3]
                 service.answer(Query("top_clusters", (5, by, height)))
         gauge = metrics.snapshot()["gauges"]["timetravel.resident_bytes"]
-        tip_sized = view._log.state_at(view.height, view._tip.uf.parents.array)
+        tip_sized = view._log.state_at(view.height, view._tip.uf)
         tip_sized.settle()
         assert len(view._memo) == view._MEMO_SIZE
         assert view._log.nbytes < gauge

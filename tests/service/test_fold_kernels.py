@@ -18,6 +18,7 @@ so the comparison sweeps many fold orders, merge patterns, and flush
 cadences rather than one golden scenario.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.index import ChainIndex
@@ -147,7 +148,8 @@ class TestH1PairKernelMatchesScalar:
                     reference.union_many(txd.input_ids)
         live = engine._uf
         assert live.component_count == reference.component_count
-        assert live.log_prefix(live.checkpoint()) == reference.log_prefix(
-            reference.checkpoint()
+        assert np.array_equal(
+            live.log_span(0, live.checkpoint()),
+            reference.log_span(0, reference.checkpoint()),
         )
         assert live.component_sizes() == reference.component_sizes()

@@ -24,6 +24,7 @@ little-endian int64 buffer.  The contracts pinned here:
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.chain.index import ChainIndex
@@ -67,6 +68,28 @@ class TestByteEqualRoundTrip:
         state["size"] = state["size"][:-8]
         with pytest.raises(ValueError):
             IntUnionFind.from_state(state)
+
+    def test_union_find_rejects_a_log_that_disagrees_with_its_forest(
+        self, streamed
+    ):
+        """A forged ``kept`` would date a merge into the wrong cluster
+        and a repeated ``absorbed`` would make two merges of one root;
+        both change historical answers, so restore refuses them."""
+        _index, engine, *_ = streamed
+        state = engine._uf.export_state()
+        log = np.frombuffer(state["log"], dtype="<i8").reshape(-1, 2)
+        assert len(log) > 3
+        forged = log.copy()
+        forged[2, 1] += 1
+        with pytest.raises(ValueError, match="entry 2 .*disagrees"):
+            IntUnionFind.from_state({**state, "log": forged.tobytes()})
+        repeated = log.copy()
+        repeated[3, 0] = repeated[1, 0]
+        with pytest.raises(ValueError, match="entry 1 .*twice"):
+            IntUnionFind.from_state({**state, "log": repeated.tobytes()})
+        short = log[:-1].tobytes()
+        with pytest.raises(ValueError, match="need"):
+            IntUnionFind.from_state({**state, "log": short})
 
     def test_aggregate_view(self, streamed):
         index, engine, aggregates = streamed
