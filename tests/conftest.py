@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.pipeline import AnalystView
-from repro.simulation import scenarios
+from tests.helpers import GOLDEN_WORLDS
 
 settings.register_profile("default", settings())
 settings.register_profile(
@@ -37,13 +37,13 @@ def pytest_configure(config):
 @pytest.fixture(scope="session")
 def micro_world():
     """A small full-stack world (~150 blocks, trimmed roster)."""
-    return scenarios.micro_economy(seed=11)
+    return GOLDEN_WORLDS["micro_world"]()
 
 
 @pytest.fixture(scope="session")
 def default_world():
     """The full Table 1 roster world used by the §3/§4 experiments."""
-    return scenarios.default_economy(seed=5, n_blocks=400, n_users=40)
+    return GOLDEN_WORLDS["default_world"]()
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +55,7 @@ def default_view(default_world):
 @pytest.fixture(scope="session")
 def silkroad_world():
     """A shortened Silk Road world (hoard + 3 peel chains)."""
-    return scenarios.silkroad_world(seed=3, n_blocks=900, n_users=50, chain_hops=60)
+    return GOLDEN_WORLDS["silkroad_world"]()
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,11 @@ fixtures compact.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from collections import defaultdict
+from pathlib import Path
 from typing import Hashable, Iterable, Iterator
 
 from repro.chain import script
@@ -30,11 +32,79 @@ from repro.chain.model import (
     TxIn,
     TxOut,
 )
+from repro.chain.serialize import serialize_block
+from repro.simulation import scenarios
 from repro.storage.manifest import MANIFEST_NAME
 from repro.storage.segments import write_segment
+from repro.tagging.sources import analyst_tags, manual_theft_tags
 
 GENESIS_TIME = 1_293_840_000
 BLOCK_INTERVAL = 600
+
+
+GOLDEN_WORLDS = {
+    # the session fixtures of tests/conftest.py
+    "micro_world": lambda: scenarios.micro_economy(seed=11),
+    "default_world": lambda: scenarios.default_economy(
+        seed=5, n_blocks=400, n_users=40
+    ),
+    "silkroad_world": lambda: scenarios.silkroad_world(
+        seed=3, n_blocks=900, n_users=50, chain_hops=60
+    ),
+    # the economy the end-to-end benchmark's tagged workloads generate
+    "e2e_economy": lambda: scenarios.default_economy(0, n_blocks=400),
+    # the fixtures of benchmarks/conftest.py, checked by the bench pass
+    "bench_silkroad_world": lambda: scenarios.silkroad_world(seed=1, n_blocks=1200),
+    "bench_theft_world": lambda: scenarios.theft_world(seed=2),
+}
+"""Every world ``tests/golden/worlds.json`` pins, by name."""
+
+GOLDEN_WORLDS_PATH = Path(__file__).parent / "golden" / "worlds.json"
+
+
+def golden_world_digests() -> dict[str, str]:
+    """The pinned :func:`world_digest` of each :data:`GOLDEN_WORLDS` entry."""
+    return json.loads(GOLDEN_WORLDS_PATH.read_text())
+
+
+def world_digest(world) -> str:
+    """One sha256 over everything a seeded world generates: every
+    block's wire bytes, every tag the analyst holds (the attack's own,
+    the public crawl and the curated theft tags, each as address,
+    entity, source, confidence and observed height), the ground-truth
+    owner map with each entity's category, and the change truth.
+
+    ``tests/golden/worlds.json`` pins it per world; a generator change
+    that alters any byte of a world shows up as a digest diff.
+    """
+    digest = hashlib.sha256()
+
+    def record(*fields) -> None:
+        digest.update(repr(fields).encode())
+        digest.update(b"\n")
+
+    for block in world.blocks:
+        digest.update(serialize_block(block))
+    record("tags")
+    for tag in analyst_tags(world).export_state():
+        record(*tag)
+    for tag in manual_theft_tags(world).export_state():
+        record(*tag)
+    truth = world.ground_truth
+    record("owners")
+    for address, owner in sorted(
+        (address, entity)
+        for entity, addresses in truth.true_partition().items()
+        for address in addresses
+    ):
+        record(address, owner)
+    record("entities")
+    for info in sorted(truth.entities(), key=lambda info: info.name):
+        record(info.name, info.category)
+    record("change")
+    for txid, change in sorted(world.economy.change_truth.items()):
+        record(txid.hex(), change.change_address, change.change_kind, change.change_vout)
+    return digest.hexdigest()
 
 
 def addr(label: str) -> str:
