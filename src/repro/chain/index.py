@@ -462,6 +462,7 @@ class ChainIndex:
         last_spend = self._last_spend
         id_of = self._interner.id_of
         intern = self._interner.intern
+        address_of = self._interner.address_of
         self_change = self._self_change_history
         txds: list[TxDelta] = []
         event_ids: list[int] = []
@@ -551,6 +552,11 @@ class ChainIndex:
                         recv_next[last_recv[ident]] = row
                         last_recv[ident] = row
                         if ident in input_ids:
+                            # Keyed by the interned string, so the index
+                            # holds one object per address and exports
+                            # the same bytes whichever object the block
+                            # carried.
+                            address = address_of(ident)
                             self_change.setdefault(address, []).append(height)
                             self_changed.append(address)
                     involved[ident] = None

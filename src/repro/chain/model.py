@@ -110,6 +110,15 @@ class TxOut:
         default=_ADDRESS_UNRESOLVED, init=False, repr=False, compare=False
     )
 
+    @classmethod
+    def paying(cls, address: str, script_pubkey: bytes, value: int) -> "TxOut":
+        """An output whose payee is already known: ``script_pubkey``
+        must be the script that pays ``address``, which is seated in the
+        address memo so it is never re-encoded."""
+        out = cls(value=value, script_pubkey=script_pubkey)
+        object.__setattr__(out, "_address", address)
+        return out
+
     @property
     def address(self) -> str | None:
         """The address this output pays, or ``None`` for exotic scripts.

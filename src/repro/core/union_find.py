@@ -52,8 +52,10 @@ class IntUnionFind:
         self._components = 0
         self._absorbed = IntVector()
         """Merge log: the root each union absorbed (its parent kept it)."""
-        self._absorbed_at = IntVector()
-        """Per id: its position in ``_absorbed`` (int64 max while a root)."""
+        self._absorbed_at: IntVector | None = None
+        """Per id: its position in ``_absorbed`` (int64 max while a root).
+        Allocated by the first union: a forest nothing has merged into
+        (most :meth:`from_parents` forests) holds no column."""
         if n:
             self.ensure(n)
 
@@ -65,7 +67,8 @@ class IntUnionFind:
         self._parent.grow_to(n)
         self._parent.array[current:] = np.arange(current, n, dtype="<i8")
         self._size.grow_to(n, fill=1)
-        self._absorbed_at.grow_to(n, fill=_ROOT)
+        if self._absorbed_at is not None:
+            self._absorbed_at.grow_to(n, fill=_ROOT)
         self._components += n - current
 
     def __len__(self) -> int:
@@ -117,9 +120,15 @@ class IntUnionFind:
         self._parent._data[rb] = ra
         size[ra] += size[rb]
         self._components -= 1
-        self._absorbed_at._data[rb] = len(self._absorbed)
+        self._log_positions()._data[rb] = len(self._absorbed)
         self._absorbed.append(rb)
         return ra
+
+    def _log_positions(self) -> IntVector:
+        """The merge-log position column, allocated on first use."""
+        if self._absorbed_at is None:
+            self._absorbed_at = IntVector(len(self._parent), fill=_ROOT)
+        return self._absorbed_at
 
     def union_many(self, items, partners=None) -> int | None:
         """Chain or bulk-pair unions, merge-log contract preserved.
@@ -195,7 +204,7 @@ class IntUnionFind:
         if absorbed:
             start = len(self._absorbed)
             self._absorbed.extend(absorbed)
-            self._absorbed_at._data[self._absorbed.array[start:]] = np.arange(
+            self._log_positions()._data[self._absorbed.array[start:]] = np.arange(
                 start, len(self._absorbed), dtype="<i8"
             )
             self._components -= len(absorbed)
@@ -220,7 +229,7 @@ class IntUnionFind:
     def nbytes(self) -> int:
         """Bytes the parent, size and merge-log columns hold."""
         vectors = (self._parent, self._size, self._absorbed, self._absorbed_at)
-        return sum(vector.nbytes for vector in vectors)
+        return sum(vector.nbytes for vector in vectors if vector is not None)
 
     @classmethod
     def from_parents(cls, parent: np.ndarray) -> tuple["IntUnionFind", np.ndarray]:
@@ -229,7 +238,6 @@ class IntUnionFind:
         every id's root.  Sizes are the roots' member counts."""
         uf = cls()
         uf._parent = IntVector.wrap(parent)
-        uf._absorbed_at = IntVector(len(parent), fill=_ROOT)
         roots = uf.find_many(parent)  # an id's root is its parent's
         sizes = np.bincount(roots, minlength=len(parent))
         uf._size = IntVector.wrap(sizes)
@@ -276,6 +284,8 @@ class IntUnionFind:
         an id absorbed at or after ``mark`` is its own root again."""
         parent = self._parent.array
         ids = np.arange(len(parent), dtype="<i8")
+        if self._absorbed_at is None:
+            return ids
         return np.where(self._absorbed_at.array < mark, parent, ids)
 
     def find_at(self, ids, mark: int) -> np.ndarray:
@@ -283,6 +293,8 @@ class IntUnionFind:
         :meth:`find_many`'s iterated gather, each step masked to the
         merges before ``mark``, with no forest materialised."""
         roots = np.asarray(ids, dtype="<i8")
+        if self._absorbed_at is None:
+            return roots
         parent = self._parent._data
         absorbed_at = self._absorbed_at._data
         while True:
@@ -298,7 +310,8 @@ class IntUnionFind:
         clone._size = self._size.copy()
         clone._components = self._components
         clone._absorbed = self._absorbed.copy()
-        clone._absorbed_at = self._absorbed_at.copy()
+        if self._absorbed_at is not None:
+            clone._absorbed_at = self._absorbed_at.copy()
         return clone
 
     # ------------------------------------------------------------------

@@ -8,10 +8,12 @@ get a :meth:`step` callback once per block to act.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import TYPE_CHECKING
 
-from ..wallet import Wallet
+from ..builder import CHANGE_FRESH, build_payment
+from ..wallet import InsufficientFundsError, Wallet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..economy import Economy
@@ -67,3 +69,43 @@ class Actor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, {self.category!r})"
+
+
+class PayoutQueue:
+    """Payouts an actor owes, paid oldest-first as funds allow.
+
+    Each payout is its own payment with fresh change.  One the wallet
+    cannot cover stays queued; building it fails before it touches the
+    wallet or the RNG, so while the balance is short of the smallest
+    queued payout the queue is not walked at all.
+    """
+
+    def __init__(self) -> None:
+        self._items: list[tuple[str, int]] = []
+        self._smallest = math.inf
+
+    def add(self, destination: str, amount: int) -> None:
+        self._items.append((destination, amount))
+        self._smallest = min(self._smallest, amount)
+
+    def pay(self, actor: Actor) -> None:
+        """Pay every queued payout ``actor``'s wallet can cover now."""
+        fee = actor.economy.params.fee
+        if actor.wallet.balance < self._smallest + fee:
+            return
+        remaining: list[tuple[str, int]] = []
+        for destination, amount in self._items:
+            try:
+                built = build_payment(
+                    actor.wallet,
+                    [(destination, amount)],
+                    fee=fee,
+                    change_kind=CHANGE_FRESH,
+                    rng=actor.rng,
+                )
+            except InsufficientFundsError:
+                remaining.append((destination, amount))
+                continue
+            actor.economy.submit(built, actor.wallet)
+        self._items = remaining
+        self._smallest = min((amount for _, amount in remaining), default=math.inf)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from ..builder import CHANGE_FRESH, CHANGE_SELF, build_payment, build_sweep
 from ..params import CATEGORY_EXCHANGES, CATEGORY_FIXED, ExchangeParams
-from ..wallet import InsufficientFundsError, Wallet
-from .base import Actor
+from ..wallet import Wallet
+from .base import Actor, PayoutQueue
 
 
 class Exchange(Actor):
@@ -194,26 +194,11 @@ class FixedRateExchange(Actor):
 
     def __init__(self, name: str) -> None:
         super().__init__(name, CATEGORY_FIXED)
-        self._pending_payouts: list[tuple[str, int]] = []
+        self._pending_payouts = PayoutQueue()
 
     def convert(self, destination: str, amount: int) -> None:
         """Queue a one-time conversion payout."""
-        self._pending_payouts.append((destination, amount))
+        self._pending_payouts.add(destination, amount)
 
     def step(self, height: int) -> None:
-        fee = self.economy.params.fee
-        remaining: list[tuple[str, int]] = []
-        for destination, amount in self._pending_payouts:
-            try:
-                built = build_payment(
-                    self.wallet,
-                    [(destination, amount)],
-                    fee=fee,
-                    change_kind=CHANGE_FRESH,
-                    rng=self.rng,
-                )
-            except InsufficientFundsError:
-                remaining.append((destination, amount))
-                continue
-            self.economy.submit(built, self.wallet)
-        self._pending_payouts = remaining
+        self._pending_payouts.pay(self)

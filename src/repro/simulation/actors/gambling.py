@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..builder import CHANGE_FRESH, build_payment
 from ..params import CATEGORY_GAMBLING, GamblingParams
 from ..wallet import InsufficientFundsError
-from .base import Actor
+from .base import Actor, PayoutQueue
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +94,7 @@ class CasinoSite(Actor):
 
     def __init__(self, name: str) -> None:
         super().__init__(name, CATEGORY_GAMBLING)
-        self._pending_withdrawals: list[tuple[str, int]] = []
+        self._pending_withdrawals = PayoutQueue()
         self._hot_address: str | None = None
 
     def deposit_address(self) -> str:
@@ -105,24 +105,9 @@ class CasinoSite(Actor):
         """Queue a cash-out to a customer address."""
         if amount <= 0:
             raise ValueError("withdrawal amount must be positive")
-        self._pending_withdrawals.append((destination, amount))
+        self._pending_withdrawals.add(destination, amount)
 
     def step(self, height: int) -> None:
-        fee = self.economy.params.fee
         if self._hot_address is None:
             self._hot_address = self.wallet.fresh_address(kind="hot")
-        remaining: list[tuple[str, int]] = []
-        for destination, amount in self._pending_withdrawals:
-            try:
-                built = build_payment(
-                    self.wallet,
-                    [(destination, amount)],
-                    fee=fee,
-                    change_kind=CHANGE_FRESH,
-                    rng=self.rng,
-                )
-            except InsufficientFundsError:
-                remaining.append((destination, amount))
-                continue
-            self.economy.submit(built, self.wallet)
-        self._pending_withdrawals = remaining
+        self._pending_withdrawals.pay(self)

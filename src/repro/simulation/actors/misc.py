@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..builder import CHANGE_FRESH, build_payment
 from ..params import CATEGORY_INVESTMENT, CATEGORY_MISC
 from ..wallet import InsufficientFundsError
-from .base import Actor
+from .base import Actor, PayoutQueue
 
 
 class MiscService(Actor):
@@ -84,7 +84,7 @@ class InvestmentScheme(Actor):
         self.return_rate = return_rate
         self.payout_interval = payout_interval
         self._investors: dict[str, int] = {}
-        self._pending_withdrawals: list[tuple[str, int]] = []
+        self._pending_withdrawals = PayoutQueue()
 
     def deposit_address(self) -> str:
         """Fresh address for an incoming investment."""
@@ -98,25 +98,11 @@ class InvestmentScheme(Actor):
         """Queue an investor cash-out."""
         if amount <= 0:
             raise ValueError("withdrawal amount must be positive")
-        self._pending_withdrawals.append((destination, amount))
+        self._pending_withdrawals.add(destination, amount)
 
     def step(self, height: int) -> None:
         fee = self.economy.params.fee
-        remaining: list[tuple[str, int]] = []
-        for destination, amount in self._pending_withdrawals:
-            try:
-                built = build_payment(
-                    self.wallet,
-                    [(destination, amount)],
-                    fee=fee,
-                    change_kind=CHANGE_FRESH,
-                    rng=self.rng,
-                )
-            except InsufficientFundsError:
-                remaining.append((destination, amount))
-                continue
-            self.economy.submit(built, self.wallet)
-        self._pending_withdrawals = remaining
+        self._pending_withdrawals.pay(self)
         if height and height % self.payout_interval == 0 and self._investors:
             # Pay "returns" to a random investor from the pot.
             users = self.economy.actors_in_category("users")

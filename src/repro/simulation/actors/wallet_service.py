@@ -7,10 +7,9 @@ The paper tagged them by depositing and withdrawing (§3.1).
 
 from __future__ import annotations
 
-from ..builder import CHANGE_FRESH, build_payment, build_sweep
+from ..builder import build_sweep
 from ..params import CATEGORY_WALLETS
-from ..wallet import InsufficientFundsError
-from .base import Actor
+from .base import Actor, PayoutQueue
 
 
 class WalletService(Actor):
@@ -19,7 +18,7 @@ class WalletService(Actor):
     def __init__(self, name: str, *, consolidation_interval: int = 30) -> None:
         super().__init__(name, CATEGORY_WALLETS)
         self.consolidation_interval = consolidation_interval
-        self._pending_withdrawals: list[tuple[str, int]] = []
+        self._pending_withdrawals = PayoutQueue()
         self._hot_address: str | None = None
 
     def deposit_address(self) -> str:
@@ -30,30 +29,16 @@ class WalletService(Actor):
         """Queue a customer withdrawal."""
         if amount <= 0:
             raise ValueError("withdrawal amount must be positive")
-        self._pending_withdrawals.append((destination, amount))
+        self._pending_withdrawals.add(destination, amount)
 
     def step(self, height: int) -> None:
         fee = self.economy.params.fee
         if self._hot_address is None:
             self._hot_address = self.wallet.fresh_address(kind="hot")
-        remaining: list[tuple[str, int]] = []
-        for destination, amount in self._pending_withdrawals:
-            try:
-                # Oldest-first selection co-mingles customer deposits,
-                # which links the service's addresses; change is a fresh
-                # one-time address (withdrawals look like peel hops).
-                built = build_payment(
-                    self.wallet,
-                    [(destination, amount)],
-                    fee=fee,
-                    change_kind=CHANGE_FRESH,
-                    rng=self.rng,
-                )
-            except InsufficientFundsError:
-                remaining.append((destination, amount))
-                continue
-            self.economy.submit(built, self.wallet)
-        self._pending_withdrawals = remaining
+        # Oldest-first selection co-mingles customer deposits, which
+        # links the service's addresses; change is a fresh one-time
+        # address (withdrawals look like peel hops).
+        self._pending_withdrawals.pay(self)
         if (
             height
             and height % self.consolidation_interval == 0

@@ -176,16 +176,10 @@ def build_payment(
         else:
             raise ValueError(f"unknown change kind {change_kind!r}")
 
-    outputs = [
-        TxOut(value=value, script_pubkey=script.p2pkh_script_for_address(address))
-        for address, value in payments
-    ]
+    outputs = [wallet.output(address, value) for address, value in payments]
     change_vout: int | None = None
     if change_address is not None:
-        change_out = TxOut(
-            value=change_value,
-            script_pubkey=script.p2pkh_script_for_address(change_address),
-        )
+        change_out = wallet.output(change_address, change_value)
         if shuffle_outputs:
             change_vout = rng.randrange(len(outputs) + 1)
         else:
@@ -222,12 +216,7 @@ def build_sweep(
     total = sum(c.value for c in coins)
     if total <= fee:
         raise ValueError(f"sweep value {total} does not cover fee {fee}")
-    outputs = [
-        TxOut(
-            value=total - fee,
-            script_pubkey=script.p2pkh_script_for_address(destination),
-        )
-    ]
+    outputs = [wallet.output(destination, total - fee)]
     inputs = _sign_inputs(wallet, coins, outputs, lock_time=0)
     tx = Transaction(inputs=inputs, outputs=tuple(outputs))
     return BuiltTransaction(

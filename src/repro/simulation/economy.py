@@ -72,6 +72,7 @@ class Economy:
         self._actors: dict[str, object] = {}
         self._miners: list[tuple[object, float]] = []  # (actor, hashrate weight)
         self._wallet_of_address: dict[str, Wallet] = {}
+        self._scripts: dict[str, bytes] = {}  # the wallets' shared address book
         self._pending_fees: dict[bytes, int] = {}
         self._tip_hash: bytes = GENESIS_PREV_HASH
         self._step_hooks: list = []
@@ -88,7 +89,9 @@ class Economy:
         """Create a wallet whose addresses auto-register to ``owner``."""
         if self.ground_truth.category_of(owner) is None:
             raise KeyError(f"unknown entity {owner!r}; register the actor first")
-        wallet = Wallet(owner, rng=rng or self.child_rng(f"wallet/{owner}"))
+        wallet = Wallet(
+            owner, rng=rng or self.child_rng(f"wallet/{owner}"), scripts=self._scripts
+        )
 
         def on_new_address(address: str, owner_name: str) -> None:
             self.ground_truth.register_address(address, owner_name)
@@ -220,9 +223,8 @@ class Economy:
                 ),
             ),
             outputs=(
-                TxOut(
-                    value=subsidy + fees,
-                    script_pubkey=script_mod.p2pkh_script_for_address(reward_address),
+                TxOut.paying(
+                    reward_address, self._scripts[reward_address], subsidy + fees
                 ),
             ),
         )

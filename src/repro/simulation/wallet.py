@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..chain.crypto import KeyPair
-from ..chain.model import OutPoint
+from ..chain import script
+from ..chain.crypto import KeyPair, pubkey_hash_to_address
+from ..chain.model import OutPoint, TxOut
 
 
 class InsufficientFundsError(Exception):
@@ -40,6 +41,10 @@ class Wallet:
     Address creation is deterministic: the ``owner`` name and a counter
     seed each keypair, so re-running a scenario reproduces the same
     chain byte-for-byte.
+
+    ``scripts`` is the address book: every address minted into it maps
+    to its locking script, so a payment to it never decodes the address
+    string.  An economy hands one book to all of its wallets.
     """
 
     def __init__(
@@ -48,12 +53,16 @@ class Wallet:
         *,
         rng: random.Random | None = None,
         on_new_address=None,
+        scripts: dict[str, bytes] | None = None,
     ) -> None:
         self.owner = owner
         self._rng = rng or random.Random(0)
         self._on_new_address = on_new_address
+        self._scripts = {} if scripts is None else scripts
         self._keys: dict[str, KeyPair] = {}
         self._coins: dict[OutPoint, Coin] = {}
+        self._coins_at: dict[str, dict[OutPoint, Coin]] = {}
+        self._balance = 0
         self._counter = 0
         self._receive_addresses: list[str] = []
         self._change_addresses: list[str] = []
@@ -70,8 +79,10 @@ class Wallet:
         """
         self._counter += 1
         keypair = KeyPair.from_seed(f"{self.owner}/{kind}/{self._counter}")
-        address = keypair.address
+        pubkey_hash = keypair.pubkey_hash
+        address = pubkey_hash_to_address(pubkey_hash)
         self._keys[address] = keypair
+        self._scripts[address] = script.p2pkh_script(pubkey_hash)
         if kind == "receive":
             self._receive_addresses.append(address)
         elif kind == "change":
@@ -99,6 +110,15 @@ class Wallet:
             return self.fresh_address()
         return self._rng.choice(self._receive_addresses)
 
+    def output(self, address: str, value: int) -> TxOut:
+        """An output paying ``value`` to ``address``, its address memo
+        seated.  The script comes from the address book; only an address
+        minted outside it (a foreign one) is decoded."""
+        script_pubkey = self._scripts.get(address)
+        if script_pubkey is None:
+            script_pubkey = script.p2pkh_script_for_address(address)
+        return TxOut.paying(address, script_pubkey, value)
+
     def key_for(self, address: str) -> KeyPair:
         """The keypair controlling ``address`` (KeyError if foreign)."""
         return self._keys[address]
@@ -122,19 +142,28 @@ class Wallet:
             raise KeyError(f"{self.owner} does not control {address}")
         if outpoint in self._coins:
             raise ValueError(f"coin {outpoint} credited twice")
-        self._coins[outpoint] = Coin(outpoint, value, address)
+        coin = Coin(outpoint, value, address)
+        self._coins[outpoint] = coin
+        self._coins_at.setdefault(address, {})[outpoint] = coin
+        self._balance += value
 
     def debit(self, outpoint: OutPoint) -> Coin:
         """Remove (spend) a coin."""
         try:
-            return self._coins.pop(outpoint)
+            coin = self._coins.pop(outpoint)
         except KeyError:
             raise KeyError(f"{self.owner} holds no coin {outpoint}") from None
+        at = self._coins_at[coin.address]
+        del at[outpoint]
+        if not at:
+            del self._coins_at[coin.address]
+        self._balance -= coin.value
+        return coin
 
     @property
     def balance(self) -> int:
-        """Spendable satoshis."""
-        return sum(coin.value for coin in self._coins.values())
+        """Spendable satoshis (a running total kept by credit/debit)."""
+        return self._balance
 
     @property
     def coin_count(self) -> int:
@@ -145,11 +174,9 @@ class Wallet:
         return list(self._coins.values())
 
     def coin_at(self, address: str) -> Coin | None:
-        """Any one coin currently sitting at ``address``."""
-        for coin in self._coins.values():
-            if coin.address == address:
-                return coin
-        return None
+        """The oldest-credited coin currently sitting at ``address``."""
+        at = self._coins_at.get(address)
+        return next(iter(at.values())) if at else None
 
     def select_coins(self, amount: int, *, prefer_largest: bool = False) -> list[Coin]:
         """Pick coins covering ``amount`` satoshis.
@@ -162,14 +189,16 @@ class Wallet:
         """
         if amount <= 0:
             raise ValueError(f"amount must be positive, got {amount}")
-        pool = self.coins()
+        if self._balance < amount:
+            raise InsufficientFundsError(amount, self._balance)
+        pool = self._coins.values()
         if prefer_largest:
-            pool.sort(key=lambda c: c.value, reverse=True)
+            pool = sorted(pool, key=lambda c: c.value, reverse=True)
         selected: list[Coin] = []
         total = 0
         for coin in pool:
             selected.append(coin)
             total += coin.value
             if total >= amount:
-                return selected
-        raise InsufficientFundsError(amount, total)
+                break
+        return selected

@@ -108,6 +108,8 @@ class ReidentificationAttack(Actor):
         self._plan: list = []
         self._plan_pos = 0
         self._scanned_height = -1
+        self._mined_txs: dict[bytes, Transaction] = {}
+        self._indexed_height = -1
 
     # ------------------------------------------------------------------
     # wiring
@@ -145,7 +147,7 @@ class ReidentificationAttack(Actor):
     # ------------------------------------------------------------------
 
     def _tag(self, address: str, service: str) -> None:
-        if address in self.tags.addresses_of(service):
+        if self.tags.entity_of(address) == service:
             return
         self.tags.add(
             make_tag(
@@ -212,9 +214,18 @@ class ReidentificationAttack(Actor):
                 e for e in self._expectations if e.my_address not in resolved
             ]
 
+    def _index_mined_blocks(self) -> None:
+        """Extend the txid → transaction map over blocks mined since the
+        last call (a repeated txid keeps its first occurrence)."""
+        blocks = self.economy.blocks
+        for height in range(self._indexed_height + 1, len(blocks)):
+            for tx in blocks[height].transactions:
+                self._mined_txs.setdefault(tx.txid, tx)
+        self._indexed_height = len(blocks) - 1
+
     def _input_addresses(self, tx: Transaction) -> list[str]:
-        """Resolve input addresses by looking up prevouts in the chain
-        the attack can see (mempool-submitted txs included)."""
+        """Resolve input addresses by looking up prevouts in the mined
+        blocks the attack can see (the mempool is not searched)."""
         out: list[str] = []
         for txin in tx.inputs:
             if txin.is_coinbase:
@@ -225,15 +236,14 @@ class ReidentificationAttack(Actor):
         return out
 
     def _find_output(self, outpoint):
-        # The attack scans only mined blocks, so a linear probe through
-        # the economy's per-txid map is the honest analyst view.
-        for block in self.economy.blocks:
-            for tx in block.transactions:
-                if tx.txid == outpoint.txid:
-                    if outpoint.vout < len(tx.outputs):
-                        return tx.outputs[outpoint.vout]
-                    return None
-        return None
+        """The output ``outpoint`` names in a mined block, or ``None``
+        for an unknown txid or an out-of-range ``vout``.  Only mined
+        blocks are indexed: that is the honest analyst view."""
+        self._index_mined_blocks()
+        tx = self._mined_txs.get(outpoint.txid)
+        if tx is None or outpoint.vout >= len(tx.outputs):
+            return None
+        return tx.outputs[outpoint.vout]
 
     # ------------------------------------------------------------------
     # per-service engagement

@@ -358,3 +358,33 @@ class TestForestAtCheckpoint:
                 log[mark:]
             )
         assert uf.find_at(every_id, top).tolist() == uf.find_many(every_id).tolist()
+
+
+class TestLogPositionColumnOnFirstUnion:
+    """A forest nothing has merged into holds no merge-log position
+    column: a past state built with ``from_parents`` costs its parent
+    and size columns only, until a union logs into it."""
+
+    def test_from_parents_counts_parent_and_size_only(self):
+        uf = IntUnionFind(8)
+        for a, b in [(0, 1), (2, 3), (1, 3), (5, 6)]:
+            uf.union(a, b)
+        past, _roots = IntUnionFind.from_parents(uf.forest_at(uf.checkpoint()))
+        assert past.nbytes == past._parent.nbytes + past._size.nbytes == 2 * 8 * 8
+        assert past.forest_at(0).tolist() == list(range(8))
+        assert past.find_at(np.arange(8, dtype="<i8"), 0).tolist() == list(range(8))
+        assert past.copy().nbytes == past.nbytes
+
+    def test_first_union_logs_like_a_fresh_forest(self):
+        past, _roots = IntUnionFind.from_parents(np.asarray([0, 0, 2, 2, 4], dtype="<i8"))
+        past.ensure(6)
+        past.union(4, 5)
+        past.union_many(np.asarray([0], dtype="<i8"), np.asarray([2], dtype="<i8"))
+        assert past.checkpoint() == 2
+        assert past.nbytes > past._parent.nbytes + past._size.nbytes
+        assert past.log_span(0, 2).tolist() == [[5, 4], [2, 0]]
+        # Before the first logged union the forest is all roots; the
+        # parents it was built from are not in its log.
+        assert past.forest_at(0).tolist() == list(range(6))
+        assert past.forest_at(1).tolist() == [0, 1, 2, 3, 4, 4]
+        assert past.forest_at(2).tolist() == [0, 1, 0, 3, 4, 4]

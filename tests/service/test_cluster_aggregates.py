@@ -278,10 +278,10 @@ class TestIncrementalClusterNames:
         """The tag store is append-only but live: a tag added after the
         first name build must flow into later heights on the live-view
         path (the entries snapshot rebuilds on count change)."""
-        from repro.tagging.tags import Tag
+        from repro.tagging.tags import Tag, TagStore
 
-        attack = micro_world.extras.get("attack")
-        tags = attack.tags if attack is not None else None
+        # A copy: the late tag must not leak into the shared session world.
+        tags = TagStore.from_state(micro_world.extras["attack"].tags.export_state())
         target = ChainIndex()
         service = ForensicsService(target, tags=tags)
         blocks = micro_world.blocks

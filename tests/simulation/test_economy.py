@@ -96,6 +96,30 @@ class TestDeterminism:
         assert [b.hash for b in world_a.blocks] != [b.hash for b in world_b.blocks]
 
 
+class TestNoAddressRoundTrip:
+    def test_generating_a_world_decodes_no_address(self, monkeypatch):
+        """Every output pays an address some wallet minted, so its
+        script comes from the address book: nothing is base-58 decoded,
+        and every output's address memo is seated as it is built."""
+        from repro.chain import crypto
+        from repro.chain.model import _ADDRESS_UNRESOLVED
+
+        def refuse(text):
+            raise AssertionError(f"decoded {text!r}")
+
+        monkeypatch.setattr(crypto, "base58_decode", refuse)
+        world = scenarios.micro_economy(seed=2, n_blocks=60, run=False)
+        world.economy.run()
+        outputs = [
+            out
+            for block in world.blocks
+            for tx in block.transactions
+            for out in tx.outputs
+        ]
+        assert outputs
+        assert all(out._address is not _ADDRESS_UNRESOLVED for out in outputs)
+
+
 class TestStepHooks:
     def test_hooks_run_each_block(self):
         economy, _pool, _user = _tiny_economy()

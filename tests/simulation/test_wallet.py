@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.chain.model import OutPoint
 from repro.simulation.wallet import InsufficientFundsError, Wallet
@@ -122,3 +123,45 @@ class TestSelection:
     def test_non_positive_amount_rejected(self):
         with pytest.raises(ValueError):
             self._funded().select_coins(0)
+
+
+class TestRunningTotals:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 11), st.integers(1, 10**9)),
+            max_size=60,
+        )
+    )
+    def test_balance_and_coin_at_match_a_scan(self, steps):
+        """After any credit/debit sequence the running balance is the sum
+        over the held coins, and ``coin_at`` is the oldest coin held at
+        the address."""
+        wallet = _wallet()
+        addresses = [wallet.fresh_address() for _ in range(3)]
+        serial = 0
+        for credit, pick, value in steps:
+            held = wallet.coins()
+            if credit or not held:
+                serial += 1
+                wallet.credit(
+                    OutPoint(serial.to_bytes(32, "big"), 0),
+                    value,
+                    addresses[pick % len(addresses)],
+                )
+            else:
+                wallet.debit(held[pick % len(held)].outpoint)
+            coins = wallet.coins()
+            assert wallet.balance == sum(coin.value for coin in coins)
+            for address in addresses:
+                at = [coin for coin in coins if coin.address == address]
+                assert wallet.coin_at(address) == (at[0] if at else None)
+
+    def test_short_wallet_reports_what_it_holds(self):
+        wallet = _wallet()
+        address = wallet.fresh_address()
+        wallet.credit(_fake_outpoint(1), 300, address)
+        wallet.credit(_fake_outpoint(2), 200, address)
+        with pytest.raises(InsufficientFundsError) as raised:
+            wallet.select_coins(501)
+        assert (raised.value.wanted, raised.value.available) == (501, 500)
+        assert wallet.select_coins(500) == wallet.coins()
