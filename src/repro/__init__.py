@@ -17,7 +17,7 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from .chain import COIN, ChainIndex, btc, format_btc
+from .chain import COIN, ChainIndex, format_btc
 from .core import Heuristic2Config
 from .pipeline import AnalystView
 from .tagging import ClusterNaming, TagStore
@@ -29,7 +29,6 @@ __all__ = [
     "ClusterNaming",
     "Heuristic2Config",
     "TagStore",
-    "btc",
     "format_btc",
     "__version__",
 ]

@@ -1,7 +1,7 @@
-"""Flow analyses (§5): peeling chains, thefts, balances, the user graph."""
+"""Flow analyses (§5): peeling chains (Table 2), thefts and taint (Table 3),
+category balances (Figure 2)."""
 
 from .balances import BalanceAnalyzer, BalanceSeries
-from .chokepoints import ChokepointReport, chokepoint_report, entity_exposure
 from .peeling import (
     Peel,
     PeelChain,
@@ -17,20 +17,10 @@ from .thefts import (
     TheftAnalysis,
     TheftTracker,
 )
-from .user_graph import (
-    UserGraphStats,
-    build_user_graph,
-    flows_between,
-    graph_stats,
-    top_counterparties,
-)
 
 __all__ = [
     "BalanceAnalyzer",
     "BalanceSeries",
-    "ChokepointReport",
-    "chokepoint_report",
-    "entity_exposure",
     "ExchangeHit",
     "MovementStep",
     "Peel",
@@ -42,10 +32,5 @@ __all__ = [
     "TaintTracker",
     "TheftAnalysis",
     "TheftTracker",
-    "UserGraphStats",
-    "build_user_graph",
-    "flows_between",
-    "graph_stats",
     "summarize_peels_by_entity",
-    "top_counterparties",
 ]

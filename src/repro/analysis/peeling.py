@@ -92,10 +92,6 @@ class PeelChain:
     def total_peeled(self) -> int:
         return sum(p.value for p in self.peels)
 
-    def peels_to_addresses(self, addresses: set[str]) -> list[Peel]:
-        """Peels whose recipient is in ``addresses``."""
-        return [p for p in self.peels if p.address in addresses]
-
 
 class PeelingTracker:
     """Follows peeling chains using Heuristic 2 change identification."""

@@ -31,10 +31,6 @@ class TaintResult:
         """Taint still sitting in unspent outputs."""
         return sum(self.taint_by_outpoint.values())
 
-    def reach(self, entity: str) -> float:
-        """Tainted satoshis that reached one named entity."""
-        return self.taint_at_entities.get(entity, 0.0)
-
 
 def taint_step(
     index: ChainIndex,

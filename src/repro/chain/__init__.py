@@ -7,13 +7,9 @@ tagging, flow analysis — consumes :class:`~repro.chain.index.ChainIndex`.
 
 from .crypto import (
     KeyPair,
-    address_to_pubkey_hash,
-    base58check_decode,
     base58check_encode,
     hash160,
-    is_valid_address,
     pubkey_hash_to_address,
-    pubkey_to_address,
     sha256d,
 )
 from .errors import (
@@ -47,11 +43,10 @@ from .model import (
     TxIn,
     TxOut,
     block_subsidy,
-    btc,
     format_btc,
     merkle_root,
 )
-from .blockfile import BlockFileWriter, read_blocks
+from .blockfile import BlockFileReader, BlockFileWriter
 from .stats import ChainStatistics, compute_statistics, format_statistics
 from .validation import ChainValidator, ValidationReport, validate_chain
 
@@ -61,6 +56,7 @@ __all__ = [
     "Base58Error",
     "Block",
     "BlockDelta",
+    "BlockFileReader",
     "BlockFileWriter",
     "BlockHeader",
     "ChainStatistics",
@@ -93,21 +89,15 @@ __all__ = [
     "UnknownTransactionError",
     "ValidationError",
     "ValidationReport",
-    "address_to_pubkey_hash",
-    "base58check_decode",
     "base58check_encode",
     "block_subsidy",
-    "btc",
     "build_block_delta",
     "compute_statistics",
     "format_statistics",
     "format_btc",
     "hash160",
-    "is_valid_address",
     "merkle_root",
     "pubkey_hash_to_address",
-    "pubkey_to_address",
-    "read_blocks",
     "sha256d",
     "validate_chain",
 ]

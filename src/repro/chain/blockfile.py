@@ -256,24 +256,3 @@ class BlockFileReader:
                     )
                 yield block
                 height += 1
-
-
-def read_blocks(
-    source: str | os.PathLike[str],
-    *,
-    magic: bytes = MAINNET_MAGIC,
-    start_height: int = 0,
-    tolerate_truncation: bool = True,
-) -> Iterator[Block]:
-    """Stream every block, labeling heights from ``start_height``.
-
-    Thin wrapper over :class:`BlockFileReader` for callers that read a
-    whole directory front to back (the reparse pipeline, validation).
-    """
-    reader = BlockFileReader(
-        source,
-        magic=magic,
-        first_height=start_height,
-        tolerate_truncation=tolerate_truncation,
-    )
-    return reader.iter_blocks()

@@ -9,14 +9,15 @@ This module provides the cryptographic plumbing the paper's substrate
   the substitution is transparent to every caller because nothing in the
   analysis depends on RIPEMD160 specifically, only on a stable 20-byte
   address hash.
-* base58check encoding/decoding with version bytes, exactly as Bitcoin
-  uses for P2PKH addresses.
+* base58check encoding with version bytes, exactly as Bitcoin uses for
+  P2PKH addresses.  Nothing decodes an address: the simulator keeps the
+  script of every address it mints, and the index reads addresses out
+  of scripts.
 * :class:`KeyPair` — a deterministic simulation keypair.  Real ECDSA is
   unnecessary for reproducing the paper (clustering never verifies
   signatures cryptographically; it only reads graph structure), so keys
-  are derived by hashing a seed.  Signatures are deterministic MACs that
-  :func:`verify` checks, which keeps transaction "signing" meaningful in
-  tests without an elliptic-curve dependency.
+  are derived by hashing a seed, and signatures are deterministic MACs,
+  without an elliptic-curve dependency.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import Base58Error
 P2PKH_VERSION = 0x00
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-_B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
 _B58_PAIRS = [a + b for a in _B58_ALPHABET for b in _B58_ALPHABET]
 _B58_LIMB = 58**10  # largest power of 58 below 2**63: limbs stay machine words
 _B58_PAIR = 58**2
@@ -89,49 +89,12 @@ def base58_encode(data: bytes) -> str:
     return "1" * pad + digits.lstrip("1")
 
 
-def base58_decode(text: str) -> bytes:
-    """Decode base58 text to raw bytes (no checksum)."""
-    n = 0
-    for ch in text:
-        if ch not in _B58_INDEX:
-            raise Base58Error(f"invalid base58 character {ch!r}")
-        n = n * 58 + _B58_INDEX[ch]
-    raw = n.to_bytes((n.bit_length() + 7) // 8, "big") if n else b""
-    pad = 0
-    for ch in text:
-        if ch == "1":
-            pad += 1
-        else:
-            break
-    return b"\x00" * pad + raw
-
-
 def base58check_encode(payload: bytes, version: int = P2PKH_VERSION) -> str:
     """Encode ``version || payload || checksum`` in base58."""
     if not 0 <= version <= 0xFF:
         raise Base58Error(f"version byte out of range: {version}")
     body = bytes([version]) + payload
     return base58_encode(body + sha256d(body)[:4])
-
-
-def base58check_decode(text: str) -> tuple[int, bytes]:
-    """Decode base58check text, returning ``(version, payload)``.
-
-    Raises :class:`Base58Error` on bad characters, short input, or a
-    checksum mismatch.
-    """
-    raw = base58_decode(text)
-    if len(raw) < 5:
-        raise Base58Error("base58check payload too short")
-    body, checksum = raw[:-4], raw[-4:]
-    if sha256d(body)[:4] != checksum:
-        raise Base58Error("base58check checksum mismatch")
-    return body[0], body[1:]
-
-
-def pubkey_to_address(pubkey: bytes, version: int = P2PKH_VERSION) -> str:
-    """Derive the P2PKH address string for a public key."""
-    return base58check_encode(hash160(pubkey), version)
 
 
 def pubkey_hash_to_address(pkh: bytes, version: int = P2PKH_VERSION) -> str:
@@ -141,23 +104,6 @@ def pubkey_hash_to_address(pkh: bytes, version: int = P2PKH_VERSION) -> str:
     return base58check_encode(pkh, version)
 
 
-def address_to_pubkey_hash(address: str) -> bytes:
-    """Decode an address string back to its 20-byte pubkey hash."""
-    version, payload = base58check_decode(address)
-    if len(payload) != 20:
-        raise Base58Error(f"address payload must be 20 bytes, got {len(payload)}")
-    return payload
-
-
-def is_valid_address(address: str) -> bool:
-    """Cheap validity check (alphabet + checksum + payload length)."""
-    try:
-        address_to_pubkey_hash(address)
-    except Base58Error:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """A deterministic simulation keypair.
@@ -165,8 +111,8 @@ class KeyPair:
     The private key is the SHA256 of the seed; the public key is derived
     from the private key by hashing with a domain tag.  ``sign`` produces
     an HMAC over the message keyed by the private key, so signatures are
-    deterministic, unforgeable without the seed, and verifiable given the
-    keypair — sufficient for structural chain validation.
+    deterministic and unforgeable without the seed — sufficient for
+    structural chain validation.
     """
 
     privkey: bytes
@@ -184,11 +130,6 @@ class KeyPair:
         return cls(privkey=priv, pubkey=pub)
 
     @property
-    def address(self) -> str:
-        """The P2PKH address for this keypair."""
-        return pubkey_to_address(self.pubkey)
-
-    @property
     def pubkey_hash(self) -> bytes:
         """hash160 of the public key."""
         return hash160(self.pubkey)
@@ -196,7 +137,3 @@ class KeyPair:
     def sign(self, message: bytes) -> bytes:
         """Produce a 32-byte deterministic signature over ``message``."""
         return hmac.new(self.privkey, message, hashlib.sha256).digest()
-
-    def verify(self, message: bytes, signature: bytes) -> bool:
-        """Check a signature produced by :meth:`sign`."""
-        return hmac.compare_digest(self.sign(message), signature)

@@ -346,17 +346,12 @@ class ChainIndex:
         :class:`~repro.obs.log.JsonLinesLogger` to record ingest and
         subscriber-failure events; see ``docs/observability.md``."""
 
-    @property
-    def metrics(self):
-        """Telemetry sink (:class:`~repro.obs.metrics.MetricsRegistry`).
-        Defaults to the shared disabled registry — assign an enabled one
-        to record per-stage ingest timings (``ingest.*``), per-block
-        flight spans and the sampled ``chain.*`` size gauges; see
-        ``docs/metrics.md``."""
-        return self._metrics
-
-    @metrics.setter
-    def metrics(self, registry) -> None:
+    def instrument(self, registry) -> None:
+        """Record telemetry into ``registry`` (a
+        :class:`~repro.obs.metrics.MetricsRegistry`; until then the
+        shared disabled one): per-stage ingest timings (``ingest.*``),
+        per-block flight spans and the sampled ``chain.*`` size gauges;
+        see ``docs/metrics.md``."""
         self._metrics = registry
         if registry.enabled:
             registry.gauge_fn("chain.blocks_resident", lambda: self.blocks_resident)
@@ -796,18 +791,6 @@ class ChainIndex:
         """Height of the chain tip (-1 when empty)."""
         return len(self._blocks) - 1
 
-    @property
-    def blocks(self) -> list[Block]:
-        """The ingested blocks in height order, as a new list: every
-        wire-held block is decoded afresh and none is retained.  To scan
-        the chain without holding it, walk :meth:`block_at` instead."""
-        return [
-            block_from_bytes(entry, height=height)
-            if isinstance(entry, bytes)
-            else entry
-            for height, entry in enumerate(self._blocks)
-        ]
-
     def block_at(self, height: int) -> Block:
         """The block at ``height`` (decoded through the memo when the
         index holds its wire bytes)."""
@@ -954,19 +937,6 @@ class ChainIndex:
         spender = self._recv_spender[row]
         return self._txids[self._spend_tx[spender]], self._spend_vin[spender]
 
-    @property
-    def utxo_count(self) -> int:
-        # Every spend row consumed exactly one receive row.
-        return len(self._recv_addr) - len(self._spend_tx)
-
-    def utxo_value(self) -> int:
-        """Total satoshis in the UTXO set."""
-        return sum(
-            value
-            for value, spender in zip(self._recv_value, self._recv_spender)
-            if spender < 0
-        )
-
     # ------------------------------------------------------------------
     # addresses
     # ------------------------------------------------------------------
@@ -1112,12 +1082,6 @@ class ChainIndex:
             return 0
         return sum(value for _ident, value in self.input_spends(tx))
 
-    def fee(self, tx: Transaction) -> int:
-        """Miner fee (inputs minus outputs); 0 for coinbases."""
-        if tx.is_coinbase:
-            return 0
-        return self.input_value(tx) - tx.total_output_value
-
     # ------------------------------------------------------------------
     # temporal queries used by Heuristic 2 (§4.1/§4.2)
     # ------------------------------------------------------------------
@@ -1148,29 +1112,10 @@ class ChainIndex:
             row = self._recv_next[row]
         return heights
 
-    def appearances_before(self, address: str, height: int) -> int:
-        """How many times ``address`` was paid strictly before ``height``."""
-        ident = self._interner.id_of(address)
-        if ident is None:
-            return 0
-        return self.address_by_id(ident).receives_before(height)
-
-    def first_seen(self, address: str) -> int | None:
-        """Height of the first receive, or ``None`` if never seen."""
-        ident = self._interner.id_of(address)
-        if ident is None:
-            return None
-        return self._tx_heights[self._recv_tx[self._first_recv[ident]]]
-
     def self_change_heights(self, address: str) -> list[int]:
         """Heights at which ``address`` was used as a self-change address
         (appears among both the inputs and the outputs of one tx)."""
         return self._self_change_history.get(address, [])
-
-    def was_self_change_before(self, address: str, height: int) -> bool:
-        """True if the address served as self-change strictly before
-        ``height`` (one of the §4.2 refinements)."""
-        return any(h < height for h in self._self_change_history.get(address, ()))
 
     # ------------------------------------------------------------------
     # durable state (snapshot / restore)

@@ -44,11 +44,6 @@ def block_subsidy(height: int, *, halving_interval: int = HALVING_INTERVAL) -> i
     return (50 * COIN) >> halvings
 
 
-def btc(amount: float | int) -> int:
-    """Convert a BTC amount to satoshis (rounding to the nearest satoshi)."""
-    return int(round(amount * COIN))
-
-
 def format_btc(satoshis: int) -> str:
     """Render satoshis as a human BTC string, trimming trailing zeros."""
     sign = "-" if satoshis < 0 else ""
@@ -177,10 +172,6 @@ class Transaction:
         """Sum of output values in satoshis."""
         return sum(out.value for out in self.outputs)
 
-    def output_addresses(self) -> list[str | None]:
-        """Addresses paid by each output (``None`` for unrecognized scripts)."""
-        return [out.address for out in self.outputs]
-
     def outpoint(self, vout: int) -> OutPoint:
         """The :class:`OutPoint` referencing output ``vout`` of this tx."""
         if not 0 <= vout < len(self.outputs):
@@ -214,11 +205,6 @@ class BlockHeader:
         from .serialize import serialize_header
 
         return crypto.sha256d(serialize_header(self))
-
-    @property
-    def hash_hex(self) -> str:
-        """Display (reversed) hex block hash."""
-        return self.hash[::-1].hex()
 
 
 def merkle_root(txids: list[bytes]) -> bytes:
@@ -286,11 +272,6 @@ class Block:
     def hash(self) -> bytes:
         """Internal byte order block hash."""
         return self.header.hash
-
-    @property
-    def hash_hex(self) -> str:
-        """Display hex block hash."""
-        return self.header.hash_hex
 
     @property
     def coinbase(self) -> Transaction:

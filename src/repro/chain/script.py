@@ -49,16 +49,6 @@ def p2pkh_script(pubkey_hash: bytes) -> bytes:
     )
 
 
-def p2pk_script(pubkey: bytes) -> bytes:
-    """Build the pay-to-pubkey locking script used by early coinbases."""
-    return push_data(pubkey) + bytes([OP_CHECKSIG])
-
-
-def p2pkh_script_for_address(address: str) -> bytes:
-    """Build a P2PKH locking script paying ``address``."""
-    return p2pkh_script(crypto.address_to_pubkey_hash(address))
-
-
 def sig_script(signature: bytes, pubkey: bytes) -> bytes:
     """Build the unlocking script ``<sig> <pubkey>`` for a P2PKH input."""
     return push_data(signature) + push_data(pubkey)
@@ -80,23 +70,6 @@ def _is_p2pkh(script_pubkey: bytes) -> bool:
     )
 
 
-def classify(script_pubkey: bytes) -> str:
-    """Classify a locking script as ``p2pkh``, ``p2pk``, ``op_return``,
-    or ``nonstandard``."""
-    if _is_p2pkh(script_pubkey):
-        return "p2pkh"
-    if (
-        len(script_pubkey) >= 3
-        and 1 <= script_pubkey[0] <= _PUSH_MAX
-        and len(script_pubkey) == script_pubkey[0] + 2
-        and script_pubkey[-1] == OP_CHECKSIG
-    ):
-        return "p2pk"
-    if script_pubkey[:1] == bytes([OP_RETURN]):
-        return "op_return"
-    return "nonstandard"
-
-
 def extract_address(script_pubkey: bytes) -> str | None:
     """Return the address a locking script pays, or ``None``.
 
@@ -107,24 +80,11 @@ def extract_address(script_pubkey: bytes) -> str | None:
     # P2PKH first: it is nearly every output the index sees.
     if _is_p2pkh(script_pubkey):
         return crypto.pubkey_hash_to_address(script_pubkey[3:23])
-    if classify(script_pubkey) == "p2pk":
-        return crypto.pubkey_to_address(script_pubkey[1:-1])
+    if (
+        len(script_pubkey) >= 3
+        and 1 <= script_pubkey[0] <= _PUSH_MAX
+        and len(script_pubkey) == script_pubkey[0] + 2
+        and script_pubkey[-1] == OP_CHECKSIG
+    ):
+        return crypto.pubkey_hash_to_address(crypto.hash160(script_pubkey[1:-1]))
     return None
-
-
-def parse_sig_script(script_sig: bytes) -> tuple[bytes, bytes]:
-    """Split a P2PKH unlocking script into ``(signature, pubkey)``.
-
-    Raises :class:`ScriptError` if the script is not two direct pushes.
-    """
-    if not script_sig:
-        raise ScriptError("empty scriptSig")
-    sig_len = script_sig[0]
-    if sig_len == 0 or sig_len > _PUSH_MAX or len(script_sig) < 1 + sig_len + 1:
-        raise ScriptError("malformed scriptSig: bad signature push")
-    signature = script_sig[1 : 1 + sig_len]
-    rest = script_sig[1 + sig_len :]
-    pub_len = rest[0]
-    if pub_len == 0 or pub_len > _PUSH_MAX or len(rest) != 1 + pub_len:
-        raise ScriptError("malformed scriptSig: bad pubkey push")
-    return signature, rest[1:]

@@ -193,14 +193,6 @@ def decode_tx(data: bytes, pos: int, end: int) -> tuple[Transaction, int]:
     return tx, pos
 
 
-def tx_from_bytes(data: bytes) -> Transaction:
-    """Decode a transaction from a standalone byte string."""
-    tx, pos = decode_tx(data, 0, len(data))
-    if pos != len(data):
-        raise SerializationError(f"{len(data) - pos} trailing bytes after transaction")
-    return tx
-
-
 def serialize_header(header: BlockHeader) -> bytes:
     """Serialize the 80-byte block header."""
     return (

@@ -156,11 +156,6 @@ class ChainValidator:
             self._utxos[OutPoint(tx.txid, vout)] = out.value
         return in_value - out_value
 
-    @property
-    def utxo_value(self) -> int:
-        """Total unspent value tracked so far."""
-        return sum(self._utxos.values())
-
 
 def validate_chain(
     blocks: Iterable[Block], *, halving_interval: int = HALVING_INTERVAL

@@ -260,13 +260,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsed(tokens: list[str], where: str = ""):
+    """``parse_query``, with a malformed query as one ``error:`` line."""
+    try:
+        return parse_query(tokens)
+    except ValueError as exc:
+        raise SystemExit(f"error: {where}{exc}") from None
+
+
+def _refusing(answer, question):
+    """``answer(question)``; a query the service refuses as it answers
+    (a horizon past the tip) exits with one ``error:`` line."""
+    try:
+        return answer(question)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _load_workload_script(path: Path):
     """Parse a workload file: one query per line, ``#`` comments."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc.strerror or exc}") from None
     queries = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            queries.append(parse_query(line.split()))
+            queries.append(_parsed(line.split(), f"{path}:{number}: "))
     return queries
 
 
@@ -359,11 +380,10 @@ def _write_metrics_dump(path: Path | None, metrics, service=None) -> None:
     print(f"[metrics written to {path}; render with 'repro metrics {path}']")
 
 
-def _answer_one(args, service) -> None:
+def _answer_one(args, service, query) -> None:
     """``repro query``: answer one query, labelled with its source."""
-    query = parse_query(args.tokens)
     start = time.perf_counter()
-    answer = service.answer(query)
+    answer = _refusing(service.answer, query)
     elapsed = time.perf_counter() - start
     print(format_answer(query, answer))
     source = (
@@ -375,10 +395,9 @@ def _answer_one(args, service) -> None:
     )
 
 
-def _serve_workload(args, service) -> None:
-    """``repro serve``: replay a script or a generated workload."""
-    if args.script is not None:
-        queries = _load_workload_script(args.script)
+def _serve_workload(args, service, queries) -> None:
+    """``repro serve``: replay a parsed script or a generated workload."""
+    if queries is not None:
         if not service.taint.labels and any(
             q.kind == "trace_taint" for q in queries
         ):
@@ -386,11 +405,11 @@ def _serve_workload(args, service) -> None:
             # deterministic case-N labels; re-watch them.
             experiments.watch_synthetic_thefts(service)
         start = time.perf_counter()
-        service.answer_many(queries)
+        _refusing(service.answer_many, queries)
         first = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(max(1, args.repeat)):
-            service.answer_many(queries)
+            _refusing(service.answer_many, queries)
         repeat = (time.perf_counter() - start) / max(1, args.repeat)
         print(
             f"replayed {len(queries)} queries from {args.script}: "
@@ -436,13 +455,20 @@ def main(argv: list[str] | None = None) -> int:
         world = _SCENARIOS[args.scenario](seed=args.seed)
         print(experiments.run_cluster_timeseries(world).report)
     elif args.command in ("query", "serve"):
+        # A malformed query fails here, before any world is built.
+        if args.command == "query":
+            queries = [_parsed(args.tokens)]
+        elif args.script is not None:
+            queries = _load_workload_script(args.script)
+        else:
+            queries = None
         log = _open_logger(args)
         try:
             service, checkpoint, metrics = _service_for(args, log=log)
             if args.command == "query":
-                _answer_one(args, service)
+                _answer_one(args, service, queries[0])
             else:
-                _serve_workload(args, service)
+                _serve_workload(args, service, queries)
             checkpoint()
             _write_metrics_dump(args.metrics_dump, metrics, service=service)
         finally:

@@ -35,7 +35,7 @@ class InternedPartition:
     """Address-string view over an id-keyed :class:`IntUnionFind`.
 
     Exposes a partition read API keyed by address strings
-    (``find_root`` / ``connected`` / ``size_of`` / ``components`` …;
+    (``find_root`` / ``size_of`` / ``components`` …;
     cluster roots are dense int ids — opaque to consumers), so
     naming, super-cluster diagnosis, metrics, and exports run unchanged
     on top of the interned hot path.  The view's universe is the ids the
@@ -51,15 +51,6 @@ class InternedPartition:
     def __init__(self, uf: IntUnionFind, interner: AddressInterner) -> None:
         self._uf = uf
         self._interner = interner
-
-    @property
-    def int_uf(self) -> IntUnionFind:
-        """The underlying id-keyed structure (the hot path)."""
-        return self._uf
-
-    @property
-    def interner(self) -> AddressInterner:
-        return self._interner
 
     def _id(self, item: "str | int") -> int | None:
         """Resolve an address string or raw id to an in-scope id."""
@@ -90,10 +81,6 @@ class InternedPartition:
         ident = self._id(item)
         return None if ident is None else self._uf.find(ident)
 
-    def connected(self, a: "str | int", b: "str | int") -> bool:
-        ra, rb = self.find_root(a), self.find_root(b)
-        return ra is not None and ra == rb
-
     def size_of(self, item: "str | int") -> int:
         """Cluster size for an address string or a root/member id."""
         ident = self._id(item)
@@ -119,10 +106,6 @@ class InternedPartition:
         for ident in range(len(self._uf)):
             yield address_of(ident)
 
-    def address_of(self, ident: int) -> str:
-        """Reporting edge: the address string for an id."""
-        return self._interner.address_of(ident)
-
 
 @dataclass
 class Clustering:
@@ -137,10 +120,6 @@ class Clustering:
         ``None`` for an address the clustering has never seen.  Lookups
         never mutate the partition."""
         return self.uf.find_root(address)
-
-    def same_cluster(self, a: str, b: str) -> bool:
-        """Were the two addresses inferred to share an owner?"""
-        return self.uf.connected(a, b)
 
     @property
     def address_count(self) -> int:

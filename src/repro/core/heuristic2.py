@@ -35,7 +35,7 @@ sweep them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..chain.index import ChainIndex
 from ..chain.model import Transaction
@@ -79,11 +79,6 @@ class Heuristic2Config:
     def refined(cls) -> "Heuristic2Config":
         """The full ladder the paper settles on."""
         return cls()
-
-    def with_wait_days(self, days: float | None) -> "Heuristic2Config":
-        """A copy with the waiting period set to ``days`` days."""
-        seconds = None if days is None else int(days * SECONDS_PER_DAY)
-        return replace(self, wait_seconds=seconds)
 
 
 @dataclass(frozen=True, slots=True)

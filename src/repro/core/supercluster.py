@@ -39,24 +39,12 @@ class SuperClusterReport:
     merged_clusters: list[MergedClusterInfo]
 
     @property
-    def worst(self) -> MergedClusterInfo | None:
-        """The merged cluster with the most distinct entities."""
-        if not self.merged_clusters:
-            return None
-        return max(self.merged_clusters, key=lambda m: (len(m.entities), m.size))
-
-    @property
     def merged_entity_count(self) -> int:
         """Distinct entities appearing in any merged cluster."""
         seen: set[str] = set()
         for info in self.merged_clusters:
             seen.update(info.entities)
         return len(seen)
-
-    def contains_merge_of(self, *entities: str) -> bool:
-        """True if some single cluster holds tags of all given entities."""
-        wanted = set(entities)
-        return any(wanted <= set(info.entities) for info in self.merged_clusters)
 
 
 def diagnose_superclusters(

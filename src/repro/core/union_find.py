@@ -210,9 +210,6 @@ class IntUnionFind:
             self._components -= len(absorbed)
         return None
 
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
     def size_of(self, item: int) -> int:
         return self._size[self.find(item)]
 

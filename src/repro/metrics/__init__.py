@@ -2,22 +2,14 @@
 
 from .evaluation import (
     ClusteringComparison,
-    EntityFragmentation,
     PairwiseScores,
-    PurityScores,
-    cluster_purity,
     compare_clusterings,
-    entity_fragmentation,
     pairwise_scores,
 )
 
 __all__ = [
     "ClusteringComparison",
-    "EntityFragmentation",
     "PairwiseScores",
-    "PurityScores",
-    "cluster_purity",
     "compare_clusterings",
-    "entity_fragmentation",
     "pairwise_scores",
 ]

@@ -1,22 +1,18 @@
 """Clustering quality metrics against simulation ground truth.
 
 The paper could not measure clustering accuracy — it had no ground
-truth.  The simulator does, so we report standard partition-comparison
-metrics:
+truth.  The simulator does, so we report a standard partition-comparison
+metric:
 
-* **pairwise precision / recall / F1** — over pairs of addresses: a
-  pair is a true positive when the clustering puts two same-owner
-  addresses together.  Computed exactly via cluster-label contingency
-  counts (no O(n²) pair enumeration).
-* **per-entity fragmentation** — how many clusters one entity's
-  addresses are scattered across (the paper's "20 Mt. Gox clusters"),
-  and the largest cluster's share of the entity's addresses.
-* **cluster purity** — whether clusters mix different owners.
+**pairwise precision / recall / F1** over pairs of addresses: a pair is
+a true positive when the clustering puts two same-owner addresses
+together.  Computed exactly via cluster-label contingency counts (no
+O(n²) pair enumeration).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from ..core.clustering import Clustering
@@ -53,16 +49,6 @@ class PairwiseScores:
         return 2 * p * r / (p + r)
 
 
-@dataclass(frozen=True)
-class EntityFragmentation:
-    """How one entity's addresses are distributed over clusters."""
-
-    entity: str
-    address_count: int
-    cluster_count: int
-    largest_cluster_share: float
-
-
 def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -90,60 +76,6 @@ def pairwise_scores(
     )
 
 
-def entity_fragmentation(
-    clustering: Clustering, ground_truth: GroundTruth, entity: str
-) -> EntityFragmentation:
-    """Fragmentation stats for one entity (paper: 20 Mt. Gox clusters)."""
-    addresses = [
-        a for a in ground_truth.addresses_of(entity) if a in clustering.uf
-    ]
-    per_cluster: Counter = Counter(clustering.uf.find(a) for a in addresses)
-    largest = max(per_cluster.values(), default=0)
-    return EntityFragmentation(
-        entity=entity,
-        address_count=len(addresses),
-        cluster_count=len(per_cluster),
-        largest_cluster_share=largest / len(addresses) if addresses else 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class PurityScores:
-    """Owner purity of clusters (size-weighted)."""
-
-    weighted_purity: float
-    impure_clusters: int
-    total_clusters: int
-
-
-def cluster_purity(
-    clustering: Clustering, ground_truth: GroundTruth
-) -> PurityScores:
-    """Size-weighted purity: the share of addresses whose cluster's
-    majority owner matches their own owner."""
-    owners_by_root: dict[object, Counter] = defaultdict(Counter)
-    for address in clustering.uf.iter_items():
-        owner = ground_truth.owner_of(address)
-        if owner is None:
-            continue
-        owners_by_root[clustering.uf.find(address)][owner] += 1
-    total = 0
-    majority_total = 0
-    impure = 0
-    for counts in owners_by_root.values():
-        size = sum(counts.values())
-        top = counts.most_common(1)[0][1]
-        total += size
-        majority_total += top
-        if len(counts) > 1:
-            impure += 1
-    return PurityScores(
-        weighted_purity=majority_total / total if total else 1.0,
-        impure_clusters=impure,
-        total_clusters=len(owners_by_root),
-    )
-
-
 @dataclass(frozen=True)
 class ClusteringComparison:
     """Side-by-side scores for two clusterings (e.g. H1 vs H1+H2)."""
@@ -152,16 +84,6 @@ class ClusteringComparison:
     label_b: str
     scores_a: PairwiseScores
     scores_b: PairwiseScores
-
-    @property
-    def recall_gain(self) -> float:
-        """How much recall the second clustering adds."""
-        return self.scores_b.recall - self.scores_a.recall
-
-    @property
-    def precision_cost(self) -> float:
-        """How much precision the second clustering gives up."""
-        return self.scores_a.precision - self.scores_b.precision
 
 
 def compare_clusterings(

@@ -8,7 +8,7 @@ block.
 
 from .node import Message, MinerNode, Node, P2PNetwork, PropagationLog
 from .simulator import EventScheduler
-from .topology import random_topology, scale_free_topology
+from .topology import random_topology
 
 __all__ = [
     "EventScheduler",
@@ -18,5 +18,4 @@ __all__ = [
     "P2PNetwork",
     "PropagationLog",
     "random_topology",
-    "scale_free_topology",
 ]

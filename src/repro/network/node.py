@@ -45,11 +45,6 @@ class PropagationLog:
             t for (iid, _node), t in self.first_seen.items() if iid == item_id
         )
 
-    def coverage(self, item_id: bytes, n_nodes: int) -> float:
-        """Fraction of nodes that have seen the item."""
-        seen = sum(1 for (iid, _node) in self.first_seen if iid == item_id)
-        return seen / n_nodes if n_nodes else 0.0
-
     def time_to_coverage(self, item_id: bytes, fraction: float, n_nodes: int) -> float | None:
         """Time at which ``fraction`` of nodes had the item (None if never)."""
         times = self.arrival_times(item_id)

@@ -50,18 +50,4 @@ class EventScheduler:
             event.callback()
         self._now = max(self._now, deadline)
 
-    def run_to_completion(self, *, max_events: int | None = None) -> None:
-        """Drain the queue (optionally bounded)."""
-        processed = 0
-        while self._queue:
-            if max_events is not None and processed >= max_events:
-                return
-            event = heapq.heappop(self._queue)
-            self._now = event.time
-            self.events_processed += 1
-            processed += 1
-            event.callback()
 
-    @property
-    def pending(self) -> int:
-        return len(self._queue)

@@ -2,8 +2,7 @@
 
 The 2012 Bitcoin network connected each node to 8 outbound peers chosen
 roughly at random; :func:`random_topology` reproduces that degree
-profile.  A scale-free option models supernodes (well-connected hosted
-wallets and pool gateways).
+profile.
 """
 
 from __future__ import annotations
@@ -41,23 +40,3 @@ def random_topology(
     return network
 
 
-def scale_free_topology(
-    n_nodes: int,
-    *,
-    attachment: int = 4,
-    n_miners: int = 4,
-    seed: int = 0,
-    latency_range: tuple[float, float] = (0.02, 0.35),
-) -> P2PNetwork:
-    """A Barabási–Albert graph: a few supernodes, many leaves."""
-    if n_nodes <= attachment:
-        raise ValueError("n_nodes must exceed the attachment parameter")
-    network = P2PNetwork(seed=seed)
-    rng = random.Random(f"topology-sf/{seed}")
-    miner_ids = set(rng.sample(range(n_nodes), min(n_miners, n_nodes)))
-    for i in range(n_nodes):
-        network.add_node(miner=i in miner_ids)
-    graph = nx.barabasi_albert_graph(n_nodes, attachment, seed=seed)
-    for a, b in graph.edges():
-        network.link(a, b, latency=rng.uniform(*latency_range))
-    return network

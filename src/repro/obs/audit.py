@@ -180,19 +180,8 @@ class InvariantAuditor:
         # spot-check candidate here, without either drain starving the
         # other (see ClusterAggregateView.naming_cursor).
         self._naming_cursor = service.aggregates.naming_cursor()
-        self._unsubscribe = service.index.subscribe_deltas(
-            self._observe_delta, name="auditor"
-        )
+        service.index.subscribe_deltas(self._observe_delta, name="auditor")
         service.auditor = self
-
-    def detach(self) -> None:
-        """Stop observing the index (on-demand audits stay possible)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        if self._naming_cursor is not None:
-            self.service.aggregates.release_naming_cursor(self._naming_cursor)
-            self._naming_cursor = None
 
     def _observe_delta(self, delta) -> None:
         every = self.audit_every

@@ -79,12 +79,6 @@ class HealthReport:
     status: str
     components: tuple[ComponentHealth, ...]
 
-    def component(self, name: str) -> ComponentHealth | None:
-        for entry in self.components:
-            if entry.component == name:
-                return entry
-        return None
-
     def as_dict(self) -> dict:
         return {
             "status": self.status,

@@ -38,9 +38,6 @@ class EventLogger:
     def info(self, event: str, **fields) -> None:  # pragma: no cover
         pass
 
-    def warning(self, event: str, **fields) -> None:  # pragma: no cover
-        pass
-
     def error(self, event: str, **fields) -> None:  # pragma: no cover
         pass
 
@@ -122,9 +119,6 @@ class JsonLinesLogger(EventLogger):
 
     def info(self, event: str, **fields) -> None:
         self._emit("info", event, fields)
-
-    def warning(self, event: str, **fields) -> None:
-        self._emit("warning", event, fields)
 
     def error(self, event: str, **fields) -> None:
         self._emit("error", event, fields)

@@ -17,10 +17,8 @@ substrate every layer reports through instead:
   records (per-block ingest spans, per-query dispatch spans, subscriber
   failures), the post-mortem dump for "what just happened": cheap
   enough to leave on, bounded so a long-lived server never grows it.
-* :func:`MetricsRegistry.trace` — a timing context for coarse stages
-  (snapshot, restore, workload phases); hot per-block sites prebind
-  their instruments and guard ``perf_counter`` behind
-  ``registry.enabled`` instead.
+  Timed sites prebind their instruments and guard ``perf_counter``
+  behind ``registry.enabled``.
 
 Metric names are dotted stage paths (``ingest.fanout_seconds``), labels
 a small keyword set (``subscriber="engine"``); the full catalogue lives
@@ -35,8 +33,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import deque
-from contextlib import contextmanager
-from time import perf_counter
 
 
 def _latency_buckets() -> tuple[float, ...]:
@@ -200,10 +196,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._spans)
 
-    @property
-    def capacity(self) -> int:
-        return self._spans.maxlen
-
     def dump(self) -> list[dict]:
         """The retained spans, oldest first (copies of the ring)."""
         return [dict(span) for span in self._spans]
@@ -280,25 +272,6 @@ class MetricsRegistry:
         return found
 
     # -- timing ---------------------------------------------------------
-
-    @contextmanager
-    def trace(self, stage: str, **fields):
-        """Time a coarse stage into its histogram and the flight recorder.
-
-        For per-block/per-query hot paths prebind the histogram and
-        guard ``perf_counter`` behind :attr:`enabled` instead — the
-        context manager costs a generator frame per use.
-        """
-        if not self.enabled:
-            yield None
-            return
-        start = perf_counter()
-        try:
-            yield None
-        finally:
-            elapsed = perf_counter() - start
-            self.histogram(stage, **fields).observe(elapsed)
-            self.flight.record("stage", stage=stage, seconds=elapsed, **fields)
 
     # -- snapshot --------------------------------------------------------
 

@@ -25,7 +25,6 @@ import numpy as np
 from .analysis.balances import BalanceAnalyzer, BalanceSeries
 from .analysis.peeling import PeelingTracker
 from .analysis.thefts import TheftTracker
-from .analysis.user_graph import build_user_graph
 from .core.clustering import Clustering
 from .core.fp_estimation import FalsePositiveEstimator
 from .core.heuristic2 import Heuristic2Config, dice_addresses_from_tags
@@ -186,14 +185,6 @@ class AnalystView:
             categories=FIGURE2_CATEGORIES,
         )
         return analyzer.series(samples=samples)
-
-    def user_graph(self):
-        """The condensed user/service graph."""
-        return build_user_graph(
-            self.world.index,
-            self.clustering,
-            name_of_cluster=self.naming.name_of_cluster,
-        )
 
     def entities_in_category(self, category: str) -> set[str]:
         """Tagged entities belonging to one service category.

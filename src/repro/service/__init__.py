@@ -17,7 +17,6 @@ from .aggregates import (
 )
 from .cache import QueryCache
 from .queries import (
-    ClusterRanking,
     Query,
     QueryEngine,
     format_answer,
@@ -33,7 +32,6 @@ __all__ = [
     "BalanceView",
     "ClusterActivity",
     "ClusterAggregateView",
-    "ClusterRanking",
     "ForensicsService",
     "Query",
     "QueryCache",

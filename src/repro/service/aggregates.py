@@ -53,7 +53,7 @@ function of the partition — independent of union order, restore
 history, or which height's state produced them — which is what lets
 the property suites demand repr-equality against a batch re-clustering
 (``tests/helpers.reference_answer``) and what makes ranking tie-breaks
-stable (see :class:`~repro.service.queries.ClusterRanking`).
+stable (see :class:`RankIndex`).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from ..core.arrays import IntVector
 from ..core.incremental import IncrementalClusteringEngine
 from ..core.union_find import IntUnionFind, link_components
 from ..obs import COUNT_BUCKETS, NULL_REGISTRY
-from .queries import ClusterRanking, TOP_CLUSTER_METRICS
+from .queries import TOP_CLUSTER_METRICS
 from .views import ClusterActivity, MaterializedView
 
 _UNSEEN = np.iinfo(np.int64).max
@@ -100,6 +100,12 @@ class RankIndex:
     smallest canonical cluster id.  Only a positive value is ranked, so
     ``size`` ranks every cluster and ``balance`` / ``activity`` the
     clusters with a positive total.
+
+    **Tie-break contract:** a canonical id is the cluster's minimum
+    member address id, i.e. its earliest-seen address, and a pure
+    function of the partition, so the order is identical across batch
+    rebuilds, snapshot restores and differential maintenance (pinned by
+    ``tests/service/test_ranking_determinism.py``).
 
     Two backings, one behaviour.  :meth:`from_columns` keeps the id and
     value columns it is handed, unsorted and uncopied: ``top(n)`` is one
@@ -222,17 +228,6 @@ class RankIndex:
             (values == value) & (cids < cluster_id)
         )
         return int(ahead) + 1
-
-    def as_ranking(self) -> ClusterRanking:
-        """Materialize the full, immutable per-height ranking object."""
-        if self._cid is None:
-            order = tuple((cid, -neg) for neg, cid in self._keys)
-        else:
-            order = tuple(zip(*(column.tolist() for column in self._sorted())))
-        return ClusterRanking(
-            order=order,
-            rank_of={cid: rank for rank, (cid, _value) in enumerate(order, 1)},
-        )
 
 
 class _Rankings(dict):
@@ -804,10 +799,6 @@ class AggregateSurface:
         """1-based standing of one cluster under one metric."""
         return self._state.ranks[by].rank_of(cluster_id)
 
-    def ranking(self, by: str) -> ClusterRanking:
-        """Materialize one metric's full ranking object."""
-        return self._state.ranks[by].as_ranking()
-
     @property
     def cluster_count(self) -> int:
         """Clusters at this height, without building a ranking: base
@@ -1169,13 +1160,6 @@ class ClusterAggregateView(MaterializedView):
         cursor = DirtyRootCursor()
         self._naming_cursors.append(cursor)
         return cursor
-
-    def release_naming_cursor(self, cursor: DirtyRootCursor) -> None:
-        """Deregister a cursor (its backlog stops accumulating)."""
-        try:
-            self._naming_cursors.remove(cursor)
-        except ValueError:
-            pass
 
     def drain_naming_dirty(self, cursor: DirtyRootCursor) -> set[int]:
         """Return (and clear) the base roots whose canonical-id mapping

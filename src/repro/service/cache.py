@@ -70,10 +70,6 @@ class QueryCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        self._entries.clear()
-
     def stats(self) -> dict[str, float]:
         """Accounting snapshot for reports and benchmarks."""
         return {

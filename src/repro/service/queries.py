@@ -62,7 +62,6 @@ from time import perf_counter
 
 from ..obs import next_request_id
 from ..tagging.naming import top_entity
-from .views import ClusterActivity
 
 QUERY_KINDS = (
     "cluster_of",
@@ -92,35 +91,6 @@ class Query:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class ClusterRanking:
-    """One metric's full cluster ranking at one height.
-
-    Built once per ``(height, metric)`` and shared by every query that
-    ranks: ``top_clusters`` answers are prefixes of :attr:`order`, and
-    ``cluster_profile`` reads a cluster's standing from :attr:`rank_of`.
-
-    **Tie-break contract:** clusters with equal metric values rank by
-    ascending canonical cluster id — the cluster's minimum member
-    address id, i.e. its earliest-seen address.  Canonical ids are a
-    pure function of the partition, so the order is identical across
-    batch rebuilds, snapshot restores, and differential maintenance
-    (pinned by ``tests/service/test_ranking_determinism.py``).
-    """
-
-    order: tuple[tuple[int, int], ...]
-    """``(canonical cluster id, value)`` pairs, best first (ties broken
-    by ascending canonical id; see the class docstring)."""
-
-    rank_of: dict[int, int]
-    """``canonical id -> 1-based rank`` over every cluster in
-    :attr:`order`."""
-
-    def top(self, n: int) -> tuple[tuple[int, int], ...]:
-        """The best ``n`` entries (the whole ranking if ``n`` exceeds it)."""
-        return self.order[:n]
-
-
 def parse_query(tokens: list[str]) -> Query:
     """Parse CLI/workload-script tokens into a :class:`Query`.
 
@@ -131,6 +101,10 @@ def parse_query(tokens: list[str]) -> Query:
     cluster kinds accept one optional trailing height token for
     historical horizons: ``["cluster-of", "1Abc...", "420"]``,
     ``["top-clusters", "5", "balance", "420"]``.
+
+    Everything a query can be checked for without a chain is checked
+    here (:meth:`QueryEngine.answer` still refuses a height past the
+    tip): a malformed query is a ``ValueError``.
     """
     if not tokens:
         raise ValueError("empty query")
@@ -138,7 +112,7 @@ def parse_query(tokens: list[str]) -> Query:
     rest = tokens[1:]
     if kind in ("cluster_of", "balance_of", "cluster_balance", "cluster_profile"):
         if kind != "balance_of" and len(rest) == 2:
-            return Query(kind, (rest[0], int(rest[1])))
+            return Query(kind, (rest[0], _non_negative(rest[1], "horizon height")))
         if len(rest) != 1:
             raise ValueError(f"{kind} takes exactly one address argument")
         return Query(kind, (rest[0],))
@@ -147,16 +121,29 @@ def parse_query(tokens: list[str]) -> Query:
             raise ValueError("trace_taint takes a case label")
         return Query(kind, (" ".join(rest),))
     if kind == "top_clusters":
-        n = int(rest[0]) if rest else 10
+        if len(rest) > 3:
+            raise ValueError("top_clusters takes [N] [size|balance|activity] [height]")
+        n = _non_negative(rest[0], "top_clusters count") if rest else 10
         by = rest[1] if len(rest) > 1 else "size"
         if by not in TOP_CLUSTER_METRICS:
             raise ValueError(
                 f"top_clusters metric must be one of {TOP_CLUSTER_METRICS}"
             )
         if len(rest) > 2:
-            return Query(kind, (n, by, int(rest[2])))
+            return Query(kind, (n, by, _non_negative(rest[2], "horizon height")))
         return Query(kind, (n, by))
     raise ValueError(f"unknown query kind {tokens[0]!r} (kinds: {QUERY_KINDS})")
+
+
+def _non_negative(token: str, what: str) -> int:
+    """``token`` as an int >= 0, else a ``ValueError`` naming ``what``."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{what} must be an int >= 0, got {token!r}")
+    return value
 
 
 def format_answer(query: Query, answer) -> str:
@@ -173,8 +160,9 @@ def format_answer(query: Query, answer) -> str:
             lines.append(f"  reached {entity}: {value:.0f}")
         return "\n".join(lines)
     if query.kind == "top_clusters":
-        n, by = query.args
-        lines = [f"top {n} clusters by {by}:"]
+        n, by, *height = query.args
+        at = f" at height {height[0]}" if height else ""
+        lines = [f"top {n} clusters by {by}{at}:"]
         for root, value, name in answer:
             suffix = f"  ({name})" if name else ""
             lines.append(f"  cluster {root}: {value}{suffix}")

@@ -43,7 +43,6 @@ import time
 from dataclasses import asdict
 
 from ..chain.index import ChainIndex
-from ..core.clustering import Clustering
 from ..core.heuristic2 import Heuristic2Config, dice_addresses_from_tags
 from ..core.incremental import IncrementalClusteringEngine
 from ..obs import NULL_LOGGER, NULL_REGISTRY
@@ -97,7 +96,7 @@ class ForensicsService:
         self.tags = tags
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         if self.metrics.enabled:
-            index.metrics = self.metrics
+            index.instrument(self.metrics)
         self.log = log if log is not None else NULL_LOGGER
         if self.log.enabled:
             index.log = self.log
@@ -199,11 +198,6 @@ class ForensicsService:
         """Chain tip height (-1 when empty); the cache key component."""
         return self.index.height
 
-    @property
-    def clustering(self) -> Clustering:
-        """The tip clustering (memoized per height inside the engine)."""
-        return self.engine.cluster_as_of()
-
     def watch_theft(self, label: str, theft_txids) -> None:
         """Register a theft case: taint every output of the given
         transactions and keep the frontier warm from here on."""
@@ -297,43 +291,6 @@ class ForensicsService:
     ) -> list:
         """Batch entrypoint: answers in input order, grouped by kind."""
         return self.queries.answer_many(queries, request_id=request_id)
-
-    def cluster_of(self, address: str, height: int | None = None):
-        """Cluster root id for an address, or ``None`` if never seen.
-
-        ``height`` asks the question as of that block instead of the
-        tip (likewise on the other cluster kinds below)."""
-        args = (address,) if height is None else (address, height)
-        return self.answer(Query("cluster_of", args))
-
-    def balance_of(self, address: str) -> int:
-        """Satoshis the address holds at the tip."""
-        return self.answer(Query("balance_of", (address,)))
-
-    def cluster_balance(
-        self, address: str, height: int | None = None
-    ) -> int | None:
-        """Satoshis held by the whole cluster containing ``address``."""
-        args = (address,) if height is None else (address, height)
-        return self.answer(Query("cluster_balance", args))
-
-    def trace_taint(self, label: str) -> dict:
-        """Warm taint summary for a watched theft case."""
-        return self.answer(Query("trace_taint", (label,)))
-
-    def top_clusters(
-        self, n: int = 10, by: str = "size", height: int | None = None
-    ) -> tuple:
-        """The ``n`` largest clusters by ``size``/``balance``/``activity``."""
-        args = (n, by) if height is None else (n, by, height)
-        return self.answer(Query("top_clusters", args))
-
-    def cluster_profile(
-        self, address: str, height: int | None = None
-    ) -> dict | None:
-        """Everything warm about one address's cluster."""
-        args = (address,) if height is None else (address, height)
-        return self.answer(Query("cluster_profile", args))
 
     def stats(self) -> dict:
         """Serving metrics: height, watched cases, cache accounting.

@@ -52,7 +52,7 @@ from time import perf_counter
 
 import numpy as np
 
-from ..analysis.taint import TaintResult, TaintTracker, taint_step
+from ..analysis.taint import TaintTracker, taint_step
 from ..chain.delta import BlockDelta
 from ..chain.index import ChainIndex
 from ..chain.model import OutPoint
@@ -126,9 +126,6 @@ class MaterializedView:
             self._apply_delta(delta)
         self._height = delta.height
 
-    def _apply_delta(self, delta: BlockDelta) -> None:
-        raise NotImplementedError
-
 
 class BalanceView(MaterializedView):
     """Per-address balances and the coins issued, streamed.
@@ -200,16 +197,6 @@ class TaintCase:
     taint: dict[OutPoint, float] = field(default_factory=dict)
     at_entities: dict[str, float] = field(default_factory=dict)
     txs_processed: int = 0
-
-    def as_result(self) -> TaintResult:
-        """Snapshot the case as a batch-shaped
-        :class:`~repro.analysis.taint.TaintResult`."""
-        return TaintResult(
-            initial_taint=self.initial_taint,
-            taint_by_outpoint=dict(self.taint),
-            taint_at_entities=dict(self.at_entities),
-            txs_processed=self.txs_processed,
-        )
 
 
 class TaintView(MaterializedView):
@@ -361,13 +348,6 @@ class TaintView(MaterializedView):
         self.epoch += 1
         return case
 
-    def watch_tx(self, label: str, txid: bytes) -> TaintCase:
-        """Watch every output of one transaction (a whole theft tx)."""
-        tx = self.index.tx(txid)
-        return self.watch(
-            label, [OutPoint(txid, vout) for vout in range(len(tx.outputs))]
-        )
-
     def watch_txs(self, label: str, txids: list[bytes]) -> TaintCase:
         """Watch every output of several transactions as one case."""
         sources: list[OutPoint] = []
@@ -384,10 +364,6 @@ class TaintView(MaterializedView):
     def case(self, label: str) -> TaintCase:
         """The live case for ``label`` (``KeyError`` if unwatched)."""
         return self._cases[label]
-
-    def result_for(self, label: str) -> TaintResult:
-        """Batch-shaped result snapshot for one case."""
-        return self._cases[label].as_result()
 
 
 @dataclass(frozen=True, slots=True)

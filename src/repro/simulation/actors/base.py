@@ -62,11 +62,6 @@ class Actor:
         services of the era issued per-transaction deposit addresses."""
         return self.wallet.fresh_address()
 
-    @property
-    def balance(self) -> int:
-        """Spendable satoshis in the primary wallet."""
-        return self.wallet.balance
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, {self.category!r})"
 

@@ -75,13 +75,6 @@ class Exchange(Actor):
         """A customer buys coins for fiat; on-chain it is a withdrawal."""
         self.request_withdrawal(destination, amount)
 
-    @property
-    def total_balance(self) -> int:
-        """Funds across all segments and the deposit wallet."""
-        return (
-            sum(w.balance for w in self._segments) + self._deposit_wallet.balance
-        )
-
     # ------------------------------------------------------------------
     # behaviour
     # ------------------------------------------------------------------

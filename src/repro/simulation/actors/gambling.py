@@ -48,9 +48,6 @@ class DiceGame(Actor):
         """The game's well-known (heavily reused) betting address."""
         return self._bet_address
 
-    def payment_address(self) -> str:
-        return self.bet_address()
-
     def place_bet(self, bettor_address: str, amount: int) -> None:
         """Register a bet paid to :meth:`bet_address`.
 

@@ -33,8 +33,9 @@ class MiningPool(Actor):
     def coinbase_address(self) -> str:
         """Where block rewards land.  Pools reuse a small set of reward
         addresses, so coinbases are attributable."""
-        if self.wallet.addresses and self.rng.random() < 0.7:
-            return self.rng.choice(self.wallet.addresses[:4])
+        oldest = self.wallet.oldest_addresses(4)
+        if oldest and self.rng.random() < 0.7:
+            return self.rng.choice(oldest)
         return self.wallet.fresh_address(kind="coinbase")
 
     def step(self, height: int) -> None:

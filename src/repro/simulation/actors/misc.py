@@ -61,11 +61,6 @@ class DonationService(Actor):
     def on_attached(self) -> None:
         self._public_address = self.wallet.fresh_address()
 
-    @property
-    def public_donation_address(self) -> str:
-        """The address advertised publicly (self-labeled, §3.2)."""
-        return self._public_address
-
     def payment_address(self) -> str:
         # Donors usually use the public address; one-time addresses are
         # generated on request (the paper got two via IRC).

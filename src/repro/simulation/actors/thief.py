@@ -10,7 +10,6 @@ from the chain alone; this module records the ground truth to score it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from ...chain.model import COIN
@@ -67,10 +66,6 @@ class TheftRecord:
     peel_runners: list[PeelChainRunner] = field(default_factory=list)
     dormant_addresses: list[str] = field(default_factory=list)
 
-    @property
-    def executed_moves(self) -> list[str]:
-        return self.spec.moves()
-
 
 class TheftScript(Actor):
     """Actor executing one scripted theft and laundering sequence."""
@@ -103,15 +98,6 @@ class TheftScript(Actor):
 
     def scaled_amount(self) -> int:
         return int(self.spec.paper_btc * self.amount_scale * COIN)
-
-    def clean_address(self) -> str:
-        """Address for pre-funding the thief with clean (non-loot) coins."""
-        return self.wallet.fresh_address(kind="clean")
-
-    def note_clean_coins(self) -> None:
-        """Snapshot currently-held coins as the clean fund (call after
-        pre-funding, before the theft)."""
-        self._clean_coins = self.wallet.coins()
 
     # ------------------------------------------------------------------
     # lifecycle

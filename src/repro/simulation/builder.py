@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from ..chain import crypto, script
-from ..chain.model import OutPoint, Transaction, TxIn, TxOut
+from ..chain.model import Transaction, TxIn, TxOut
 from ..chain.serialize import serialize_tx
 from .params import ChangePolicy
 from .wallet import Coin, Wallet

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..chain import script as script_mod
 from ..chain.index import ChainIndex
@@ -133,10 +132,6 @@ class Economy:
     def actors_in_category(self, category: str) -> list:
         """Actors in a category, in registration order."""
         return [a for a in self._actors.values() if a.category == category]
-
-    def wallet_of_address(self, address: str) -> Wallet | None:
-        """The wallet controlling ``address`` (None for unregistered)."""
-        return self._wallet_of_address.get(address)
 
     # ------------------------------------------------------------------
     # chain state
@@ -276,10 +271,6 @@ class World:
     @property
     def ground_truth(self) -> GroundTruth:
         return self.economy.ground_truth
-
-    @property
-    def params(self) -> EconomyParams:
-        return self.economy.params
 
     @property
     def blocks(self) -> list[Block]:

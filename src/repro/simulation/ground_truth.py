@@ -72,37 +72,13 @@ class GroundTruth:
         info = self._entities.get(entity)
         return info.category if info else None
 
-    def category_of_address(self, address: str) -> str | None:
-        """Category of the entity owning ``address``."""
-        owner = self._owner_of.get(address)
-        return self.category_of(owner) if owner else None
-
     def addresses_of(self, entity: str) -> frozenset[str]:
         """All addresses registered to an entity."""
         return frozenset(self._addresses_of.get(entity, ()))
 
-    def same_owner(self, a: str, b: str) -> bool:
-        """True when both addresses are registered to one entity."""
-        owner_a = self._owner_of.get(a)
-        return owner_a is not None and owner_a == self._owner_of.get(b)
-
     def entities(self) -> list[EntityInfo]:
         """All registered entities."""
         return list(self._entities.values())
-
-    def entities_in_category(self, category: str) -> list[str]:
-        """Names of entities in a category, sorted for determinism."""
-        return sorted(
-            info.name for info in self._entities.values() if info.category == category
-        )
-
-    @property
-    def address_count(self) -> int:
-        return len(self._owner_of)
-
-    @property
-    def entity_count(self) -> int:
-        return len(self._entities)
 
     def true_partition(self) -> dict[str, frozenset[str]]:
         """The ideal clustering: entity → its full address set."""

@@ -451,7 +451,7 @@ def theft_world(
         script = TheftScript(
             spec,
             amount_scale=amount_scale,
-            recipient_chooser=chooser if reaches else _users_only_chooser(economy),
+            recipient_chooser=chooser if reaches else None,
         )
         economy.register(script)
         thefts.append(script)
@@ -467,12 +467,3 @@ def theft_world(
     return finish(economy, roster=roster, thefts=thefts, attack=attack)
 
 
-def _users_only_chooser(economy: Economy):
-    """Peel recipients drawn only from unnamed users (no exchange reach)."""
-    users = economy.actors_in_category("users")
-
-    def choose(rng: random.Random, _value: int) -> tuple[str, str]:
-        user = rng.choice(users)
-        return user.payment_address(), user.name
-
-    return choose

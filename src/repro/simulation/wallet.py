@@ -10,7 +10,9 @@ ChangePolicy` and implemented in :mod:`repro.simulation.builder`.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from ..chain import script
 from ..chain.crypto import KeyPair, pubkey_hash_to_address
@@ -92,9 +94,11 @@ class Wallet:
         return address
 
     @property
-    def change_addresses(self) -> list[str]:
-        """Addresses minted as change (clients normally hide these)."""
-        return list(self._change_addresses)
+    def change_addresses(self) -> Sequence[str]:
+        """Addresses minted as change (clients normally hide these), in
+        minting order.  The wallet's own list, not a copy: read it, do
+        not change it."""
+        return self._change_addresses
 
     def last_change_address(self) -> str | None:
         """The most recently minted change address (sloppy clients send
@@ -112,12 +116,9 @@ class Wallet:
 
     def output(self, address: str, value: int) -> TxOut:
         """An output paying ``value`` to ``address``, its address memo
-        seated.  The script comes from the address book; only an address
-        minted outside it (a foreign one) is decoded."""
-        script_pubkey = self._scripts.get(address)
-        if script_pubkey is None:
-            script_pubkey = script.p2pkh_script_for_address(address)
-        return TxOut.paying(address, script_pubkey, value)
+        seated.  The script comes from the address book, which holds
+        every address the economy's wallets mint."""
+        return TxOut.paying(address, self._scripts[address], value)
 
     def key_for(self, address: str) -> KeyPair:
         """The keypair controlling ``address`` (KeyError if foreign)."""
@@ -127,10 +128,10 @@ class Wallet:
         """True when this wallet holds the key for ``address``."""
         return address in self._keys
 
-    @property
-    def addresses(self) -> list[str]:
-        """Every address this wallet ever minted."""
-        return list(self._keys)
+    def oldest_addresses(self, n: int) -> list[str]:
+        """The first ``n`` addresses this wallet minted (fewer if it has
+        not minted ``n``), without copying the rest."""
+        return list(islice(self._keys, n))
 
     # ------------------------------------------------------------------
     # coins

@@ -1,6 +1,6 @@
 """Durable state: snapshot/restore + tail replay for the serving layer.
 
-The PR 1/PR 2 engines made the paper's full-chain analysis single-pass
+The streaming engines make the paper's full-chain analysis single-pass
 and servable — but in-memory only, so every restart replayed from block
 0.  This package bounds recovery by the *tail since the last snapshot*
 instead:
@@ -10,9 +10,10 @@ instead:
 * :mod:`~repro.storage.manifest` — the JSON manifest that commits a
   snapshot (written last; no manifest ⇒ no snapshot);
 * :mod:`~repro.storage.store` — :class:`StateStore`
-  (``snapshot``/``restore``/``warm_start`` with block-file tail replay)
-  and :class:`SnapshotPolicy` (every-N-blocks capture, retain-K
-  pruning).
+  (``snapshot``/``restore``/``warm_start`` with block-file tail replay,
+  ``prune`` to the newest K).  Nothing snapshots on its own:
+  :func:`repro.experiments.warm_service` prunes on each warm start, and
+  its ``checkpoint`` snapshots when ``query``/``serve`` exit.
 
 The restore contract is *provable equivalence*: a restored-then-tail-
 replayed service answers every query identically to one built cold from
@@ -30,7 +31,6 @@ from .manifest import SnapshotManifest, read_manifest, write_manifest
 from .segments import read_segment, write_segment
 from .store import (
     COMPONENTS,
-    SnapshotPolicy,
     StateStore,
     WarmStart,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "NoSnapshotError",
     "SnapshotIntegrityError",
     "SnapshotManifest",
-    "SnapshotPolicy",
     "StateStore",
     "StorageError",
     "UnsupportedSnapshotError",

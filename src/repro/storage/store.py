@@ -20,10 +20,9 @@ Recovery time is bounded by the snapshot size plus the tail length, not
 the chain length (``snapshot_s`` / ``restore_s`` of the ``restart``
 workload in ``benchmarks/e2e`` are the measured numbers).
 
-:class:`SnapshotPolicy` automates capture: attached *after* the service
-(so the fan-out order guarantees every component has folded the block
-first), it snapshots every ``every`` blocks and prunes to the ``retain``
-newest.
+Capture is explicit: :func:`repro.experiments.warm_service` prunes to
+the newest ``retain`` snapshots (:meth:`StateStore.prune`) on each warm
+start and hands back a ``checkpoint`` that snapshots on the way out.
 """
 
 from __future__ import annotations
@@ -107,11 +106,6 @@ class WarmStart:
     service: ForensicsService
     snapshot_height: int
     tail_blocks: int
-
-    @property
-    def height(self) -> int:
-        """The service's height after tail replay."""
-        return self.service.height
 
 
 class StateStore:
@@ -427,50 +421,3 @@ class StateStore:
             snapshot_height=snapshot_height,
             tail_blocks=tail,
         )
-
-
-class SnapshotPolicy:
-    """Periodic snapshot capture with bounded retention.
-
-    Attach *after* the service is constructed: observers fire in
-    registration order, so the policy sees each block only when the
-    engine and every view have already folded it — the state it
-    captures is the consistent post-block state.  A snapshot failure
-    propagates out of ``add_block`` (the chain fan-out still notifies
-    every other observer first); durability problems should be loud.
-    """
-
-    def __init__(
-        self, store: StateStore, *, every: int = 100, retain: int = 3
-    ) -> None:
-        if every < 1:
-            raise ValueError("every must be at least 1")
-        if retain < 1:
-            raise ValueError("retain must be at least 1")
-        self.store = store
-        self.every = every
-        self.retain = retain
-        self.snapshots_taken = 0
-        self._unsubscribe = None
-
-    def attach(self, service: ForensicsService) -> "SnapshotPolicy":
-        """Start snapshotting ``service`` every ``every`` blocks."""
-        if self._unsubscribe is not None:
-            raise StorageError("policy is already attached")
-
-        def _on_block(delta) -> None:
-            if (delta.height + 1) % self.every == 0:
-                self.store.snapshot(service)
-                self.snapshots_taken += 1
-                self.store.prune(self.retain)
-
-        self._unsubscribe = service.index.subscribe_deltas(
-            _on_block, name="snapshot-policy"
-        )
-        return self
-
-    def detach(self) -> None:
-        """Stop snapshotting (already-written snapshots remain)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None

@@ -146,17 +146,6 @@ class ClusterNaming:
         """Clusters assigned to one entity (paper: 20 for Mt. Gox)."""
         return [c for c in self._named.values() if c.name == entity]
 
-    def addresses_of(self, entity: str) -> set[str]:
-        """Every address in every cluster named ``entity``."""
-        roots = {c.root for c in self._named.values() if c.name == entity}
-        out: set[str] = set()
-        if not roots:
-            return out
-        for address in self.clustering.uf.iter_items():
-            if self.clustering.uf.find(address) in roots:
-                out.add(address)
-        return out
-
     def report(self) -> NamingReport:
         """Compute the coverage numbers."""
         named_addresses = 0

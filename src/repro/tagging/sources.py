@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from ..simulation.economy import World
-from .tags import SOURCE_MANUAL, SOURCE_PUBLIC, Tag, TagStore, make_tag
+from .tags import SOURCE_MANUAL, SOURCE_PUBLIC, TagStore, make_tag
 
 
 class PublicTagCrawl:

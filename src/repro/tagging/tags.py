@@ -99,10 +99,6 @@ class TagStore:
         """Distinct tagged addresses."""
         return len(self._by_address)
 
-    def tags_for(self, address: str) -> list[Tag]:
-        """All tags recorded for one address."""
-        return list(self._by_address.get(address, ()))
-
     def best_tag(self, address: str) -> Tag | None:
         """The highest-confidence tag for an address (ties: first seen)."""
         tags = self._by_address.get(address)
@@ -124,14 +120,6 @@ class TagStore:
         """All entity names appearing in any tag."""
         return {tag.entity for tag in self.all_tags()}
 
-    def addresses_of(self, entity: str) -> set[str]:
-        """Addresses whose best tag names ``entity``."""
-        return {
-            address
-            for address in self._by_address
-            if self.entity_of(address) == entity
-        }
-
     def as_mapping(self, *, min_confidence: float = 0.0) -> dict[str, str]:
         """Export ``address -> entity`` using each address's best tag."""
         out: dict[str, str] = {}
@@ -140,14 +128,6 @@ class TagStore:
             if best is not None and best.confidence >= min_confidence:
                 out[address] = best.entity
         return out
-
-    def conflicts(self) -> list[str]:
-        """Addresses carrying tags for more than one entity."""
-        return [
-            address
-            for address, tags in self._by_address.items()
-            if len({t.entity for t in tags}) > 1
-        ]
 
     def merged_with(self, other: "TagStore") -> "TagStore":
         """A new store holding both stores' tags."""

@@ -43,7 +43,7 @@ class TestPropagation:
         result = TaintTracker(index, name_of_address=names.get).propagate(
             [OutPoint(cb.txid, 0)]
         )
-        assert result.reach("Mt Gox") == pytest.approx(50 * COIN)
+        assert result.taint_at_entities["Mt Gox"] == pytest.approx(50 * COIN)
         # Nothing propagated past the exchange.
         assert result.unspent_taint == 0
 

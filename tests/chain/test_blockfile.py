@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chain.blockfile import BlockFileWriter, read_blocks
+from repro.chain.blockfile import BlockFileReader, BlockFileWriter
 from repro.chain.errors import SerializationError, TruncatedDataError
 from repro.chain.model import Block, GENESIS_PREV_HASH
 
@@ -28,7 +28,7 @@ class TestRoundtrip:
     def test_write_then_read(self, tmp_path):
         blocks = _make_chain(5)
         BlockFileWriter(tmp_path).write_chain(blocks)
-        again = list(read_blocks(tmp_path))
+        again = list(BlockFileReader(tmp_path).iter_blocks())
         assert [b.hash for b in again] == [b.hash for b in blocks]
         assert [b.height for b in again] == [0, 1, 2, 3, 4]
 
@@ -37,13 +37,13 @@ class TestRoundtrip:
         writer = BlockFileWriter(tmp_path, max_file_size=400)
         paths = writer.write_chain(blocks)
         assert len(paths) > 1
-        again = list(read_blocks(tmp_path))
+        again = list(BlockFileReader(tmp_path).iter_blocks())
         assert len(again) == 6
 
     def test_single_file_source(self, tmp_path):
         blocks = _make_chain(2)
         path = BlockFileWriter(tmp_path).write_block(blocks[0])
-        assert len(list(read_blocks(path))) == 1
+        assert len(list(BlockFileReader(path).iter_blocks())) == 1
 
 
 class TestRobustness:
@@ -53,7 +53,7 @@ class TestRobustness:
         file = next(tmp_path.glob("blk*.dat"))
         data = file.read_bytes()
         file.write_bytes(data[:-10])  # chop the last record
-        again = list(read_blocks(tmp_path))
+        again = list(BlockFileReader(tmp_path).iter_blocks())
         assert len(again) == 2
 
     def test_truncation_error_when_strict(self, tmp_path):
@@ -62,7 +62,7 @@ class TestRobustness:
         file = next(tmp_path.glob("blk*.dat"))
         file.write_bytes(file.read_bytes()[:-5])
         with pytest.raises(SerializationError):
-            list(read_blocks(tmp_path, tolerate_truncation=False))
+            list(BlockFileReader(tmp_path, tolerate_truncation=False).iter_blocks())
 
     def test_bad_magic_rejected(self, tmp_path):
         blocks = _make_chain(1)
@@ -72,7 +72,7 @@ class TestRobustness:
         data[0] ^= 0xFF
         file.write_bytes(bytes(data))
         with pytest.raises(SerializationError):
-            list(read_blocks(tmp_path))
+            list(BlockFileReader(tmp_path).iter_blocks())
 
     def test_stray_bytes_inside_record_rejected(self, tmp_path):
         """A frame longer than the block it holds: the reader parses
@@ -88,7 +88,7 @@ class TestRobustness:
         )
         file.write_bytes(padded)
         with pytest.raises(SerializationError, match="stray"):
-            list(read_blocks(tmp_path))
+            list(BlockFileReader(tmp_path).iter_blocks())
 
     def test_block_may_not_read_past_its_frame(self, tmp_path):
         """A frame shorter than its block must not borrow bytes from the
@@ -100,7 +100,7 @@ class TestRobustness:
         first = 8 + int.from_bytes(data[4:8], "little")
         file.write_bytes(data[:4] + (first - 8 - 2).to_bytes(4, "little") + data[8:])
         with pytest.raises(TruncatedDataError):
-            list(read_blocks(tmp_path))
+            list(BlockFileReader(tmp_path).iter_blocks())
 
     def test_bad_magic_length(self, tmp_path):
         with pytest.raises(SerializationError):

@@ -14,14 +14,15 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.blockfile import BlockFileReader, BlockFileWriter, read_blocks
+from repro.chain.blockfile import BlockFileReader, BlockFileWriter
 from repro.chain.model import Block, BlockHeader, OutPoint, Transaction, TxIn, TxOut
 from repro.chain.serialize import (
     block_from_bytes,
     serialize_block,
     serialize_tx,
-    tx_from_bytes,
 )
+
+from tests.helpers import tx_from_bytes
 
 _U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 _SCRIPTS = st.binary(min_size=0, max_size=64)
@@ -121,7 +122,7 @@ class TestBlockFileRoundtrip:
     def test_write_read_across_rollover(self, tmp_path_factory, blocks, max_file_size):
         directory = tmp_path_factory.mktemp("blk")
         BlockFileWriter(directory, max_file_size=max_file_size).write_chain(blocks)
-        again = list(read_blocks(directory))
+        again = list(BlockFileReader(directory).iter_blocks())
         assert [b.hash for b in again] == [b.hash for b in blocks]
         assert [serialize_block(b) for b in again] == [
             serialize_block(b) for b in blocks
@@ -185,7 +186,7 @@ class TestBlockFileRoundtrip:
         BlockFileWriter(tmp_path, max_file_size=512, resume=True).write_chain(
             blocks[3:]
         )
-        again = list(read_blocks(tmp_path))
+        again = list(BlockFileReader(tmp_path).iter_blocks())
         assert [b.hash for b in again] == [b.hash for b in blocks]
 
     def test_resume_writer_truncates_partial_final_record(self, tmp_path):
@@ -197,7 +198,7 @@ class TestBlockFileRoundtrip:
         path = next(tmp_path.glob("blk*.dat"))
         path.write_bytes(path.read_bytes()[:-10])  # partial record: block 3
         BlockFileWriter(tmp_path, resume=True).write_chain(blocks[3:])
-        again = list(read_blocks(tmp_path))
+        again = list(BlockFileReader(tmp_path).iter_blocks())
         assert [b.hash for b in again] == [b.hash for b in blocks]
         assert BlockFileReader(tmp_path).count_blocks() == len(blocks)
 

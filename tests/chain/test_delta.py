@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.blockfile import BlockFileWriter, read_blocks
+from repro.chain.blockfile import BlockFileReader, BlockFileWriter
 from repro.chain.delta import BlockDelta
 from repro.chain.index import ChainIndex
 from repro.core.incremental import IncrementalClusteringEngine
@@ -38,7 +38,7 @@ from repro.service.aggregates import ClusterAggregateView
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks, scenarios
 
-from tests.helpers import build_chain
+from tests.helpers import build_chain, utxo_count
 
 _COLUMNS = (
     "event_ids", "event_values", "involved_ids", "involved_flat", "h1_a", "h1_b",
@@ -104,7 +104,7 @@ class TestDeltaFanOut:
         retained as a ``subscriber_error`` flight span, and the later
         failures ride the raised exception as notes."""
         target = ChainIndex()
-        target.metrics = MetricsRegistry()
+        target.instrument(metrics := MetricsRegistry())
         seen = []
 
         def explode_a(delta):
@@ -126,12 +126,12 @@ class TestDeltaFanOut:
         )
         # The healthy subscriber still observed the block.
         assert seen == [0]
-        counters = target.metrics.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         assert counters["ingest.subscriber_errors{subscriber=flaky-a}"] == 1
         assert counters["ingest.subscriber_errors{subscriber=flaky-b}"] == 1
         assert "ingest.subscriber_errors{subscriber=healthy}" not in counters
         errors = [
-            span for span in target.metrics.flight.dump()
+            span for span in metrics.flight.dump()
             if span["kind"] == "subscriber_error"
         ]
         assert [(span["subscriber"], span["height"]) for span in errors] == [
@@ -141,7 +141,7 @@ class TestDeltaFanOut:
 
     def test_fanout_timed_per_subscriber_even_on_failure(self):
         target = ChainIndex()
-        target.metrics = MetricsRegistry()
+        target.instrument(metrics := MetricsRegistry())
 
         def explode(delta):
             raise RuntimeError("boom")
@@ -150,7 +150,7 @@ class TestDeltaFanOut:
         target.subscribe_deltas(lambda delta: None, name="healthy")
         with pytest.raises(RuntimeError):
             target.add_block(self._source_blocks(1)[0])
-        histograms = target.metrics.snapshot()["histograms"]
+        histograms = metrics.snapshot()["histograms"]
         assert histograms["ingest.fanout_seconds{subscriber=flaky}"][
             "count"
         ] == 1
@@ -415,7 +415,7 @@ class TestOneRecordRepresentation:
             blocks = scenarios.micro_economy(seed=7, n_blocks=30, n_users=5).blocks
         digest, size, components = self.GOLDEN[chain]
         BlockFileWriter(tmp_path).write_chain(blocks)
-        for source in (blocks, read_blocks(tmp_path)):
+        for source in (blocks, BlockFileReader(tmp_path).iter_blocks()):
             index = ChainIndex()
             for block in source:
                 index.add_block(block)
@@ -428,7 +428,7 @@ class TestOneRecordRepresentation:
             # the receive log) and per unspent output.
             history = components["receive_log"] + components["spend_log"]
             assert history / index.history_rows <= 27.5
-            assert len(state["recv_spender"]) / index.utxo_count <= 53
+            assert len(state["recv_spender"]) / utxo_count(index) <= 53
 
     # sha256 (16 hex digits) of the exported union-find's ``parent``,
     # ``size`` and ``log`` bytes, in that order, for the engine and the

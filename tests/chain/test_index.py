@@ -12,7 +12,15 @@ from repro.chain.errors import (
 from repro.chain.index import ChainIndex
 from repro.chain.model import COIN, OutPoint
 
-from tests.helpers import HistoryTwin, addr, build_chain, coinbase, spend
+from tests.helpers import (
+    HistoryTwin,
+    addr,
+    build_chain,
+    coinbase,
+    spend,
+    utxo_count,
+    utxo_value,
+)
 
 
 class TestIngestion:
@@ -24,7 +32,7 @@ class TestIngestion:
         # Supply: two 50 BTC coinbases, minus the 1000 satoshi fee the
         # sweep paid (it vanishes because the test coinbases don't claim
         # fees).
-        assert index.utxo_value() == 100 * COIN - 1000
+        assert utxo_value(index) == 100 * COIN - 1000
 
     def test_out_of_order_blocks_rejected(self):
         index = build_chain([[]])
@@ -83,11 +91,6 @@ class TestQueries:
         spender = index.spender_of(OutPoint(txs["pay"].txid, 1))
         assert spender == (txs["sweep"].txid, 0)
 
-    def test_fee(self):
-        index, txs = _indexed_payment()
-        assert index.fee(txs["sweep"]) == 1000
-        assert index.fee(txs["cb"]) == 0
-
     def test_input_addresses(self):
         index, txs = _indexed_payment()
         assert index.input_addresses(txs["sweep"]) == [addr("b")]
@@ -112,16 +115,6 @@ class TestQueries:
         assert addr("c") in sinks
         assert addr("b") not in sinks
 
-    def test_appearances_before(self):
-        index, _txs = _indexed_payment()
-        assert index.appearances_before(addr("b"), 1) == 0
-        assert index.appearances_before(addr("b"), 2) == 1
-        assert index.appearances_before(addr("unseen"), 99) == 0
-
-    def test_first_seen(self):
-        index, _txs = _indexed_payment()
-        assert index.first_seen(addr("b")) == 1
-        assert index.first_seen(addr("nobody")) is None
 
 
 class TestViolations:
@@ -180,8 +173,8 @@ class TestRejectedBlockLeavesNoTrace:
     def _observable(index):
         return {
             "height": index.height,
-            "utxo_count": index.utxo_count,
-            "utxo_value": index.utxo_value(),
+            "utxo_count": utxo_count(index),
+            "utxo_value": utxo_value(index),
             "address_count": index.address_count,
             "tx_count": index.tx_count,
             "interned": list(index.interner),
@@ -281,9 +274,6 @@ class TestSelfChangeHistory:
         )
         index = _ingest(cb, first, selfchange)
         assert index.self_change_heights(addr("self")) == [1]
-        assert index.was_self_change_before(addr("self"), 2)
-        assert not index.was_self_change_before(addr("self"), 1)
-        assert not index.was_self_change_before(addr("other"), 5)
 
 
 class TestObserverFanOut:

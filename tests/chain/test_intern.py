@@ -71,7 +71,7 @@ class TestIndexInterning:
     def test_ids_are_first_sight_ordered(self):
         index, _joint = self._index()
         first_seen = [
-            (index.first_seen(a), index.interner.id_of(a))
+            (index.address(a).first_seen_height, index.interner.id_of(a))
             for a in index.interner
         ]
         heights = [h for h, _ in first_seen]

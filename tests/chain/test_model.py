@@ -9,12 +9,11 @@ from repro.chain.model import (
     GENESIS_PREV_HASH,
     TxOut,
     block_subsidy,
-    btc,
     format_btc,
     merkle_root,
 )
 
-from tests.helpers import addr, coinbase, spend
+from tests.helpers import addr, coinbase, p2pkh_script_for_address, spend
 
 
 class TestSubsidy:
@@ -34,11 +33,6 @@ class TestSubsidy:
 
 
 class TestAmounts:
-    def test_btc_conversion(self):
-        assert btc(1) == COIN
-        assert btc(0.5) == COIN // 2
-        assert btc(0.00000001) == 1
-
     def test_format_btc(self):
         assert format_btc(COIN) == "1"
         assert format_btc(COIN // 2) == "0.5"
@@ -82,11 +76,6 @@ class TestTransaction:
         cb = coinbase(addr("m"))
         tx = spend([(cb, 0)], [(addr("a"), 10), (addr("b"), 20)])
         assert tx.total_output_value == 30
-
-    def test_output_addresses(self):
-        cb = coinbase(addr("m"))
-        tx = spend([(cb, 0)], [(addr("a"), 10)])
-        assert tx.output_addresses() == [addr("a")]
 
     def test_outpoint_bounds(self):
         cb = coinbase(addr("m"))
@@ -134,11 +123,7 @@ class TestBlock:
 
 class TestTxOutAddressMemo:
     def _txout(self):
-        from repro.chain import script
-
-        return TxOut(
-            value=7, script_pubkey=script.p2pkh_script_for_address(addr("memo"))
-        )
+        return TxOut(value=7, script_pubkey=p2pkh_script_for_address(addr("memo")))
 
     def test_address_memoized_and_equality_unaffected(self):
         out = self._txout()

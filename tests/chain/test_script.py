@@ -5,6 +5,8 @@ import pytest
 from repro.chain import crypto, script
 from repro.chain.errors import ScriptError
 
+from tests.helpers import address_of, p2pkh_script_for_address, parse_sig_script
+
 
 class TestP2PKH:
     def test_build_shape(self):
@@ -15,13 +17,9 @@ class TestP2PKH:
         assert spk[-1] == script.OP_CHECKSIG
         assert spk[3:23] == pkh
 
-    def test_classify(self):
-        spk = script.p2pkh_script(b"\x22" * 20)
-        assert script.classify(spk) == "p2pkh"
-
     def test_extract_address_roundtrip(self):
-        address = crypto.KeyPair.from_seed("p2pkh").address
-        spk = script.p2pkh_script_for_address(address)
+        address = address_of(crypto.KeyPair.from_seed("p2pkh"))
+        spk = p2pkh_script_for_address(address)
         assert script.extract_address(spk) == address
 
     def test_bad_hash_length_rejected(self):
@@ -30,19 +28,14 @@ class TestP2PKH:
 
 
 class TestP2PK:
-    def test_classify_and_extract(self):
+    def test_extract(self):
         keypair = crypto.KeyPair.from_seed("p2pk")
-        spk = script.p2pk_script(keypair.pubkey)
-        assert script.classify(spk) == "p2pk"
-        assert script.extract_address(spk) == keypair.address
+        spk = script.push_data(keypair.pubkey) + bytes([script.OP_CHECKSIG])
+        assert script.extract_address(spk) == address_of(keypair)
 
 
 class TestOther:
-    def test_op_return_classified(self):
-        assert script.classify(bytes([script.OP_RETURN]) + b"data") == "op_return"
-
-    def test_garbage_is_nonstandard(self):
-        assert script.classify(b"\xff\xfe\xfd") == "nonstandard"
+    def test_garbage_pays_no_address(self):
         assert script.extract_address(b"\xff\xfe\xfd") is None
 
     def test_push_data_limits(self):
@@ -57,15 +50,9 @@ class TestSigScript:
         keypair = crypto.KeyPair.from_seed("sig")
         signature = keypair.sign(b"tx")
         ss = script.sig_script(signature, keypair.pubkey)
-        got_sig, got_pub = script.parse_sig_script(ss)
+        got_sig, got_pub = parse_sig_script(ss)
         assert got_sig == signature
         assert got_pub == keypair.pubkey
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ScriptError):
-            script.parse_sig_script(b"")
-        with pytest.raises(ScriptError):
-            script.parse_sig_script(b"\x05ab")  # truncated push
 
 
 class TestCoinbaseScript:

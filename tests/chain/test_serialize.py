@@ -23,7 +23,6 @@ from repro.chain.serialize import (
     encode_varint,
     serialize_block,
     serialize_tx,
-    tx_from_bytes,
 )
 
 from tests.helpers import (
@@ -34,6 +33,7 @@ from tests.helpers import (
     reference_decode_varint,
     reference_tx_from_bytes,
     spend,
+    tx_from_bytes,
 )
 
 

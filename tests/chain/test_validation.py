@@ -15,7 +15,6 @@ from repro.chain.model import (
     TxIn,
     TxOut,
 )
-from repro.chain import script
 from repro.chain.validation import (
     ChainValidator,
     check_block_structure,
@@ -23,7 +22,7 @@ from repro.chain.validation import (
     validate_chain,
 )
 
-from tests.helpers import addr, coinbase, spend
+from tests.helpers import addr, coinbase, p2pkh_script_for_address, spend
 
 
 def _block(height, prev, txs, timestamp=None):
@@ -57,7 +56,7 @@ class TestTransactionStructure:
             outputs=(
                 TxOut(
                     value=1,
-                    script_pubkey=script.p2pkh_script_for_address(addr("x")),
+                    script_pubkey=p2pkh_script_for_address(addr("x")),
                 ),
             ),
         )

@@ -4,7 +4,7 @@ from repro.chain.model import COIN
 from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic2 import Heuristic2Config
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from tests.helpers import addr, build_chain, coinbase, same_cluster, spend
 
 
 def _world():
@@ -26,15 +26,15 @@ class TestEngine:
     def test_h1_only_links_inputs_not_change(self):
         engine = ClusteringEngine(_world())
         clustering = engine.cluster_h1_only()
-        assert clustering.same_cluster(addr("p/a"), addr("p/b"))
-        assert not clustering.same_cluster(addr("p/a"), addr("p/change"))
+        assert same_cluster(clustering.uf, addr("p/a"), addr("p/b"))
+        assert not same_cluster(clustering.uf, addr("p/a"), addr("p/change"))
         assert clustering.heuristics == "h1"
 
     def test_h2_adds_change_link(self):
         engine = ClusteringEngine(_world())
         clustering = engine.cluster()
-        assert clustering.same_cluster(addr("p/a"), addr("p/change"))
-        assert not clustering.same_cluster(addr("p/a"), addr("mrk"))
+        assert same_cluster(clustering.uf, addr("p/a"), addr("p/change"))
+        assert not same_cluster(clustering.uf, addr("p/a"), addr("mrk"))
         assert clustering.heuristics == "h1+h2"
         assert len(clustering.h2_result.labels) == 1
 
@@ -61,7 +61,7 @@ class TestEngine:
         clustering = ClusteringEngine(_world()).cluster()
         before = clustering.address_count
         assert clustering.cluster_of(addr("ghost")) is None
-        assert not clustering.same_cluster(addr("p/a"), addr("ghost"))
+        assert not same_cluster(clustering.uf, addr("p/a"), addr("ghost"))
         assert addr("ghost") not in clustering.uf
         assert clustering.address_count == before
 

@@ -4,7 +4,7 @@ from repro.chain.model import COIN
 from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic1 import h1_statistics
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from tests.helpers import addr, build_chain, coinbase, same_cluster, spend
 
 
 def cluster_h1(index, *, as_of_height=None):
@@ -22,9 +22,9 @@ class TestCoSpend:
         )
         index = build_chain([[cb_a1], [cb_a2], [joint]])
         uf = cluster_h1(index)
-        assert uf.connected(addr("a1"), addr("a2"))
+        assert same_cluster(uf, addr("a1"), addr("a2"))
         # Output address is NOT joined to inputs by H1.
-        assert not uf.connected(addr("a1"), addr("merchant"))
+        assert not same_cluster(uf, addr("a1"), addr("merchant"))
 
     def test_transitive_linking_across_txs(self):
         cb1 = coinbase(addr("x1"))
@@ -36,7 +36,7 @@ class TestCoSpend:
         t2 = spend([(refill, 0), (cb3, 0)], [(addr("q"), 100 * COIN)])
         index = build_chain([[cb1], [cb2], [cb3], [refill], [t1], [t2]])
         uf = cluster_h1(index)
-        assert uf.connected(addr("x1"), addr("x3"))
+        assert same_cluster(uf, addr("x1"), addr("x3"))
 
     def test_coinbases_not_clustered(self):
         index = build_chain([[], []])
@@ -49,9 +49,9 @@ class TestCoSpend:
         joint = spend([(cb1, 0), (cb2, 0)], [(addr("later"), 99 * COIN)])
         index = build_chain([[cb1], [cb2], [joint]])
         early = cluster_h1(index, as_of_height=1)
-        assert not early.connected(addr("h1"), addr("h2"))
+        assert not same_cluster(early, addr("h1"), addr("h2"))
         full = cluster_h1(index)
-        assert full.connected(addr("h1"), addr("h2"))
+        assert same_cluster(full, addr("h1"), addr("h2"))
 
 
 class TestStatistics:

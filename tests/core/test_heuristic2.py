@@ -19,6 +19,7 @@ from tests.helpers import (
     build_chain,
     coinbase,
     reference_find_candidate,
+    same_cluster,
     spend,
 )
 
@@ -291,7 +292,7 @@ class TestRun:
         assert [label.address for label in clustering.h2_result.labels] == [
             addr("change")
         ]
-        assert clustering.same_cluster(addr("change"), addr("payer"))
+        assert same_cluster(clustering.uf, addr("change"), addr("payer"))
 
     def test_as_of_height_hides_future(self):
         index, payment = _payment_chain()
@@ -306,8 +307,3 @@ class TestConfig:
         assert not config.dice_exception
         assert config.wait_seconds is None
         assert not config.reject_reused_change
-
-    def test_with_wait_days(self):
-        config = Heuristic2Config.refined().with_wait_days(2)
-        assert config.wait_seconds == 2 * 86_400
-        assert Heuristic2Config.refined().with_wait_days(None).wait_seconds is None

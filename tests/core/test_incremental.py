@@ -16,7 +16,7 @@ from repro.core.heuristic2 import Heuristic2Config
 from repro.core.incremental import IncrementalClusteringEngine
 from repro.simulation import scenarios
 
-from tests.helpers import addr, build_chain, coinbase, spend
+from tests.helpers import addr, build_chain, coinbase, same_cluster, spend
 
 
 def _partition(clustering):
@@ -93,11 +93,11 @@ class TestHandCraftedEquivalence:
         index = build_chain(_change_world())
         incremental = IncrementalClusteringEngine(index)
         at_labeling = incremental.cluster_as_of(4)
-        assert at_labeling.same_cluster(addr("v/a"), addr("v/change"))
+        assert same_cluster(at_labeling.uf, addr("v/a"), addr("v/change"))
         after_reuse = incremental.cluster_as_of(5)
-        assert not after_reuse.same_cluster(addr("v/a"), addr("v/change"))
+        assert not same_cluster(after_reuse.uf, addr("v/a"), addr("v/change"))
         # The clean label survives every horizon.
-        assert after_reuse.same_cluster(addr("u/a"), addr("u/change"))
+        assert same_cluster(after_reuse.uf, addr("u/a"), addr("u/change"))
 
     def test_dice_exception_keeps_label_alive(self):
         index = build_chain(_change_world())
@@ -105,7 +105,7 @@ class TestHandCraftedEquivalence:
         _assert_equivalent_at_every_height(index, dice=dice)
         incremental = IncrementalClusteringEngine(index, dice_addresses=dice)
         tip = incremental.cluster_as_of()
-        assert tip.same_cluster(addr("v/a"), addr("v/change"))
+        assert same_cluster(tip.uf, addr("v/a"), addr("v/change"))
 
     def test_naive_config_never_voids(self):
         index = build_chain(_change_world())
@@ -113,7 +113,7 @@ class TestHandCraftedEquivalence:
         _assert_equivalent_at_every_height(index, h2_config=config)
         incremental = IncrementalClusteringEngine(index, h2_config=config)
         tip = incremental.cluster_as_of()
-        assert tip.same_cluster(addr("v/a"), addr("v/change"))
+        assert same_cluster(tip.uf, addr("v/a"), addr("v/change"))
 
 
 class TestSimulatedEquivalence:
@@ -173,8 +173,8 @@ class TestStreaming:
             expected = batch.cluster(as_of_height=height)
             assert _partition(live) == _partition(expected), height
         # Earlier horizons remain queryable after the chain has grown.
-        assert not engine.cluster_as_of(1).same_cluster(
-            addr("u/a"), addr("u/change")
+        assert not same_cluster(
+            engine.cluster_as_of(1).uf, addr("u/a"), addr("u/change")
         )
 
     def test_detach_stops_following(self):
@@ -299,7 +299,7 @@ class TestSnapshotMemo:
         # Memoized answers stay correct as voids land later: height 4's
         # view includes the label voided at height 5, before and after.
         at_four = engine.cluster_as_of(4)
-        assert at_four.same_cluster(addr("v/a"), addr("v/change"))
+        assert same_cluster(at_four.uf, addr("v/a"), addr("v/change"))
 
     def test_memo_taken_at_tip_stays_correct_after_later_void(self):
         source = build_chain(_change_world())
@@ -309,11 +309,11 @@ class TestSnapshotMemo:
             target.add_block(source.block_at(height))
         # Memoize horizon 4 while it is the tip: the v-label is live.
         at_tip = engine.cluster_as_of(4)
-        assert at_tip.same_cluster(addr("v/a"), addr("v/change"))
+        assert same_cluster(at_tip.uf, addr("v/a"), addr("v/change"))
         # Block 5 voids the label going forward...
         target.add_block(source.block_at(5))
-        assert not engine.cluster_as_of(5).same_cluster(
-            addr("v/a"), addr("v/change")
+        assert not same_cluster(
+            engine.cluster_as_of(5).uf, addr("v/a"), addr("v/change")
         )
         # ...but horizon 4's (memoized) answer is unchanged — exactly
         # the batch engine's as_of_height=4 view.

@@ -20,7 +20,6 @@ class TestDiagnosis:
         report = diagnose_superclusters(clustering, tags)
         assert report.merged_clusters == []
         assert report.merged_entity_count == 0
-        assert report.worst is None
 
     def test_merge_detected(self):
         clustering = _clustering([("a1", "a2"), ("a2", "b1")])
@@ -28,10 +27,8 @@ class TestDiagnosis:
         report = diagnose_superclusters(clustering, tags)
         assert len(report.merged_clusters) == 1
         assert report.merged_clusters[0].entities == ("ServiceA", "ServiceB")
-        assert report.contains_merge_of("ServiceA", "ServiceB")
-        assert not report.contains_merge_of("ServiceA", "ServiceC")
 
-    def test_worst_ranks_by_entity_count(self):
+    def test_merged_entity_count_spans_clusters(self):
         clustering = _clustering(
             [("x1", "x2"), ("x2", "x3"), ("y1", "y2")]
         )
@@ -40,7 +37,6 @@ class TestDiagnosis:
             "y1": "D", "y2": "E",
         }
         report = diagnose_superclusters(clustering, tags)
-        assert report.worst.entities == ("A", "B", "C")
         assert report.merged_entity_count == 5
 
     def test_largest_cluster_size(self):

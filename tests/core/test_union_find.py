@@ -11,6 +11,7 @@ from tests.helpers import (
     ReferenceUnionFind,
     reference_forest_at,
     reference_merge_log,
+    same_cluster,
 )
 
 
@@ -136,8 +137,8 @@ class TestIntUnionFind:
         assert len(uf) == 4
         assert uf.component_count == 4
         uf.union(0, 1)
-        assert uf.connected(0, 1)
-        assert not uf.connected(0, 2)
+        assert same_cluster(uf, 0, 1)
+        assert not same_cluster(uf, 0, 2)
         assert uf.size_of(1) == 2
         assert uf.component_count == 3
         assert 3 in uf and 4 not in uf
@@ -185,8 +186,8 @@ class TestIntUnionFind:
         uf = IntUnionFind(3)
         clone = uf.copy()
         clone.union(0, 1)
-        assert not uf.connected(0, 1)
-        assert clone.connected(0, 1)
+        assert not same_cluster(uf, 0, 1)
+        assert same_cluster(clone, 0, 1)
 
 
 class TestIntProperties:

@@ -6,12 +6,14 @@ from functools import cached_property
 import pytest
 
 from repro import experiments
-from repro.chain.blockfile import BlockFileWriter, read_blocks
+from repro.chain.blockfile import BlockFileReader, BlockFileWriter
 from repro.chain.index import ChainIndex
 from repro.chain.validation import validate_chain
 from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic2 import Heuristic2Config
 from repro.pipeline import AnalystView
+
+from tests.helpers import utxo_value
 
 
 def _batch_engine(view):
@@ -33,20 +35,20 @@ class TestSerializeReparse:
         """The whole simulated chain survives a disk round-trip."""
         BlockFileWriter(tmp_path).write_chain(micro_world.blocks)
         reparsed = ChainIndex()
-        reparsed.add_chain(read_blocks(tmp_path))
+        reparsed.add_chain(BlockFileReader(tmp_path).iter_blocks())
         assert reparsed.tx_count == micro_world.index.tx_count
         assert reparsed.address_count == micro_world.index.address_count
-        assert reparsed.utxo_value() == micro_world.index.utxo_value()
+        assert utxo_value(reparsed) == utxo_value(micro_world.index)
 
     def test_reparsed_chain_validates(self, micro_world, tmp_path):
         BlockFileWriter(tmp_path).write_chain(micro_world.blocks)
-        report = validate_chain(read_blocks(tmp_path))
+        report = validate_chain(BlockFileReader(tmp_path).iter_blocks())
         assert report.ok, report.problems[:3]
 
     def test_clustering_identical_after_reparse(self, micro_world, tmp_path):
         BlockFileWriter(tmp_path).write_chain(micro_world.blocks)
         reparsed = ChainIndex()
-        reparsed.add_chain(read_blocks(tmp_path))
+        reparsed.add_chain(BlockFileReader(tmp_path).iter_blocks())
         original = ClusteringEngine(micro_world.index).cluster()
         again = ClusteringEngine(reparsed).cluster()
         assert original.cluster_count == again.cluster_count
@@ -57,7 +59,7 @@ class TestAnalystPipeline:
         self, default_view
     ):
         """Size-weighted purity stays high under the refined config."""
-        from repro.metrics.evaluation import cluster_purity
+        from tests.helpers import cluster_purity
 
         purity = cluster_purity(
             default_view.clustering, default_view.world.ground_truth
@@ -112,7 +114,7 @@ class TestAnalystPipeline:
         assert default_view.dice_addresses
         gt = default_view.world.ground_truth
         for address in default_view.dice_addresses:
-            assert gt.category_of_address(address) == "gambling"
+            assert gt.category_of(gt.owner_of(address)) == "gambling"
 
 
 class TestExperiments:

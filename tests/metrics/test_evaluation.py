@@ -3,15 +3,10 @@
 import pytest
 
 from repro.core.clustering import Clustering
-from repro.metrics.evaluation import (
-    cluster_purity,
-    compare_clusterings,
-    entity_fragmentation,
-    pairwise_scores,
-)
+from repro.metrics.evaluation import compare_clusterings, pairwise_scores
 from repro.simulation.ground_truth import GroundTruth
 
-from tests.helpers import ReferenceUnionFind
+from tests.helpers import ReferenceUnionFind, cluster_purity
 
 
 def _gt():
@@ -67,18 +62,6 @@ class TestPairwise:
 
 
 class TestFragmentationAndPurity:
-    def test_fragmentation(self):
-        clustering = _clustering([["a1", "a2"]], extra=["a3"])
-        frag = entity_fragmentation(clustering, _gt(), "A")
-        assert frag.cluster_count == 2
-        assert frag.largest_cluster_share == pytest.approx(2 / 3)
-
-    def test_fragmentation_unknown_entity(self):
-        clustering = _clustering([["a1"]])
-        frag = entity_fragmentation(clustering, _gt(), "ghost")
-        assert frag.address_count == 0
-        assert frag.largest_cluster_share == 0.0
-
     def test_purity_perfect(self):
         clustering = _clustering([["a1", "a2", "a3"], ["b1", "b2"]])
         purity = cluster_purity(clustering, _gt())
@@ -97,8 +80,8 @@ class TestComparison:
         worse = _clustering([["a1", "a2"]], extra=["a3", "b1", "b2"])
         better = _clustering([["a1", "a2", "a3"], ["b1", "b2"]])
         comparison = compare_clusterings(worse, better, _gt())
-        assert comparison.recall_gain > 0
-        assert comparison.precision_cost == 0.0
+        assert comparison.scores_b.recall > comparison.scores_a.recall
+        assert comparison.scores_a.precision == comparison.scores_b.precision
 
 
 class TestOnWorld:

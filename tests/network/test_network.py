@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.node import Message, P2PNetwork
 from repro.network.simulator import EventScheduler
-from repro.network.topology import random_topology, scale_free_topology
+from repro.network.topology import random_topology
 
 
 class TestScheduler:
@@ -22,7 +22,7 @@ class TestScheduler:
         seen = []
         scheduler.schedule(1.0, lambda: seen.append("first"))
         scheduler.schedule(1.0, lambda: seen.append("second"))
-        scheduler.run_to_completion()
+        scheduler.run_until(2.0)
         assert seen == ["first", "second"]
 
     def test_negative_delay_rejected(self):
@@ -44,7 +44,7 @@ class TestGossip:
         network = self._line_network()
         network.broadcast_tx(0, b"tx-1")
         network.run(10)
-        assert network.log.coverage(b"tx-1", 4) == 1.0
+        assert len(network.log.arrival_times(b"tx-1")) == 4
         times = network.log.arrival_times(b"tx-1")
         # Line topology: arrival times grow with distance.
         assert times == sorted(times)
@@ -99,14 +99,8 @@ class TestTopologies:
         network = random_topology(30, degree=4, n_miners=3, seed=7)
         network.broadcast_tx(0, b"flood")
         network.run(30)
-        assert network.log.coverage(b"flood", 30) == 1.0
+        assert len(network.log.arrival_times(b"flood")) == 30
         assert len(network.miners()) == 3
-
-    def test_scale_free_topology(self):
-        network = scale_free_topology(30, attachment=2, seed=7)
-        network.broadcast_tx(5, b"flood2")
-        network.run(30)
-        assert network.log.coverage(b"flood2", 30) == 1.0
 
     def test_determinism(self):
         net_a = random_topology(20, seed=9)
@@ -120,5 +114,3 @@ class TestTopologies:
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             random_topology(1)
-        with pytest.raises(ValueError):
-            scale_free_topology(3, attachment=4)

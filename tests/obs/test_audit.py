@@ -20,6 +20,8 @@ from repro.service import ForensicsService
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
+from tests.helpers import component
+
 
 def _fresh_service(seed=3, n_blocks=None, **auditor_kwargs):
     """A streamed micro world with its own mutable service + auditor."""
@@ -62,15 +64,10 @@ class TestCleanPipelinesAuditClean:
         final = auditor.audit_now(full=True)
         assert final.ok, final.as_dict()
 
-    def test_cadence_counts_and_detach(self):
+    def test_cadence_counts_and_on_demand_audit(self):
         service, auditor = _fresh_service(audit_every=4, strict=True)
         n_blocks = service.height + 1
         assert auditor.audits_run == n_blocks // 4
-        auditor.detach()
-        world = scenarios.micro_economy(seed=3)
-        # Re-streaming a fresh copy of the same chain after detach: no
-        # further audits fire (index rejects duplicates, so use a new
-        # service for the negative control).
         before = auditor.audits_run
         auditor.audit_now()
         assert auditor.audits_run == before + 1
@@ -275,7 +272,7 @@ class TestSeededCorruptionDetected:
         assert not report.ok
         assert auditor.last_report is report
         health = service.health_report()
-        audit_component = health.component("audit")
+        audit_component = component(health, "audit")
         assert audit_component.status == "failing"
         assert health.status == "failing"
 

@@ -20,6 +20,8 @@ from repro.service import ForensicsService, Query
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
+from tests.helpers import component
+
 
 def _service(seed=3, **kwargs):
     world = scenarios.micro_economy(seed=seed)
@@ -38,21 +40,21 @@ class TestComponentGrading:
     def test_empty_chain_degraded(self):
         service = ForensicsService(ChainIndex(), tags=None)
         report = collect_health(service)
-        assert report.component("chain").status == DEGRADED
+        assert component(report, "chain").status == DEGRADED
         assert report.status == DEGRADED
 
     def test_open_label_backlog_threshold(self):
         service = _service()
         report = collect_health(service, open_label_backlog=0)
-        entry = report.component("engine")
+        entry = component(report, "engine")
         if service.engine.open_label_count:
             assert entry.status == DEGRADED
             assert "backlog" in entry.summary
-        assert collect_health(service).component("engine").status == OK
+        assert component(collect_health(service), "engine").status == OK
 
     def test_cache_graded_only_after_enough_lookups(self):
         service = _service()
-        assert collect_health(service).component("cache").status == OK
+        assert component(collect_health(service), "cache").status == OK
         # Miss-only traffic (every query distinct, none consulting the
         # shared rankings) past the grading floor drops the hit rate to
         # zero — only then is it graded.
@@ -64,7 +66,7 @@ class TestComponentGrading:
         stats = service.cache.stats()
         assert stats["hits"] + stats["misses"] >= CACHE_GRADE_LOOKUPS
         assert stats["hit_rate"] < 0.05
-        assert collect_health(service).component("cache").status == DEGRADED
+        assert component(collect_health(service), "cache").status == DEGRADED
 
     def test_rollup_is_worst_component(self):
         service = _service()
@@ -72,21 +74,19 @@ class TestComponentGrading:
         service.balances._balances[1] += 7
         auditor.audit_now()
         report = collect_health(service, auditor=auditor)
-        assert report.component("audit").status == FAILING
+        assert component(report, "audit").status == FAILING
         assert report.status == FAILING
 
 
 class TestOptionalComponents:
     def test_store_and_auditor_absent_by_default(self):
         report = collect_health(_service())
-        assert report.component("snapshots") is None
-        assert report.component("audit") is None
+        assert component(report, "snapshots") is None
+        assert component(report, "audit") is None
 
     def test_empty_store_degraded(self, tmp_path):
         store = StateStore(tmp_path / "snapshots")
-        entry = collect_health(_service(), store=store).component(
-            "snapshots"
-        )
+        entry = component(collect_health(_service(), store=store), "snapshots")
         assert entry.status == DEGRADED
         assert "no snapshots" in entry.summary
 
@@ -95,28 +95,28 @@ class TestOptionalComponents:
         store = StateStore(tmp_path / "snapshots")
         store.snapshot(service)
         newest = store.latest()
-        fresh = collect_health(
+        report = collect_health(
             service, store=store, clock=lambda: newest.created_unix + 10
-        ).component("snapshots")
+        )
+        fresh = component(report, "snapshots")
         assert fresh.status == OK
         assert fresh.details["behind_blocks"] == 0
-        stale = collect_health(
+        report = collect_health(
             service,
             store=store,
-            clock=lambda: newest.created_unix
-            + MAX_SNAPSHOT_AGE_SECONDS
-            + 60,
-        ).component("snapshots")
+            clock=lambda: newest.created_unix + MAX_SNAPSHOT_AGE_SECONDS + 60,
+        )
+        stale = component(report, "snapshots")
         assert stale.status == DEGRADED
 
     def test_auditor_attached_before_first_audit(self):
         service = _service()
         auditor = InvariantAuditor(service)
-        entry = collect_health(service, auditor=auditor).component("audit")
+        entry = component(collect_health(service, auditor=auditor), "audit")
         assert entry.status == OK
         assert "no audit run yet" in entry.summary
         auditor.audit_now()
-        entry = collect_health(service, auditor=auditor).component("audit")
+        entry = component(collect_health(service, auditor=auditor), "audit")
         assert entry.status == OK
         assert "clean" in entry.summary
 
@@ -134,7 +134,7 @@ class TestSurfacing:
         service = _service()
         InvariantAuditor(service)  # registers itself as service.auditor
         report = service.health_report()
-        assert report.component("audit") is not None
+        assert component(report, "audit") is not None
 
     def test_enabled_registry_gets_health_gauges(self):
         world = scenarios.micro_economy(seed=3, n_blocks=12)

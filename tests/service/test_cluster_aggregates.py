@@ -5,7 +5,7 @@ block by block with the :class:`ClusterAggregateView` folding deltas,
 and at *every* height compare the tip surface against the batch oracle
 (``tests/helpers.ReferenceRollup``: one ``ClusteringEngine.cluster`` +
 the index's address rows) — per-cluster balances, activity, sizes, and
-the complete :class:`ClusterRanking` order for every metric in
+the complete ranking order for every metric in
 ``TOP_CLUSTER_METRICS``.  Cluster identity is canonical (minimum member
 address id), so equality here is exact object equality, not merely
 shape-compatible.
@@ -27,7 +27,11 @@ from repro.service import AggregatesBehindError, ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import large_scale_blocks, scenarios
 
-from tests.helpers import assert_surface_equals_batch, reference_answers
+from tests.helpers import (
+    assert_surface_equals_batch,
+    component,
+    reference_answers,
+)
 
 
 def assert_view_equals_batch(service):
@@ -326,7 +330,7 @@ class TestMergeHookAndTimeTravel:
             height = block.height
             service.engine.cluster_as_of(max(0, height - 3))
             service.engine.cluster_count_series()
-            service.top_clusters(5, by="balance")
+            service.answer(Query("top_clusters", (5, "balance")))
         assert_view_equals_batch(service)
 
     def test_view_requires_engine_ahead(self, micro_world):
@@ -381,8 +385,10 @@ class TestViewBehindTheTip:
             '"query_error"' in line and "AggregatesBehindError" in line
             for line in events
         )
-        assert service.balance_of(address) == target.address(address).balance
-        assert service.health_report().component("aggregates").status == "failing"
+        balance = target.address(address).balance
+        assert service.answer(Query("balance_of", (address,))) == balance
+        health = service.health_report()
+        assert component(health, "aggregates").status == "failing"
 
     def test_folded_heights_still_answer_exactly(self, micro_world):
         """The refusal is about heights the view has not folded; what it
@@ -463,18 +469,6 @@ class TestDirtyRootCursors:
         assert view.drain_naming_dirty(first) == set()
         # The other consumer still holds its full backlog.
         assert view.drain_naming_dirty(second) == drained
-
-    def test_released_cursor_stops_accumulating(self, micro_world):
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        view = service.aggregates
-        cursor = view.naming_cursor()
-        for block in micro_world.blocks[:8]:
-            target.add_block(block)
-        view.release_naming_cursor(cursor)
-        # Distributes pending roots to the cursors still registered.
-        view.drain_naming_dirty(view.naming_cursor())
-        assert cursor.dirty == set()
 
     def test_new_cursor_sees_only_future_churn(self, micro_world):
         target = ChainIndex()

@@ -10,7 +10,14 @@ from repro.service import ForensicsService, Query, parse_query
 from repro.service.cache import QueryCache
 from repro.simulation import scenarios
 
-from tests.helpers import addr, build_chain, coinbase, reference_answer, spend
+from tests.helpers import (
+    addr,
+    build_chain,
+    coinbase,
+    reference_answer,
+    same_cluster,
+    spend,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,51 +53,56 @@ class TestAnswersAgainstBatch:
             dice_addresses=analyst.dice_addresses,
         ).cluster()
         addresses = _sample_addresses(service.index)
+        cluster = {a: service.answer(Query("cluster_of", (a,))) for a in addresses}
         for a in addresses:
             for b in addresses:
-                assert (
-                    service.cluster_of(a) == service.cluster_of(b)
-                ) == batch.same_cluster(a, b), (a, b)
+                together = same_cluster(batch.uf, a, b)
+                assert (cluster[a] == cluster[b]) == together, (a, b)
 
     def test_balance_of_matches_records(self, service):
         for a in _sample_addresses(service.index):
-            assert service.balance_of(a) == service.index.address(a).balance
+            balance = service.index.address(a).balance
+            assert service.answer(Query("balance_of", (a,))) == balance
 
     def test_cluster_balance_sums_members(self, service):
-        clusters = service.clustering.clusters()
+        clustering = service.engine.cluster_as_of()
+        clusters = clustering.clusters()
         index = service.index
         interner = index.interner
         for a in _sample_addresses(index, n=10):
-            members = clusters[service.clustering.uf.find(a)]
+            members = clusters[clustering.uf.find(a)]
             expected = sum(index.address(m).balance for m in members)
-            assert service.cluster_balance(a) == expected
+            assert service.answer(Query("cluster_balance", (a,))) == expected
             # The public cluster id is canonical: the minimum member id.
-            assert service.cluster_of(a) == min(
+            assert service.answer(Query("cluster_of", (a,))) == min(
                 interner.id_of(m) for m in members
             )
 
     def test_top_clusters_by_size_matches_largest_clusters(self, service):
-        expected = service.clustering.largest_clusters(5)
-        answered = [(root, size) for root, size, _name in service.top_clusters(5)]
+        expected = service.engine.cluster_as_of().largest_clusters(5)
+        top = service.answer(Query("top_clusters", (5, "size")))
+        answered = [(root, size) for root, size, _name in top]
         assert {s for _r, s in answered} == {s for _r, s in expected}
 
     def test_cluster_profile_fields(self, service):
         a = _sample_addresses(service.index, n=5)[1]
-        profile = service.cluster_profile(a)
+        profile = service.answer(Query("cluster_profile", (a,)))
         assert profile["address"] == a
-        assert profile["cluster"] == service.cluster_of(a)
-        assert profile["balance"] == service.balance_of(a)
-        assert profile["cluster_balance"] == service.cluster_balance(a)
+        assert profile["cluster"] == service.answer(Query("cluster_of", (a,)))
+        assert profile["balance"] == service.answer(Query("balance_of", (a,)))
+        assert profile["cluster_balance"] == service.answer(
+            Query("cluster_balance", (a,))
+        )
         assert profile["cluster_size"] >= 1
         assert profile["tx_count"] >= 1
         assert 0 <= profile["first_seen"] <= profile["last_seen"]
 
     def test_unknown_address_answers(self, service):
         unknown = addr("never-on-chain")
-        assert service.cluster_of(unknown) is None
-        assert service.balance_of(unknown) == 0
-        assert service.cluster_balance(unknown) is None
-        assert service.cluster_profile(unknown) is None
+        assert service.answer(Query("cluster_of", (unknown,))) is None
+        assert service.answer(Query("balance_of", (unknown,))) == 0
+        assert service.answer(Query("cluster_balance", (unknown,))) is None
+        assert service.answer(Query("cluster_profile", (unknown,))) is None
 
     def test_trace_taint_matches_batch_result(self, service):
         from repro.analysis.taint import TaintTracker
@@ -100,7 +112,7 @@ class TestAnswersAgainstBatch:
             tx for tx, _loc in index.iter_transactions() if not tx.is_coinbase
         )
         service.watch_theft("heist", [theft_tx.txid])
-        answer = service.trace_taint("heist")
+        answer = service.answer(Query("trace_taint", ("heist",)))
         batch = TaintTracker(
             index, name_of_address=service.taint.name_of_address
         ).propagate(
@@ -113,7 +125,7 @@ class TestAnswersAgainstBatch:
         )
 
     def test_trace_taint_unwatched_label(self, service):
-        assert service.trace_taint("no-such-case") is None
+        assert service.answer(Query("trace_taint", ("no-such-case",))) is None
 
     def test_answer_many_matches_individual_answers(self, service):
         addresses = _sample_addresses(service.index, n=8)
@@ -161,11 +173,11 @@ class TestCacheBehaviour:
         service = self._service_over(target)
         target.add_block(source.block_at(0))
         target.add_block(source.block_at(1))
-        assert service.balance_of(addr("q/b")) == 30 * COIN
+        assert service.answer(Query("balance_of", (addr("q/b"),))) == 30 * COIN
         # New block spends q/b's coin: the old answer must not be served.
         target.add_block(source.block_at(2))
-        assert service.balance_of(addr("q/b")) == 0
-        assert service.balance_of(addr("q/d")) == 30 * COIN
+        assert service.answer(Query("balance_of", (addr("q/b"),))) == 0
+        assert service.answer(Query("balance_of", (addr("q/d"),))) == 30 * COIN
         # The stale entry still exists under the old height key — usable
         # for time-travel-style repeats, never for the new tip.
         assert (1, Query("balance_of", (addr("q/b"),))) in service.cache
@@ -174,11 +186,12 @@ class TestCacheBehaviour:
     def test_watch_at_unchanged_tip_invalidates_taint_answers(self):
         source = self._streaming_world()
         service = self._service_over(source)
-        assert service.trace_taint("loot") is None  # cached: unwatched
+        # Cached: unwatched.
+        assert service.answer(Query("trace_taint", ("loot",))) is None
         pay_txid = source.block_at(1).transactions[1].txid
         service.watch_theft("loot", [pay_txid])
         # Same height, but the watch set changed: no stale None.
-        answer = service.trace_taint("loot")
+        answer = service.answer(Query("trace_taint", ("loot",)))
         assert answer is not None
         assert answer["initial_taint"] == 50 * COIN
 
@@ -188,9 +201,9 @@ class TestCacheBehaviour:
         service = self._service_over(target)
         target.add_block(source.block_at(0))
         target.add_block(source.block_at(1))
-        top_before = service.top_clusters(3, by="balance")
+        top_before = service.answer(Query("top_clusters", (3, "balance")))
         target.add_block(source.block_at(2))
-        top_after = service.top_clusters(3, by="balance")
+        top_after = service.answer(Query("top_clusters", (3, "balance")))
         balances_before = dict(
             (root, value) for root, value, _ in top_before
         )
@@ -222,10 +235,10 @@ class TestRankingAnswers:
 
     def test_distinct_n_are_prefixes_of_one_order(self, small_world):
         service = ForensicsService(small_world.index)
-        five = service.top_clusters(5, by="size")
+        five = service.answer(Query("top_clusters", (5, "size")))
         misses_after_first = service.cache.misses
-        ten = service.top_clusters(10, by="size")
-        twenty = service.top_clusters(20, by="size")
+        ten = service.answer(Query("top_clusters", (10, "size")))
+        twenty = service.answer(Query("top_clusters", (20, "size")))
         assert ten[:5] == five
         assert twenty[:10] == ten
         # Nothing is rebuilt per n: the only misses after the first
@@ -242,11 +255,11 @@ class TestRankingAnswers:
 
     def test_profile_rank_agrees_with_top_clusters(self, small_world):
         service = ForensicsService(small_world.index)
-        ranked = service.top_clusters(1, by="size")
+        ranked = service.answer(Query("top_clusters", (1, "size")))
         top_cluster = ranked[0][0]
         # The canonical id is itself a member id of the cluster.
         member = small_world.index.interner.address_of(top_cluster)
-        profile = service.cluster_profile(member)
+        profile = service.answer(Query("cluster_profile", (member,)))
         assert profile["cluster_rank"] == 1
         assert profile["cluster"] == top_cluster
 

@@ -1,6 +1,6 @@
-"""ClusterRanking tie-breaking is stable and documented.
+"""Ranking tie-breaking is stable and documented.
 
-The contract (see :class:`~repro.service.queries.ClusterRanking`):
+The contract (see :class:`~repro.service.aggregates.RankIndex`):
 clusters with equal metric values rank by ascending *canonical* cluster
 id — the cluster's minimum member address id.  Canonical ids are a pure
 function of the partition, unlike raw union-find roots (whose identity
@@ -19,7 +19,14 @@ from repro.service import ForensicsService, Query
 from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.storage import StateStore
 
-from tests.helpers import addr, build_chain, coinbase, reference_answer, spend
+from tests.helpers import (
+    addr,
+    build_chain,
+    coinbase,
+    ranking,
+    reference_answer,
+    spend,
+)
 
 
 N_TIED = 6
@@ -48,9 +55,8 @@ def tied_world():
 
 
 def _ranked_ids(service, by):
-    return [
-        cid for cid, _value, _name in service.top_clusters(N_TIED, by=by)
-    ]
+    top = service.answer(Query("top_clusters", (N_TIED, by)))
+    return [cid for cid, _value, _name in top]
 
 
 def test_ties_rank_by_canonical_id_ascending(tied_world):
@@ -71,7 +77,7 @@ def test_ties_rank_by_canonical_id_ascending(tied_world):
         ]
         # The whole ranking (miner singletons included) honors the
         # contract: within every equal-value group, ids ascend.
-        full = service.aggregates.at().ranking(by).order
+        full = ranking(service.aggregates.at(), by)
         for (id_a, value_a), (id_b, value_b) in zip(full, full[1:]):
             assert value_a > value_b or (value_a == value_b and id_a < id_b)
 
@@ -92,11 +98,11 @@ def test_order_identical_across_paths_and_restores(tied_world, tmp_path):
         assert len(set(map(tuple, orders.values()))) == 1, (by, orders)
         # Full ranking objects too, not just the top slice — from the
         # tip state, a restored tip state, and a forced replay.
-        full = live.aggregates.at().ranking(by)
-        assert full == restored.aggregates.at().ranking(by)
-        assert full.order == live.aggregates._replayed(tip).ranks[by].top(10 ** 9)
+        full = ranking(live.aggregates.at(), by)
+        assert full == ranking(restored.aggregates.at(), by)
+        assert full == live.aggregates._replayed(tip).ranks[by].top(10 ** 9)
         everything = Query("top_clusters", (10 ** 9, by))
-        assert full.order == tuple(
+        assert full == tuple(
             (cid, value)
             for cid, value, _name in reference_answer(tied_world, everything)
         )

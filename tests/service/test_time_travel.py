@@ -32,7 +32,14 @@ from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
-from tests.helpers import addr, build_chain, coinbase, reference_answers, spend
+from tests.helpers import (
+    addr,
+    build_chain,
+    coinbase,
+    ranking,
+    reference_answers,
+    spend,
+)
 
 
 def queries_at(index, height: int | None) -> list[Query]:
@@ -102,8 +109,9 @@ class TestEveryKindAtEveryHeightAfterRestore:
         service = ForensicsService.from_world(world)
         # Warm one horizon before the snapshot so the export is taken
         # from a view whose replay machinery has actually run.
-        assert service.cluster_profile(
-            world.index.interner.address_of(0), height=service.height // 2
+        oldest = world.index.interner.address_of(0)
+        assert service.answer(
+            Query("cluster_profile", (oldest, service.height // 2))
         )
         store.snapshot(service)
         restored = store.restore()
@@ -151,7 +159,7 @@ class TestAddressFieldsFromTheRows:
             (profile["balance"] // COIN, profile["tx_count"],
              profile["first_seen"], profile["last_seen"])
             for profile in (
-                service.cluster_profile(busy, height=height)
+                service.answer(Query("cluster_profile", (busy, height)))
                 for height in range(service.height + 1)
             )
         ]
@@ -163,7 +171,7 @@ class TestAddressFieldsFromTheRows:
             Query("cluster_profile", (address, height))
             for height in range(service.height + 1)
             for address in target.interner
-            if target.first_seen(address) <= height
+            if target.address(address).first_seen_height <= height
         ]
         for query, expected in zip(queries, reference_answers(target, queries)):
             assert repr(service.answer(query)) == repr(expected), query
@@ -261,7 +269,7 @@ class TestPastHeightBuildsWhatItReads:
 
     def test_counting_clusters_builds_none(self, service):
         surface = service.aggregates.at(19)
-        assert surface.cluster_count == len(surface.ranking("size").order)
+        assert surface.cluster_count == len(ranking(surface, "size"))
         assert self.built(service, 19) == ["size"]  # the check's own read
         count = service.aggregates.at(21).cluster_count
         service.stats()

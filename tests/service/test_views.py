@@ -60,8 +60,7 @@ class TestViewEqualsBatchAtEveryHeight:
                 ), (height, record.address)
             supply = sum(
                 tx.total_output_value
-                for block in target.blocks
-                for tx in block.transactions
+                for tx, _location in target.iter_transactions()
                 if tx.is_coinbase
             )
             assert balances.supply == supply

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.chain import script
 from repro.chain.model import COIN, OutPoint
 from repro.simulation.builder import (
     CHANGE_FIXED,
@@ -21,16 +20,22 @@ from repro.simulation.builder import (
 from repro.simulation.params import ChangePolicy
 from repro.simulation.wallet import Wallet
 
+from tests.helpers import parse_sig_script
+
+
+# One address book for every wallet here, as an economy shares one.
+BOOK: dict[str, bytes] = {}
+
 
 def _funded_wallet(values=(5 * COIN, 3 * COIN)):
-    wallet = Wallet("builder-test", rng=random.Random(7))
+    wallet = Wallet("builder-test", rng=random.Random(7), scripts=BOOK)
     address = wallet.fresh_address()
     for i, value in enumerate(values, start=1):
         wallet.credit(OutPoint(bytes([i]) * 32, 0), value, address)
     return wallet, address
 
 
-RECIPIENT = Wallet("recipient").fresh_address()
+RECIPIENT = Wallet("recipient", scripts=BOOK).fresh_address()
 
 
 class TestChangeKinds:
@@ -149,7 +154,7 @@ class TestSigning:
         wallet, funding = _funded_wallet()
         built = build_payment(wallet, [(RECIPIENT, COIN)])
         for txin, coin in zip(built.tx.inputs, built.spent_coins):
-            signature, pubkey = script.parse_sig_script(txin.script_sig)
+            signature, pubkey = parse_sig_script(txin.script_sig)
             keypair = wallet.key_for(coin.address)
             assert pubkey == keypair.pubkey
 

@@ -24,7 +24,6 @@ class TestRegistration:
     def test_category_lookup(self):
         gt = _registry()
         assert gt.category_of("Mt Gox") == "exchanges"
-        assert gt.category_of_address("1alice") == "users"
         assert gt.category_of("ghost") is None
 
     def test_unknown_entity_rejected(self):
@@ -49,29 +48,13 @@ class TestRegistration:
 
 
 class TestQueries:
-    def test_same_owner(self):
-        gt = _registry()
-        assert gt.same_owner("1gox1", "1gox2")
-        assert not gt.same_owner("1gox1", "1alice")
-        assert not gt.same_owner("1unknown", "1unknown")
-
     def test_addresses_of(self):
         gt = _registry()
         assert gt.addresses_of("Mt Gox") == {"1gox1", "1gox2"}
         assert gt.addresses_of("ghost") == frozenset()
-
-    def test_entities_in_category(self):
-        gt = _registry()
-        assert gt.entities_in_category("exchanges") == ["Mt Gox"]
-        assert gt.entities_in_category("nothing") == []
 
     def test_true_partition(self):
         gt = _registry()
         partition = gt.true_partition()
         assert partition["Mt Gox"] == {"1gox1", "1gox2"}
         assert len(partition) == 2
-
-    def test_counts(self):
-        gt = _registry()
-        assert gt.address_count == 3
-        assert gt.entity_count == 2

@@ -13,6 +13,8 @@ from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic1 import h1_statistics
 from repro.simulation import scenarios
 
+from tests.helpers import utxo_value
+
 
 @settings(
     max_examples=6,
@@ -37,7 +39,7 @@ def test_utxo_value_equals_total_subsidy(seed):
     set holds exactly the sum of block subsidies."""
     world = scenarios.micro_economy(seed=seed, n_blocks=50, n_users=5)
     subsidies = sum(block_subsidy(b.height) for b in world.blocks)
-    assert world.index.utxo_value() == subsidies
+    assert utxo_value(world.index) == subsidies
 
 
 @settings(
@@ -54,9 +56,9 @@ def test_wallet_balances_match_index(seed):
     for actor in world.economy.actors():
         wallet_balance = actor.wallet.balance
         chain_balance = sum(
-            index.address(a).balance
-            for a in actor.wallet.addresses
-            if index.has_address(a)
+            record.balance
+            for record in index.iter_addresses()
+            if actor.wallet.owns(record.address)
         )
         # Wallet may hold credits for not-yet-mined mempool txs; the
         # scenario mines everything, so views must agree exactly.

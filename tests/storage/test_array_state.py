@@ -40,6 +40,8 @@ from repro.storage.manifest import (
     read_manifest,
 )
 
+from tests.helpers import ranking
+
 
 @pytest.fixture(scope="module")
 def streamed():
@@ -103,9 +105,7 @@ class TestByteEqualRoundTrip:
         assert restored.export_state() == state
         assert restored.export_time_travel() == history
         for metric in TOP_CLUSTER_METRICS:
-            assert restored.at().ranking(metric) == aggregates.at().ranking(
-                metric
-            )
+            assert ranking(restored.at(), metric) == ranking(aggregates.at(), metric)
 
 
     def test_a_delta_log_after_genesis_is_refused(self, streamed):

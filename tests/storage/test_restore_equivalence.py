@@ -23,7 +23,7 @@ from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import scenarios
 from repro.storage import StateStore
 
-from tests.helpers import HistoryTwin
+from tests.helpers import HistoryTwin, ranking
 
 
 N_BLOCKS = 36
@@ -55,6 +55,17 @@ def reference_and_store(world, tmp_path_factory):
     return service, store, blocks_dir
 
 
+def _taint(service, label):
+    """One watched case's state: what a batch ``TaintResult`` holds."""
+    case = service.taint.case(label)
+    return (
+        case.initial_taint,
+        dict(case.taint),
+        dict(case.at_entities),
+        case.txs_processed,
+    )
+
+
 def _assert_equivalent(reference, restored):
     height = reference.height
     assert restored.height == height
@@ -66,8 +77,8 @@ def _assert_equivalent(reference, restored):
         reference.engine.cluster_count_series()
         == restored.engine.cluster_count_series()
     )
-    ref_clusters = reference.clustering
-    new_clusters = restored.clustering
+    ref_clusters = reference.engine.cluster_as_of()
+    new_clusters = restored.engine.cluster_as_of()
     assert (
         ref_clusters.uf.component_sizes() == new_clusters.uf.component_sizes()
     )
@@ -89,9 +100,7 @@ def _assert_equivalent(reference, restored):
     # Taint: every watched case, exactly.
     assert reference.taint.labels == restored.taint.labels
     for label in reference.taint.labels:
-        assert reference.taint.result_for(label) == restored.taint.result_for(
-            label
-        ), label
+        assert _taint(reference, label) == _taint(restored, label), label
     # Cluster aggregates: the restored view (tip arrays and delta log
     # from the two segments + overlay rebuilt off the restored engine's
     # open labels) must rank identically at the tip and at every height
@@ -102,9 +111,8 @@ def _assert_equivalent(reference, restored):
     for h in [*range(height + 1), None]:
         at = () if h is None else (h,)
         for by in TOP_CLUSTER_METRICS:
-            assert reference.aggregates.at(h).ranking(
-                by
-            ) == restored.aggregates.at(h).ranking(by), (h, by)
+            expected = ranking(reference.aggregates.at(h), by)
+            assert ranking(restored.aggregates.at(h), by) == expected, (h, by)
             query = Query("top_clusters", (12, by) + at)
             assert repr(reference.answer(query)) == repr(restored.answer(query))
         for ident in range(0, len(interner), 11 if h is None else 37):

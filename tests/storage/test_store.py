@@ -6,13 +6,12 @@ from repro import experiments
 from repro.chain.blockfile import BlockFileWriter
 from repro.chain.index import ChainIndex
 from repro.obs import MetricsRegistry
-from repro.service import ForensicsService
+from repro.service import ForensicsService, Query
 from repro.simulation import scenarios
 from repro.storage import (
     COMPONENTS,
     NoSnapshotError,
     SnapshotIntegrityError,
-    SnapshotPolicy,
     StateStore,
     StorageError,
     read_manifest,
@@ -107,74 +106,6 @@ class TestDiscoveryAndRetention:
         with pytest.raises(ValueError):
             store.prune(0)
 
-    def test_policy_snapshots_every_n_and_retains_k(self, tmp_path, world):
-        index = ChainIndex()
-        service = ForensicsService(index, tags=None)
-        store = StateStore(tmp_path)
-        policy = SnapshotPolicy(store, every=10, retain=2).attach(service)
-        for block in world.blocks:
-            index.add_block(block)
-        assert policy.snapshots_taken == 5  # heights 9, 19, 29, 39, 49
-        assert [m.height for m in store.snapshots()] == [39, 49]
-        policy.detach()
-
-    def test_policy_snapshots_only_fully_folded_blocks(
-        self, tmp_path, world, monkeypatch
-    ):
-        """The policy rides the delta fan-out as its last subscriber:
-        when it fires, the engine and every view have folded the block."""
-        index = ChainIndex()
-        service = ForensicsService(index, tags=None)
-        store = StateStore(tmp_path)
-        SnapshotPolicy(store, every=5).attach(service)
-        assert [name for _observer, name in index._observers] == [
-            "engine", "aggregates", "balances", "activity", "taint",
-            "snapshot-policy",
-        ]
-        seen = []
-        capture = store.snapshot
-
-        def spying_snapshot(target):
-            seen.append(
-                {
-                    target.height, target.engine.height,
-                    target.aggregates.height, target.balances.height,
-                    target.activity.height, target.taint.height,
-                }
-            )
-            return capture(target)
-
-        monkeypatch.setattr(store, "snapshot", spying_snapshot)
-        for block in world.blocks[:20]:
-            index.add_block(block)
-        assert seen == [{4}, {9}, {14}, {19}]
-
-    def test_policy_failure_is_loud_after_everyone_was_notified(
-        self, tmp_path, world, monkeypatch
-    ):
-        index = ChainIndex()
-        service = ForensicsService(index, tags=None)
-        store = StateStore(tmp_path)
-        SnapshotPolicy(store, every=1).attach(service)
-        later = []
-        index.subscribe_deltas(lambda delta: later.append(delta.height))
-
-        def failing_snapshot(_service):
-            raise StorageError("disk full")
-
-        monkeypatch.setattr(store, "snapshot", failing_snapshot)
-        with pytest.raises(StorageError, match="disk full"):
-            index.add_block(world.blocks[0])
-        assert later == [0]
-        assert service.aggregates.height == service.height == 0
-
-    def test_policy_attach_twice_rejected(self, tmp_path, world):
-        index = ChainIndex()
-        service = ForensicsService(index, tags=None)
-        policy = SnapshotPolicy(StateStore(tmp_path), every=10).attach(service)
-        with pytest.raises(StorageError, match="attached"):
-            policy.attach(service)
-
 
 class TestRecovery:
     def test_restore_empty_store_raises(self, tmp_path):
@@ -252,7 +183,7 @@ class TestRecovery:
         warm = store.warm_start(blocks_dir)
         assert warm.snapshot_height == 34
         assert warm.tail_blocks == len(world.blocks) - 35
-        assert warm.height == len(world.blocks) - 1
+        assert warm.service.height == len(world.blocks) - 1
         assert warm.service.index.tx_count == world.index.tx_count
 
     def test_restored_service_keeps_streaming(self, tmp_path, world):
@@ -345,8 +276,8 @@ class TestWarmServiceWorkflow:
         assert second.service.taint.labels == labels
         for label in labels:
             assert (
-                second.service.trace_taint(label)
-                == first.service.trace_taint(label)
+                second.service.answer(Query("trace_taint", (label,)))
+                == first.service.answer(Query("trace_taint", (label,)))
             )
 
 

@@ -55,13 +55,6 @@ class TestNaming:
         naming = ClusterNaming(clustering, tags)
         assert len(naming.clusters_named("Gox")) == 2
 
-    def test_addresses_of_entity(self):
-        clustering = _clustering([["k1", "k2"], ["m1"]])
-        tags = TagStore([make_tag("k1", "K")])
-        naming = ClusterNaming(clustering, tags)
-        assert naming.addresses_of("K") == {"k1", "k2"}
-        assert naming.addresses_of("nobody") == set()
-
     def test_report_amplification(self):
         clustering = _clustering([["p1", "p2", "p3", "p4", "p5"]])
         tags = TagStore([make_tag("p1", "P")])

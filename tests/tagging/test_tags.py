@@ -42,7 +42,6 @@ class TestStore:
             ]
         )
         assert store.entity_of("1a") == "RightService"
-        assert store.conflicts() == ["1a"]
 
     def test_as_mapping_confidence_filter(self):
         store = TagStore(
@@ -53,12 +52,6 @@ class TestStore:
         )
         assert store.as_mapping() == {"1a": "A", "1b": "B"}
         assert store.as_mapping(min_confidence=0.9) == {"1a": "A"}
-
-    def test_addresses_of(self):
-        store = TagStore(
-            [make_tag("1a", "A"), make_tag("1b", "A"), make_tag("1c", "C")]
-        )
-        assert store.addresses_of("A") == {"1a", "1b"}
 
     def test_entities(self):
         store = TagStore([make_tag("1a", "A"), make_tag("1b", "B")])

@@ -199,6 +199,80 @@ class TestStorageErrors:
         assert len(result.stderr.strip().splitlines()) == 1
 
 
+class TestMalformedQueries:
+    """A malformed query is one `error: ...` line and a non-zero exit,
+    never a traceback; one that needs no chain to reject is rejected
+    before any world is built."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    MALFORMED = [
+        ["top-clusters", "abc"],
+        ["top-clusters", "5", "bogus"],
+        ["top-clusters", "-1"],
+        ["top-clusters", "5", "size", "-3"],
+        ["bogus-kind", "x"],
+        ["cluster-of"],
+    ]
+
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(self.SRC)},
+        )
+
+    def _assert_one_error_line(self, result):
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("tokens", MALFORMED, ids=" ".join)
+    def test_query_exits_with_one_error_line(self, tokens):
+        self._assert_one_error_line(
+            self._run("query", "--scenario", "micro", *tokens)
+        )
+
+    def test_horizon_past_the_tip(self):
+        result = self._run(
+            "query", "--scenario", "micro", "top-clusters", "5", "size", "100000"
+        )
+        self._assert_one_error_line(result)
+        assert "outside" in result.stderr
+
+    def test_past_height_is_answered_and_labelled(self, capsys):
+        assert main(
+            ["query", "--scenario", "micro", "top-clusters", "3", "balance", "60"]
+        ) == 0
+        assert "top 3 clusters by balance at height 60:" in capsys.readouterr().out
+
+    def test_malformed_serve_script_line(self, tmp_path):
+        script = tmp_path / "workload.txt"
+        script.write_text("top-clusters 5 size\n# a comment\ntop-clusters abc\n")
+        result = self._run("serve", "--scenario", "micro", "--script", str(script))
+        self._assert_one_error_line(result)
+        assert f"{script}:3:" in result.stderr
+
+    def test_missing_serve_script(self, tmp_path):
+        missing = tmp_path / "nope.txt"
+        result = self._run("serve", "--scenario", "micro", "--script", str(missing))
+        self._assert_one_error_line(result)
+
+    @pytest.mark.parametrize("tokens", MALFORMED, ids=" ".join)
+    def test_rejected_before_any_world_is_built(self, tokens, monkeypatch):
+        import repro.cli
+
+        def no_world(seed):
+            raise AssertionError("a world was built for a malformed query")
+
+        monkeypatch.setitem(repro.cli._SCENARIOS, "micro", no_world)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "--scenario", "micro", *tokens])
+        assert str(excinfo.value.code).startswith("error: ")
+
+
 class TestMetricsAndHealthRendering:
     """`repro metrics` / `repro health` degrade to one-line errors on
     bad dump files — no tracebacks — and render real dumps."""
