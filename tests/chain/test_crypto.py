@@ -1,6 +1,9 @@
 """Unit tests for hashing, base58check encoding (checked against the
 reference decoder in ``tests/helpers.py``), and simulation keypairs."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +45,21 @@ class TestBase58Check:
     def test_mainnet_p2pkh_addresses_start_with_1(self):
         address = crypto.pubkey_hash_to_address(b"\x00" * 20)
         assert address.startswith("1")
+
+    def test_checksum_detects_corruption(self):
+        address = address_of(crypto.KeyPair.from_seed("x"))
+        # Flip one character to another alphabet character.
+        tampered = address[:-1] + ("2" if address[-1] != "2" else "3")
+        raw = base58_decode(tampered)
+        assert crypto.sha256d(raw[:-4])[:4] != raw[-4:]
+
+    def test_is_valid_address(self):
+        for seed in ("valid", "", "x" * 100):
+            address = address_of(crypto.KeyPair.from_seed(seed))
+            assert not set(address) & set("0OIl")  # outside the alphabet
+            raw = base58_decode(address)
+            assert len(raw) == 25  # version, 20-byte hash, checksum
+            assert crypto.sha256d(raw[:21])[:4] == raw[21:]
 
     def test_version_byte_out_of_range(self):
         with pytest.raises(Base58Error):
@@ -101,3 +119,25 @@ class TestKeyPair:
         keypair = crypto.KeyPair.from_seed("shape")
         assert len(keypair.pubkey) == 33
         assert keypair.pubkey[0] == 0x02
+
+    def test_sign_verify(self):
+        keypair = crypto.KeyPair.from_seed("signer")
+        signature = keypair.sign(b"message")
+        assert signature == hmac.new(
+            keypair.privkey, b"message", hashlib.sha256
+        ).digest()
+        assert keypair.sign(b"message") == signature
+        assert keypair.sign(b"other message") != signature
+
+    def test_signature_not_verifiable_by_other_key(self):
+        a = crypto.KeyPair.from_seed("a")
+        b = crypto.KeyPair.from_seed("b")
+        assert b.sign(b"m") != a.sign(b"m")
+
+    def test_address_matches_pubkey_hash(self):
+        keypair = crypto.KeyPair.from_seed("addr")
+        assert keypair.pubkey_hash == crypto.hash160(keypair.pubkey)
+        assert base58check_decode(address_of(keypair)) == (
+            crypto.P2PKH_VERSION,
+            keypair.pubkey_hash,
+        )

@@ -91,6 +91,12 @@ class TestQueries:
         spender = index.spender_of(OutPoint(txs["pay"].txid, 1))
         assert spender == (txs["sweep"].txid, 0)
 
+    def test_fee(self):
+        index, txs = _indexed_payment()
+        sweep = txs["sweep"]
+        assert index.input_value(sweep) - sweep.total_output_value == 1000
+        assert index.input_value(txs["cb"]) == 0
+
     def test_input_addresses(self):
         index, txs = _indexed_payment()
         assert index.input_addresses(txs["sweep"]) == [addr("b")]
@@ -115,6 +121,17 @@ class TestQueries:
         assert addr("c") in sinks
         assert addr("b") not in sinks
 
+    def test_appearances_before(self):
+        index, _txs = _indexed_payment()
+        assert index.address(addr("b")).receives_before(1) == 0
+        assert index.address(addr("b")).receives_before(2) == 1
+        assert not index.has_address(addr("unseen"))
+
+    def test_first_seen(self):
+        index, _txs = _indexed_payment()
+        assert index.address(addr("b")).first_seen_height == 1
+        assert index.address(addr("miner-main")).first_seen_height == 0
+        assert not index.has_address(addr("nobody"))
 
 
 class TestViolations:

@@ -77,6 +77,11 @@ class TestTransaction:
         tx = spend([(cb, 0)], [(addr("a"), 10), (addr("b"), 20)])
         assert tx.total_output_value == 30
 
+    def test_output_addresses(self):
+        cb = coinbase(addr("m"))
+        tx = spend([(cb, 0)], [(addr("a"), 10)])
+        assert [out.address for out in tx.outputs] == [addr("a")]
+
     def test_outpoint_bounds(self):
         cb = coinbase(addr("m"))
         assert cb.outpoint(0).vout == 0

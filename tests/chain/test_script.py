@@ -17,6 +17,12 @@ class TestP2PKH:
         assert spk[-1] == script.OP_CHECKSIG
         assert spk[3:23] == pkh
 
+    def test_classify(self):
+        spk = script.p2pkh_script(b"\x22" * 20)
+        assert script.extract_address(spk) == crypto.pubkey_hash_to_address(
+            b"\x22" * 20
+        )
+
     def test_extract_address_roundtrip(self):
         address = address_of(crypto.KeyPair.from_seed("p2pkh"))
         spk = p2pkh_script_for_address(address)
@@ -35,6 +41,9 @@ class TestP2PK:
 
 
 class TestOther:
+    def test_op_return_classified(self):
+        assert script.extract_address(bytes([script.OP_RETURN]) + b"data") is None
+
     def test_garbage_pays_no_address(self):
         assert script.extract_address(b"\xff\xfe\xfd") is None
 

@@ -52,6 +52,15 @@ class TestMiningPool:
         assert user.wallet.balance > 0
 
 
+    def test_coinbase_reuse_stays_among_the_oldest_four(self):
+        _economy_, pool = _economy()
+        drawn = [pool.coinbase_address() for _ in range(200)]
+        reused = {a for a in drawn if drawn.count(a) > 1}
+        assert reused
+        assert reused <= set(pool.wallet.oldest_addresses(4))
+        assert all(pool.wallet.owns(a) for a in drawn)
+
+
 class TestExchange:
     def test_deposit_withdraw_cycle(self):
         economy, pool = _economy()

@@ -48,13 +48,30 @@ class TestRegistration:
 
 
 class TestQueries:
+    def test_same_owner(self):
+        gt = _registry()
+        assert gt.owner_of("1gox1") == gt.owner_of("1gox2") == "Mt Gox"
+        assert gt.owner_of("1gox1") != gt.owner_of("1alice")
+        assert gt.owner_of("1unknown") is None
+
     def test_addresses_of(self):
         gt = _registry()
         assert gt.addresses_of("Mt Gox") == {"1gox1", "1gox2"}
         assert gt.addresses_of("ghost") == frozenset()
+
+    def test_entities_in_category(self):
+        gt = _registry()
+        categories = {entity.name: entity.category for entity in gt.entities()}
+        assert categories == {"Mt Gox": "exchanges", "alice": "users"}
+        assert gt.category_of("alice") == "users"
 
     def test_true_partition(self):
         gt = _registry()
         partition = gt.true_partition()
         assert partition["Mt Gox"] == {"1gox1", "1gox2"}
         assert len(partition) == 2
+
+    def test_counts(self):
+        gt = _registry()
+        assert len(gt.entities()) == 2
+        assert sum(len(a) for a in gt.true_partition().values()) == 3

@@ -36,6 +36,23 @@ class TestAddresses:
         assert receive not in wallet.change_addresses
         assert wallet.last_change_address() == change
 
+    def test_oldest_addresses_in_minting_order(self):
+        wallet = _wallet()
+        assert wallet.oldest_addresses(4) == []
+        minted = [
+            wallet.fresh_address(kind="change" if i % 2 else "receive")
+            for i in range(6)
+        ]
+        assert wallet.oldest_addresses(4) == minted[:4]
+        assert wallet.oldest_addresses(10) == minted
+
+    def test_change_addresses_is_the_wallets_own_list(self):
+        wallet = _wallet()
+        held = wallet.change_addresses
+        assert wallet.change_addresses is held
+        change = wallet.fresh_address(kind="change")
+        assert list(held) == [change]
+
     def test_last_change_none_initially(self):
         assert _wallet().last_change_address() is None
 

@@ -280,6 +280,41 @@ class TestWarmServiceWorkflow:
                 == first.service.answer(Query("trace_taint", (label,)))
             )
 
+    def test_warm_start_retains_the_newest_k(self, tmp_path, world):
+        first = experiments.warm_service(world, tmp_path, retain=2)
+        prefix_index = ChainIndex()
+        prefix_service = ForensicsService(prefix_index, tags=None)
+        for height, block in enumerate(world.blocks[:30]):
+            prefix_index.add_block(block)
+            if height % 10 == 9:
+                first.store.snapshot(prefix_service)
+        tip = world.index.height
+        assert [m.height for m in first.store.snapshots()] == [9, 19, 29, tip]
+        second = experiments.warm_service(world, tmp_path, retain=2)
+        assert second.snapshot_height == tip
+        assert [m.height for m in second.store.snapshots()] == [29, tip]
+
+    def test_checkpoint_after_tail_replay_skips_it_next_start(
+        self, tmp_path, world
+    ):
+        import shutil
+
+        first = experiments.warm_service(world, tmp_path)
+        for manifest in first.store.snapshots():
+            shutil.rmtree(manifest.directory)
+        prefix_index = ChainIndex()
+        prefix_service = ForensicsService(prefix_index, tags=None)
+        for block in world.blocks[:25]:
+            prefix_index.add_block(block)
+        first.store.snapshot(prefix_service)
+
+        replayed = experiments.warm_service(world, tmp_path)
+        assert replayed.tail_blocks == world.index.height - 24
+        replayed.checkpoint()
+        again = experiments.warm_service(world, tmp_path)
+        assert again.snapshot_height == world.index.height
+        assert again.tail_blocks == 0
+
 
 class TestClockAndTelemetry:
     """``created_unix`` comes from the injected wall clock; durations are
