@@ -59,7 +59,7 @@ from .obs import (
     render_health,
     render_snapshot,
 )
-from .service import ForensicsService, format_answer, parse_query
+from .service import ForensicsService, QueryRefused, format_answer, parse_query
 from .simulation import scenarios
 from .storage import StorageError
 
@@ -260,21 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parsed(tokens: list[str], where: str = ""):
-    """``parse_query``, with a malformed query as one ``error:`` line."""
+def _or_exit(call, *args, where: str = ""):
+    """``call(*args)``; a query the service refuses (malformed, or a
+    horizon past the tip) exits with one ``error:`` line.  Any other
+    exception propagates with its traceback."""
     try:
-        return parse_query(tokens)
-    except ValueError as exc:
+        return call(*args)
+    except QueryRefused as exc:
         raise SystemExit(f"error: {where}{exc}") from None
-
-
-def _refusing(answer, question):
-    """``answer(question)``; a query the service refuses as it answers
-    (a horizon past the tip) exits with one ``error:`` line."""
-    try:
-        return answer(question)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
 
 
 def _load_workload_script(path: Path):
@@ -287,7 +280,9 @@ def _load_workload_script(path: Path):
     for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
-            queries.append(_parsed(line.split(), f"{path}:{number}: "))
+            queries.append(
+                _or_exit(parse_query, line.split(), where=f"{path}:{number}: ")
+            )
     return queries
 
 
@@ -383,7 +378,7 @@ def _write_metrics_dump(path: Path | None, metrics, service=None) -> None:
 def _answer_one(args, service, query) -> None:
     """``repro query``: answer one query, labelled with its source."""
     start = time.perf_counter()
-    answer = _refusing(service.answer, query)
+    answer = _or_exit(service.answer, query)
     elapsed = time.perf_counter() - start
     print(format_answer(query, answer))
     source = (
@@ -405,11 +400,11 @@ def _serve_workload(args, service, queries) -> None:
             # deterministic case-N labels; re-watch them.
             experiments.watch_synthetic_thefts(service)
         start = time.perf_counter()
-        _refusing(service.answer_many, queries)
+        _or_exit(service.answer_many, queries)
         first = time.perf_counter() - start
         start = time.perf_counter()
         for _ in range(max(1, args.repeat)):
-            _refusing(service.answer_many, queries)
+            _or_exit(service.answer_many, queries)
         repeat = (time.perf_counter() - start) / max(1, args.repeat)
         print(
             f"replayed {len(queries)} queries from {args.script}: "
@@ -457,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command in ("query", "serve"):
         # A malformed query fails here, before any world is built.
         if args.command == "query":
-            queries = [_parsed(args.tokens)]
+            queries = [_or_exit(parse_query, args.tokens)]
         elif args.script is not None:
             queries = _load_workload_script(args.script)
         else:

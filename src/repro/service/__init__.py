@@ -19,6 +19,7 @@ from .cache import QueryCache
 from .queries import (
     Query,
     QueryEngine,
+    QueryRefused,
     format_answer,
     parse_query,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "Query",
     "QueryCache",
     "QueryEngine",
+    "QueryRefused",
     "RankIndex",
     "TaintCase",
     "TaintView",

@@ -91,6 +91,12 @@ class Query:
     args: tuple = ()
 
 
+class QueryRefused(ValueError):
+    """A query the service will not run: malformed, or asking for a
+    height it does not have.  Raised before any handler runs, so a
+    ``ValueError`` from a handler is never mistaken for one."""
+
+
 def parse_query(tokens: list[str]) -> Query:
     """Parse CLI/workload-script tokens into a :class:`Query`.
 
@@ -104,45 +110,45 @@ def parse_query(tokens: list[str]) -> Query:
 
     Everything a query can be checked for without a chain is checked
     here (:meth:`QueryEngine.answer` still refuses a height past the
-    tip): a malformed query is a ``ValueError``.
+    tip): a malformed query is a :class:`QueryRefused`.
     """
     if not tokens:
-        raise ValueError("empty query")
+        raise QueryRefused("empty query")
     kind = tokens[0].replace("-", "_")
     rest = tokens[1:]
     if kind in ("cluster_of", "balance_of", "cluster_balance", "cluster_profile"):
         if kind != "balance_of" and len(rest) == 2:
             return Query(kind, (rest[0], _non_negative(rest[1], "horizon height")))
         if len(rest) != 1:
-            raise ValueError(f"{kind} takes exactly one address argument")
+            raise QueryRefused(f"{kind} takes exactly one address argument")
         return Query(kind, (rest[0],))
     if kind == "trace_taint":
         if not rest:
-            raise ValueError("trace_taint takes a case label")
+            raise QueryRefused("trace_taint takes a case label")
         return Query(kind, (" ".join(rest),))
     if kind == "top_clusters":
         if len(rest) > 3:
-            raise ValueError("top_clusters takes [N] [size|balance|activity] [height]")
+            raise QueryRefused("top_clusters takes [N] [size|balance|activity] [height]")
         n = _non_negative(rest[0], "top_clusters count") if rest else 10
         by = rest[1] if len(rest) > 1 else "size"
         if by not in TOP_CLUSTER_METRICS:
-            raise ValueError(
+            raise QueryRefused(
                 f"top_clusters metric must be one of {TOP_CLUSTER_METRICS}"
             )
         if len(rest) > 2:
             return Query(kind, (n, by, _non_negative(rest[2], "horizon height")))
         return Query(kind, (n, by))
-    raise ValueError(f"unknown query kind {tokens[0]!r} (kinds: {QUERY_KINDS})")
+    raise QueryRefused(f"unknown query kind {tokens[0]!r} (kinds: {QUERY_KINDS})")
 
 
 def _non_negative(token: str, what: str) -> int:
-    """``token`` as an int >= 0, else a ``ValueError`` naming ``what``."""
+    """``token`` as an int >= 0, else a :class:`QueryRefused` naming ``what``."""
     try:
         value = int(token)
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"{what} must be an int >= 0, got {token!r}")
+        raise QueryRefused(f"{what} must be an int >= 0, got {token!r}")
     return value
 
 
@@ -216,25 +222,25 @@ class QueryEngine:
         """
         handler = self._HANDLERS.get(query.kind)
         if handler is None:
-            raise ValueError(
+            raise QueryRefused(
                 f"unknown query kind {query.kind!r} (kinds: {QUERY_KINDS})"
             )
         # Before the cache: ``True == 1`` and ``2.0 == 2`` as keys.
         if query.kind == "top_clusters":
             n = query.args[0]
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise ValueError(
+                raise QueryRefused(
                     f"top_clusters count must be an int >= 0, got {n!r}"
                 )
         arity = _HORIZON_AT.get(query.kind)
         if arity is not None and len(query.args) > arity:
             height, tip = query.args[arity], self.service.height
             if not isinstance(height, int) or isinstance(height, bool):
-                raise ValueError(
+                raise QueryRefused(
                     f"horizon height must be an int, got {height!r}"
                 )
             if not 0 <= height <= tip:
-                raise ValueError(f"horizon height {height} outside 0..{tip}")
+                raise QueryRefused(f"horizon height {height} outside 0..{tip}")
         metrics = self.service.metrics
         timed = metrics.enabled
         if timed:

@@ -48,6 +48,9 @@ class DiceGame(Actor):
         """The game's well-known (heavily reused) betting address."""
         return self._bet_address
 
+    # Whoever pays a dice game pays its bet address.
+    payment_address = bet_address
+
     def place_bet(self, bettor_address: str, amount: int) -> None:
         """Register a bet paid to :meth:`bet_address`.
 

@@ -149,8 +149,10 @@ def component(report, name: str):
 
 def ranking(surface, by: str) -> tuple[tuple[int, int], ...]:
     """One metric's whole ranking at an aggregate surface: ``(canonical
-    cluster id, value)`` for every ranked cluster, best first."""
-    return surface.top(surface.cluster_count, by)
+    cluster id, value)`` for every ranked cluster, best first.  Asks for
+    more than any surface holds, so the length does not depend on
+    ``cluster_count``."""
+    return surface.top(10 ** 9, by)
 
 
 def addr(label: str) -> str:

@@ -127,6 +127,12 @@ class TestDiceGame:
         economy.register(dice)
         assert dice.bet_address() == dice.bet_address()
 
+    def test_payment_address_is_the_bet_address(self):
+        economy, _pool = _economy()
+        dice = DiceGame("Dice4")
+        economy.register(dice)
+        assert dice.payment_address() == dice.bet_address()
+
     def test_invalid_bet_rejected(self):
         economy, _pool = _economy()
         dice = DiceGame("Dice3")

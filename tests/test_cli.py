@@ -260,6 +260,18 @@ class TestMalformedQueries:
         result = self._run("serve", "--scenario", "micro", "--script", str(missing))
         self._assert_one_error_line(result)
 
+    def test_handler_fault_is_not_a_refusal(self, monkeypatch):
+        # A ValueError raised inside a handler is a program fault: it
+        # keeps its traceback instead of passing for a user error.
+        from repro.service import QueryEngine
+
+        def broken(engine, query):
+            raise ValueError("handler fault")
+
+        monkeypatch.setitem(QueryEngine._HANDLERS, "top_clusters", broken)
+        with pytest.raises(ValueError, match="handler fault"):
+            main(["query", "--scenario", "micro", "top-clusters", "5"])
+
     @pytest.mark.parametrize("tokens", MALFORMED, ids=" ".join)
     def test_rejected_before_any_world_is_built(self, tokens, monkeypatch):
         import repro.cli
