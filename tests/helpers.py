@@ -13,9 +13,11 @@ import hashlib
 import json
 import struct
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Iterator
+
+import numpy as np
 
 from repro.chain import script
 from repro.chain.crypto import KeyPair, pubkey_hash_to_address, sha256d
@@ -34,7 +36,7 @@ from repro.chain.model import (
     TxOut,
 )
 from repro.chain.serialize import decode_tx, serialize_block
-from repro.simulation import scenarios
+from repro.simulation import large_scale_blocks, scenarios
 from repro.storage.manifest import MANIFEST_NAME
 from repro.storage.segments import write_segment
 from repro.tagging.sources import analyst_tags, manual_theft_tags
@@ -106,6 +108,154 @@ def world_digest(world) -> str:
     for txid, change in sorted(world.economy.change_truth.items()):
         record(txid.hex(), change.change_address, change.change_kind, change.change_vout)
     return digest.hexdigest()
+
+
+GOLDEN_ANSWERS_PATH = Path(__file__).parent / "golden" / "answers.json"
+
+ANSWER_CHAINS = {
+    **{
+        name: (lambda build=build: world_answer_inputs(build()))
+        for name, build in GOLDEN_WORLDS.items()
+    },
+    # untagged: no names, no dice, no H2 labels
+    "scale_120": lambda: {"blocks": list(large_scale_blocks(120))},
+}
+"""Every chain ``tests/golden/answers.json`` pins, by name: the
+:func:`answer_digests` keyword arguments that build it."""
+
+
+def golden_answer_digests() -> dict[str, dict[str, str]]:
+    """The pinned :func:`answer_digests` of each :data:`ANSWER_CHAINS` entry."""
+    return json.loads(GOLDEN_ANSWERS_PATH.read_text())
+
+
+def world_answer_inputs(world) -> dict:
+    """A world's blocks with the analyst's tags and dice set, the way
+    :meth:`~repro.service.ForensicsService.from_world` reads them."""
+    from repro.core.heuristic2 import dice_addresses_from_tags
+    from repro.simulation.params import DICE_GAMES
+
+    tags = analyst_tags(world)
+    return {
+        "blocks": world.blocks,
+        "tags": tags,
+        "dice_addresses": dice_addresses_from_tags(tags, DICE_GAMES),
+    }
+
+
+def _canonical_partition(partition) -> bytes:
+    """Per address id its cluster's minimum member id, as bytes: the
+    partition whatever its roots and union order."""
+    forest = partition._uf
+    ids = np.arange(len(forest), dtype="<i8")
+    roots = forest.find_many(ids)
+    least = np.full(len(forest), len(forest), dtype="<i8")
+    np.minimum.at(least, roots, ids)
+    return least[roots].tobytes()
+
+
+def answer_digests(
+    blocks, *, tags=None, dice_addresses=frozenset(), sample: int = 12, seed: int = 0
+) -> dict[str, str]:
+    """One sha256 per part of everything the chain's analyses answer:
+
+    * ``deltas``: every streamed :class:`~repro.chain.delta.BlockDelta`
+      (block hash, the six columns with their dtype, ``minted``,
+      ``max_id``, each transaction's coinbase flag and ids);
+      ``deltas_catch_up`` / ``deltas_restored`` the same read by a
+      catch-up subscriber and by ``block_delta(h)`` on a restored index;
+    * ``labels``: every H2 label with its fate (voided or settled
+      height, deadline, endpoints);
+    * ``cluster_count_series``: every point;
+    * ``partitions``: ``cluster_as_of`` and ``cluster_h1_as_of`` at
+      every height;
+    * ``answers_tip`` / ``answers_built``: the four cluster kinds at
+      every height over ``sample`` seeded addresses (and
+      ``top_clusters`` by each metric), asked at the tip as each block
+      arrives and asked of that height after the whole chain is in;
+    * ``segment:<name>``: every segment of a snapshot at the tip.
+
+    ``tests/golden/answers.json`` pins them per :data:`ANSWER_CHAINS`
+    entry; a change that alters any answer shows up as a digest diff.
+    """
+    import pickle
+    import random
+    import tempfile
+
+    from repro.service import ForensicsService, Query
+    from repro.service.queries import TOP_CLUSTER_METRICS
+    from repro.storage import StateStore
+
+    hashes = defaultdict(hashlib.sha256)
+
+    def record(part: str, *fields) -> None:
+        hashes[part].update(repr(fields).encode())
+        hashes[part].update(b"\n")
+
+    def record_delta(part: str, delta) -> None:
+        record(part, delta.height, delta.block.hash, delta.minted, delta.max_id)
+        for name in ("event_ids", "event_values", "involved_ids",
+                     "involved_flat", "h1_a", "h1_b"):
+            column = getattr(delta, name)
+            record(part, name, column.dtype.str, column.tobytes())
+        for txd in delta.txs:
+            record(part, txd.tx.txid, txd.is_coinbase, txd.input_ids, txd.output_ids)
+
+    addresses = sorted({
+        out.address
+        for block in blocks
+        for tx in block.transactions
+        for out in tx.outputs
+        if out.address is not None
+    })
+    chosen = random.Random(seed).sample(addresses, min(sample, len(addresses)))
+    top_n = 100  # ties and their order included
+
+    def ask(part: str, service, height=None) -> None:
+        at = () if height is None else (height,)
+        for address in chosen:
+            for kind in ("cluster_of", "cluster_balance", "cluster_profile"):
+                record(part, kind, address, service.answer(Query(kind, (address, *at))))
+        for by in TOP_CLUSTER_METRICS:
+            record(part, by, service.answer(Query("top_clusters", (top_n, by, *at))))
+
+    options = {"tags": tags, "dice_addresses": dice_addresses}
+    index = ChainIndex()
+    service = ForensicsService(index, **options)
+    index.subscribe_deltas(lambda delta: record_delta("deltas", delta))
+    for block in blocks:
+        index.add_block(block)
+        ask("answers_tip", service)
+    index.catch_up(lambda delta: record_delta("deltas_catch_up", delta), -1)
+    restored = ChainIndex.restore_state(pickle.loads(pickle.dumps(index.export_state())))
+    for height in range(restored.height + 1):
+        record_delta("deltas_restored", restored.block_delta(height))
+
+    engine = service.engine
+    record("labels", len(engine._labels))
+    for live in engine._labels:
+        label = live.label
+        record(
+            "labels", label.txid, label.vout, label.address, label.height,
+            live.address_id, live.input_id, live.deadline, live.voided_at,
+            live.settled_at,
+        )
+    for point in engine.cluster_count_series():
+        record("cluster_count_series", *astuple(point))
+    for height in range(index.height + 1):
+        record("partitions", height,
+               _canonical_partition(engine.cluster_as_of(height).uf),
+               _canonical_partition(engine.cluster_h1_as_of(height).uf))
+
+    built = ForensicsService(restored, **options)
+    for height in range(restored.height + 1):
+        ask("answers_built", built, height)
+
+    with tempfile.TemporaryDirectory() as root:
+        snapshot = StateStore(root, clock=lambda: 0.0).snapshot(service)
+        for path in sorted(snapshot.glob("*.seg")):
+            hashes[f"segment:{path.stem}"].update(path.read_bytes())
+    return {part: digest.hexdigest() for part, digest in sorted(hashes.items())}
 
 
 def address_of(keypair: KeyPair) -> str:
