@@ -292,7 +292,9 @@ class QueryEngine:
         *naming epoch* (bumped on every structural dirty-root drain):
         a merge can rename a cluster without the answering engine
         having drained yet, and an epoch-free key would keep serving
-        the pre-merge name from the cache at an unchanged tip."""
+        the pre-merge name from the cache at an unchanged tip.  They
+        carry the tag count too (the store only grows), so a tag added
+        at an unchanged tip names its cluster in the next answer."""
         kind = query.kind
         service = self.service
         if kind == "trace_taint":
@@ -303,7 +305,12 @@ class QueryEngine:
                 query,
             )
         if kind in ("top_clusters", "cluster_profile"):
-            return (service.height, service.aggregates.naming_epoch, query)
+            return (
+                service.height,
+                service.aggregates.naming_epoch,
+                len(service.tags or ()),
+                query,
+            )
         return (service.height, query)
 
     def answer_many(
@@ -413,17 +420,16 @@ class QueryEngine:
         without tags; memoized per height in the query cache.
 
         Below the tip the map is built from scratch, once: history is
-        immutable, so the entry serves every later tip (its key carries
-        the tag count so tags added later re-enter history).  At the
-        tip the previous height's map is patched
-        (:meth:`_build_cluster_names`)."""
+        immutable, so the entry serves every later tip.  At the tip the
+        previous height's map is patched (:meth:`_build_cluster_names`),
+        and that entry later serves its height as history.  The key
+        carries the tag count, so a tag added later renames both."""
         tags = self.service.tags
         if tags is None:
             return None
         at_tip = surface.height == self.service.height
-        name = "cluster_names" if at_tip else f"cluster_names:{len(tags)}"
         cache = self.service.cache
-        key = (surface.height, Query(f"_agg:{name}"))
+        key = (surface.height, Query(f"_agg:cluster_names:{len(tags)}"))
         found, names = cache.lookup(key)
         if not found:
             if at_tip:

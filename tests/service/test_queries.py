@@ -9,6 +9,7 @@ from repro.pipeline import AnalystView
 from repro.service import ForensicsService, Query, parse_query
 from repro.service.cache import QueryCache
 from repro.simulation import scenarios
+from repro.tagging.tags import Tag, TagStore
 
 from tests.helpers import (
     addr,
@@ -194,6 +195,22 @@ class TestCacheBehaviour:
         answer = service.answer(Query("trace_taint", ("loot",)))
         assert answer is not None
         assert answer["initial_taint"] == 50 * COIN
+
+    def test_tag_added_at_unchanged_tip_names_its_cluster(self):
+        world = scenarios.micro_economy()
+        tags = TagStore.from_state(world.extras["attack"].tags.export_state())
+        service = ForensicsService(world.index, tags=tags)
+        query = Query("top_clusters", (500, "size"))
+        late = world.index.interner.address_of(50)
+        assert (50, 7, None) in service.answer(query)
+        tags.add(Tag(late, "Late Entity", "user", 1.0))
+        # Same height, but the tag set grew: no stale name, in a cached
+        # answer or in a first-ever one.
+        assert (50, 7, "Late Entity") in service.answer(query)
+        profile = service.answer(Query("cluster_profile", (late,)))
+        assert profile["name"] == "Late Entity"
+        fresh = ForensicsService(world.index, tags=tags)
+        assert fresh.answer(query) == service.answer(query)
 
     def test_aggregates_rebuilt_after_new_block(self):
         source = self._streaming_world()
