@@ -26,7 +26,7 @@ from .errors import (
     UnknownTransactionError,
     ValidationError,
 )
-from .delta import BlockDelta, TxDelta, build_block_delta
+from .delta import BlockDelta, TxDelta
 from .index import AddressRecord, ChainIndex, Receive, Spend, TxLocation
 from .intern import AddressInterner
 from .model import (
@@ -91,7 +91,6 @@ __all__ = [
     "ValidationReport",
     "base58check_encode",
     "block_subsidy",
-    "build_block_delta",
     "compute_statistics",
     "format_statistics",
     "format_btc",

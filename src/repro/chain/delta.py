@@ -1,14 +1,14 @@
-"""The shared per-block ingest plan: one transaction walk per block.
+"""The shared per-block ingest plan, built once per block from the row logs.
 
 Every streaming subscriber on the :meth:`ChainIndex.subscribe_deltas
 <repro.chain.index.ChainIndex.subscribe_deltas>` fan-out — the
 incremental clustering engine, the balance/activity/taint views, the
 differential cluster aggregates — folds from one immutable, id-space
 :class:`BlockDelta` per block instead of re-walking
-``block.transactions``.  The index emits it from the same pass that
-validates and applies the block (``ChainIndex._walk_block``);
-:func:`build_block_delta` rebuilds the identical delta for an
-already-ingested block (catch-up).
+``block.transactions``.  The index builds it in one place,
+``ChainIndex._build_delta``, from the receive and spend rows its
+validating walk appended for the block: the live fan-out, catch-up and
+a restored index all read the same rows through the same function.
 
 Each fact is stored once.  Per transaction (:class:`TxDelta`) that is
 the sender-id tuple (:attr:`TxDelta.input_ids`) and the output-address
@@ -59,18 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Block, Transaction
-
-
-def _as_int64(values) -> np.ndarray:
-    """Read-only little-endian int64 column.
-
-    Read-only because one delta object is shared by the whole observer
-    fan-out (and consumers keep the columns past their fold), so no
-    subscriber can corrupt another's view of it.
-    """
-    array = np.asarray(values, dtype="<i8")
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,80 +164,3 @@ class BlockDelta:
         return tuple(
             dict.fromkeys(ident for txd in self.txs for ident in txd.involved)
         )
-
-    @classmethod
-    def from_columns(
-        cls,
-        block: Block,
-        txs: list[TxDelta],
-        event_ids: list[int],
-        event_values: list[int],
-        involved_flat: list[int],
-        h1_a: list[int],
-        h1_b: list[int],
-        involved: dict[int, None],
-        minted: int,
-    ) -> "BlockDelta":
-        """Seal one block walk's accumulators into the shared delta."""
-        return cls(
-            block=block,
-            txs=tuple(txs),
-            minted=minted,
-            max_id=max(involved, default=-1),
-            event_ids=_as_int64(event_ids),
-            event_values=_as_int64(event_values),
-            involved_ids=_as_int64(list(involved)),
-            involved_flat=_as_int64(involved_flat),
-            h1_a=_as_int64(h1_a),
-            h1_b=_as_int64(h1_b),
-        )
-
-
-def build_block_delta(index, block: Block) -> BlockDelta:
-    """Rebuild the :class:`BlockDelta` of an already-ingested block.
-
-    Ingestion itself emits each block's delta from its one validating
-    walk (:meth:`ChainIndex.add_block`); this is the catch-up twin
-    behind :meth:`ChainIndex.block_delta` for consumers that attach to
-    an index already holding blocks.  It reads the transactions' rows
-    of the index's receive and spend logs (what that walk appended, and
-    what a restored index loads) and must produce the identical delta.
-    """
-    txs: list[TxDelta] = []
-    event_ids: list[int] = []
-    event_values: list[int] = []
-    involved_flat: list[int] = []
-    h1_a: list[int] = []
-    h1_b: list[int] = []
-    block_involved: dict[int, None] = {}
-    minted = 0
-    for tx in block.transactions:
-        output_ids = index.output_address_ids(tx)
-        is_coinbase = tx.is_coinbase
-        input_ids: tuple[int, ...] = ()
-        if is_coinbase:
-            minted += tx.total_output_value
-        else:
-            senders: dict[int, None] = {}
-            for ident, value in index.input_spends(tx):
-                if ident >= 0:
-                    senders[ident] = None
-                    event_ids.append(ident)
-                    event_values.append(-value)
-            input_ids = tuple(senders)
-            if len(input_ids) > 1:
-                h1_a.extend(input_ids[:1] * (len(input_ids) - 1))
-                h1_b.extend(input_ids[1:])
-        involved = dict.fromkeys(input_ids)
-        for out, ident in zip(tx.outputs, output_ids):
-            if ident >= 0:
-                event_ids.append(ident)
-                event_values.append(out.value)
-                involved[ident] = None
-        involved_flat.extend(involved)
-        block_involved.update(involved)
-        txs.append(TxDelta(tx, is_coinbase, input_ids, output_ids))
-    return BlockDelta.from_columns(
-        block, txs, event_ids, event_values, involved_flat, h1_a, h1_b,
-        block_involved, minted,
-    )

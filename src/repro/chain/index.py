@@ -39,14 +39,15 @@ transaction, output or address:
 :class:`AddressRecord`, :class:`Receive`, :class:`Spend` and
 :class:`TxLocation` are values built on read.
 
-Ingestion is **one walk per block**: ``add_block`` validates and
-applies each transaction exactly once, and the same pass emits the
+Ingestion is **one walk per block**: ``add_block`` validates each
+transaction exactly once and appends its rows; a rejected block is
+reverted whole (the logs are truncated to the block-start marks).  The
 block's :class:`~repro.chain.delta.BlockDelta` (id-space, see
-``chain/delta.py``) that every subscriber receives.  A rejected block
-is reverted whole (the logs are truncated to the block-start marks).
-:meth:`ChainIndex.subscribe_deltas` is the fan-out hook (an observer
-that wants the block reads ``delta.block`` during its fold; the index
-itself does not keep the object).
+``chain/delta.py``) is then read off those rows by the one builder,
+``_build_delta``, which :meth:`ChainIndex.block_delta` also serves
+catch-up from.  :meth:`ChainIndex.subscribe_deltas` is the fan-out hook
+(an observer that wants the block reads ``delta.block`` during its
+fold; the index itself does not keep the object).
 
 Durability: :meth:`ChainIndex.export_state` is the same data — wire
 blocks, the txid table and every column as raw bytes (state version 2)
@@ -67,9 +68,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from ..obs import NULL_LOGGER, NULL_REGISTRY
-from .delta import BlockDelta, TxDelta, build_block_delta
+from .delta import BlockDelta, TxDelta
 from .errors import (
     BlockStructureError,
+    ConservationError,
     DoubleSpendError,
     MissingInputError,
     UnknownAddressError,
@@ -272,6 +274,18 @@ def _column_from_bytes(typecode: str, data: bytes) -> array:
     return column
 
 
+def _as_int64(values) -> np.ndarray:
+    """Read-only little-endian int64 column of a :class:`BlockDelta`.
+
+    Read-only because one delta object is shared by the whole observer
+    fan-out (and consumers keep the columns past their fold), so no
+    subscriber can corrupt another's view of it.
+    """
+    column = np.asarray(values, dtype="<i8")
+    column.flags.writeable = False
+    return column
+
+
 def _chain_ends(owner: np.ndarray, links: np.ndarray, n_ids: int):
     """``(first, last)`` row per address id (-1 for none) of the chains
     ``links`` threads through a log whose rows belong to ``owner`` ids
@@ -367,9 +381,12 @@ class ChainIndex:
 
         All or nothing: a block at the wrong height or with an invalid
         transaction raises (:class:`BlockStructureError` /
-        :class:`DoubleSpendError` / :class:`MissingInputError`) and
-        leaves the index exactly as it was — no subscriber is notified,
-        and the correct block for that height still ingests.
+        :class:`DoubleSpendError` / :class:`MissingInputError` /
+        :class:`ConservationError`) and leaves the index exactly as it
+        was — no subscriber is notified, and the correct block for that
+        height still ingests.  Once the walk has appended the block's
+        rows, and only if anyone is subscribed, the block's delta is
+        built from them (:meth:`_build_delta`) and fanned out.
 
         A decoded block is kept as its wire bytes; the object is the
         caller's (and, during the fan-out, the subscribers') to drop.
@@ -384,19 +401,18 @@ class ChainIndex:
         timed = metrics.enabled
         if timed:
             start = perf_counter()
-        emit = bool(self._observers)
         first_tx = len(self._txids)
-        columns = self._walk_block(block, emit)
+        self._walk_block(block)
         self._blocks.append(block if block.wire is None else block.wire)
         self._timestamps.append(block.header.timestamp)
         self._block_first_tx.append(first_tx)
         if timed:
             now = perf_counter()
             metrics.histogram("ingest.index_seconds").observe(now - start)
-        if emit:
+        if self._observers:
             if timed:
                 start = perf_counter()
-            delta = BlockDelta.from_columns(block, *columns)
+            delta = self._build_delta(block)
             if timed:
                 now = perf_counter()
                 metrics.histogram("ingest.delta_build_seconds").observe(
@@ -417,23 +433,18 @@ class ChainIndex:
                 txs=len(block.transactions),
             )
 
-    def _walk_block(self, block: Block, emit: bool) -> tuple:
-        """The one transaction walk of ingestion.
+    def _walk_block(self, block: Block) -> None:
+        """The one transaction walk of ingestion: validates every
+        transaction and appends its rows (one receive row per output,
+        one spend row per consumed input, interning, the txid table).
 
-        Validates and applies every transaction (one receive row per
-        output, one spend row per consumed input, interning, the txid
-        table) and, in the same pass, emits the block's
-        :class:`BlockDelta` columns — returned as the argument tuple of
-        :meth:`BlockDelta.from_columns` (the per-tx :class:`TxDelta`
-        list only when ``emit``, i.e. someone is subscribed).
-        :func:`~repro.chain.delta.build_block_delta` derives the
-        identical delta from the rows this walk appends (pinned by
-        ``tests/chain/test_delta.py``).
-
-        Anything raised part-way truncates every log to where the block
-        began before the error propagates.  Each row's columns are
-        appended before the row is linked to, so the truncation is exact
-        wherever the walk stopped; the success path keeps no journal.
+        A transaction is rejected when it spends an unknown or spent
+        output, repeats a txid, spends nothing without being a coinbase,
+        or pays out more than its inputs hold.  Anything raised part-way
+        truncates every log to where the block began before the error
+        propagates.  Each row's columns are appended before the row is
+        linked to, so the truncation is exact wherever the walk stopped;
+        the success path keeps no journal.
         """
         height = block.height
         locator = self._tx_locator
@@ -459,14 +470,6 @@ class ChainIndex:
         intern = self._interner.intern
         address_of = self._interner.address_of
         self_change = self._self_change_history
-        txds: list[TxDelta] = []
-        event_ids: list[int] = []
-        event_values: list[int] = []
-        involved_flat: list[int] = []
-        h1_a: list[int] = []
-        h1_b: list[int] = []
-        block_involved: dict[int, None] = {}
-        minted = 0
         marks = (len(txids), len(recv_addr), len(spend_tx), len(first_recv))
         self_changed: list[str] = []
         ordinal, recv_row, spend_row, _n_ids = marks  # the next of each
@@ -476,7 +479,8 @@ class ChainIndex:
                 if txid in locator:
                     raise DoubleSpendError(f"duplicate transaction {tx.txid_hex}")
                 inputs = tx.inputs
-                input_ids: dict[int, None] = {}  # dedup'd, insertion-ordered
+                input_ids: set[int] = set()
+                input_value = 0
                 for vin, txin in enumerate(inputs):
                     prevout = txin.prevout
                     prev_txid = prevout.txid
@@ -505,6 +509,7 @@ class ChainIndex:
                     spend_src.append(spent)
                     spend_next.append(-1)
                     recv_spender[spent] = row
+                    input_value += recv_value[spent]
                     ident = recv_addr[spent]
                     if ident < 0:
                         continue
@@ -514,11 +519,7 @@ class ChainIndex:
                     else:
                         spend_next[previous] = row
                     last_spend[ident] = row
-                    input_ids[ident] = None
-                    event_ids.append(ident)
-                    event_values.append(-recv_value[spent])
-                involved = input_ids.copy()
-                output_ids: list[int] = []
+                    input_ids.add(ident)
                 output_value = 0
                 for txout in tx.outputs:
                     address = txout.address
@@ -535,7 +536,6 @@ class ChainIndex:
                     recv_value.append(value)
                     recv_next.append(-1)
                     recv_spender.append(-1)
-                    output_ids.append(ident)
                     if ident < 0:
                         continue
                     if is_new:
@@ -554,41 +554,86 @@ class ChainIndex:
                             address = address_of(ident)
                             self_change.setdefault(address, []).append(height)
                             self_changed.append(address)
-                    involved[ident] = None
-                    event_ids.append(ident)
-                    event_values.append(value)
-                sender_ids = tuple(input_ids)
-                if len(sender_ids) > 1:
-                    # H1 pairs (i0, i1) … (i0, ik); see BlockDelta.h1_a.
-                    h1_a.extend(sender_ids[:1] * (len(sender_ids) - 1))
-                    h1_b.extend(sender_ids[1:])
-                is_coinbase = (
-                    len(inputs) == 1
-                    and inputs[0].prevout.vout == COINBASE_VOUT
-                    and inputs[0].prevout.txid == COINBASE_TXID
-                )
-                if is_coinbase:
-                    minted += output_value
-                elif spend_row == spend_start[-1]:  # coinbase ⇔ no spend rows
-                    raise BlockStructureError(f"{tx.txid_hex} spends nothing")
-                involved_flat.extend(involved)
-                block_involved.update(involved)
+                if spend_row == spend_start[-1]:  # coinbase ⇔ no spend rows
+                    if not tx.is_coinbase:
+                        raise BlockStructureError(f"{tx.txid_hex} spends nothing")
+                elif output_value > input_value:
+                    raise ConservationError(
+                        f"{tx.txid_hex} pays {output_value} sat from "
+                        f"{input_value} sat of inputs"
+                    )
                 txids.append(txid)
                 tx_heights.append(height)
                 recv_start.append(recv_row)
                 spend_start.append(spend_row)
                 locator[txid] = ordinal
                 ordinal += 1
-                if emit:
-                    txds.append(
-                        TxDelta(tx, is_coinbase, sender_ids, tuple(output_ids))
-                    )
         except BaseException:
             self._revert_block(marks, self_changed)
             raise
-        return (
-            txds, event_ids, event_values, involved_flat, h1_a, h1_b,
-            block_involved, minted,
+
+    def _build_delta(self, block: Block) -> BlockDelta:
+        """The :class:`BlockDelta` of a held block, read off the rows
+        the walk appended for it — live, catch-up and restored deltas
+        alike.  The block's transactions own contiguous receive and
+        spend rows from ``_block_first_tx[height]`` on: debits follow
+        each spend row to the receive row it consumed, credits and
+        output ids are the transaction's own receive rows, and a
+        transaction without spend rows is its block's coinbase."""
+        recv_start = self._recv_start
+        spend_start = self._spend_start
+        recv_addr = self._recv_addr
+        recv_value = self._recv_value
+        spend_src = self._spend_src
+        txds: list[TxDelta] = []
+        event_ids: list[int] = []
+        event_values: list[int] = []
+        involved_flat: list[int] = []
+        h1_a: list[int] = []
+        h1_b: list[int] = []
+        block_involved: dict[int, None] = {}
+        minted = 0
+        ordinal = self._block_first_tx[block.height]
+        for tx in block.transactions:
+            first_recv, end_recv = recv_start[ordinal], recv_start[ordinal + 1]
+            first_spend, end_spend = spend_start[ordinal], spend_start[ordinal + 1]
+            ordinal += 1
+            involved: dict[int, None] = {}
+            for spent in spend_src[first_spend:end_spend]:
+                ident = recv_addr[spent]
+                if ident >= 0:
+                    involved[ident] = None
+                    event_ids.append(ident)
+                    event_values.append(-recv_value[spent])
+            input_ids = tuple(involved)
+            if len(input_ids) > 1:
+                # H1 pairs (i0, i1) … (i0, ik); see BlockDelta.h1_a.
+                h1_a.extend(input_ids[:1] * (len(input_ids) - 1))
+                h1_b.extend(input_ids[1:])
+            output_ids = tuple(recv_addr[first_recv:end_recv])
+            values = recv_value[first_recv:end_recv]
+            is_coinbase = first_spend == end_spend
+            if is_coinbase:
+                minted += sum(values)
+            for ident, value in zip(output_ids, values):
+                if ident >= 0:
+                    involved[ident] = None
+                    event_ids.append(ident)
+                    event_values.append(value)
+            involved_flat.extend(involved)
+            block_involved.update(involved)
+            txds.append(TxDelta(tx, is_coinbase, input_ids, output_ids))
+        return BlockDelta(
+            block=block,
+            txs=tuple(txds),
+            minted=minted,
+            max_id=max(block_involved, default=-1),
+            event_ids=_as_int64(event_ids),
+            event_values=_as_int64(event_values),
+            involved_ids=_as_int64(list(block_involved)),
+            involved_flat=_as_int64(involved_flat),
+            h1_a=_as_int64(h1_a),
+            h1_b=_as_int64(h1_b),
         )
 
     def _revert_block(
@@ -642,9 +687,9 @@ class ChainIndex:
                 del self_change[address]
 
     def block_delta(self, height: int) -> BlockDelta:
-        """Rebuild the delta :meth:`add_block` emitted for one held block
-        — for :meth:`catch_up`, the one loop over blocks already held."""
-        return build_block_delta(self, self.block_at(height))
+        """The delta :meth:`add_block` fanned out for one held block —
+        for :meth:`catch_up`, the one loop over blocks already held."""
+        return self._build_delta(self.block_at(height))
 
     def catch_up(self, observer: Callable, height: int) -> None:
         """Replay ``block_delta(h)`` into ``observer`` for each ``h`` in

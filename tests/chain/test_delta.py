@@ -9,14 +9,14 @@ Two contracts are pinned here:
   <repro.chain.index.ChainIndex.subscribe>` compatibility shim) share
   the fan-out slot and receive ``delta.block``; a raising subscriber is
   isolated and re-raised after the rest are notified.
-* **Delta == transaction walk** — ``add_block`` emits the delta from
-  its one validating walk; every field of it — the six columns and the
-  pair views derived from them alike — equals both the
-  ``block_delta(h)`` catch-up rebuild and an independent recomputation
-  that resolves prevouts and output scripts the long way (a hypothesis
-  property over random simulated scenarios, checked at every height),
-  and the streaming views folded from deltas equal per-address state
-  recomputed from the records/transactions.
+* **Delta == transaction walk** — ``add_block`` builds the delta from
+  the rows its validating walk appended; every field of it — the six
+  columns and the pair views derived from them alike — equals both the
+  ``block_delta(h)`` catch-up read (live and after a restore) and an
+  independent recomputation that resolves prevouts and output scripts
+  the long way (a hypothesis property over random simulated scenarios,
+  checked at every height), and the streaming views folded from deltas
+  equal per-address state recomputed from the records/transactions.
 * **One record representation** — the address records a live-built
   index reads equal the ones a restored index reads, and the exported
   state is pinned (golden digest, pickle size, bytes per component).
@@ -45,14 +45,25 @@ _COLUMNS = (
 )
 
 
-def _assert_same_delta(left: BlockDelta, right: BlockDelta) -> None:
-    """Every field equal: per-tx facts, scalars and columns."""
-    assert left.block is right.block
+def _assert_same_delta(
+    left: BlockDelta, right: BlockDelta, *, same_objects: bool = True
+) -> None:
+    """Every field equal: per-tx facts, scalars and columns.  With
+    ``same_objects`` the two carry the very same block and transaction
+    objects; without (one side decoded its block), the same block hash
+    and txids."""
+    if same_objects:
+        assert left.block is right.block
+    else:
+        assert left.block.hash == right.block.hash
     assert left.minted == right.minted
     assert left.max_id == right.max_id
     assert left.txs == right.txs
     for one, other in zip(left.txs, right.txs, strict=True):
-        assert one.tx is other.tx
+        if same_objects:
+            assert one.tx is other.tx
+        else:
+            assert one.tx.txid == other.tx.txid
     for name in _COLUMNS:
         assert getattr(left, name).tolist() == getattr(right, name).tolist(), name
         assert getattr(left, name).dtype == getattr(right, name).dtype, name
@@ -179,6 +190,22 @@ class TestDeltaFanOut:
             target.add_block(block)
         for height, live in enumerate(streamed):
             _assert_same_delta(target.block_delta(height), live)
+
+    def test_restored_block_delta_equals_streamed_delta(self):
+        world = scenarios.micro_economy(seed=7, n_blocks=30, n_users=5)
+        target = ChainIndex()
+        streamed = []
+        target.subscribe_deltas(streamed.append)
+        for block in world.blocks:
+            target.add_block(block)
+        assert any(not txd.is_coinbase for delta in streamed for txd in delta.txs)
+        restored = ChainIndex.restore_state(
+            pickle.loads(pickle.dumps(target.export_state()))
+        )
+        for height, live in enumerate(streamed):
+            _assert_same_delta(
+                restored.block_delta(height), live, same_objects=False
+            )
 
 
 def _walk_block_reference(index, block):

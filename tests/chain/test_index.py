@@ -4,13 +4,15 @@ import pytest
 
 from repro.chain.errors import (
     BlockStructureError,
+    ConservationError,
     DoubleSpendError,
     MissingInputError,
     UnknownAddressError,
     UnknownTransactionError,
 )
 from repro.chain.index import ChainIndex
-from repro.chain.model import COIN, OutPoint
+from repro.chain.model import COIN, Block, OutPoint, Transaction, TxOut
+from repro.simulation import scenarios
 
 from tests.helpers import (
     HistoryTwin,
@@ -148,6 +150,52 @@ class TestViolations:
         with pytest.raises(MissingInputError):
             _ingest(cb, orphan)
 
+    def test_outputs_above_inputs_rejected(self):
+        cb = coinbase(addr("m4"))
+        inflate = spend([(cb, 0)], [(addr("b"), 10_050 * COIN)])
+        with pytest.raises(ConservationError):
+            _ingest(cb, inflate)
+
+    def test_raised_output_rejected_at_its_block(self):
+        """One non-coinbase output of a valid chain raised past its
+        transaction's inputs: ingest refuses exactly that block and
+        leaves the index as the block before left it."""
+        blocks = scenarios.micro_economy(seed=7, n_blocks=30, n_users=5).blocks
+        full = ChainIndex()
+        full.add_chain(blocks)
+        height, position = next(
+            (block.height, i)
+            for block in blocks
+            for i, tx in enumerate(block.transactions)
+            if not tx.is_coinbase
+        )
+        block = blocks[height]
+        tx = block.transactions[position]
+        head, *rest = tx.outputs
+        excess = full.input_value(tx) - tx.total_output_value + 1
+        raised = Transaction(
+            inputs=tx.inputs,
+            outputs=(TxOut(head.value + excess, head.script_pubkey), *rest),
+            version=tx.version,
+            lock_time=tx.lock_time,
+        )
+        transactions = list(block.transactions)
+        transactions[position] = raised
+        mutated = Block.assemble(
+            height=height,
+            prev_hash=block.header.prev_hash,
+            timestamp=block.header.timestamp,
+            transactions=transactions,
+        )
+        index = ChainIndex()
+        index.add_chain(blocks[:height])
+        before = index.export_state()
+        with pytest.raises(ConservationError):
+            index.add_block(mutated)
+        assert index.export_state() == before
+        index.add_block(block)
+        assert index.height == height
+
 
 class TestRejectedBlockLeavesNoTrace:
     """``add_block`` is all-or-nothing: a block whose k-th transaction
@@ -208,6 +256,7 @@ class TestRejectedBlockLeavesNoTrace:
             ("duplicate_tx", DoubleSpendError),
             ("second_input_bad", MissingInputError),
             ("spends_nothing", BlockStructureError),
+            ("inflates", ConservationError),
         ],
     )
     def test_rejected_block_then_corrected_block(self, case, error, restored):
@@ -237,6 +286,8 @@ class TestRejectedBlockLeavesNoTrace:
             ),
             # no inputs, yet no coinbase: coins out of nothing
             "spends_nothing": lambda: spend([], [(addr("rb-x"), COIN)]),
+            # pays out one satoshi more than the output it spends
+            "inflates": lambda: spend([(txs["cb1"], 0)], [(addr("rb-x"), 50 * COIN + 1)]),
         }[case]()
         before = self._observable(index)
         spent_outpoint = OutPoint(txs["fund"].txid, 0)
