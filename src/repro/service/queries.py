@@ -305,10 +305,11 @@ class QueryEngine:
                 query,
             )
         if kind in ("top_clusters", "cluster_profile"):
+            tags = service.tags
             return (
                 service.height,
                 service.aggregates.naming_epoch,
-                len(service.tags or ()),
+                0 if tags is None else len(tags),
                 query,
             )
         return (service.height, query)

@@ -150,12 +150,6 @@ class TestViolations:
         with pytest.raises(MissingInputError):
             _ingest(cb, orphan)
 
-    def test_outputs_above_inputs_rejected(self):
-        cb = coinbase(addr("m4"))
-        inflate = spend([(cb, 0)], [(addr("b"), 10_050 * COIN)])
-        with pytest.raises(ConservationError):
-            _ingest(cb, inflate)
-
     def test_raised_output_rejected_at_its_block(self):
         """One non-coinbase output of a valid chain raised past its
         transaction's inputs: ingest refuses exactly that block and
