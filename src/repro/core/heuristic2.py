@@ -35,6 +35,7 @@ sweep them:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..chain.index import ChainIndex
@@ -252,16 +253,18 @@ class Heuristic2:
         self-change transaction' — the pattern of self-change addresses
         later reappearing as ordinary change, which (with reused change)
         built the super-cluster.  Recency-scoped like the reused-change
-        rejection; known dice addresses are exempt."""
+        rejection; known dice addresses are exempt.  One bisect per
+        output: the newest use below ``height`` is the nearest in chain
+        time (timestamps never decrease on a chain the engine clusters
+        under the wait rule), so the window holds on it or on none."""
         for out in tx.outputs:
             address = out.address
             if address is None or address in self.dice_addresses:
                 continue
-            for event_height in self.index.self_change_heights(address):
-                if event_height < height and self._within_window(
-                    event_height, height
-                ):
-                    return True
+            heights = self.index.self_change_heights(address)
+            before = bisect_left(heights, height)
+            if before and self._within_window(heights[before - 1], height):
+                return True
         return False
 
     # ------------------------------------------------------------------

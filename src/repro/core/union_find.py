@@ -130,7 +130,7 @@ class IntUnionFind:
             self._absorbed_at = IntVector(len(self._parent), fill=_ROOT)
         return self._absorbed_at
 
-    def union_many(self, items, partners=None) -> int | None:
+    def union_many(self, items, partners=None) -> int | np.ndarray | None:
         """Chain or bulk-pair unions, merge-log contract preserved.
 
         * ``union_many(items)`` — merge every id in ``items`` into one
@@ -148,7 +148,9 @@ class IntUnionFind:
           share it (the co-spend columns emit one anchor per tx), so
           the engine's per-block H1 pass pays one deep walk per
           distinct id — the same count as the per-tx chain form — and
-          one call per *block*.  Returns ``None``.
+          one call per *block*.  Returns the positions of the pairs
+          that merged, ascending, so one call over several blocks'
+          pairs still dates each block's merges.
         """
         if partners is None:
             iterator = iter(items)
@@ -170,9 +172,11 @@ class IntUnionFind:
         step = parent.item
         weight = size.item
         absorbed: list[int] = []
+        merged_at: list[int] = []
         append = absorbed.append
+        dated = merged_at.append
         anchor = anchor_root = -1
-        for a, b in zip(ids_a, ids_b):
+        for k, (a, b) in enumerate(zip(ids_a, ids_b)):
             if a == anchor:
                 # Consecutive pairs share their tx's anchor: restart the
                 # walk at its last known root (still current — nothing
@@ -200,6 +204,7 @@ class IntUnionFind:
             parent[b] = a
             size[a] = sa + sb
             append(b)
+            dated(k)
             anchor_root = a
         if absorbed:
             start = len(self._absorbed)
@@ -208,7 +213,7 @@ class IntUnionFind:
                 start, len(self._absorbed), dtype="<i8"
             )
             self._components -= len(absorbed)
-        return None
+        return np.array(merged_at, dtype="<i8")
 
     def size_of(self, item: int) -> int:
         return self._size[self.find(item)]

@@ -34,12 +34,14 @@ folded: a later receive may void them, and min/max folds have no
 inverse, so their change links join base clusters only in the derived
 overlay and enter the base the block their window closes.
 
-Derived state has two builders, chosen by whether the state is the
-live tip.  The tip is patched per flush in O(what the run touched):
-each overlay group keeps the open links that form it, only the groups
-the run touched are re-linked, and rank entries move by churn.  A past
-height is settled wholesale (:meth:`_AggregateState.settle`), and its
-rankings are built only when its question reads one.
+Derived state has two builders, chosen per flush by how much of the
+tip the run touched.  After a short run (a followed block) the tip is
+patched in O(what the run touched): each overlay group keeps the open
+links that form it, only the groups the run touched are re-linked, and
+rank entries move by churn.  After a long run (the first read after a
+bulk ingest), a restore, and at every past height, the state is
+settled wholesale (:meth:`_AggregateState.settle`), and its rankings
+are built only when a question reads one.
 
 Folding is *lazily flushed*: ingest only queues the block's delta
 columns, and the first read at the new tip folds every queued block in
@@ -110,10 +112,11 @@ class RankIndex:
     Two backings, one behaviour.  :meth:`from_columns` keeps the id and
     value columns it is handed, unsorted and uncopied: ``top(n)`` is one
     ``np.partition`` plus a sort of the candidates at or above the n-th
-    value (ties included), ``rank_of`` one vectorized count.  The tip's
-    indexes are patched every flush: their first mutation sorts once into
+    value (ties included), ``rank_of`` one vectorized count.  A short
+    flush patches the tip's indexes: their first mutation sorts once into
     a ``(-value, cluster id)`` key list plus a value map, and an update
-    then costs a bisect plus a C-level ``memmove``.
+    then costs a bisect plus a C-level ``memmove``.  A long run settles
+    the tip, which starts its indexes over from columns.
     """
 
     __slots__ = ("_keys", "_values", "_cid", "_value")
@@ -171,30 +174,15 @@ class RankIndex:
             del self._keys[bisect_left(self._keys, (-old, cluster_id))]
 
     def apply(self, discards, updates) -> None:
-        """Bulk churn: drop ``discards`` ids, then upsert ``updates``
-        ``(cluster id, value)`` pairs.
-
-        Small batches walk the incremental :meth:`set`/:meth:`discard`
-        path; a batch comparable to the index itself rewrites the value
-        map and re-sorts once — O(n log n) beats thousands of O(n)
-        list memmoves, which is the regime the first flush after a bulk
-        ingest lands in."""
-        self._materialize()
-        if len(discards) + len(updates) < max(64, len(self._keys) // 8):
-            for cluster_id in discards:
-                self.discard(cluster_id)
-            for cluster_id, value in updates:
-                self.set(cluster_id, value)
-            return
-        values = self._values
+        """Churn: drop ``discards`` ids, then upsert ``updates``
+        ``(cluster id, value)`` pairs, one :meth:`discard` / :meth:`set`
+        each.  A run that touched a large share of the clusters never
+        gets here: the flush settles the tip wholesale instead
+        (:meth:`ClusterAggregateView._flush`)."""
         for cluster_id in discards:
-            values.pop(cluster_id, None)
-        values.update(updates)
-        cids = np.fromiter(values.keys(), dtype="<i8", count=len(values))
-        negs = np.fromiter(values.values(), dtype="<i8", count=len(values))
-        np.negative(negs, out=negs)
-        order = np.lexsort((cids, negs))
-        self._keys = list(zip(negs[order].tolist(), cids[order].tolist()))
+            self.discard(cluster_id)
+        for cluster_id, value in updates:
+            self.set(cluster_id, value)
 
     def top(self, n: int) -> tuple[tuple[int, int], ...]:
         """The best ``n`` entries as ``(cluster id, value)`` pairs."""
@@ -562,8 +550,8 @@ class _AggregateState:
         base merges ``ends`` (``(absorbed, kept)`` rows already applied
         to ``uf``, grown to the run's universe) and open-window labels
         ``born`` and ``closed``.
-        Returns what :meth:`ClusterAggregateView._patch_tip` needs: the
-        canonical ids the merges may have retired, and the post-span
+        Returns what :meth:`ClusterAggregateView._flush` rebuilds from:
+        the canonical ids the merges may have retired, and the post-span
         root of every involvement in the run.  Churn is scattered after
         the whole span is folded: sums and min/max commute with the
         merge folds, so each contribution lands at its final root.
@@ -910,8 +898,12 @@ class ClusterAggregateView(MaterializedView):
 
     def _flush(self) -> None:
         """Fold every queued block into the tip state as one run, then
-        patch the tip's overlay and rankings once over the union of
-        what the run touched — the coalescing that makes bulk ingest
+        rebuild the tip's derived state once, by the builder the run's
+        reach picks: a run that touched at least ``max(64, clusters //
+        8)`` of the tip's base clusters (the first read after a bulk
+        ingest, catch-up or tail replay) settles it wholesale, as a
+        restore does; a shorter one patches what it touched
+        (:meth:`_patch_tip`) — the coalescing that makes bulk ingest
         cheap."""
         tip, log = self._tip, self._log
         if tip.height == self._height:
@@ -924,13 +916,14 @@ class ClusterAggregateView(MaterializedView):
             metrics.histogram(
                 "aggregates.queued_blocks", buckets=COUNT_BUCKETS
             ).observe(blocks)
-        # Apply each block's unions to the base — H1 merges read off the
-        # engine's log plus change links that settled this block.
-        # The mark is taken after the unions, so ``(previous mark, mark]``
-        # on the append-only base log is exactly the block's merges.
+        # The run's unions — H1 merges read off the engine's log plus
+        # change links that settled, height by height — go to the base
+        # in one pair call.  A height's mark is the checkpoint after its
+        # last pair, so ``(previous mark, mark]`` on the append-only base
+        # log is exactly the block's merges.
         uf = tip.uf
         uf.ensure(int(log.max_id.array[first:].max()) + 1)
-        born, closed = [], []
+        runs, born, closed = [], [], []
         for height in range(first, first + blocks):
             churn = self.engine.cluster_delta(height)
             pairs = churn.merges
@@ -941,17 +934,37 @@ class ClusterAggregateView(MaterializedView):
             ]
             if settled:
                 pairs = np.concatenate((pairs, np.array(settled, dtype="<i8")))
-            if len(pairs):
-                uf.union_many(pairs[:, 0], pairs[:, 1])
+            runs.append(pairs)
             opened = [live for live in churn.born if live.deadline is not None]
             ended = churn.voided + churn.settled
-            log.mark.append(uf.checkpoint())
             log.append_labels(opened, ended)
             born += opened
             closed += ended
-        ends = uf.log_span(tip.mark, uf.checkpoint())
+        pairs = np.concatenate(runs)
+        start = uf.checkpoint()
+        merged_at = uf.union_many(pairs[:, 0], pairs[:, 1])
+        last_pairs = np.cumsum([len(run) for run in runs])
+        log.mark.extend(start + np.searchsorted(merged_at, last_pairs))
+        ends = uf.log_span(start, uf.checkpoint())
         stale_cids, involved_roots = tip.advance(log, first, ends, born, closed)
-        self._patch_tip(ends, stale_cids, involved_roots, born, closed)
+        # Every cluster the run changed, as post-span base roots.  A
+        # merge's ``kept`` may itself have been absorbed later.
+        touched = set(
+            uf.find_many(np.concatenate((involved_roots, ends.ravel()))).tolist()
+        )
+        if len(touched) >= max(64, uf.component_count // 8):
+            path, groups = "settle", tip.groups
+            tip.settle()
+            tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
+            # A superset of what a patch marks: every merge endpoint and
+            # every root of an overlay group before or after the run.
+            self._naming_dirty.update(
+                ends.ravel().tolist(),
+                *(group.roots for group in chain(groups, tip.groups)),
+            )
+        else:
+            path = "patch"
+            self._patch_tip(ends, stale_cids, touched, born, closed)
         if timed:
             seconds = perf_counter() - flush_start
             self.flush_seconds += seconds
@@ -961,7 +974,8 @@ class ClusterAggregateView(MaterializedView):
             )
             metrics.histogram("aggregates.flush_seconds").observe(seconds)
             metrics.flight.record(
-                "flush", height=self._height, blocks=blocks, seconds=seconds
+                "flush", height=self._height, blocks=blocks, seconds=seconds,
+                path=path,
             )
         if self.index.log.enabled:
             self.index.log.debug(
@@ -969,10 +983,13 @@ class ClusterAggregateView(MaterializedView):
             )
 
     def _patch_tip(
-        self, ends, stale_cids: set[int], involved_roots, born, closed
+        self, ends, stale_cids: set[int], touched_roots: set[int], born, closed
     ) -> None:
-        """The tip's incremental derived-state builder (the wholesale
-        twin past heights use is :meth:`_AggregateState.settle`).
+        """The tip's incremental derived-state builder, for a run that
+        touched few clusters (the wholesale twin, which a long run and
+        every past height use, is :meth:`_AggregateState.settle`).
+        ``touched_roots`` holds the post-span root of every merge
+        endpoint and every involvement in the run.
 
         Only the overlay groups the run touched are re-linked — those
         holding a span-merge endpoint, a churned root, or the post-span
@@ -988,12 +1005,7 @@ class ClusterAggregateView(MaterializedView):
         group_of = tip.group_of
         naming_dirty = self._naming_dirty
 
-        # Every cluster the run changed, as post-span base roots.  A
-        # merge's ``kept`` may itself have been absorbed later.
         merged = ends.ravel()
-        touched_roots = set(
-            uf.find_many(np.concatenate((involved_roots, merged))).tolist()
-        )
         naming_dirty.update(merged.tolist())
 
         # The touched groups.  An untouched group holds no merge
@@ -1063,10 +1075,9 @@ class ClusterAggregateView(MaterializedView):
             for group in fresh
         ]
         gone = stale_cids.difference(entry[0] for entry in entries)
-        # RankIndex.apply picks the path: a per-block flush walks the
-        # incremental insorts, the first flush after a bulk ingest
-        # rewrites the value map and re-sorts once.  An unbuilt metric is
-        # built first (:meth:`_Rankings.__missing__`, inclusion as there).
+        # An unbuilt metric is built first (:meth:`_Rankings.__missing__`,
+        # inclusion as there), and the first patch after a settle sorts
+        # each column-backed index into its list backing.
         ranks = tip.ranks
         ranks["size"].apply(
             gone, [(cid, size) for cid, size, _balance, _txs in entries]

@@ -38,7 +38,7 @@ from repro.service.aggregates import ClusterAggregateView
 from repro.service.views import ActivityView, BalanceView
 from repro.simulation import large_scale_blocks, scenarios
 
-from tests.helpers import build_chain, utxo_count
+from tests.helpers import utxo_count
 
 _COLUMNS = (
     "event_ids", "event_values", "involved_ids", "involved_flat", "h1_a", "h1_b",
@@ -71,8 +71,8 @@ def _assert_same_delta(
 
 class TestDeltaFanOut:
     def _source_blocks(self, n=3):
-        source = build_chain([[] for _ in range(n)])
-        return [source.block_at(h) for h in range(n)]
+        """The first ``n`` blocks of a chain whose block 1 spends."""
+        return list(large_scale_blocks(max(n, 2), seed=0))[:n]
 
     def test_same_delta_object_once_per_subscriber_in_order(self):
         target = ChainIndex()
@@ -91,6 +91,7 @@ class TestDeltaFanOut:
             assert isinstance(first[1], BlockDelta)
             assert first[1].block is blocks[height]
             assert first[1].height == height
+        _assert_spends([delta for _tag, delta in calls])
 
     def test_raising_delta_subscriber_isolated_and_reraised(self):
         target = ChainIndex()
@@ -182,12 +183,13 @@ class TestDeltaFanOut:
         assert seen == [0]
 
     def test_block_delta_rebuild_equals_streamed_delta(self):
-        world = scenarios.micro_economy(seed=7, n_blocks=12, n_users=4)
+        world = scenarios.micro_economy(seed=7, n_blocks=30, n_users=4)
         target = ChainIndex()
         streamed = []
         target.subscribe_deltas(streamed.append)
         for block in world.blocks:
             target.add_block(block)
+        _assert_spends(streamed)
         for height, live in enumerate(streamed):
             _assert_same_delta(target.block_delta(height), live)
 
@@ -198,7 +200,7 @@ class TestDeltaFanOut:
         target.subscribe_deltas(streamed.append)
         for block in world.blocks:
             target.add_block(block)
-        assert any(not txd.is_coinbase for delta in streamed for txd in delta.txs)
+        _assert_spends(streamed)
         restored = ChainIndex.restore_state(
             pickle.loads(pickle.dumps(target.export_state()))
         )
@@ -206,6 +208,14 @@ class TestDeltaFanOut:
             _assert_same_delta(
                 restored.block_delta(height), live, same_objects=False
             )
+
+
+def _assert_spends(deltas):
+    """The deltas compare more than coinbases: a debit, an H1 co-spend
+    pair and a non-coinbase transaction occur among them."""
+    assert any((delta.event_values < 0).any() for delta in deltas)
+    assert any(len(delta.h1_a) for delta in deltas)
+    assert any(not txd.is_coinbase for delta in deltas for txd in delta.txs)
 
 
 def _walk_block_reference(index, block):

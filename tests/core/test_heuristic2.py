@@ -1,9 +1,13 @@
 """Heuristic 2: the four base conditions and every refinement rung."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chain.index import ChainIndex
-from repro.chain.model import COIN
+from repro.chain.model import COIN, TxOut
 from repro.core.clustering import ClusteringEngine
 from repro.core.heuristic2 import (
     Heuristic2,
@@ -18,7 +22,9 @@ from tests.helpers import (
     addr,
     build_chain,
     coinbase,
+    p2pkh_script_for_address,
     reference_find_candidate,
+    reference_some_output_was_self_change,
     same_cluster,
     spend,
 )
@@ -275,6 +281,61 @@ class TestRefinements:
         )
         label, _reason = relaxed.identify_change(payment)
         assert label is not None
+
+
+class _SelfChangeHistory:
+    """The two index reads the prior-self-change rejection makes."""
+
+    def __init__(self, histories, timestamps):
+        self.histories = histories
+        self.timestamps = timestamps
+
+    def self_change_heights(self, address):
+        return self.histories.get(address, [])
+
+    def timestamp_at(self, height):
+        return self.timestamps[height]
+
+
+class TestPriorSelfChangeBisect:
+    """The rejection bisects each output's history for the newest use
+    below the height; on any chain with non-decreasing timestamps it
+    answers as the oldest-first scan of every use."""
+
+    @given(
+        steps=st.lists(
+            st.integers(0, 2 * SECONDS_PER_DAY), min_size=40, max_size=40
+        ),
+        uses=st.lists(
+            st.tuples(st.sampled_from("abc"), st.integers(0, 39)),
+            min_size=1, max_size=30,
+        ),
+        outputs=st.lists(st.sampled_from("abcd"), min_size=1, max_size=3),
+        height=st.integers(0, 39),
+        window=st.one_of(st.none(), st.integers(0, 8 * SECONDS_PER_DAY)),
+        dice=st.sets(st.sampled_from("abc"), max_size=1),
+    )
+    def test_equals_the_linear_scan(
+        self, steps, uses, outputs, height, window, dice
+    ):
+        timestamps = [sum(steps[: h + 1]) for h in range(len(steps))]
+        histories = {}
+        for name, used_at in sorted(uses, key=lambda use: use[1]):
+            histories.setdefault(addr(name), []).append(used_at)
+        h2 = Heuristic2(
+            _SelfChangeHistory(histories, timestamps),
+            Heuristic2Config(rejection_window_seconds=window),
+            dice_addresses=frozenset(map(addr, dice)),
+        )
+        tx = SimpleNamespace(
+            outputs=[
+                TxOut(value=1, script_pubkey=p2pkh_script_for_address(addr(n)))
+                for n in outputs
+            ]
+        )
+        assert h2._some_output_was_self_change(
+            tx, height
+        ) == reference_some_output_was_self_change(h2, tx, height)
 
 
 class TestRun:

@@ -225,11 +225,17 @@ class TestBulkKernels:
     def test_pair_mode_matches_sequential_union_loop(self, pairs):
         sequential = IntUnionFind(26)
         bulk = IntUnionFind(26)
+        checkpoints = []
         for a, b in pairs:
             sequential.union(a, b)
+            checkpoints.append(sequential.checkpoint())
         ids_a = np.asarray([a for a, _ in pairs], dtype="<i8")
         ids_b = np.asarray([b for _, b in pairs], dtype="<i8")
-        assert bulk.union_many(ids_a, ids_b) is None
+        merged_at = bulk.union_many(ids_a, ids_b)
+        # The merge positions date every pair: the checkpoint after pair
+        # k is how many pairs up to k merged.
+        dated = np.searchsorted(merged_at, np.arange(len(pairs)), side="right")
+        assert dated.tolist() == checkpoints
         assert np.array_equal(
             bulk.log_span(0, bulk.checkpoint()),
             sequential.log_span(0, sequential.checkpoint()),

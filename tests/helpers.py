@@ -450,6 +450,25 @@ def reference_find_candidate(index: ChainIndex, tx: Transaction, height: int):
     return fresh[0], "ok"
 
 
+def reference_some_output_was_self_change(
+    h2, tx: Transaction, height: int
+) -> bool:
+    """Heuristic 2's prior-self-change rejection the long way: every
+    output address's whole self-change history, oldest first, each use
+    below ``height`` tested against the window — the oracle for
+    :meth:`repro.core.heuristic2.Heuristic2._some_output_was_self_change`."""
+    for out in tx.outputs:
+        address = out.address
+        if address is None or address in h2.dice_addresses:
+            continue
+        for event_height in h2.index.self_change_heights(address):
+            if event_height < height and h2._within_window(
+                event_height, height
+            ):
+                return True
+    return False
+
+
 # ----------------------------------------------------------------------
 # reference wire decoder (the oracle for repro.chain.serialize)
 # ----------------------------------------------------------------------

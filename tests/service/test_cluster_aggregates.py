@@ -101,6 +101,12 @@ def column_built(view):
     return settled
 
 
+def flush_paths(metrics):
+    """The derived-state builder of every recorded flush, in order."""
+    spans = metrics.flight.dump()
+    return [span["path"] for span in spans if span["kind"] == "flush"]
+
+
 def assert_tip_equals_column_build(view):
     state = view.at()._state
     settled = column_built(view)
@@ -234,6 +240,22 @@ class TestPatchedTipEqualsSettledClone:
             if count == len(blocks) or (cadence and count % cadence == 0):
                 assert_tip_equals_column_build(service.aggregates)
 
+    def test_one_long_run_then_every_block(self, micro_world):
+        """The first flush after a bulk ingest settles the tip wholesale
+        and records ``settle``; each followed block then patches it (the
+        first patch sorting the settled rank columns into lists) and
+        records ``patch``; after every flush the tip equals the column
+        build."""
+        metrics = MetricsRegistry()
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None, metrics=metrics)
+        blocks = micro_world.blocks
+        for count, block in enumerate(blocks, 1):
+            index.add_block(block)
+            if count >= len(blocks) - 10:
+                assert_tip_equals_column_build(service.aggregates)
+        assert flush_paths(metrics) == ["settle"] + ["patch"] * 10
+
     def test_per_block_follow_relinks_a_small_share_of_open_links(
         self, default_world
     ):
@@ -277,6 +299,40 @@ class TestIncrementalClusterNames:
             # Fresh engine: no cached placements, full build.
             full = QueryEngine(service)._build_cluster_names(tip)
             assert incremental == full, block.height
+
+    def test_names_after_a_bulk_run_equal_a_fresh_service(self, micro_world):
+        """A bulk run settles the tip wholesale, and the roots it marks
+        naming-dirty keep a name map built before it exact: after
+        the run and at each of ten followed blocks, ranked and profiled
+        names equal those of a service built fresh at that height."""
+        tags = micro_world.extras["attack"].tags
+        tagged = sorted({tag.address for tag in tags.all_tags()})
+        blocks = micro_world.blocks
+        metrics = MetricsRegistry(flight_capacity=4096)  # every query's span
+        target, reference = ChainIndex(), ChainIndex()
+        service = ForensicsService(target, tags=tags, metrics=metrics)
+        queries = [
+            Query("top_clusters", (20, by)) for by in TOP_CLUSTER_METRICS
+        ] + [Query("cluster_profile", (address,)) for address in tagged]
+
+        def ingest(run):
+            for block in run:
+                target.add_block(block)
+                reference.add_block(block)
+
+        ingest(blocks[:100])
+        service.answer(queries[0])  # the name map, built before the run
+        ingest(blocks[100:-10])
+        for block in [None, *blocks[-10:]]:
+            if block is not None:
+                ingest([block])
+            fresh = ForensicsService(reference, tags=tags)
+            for query in queries:
+                assert repr(service.answer(query)) == repr(
+                    fresh.answer(query)
+                ), (target.height, query)
+            fresh.detach()
+        assert flush_paths(metrics)[:2] == ["settle", "settle"]
 
     def test_tags_added_after_first_build_are_picked_up(self, micro_world):
         """The tag store is append-only but live: a tag added after the
@@ -436,6 +492,36 @@ class TestDirtyRootCursors:
             for hook in hooks:
                 hook(service.aggregates)
         return service
+
+    def test_a_settled_run_reports_every_moved_placement(self, micro_world):
+        """Across runs the flush settles wholesale, every address whose
+        ``(base root, canonical id)`` placement moved has its old root in
+        the drain: the contract the tip's name maps rest on."""
+        metrics = MetricsRegistry()
+        target = ChainIndex()
+        service = ForensicsService(target, tags=None, metrics=metrics)
+        view = service.aggregates
+        cursor = view.naming_cursor()
+        blocks = micro_world.blocks
+        placed = []
+        # The first run ends before the world's one void (height 19).
+        for start, stop in ((0, 15), (15, 100), (100, len(blocks))):
+            for block in blocks[start:stop]:
+                target.add_block(block)
+            dirty = view.drain_naming_dirty(cursor)
+            moved = {
+                old[0]
+                for old, new in zip(
+                    placed, view.at().cluster_placements_of(range(len(placed)))
+                )
+                if old != new
+            }
+            assert moved <= dirty, start
+            placed = view.at().cluster_placements_of(
+                range(len(target.interner))
+            )
+        assert flush_paths(metrics)[1:] == ["settle"] * 2
+        assert moved
 
     def test_two_cursors_both_observe_all_dirty_roots(self, micro_world):
         target = ChainIndex()
