@@ -20,8 +20,8 @@ pipeline's load-bearing invariants from independent sources:
   members plus a bounded sample of the clusters the view's dirty-root
   cursor reported since the last audit) are compared against a batch
   rebuild of the tip clustering — the H1 merge log re-applied to a copy
-  plus the active change links, with size/balance/activity rolled up by
-  one grouped numpy pass;
+  plus the active change links, with size, balance and tx count rolled
+  up by one grouped numpy pass;
 * **shadow folds** — sampled blocks' :class:`~repro.chain.delta.BlockDelta`
   is rebuilt from the index's rows and read three independent ways: the
   event columns refolded by the ``np.add.at`` kernel and by a scalar
@@ -470,10 +470,7 @@ class InvariantAuditor:
             return out
 
         balances = sized(self.service.balances._balances.array)
-        activity = self.service.activity
-        tx_counts = sized(activity._tx_counts.array)
-        first_seen = sized(activity._first_seen.array)
-        last_seen = sized(activity._last_seen.array)
+        tx_counts = sized(self.service.activity._tx_counts.array)
 
         if full:
             chosen = None
@@ -485,12 +482,10 @@ class InvariantAuditor:
             # Dirty roots are *view-base* roots; their members resolve
             # to tip roots through the tip partition.
             chosen |= {int(roots[root]) for root in dirty if 0 <= root < n}
-        expected = self._rollups_of_roots(
-            chosen, roots, balances, tx_counts, first_seen, last_seen
-        )
+        expected = self._rollups_of_roots(chosen, roots, balances, tx_counts)
 
         problems: list[str] = []
-        for cid, size, balance, batch_tx, first, last in expected:
+        for cid, size, balance, batch_tx in expected:
             view_cid = surface.cluster_id_of(cid)
             if view_cid != cid:
                 problems.append(
@@ -507,19 +502,11 @@ class InvariantAuditor:
                     f"cluster {cid}: balance "
                     f"{surface.balance_of_cluster(cid)} != batch {balance}"
                 )
-            view_activity = surface.activity_of_cluster(cid)
-            if batch_tx == 0:
-                if view_activity is not None:
-                    problems.append(
-                        f"cluster {cid}: spurious activity for an "
-                        f"inactive cluster"
-                    )
-            elif view_activity is None or (
-                view_activity.tx_count != batch_tx
-                or view_activity.first_seen != first
-                or view_activity.last_seen != last
-            ):
-                problems.append(f"cluster {cid}: activity mismatch")
+            if surface.tx_count_of_cluster(cid) != batch_tx:
+                problems.append(
+                    f"cluster {cid}: tx count "
+                    f"{surface.tx_count_of_cluster(cid)} != batch {batch_tx}"
+                )
         detail = "; ".join(problems[:8])
         if len(problems) > 8:
             detail += f"; … {len(problems) - 8} more"
@@ -562,8 +549,7 @@ class InvariantAuditor:
 
         def groups(state) -> list[tuple]:
             return sorted(
-                (g.cid, g.roots, g.size, g.balance, g.tx_count,
-                 g.first_seen, g.last_seen)
+                (g.cid, g.roots, g.size, g.balance, g.tx_count)
                 for g in state.groups
             )
 
@@ -593,17 +579,15 @@ class InvariantAuditor:
         )
 
     @staticmethod
-    def _rollups_of_roots(
-        chosen, roots, balances, tx_counts, first_seen, last_seen
-    ) -> list[tuple]:
-        """Batch truth ``(cid, size, balance, tx_count, first_seen,
-        last_seen)`` for every root in ``chosen`` (``None``: every root
-        there is), in one grouped pass: a lookup-table gather tags each
-        member with its group, a stable argsort over the
-        (member-count-sized) selection groups members contiguously in
-        ascending id order, and each aggregate rolls up as an exact
-        int64 ``reduceat`` — no per-cluster full-universe masks, no
-        float bincount weights, no ~1µs-per-element ``ufunc.at``."""
+    def _rollups_of_roots(chosen, roots, balances, tx_counts) -> list[tuple]:
+        """Batch truth ``(cid, size, balance, tx_count)`` for every root
+        in ``chosen`` (``None``: every root there is), in one grouped
+        pass: a lookup-table gather tags each member with its group, a
+        stable argsort over the (member-count-sized) selection groups
+        members contiguously in ascending id order, and each aggregate
+        rolls up as an exact int64 ``reduceat`` — no per-cluster
+        full-universe masks, no float bincount weights, no
+        ~1µs-per-element ``ufunc.at``."""
         if chosen is None:
             gid = roots
         elif not chosen:
@@ -623,21 +607,9 @@ class InvariantAuditor:
         sizes = np.diff(np.r_[starts, len(order)])
         sums = np.add.reduceat(balances[order], starts)
         txs = np.add.reduceat(tx_counts[order], starts)
-        active_first = np.where(tx_counts > 0, first_seen, _INT64_MAX)
-        active_last = np.where(tx_counts > 0, last_seen, -1)
-        firsts = np.minimum.reduceat(active_first[order], starts)
-        lasts = np.maximum.reduceat(active_last[order], starts)
-        return [
-            (
-                int(cids[k]),
-                int(sizes[k]),
-                int(sums[k]),
-                int(txs[k]),
-                int(firsts[k]) if txs[k] else None,
-                int(lasts[k]) if txs[k] else None,
-            )
-            for k in range(len(starts))
-        ]
+        return list(
+            zip(cids.tolist(), sizes.tolist(), sums.tolist(), txs.tolist())
+        )
 
     def _check_shadow_folds(self, rng, *, full: bool) -> tuple[int, str]:
         """Sampled blocks' deltas, rebuilt from the index's rows, read

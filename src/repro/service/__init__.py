@@ -24,14 +24,13 @@ from .queries import (
     parse_query,
 )
 from .service import ForensicsService
-from .views import ActivityView, BalanceView, ClusterActivity, TaintCase, TaintView
+from .views import ActivityView, BalanceView, TaintCase, TaintView
 
 __all__ = [
     "ActivityView",
     "AggregateSurface",
     "AggregatesBehindError",
     "BalanceView",
-    "ClusterActivity",
     "ClusterAggregateView",
     "ForensicsService",
     "Query",

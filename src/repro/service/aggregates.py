@@ -9,13 +9,14 @@ keeps them materialized as blocks stream in and serves them at any
 
 * **One state.**  :class:`_AggregateState` holds everything the
   aggregates are at one height: the *base* partition (H1 co-spend
-  unions plus permanently settled H2 change links), four fold columns
-  and the minimum member id per base root, the open-window H2 labels,
-  and the state derived from those — the overlay groups the open links
-  join and a :class:`RankIndex` per metric, built the first time that
-  metric is read.  The tip and every past height are this one class.
-  Nothing per address lives here: an address's own balance and
-  activity are the sibling views' at the tip and the index's rows
+  unions plus permanently settled H2 change links), two fold columns
+  (balance and tx count) and the minimum member id per base root, the
+  open-window H2 labels, and the state derived from those — the overlay
+  groups the open links join and a :class:`RankIndex` per metric, built
+  the first time that metric is read.  The tip and every past height
+  are this one class.  Nothing per address lives here: an address's
+  own balance and activity are the sibling views' at the tip and the
+  index's rows
   (:meth:`AddressRecord.as_of <repro.chain.index.AddressRecord.as_of>`)
   below it.
 * **One log.**  :class:`_DeltaLog` holds what every height changed, in
@@ -25,14 +26,16 @@ keeps them materialized as blocks stream in and serves them at any
   scattered at the post-span roots).  A past height is a few
   whole-array passes over the tip's partition as of the height and the
   log (:meth:`_DeltaLog.state_at`): nothing is cloned or replayed, and
-  an exact-height memo of four states is the only cache.
+  an exact-height memo of four states is the only cache.  A restore
+  runs the same passes over the restored tip's partition, so a
+  snapshot stores the base forest and the log, nothing derived.
 * **One read surface.**  :class:`AggregateSurface` answers every read
   from a state, whichever height it is at.
 
 H2 labels whose §4.2 wait window is still open are *overlaid*, not
-folded: a later receive may void them, and min/max folds have no
-inverse, so their change links join base clusters only in the derived
-overlay and enter the base the block their window closes.
+folded: a later receive may void them, and the minimum-member fold
+has no inverse, so their change links join base clusters only in the
+derived overlay and enter the base the block their window closes.
 
 Derived state has two builders, chosen per flush by how much of the
 tip the run touched.  After a short run (a followed block) the tip is
@@ -75,10 +78,10 @@ from ..core.incremental import IncrementalClusteringEngine
 from ..core.union_find import IntUnionFind, link_components
 from ..obs import COUNT_BUCKETS, NULL_REGISTRY
 from .queries import TOP_CLUSTER_METRICS
-from .views import ClusterActivity, MaterializedView
+from .views import MaterializedView
 
 _UNSEEN = np.iinfo(np.int64).max
-"""Stand-in for the ``-1`` never-seen sentinel while a minimum is taken."""
+"""A born label's ``closed_at`` while its window is still open."""
 
 
 class AggregatesBehindError(RuntimeError):
@@ -255,54 +258,38 @@ class _Rankings(dict):
 class _OverlayGroup:
     """Base clusters joined only by still-voidable H2 change links."""
 
-    __slots__ = (
-        "cid", "roots", "size", "balance", "tx_count", "first_seen",
-        "last_seen", "links",
-    )
+    __slots__ = ("cid", "roots", "size", "balance", "tx_count", "links")
 
-    def __init__(self, cid, roots, size, balance, tx_count, first_seen, last_seen):
+    def __init__(self, cid, roots, size, balance, tx_count):
         self.cid = cid  # canonical id: min over member minimums
         self.roots = roots  # the base roots the open links join, ascending
         self.size, self.balance, self.tx_count = size, balance, tx_count
-        self.first_seen, self.last_seen = first_seen, last_seen
         # The open change links that form the group: kept on the tip,
         # which re-links a group from them; empty on a past height.
         self.links = []
 
 
 class _Columns(NamedTuple):
-    """Balance, incidence count and first/last-seen height per base
-    root (junk at non-roots)."""
+    """Balance and incidence count per base root (junk at non-roots)."""
 
     balance: IntVector
     tx_count: IntVector
-    first: IntVector
-    last: IntVector
 
     def grow_to(self, n: int) -> None:
         self.balance.grow_to(n)
         self.tx_count.grow_to(n)
-        self.first.grow_to(n, fill=-1)
-        self.last.grow_to(n, fill=-1)
 
     def scatter(
         self,
         event_slots: np.ndarray,
         event_values: np.ndarray,
         involved_slots: np.ndarray,
-        involved_heights: np.ndarray,
     ) -> None:
         """Fold a run of blocks' churn in one batch: balance events sum,
-        each involvement counts once and widens its slot's seen range
-        (the ``-1`` sentinel is swapped for +inf at the touched slots
-        before the minimum, and every touched slot gets a real height)."""
+        each involvement counts once."""
         if len(event_slots):
             np.add.at(self.balance.array, event_slots, event_values)
         np.add.at(self.tx_count.array, involved_slots, 1)
-        first = self.first.array
-        first[involved_slots[first[involved_slots] < 0]] = _UNSEEN
-        np.minimum.at(first, involved_slots, involved_heights)
-        np.maximum.at(self.last.array, involved_slots, involved_heights)
 
 
 class _DeltaLog:
@@ -376,49 +363,46 @@ class _DeltaLog:
         self.closed_offsets.append(len(self.closed))
 
     def churn(self, first: int, last: int) -> tuple[np.ndarray, ...]:
-        """Heights ``first..last``'s event ids, event values,
-        involvements and each involvement's height: views into the log,
-        except the heights."""
+        """Heights ``first..last``'s event ids, event values and
+        involvements: views into the log."""
         events = slice(self.event_offsets[first], self.event_offsets[last + 1])
-        offsets = self.involved_offsets.array[first : last + 2]
-        rows = slice(offsets[0], offsets[-1])
+        rows = slice(self.involved_offsets[first], self.involved_offsets[last + 1])
         return (
             self.event_ids.array[events],
             self.event_values.array[events],
             self.involved.array[rows],
-            np.repeat(np.arange(first, last + 1, dtype="<i8"), np.diff(offsets)),
         )
 
     def state_at(self, height: int, uf: IntUnionFind) -> "_AggregateState":
         """The base aggregates at ``height`` (derived state left to
-        :meth:`_AggregateState.settle`), from the tip's base forest ``uf``
-        and the log, in a few whole-array passes."""
-        seen = np.maximum.accumulate(self.max_id.array[: height + 1]) + 1
-        n = int(seen[-1])
-        ids = np.arange(n, dtype="<i8")
+        :meth:`_AggregateState.settle`), over the tip's base forest
+        ``uf`` as of the height."""
+        n = int(self.max_id.array[: height + 1].max()) + 1
         past, roots = IntUnionFind.from_parents(uf.forest_at(self.mark[height])[:n])
+        return self.fold(height, past, roots)
+
+    def fold(
+        self, height: int, uf: IntUnionFind, roots: np.ndarray
+    ) -> "_AggregateState":
+        """The base aggregates at ``height`` over ``uf``, the base forest
+        as of that height whose every id's root is ``roots``, in a few
+        whole-array passes: the minimum member, balance and tx count per
+        root, and the labels whose window is still open at the height.
+        A past height folds a forest of its own; a restore folds the
+        restored tip's."""
+        ids = np.arange(len(roots), dtype="<i8")
         min_member = ids.copy()
         np.minimum.at(min_member, roots, ids)
-        event_ids, event_values, involved, heights = self.churn(0, height)
-        balance = np.zeros(n, dtype="<i8")
+        event_ids, event_values, involved = self.churn(0, height)
+        balance = np.zeros(len(roots), dtype="<i8")
         np.add.at(balance, roots[event_ids], event_values)
-        involved_roots = roots[involved]
-        tx_count = np.bincount(involved_roots, minlength=n)
-        last = np.full(n, -1, dtype="<i8")
-        np.maximum.at(last, involved_roots, heights)
-        # Ids are dense and first-sight ordered, and an address is
-        # involved the block it is first seen: a cluster's first-seen
-        # height is its minimum member's.
-        sight = np.repeat(
-            np.arange(height + 1, dtype="<i8"), np.diff(seen, prepend=0)
-        )
-        columns = _Columns(
-            *map(IntVector.wrap, (balance, tx_count, sight[min_member], last))
-        )
+        tx_count = np.bincount(roots[involved], minlength=len(roots))
         closed_at = self.closed_at.array[: self.born_offsets[height + 1]]
         born = self.born
         return _AggregateState(
-            height, self.mark[height], past, columns, IntVector.wrap(min_member),
+            height, self.mark[height], uf,
+            _Columns(IntVector.wrap(balance), IntVector.wrap(tx_count)),
+            IntVector.wrap(min_member),
             [born[slot] for slot in np.flatnonzero(closed_at > height).tolist()],
         )
 
@@ -497,7 +481,7 @@ class _AggregateState:
         self.mark = mark  # base merge-log position folded up to
         self.uf = uf if uf is not None else IntUnionFind()
         """Base partition: H1 merges + settled change links."""
-        self.roots = roots or _Columns(*(IntVector() for _ in range(4)))
+        self.roots = roots or _Columns(IntVector(), IntVector())
         self.min_member = min_member if min_member is not None else IntVector()
         """Per base root: minimum member id — the canonical cluster id."""
         self.open: set = set(open_labels)  # open-window (voidable) labels
@@ -511,35 +495,10 @@ class _AggregateState:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the base forest's columns, the five per-root arrays
+        """Bytes of the base forest's columns, the three per-root arrays
         and the per-cluster columns the rankings read."""
         vectors = (*self.roots, self.min_member, *self.ranks.columns)
         return self.uf.nbytes + sum(vector.nbytes for vector in vectors)
-
-    # -- durable shape -------------------------------------------------
-
-    def export_arrays(self) -> dict:
-        """The base partition and columns as plain data (raw int64
-        bytes per array); key order is part of the snapshot format."""
-        return {
-            "uf": self.uf.export_state(),
-            "balance": self.roots.balance.tobytes(),
-            "tx_count": self.roots.tx_count.tobytes(),
-            "first_seen": self.roots.first.tobytes(),
-            "last_seen": self.roots.last.tobytes(),
-            "min_member": self.min_member.tobytes(),
-        }
-
-    @classmethod
-    def from_arrays(cls, data: dict, open_labels) -> "_AggregateState":
-        """Rebuild a state from :meth:`export_arrays` output plus its
-        ``height``; derived state is left to :meth:`settle`."""
-        uf = IntUnionFind.from_state(data["uf"])
-        keys = ("balance", "tx_count", "first_seen", "last_seen")
-        columns = _Columns(*(IntVector.from_bytes(data[key]) for key in keys))
-        minimums = IntVector.from_bytes(data["min_member"])
-        height, mark = data["height"], uf.checkpoint()
-        return cls(height, mark, uf, columns, minimums, open_labels)
 
     # -- the fold ------------------------------------------------------
 
@@ -553,8 +512,8 @@ class _AggregateState:
         Returns what :meth:`ClusterAggregateView._flush` rebuilds from:
         the canonical ids the merges may have retired, and the post-span
         root of every involvement in the run.  Churn is scattered after
-        the whole span is folded: sums and min/max commute with the
-        merge folds, so each contribution lands at its final root.
+        the whole span is folded: sums commute with the merge folds, so
+        each contribution lands at its final root.
         """
         # 1. Universe growth: new ids start as singleton clusters.
         n = len(self.uf)
@@ -572,7 +531,7 @@ class _AggregateState:
 
         # One find over every id the fold places: the span's absorbed
         # roots, the run's involvements and its balance events.
-        event_ids, event_values, involved, heights = log.churn(first, log.height)
+        event_ids, event_values, involved = log.churn(first, log.height)
         into, involved_roots, event_roots = np.split(
             self.uf.find_many(np.concatenate((ends[:, 0], involved, event_ids))),
             [len(ends), len(ends) + len(involved)],
@@ -580,30 +539,21 @@ class _AggregateState:
 
         # 3. Merge folds, one batch: each absorbed root was a root before
         #    the span and is absorbed once, so its pre-span columns land
-        #    whole at its post-span root (sums add, min/max commute).
+        #    whole at its post-span root (sums add, minimums commute).
         #    Every endpoint was a root when its entry applied, so the ids
         #    the span may retire are the endpoints' pre-span minimums.
         min_member = self.min_member.array
         stale_cids = set(min_member[ends.ravel()].tolist())
         if len(into):
             absorbed = ends[:, 0]
-            balance, tx_count, first_seen, last_seen = (
-                c.array for c in self.roots
-            )
-            np.add.at(balance, into, balance[absorbed])
-            np.add.at(tx_count, into, tx_count[absorbed])
-            np.maximum.at(last_seen, into, last_seen[absorbed])
+            for column in (self.roots.balance.array, self.roots.tx_count.array):
+                np.add.at(column, into, column[absorbed])
             np.minimum.at(min_member, into, min_member[absorbed])
-            firsts = first_seen[absorbed]
-            seen = firsts >= 0
-            into, firsts = into[seen], firsts[seen]
-            first_seen[into[first_seen[into] < 0]] = _UNSEEN
-            np.minimum.at(first_seen, into, firsts)
 
         # 4. The run's per-address churn, one batched scatter into the
         #    root columns at post-span roots.
         if len(involved_roots):
-            self.roots.scatter(event_roots, event_values, involved_roots, heights)
+            self.roots.scatter(event_roots, event_values, involved_roots)
 
         self.mark = log.mark[log.height]
         self.height = log.height
@@ -640,30 +590,22 @@ class _AggregateState:
         gather of the members' root columns)."""
         if not len(starts):
             return [], (np.empty(0, dtype="<i8"),) * 4
-        firsts = self.roots.first.array[members]
-        firsts[firsts < 0] = _UNSEEN
-        firsts = np.minimum.reduceat(firsts, starts)
-        firsts[firsts == _UNSEEN] = -1
         columns = (
             np.minimum.reduceat(self.min_member.array[members], starts),
             np.add.reduceat(self.uf.root_sizes.array[members], starts),
             np.add.reduceat(self.roots.balance.array[members], starts),
             np.add.reduceat(self.roots.tx_count.array[members], starts),
-            firsts,
-            np.maximum.reduceat(self.roots.last.array[members], starts),
         )
         flat = members.tolist()
         bounds = [*starts.tolist(), len(flat)]
         return [
-            _OverlayGroup(
-                cid, tuple(flat[lo:hi]), size, balance, tx_count, first, last
-            )
-            for lo, hi, (cid, size, balance, tx_count, first, last) in zip(
+            _OverlayGroup(cid, tuple(flat[lo:hi]), *aggregates)
+            for lo, hi, (cid, *aggregates) in zip(
                 bounds,
                 bounds[1:],
                 zip(*(column.tolist() for column in columns)),
             )
-        ], columns[:4]
+        ], columns
 
     def settle(self) -> None:
         """(Re)build the overlay groups wholesale from the base and
@@ -761,23 +703,13 @@ class AggregateSurface:
             return group.balance
         return self._state.roots.balance[root]
 
-    def activity_of_cluster(self, cluster_id: int) -> ClusterActivity | None:
-        """Aggregate activity, or ``None`` for a never-active cluster."""
+    def tx_count_of_cluster(self, cluster_id: int) -> int:
+        """Summed member incidences: a tx touching k member addresses
+        counts k times (0 for a never-active cluster)."""
         root, group = self._locate(cluster_id)
         if group is not None:
-            tx_count, first, last = (
-                group.tx_count, group.first_seen, group.last_seen
-            )
-        else:
-            columns = self._state.roots
-            tx_count, first, last = (
-                columns.tx_count[root], columns.first[root], columns.last[root]
-            )
-        if not tx_count:
-            return None
-        return ClusterActivity(
-            tx_count=tx_count, first_seen=first, last_seen=last
-        )
+            return group.tx_count
+        return self._state.roots.tx_count[root]
 
     def top(self, n: int, by: str) -> tuple[tuple[int, int], ...]:
         """The best ``n`` clusters by one metric: ``(id, value)`` pairs."""
@@ -856,7 +788,8 @@ class ClusterAggregateView(MaterializedView):
         """Base roots whose canonical-id mapping may have changed since
         the last drain (merge endpoints and structurally changed overlay
         groups, never plain churn): drains distribute it into every
-        registered :class:`DirtyRootCursor`."""
+        registered :class:`DirtyRootCursor`.  Nothing is marked while no
+        cursor is registered: a new cursor builds in full first."""
         self._naming_cursors: list[DirtyRootCursor] = []
         self.naming_epoch = 0
         """Bumped per drain that saw dirty roots: name-bearing answers
@@ -958,17 +891,18 @@ class ClusterAggregateView(MaterializedView):
             tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
             # A superset of what a patch marks: every merge endpoint and
             # every root of an overlay group before or after the run.
-            self._naming_dirty.update(
-                ends.ravel().tolist(),
-                *(group.roots for group in chain(groups, tip.groups)),
-            )
+            if self._naming_cursors:
+                self._naming_dirty.update(
+                    ends.ravel().tolist(),
+                    *(group.roots for group in chain(groups, tip.groups)),
+                )
         else:
             path = "patch"
             self._patch_tip(ends, stale_cids, touched, born, closed)
         if timed:
             seconds = perf_counter() - flush_start
             self.flush_seconds += seconds
-            event_ids, _values, involved, _heights = log.churn(first, log.height)
+            event_ids, _values, involved = log.churn(first, log.height)
             metrics.counter("aggregates.churn_rows").inc(
                 len(event_ids) + len(involved)
             )
@@ -1003,7 +937,8 @@ class ClusterAggregateView(MaterializedView):
         uf = tip.uf
         min_member = tip.min_member
         group_of = tip.group_of
-        naming_dirty = self._naming_dirty
+        # With no cursor registered the marks go nowhere.
+        naming_dirty = self._naming_dirty if self._naming_cursors else set()
 
         merged = ends.ravel()
         naming_dirty.update(merged.tolist())
@@ -1195,23 +1130,24 @@ class ClusterAggregateView(MaterializedView):
     # ------------------------------------------------------------------
 
     def export_state(self) -> dict:
-        """The tip's base partition and root columns (the ``aggregates``
-        snapshot segment), queued blocks flushed first.  The overlay,
-        open-label set and rankings are derived, and rebuilt on restore.
+        """The tip's base partition (the ``aggregates`` snapshot
+        segment), queued blocks flushed first.  Everything else the tip
+        holds is rebuilt on restore: the root columns and the open-label
+        set from the delta log, the overlay and rankings from those.
         """
         self._flush()
         return {
             "version": 2,
             "height": self._height,
-            **self._tip.export_arrays(),
+            "uf": self._tip.uf.export_state(),
         }
 
     def export_time_travel(self) -> dict:
         """The delta log as plain data (the ``timetravel`` snapshot
-        segment): one record tuple per height after an empty genesis
-        base, the layout every writer has produced.  Labels serialize as
-        indices into the engine's birth-ordered label list, which a
-        restore re-binds to the restored engine's objects.
+        segment): one record tuple per height after a base that names
+        the height the log starts after (always genesis).  Labels
+        serialize as indices into the engine's birth-ordered label list,
+        which a restore re-binds to the restored engine's objects.
         """
         self._flush()
         label_index = {
@@ -1221,12 +1157,7 @@ class ClusterAggregateView(MaterializedView):
         return {
             "version": 1,
             "height": self._height,
-            "base": {
-                "height": -1,
-                "mark": 0,
-                **_AggregateState().export_arrays(),
-                "open": [],
-            },
+            "base": {"height": -1},
             "records": self._log.export(label_index),
         }
 
@@ -1241,10 +1172,13 @@ class ClusterAggregateView(MaterializedView):
         metrics=None,
     ) -> "ClusterAggregateView":
         """Rebuild a view from :meth:`export_state` and
-        :meth:`export_time_travel` output, no catch-up.  ``engine`` must
-        be the restored engine at the same height: its open labels are
-        the tip's, its label list what the log's indices name.  A delta
-        log that does not start at genesis is refused.
+        :meth:`export_time_travel` output, no catch-up: the tip is the
+        log's fold (:meth:`_DeltaLog.fold`) over the restored forest
+        itself, then settled.  ``engine`` must be the restored engine at
+        the same height: its label list is what the log's indices name.
+        Keys either segment carries beyond these are ignored.  A delta
+        log that does not start at genesis, or does not end at the
+        state's height, is refused.
         """
         if engine.height != state["height"]:
             raise ValueError(
@@ -1264,12 +1198,16 @@ class ClusterAggregateView(MaterializedView):
         view = cls.__new__(cls)
         view._height = state["height"]
         view.engine = engine
-        tip = _AggregateState.from_arrays(state, engine.open_labels())
+        log = _DeltaLog.from_records(delta_log["records"], engine._labels)
+        if log.height != view._height:
+            raise ValueError(
+                f"the 'timetravel' delta log ends at height {log.height} but "
+                f"the aggregate state is at height {view._height}"
+            )
+        uf = IntUnionFind.from_state(state["uf"])
+        tip = log.fold(view._height, uf, uf.find_many(np.arange(len(uf))))
         tip.settle()
         tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
-        view._install(
-            tip,
-            _DeltaLog.from_records(delta_log["records"], engine._labels),
-        )
+        view._install(tip, log)
         view._follow(index, metrics)
         return view

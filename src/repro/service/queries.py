@@ -565,7 +565,6 @@ class QueryEngine:
             balance, tx_count, first, last = service.index.address_by_id(
                 ident
             ).as_of(surface.height)
-        cluster_activity = surface.activity_of_cluster(cluster_id)
         names = self._cluster_names(surface)
         return {
             "address": address,
@@ -577,9 +576,7 @@ class QueryEngine:
             "tx_count": tx_count,
             "first_seen": first,
             "last_seen": last,
-            "cluster_tx_count": (
-                cluster_activity.tx_count if cluster_activity else 0
-            ),
+            "cluster_tx_count": surface.tx_count_of_cluster(cluster_id),
             "cluster_rank": surface.rank_of("size", cluster_id),
             "name": (
                 names.get(cluster_id) if names is not None else None

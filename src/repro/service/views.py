@@ -366,18 +366,6 @@ class TaintView(MaterializedView):
         return self._cases[label]
 
 
-@dataclass(frozen=True, slots=True)
-class ClusterActivity:
-    """Aggregate activity of one cluster (Table 1 / chokepoint fodder)."""
-
-    tx_count: int
-    """Summed member incidences: a tx touching k member addresses
-    counts k times (address-tx incidences, not distinct txs)."""
-
-    first_seen: int
-    last_seen: int
-
-
 class ActivityView(MaterializedView):
     """Per-address tx incidence counts and first/last-seen heights.
 

@@ -66,7 +66,9 @@ COMPONENTS = (
 """Segment names, one per durable component of a forensics service
 (``timetravel`` is the aggregate view's per-height delta log).  The
 balance and activity views have none: a restore builds them from the
-``chain`` segment's rows."""
+``chain`` segment's rows.  ``aggregates`` holds the tip's base forest
+only: a restore folds the per-cluster columns from ``timetravel`` the
+same way."""
 
 
 def _missing_segment(directory: Path, name: str) -> SnapshotIntegrityError:

@@ -713,18 +713,6 @@ class ReferenceRollup:
     def name_of(self, cid):
         return self.names.get(cid) if self.names is not None else None
 
-    def activity_of(self, cid):
-        """``(tx_count, first_seen, last_seen)`` over the cluster's
-        members, or ``None`` for a never-active cluster."""
-        ids = [i for i in self.members[cid] if self.tx_count[i]]
-        if not ids:
-            return None
-        return (
-            sum(self.tx_count[i] for i in ids),
-            min(self.seen[i][0] for i in ids),
-            max(self.seen[i][1] for i in ids),
-        )
-
     def answer(self, kind, args):
         if kind == "top_clusters":
             n, by = args
@@ -793,10 +781,9 @@ def reference_answer(
 
 
 def assert_surface_equals_batch(surface, index, height, **options):
-    """Every cluster's size, balance, activity and rank on an aggregate
+    """Every cluster's size, balance, tx count and rank on an aggregate
     ``surface`` equals the batch rollup at ``height`` (``options`` are
     :class:`ReferenceRollup`'s ``h2_config`` / ``dice_addresses``)."""
-    from repro.service import ClusterActivity
     from repro.service.queries import TOP_CLUSTER_METRICS
 
     assert surface.height == height
@@ -811,10 +798,7 @@ def assert_surface_equals_batch(surface, index, height, **options):
     for cid in batch.members:
         assert surface.size_of_cluster(cid) == batch.metrics["size"][cid]
         assert surface.balance_of_cluster(cid) == batch.metrics["balance"][cid]
-        activity = batch.activity_of(cid)
-        assert surface.activity_of_cluster(cid) == (
-            None if activity is None else ClusterActivity(*activity)
-        )
+        assert surface.tx_count_of_cluster(cid) == batch.metrics["activity"][cid]
 
 
 # ----------------------------------------------------------------------

@@ -127,12 +127,13 @@ class TestSeededCorruptionDetected:
         )
         assert partition.violations
 
-    def test_corrupted_aggregate_balance(self):
+    @pytest.mark.parametrize("column", ["balance", "tx_count"])
+    def test_corrupted_aggregate_column(self, column):
         service, auditor = _fresh_service(audit_every=0)
         view = service.aggregates
         view._flush()
         root = view._tip.uf.find(0)
-        view._tip.roots.balance[root] += 5
+        getattr(view._tip.roots, column)[root] += 5
         report = auditor.audit_now(full=True)
         assert not report.ok
         aggregates = next(
@@ -140,16 +141,21 @@ class TestSeededCorruptionDetected:
         )
         assert aggregates.violations
 
-    def test_tip_root_balance_is_checked_against_the_column_build(self):
+    @pytest.mark.parametrize("column", ["balance", "tx_count"])
+    def test_tip_root_column_is_checked_against_the_column_build(self, column):
         """The full audit's ``tip_derived`` check builds the tip height
         from the delta log, so a corrupted tip column cannot also be
-        its own reference."""
+        its own reference; the ``aggregates`` check names it too."""
         service, auditor = _fresh_service(audit_every=0)
         view = service.aggregates
         view._flush()
         root = view._tip.uf.find(0)
-        view._tip.roots.balance[root] += 1
+        getattr(view._tip.roots, column)[root] += 1
         report = auditor.audit_now(full=True)
+        aggregates = next(
+            check for check in report.checks if check.name == "aggregates"
+        )
+        assert aggregates.violations == 1
         derived = next(
             check for check in report.checks if check.name == "tip_derived"
         )
@@ -226,7 +232,7 @@ class TestSeededCorruptionDetected:
         height = next(
             h for h in range(log.height + 1) if len(log.churn(h, h)[1])
         )
-        _event_ids, event_values, _involved, _heights = log.churn(height, height)
+        _event_ids, event_values, _involved = log.churn(height, height)
         event_values[0] += 1  # a view into the log's column
         with pytest.raises(AuditViolationError) as excinfo:
             auditor.audit_now(full=True)

@@ -84,26 +84,29 @@ class TestCorruptionDetected:
 
     def test_corrupted_snapshot_state_fails_full_audit(self, state_dir):
         """Checksums intact but state inconsistent: rewrite the
-        ``aggregates`` segment with one forged cluster balance (and a
-        recomputed checksum) — the doctor's full audit catches what
-        integrity verification cannot."""
+        ``timetravel`` segment with one forged balance event value (and
+        a recomputed checksum), which the restored tip's columns are
+        folded from — the doctor's full audit catches what integrity
+        verification cannot."""
         import numpy as np
 
-        from repro.core.union_find import IntUnionFind
         from repro.storage.segments import read_segment, write_segment
 
         store_root = state_dir / "snapshots"
         manifest_path = sorted(store_root.glob("snap-*/MANIFEST.json"))[0]
         manifest = json.loads(manifest_path.read_text())
-        record = manifest["segments"]["aggregates"]
+        record = manifest["segments"]["timetravel"]
         segment_path = manifest_path.parent / record["file"]
-        state = read_segment(segment_path, expected_name="aggregates")
-        root = IntUnionFind.from_state(state["uf"]).find(0)
-        forged = np.frombuffer(state["balance"], dtype="<i8").copy()
-        forged[root] += 7
-        state["balance"] = forged.tobytes()
-        manifest["segments"]["aggregates"] = write_segment(
-            manifest_path.parent, "aggregates", state
+        state = read_segment(segment_path, expected_name="timetravel")
+        records = state["records"]
+        # A record is (height, max id, mark, born, closed, event ids,
+        # event values, involvements); the first height with an event.
+        k = next(k for k, row in enumerate(records) if row[6])
+        forged = np.frombuffer(records[k][6], dtype="<i8").copy()
+        forged[0] += 7
+        records[k] = (*records[k][:6], forged.tobytes(), records[k][7])
+        manifest["segments"]["timetravel"] = write_segment(
+            manifest_path.parent, "timetravel", state
         )
         manifest_path.write_text(json.dumps(manifest, indent=2))
 

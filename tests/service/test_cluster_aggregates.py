@@ -53,7 +53,6 @@ def state_fingerprint(state):
         "columns": {
             root: (
                 state.roots.balance[root], state.roots.tx_count[root],
-                state.roots.first[root], state.roots.last[root],
                 state.min_member[root], state.uf.root_sizes[root],
             )
             for root in roots
@@ -63,8 +62,7 @@ def state_fingerprint(state):
             for live in state.open
         ),
         "groups": sorted(
-            (g.cid, g.roots, g.size, g.balance, g.tx_count, g.first_seen,
-             g.last_seen)
+            (g.cid, g.roots, g.size, g.balance, g.tx_count)
             for g in state.groups
         ),
         "ranks": {by: state.ranks[by].top(10 ** 9) for by in TOP_CLUSTER_METRICS},
@@ -589,6 +587,83 @@ class TestDirtyRootCursors:
             ), block.height
         assert auditor.audits_run == 8
         assert auditor.total_violations == 0
+
+    def test_nothing_is_marked_without_a_cursor(self):
+        """An untagged service with no auditor registers no cursor, so
+        no flush, settled or patched, keeps naming-dirty roots."""
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        view = service.aggregates
+        top = Query("top_clusters", (10, "size"))
+        blocks = list(large_scale_blocks(140, seed=0))
+        for block in blocks[:100]:
+            index.add_block(block)
+        service.answer(top)
+        assert not view._naming_cursors
+        assert not view._naming_dirty
+        for block in blocks[100:]:
+            index.add_block(block)
+            service.answer(top)
+        assert not view._naming_dirty
+
+    def test_a_link_born_in_a_settled_run_renames_an_untouched_cluster(self):
+        """A change link born inside a settled run joins two clusters
+        that both existed before it: X, whose change address C then
+        co-spends with the older cluster L.  X has no merge and was in
+        no overlay group, yet its canonical id moves to L's, so only
+        the marks on the new overlay group's roots report it.  The
+        tagged name and the drained placements equal a fresh service's.
+        """
+        from repro.chain.model import COIN
+        from repro.tagging.tags import Tag, TagStore
+
+        from tests.helpers import addr, build_chain, coinbase, spend
+
+        cb_l, cb_x = coinbase(addr("old/l")), coinbase(addr("old/x"))
+        # Y has two receives, so paying it is no reused-change pattern.
+        cb_y = [coinbase(addr("old/y"), value) for value in (40 * COIN, 50 * COIN)]
+        labelled = spend(
+            [(cb_x, 0)], [(addr("old/y"), 10 * COIN), (addr("new/c"), 40 * COIN)]
+        )
+        joint = spend([(labelled, 1), (cb_l, 0)], [(addr("new/z"), 90 * COIN)])
+        # Heights 2-69 are one run, each with a fresh miner: it settles.
+        source = build_chain(
+            [[cb_l, cb_x, *cb_y], [], [labelled], [joint]]
+            + [[] for _ in range(66)]
+        )
+        tags = TagStore([Tag(addr("old/x"), "X Corp", "user", 1.0)])
+        metrics = MetricsRegistry()
+        target = ChainIndex()
+        service = ForensicsService(target, tags=tags, metrics=metrics)
+        view = service.aggregates
+        top = Query("top_clusters", (100, "size"))
+        target.add_block(source.block_at(0))
+        target.add_block(source.block_at(1))
+        service.answer(top)  # the name map, built before the run
+        cursor = view.naming_cursor()
+        placed = view.at().cluster_placements_of(range(len(target.interner)))
+        x = target.interner.id_of(addr("old/x"))
+        l_cid = view.at().cluster_id_of(target.interner.id_of(addr("old/l")))
+        assert l_cid < x == view.at().cluster_id_of(x)
+        for height in range(2, source.height + 1):
+            target.add_block(source.block_at(height))
+        dirty = view.drain_naming_dirty(cursor)
+        tip = view.at()
+        assert tip.cluster_id_of(x) == l_cid
+        assert flush_paths(metrics)[-1] == "settle"
+        assert view._tip.group_of[view._tip.uf.find(x)].cid == l_cid
+
+        fresh = ForensicsService(source, tags=tags)
+        truth = fresh.aggregates.at().cluster_placements_of(range(len(placed)))
+        patched = [
+            old if old[0] not in dirty else new
+            for old, new in zip(placed, tip.cluster_placements_of(range(len(placed))))
+        ]
+        assert patched == truth
+        answer = fresh.answer(top)
+        assert (l_cid, "X Corp") in [(cid, name) for cid, _value, name in answer]
+        assert repr(service.answer(top)) == repr(answer)
+        fresh.detach()
 
 
 class TestTimeTravelMemory:

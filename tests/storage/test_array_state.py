@@ -10,6 +10,9 @@ little-endian int64 buffer.  The contracts pinned here:
 * **extra base keys** — a ``timetravel`` base written while the state
   still carried four per-address arrays restores; the keys are ignored;
   a base at any height but genesis is refused;
+* **nothing derivable on disk** — the ``aggregates`` segment holds the
+  tip's base forest only, and one written while it also carried the
+  root columns restores with them ignored;
 * **extra segments** — a snapshot that still carries the ``balances``
   and ``activity`` segments restores to the same service as one
   without them;
@@ -97,7 +100,7 @@ class TestByteEqualRoundTrip:
         index, engine, aggregates = streamed
         state = aggregates.export_state()
         history = aggregates.export_time_travel()
-        assert isinstance(state["balance"], bytes)
+        assert list(state) == ["version", "height", "uf"]
         restored = ClusterAggregateView.from_state(
             index, state, history, engine=engine
         )
@@ -117,6 +120,18 @@ class TestByteEqualRoundTrip:
         with pytest.raises(UnsupportedSnapshotError, match="genesis"):
             ClusterAggregateView.from_state(
                 index, aggregates.export_state(), late, engine=engine
+            )
+
+
+    def test_a_delta_log_that_misses_the_tip_is_refused(self, streamed):
+        """The restored tip's columns are the log's fold at the state's
+        height, so a log that ends elsewhere cannot restore."""
+        index, engine, aggregates = streamed
+        history = aggregates.export_time_travel()
+        short = {**history, "records": history["records"][:-1]}
+        with pytest.raises(ValueError, match="ends at height"):
+            ClusterAggregateView.from_state(
+                index, aggregates.export_state(), short, engine=engine
             )
 
 
@@ -159,6 +174,106 @@ class TestTimeTravelBaseWrittenWithPerAddressColumns:
         interner = index.interner
         for height in range(service.height + 1):
             queries = [Query("top_clusters", (8, "activity", height))]
+            for ident in range(0, len(interner), 3):
+                address = interner.address_of(ident)
+                queries += [
+                    Query(kind, (address, height))
+                    for kind in ("cluster_of", "cluster_balance", "cluster_profile")
+                ]
+            for query in queries:
+                assert restored.answer(query) == service.answer(query), query
+
+
+class TestAggregatesSegmentWrittenWithRootColumns:
+    """Before the tip's root columns were folded from the delta log on
+    restore, the ``aggregates`` segment carried them (``balance``,
+    ``tx_count``, ``first_seen``, ``last_seen``, ``min_member``) and the
+    ``timetravel`` base an empty state of the same shape."""
+
+    @staticmethod
+    def _snapshot(tmp_path):
+        from repro.service import ForensicsService
+        from repro.storage import StateStore
+
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        for block in large_scale_blocks(12, seed=3):
+            index.add_block(block)
+        store = StateStore(tmp_path / "snapshots")
+        return index, service, store, store.snapshot(service)
+
+    def test_a_fresh_segment_holds_only_the_base_forest(self, tmp_path):
+        """Nothing derivable is on disk: the columns are the log's."""
+        from repro.storage.segments import read_segment
+
+        *_, directory = self._snapshot(tmp_path)
+        aggregates = read_segment(
+            directory / "aggregates.seg", expected_name="aggregates"
+        )
+        assert list(aggregates) == ["version", "height", "uf"]
+        history = read_segment(
+            directory / "timetravel.seg", expected_name="timetravel"
+        )
+        assert history["base"] == {"height": -1}
+
+    def test_the_root_columns_and_old_base_keys_are_ignored(self, tmp_path):
+        """A snapshot in that layout restores to the same answers at
+        every height.  Its columns are written one off from the tip's,
+        so a restore that read them would answer differently."""
+        from repro.service import Query
+        from repro.storage.segments import read_segment, write_segment
+
+        index, service, store, directory = self._snapshot(tmp_path)
+        aggregates = read_segment(
+            directory / "aggregates.seg", expected_name="aggregates"
+        )
+        history = read_segment(
+            directory / "timetravel.seg", expected_name="timetravel"
+        )
+        tip = service.aggregates._tip
+        n = len(tip.uf)
+        seen = np.full(n, -1, dtype="<i8").tobytes()
+        old_aggregates = {
+            **aggregates,
+            **{
+                key: (column.array + 1).tobytes()
+                for key, column in (
+                    ("balance", tip.roots.balance),
+                    ("tx_count", tip.roots.tx_count),
+                )
+            },
+            "first_seen": seen,
+            "last_seen": seen,
+            "min_member": (tip.min_member.array + 1).tobytes(),
+        }
+        old_base = {
+            "height": -1,
+            "mark": 0,
+            "uf": IntUnionFind().export_state(),
+            **dict.fromkeys(
+                ("balance", "tx_count", "first_seen", "last_seen", "min_member"),
+                b"",
+            ),
+            "open": [],
+        }
+        manifest_path = directory / MANIFEST_NAME
+        raw = json.loads(manifest_path.read_text())
+        for name, state in (
+            ("aggregates", old_aggregates),
+            ("timetravel", {**history, "base": old_base}),
+        ):
+            raw["segments"][name] = write_segment(directory, name, state)
+        manifest_path.write_text(json.dumps(raw))
+
+        restored = store.restore()
+        restored.detach()
+        assert restored.aggregates.export_state() == aggregates
+        assert restored.aggregates.export_time_travel() == history
+        interner = index.interner
+        for height in range(service.height + 1):
+            queries = [
+                Query("top_clusters", (8, by, height)) for by in TOP_CLUSTER_METRICS
+            ]
             for ident in range(0, len(interner), 3):
                 address = interner.address_of(ident)
                 queries += [
