@@ -17,8 +17,8 @@ pipeline's load-bearing invariants from independent sources:
   every canonical cluster id must be its cluster's minimal member;
 * **aggregates vs batch** — sampled clusters of the
   :class:`~repro.service.aggregates.ClusterAggregateView` (random
-  members plus a bounded sample of the clusters the view's dirty-root
-  cursor reported since the last audit) are compared against a batch
+  members plus a bounded sample of the addresses whose balance moved in
+  the rows the balance check replayed) are compared against a batch
   rebuild of the tip clustering — the H1 merge log re-applied to a copy
   plus the active change links, with size, balance and tx count rolled
   up by one grouped numpy pass;
@@ -33,7 +33,10 @@ pipeline's load-bearing invariants from independent sources:
   tip must equal the state its delta log builds at the tip height,
   settled wholesale: base columns and partition, the incrementally
   patched overlay groups and the open links each holds, and all three
-  rankings in full order.
+  rankings in full order.  Right after a restore the tip *is* that
+  fold of the same log, so the check compares the log with itself;
+  there a forged ``timetravel`` value is seen by ``aggregates`` and
+  ``shadow_fold``.
 
 Every check reports through ``audit.checks_total``,
 ``audit.violations_total{check=}``, and ``audit.seconds{check=}`` plus
@@ -47,8 +50,9 @@ recomputation path, not a serving API.
 Cost model: the balance replay is incremental (only rows since the
 last audit are scattered), the batch tip partition is one numpy copy of
 the engine's H1 structure plus the active-label overlay, and everything
-else is sampled — ``benchmarks/bench_audit_overhead.py`` pins full
-fan-out ingest with ``audit_every=16`` at ≤1.15× unaudited.
+else is sampled — ``benchmarks/bench_audit_overhead.py`` pins one
+``audit_every=16`` cycle over full fan-out ingest at ≤2.75 ms, and an
+attached auditor with the cadence disabled at ≤1.01× unaudited ingest.
 """
 
 from __future__ import annotations
@@ -175,11 +179,10 @@ class InvariantAuditor:
         self._replay = np.zeros(0, dtype="<i8")
         self._row_marks = (0, 0)
         self._issued = 0
-        # Second consumer of the aggregate view's per-cursor dirty-root
-        # sets: every root the naming engine would re-resolve is also a
-        # spot-check candidate here, without either drain starving the
-        # other (see ClusterAggregateView.naming_cursor).
-        self._naming_cursor = service.aggregates.naming_cursor()
+        # The addresses those rows moved (the last replay's), the
+        # aggregates check's second sample: read off the index, not
+        # reported by the view it checks.
+        self._moved = np.empty(0, dtype="<i8")
         service.index.subscribe_deltas(self._observe_delta, name="auditor")
         service.auditor = self
 
@@ -287,6 +290,9 @@ class InvariantAuditor:
         debited = rows.spend_addr >= 0
         np.subtract.at(
             replay, rows.spend_addr[debited], rows.spend_value[debited]
+        )
+        self._moved = np.unique(
+            np.concatenate((rows.recv_addr[credited], rows.spend_addr[debited]))
         )
         self._issued += int(
             rows.recv_value[rows.tx_spends[rows.recv_tx] == 0].sum()
@@ -440,18 +446,15 @@ class InvariantAuditor:
         grouped numpy pass, so the per-audit cost stays O(universe)
         plus a Python loop bounded by ``2 × sample_clusters``.  Samples
         are drawn as random *members* (size-biased toward the big
-        clusters whose aggregates matter most) plus up to
-        ``sample_clusters`` of the clusters the dirty-root cursor
-        reported since the last audit (sampled when more accumulated —
-        cadence plus fresh randomness each cycle provides eventual
-        coverage).  ``full`` (the doctor path) builds the dense batch
-        rollup once and checks every cluster.
+        clusters whose aggregates matter most) plus the clusters of up
+        to ``sample_clusters`` of the addresses whose balance moved in
+        the rows the balance check just replayed (sampled when more
+        moved — cadence plus fresh randomness each cycle provides
+        eventual coverage).  ``full`` (the doctor path) builds the dense
+        batch rollup once and checks every cluster.
         """
         view = self.service.aggregates
         view._flush()
-        dirty: list[int] = []
-        if self._naming_cursor is not None:
-            dirty = sorted(view.drain_naming_dirty(self._naming_cursor))
         # The view's own tip state, read directly (``at()`` refuses a
         # view that is behind the chain; the audit reports it instead).
         surface = AggregateSurface(view._tip)
@@ -477,11 +480,10 @@ class InvariantAuditor:
         else:
             budget = min(self.sample_clusters, n)
             chosen = {int(roots[i]) for i in rng.sample(range(n), budget)}
-            if len(dirty) > budget:
-                dirty = rng.sample(dirty, budget)
-            # Dirty roots are *view-base* roots; their members resolve
-            # to tip roots through the tip partition.
-            chosen |= {int(roots[root]) for root in dirty if 0 <= root < n}
+            moved = self._moved.tolist()
+            if len(moved) > budget:
+                moved = rng.sample(moved, budget)
+            chosen |= {int(roots[ident]) for ident in moved if ident < n}
         expected = self._rollups_of_roots(chosen, roots, balances, tx_counts)
 
         problems: list[str] = []

@@ -31,7 +31,7 @@ from .core.heuristic2 import Heuristic2Config, dice_addresses_from_tags
 from .core.incremental import IncrementalClusteringEngine
 from .simulation.economy import World
 from .simulation.params import DICE_GAMES, FIGURE2_CATEGORIES
-from .tagging.naming import ClusterNaming, top_entity
+from .tagging.naming import ClusterNaming, TagColumns, cluster_names
 from .tagging.sources import analyst_tags
 from .tagging.tags import TagStore
 
@@ -98,17 +98,9 @@ class AnalystView:
         return self.tags.entities()
 
     @cached_property
-    def _tag_columns(self) -> tuple[np.ndarray, list[str], list[float]]:
-        """The interned tags' address ids, entities and confidences, as
-        columns in :meth:`TagStore.all_tags` order (a tag on an address
-        the chain never saw is in no partition, and is dropped)."""
-        id_of = self.world.index.interner.id_of
-        tags = [tag for tag in self.tags.all_tags() if id_of(tag.address) is not None]
-        return (
-            np.array([id_of(tag.address) for tag in tags], dtype="<i8"),
-            [tag.entity for tag in tags],
-            [tag.confidence for tag in tags],
-        )
+    def _tag_columns(self) -> TagColumns:
+        """The analyst tags as columns (:func:`cluster_names` reads them)."""
+        return TagColumns(self.tags)
 
     def name_of_peel(self, peel) -> str | None:
         """Entity name for a peel recipient, or ``None`` when unnamed.
@@ -124,22 +116,21 @@ class AnalystView:
 
         The winner is :class:`ClusterNaming`'s without building one: one
         ``h1_roots_at`` call resolves the peel and every tagged id, and
-        the tags sharing the peel's root are summed in tag order.
+        :func:`cluster_names` names the roots the tags sit in (a tag on
+        an address not seen by then is in none).
         """
         ident = peel.address_id
         if ident < 0:  # a peel recorded without its id
             ident = self.world.index.interner.id_of(peel.address)
-        ids, entities, confidences = self._tag_columns
+        columns = self._tag_columns
         roots = self.incremental.h1_roots_at(
-            np.concatenate(([-1 if ident is None else ident], ids)),
+            np.concatenate((
+                [-1 if ident is None else ident],
+                columns.ids(self.world.index.interner.id_of),
+            )),
             peel.spent_height,
         )
-        if roots[0] < 0:
-            return None
-        weights: dict[str, float] = {}
-        for k in np.flatnonzero(roots[1:] == roots[0]).tolist():
-            weights[entities[k]] = weights.get(entities[k], 0.0) + confidences[k]
-        return top_entity(weights) if weights else None
+        return cluster_names(roots[1:], columns).get(int(roots[0]))
 
     # ------------------------------------------------------------------
     # analysis tools, pre-wired

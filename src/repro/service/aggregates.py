@@ -30,7 +30,10 @@ keeps them materialized as blocks stream in and serves them at any
   runs the same passes over the restored tip's partition, so a
   snapshot stores the base forest and the log, nothing derived.
 * **One read surface.**  :class:`AggregateSurface` answers every read
-  from a state, whichever height it is at.
+  from a state, whichever height it is at, including the bulk id
+  lookup (:meth:`AggregateSurface.cluster_ids_of`) the query service
+  names a height's clusters from.  The view keeps no naming state: a
+  height's names are a function of its partition and the tags.
 
 H2 labels whose §4.2 wait window is still open are *overlaid*, not
 folded: a later receive may void them, and the minimum-member fold
@@ -400,7 +403,7 @@ class _DeltaLog:
         closed_at = self.closed_at.array[: self.born_offsets[height + 1]]
         born = self.born
         return _AggregateState(
-            height, self.mark[height], uf,
+            height, uf,
             _Columns(IntVector.wrap(balance), IntVector.wrap(tx_count)),
             IntVector.wrap(min_member),
             [born[slot] for slot in np.flatnonzero(closed_at > height).tolist()],
@@ -469,16 +472,14 @@ class _AggregateState:
     """
 
     __slots__ = (
-        "height", "mark", "uf", "roots", "min_member",
+        "height", "uf", "roots", "min_member",
         "open", "groups", "group_of", "ranks", "derived_dirty",
     )
 
     def __init__(
-        self, height=-1, mark=0, uf=None, roots=None, min_member=None,
-        open_labels=(),
+        self, height=-1, uf=None, roots=None, min_member=None, open_labels=(),
     ) -> None:
         self.height = height
-        self.mark = mark  # base merge-log position folded up to
         self.uf = uf if uf is not None else IntUnionFind()
         """Base partition: H1 merges + settled change links."""
         self.roots = roots or _Columns(IntVector(), IntVector())
@@ -555,7 +556,6 @@ class _AggregateState:
         if len(involved_roots):
             self.roots.scatter(event_roots, event_values, involved_roots)
 
-        self.mark = log.mark[log.height]
         self.height = log.height
         self.derived_dirty = True
         return stale_cids, involved_roots
@@ -661,26 +661,23 @@ class AggregateSurface:
         group = state.group_of.get(root)
         return group.cid if group is not None else state.min_member[root]
 
-    def cluster_placements_of(self, idents) -> list[tuple[int, int] | None]:
-        """``(base root, canonical id)`` per input id (``None`` outside
-        the universe): the name maps resolve tags in bulk through this,
-        and the tip's keeps the root to know when a name goes stale."""
+    def cluster_ids_of(self, idents) -> np.ndarray:
+        """The canonical cluster id per address id, -1 for an id outside
+        the universe at this height: one ``find_many``, a gather of the
+        roots' minimum members, then the overlay groups' ids."""
         state = self._state
-        universe = len(state.uf)
-        find = state.uf.find
-        overlay_get = state.group_of.get
-        min_member = state.min_member
-        out: list[tuple[int, int] | None] = []
-        append = out.append
-        for ident in idents:
-            if ident is None or not 0 <= ident < universe:
-                append(None)
-                continue
-            root = find(ident)
-            group = overlay_get(root)
-            append(
-                (root, group.cid if group is not None else min_member[root])
-            )
+        idents = np.asarray(idents, dtype="<i8")
+        inside = (idents >= 0) & (idents < len(state.uf))
+        out = np.full(len(idents), -1, dtype="<i8")
+        roots = state.uf.find_many(idents[inside])
+        cids = state.min_member.array[roots]
+        group_of = state.group_of
+        if group_of:
+            grouped = np.zeros(len(state.uf), dtype=bool)
+            grouped[np.fromiter(group_of, "<i8", len(group_of))] = True
+            for position in np.flatnonzero(grouped[roots]).tolist():
+                cids[position] = group_of[int(roots[position])].cid
+        out[inside] = cids
         return out
 
     def _locate(self, cluster_id: int) -> tuple[int, _OverlayGroup | None]:
@@ -725,18 +722,6 @@ class AggregateSurface:
         components, less the roots groups absorb, plus one per group."""
         state = self._state
         return state.uf.component_count - len(state.group_of) + len(state.groups)
-
-
-class DirtyRootCursor:
-    """One consumer's registration for dirty-root naming churn: a drain
-    returns (and clears) only its own set, so the query engine's name
-    map and the auditor follow churn without starving each other, and
-    an idle consumer's backlog is a set of base roots, never a log."""
-
-    __slots__ = ("dirty",)
-
-    def __init__(self) -> None:
-        self.dirty: set[int] = set()
 
 
 class ClusterAggregateView(MaterializedView):
@@ -784,16 +769,6 @@ class ClusterAggregateView(MaterializedView):
     def _install(self, tip: _AggregateState, log: _DeltaLog) -> None:
         self._tip = tip
         self._log = log
-        self._naming_dirty: set[int] = set()
-        """Base roots whose canonical-id mapping may have changed since
-        the last drain (merge endpoints and structurally changed overlay
-        groups, never plain churn): drains distribute it into every
-        registered :class:`DirtyRootCursor`.  Nothing is marked while no
-        cursor is registered: a new cursor builds in full first."""
-        self._naming_cursors: list[DirtyRootCursor] = []
-        self.naming_epoch = 0
-        """Bumped per drain that saw dirty roots: name-bearing answers
-        are cached on ``(height, naming_epoch)``."""
         self._memo: OrderedDict[int, _AggregateState] = OrderedDict()
         """Exact-height LRU of recently built past states."""
         # For the ``query`` flight span: how the last :meth:`at` was
@@ -886,16 +861,9 @@ class ClusterAggregateView(MaterializedView):
             uf.find_many(np.concatenate((involved_roots, ends.ravel()))).tolist()
         )
         if len(touched) >= max(64, uf.component_count // 8):
-            path, groups = "settle", tip.groups
+            path = "settle"
             tip.settle()
             tip.attach_links(tip.group_of, *tip.link_roots(tip.open))
-            # A superset of what a patch marks: every merge endpoint and
-            # every root of an overlay group before or after the run.
-            if self._naming_cursors:
-                self._naming_dirty.update(
-                    ends.ravel().tolist(),
-                    *(group.roots for group in chain(groups, tip.groups)),
-                )
         else:
             path = "patch"
             self._patch_tip(ends, stale_cids, touched, born, closed)
@@ -937,11 +905,7 @@ class ClusterAggregateView(MaterializedView):
         uf = tip.uf
         min_member = tip.min_member
         group_of = tip.group_of
-        # With no cursor registered the marks go nowhere.
-        naming_dirty = self._naming_dirty if self._naming_cursors else set()
-
         merged = ends.ravel()
-        naming_dirty.update(merged.tolist())
 
         # The touched groups.  An untouched group holds no merge
         # endpoint, so its roots are still roots and a post-span root
@@ -970,14 +934,6 @@ class ClusterAggregateView(MaterializedView):
             if root not in group_of:
                 stale_cids.add(min_member[root])
                 touched_roots.add(root)
-        for group in fresh:
-            prev = group_of.get(group.roots[0])
-            if prev is None or prev.cid != group.cid or prev.roots != group.roots:
-                # Structural change: member roots' canonical-id mapping
-                # shifted (an aggregates-only rebuild keeps every id).
-                naming_dirty.update(group.roots)
-                if prev is not None:
-                    naming_dirty.update(prev.roots)
         # Touched groups dissolve: their ids may vanish and their member
         # roots may stand alone again (re-resolving to their own
         # canonical ids).
@@ -986,8 +942,6 @@ class ClusterAggregateView(MaterializedView):
             for root in group.roots:
                 del group_of[root]
                 touched_roots.add(uf.find(root))
-                if root not in fresh_of:
-                    naming_dirty.add(root)
         group_of.update(fresh_of)
         tip.groups = [g for g in tip.groups if id(g) not in hit] + fresh
 
@@ -1094,36 +1048,6 @@ class ClusterAggregateView(MaterializedView):
                 seconds=seconds, bytes=state.nbytes, ranked=state.ranks.built,
             )
         return state
-
-    # ------------------------------------------------------------------
-    # naming churn
-    # ------------------------------------------------------------------
-
-    def naming_cursor(self) -> DirtyRootCursor:
-        """Register a dirty-root consumer (see :class:`DirtyRootCursor`).
-        It sees only roots marked dirty after registration, so a new
-        consumer builds in full first.  Cursors are not durable state."""
-        cursor = DirtyRootCursor()
-        self._naming_cursors.append(cursor)
-        return cursor
-
-    def drain_naming_dirty(self, cursor: DirtyRootCursor) -> set[int]:
-        """Return (and clear) the base roots whose canonical-id mapping
-        may have changed since ``cursor`` last drained; every registered
-        cursor observes every dirty root exactly once.  An id resolved
-        through :meth:`AggregateSurface.cluster_placements_of` at the
-        tip stays valid until a drain reports its root."""
-        self._flush()
-        pending = self._naming_dirty
-        if pending:
-            self.naming_epoch += 1
-            for registered in self._naming_cursors:
-                registered.dirty |= pending
-            self._naming_dirty = set()
-        dirty = cursor.dirty
-        if dirty:
-            cursor.dirty = set()
-        return dirty
 
     # ------------------------------------------------------------------
     # durable state (snapshot / restore)

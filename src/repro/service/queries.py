@@ -50,18 +50,24 @@ the partition — not on union order, restores, or which height's state
 produced the answer — which keeps ranking tie-breaks stable and makes
 answers repr-comparable against a batch re-clustering.
 
+The names in ``top_clusters`` and ``cluster_profile`` answers come from
+one name map per height: every tag's canonical id at that height, read
+off the surface in bulk, and one
+:func:`~repro.tagging.naming.cluster_names` pass over them.  The tip
+builds its map the way a past height does, so a name, like every other
+answer, is a function of the block prefix (and the tags).
+
 Answers are plain data and must be treated as immutable — they are
 shared by every caller that hits the same cache entry.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from time import perf_counter
 
 from ..obs import next_request_id
-from ..tagging.naming import top_entity
+from ..tagging.naming import TagColumns, cluster_names
 
 QUERY_KINDS = (
     "cluster_of",
@@ -186,29 +192,10 @@ class QueryEngine:
 
     def __init__(self, service) -> None:
         self.service = service
-        self._tag_entries: list[list] | None = None
-        """Per tag (in ``all_tags`` order): ``[address id | None, entity,
-        confidence, address]``.  Lazily built; ids are interned once per
-        address ever (first-sight, stable), so each name build only
-        re-checks entries whose addresses were still unseen.  The order
-        is preserved so confidence sums accumulate exactly like an
-        ``all_tags`` walk."""
-        self._tag_unresolved = 0
-        """Count of entries with a still-``None`` id."""
-        self._tag_count = -1
-        """``len(service.tags)`` when ``_tag_entries`` was built: the
-        store is append-only, so a changed count means new tags (which
-        can land mid-``all_tags``-order) — entries and the incremental
-        naming state are rebuilt from scratch."""
-        self._naming_state: dict | None = None
-        """The tip's cluster-name state (:meth:`_name_state`), patched
-        per height by :meth:`_build_cluster_names`."""
-        self._naming_cursor = None
-        """This engine's :class:`~repro.service.aggregates.DirtyRootCursor`
-        on the aggregate view's dirty-root feed.  Registered lazily on
-        the first tip name build, so an engine that never names
-        clusters costs the view nothing — and other consumers (the
-        auditor) drain their own cursors without starving this one."""
+        self._tag_columns: TagColumns | None = None
+        """The service's tags as columns, built on the first name map and
+        rebuilt when the (append-only) store's size moves: a new tag can
+        land anywhere in ``all_tags`` order."""
 
     # -- entry points --------------------------------------------------
 
@@ -288,30 +275,16 @@ class QueryEngine:
         key them on the view's watch epoch too, so ``watch_theft`` at an
         unchanged tip invalidates rather than serving pre-watch answers.
 
-        Name-bearing kinds additionally carry the aggregate view's
-        *naming epoch* (bumped on every structural dirty-root drain):
-        a merge can rename a cluster without the answering engine
-        having drained yet, and an epoch-free key would keep serving
-        the pre-merge name from the cache at an unchanged tip.  They
-        carry the tag count too (the store only grows), so a tag added
-        at an unchanged tip names its cluster in the next answer."""
+        Name-bearing kinds carry the tag count (the store only grows),
+        so a tag added at an unchanged tip names its cluster in the
+        next answer."""
         kind = query.kind
         service = self.service
         if kind == "trace_taint":
-            return (
-                service.height,
-                service.taint.epoch,
-                service.aggregates.naming_epoch,
-                query,
-            )
+            return (service.height, service.taint.epoch, query)
         if kind in ("top_clusters", "cluster_profile"):
             tags = service.tags
-            return (
-                service.height,
-                service.aggregates.naming_epoch,
-                0 if tags is None else len(tags),
-                query,
-            )
+            return (service.height, 0 if tags is None else len(tags), query)
         return (service.height, query)
 
     def answer_many(
@@ -354,150 +327,27 @@ class QueryEngine:
 
     # -- cluster names -------------------------------------------------
 
-    def _resolved_tags(self) -> tuple[list[list], list[int]]:
-        """Every tag as ``[address id | None, entity, confidence,
-        address]`` in ``all_tags`` order, ids resolved incrementally;
-        plus the indices of entries resolved by *this* call."""
-        entries = self._tag_entries
-        tags = self.service.tags
-        if entries is None or self._tag_count != len(tags):
-            entries = self._tag_entries = [
-                [None, tag.entity, tag.confidence, tag.address]
-                for tag in tags.all_tags()
-            ]
-            self._tag_count = len(tags)
-            self._tag_unresolved = len(entries)
-            self._naming_state = None  # indices shifted: rebuild in full
-        fresh: list[int] = []
-        if self._tag_unresolved:
-            id_of = self.service.index.interner.id_of
-            for position, entry in enumerate(entries):
-                if entry[0] is None:
-                    ident = id_of(entry[3])
-                    if ident is not None:
-                        entry[0] = ident
-                        fresh.append(position)
-            self._tag_unresolved -= len(fresh)
-        return entries, fresh
-
-    def _name_of_entries(self, indices: list[int], entries: list[list]) -> str:
-        """Winner entity over one cluster's tag entries — the rule of
-        :class:`~repro.tagging.naming.ClusterNaming` in its
-        single-winner form :func:`~repro.tagging.naming.top_entity`.
-
-        ``indices`` ascend, so confidence sums accumulate in ``all_tags``
-        order whichever builder grouped them."""
-        weights: dict[str, float] = {}
-        for position in indices:
-            entry = entries[position]
-            entity = entry[1]
-            weights[entity] = weights.get(entity, 0.0) + entry[2]
-        return top_entity(weights)
-
-    def _name_state(self, surface, entries: list[list]) -> dict:
-        """A from-scratch name map over ``surface``: per entry its base
-        root and canonical id there, the ``cid -> ascending entry
-        indices`` grouping, and the ``cid -> name`` map."""
-        roots: list[int | None] = []
-        cids: list[int | None] = []
-        by_cid: dict[int, list[int]] = {}
-        placements = surface.cluster_placements_of(
-            entry[0] for entry in entries
-        )
-        for position, placed in enumerate(placements):
-            root, cid = placed if placed is not None else (None, None)
-            roots.append(root)
-            cids.append(cid)
-            if cid is not None:
-                by_cid.setdefault(cid, []).append(position)
-        names = {
-            cid: self._name_of_entries(indices, entries)
-            for cid, indices in by_cid.items()
-        }
-        return {"roots": roots, "cids": cids, "by_cid": by_cid, "names": names}
-
     def _cluster_names(self, surface) -> dict[int, str] | None:
         """``canonical id -> name`` at the surface's height, or ``None``
-        without tags; memoized per height in the query cache.
-
-        Below the tip the map is built from scratch, once: history is
-        immutable, so the entry serves every later tip.  At the tip the
-        previous height's map is patched (:meth:`_build_cluster_names`),
-        and that entry later serves its height as history.  The key
-        carries the tag count, so a tag added later renames both."""
+        without tags: built from scratch, one
+        :func:`~repro.tagging.naming.cluster_names` pass over the tags'
+        canonical ids there (a tag on an address the height has not
+        seen is in no cluster).  Memoized per height in the query
+        cache, keyed on the tag count, so a tag added later renames
+        every height it reaches."""
         tags = self.service.tags
         if tags is None:
             return None
-        at_tip = surface.height == self.service.height
         cache = self.service.cache
         key = (surface.height, Query(f"_agg:cluster_names:{len(tags)}"))
         found, names = cache.lookup(key)
         if not found:
-            if at_tip:
-                names = self._build_cluster_names(surface)
-            else:
-                names = self._name_state(surface, self._resolved_tags()[0])[
-                    "names"
-                ]
+            columns = self._tag_columns
+            if columns is None or len(columns) != len(tags):
+                columns = self._tag_columns = TagColumns(tags)
+            ids = columns.ids(self.service.index.interner.id_of)
+            names = cluster_names(surface.cluster_ids_of(ids), columns)
             cache.put(key, names)
-        return names
-
-    def _build_cluster_names(self, surface) -> dict[int, str]:
-        """The tip's name map, patched from the last height's: only
-        entries whose base root the view's dirty-root drain reported
-        (or whose address was just seen) are re-resolved, so a height
-        without id-moving churn serves the previous map untouched."""
-        view = self.service.aggregates
-        entries, fresh = self._resolved_tags()
-        if self._naming_cursor is None:
-            self._naming_cursor = view.naming_cursor()
-        dirty = view.drain_naming_dirty(self._naming_cursor)
-        state = self._naming_state
-        if state is None:
-            state = self._naming_state = self._name_state(surface, entries)
-            return state["names"]
-
-        roots = state["roots"]
-        cids = state["cids"]
-        by_cid = state["by_cid"]
-        affected = list(fresh)
-        if dirty:
-            for position, root in enumerate(roots):
-                if root is not None and root in dirty:
-                    affected.append(position)
-        if not affected:
-            return state["names"]
-        affected = sorted(set(affected))
-        placements = surface.cluster_placements_of(
-            entries[position][0] for position in affected
-        )
-        changed_cids: set[int] = set()
-        for position, placed in zip(affected, placements):
-            old_cid = cids[position]
-            root, cid = placed if placed is not None else (None, None)
-            roots[position] = root
-            if cid == old_cid:
-                continue
-            if old_cid is not None:
-                by_cid[old_cid].remove(position)
-                changed_cids.add(old_cid)
-            if cid is not None:
-                insort(by_cid.setdefault(cid, []), position)
-                changed_cids.add(cid)
-            cids[position] = cid
-        if not changed_cids:
-            return state["names"]
-        # Copy-on-write: maps already served for earlier heights stay
-        # frozen in the height-keyed cache.
-        names = dict(state["names"])
-        for cid in changed_cids:
-            indices = by_cid.get(cid)
-            if indices:
-                names[cid] = self._name_of_entries(indices, entries)
-            else:
-                by_cid.pop(cid, None)
-                names.pop(cid, None)
-        state["names"] = names
         return names
 
     # -- handlers ------------------------------------------------------

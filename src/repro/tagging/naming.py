@@ -10,6 +10,9 @@ provided".
 highest-confidence tags (majority-of-confidence within the cluster),
 records conflicts, and computes the paper's coverage numbers: named
 clusters, addresses covered, and the amplification factor.
+:func:`cluster_names` is the same winner rule over :class:`TagColumns`,
+one numpy pass per partition: the query service names every height's
+clusters with it, and the analyst view its peels.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from ..core.clustering import Clustering
 from .tags import TagStore
@@ -26,21 +31,81 @@ from .tags import TagStore
 def ranked_entities(weights: Mapping[str, float]) -> list[tuple[str, float]]:
     """Entities by descending summed tag confidence, ties by name.
 
-    The single source of the naming winner rule: index 0 is the entity
-    a cluster is named after, the rest are its conflicts.  Shared by
-    :class:`ClusterNaming` and the query service's canonical-keyed
-    cluster-name aggregate so both naming paths can never diverge.
+    The naming winner rule: index 0 is the entity a cluster is named
+    after, the rest are its conflicts.  :func:`cluster_names` applies
+    the same rule to tag columns.
     """
     return sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def top_entity(weights: Mapping[str, float]) -> str:
-    """``ranked_entities(weights)[0][0]`` without sorting the rest.
+class TagColumns:
+    """A tag store as columns, one row per tag in ``all_tags`` order:
+    the address id (-1 until the interner has seen the address), an
+    entity code (codes follow sorted entity names, so code order is name
+    order) and the confidence.  Built for a store of a fixed size: the
+    store only grows, so a caller rebuilds when ``len(tags)`` moves."""
 
-    The hot naming paths only need the winner; this is the same rule
-    (highest summed confidence, ties by entity name) in one pass.
+    __slots__ = (
+        "entities", "codes", "confidences", "_ids", "_addresses", "_unseen",
+    )
+
+    def __init__(self, tags: TagStore) -> None:
+        rows = list(tags.all_tags())
+        self.entities = np.array(sorted({tag.entity for tag in rows}), dtype=object)
+        code_of = {entity: code for code, entity in enumerate(self.entities)}
+        self.codes = np.array([code_of[tag.entity] for tag in rows], dtype="<i8")
+        self.confidences = np.array([tag.confidence for tag in rows], dtype="<f8")
+        self._ids = np.full(len(rows), -1, dtype="<i8")
+        self._addresses = [tag.address for tag in rows]
+        self._unseen = list(range(len(rows)))
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def ids(self, id_of: Callable[[str], int | None]) -> np.ndarray:
+        """The address-id column, after looking up the rows still unseen
+        through ``id_of``, in O(unseen): an interned id never changes,
+        so a resolved row is never looked up again."""
+        unseen = []
+        for row in self._unseen:
+            ident = id_of(self._addresses[row])
+            if ident is None:
+                unseen.append(row)
+            else:
+                self._ids[row] = ident
+        self._unseen = unseen
+        return self._ids
+
+
+def cluster_names(cluster_of_tag, columns: TagColumns) -> dict[int, str]:
+    """``cluster -> name`` for the clusters holding a tag.
+
+    ``cluster_of_tag`` is each tag's cluster key, ``columns`` row for
+    row; a key below 0 (an address outside the partition) drops its
+    tag.  Confidences are summed per (cluster, entity) in tag order --
+    ``np.add.at`` applies its rows one at a time, so each sum is the
+    left-to-right sum of an ``all_tags`` walk, bit for bit -- and each
+    cluster takes :func:`ranked_entities`' winner: the highest sum,
+    ties by entity name.
     """
-    return min(weights.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+    keys = np.asarray(cluster_of_tag, dtype="<i8")
+    kept = keys >= 0
+    if not kept.any():
+        return {}
+    clusters, codes = keys[kept], columns.codes[kept]
+    pairs, slot = np.unique(
+        clusters * len(columns.entities) + codes, return_inverse=True
+    )
+    sums = np.zeros(len(pairs), dtype="<f8")
+    np.add.at(sums, slot, columns.confidences[kept])
+    # ``pairs`` ascend by (cluster, code); a stable sort on (cluster,
+    # -sum) leaves each cluster's winner first, ties in name order.
+    owner, code = np.divmod(pairs, len(columns.entities))
+    order = np.lexsort((np.negative(sums), owner))
+    owner, code = owner[order], code[order]
+    first = np.ones(len(owner), dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=first[1:])
+    return dict(zip(owner[first].tolist(), columns.entities[code[first]].tolist()))
 
 
 @dataclass

@@ -634,6 +634,13 @@ def reference_block_from_bytes(data: bytes, *, height: int) -> Block:
 REFERENCE_KINDS = ("cluster_of", "cluster_balance", "top_clusters", "cluster_profile")
 
 
+def top_entity(weights):
+    """The naming winner over ``entity -> summed confidence``: the
+    highest sum, ties by entity name (§4.2's rule, one ``min``) — the
+    oracle for :func:`repro.tagging.naming.cluster_names`."""
+    return min(weights.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+
+
 class ReferenceRollup:
     """Every per-address and per-cluster fact at one height: the state
     :func:`reference_answer` reads, exposed so state-level tests can
@@ -641,7 +648,6 @@ class ReferenceRollup:
 
     def __init__(self, index, height, *, tags, h2_config, dice_addresses):
         from repro.core.clustering import ClusteringEngine
-        from repro.tagging.naming import top_entity
 
         partition = ClusteringEngine(
             index, h2_config=h2_config, dice_addresses=dice_addresses

@@ -28,6 +28,7 @@ from repro.service.queries import TOP_CLUSTER_METRICS
 from repro.simulation import large_scale_blocks, scenarios
 
 from tests.helpers import (
+    ReferenceRollup,
     assert_surface_equals_batch,
     component,
     reference_answers,
@@ -47,7 +48,6 @@ def state_fingerprint(state):
     roots = state.uf.root_ids().tolist()
     return {
         "height": state.height,
-        "mark": state.mark,
         "universe": len(state.uf),
         "partition": state.uf.find_many(range(len(state.uf))).tolist(),
         "columns": {
@@ -279,12 +279,9 @@ class TestIncrementalClusterNames:
     def test_incremental_names_equal_full_rebuild_at_every_height(
         self, micro_world
     ):
-        """The live-view naming path patches its name map from the
-        view's dirty-root drain; at every height it must equal a
-        from-scratch build (fresh QueryEngine, empty naming state) —
-        merges, group dissolutions, and voids included."""
-        from repro.service.queries import QueryEngine
-
+        """The tip's name map, built as each block arrives, equals the
+        batch oracle's names at every height — merges, group
+        dissolutions, and voids included."""
         attack = micro_world.extras.get("attack")
         tags = attack.tags if attack is not None else None
         assert tags is not None and len(tags) > 0
@@ -292,16 +289,17 @@ class TestIncrementalClusterNames:
         service = ForensicsService(target, tags=tags)
         for block in micro_world.blocks[:80]:
             target.add_block(block)
-            tip = service.aggregates.at()
-            incremental = service.queries._cluster_names(tip)
-            # Fresh engine: no cached placements, full build.
-            full = QueryEngine(service)._build_cluster_names(tip)
-            assert incremental == full, block.height
+            names = service.queries._cluster_names(service.aggregates.at())
+            batch = ReferenceRollup(
+                target, block.height, tags=tags, h2_config=None,
+                dice_addresses=frozenset(),
+            )
+            assert names == batch.names, block.height
 
     def test_names_after_a_bulk_run_equal_a_fresh_service(self, micro_world):
-        """A bulk run settles the tip wholesale, and the roots it marks
-        naming-dirty keep a name map built before it exact: after
-        the run and at each of ten followed blocks, ranked and profiled
+        """A bulk run settles the tip wholesale, and a name map built
+        before it does not leak into the answers after it: after the
+        run and at each of ten followed blocks, ranked and profiled
         names equal those of a service built fresh at that height."""
         tags = micro_world.extras["attack"].tags
         tagged = sorted({tag.address for tag in tags.all_tags()})
@@ -364,12 +362,6 @@ class TestIncrementalClusterNames:
             interner.id_of(victim)
         )
         assert after.get(late_cid) == "Late Entity"
-        # And the incremental state stays equal to a full rebuild.
-        from repro.service.queries import QueryEngine
-
-        assert after == QueryEngine(service)._build_cluster_names(
-            service.aggregates.at()
-        )
 
 
 class TestMergeHookAndTimeTravel:
@@ -476,102 +468,15 @@ class TestViewBehindTheTip:
 
 
 class TestDirtyRootCursors:
-    """Per-cursor dirty-root delivery: multiple naming consumers (the
-    query engine's name aggregate, the invariant auditor) each observe
-    every dirty root exactly once, without starving one another."""
-
-    def _stream(self, world, n_blocks, *hooks):
-        """Stream ``n_blocks``, invoking each hook after every block;
-        returns the service."""
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        for block in world.blocks[:n_blocks]:
-            target.add_block(block)
-            for hook in hooks:
-                hook(service.aggregates)
-        return service
-
-    def test_a_settled_run_reports_every_moved_placement(self, micro_world):
-        """Across runs the flush settles wholesale, every address whose
-        ``(base root, canonical id)`` placement moved has its old root in
-        the drain: the contract the tip's name maps rest on."""
-        metrics = MetricsRegistry()
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None, metrics=metrics)
-        view = service.aggregates
-        cursor = view.naming_cursor()
-        blocks = micro_world.blocks
-        placed = []
-        # The first run ends before the world's one void (height 19).
-        for start, stop in ((0, 15), (15, 100), (100, len(blocks))):
-            for block in blocks[start:stop]:
-                target.add_block(block)
-            dirty = view.drain_naming_dirty(cursor)
-            moved = {
-                old[0]
-                for old, new in zip(
-                    placed, view.at().cluster_placements_of(range(len(placed)))
-                )
-                if old != new
-            }
-            assert moved <= dirty, start
-            placed = view.at().cluster_placements_of(
-                range(len(target.interner))
-            )
-        assert flush_paths(metrics)[1:] == ["settle"] * 2
-        assert moved
-
-    def test_two_cursors_both_observe_all_dirty_roots(self, micro_world):
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        view = service.aggregates
-        first = view.naming_cursor()
-        second = view.naming_cursor()
-        seen_first: set[int] = set()
-        seen_second: set[int] = set()
-        for block in micro_world.blocks[:30]:
-            target.add_block(block)
-            # Interleave drain cadences: first drains per block, second
-            # every third block — the backlog must still be complete.
-            seen_first |= view.drain_naming_dirty(first)
-            if block.height % 3 == 2:
-                seen_second |= view.drain_naming_dirty(second)
-        seen_second |= view.drain_naming_dirty(second)
-        assert seen_first == seen_second
-        assert seen_first  # folds happened; churn was reported
-
-    def test_drain_clears_only_the_draining_cursor(self, micro_world):
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        view = service.aggregates
-        first = view.naming_cursor()
-        second = view.naming_cursor()
-        for block in micro_world.blocks[:30]:
-            target.add_block(block)
-        drained = view.drain_naming_dirty(first)
-        assert drained
-        assert view.drain_naming_dirty(first) == set()
-        # The other consumer still holds its full backlog.
-        assert view.drain_naming_dirty(second) == drained
-
-    def test_new_cursor_sees_only_future_churn(self, micro_world):
-        target = ChainIndex()
-        service = ForensicsService(target, tags=None)
-        view = service.aggregates
-        for block in micro_world.blocks[:12]:
-            target.add_block(block)
-        # Flush + distribute everything so far.
-        view.drain_naming_dirty(view.naming_cursor())
-        late = view.naming_cursor()
-        assert view.drain_naming_dirty(late) == set()
+    """A flush that moves a cluster's canonical id renames it in the
+    next answer: the tip's name map is built from scratch at every
+    height, with the auditor attached or not."""
 
     def test_query_names_and_auditor_coexist(self, micro_world):
-        """End to end: the query engine's incremental name aggregate and
-        a strict auditor both follow naming churn through their own
-        cursors, and the incremental name map still equals a
-        from-scratch build at every audited height."""
+        """End to end: a strict auditor runs beside the query engine's
+        name maps, and the tip's map equals the batch oracle's names at
+        every height."""
         from repro.obs import InvariantAuditor
-        from repro.service.queries import QueryEngine
 
         attack = micro_world.extras.get("attack")
         tags = attack.tags if attack is not None else None
@@ -580,39 +485,21 @@ class TestDirtyRootCursors:
         auditor = InvariantAuditor(service, audit_every=5, strict=True)
         for block in micro_world.blocks[:40]:
             target.add_block(block)
-            tip = service.aggregates.at()
-            incremental = service.queries._cluster_names(tip)
-            assert incremental == QueryEngine(service)._build_cluster_names(
-                tip
-            ), block.height
+            names = service.queries._cluster_names(service.aggregates.at())
+            batch = ReferenceRollup(
+                target, block.height, tags=tags, h2_config=None,
+                dice_addresses=frozenset(),
+            )
+            assert names == batch.names, block.height
         assert auditor.audits_run == 8
         assert auditor.total_violations == 0
-
-    def test_nothing_is_marked_without_a_cursor(self):
-        """An untagged service with no auditor registers no cursor, so
-        no flush, settled or patched, keeps naming-dirty roots."""
-        index = ChainIndex()
-        service = ForensicsService(index, tags=None)
-        view = service.aggregates
-        top = Query("top_clusters", (10, "size"))
-        blocks = list(large_scale_blocks(140, seed=0))
-        for block in blocks[:100]:
-            index.add_block(block)
-        service.answer(top)
-        assert not view._naming_cursors
-        assert not view._naming_dirty
-        for block in blocks[100:]:
-            index.add_block(block)
-            service.answer(top)
-        assert not view._naming_dirty
 
     def test_a_link_born_in_a_settled_run_renames_an_untouched_cluster(self):
         """A change link born inside a settled run joins two clusters
         that both existed before it: X, whose change address C then
         co-spends with the older cluster L.  X has no merge and was in
-        no overlay group, yet its canonical id moves to L's, so only
-        the marks on the new overlay group's roots report it.  The
-        tagged name and the drained placements equal a fresh service's.
+        no overlay group, yet its canonical id moves to L's, and its
+        tagged name with it: the answers equal a fresh service's.
         """
         from repro.chain.model import COIN
         from repro.tagging.tags import Tag, TagStore
@@ -640,26 +527,17 @@ class TestDirtyRootCursors:
         target.add_block(source.block_at(0))
         target.add_block(source.block_at(1))
         service.answer(top)  # the name map, built before the run
-        cursor = view.naming_cursor()
-        placed = view.at().cluster_placements_of(range(len(target.interner)))
         x = target.interner.id_of(addr("old/x"))
         l_cid = view.at().cluster_id_of(target.interner.id_of(addr("old/l")))
         assert l_cid < x == view.at().cluster_id_of(x)
         for height in range(2, source.height + 1):
             target.add_block(source.block_at(height))
-        dirty = view.drain_naming_dirty(cursor)
         tip = view.at()
         assert tip.cluster_id_of(x) == l_cid
         assert flush_paths(metrics)[-1] == "settle"
         assert view._tip.group_of[view._tip.uf.find(x)].cid == l_cid
 
         fresh = ForensicsService(source, tags=tags)
-        truth = fresh.aggregates.at().cluster_placements_of(range(len(placed)))
-        patched = [
-            old if old[0] not in dirty else new
-            for old, new in zip(placed, tip.cluster_placements_of(range(len(placed))))
-        ]
-        assert patched == truth
         answer = fresh.answer(top)
         assert (l_cid, "X Corp") in [(cid, name) for cid, _value, name in answer]
         assert repr(service.answer(top)) == repr(answer)

@@ -11,12 +11,6 @@ H1-only heights, open-overlay horizons (a §4.2 window mid-flight at
 the restore case pins the same equality after a snapshot round trip,
 whose ``timetravel`` segment seeds the replay base from serialized
 arrays rather than a live fold.
-
-A second class pins the naming-epoch cache key (the staleness fix that
-rides along with this log): name-bearing kinds re-key when a
-structural naming drain bumps the epoch at an unchanged tip, so a
-merge can never keep serving a pre-merge cluster name out of the
-query cache.
 """
 
 from hypothesis import given, settings
@@ -175,60 +169,6 @@ class TestAddressFieldsFromTheRows:
         ]
         for query, expected in zip(queries, reference_answers(target, queries)):
             assert repr(service.answer(query)) == repr(expected), query
-
-
-class TestNamingEpochCacheKeys:
-    """The staleness regression: name-bearing kinds must re-key when the
-    aggregate view's naming epoch moves, even at an unchanged tip."""
-
-    def _service(self):
-        cb_a = coinbase(addr("epoch/a"))
-        cb_b = coinbase(addr("epoch/b"))
-        merge = spend(
-            [(cb_a, 0), (cb_b, 0)], [(addr("epoch/c"), 80 * COIN)]
-        )
-        source = build_chain([[cb_a], [cb_b], [merge]])
-        target = ChainIndex()
-        service = ForensicsService(target)
-        for height in range(3):
-            target.add_block(source.block_at(height))
-        return service
-
-    def test_epoch_bump_re_keys_name_bearing_kinds(self):
-        service = self._service()
-        engine = service.queries
-        view = service.aggregates
-        named = [
-            Query("top_clusters", (5, "size")),
-            Query("cluster_profile", (addr("epoch/a"),)),
-        ]
-        for query in named:
-            before = engine._cache_key(query)
-            view.naming_epoch += 1
-            assert engine._cache_key(query) != before, query.kind
-        # Name-free kinds stay keyed on the tip alone.
-        unnamed = Query("cluster_balance", (addr("epoch/a"),))
-        before = engine._cache_key(unnamed)
-        view.naming_epoch += 1
-        assert engine._cache_key(unnamed) == before
-
-    def test_epoch_bump_forces_recompute_at_unchanged_tip(self):
-        service = self._service()
-        query = Query("top_clusters", (5, "size"))
-        first = service.answer(query)
-        # The first answer drains naming churn (which may bump the
-        # epoch); from here the key is stable, so a repeat is a pure hit.
-        service.answer(query)
-        hits = service.cache.hits
-        assert service.answer(query) == first
-        assert service.cache.hits == hits + 1
-        # An epoch bump at the same tip invalidates: the repeat misses
-        # (recomputes against current names) instead of serving the
-        # pre-drain entry.
-        misses = service.cache.misses
-        service.aggregates.naming_epoch += 1
-        assert service.answer(query) == first
-        assert service.cache.misses == misses + 1
 
 
 class TestPastHeightBuildsWhatItReads:

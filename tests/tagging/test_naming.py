@@ -1,10 +1,14 @@
-"""Cluster naming: propagation, conflicts, coverage accounting."""
+"""Cluster naming: propagation, conflicts, coverage accounting, and
+the columnar winner rule against its one-``min`` oracle."""
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.clustering import Clustering
-from repro.tagging.naming import ClusterNaming
-from repro.tagging.tags import SOURCE_OWN, SOURCE_PUBLIC, TagStore, make_tag
+from repro.tagging.naming import ClusterNaming, TagColumns, cluster_names
+from repro.tagging.tags import SOURCE_OWN, SOURCE_PUBLIC, Tag, TagStore, make_tag
 
-from tests.helpers import ReferenceUnionFind
+from tests.helpers import ReferenceUnionFind, top_entity
 
 
 def _clustering(groups):
@@ -84,3 +88,65 @@ class TestNaming:
                     wrong += 1
         assert checked > 100
         assert wrong / checked < 0.05
+
+
+def _oracle(keys, tags):
+    """Per cluster key >= 0, :func:`top_entity` over its tags'
+    confidences summed left to right in ``all_tags`` order."""
+    weights = {}
+    for key, tag in zip(keys, tags.all_tags()):
+        if key >= 0:
+            entity_weights = weights.setdefault(key, {})
+            entity_weights[tag.entity] = (
+                entity_weights.get(tag.entity, 0.0) + tag.confidence
+            )
+    return {key: top_entity(w) for key, w in weights.items()}
+
+
+_TAG_ROWS = st.lists(
+    st.tuples(
+        st.integers(-1, 5),  # the tag's cluster key; -1: in no cluster
+        st.integers(0, 4),  # its address (shared addresses reorder tags)
+        st.sampled_from(["A", "B", "C"]),
+        # Sums of these depend on their order: 0.1 + 0.2 + 0.3 is not
+        # 0.3 + 0.2 + 0.1, and 0.5 + 0.5 ties 1.0.
+        st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.6, 1.0]),
+    ),
+    max_size=30,
+)
+
+
+class TestClusterNames:
+    @given(rows=_TAG_ROWS)
+    @example(
+        rows=[(0, 0, "B", 0.1), (0, 1, "B", 0.2), (0, 2, "B", 0.3), (0, 3, "A", 0.6)]
+    )
+    @example(rows=[(2, 0, "B", 0.5), (2, 1, "B", 0.5), (2, 2, "A", 1.0)])
+    def test_equals_the_left_to_right_oracle(self, rows):
+        """Tags on a shared address come out of ``all_tags`` grouped by
+        address, so the sums run in that order, not in ``rows``'."""
+        tags = TagStore(
+            Tag(f"addr{address}", entity, "user", confidence)
+            for _key, address, entity, confidence in rows
+        )
+        keys = [key for key, *_tag in rows]  # one per all_tags row
+        assert cluster_names(keys, TagColumns(tags)) == _oracle(keys, tags)
+
+    def test_the_sum_is_taken_in_tag_order(self):
+        """``B``'s tags sum to 0.6000000000000001 left to right, more
+        than ``A``'s 0.6; summed right to left they would tie, and the
+        tie would go to ``A`` by name."""
+        tags = TagStore(
+            [Tag(f"b{k}", "B", "user", c) for k, c in enumerate((0.1, 0.2, 0.3))]
+            + [Tag("a", "A", "user", 0.6)]
+        )
+        assert cluster_names([7, 7, 7, 7], TagColumns(tags)) == {7: "B"}
+
+    def test_ids_resolve_as_the_interner_sees_addresses(self):
+        tags = TagStore([make_tag("x", "X"), make_tag("y", "Y")])
+        columns = TagColumns(tags)
+        seen = {"y": 3}
+        assert columns.ids(seen.get).tolist() == [-1, 3]
+        seen["x"] = 8
+        assert columns.ids(seen.get).tolist() == [8, 3]
+        assert cluster_names(columns.ids(seen.get), columns) == {8: "X", 3: "Y"}
