@@ -472,6 +472,43 @@ class TestDirtyRootCursors:
     next answer: the tip's name map is built from scratch at every
     height, with the auditor attached or not."""
 
+    def test_a_settled_run_reports_every_moved_placement(self, micro_world):
+        """Across runs the flush settles wholesale, every tagged address
+        whose canonical id moved is named under its new id as the batch
+        oracle names it, and no name is left under an id that is gone."""
+        tags = micro_world.extras["attack"].tags
+        tagged = sorted({tag.address for tag in tags.all_tags()})
+        metrics = MetricsRegistry()
+        target = ChainIndex()
+        service = ForensicsService(target, tags=tags, metrics=metrics)
+        view = service.aggregates
+        blocks = micro_world.blocks
+        placed: dict[str, int] = {}
+        moved = []
+        # The first run ends before the world's one void (height 19).
+        for start, stop in ((0, 15), (15, 100), (100, len(blocks))):
+            for block in blocks[start:stop]:
+                target.add_block(block)
+            tip = view.at()
+            names = service.queries._cluster_names(tip)
+            batch = ReferenceRollup(
+                target, tip.height, tags=tags, h2_config=None,
+                dice_addresses=frozenset(),
+            )
+            assert names == batch.names, start
+            now = {
+                address: tip.cluster_id_of(target.interner.id_of(address))
+                for address in tagged
+                if target.interner.id_of(address) is not None
+            }
+            for address, cid in placed.items():
+                if now[address] != cid:
+                    moved.append(address)
+                    assert names[now[address]] == batch.names[now[address]]
+            placed = now
+        assert flush_paths(metrics)[1:] == ["settle"] * 2
+        assert moved
+
     def test_query_names_and_auditor_coexist(self, micro_world):
         """End to end: a strict auditor runs beside the query engine's
         name maps, and the tip's map equals the batch oracle's names at
@@ -493,6 +530,32 @@ class TestDirtyRootCursors:
             assert names == batch.names, block.height
         assert auditor.audits_run == 8
         assert auditor.total_violations == 0
+
+    def test_nothing_is_marked_without_a_cursor(self):
+        """An untagged service keeps no naming state: no flush, settled
+        or patched, builds tag columns or caches a name map, and every
+        ranked cluster answers without a name."""
+        index = ChainIndex()
+        service = ForensicsService(index, tags=None)
+        top = Query("top_clusters", (10, "size"))
+        blocks = list(large_scale_blocks(140, seed=0))
+        answers = []
+        for block in blocks[:100]:
+            index.add_block(block)
+        answers.append(service.answer(top))
+        for block in blocks[100:]:
+            index.add_block(block)
+            answers.append(service.answer(top))
+        assert service.queries._cluster_names(service.aggregates.at()) is None
+        assert service.queries._tag_columns is None
+        assert not [
+            key for key in service.cache._entries
+            if "_agg:cluster_names" in repr(key)
+        ]
+        assert all(answer for answer in answers)
+        assert {name for answer in answers for _cid, _value, name in answer} == {
+            None
+        }
 
     def test_a_link_born_in_a_settled_run_renames_an_untouched_cluster(self):
         """A change link born inside a settled run joins two clusters

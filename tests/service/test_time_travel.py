@@ -11,6 +11,11 @@ H1-only heights, open-overlay horizons (a §4.2 window mid-flight at
 the restore case pins the same equality after a snapshot round trip,
 whose ``timetravel`` segment seeds the replay base from serialized
 arrays rather than a live fold.
+
+A second class pins the naming epoch of the query cache key: the tag
+count, so a tag added at an unchanged tip re-keys the name-bearing
+kinds and a cluster never keeps serving its pre-tag name out of the
+query cache.
 """
 
 from hypothesis import given, settings
@@ -169,6 +174,73 @@ class TestAddressFieldsFromTheRows:
         ]
         for query, expected in zip(queries, reference_answers(target, queries)):
             assert repr(service.answer(query)) == repr(expected), query
+
+
+class TestNamingEpochCacheKeys:
+    """The staleness regression: name-bearing kinds must re-key when the
+    names' inputs move, even at an unchanged tip.  The tag store only
+    grows, so its count is the naming epoch the key carries."""
+
+    def _service(self):
+        from repro.tagging.tags import TagStore
+
+        cb_a = coinbase(addr("epoch/a"))
+        cb_b = coinbase(addr("epoch/b"))
+        merge = spend(
+            [(cb_a, 0), (cb_b, 0)], [(addr("epoch/c"), 80 * COIN)]
+        )
+        source = build_chain([[cb_a], [cb_b], [merge]])
+        target = ChainIndex()
+        service = ForensicsService(target, tags=TagStore())
+        for height in range(3):
+            target.add_block(source.block_at(height))
+        return service
+
+    def _tag(self, service, address, entity):
+        from repro.tagging.tags import Tag
+
+        service.tags.add(
+            Tag(address=address, entity=entity, source="user", confidence=1.0)
+        )
+
+    def test_epoch_bump_re_keys_name_bearing_kinds(self):
+        service = self._service()
+        engine = service.queries
+        named = [
+            Query("top_clusters", (5, "size")),
+            Query("cluster_profile", (addr("epoch/a"),)),
+        ]
+        for entity, query in zip(("A Corp", "B Corp"), named):
+            before = engine._cache_key(query)
+            self._tag(service, addr("epoch/a"), entity)
+            assert engine._cache_key(query) != before, query.kind
+        # Name-free kinds stay keyed on the tip alone.
+        unnamed = Query("cluster_balance", (addr("epoch/a"),))
+        before = engine._cache_key(unnamed)
+        self._tag(service, addr("epoch/b"), "C Corp")
+        assert engine._cache_key(unnamed) == before
+
+    def test_epoch_bump_forces_recompute_at_unchanged_tip(self):
+        service = self._service()
+        query = Query("top_clusters", (5, "size"))
+        first = service.answer(query)
+        assert {name for _cid, _value, name in first} == {None}
+        hits = service.cache.hits
+        assert service.answer(query) == first
+        assert service.cache.hits == hits + 1
+        # A tag at the same tip invalidates: the repeat misses and names
+        # the merged cluster instead of serving the pre-tag entry.
+        misses = service.cache.misses
+        self._tag(service, addr("epoch/b"), "B Corp")
+        renamed = service.answer(query)
+        assert service.cache.misses > misses
+        assert [(cid, value) for cid, value, _name in renamed] == [
+            (cid, value) for cid, value, _name in first
+        ]
+        merged = service.answer(Query("cluster_of", (addr("epoch/a"),)))
+        assert {cid: name for cid, _value, name in renamed if name} == {
+            merged: "B Corp"
+        }
 
 
 class TestPastHeightBuildsWhatItReads:
